@@ -10,7 +10,6 @@ package deltarepair_test
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -382,84 +381,6 @@ func BenchmarkPreparedRepair(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("mas", bench(ds.DB, src))
-}
-
-// BenchmarkParallelDerivation measures requesting parallelism on a
-// workload the co-partitioning analysis rejects (the 5-layer cascade
-// joins the derived relation on rotating columns, so MAS-20 is not
-// shard-local). Since the per-round worker pool was retired in favor of
-// hash-sharded evaluation, Parallelism on a non-shardable program falls
-// back to sequential derivation — this pair pins that the fallback
-// decision itself costs nothing (the ratio should sit at ~1.0 on any
-// host). Single-core wall clock can still wobble well outside the band —
-// a committed snapshot once recorded 0.760 while both legs kept
-// byte-identical B/op and allocs/op, proving the code path never changed
-// — which is why this entry is recorded for trend-watching but not gated
-// in check mode. See BenchmarkShardedDerivation for the workload where
-// parallelism engages.
-func BenchmarkParallelDerivation(b *testing.B) {
-	ds := mas.Generate(mas.Config{Scale: 0.05, Seed: 1})
-	p, err := programs.MAS(20, ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prep, err := datalog.Prepare(p, ds.DB.Schema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, par int) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunWith(ds.DB, p, core.SemEnd, core.Options{Prepared: prep, Parallelism: par}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, 0) })
-	b.Run("parallel", func(b *testing.B) { run(b, workers) })
-}
-
-// BenchmarkShardedDerivation contrasts sequential derivation with
-// shard-local parallel evaluation on a workload the co-partitioning
-// analysis proves shardable (MAS-15 at scale 0.2 — large enough to clear
-// the auto-parallelism size floor, join-heavy enough that per-shard
-// derivation dominates shard setup). Results are byte-identical; only
-// wall-clock differs. The sharded leg fans out to NumCPU shards (min 2),
-// the sharded4 leg pins 4 shards so multi-core runs report a
-// fixed-width scaling number. On a single-CPU host the shards run
-// serially and both legs measure pure partition-and-merge overhead
-// rather than a speedup; bench.sh records the pairs as
-// comparison/sharded_vs_sequential and scaling/sharded_speedup_4cores.
-func BenchmarkShardedDerivation(b *testing.B) {
-	ds := mas.Generate(mas.Config{Scale: 0.2, Seed: 1})
-	p, err := programs.MAS(15, ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prep, err := datalog.Prepare(p, ds.DB.Schema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !prep.Shardable() {
-		b.Fatal("MAS-15 must be co-partitionable")
-	}
-	run := func(b *testing.B, par int) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunWith(ds.DB, p, core.SemEnd, core.Options{Prepared: prep, Parallelism: par}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	shards := runtime.NumCPU()
-	if shards < 2 {
-		shards = 2
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, 0) })
-	b.Run("sharded", func(b *testing.B) { run(b, shards) })
-	b.Run("sharded4", func(b *testing.B) { run(b, 4) })
 }
 
 // BenchmarkForkVsClone contrasts minting an executor working copy by deep

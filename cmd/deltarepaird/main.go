@@ -42,6 +42,12 @@
 //
 //	deltarepaird -addr :8080 -data-dir /var/lib/deltarepaird
 //
+// One request evaluates on one goroutine; the daemon's concurrency is
+// across requests (-max-inflight private forks of the session snapshot).
+// The per-request worker-count flag of earlier versions is gone: a command
+// line that still passes it fails at start-up with Go's "flag provided but
+// not defined" (CHANGES.md names it); drop the flag.
+//
 // See internal/server for the full API, and the README's "Durable
 // sessions" section for the WAL format and recovery semantics.
 package main
@@ -73,7 +79,6 @@ func main() {
 		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "session cache capacity (LRU beyond this)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrently executing repairs (0 = 2x GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request timeout (0 = none)")
-		parallelism = flag.Int("parallelism", 0, "per-request rule-evaluation workers (0 = sequential)")
 		solverNodes = flag.Int64("solver-max-nodes", 0, "default Min-Ones-SAT node budget (0 = solver default)")
 		maxVersions = flag.Int("max-versions", 0, "retained snapshot versions per session for pinned reads (0 = engine default)")
 		demo        = flag.Bool("demo", false, "preload the paper's running example as session \"running-example\"")
@@ -117,7 +122,6 @@ func main() {
 		MaxSessions:    *maxSessions,
 		MaxInFlight:    *maxInFlight,
 		DefaultTimeout: *timeout,
-		Parallelism:    *parallelism,
 		SolverMaxNodes: *solverNodes,
 		MaxVersions:    *maxVersions,
 		DataDir:        *dataDir,

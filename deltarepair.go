@@ -232,7 +232,7 @@ func (pp *Prepared) Repair(db *Database, sem Semantics) (*Result, *Database, err
 }
 
 // RepairWith is Prepared.Repair with explicit options (solver budgets,
-// Parallelism for concurrent per-rule evaluation, etc.).
+// cancellation, warm-start hints).
 func (pp *Prepared) RepairWith(db *Database, sem Semantics, opts Options) (*Result, *Database, error) {
 	opts.Prepared = pp.prep
 	return core.RunWith(db, pp.prog, sem, opts)
@@ -380,7 +380,7 @@ func EnumerateRepairs(db *Database, p *Program, k int) (*RepairSpace, error) {
 }
 
 // EnumerateRepairsWith is EnumerateRepairs with explicit executor options
-// (prepared plans, parallelism, context, solver budget) and enumeration
+// (prepared plans, context, solver budget) and enumeration
 // options (cardinality-only mode).
 func EnumerateRepairsWith(db *Database, p *Program, opts Options, eopts EnumerateOptions) (*RepairSpace, error) {
 	return core.EnumerateRepairsWith(db, p, opts, eopts)

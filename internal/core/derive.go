@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"repro/internal/datalog"
 	"repro/internal/engine"
@@ -23,22 +20,10 @@ type deriveConfig struct {
 	// capture, when non-nil, records every assignment found into the
 	// provenance graph with its derivation round as the layer (§5.2).
 	capture *provenance.Graph
-	// maxRounds guards against runaway recursion; 0 means no limit beyond
-	// the natural bound (total tuple count + 1).
-	maxRounds int
 	// naive disables the seminaive frontier optimization: every round
 	// re-evaluates every rule against the full delta contents. Used only
 	// by the evaluation-strategy ablation benchmark; results are identical.
 	naive bool
-	// parallelism is the requested shard fan-out, consumed by deriveAuto's
-	// heuristic (see shardWidth); derive itself always runs sequentially.
-	// Results are byte-identical either way: shards partition the work by
-	// hash and the merge replays in global Seq order.
-	parallelism int
-	// shardMin overrides the minimum live base size before deriveAuto
-	// shards: 0 means the default threshold, negative disables the floor
-	// (tests force sharding on tiny databases with it).
-	shardMin int
 	// warmSeeds, when non-nil, switches the loop into warm-continuation
 	// mode (end semantics after insert-only base updates): work's
 	// pre-existing deltas are installed as already-processed old deltas
@@ -66,12 +51,6 @@ type deriveConfig struct {
 // been valid (and fired, deleting its head) one stage earlier — hence every
 // genuinely new assignment uses a frontier delta and the same pass
 // structure is sound.
-//
-// derive is strictly sequential; parallel execution happens one level up,
-// in deriveSharded, which runs this whole loop per hash-shard. (The old
-// per-round rule fan-out — workers filling per-rule buffers behind a merge
-// barrier every round — consistently lost to sequential evaluation on
-// real programs and was retired in its favor.)
 func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]*engine.Tuple, int, error) {
 	schema := work.Schema
 	scr := prep.AcquireScratch()
@@ -101,10 +80,9 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 		})
 	}
 
-	maxRounds := cfg.maxRounds
-	if maxRounds <= 0 {
-		maxRounds = work.TotalTuples() + 2
-	}
+	// Every productive round derives at least one new tuple, so the tuple
+	// count is a natural bound; this guards against runaway recursion.
+	maxRounds := work.TotalTuples() + 2
 
 	var derivedAll []*engine.Tuple
 	rounds := 0
@@ -122,9 +100,8 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 		newHeads = newHeads[:0]
 		clear(newSet)
 
-		// process applies the shared per-assignment logic; it is the single
-		// code path for both execution modes, invoked in (rule, pass,
-		// enumeration) order either inline or from merged buffers.
+		// process applies the per-assignment logic, invoked in (rule, pass,
+		// enumeration) order.
 		process := func(rule *datalog.Rule, asn *datalog.Assignment) {
 			head := asn.Head()
 			id := head.TID
@@ -219,192 +196,8 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 	return derivedAll, rounds, nil
 }
 
-// defaultShardMinTuples is the live-base size below which deriveAuto never
-// shards: fork + partition-bitmap setup costs a few microseconds per
-// relation, which only amortizes once the fixpoint has real work.
-const defaultShardMinTuples = 2048
-
-// deriveAuto runs the seminaive fixpoint, hash-sharded across
-// cfg.parallelism workers when the co-partitioning analysis proved the
-// program shard-local and the database is big enough to amortize shard
-// setup; otherwise plain sequential derive. Results are byte-identical
-// either way.
-func deriveAuto(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]*engine.Tuple, int, error) {
-	if p := shardWidth(work, prep, cfg); p > 1 {
-		return deriveSharded(work, prep, cfg, p)
-	}
-	return derive(work, prep, cfg)
-}
-
-// shardWidth is the auto-parallelism heuristic: the effective shard count
-// for this derivation, or 0 to run sequentially. Sharding engages only
-// when the caller asked for parallelism, the program is shard-local under
-// the co-partitioning analysis, the run does not capture provenance (the
-// graph records global rounds-and-layers structure, so capture paths stay
-// sequential) or use naive evaluation (the ablation measures the reference
-// strategy), and the live base is large enough that shard setup amortizes.
-func shardWidth(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) int {
-	p := cfg.parallelism
-	if p <= 1 || cfg.capture != nil || cfg.naive || !prep.Shardable() {
-		return 0
-	}
-	// A single-core host runs the shards sequentially anyway and still
-	// pays partition + merge (~15% on comparison/sharded_vs_sequential),
-	// so sharding needs real parallelism. A negative shardMin keeps
-	// forcing shards — the differential suites use it to exercise the
-	// sharded path byte-identically on any host.
-	if cfg.shardMin >= 0 && runtime.GOMAXPROCS(0) == 1 {
-		return 0
-	}
-	if p > engine.MaxShards {
-		p = engine.MaxShards
-	}
-	floor := cfg.shardMin
-	if floor == 0 {
-		floor = defaultShardMinTuples
-	}
-	if floor > 0 && work.TotalTuples() < floor {
-		return 0
-	}
-	return p
-}
-
-// deriveSharded runs the entire seminaive fixpoint shard-locally on p
-// hash-partitions of work and merges once at the end.
-//
-// Soundness and exactness: every rule is shard-local (shardWidth checked
-// prep.Shardable), meaning under the partition-key assignment κ every
-// assignment of every rule binds derived-relation tuples whose κ-column
-// values are equal — so the assignment is visible, in full, to exactly the
-// shard owning that value, and to no other (replicated relations are
-// present everywhere and impose no constraint). By induction over rounds,
-// each shard's round-r frontier is exactly the κ-owned slice of the
-// sequential round-r frontier: round 1 seeds are partitioned by κ, and a
-// round r+1 derivation exists in shard s iff its body tuples do, iff the
-// sequential derivation's head hashes to s. Hence the union of shard
-// fixpoints equals the sequential fixpoint, per-shard dedup is global
-// dedup (heads stay in their owner shard), and the maximum shard round
-// count equals the sequential round count. The merge replays derived heads
-// in global Seq order — the canonical order every consumer normalizes to
-// (newResult sorts Deleted by Seq) — so results are byte-identical to
-// sequential execution.
-//
-// Each shard is a copy-on-write fork whose deletion bitmaps hide the rows
-// other shards own (no tuple copies; columnar probes stay columnar), with
-// its own pooled scratch, running the full fixpoint with zero cross-shard
-// coordination. Frozen-side index and columnar builds are shared across
-// shards behind the snapshot's mutex-and-atomic-publish discipline;
-// WarmSeminaiveIndexes pre-builds the probed ones so shards do not contend
-// building them mid-join.
-func deriveSharded(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig, p int) ([]*engine.Tuple, int, error) {
-	snap := work.Freeze()
-	prep.WarmSeminaiveIndexes(work)
-	keys := prep.PartitionKeys()
-	shards := snap.ShardForks(p, keys)
-
-	derived := make([][]*engine.Tuple, p)
-	rounds := make([]int, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			scfg := cfg
-			scfg.parallelism = 0
-			if cfg.warmSeeds != nil {
-				scfg.warmSeeds = shardSeeds(cfg.warmSeeds, keys, i, p)
-			}
-			derived[i], rounds[i], errs[i] = derive(shards[i], prep, scfg)
-		}(i)
-	}
-	wg.Wait()
-	maxRounds, total := 0, 0
-	for i := 0; i < p; i++ {
-		if errs[i] != nil {
-			return nil, 0, errs[i]
-		}
-		if rounds[i] > maxRounds {
-			maxRounds = rounds[i]
-		}
-		total += len(derived[i])
-	}
-
-	// Merge: concatenate the disjoint shard outputs, restore the global
-	// derivation order by Seq, and replay the head installs on the parent
-	// (deltas always; base shrinking only under stage semantics, mirroring
-	// what derive did inside each shard).
-	merged := make([]*engine.Tuple, 0, total)
-	for i := 0; i < p; i++ {
-		merged = append(merged, derived[i]...)
-	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].Seq < merged[b].Seq })
-	for _, t := range merged {
-		if cfg.shrinkBases {
-			work.Relation(t.Rel).DeleteTuple(t)
-		}
-		work.Delta(t.Rel).Insert(t)
-	}
-	return merged, maxRounds, nil
-}
-
-// shardSeeds splits warm-start insert seeds for one shard: relations with
-// a partition key keep only the tuples hashing to the shard; seeds over
-// replicated (unkeyed) relations are copied whole. Every shard gets
-// private seed relations — evaluation may lazily build indexes on them, a
-// write that must not be shared across shard goroutines.
-func shardSeeds(seeds map[string]*engine.Relation, keys map[string]int, shard, p int) map[string]*engine.Relation {
-	out := make(map[string]*engine.Relation, len(seeds))
-	for name, src := range seeds {
-		col, keyed := keys[name]
-		dst := engine.NewScratchRelation(name, src.Arity)
-		src.Scan(func(t *engine.Tuple) bool {
-			if !keyed || engine.ShardOf(t.Vals[col], p) == shard {
-				dst.Insert(t)
-			}
-			return true
-		})
-		out[name] = dst
-	}
-	return out
-}
-
-// forEachRuleParallel runs eval(ri, ctx) for every listed rule on a pool
-// of up to par workers, each holding a pooled execution context. It returns
-// per-rule errors indexed like prep.Rules; callers merge per-rule outputs
-// in rule order afterwards, which is what keeps parallel execution
-// byte-identical to sequential. eval must only read shared state.
-func forEachRuleParallel(prep *datalog.Prepared, par int, rules []int,
-	eval func(ri int, ctx *datalog.ExecContext) error) []error {
-
-	errs := make([]error, len(prep.Rules))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	if par > len(rules) {
-		par = len(rules)
-	}
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := prep.AcquireContext()
-			defer prep.ReleaseContext(ctx)
-			for ri := range jobs {
-				errs[ri] = eval(ri, ctx)
-			}
-		}()
-	}
-	for _, ri := range rules {
-		jobs <- ri
-	}
-	close(jobs)
-	wg.Wait()
-	return errs
-}
-
 // evalRuleRound evaluates one rule's passes for one round, emitting every
-// assignment in deterministic enumeration order. It only reads work, old,
-// and frontier, so distinct rules can run concurrently.
+// assignment in deterministic enumeration order.
 func evalRuleRound(work *engine.Database, prep *datalog.Prepared, ri int, naive bool,
 	old, frontier map[string]*engine.Relation, ctx *datalog.ExecContext,
 	emit func(*datalog.Assignment) bool) error {

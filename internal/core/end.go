@@ -20,11 +20,11 @@ func RunEnd(db *engine.Database, p *datalog.Program) (*Result, *engine.Database,
 	if err != nil {
 		return nil, nil, err
 	}
-	return runEnd(nil, db, prep, 0, 0)
+	return runEnd(nil, db, prep)
 }
 
-func runEnd(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par, shardMin int) (*Result, *engine.Database, error) {
-	res, work, _, err := runEndCaptured(ctx, db, prep, false, par, shardMin)
+func runEnd(ctx context.Context, db *engine.Database, prep *datalog.Prepared) (*Result, *engine.Database, error) {
+	res, work, _, err := runEndCaptured(ctx, db, prep, false)
 	return res, work, err
 }
 
@@ -37,7 +37,7 @@ func CaptureProvenance(db *engine.Database, p *datalog.Program) (*provenance.Gra
 	if err != nil {
 		return nil, err
 	}
-	_, _, graph, err := runEndCaptured(nil, db, prep, true, 0, 0)
+	_, _, graph, err := runEndCaptured(nil, db, prep, true)
 	return graph, err
 }
 
@@ -84,7 +84,7 @@ func RunEndNaive(db *engine.Database, p *datalog.Program) (*Result, *engine.Data
 // ok reports whether the warm continuation applied; when false (no usable
 // hints, or a hint referenced a tuple that is not live — a stale hint)
 // the caller must run the full executor.
-func runEndWarm(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par, shardMin int, w *WarmStart) (*Result, *engine.Database, bool, error) {
+func runEndWarm(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (*Result, *engine.Database, bool, error) {
 	if w == nil || !w.InsertOnly || w.PrevResult == nil || w.PrevResult.Semantics != SemEnd {
 		return nil, nil, false, nil
 	}
@@ -97,11 +97,9 @@ func runEndWarm(ctx context.Context, db *engine.Database, prep *datalog.Prepared
 		work.Delta(t.Rel).Insert(t)
 	}
 	start := time.Now()
-	derived, rounds, err := deriveAuto(work, prep, deriveConfig{
-		parallelism: par,
-		shardMin:    shardMin,
-		ctx:         ctx,
-		warmSeeds:   w.seedRelations(work),
+	derived, rounds, err := derive(work, prep, deriveConfig{
+		ctx:       ctx,
+		warmSeeds: w.seedRelations(work),
 	})
 	evalDur := time.Since(start)
 	if err != nil {
@@ -123,7 +121,7 @@ func runEndWarm(ctx context.Context, db *engine.Database, prep *datalog.Prepared
 // runEndCaptured is runEnd optionally capturing the provenance graph for
 // Algorithm 2 (step semantics): the graph records every assignment of the
 // end-semantics derivation with its round as the layer.
-func runEndCaptured(ctx context.Context, db *engine.Database, prep *datalog.Prepared, capture bool, par, shardMin int) (*Result, *engine.Database, *provenance.Graph, error) {
+func runEndCaptured(ctx context.Context, db *engine.Database, prep *datalog.Prepared, capture bool) (*Result, *engine.Database, *provenance.Graph, error) {
 	work := db.Fork()
 	var graph *provenance.Graph
 	if capture {
@@ -131,7 +129,7 @@ func runEndCaptured(ctx context.Context, db *engine.Database, prep *datalog.Prep
 	}
 
 	start := time.Now()
-	derived, rounds, err := deriveAuto(work, prep, deriveConfig{shrinkBases: false, capture: graph, parallelism: par, shardMin: shardMin, ctx: ctx})
+	derived, rounds, err := derive(work, prep, deriveConfig{shrinkBases: false, capture: graph, ctx: ctx})
 	evalDur := time.Since(start)
 	if err != nil {
 		return nil, nil, nil, err

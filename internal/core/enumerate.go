@@ -133,9 +133,9 @@ func EnumerateRepairs(db *engine.Database, p *datalog.Program, k int) (*RepairSp
 }
 
 // EnumerateRepairsWith is EnumerateRepairs with explicit executor and
-// enumeration options. Opts is interpreted as for RunWith (Prepared,
-// Parallelism, Ctx, Independent all apply; Warm hints are ignored — the
-// space depends on the whole database, not on a previous single result).
+// enumeration options. Opts is interpreted as for RunWith (Prepared, Ctx,
+// Independent all apply; Warm hints are ignored — the space depends on the
+// whole database, not on a previous single result).
 //
 // The provenance CNF is built once; the solver then runs up to k times,
 // each solution's blocking clause excluding it and its supersets from
@@ -157,12 +157,12 @@ func EnumerateRepairsWith(db *engine.Database, p *datalog.Program, opts Options,
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, err
 	}
-	return enumerateRepairs(opts.Ctx, db, prep, opts.Parallelism, opts.Independent, eopts)
+	return enumerateRepairs(opts.Ctx, db, prep, opts.Independent, eopts)
 }
 
-func enumerateRepairs(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, iopts IndependentOptions, eopts EnumerateOptions) (*RepairSpace, error) {
+func enumerateRepairs(ctx context.Context, db *engine.Database, prep *datalog.Prepared, iopts IndependentOptions, eopts EnumerateOptions) (*RepairSpace, error) {
 	k := ClampEnumK(eopts.K)
-	ic, err := buildIndependentCNF(ctx, db, prep, par, iopts)
+	ic, err := buildIndependentCNF(ctx, db, prep, iopts)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +188,7 @@ func enumerateRepairs(ctx context.Context, db *engine.Database, prep *datalog.Pr
 	}
 	updStart := time.Now()
 	for _, sol := range enum.Solutions {
-		deleted, _, err := ic.materialize(ctx, db, prep, par, sol.Assignment)
+		deleted, _, err := ic.materialize(ctx, db, prep, sol.Assignment)
 		if err != nil {
 			return nil, err
 		}

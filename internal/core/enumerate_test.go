@@ -165,7 +165,7 @@ func TestEnumerateCardinalityOnly(t *testing.T) {
 }
 
 // TestEnumerateDeterminism: the same database and k yield byte-identical
-// repair lists across sequential, prepared, forked, and parallel
+// repair lists across sequential, prepared, and forked
 // execution, and across a save/load round trip.
 func TestEnumerateDeterminism(t *testing.T) {
 	p := academicProgram(t)
@@ -198,15 +198,6 @@ func TestEnumerateDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(spaceKeys(got), want) {
 		t.Fatalf("forked enumeration diverged:\n %v\n %v", spaceKeys(got), want)
-	}
-
-	// Parallel rule evaluation.
-	got, err = EnumerateRepairsWith(academicDB(), p, Options{Parallelism: 4}, EnumerateOptions{K: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spaceKeys(got), want) {
-		t.Fatalf("parallel enumeration diverged:\n %v\n %v", spaceKeys(got), want)
 	}
 
 	// Save/load round trip.

@@ -74,7 +74,7 @@ func NewExplainer(db *engine.Database, p *datalog.Program) (*Explainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, _, graph, err := runEndCaptured(nil, db, prep, true, 0, 0)
+	_, _, graph, err := runEndCaptured(nil, db, prep, true)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func RunIndependent(db *engine.Database, p *datalog.Program, opts IndependentOpt
 	if err != nil {
 		return nil, nil, err
 	}
-	return runIndependent(nil, db, prep, 0, opts)
+	return runIndependent(nil, db, prep, opts)
 }
 
 // indCNF is the compiled Algorithm 1 instance — the positivized provenance
@@ -76,7 +76,7 @@ type indCNF struct {
 
 // buildIndependentCNF runs phases 1–2 of Algorithm 1 (Eval + ProcessProv)
 // and assembles the solver inputs.
-func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, opts IndependentOptions) (*indCNF, error) {
+func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts IndependentOptions) (*indCNF, error) {
 	maxClauses := opts.MaxClauses
 	if maxClauses <= 0 {
 		maxClauses = DefaultMaxClauses
@@ -87,95 +87,38 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 	// range over every *possible* deletion: all live base tuples plus any
 	// tuples already deleted before this run (the §3.6 "user deletes a
 	// specific set of tuples" initialization); the latter are forced
-	// deleted in the CNF below. Rules are independent here, so with
-	// par > 1 each rule's sweep runs on a worker; per-rule clause buffers
-	// are merged in rule order, keeping the formula (and therefore SAT
-	// variable numbering and the solver's tie-breaking) byte-identical to
-	// the sequential sweep.
+	// deleted in the CNF below.
 	evalStart := time.Now()
 	formula := provenance.NewFormula()
-	if par > 1 && len(prep.Rules) > 1 {
-		// Concurrent sweeps read base and delta relations: build the probed
-		// indexes up front (and flush bucket staleness from any earlier
-		// deletions) so lookups perform no writes.
-		prep.WarmFromBaseIndexes(db)
-		// Each worker dedups its rule's clauses into a private formula —
-		// the same canonical dedup the merged formula applies — so the cap
-		// check counts distinct clauses exactly like the sequential sweep
-		// (a self-join emits each clause body twice but stores it once). A
-		// single rule exceeding the cap on its own distinct clauses dooms
-		// the merged total, so stopping that rule early is safe.
-		allRules := make([]int, len(prep.Rules))
-		for ri := range prep.Rules {
-			allRules[ri] = ri
-		}
-		locals := make([]*provenance.Formula, len(prep.Rules))
-		overflow := make([]bool, len(prep.Rules))
-		errs := forEachRuleParallel(prep, par, allRules,
-			func(ri int, ec *datalog.ExecContext) error {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-				locals[ri] = provenance.NewFormula()
-				emitted := 0
-				return prep.Rules[ri].EvalFromBase(db, true, ec, func(asn *datalog.Assignment) bool {
-					locals[ri].Add(asn.Head().TID, provenance.ClauseOf(asn))
-					if locals[ri].Len() > maxClauses {
-						overflow[ri] = true
-						return false
-					}
-					emitted++
-					return emitted%evalCheckEvery != 0 || ctxErr(ctx) == nil
-				})
-			})
-		for ri := range prep.Rules {
-			if errs[ri] != nil {
-				return nil, errs[ri]
-			}
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			if overflow[ri] {
-				return nil, fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
-			}
-			for ci, c := range locals[ri].Clauses {
-				formula.Add(locals[ri].Heads[ci], c)
-			}
-			if formula.Len() > maxClauses {
-				return nil, fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
-			}
-		}
-	} else {
-		ec := prep.AcquireContext()
-		var evalErr error
-		for _, pr := range prep.Rules {
-			if err := ctxErr(ctx); err != nil {
-				prep.ReleaseContext(ec)
-				return nil, err
-			}
-			emitted := 0
-			err := pr.EvalFromBase(db, true, ec, func(asn *datalog.Assignment) bool {
-				formula.Add(asn.Head().TID, provenance.ClauseOf(asn))
-				if formula.Len() > maxClauses {
-					evalErr = fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
-					return false
-				}
-				emitted++
-				return emitted%evalCheckEvery != 0 || ctxErr(ctx) == nil
-			})
-			if err != nil {
-				prep.ReleaseContext(ec)
-				return nil, err
-			}
-			if evalErr != nil {
-				prep.ReleaseContext(ec)
-				return nil, evalErr
-			}
-		}
-		prep.ReleaseContext(ec)
+	ec := prep.AcquireContext()
+	var evalErr error
+	for _, pr := range prep.Rules {
 		if err := ctxErr(ctx); err != nil {
+			prep.ReleaseContext(ec)
 			return nil, err
 		}
+		emitted := 0
+		err := pr.EvalFromBase(db, true, ec, func(asn *datalog.Assignment) bool {
+			formula.Add(asn.Head().TID, provenance.ClauseOf(asn))
+			if formula.Len() > maxClauses {
+				evalErr = fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
+				return false
+			}
+			emitted++
+			return emitted%evalCheckEvery != 0 || ctxErr(ctx) == nil
+		})
+		if err != nil {
+			prep.ReleaseContext(ec)
+			return nil, err
+		}
+		if evalErr != nil {
+			prep.ReleaseContext(ec)
+			return nil, evalErr
+		}
+	}
+	prep.ReleaseContext(ec)
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
 	}
 	evalDur := time.Since(evalStart)
 
@@ -225,7 +168,7 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 	// steering equal-cost optima toward sets other semantics contain.
 	var prefer []int
 	if !opts.DisablePreferDerivable {
-		if _, _, graph, err := runEndCaptured(ctx, db, prep, true, par, 0); err == nil {
+		if _, _, graph, err := runEndCaptured(ctx, db, prep, true); err == nil {
 			heads := append([]engine.TupleID(nil), graph.Heads...)
 			idx := make(map[engine.TupleID]int, len(heads))
 			for i, h := range heads {
@@ -290,7 +233,7 @@ func (ic *indCNF) satOptions(ctx context.Context, opts IndependentOptions) sat.O
 // materialize turns a satisfying assignment into the deleted-tuple set and
 // the repaired fork, verifying stabilization (correctness of Algorithm 1):
 // fail loudly rather than return a bad repair.
-func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, assignment []bool) ([]*engine.Tuple, *engine.Database, error) {
+func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *datalog.Prepared, assignment []bool) ([]*engine.Tuple, *engine.Database, error) {
 	work := db.Fork()
 	var deleted []*engine.Tuple
 	for i, id := range ic.ids {
@@ -302,7 +245,7 @@ func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *da
 			deleted = append(deleted, t)
 		}
 	}
-	stable, err := CheckStableParCtx(ctx, work, prep, par)
+	stable, err := CheckStablePCtx(ctx, work, prep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,8 +255,8 @@ func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *da
 	return deleted, work, nil
 }
 
-func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, opts IndependentOptions) (*Result, *engine.Database, error) {
-	ic, err := buildIndependentCNF(ctx, db, prep, par, opts)
+func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts IndependentOptions) (*Result, *engine.Database, error) {
+	ic, err := buildIndependentCNF(ctx, db, prep, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -333,7 +276,7 @@ func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prep
 
 	// Output (line 6): tuples whose deletion variable is true.
 	updStart := time.Now()
-	deleted, work, err := ic.materialize(ctx, db, prep, par, solved.Assignment)
+	deleted, work, err := ic.materialize(ctx, db, prep, solved.Assignment)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,73 +12,21 @@ import (
 
 // assertIdentical fails unless the two results are the same set in the
 // same deletion order — byte-identical repairs, not just set-equivalent.
-func assertIdentical(t *testing.T, label string, sem Semantics, seq, par *Result) {
+func assertIdentical(t *testing.T, label string, sem Semantics, want, got *Result) {
 	t.Helper()
-	if !seq.SameSet(par) {
-		t.Fatalf("%s/%s: parallel set %v != sequential %v", label, sem, par.Keys(), seq.Keys())
+	if !want.SameSet(got) {
+		t.Fatalf("%s/%s: set %v, want %v", label, sem, got.Keys(), want.Keys())
 	}
-	sk, pk := seq.Keys(), par.Keys()
-	for i := range sk {
-		if sk[i] != pk[i] {
-			t.Fatalf("%s/%s: deletion order diverges at %d: parallel %v, sequential %v", label, sem, i, pk, sk)
+	wk, gk := want.Keys(), got.Keys()
+	for i := range wk {
+		if wk[i] != gk[i] {
+			t.Fatalf("%s/%s: deletion order diverges at %d: got %v, want %v", label, sem, i, gk, wk)
 		}
 	}
-	if seq.Optimal != par.Optimal || seq.Rounds != par.Rounds {
-		t.Fatalf("%s/%s: diagnostics diverge: parallel (optimal=%v rounds=%d) vs sequential (optimal=%v rounds=%d)",
-			label, sem, par.Optimal, par.Rounds, seq.Optimal, seq.Rounds)
+	if want.Optimal != got.Optimal || want.Rounds != got.Rounds {
+		t.Fatalf("%s/%s: diagnostics diverge: got (optimal=%v rounds=%d), want (optimal=%v rounds=%d)",
+			label, sem, got.Optimal, got.Rounds, want.Optimal, want.Rounds)
 	}
-}
-
-// runBoth executes one semantics sequentially and with a worker pool over
-// the same prepared program and checks the results are identical.
-func runBoth(t *testing.T, label string, db *engine.Database, p *datalog.Program, prep *datalog.Prepared) {
-	t.Helper()
-	indOpts := IndependentOptions{MaxNodes: 150000}
-	for _, sem := range AllSemantics {
-		seq, _, err := RunWith(db, p, sem, Options{Prepared: prep, Independent: indOpts})
-		if err != nil {
-			t.Fatalf("%s/%s sequential: %v", label, sem, err)
-		}
-		par, _, err := RunWith(db, p, sem, Options{Prepared: prep, Independent: indOpts, Parallelism: 4})
-		if err != nil {
-			t.Fatalf("%s/%s parallel: %v", label, sem, err)
-		}
-		assertIdentical(t, label, sem, seq, par)
-	}
-}
-
-// TestParallelDerivationMatchesSequentialMAS runs all 20 MAS programs under
-// Parallelism: 4 and asserts every semantics produces the same stabilizing
-// set in the same deletion order as sequential execution. Run with -race to
-// exercise the concurrent evaluation paths.
-func TestParallelDerivationMatchesSequentialMAS(t *testing.T) {
-	ds := mas.Generate(mas.Config{Scale: 0.01, Seed: 1})
-	for n := 1; n <= 20; n++ {
-		p, err := programs.MAS(n, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prep, err := datalog.Prepare(p, ds.DB.Schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runBoth(t, fmt.Sprintf("MAS-%d", n), ds.DB, p, prep)
-	}
-}
-
-// TestParallelDerivationMatchesSequentialRunningExample covers the paper's
-// running example (Figure 1) under the same parallel-vs-sequential check.
-func TestParallelDerivationMatchesSequentialRunningExample(t *testing.T) {
-	db := programs.RunningExampleDB()
-	p, err := programs.RunningExampleProgram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := datalog.Prepare(p, db.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runBoth(t, "running-example", db, p, prep)
 }
 
 // TestPreparedRepeatedRunsShareState exercises the amortization path: many
@@ -109,12 +57,12 @@ func TestPreparedRepeatedRunsShareState(t *testing.T) {
 	}
 }
 
-// TestParallelIndependentWithStaleIndexes covers the pre-existing-deletion
-// initialization (§3.6) under parallelism: the caller's database already
-// has lazily built indexes with stale buckets from earlier deletions, and
-// warming must flush them so the concurrent sweep performs no writes (run
-// with -race).
-func TestParallelIndependentWithStaleIndexes(t *testing.T) {
+// TestIndependentWithStaleIndexes covers the pre-existing-deletion
+// initialization (§3.6) over stale index buckets: the caller's database
+// already has lazily built indexes whose buckets went stale through the
+// earlier deletions, and Algorithm 1 must produce the same repair as on a
+// copy that received the same deletions before any index existed.
+func TestIndependentWithStaleIndexes(t *testing.T) {
 	db := programs.RunningExampleDB()
 	p, err := programs.RunningExampleProgram()
 	if err != nil {
@@ -124,24 +72,31 @@ func TestParallelIndependentWithStaleIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build indexes lazily via a stability probe, then delete tuples so the
-	// built buckets go stale.
-	if _, err := CheckStableP(db, prep); err != nil {
-		t.Fatal(err)
+	fresh := db.Clone() // no index built yet, so none is cloned
+	// Build every index the plans probe, then delete tuples so the built
+	// buckets go stale.
+	prep.WarmIndexes(db)
+	rels := []string{"AuthGrant", "Writes"}
+	for _, rel := range rels {
+		if len(db.Relation(rel).IndexedColumns()) == 0 {
+			t.Fatalf("%s has no built index: the test would not cover stale buckets", rel)
+		}
 	}
-	for _, rel := range []string{"AuthGrant", "Writes"} {
-		tuples := db.Relation(rel).Tuples()
-		db.DeleteTupleToDelta(tuples[len(tuples)-1])
+	for _, d := range []*engine.Database{db, fresh} {
+		for _, rel := range rels {
+			tuples := d.Relation(rel).Tuples()
+			d.DeleteTupleToDelta(tuples[len(tuples)-1])
+		}
 	}
-	seq, _, err := RunWith(db, p, SemIndependent, Options{Prepared: prep})
+	got, _, err := RunWith(db, p, SemIndependent, Options{Prepared: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := RunWith(db, p, SemIndependent, Options{Prepared: prep, Parallelism: 4})
+	want, _, err := RunWith(fresh, p, SemIndependent, Options{Prepared: prep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, "stale-index", SemIndependent, seq, par)
+	assertIdentical(t, "stale-index", SemIndependent, want, got)
 }
 
 // TestPreparedAcceptsStructurallyEqualSchema: a snapshot-restored database

@@ -13,20 +13,6 @@ import (
 type Options struct {
 	// Independent configures Algorithm 1 when sem == SemIndependent.
 	Independent IndependentOptions
-	// Parallelism sets the evaluation worker count; 0 or 1 evaluates
-	// sequentially. Seminaive derivation (end and stage semantics) uses it
-	// as the shard fan-out for hash-sharded evaluation, engaging only when
-	// the co-partitioning analysis proved the program shard-local and the
-	// base clears the size threshold (small sessions never pay shard
-	// setup); Algorithm 1's provenance sweep and the parallel stability
-	// probe fan out per rule. Results are byte-identical to sequential
-	// execution either way.
-	Parallelism int
-	// ShardMinTuples overrides the minimum live base size before sharded
-	// derivation engages: 0 keeps the default threshold (2048 tuples),
-	// negative removes the floor entirely (differential tests use this to
-	// force sharding on small databases).
-	ShardMinTuples int
 	// Prepared supplies a pre-compiled execution plan (datalog.Prepare) so
 	// repeated runs amortize validation and join planning. It must have
 	// been prepared from the same program passed to RunWith. Nil means
@@ -107,28 +93,28 @@ func RunWith(db *engine.Database, p *datalog.Program, sem Semantics, opts Option
 		// Insert-only batches continue the previous fixpoint directly;
 		// batches with deletions run the DRed over-delete/re-derive
 		// continuation. Either way the warm path costs O(changes).
-		if res, work, ok, err := runEndWarm(opts.Ctx, db, prep, opts.Parallelism, opts.ShardMinTuples, opts.Warm); ok || err != nil {
+		if res, work, ok, err := runEndWarm(opts.Ctx, db, prep, opts.Warm); ok || err != nil {
 			return res, work, err
 		}
-		if res, work, ok, err := runEndWarmDelete(opts.Ctx, db, prep, opts.Parallelism, opts.ShardMinTuples, opts.Warm); ok || err != nil {
+		if res, work, ok, err := runEndWarmDelete(opts.Ctx, db, prep, opts.Warm); ok || err != nil {
 			return res, work, err
 		}
-		return runEnd(opts.Ctx, db, prep, opts.Parallelism, opts.ShardMinTuples)
+		return runEnd(opts.Ctx, db, prep)
 	case SemStage:
 		if res, work, ok, err := runChangeProbe(opts.Ctx, db, prep, sem, opts.Warm); ok || err != nil {
 			return res, work, err
 		}
-		return runStage(opts.Ctx, db, prep, opts.Parallelism, opts.ShardMinTuples)
+		return runStage(opts.Ctx, db, prep)
 	case SemStep:
 		if res, work, ok, err := runChangeProbe(opts.Ctx, db, prep, sem, opts.Warm); ok || err != nil {
 			return res, work, err
 		}
-		return runStepGreedy(opts.Ctx, db, prep, opts.Parallelism, StepGreedyOptions{})
+		return runStepGreedy(opts.Ctx, db, prep, StepGreedyOptions{})
 	case SemIndependent:
 		if res, work, ok, err := runChangeProbe(opts.Ctx, db, prep, sem, opts.Warm); ok || err != nil {
 			return res, work, err
 		}
-		return runIndependent(opts.Ctx, db, prep, opts.Parallelism, opts.Independent)
+		return runIndependent(opts.Ctx, db, prep, opts.Independent)
 	default:
 		return nil, nil, fmt.Errorf("core: unknown semantics %v", sem)
 	}

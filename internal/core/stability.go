@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/datalog"
 	"repro/internal/engine"
@@ -50,48 +49,6 @@ func CheckStablePCtx(ctx context.Context, db *engine.Database, prep *datalog.Pre
 		}
 	}
 	return true, nil
-}
-
-// CheckStableParCtx is CheckStablePCtx with the per-rule probes fanned out
-// over up to par workers. Rules are independent reads of the same state,
-// so the verdict is identical to the sequential probe; with several rules
-// over a large session the wall-clock approaches the slowest single rule.
-// The prepared plans' index requirements are pre-built first (a lazy index
-// build mid-probe would be a data race), which is why par <= 1 falls back
-// to the sequential probe and its cheaper lazy indexing.
-func CheckStableParCtx(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int) (bool, error) {
-	if par <= 1 || len(prep.Rules) <= 1 {
-		return CheckStablePCtx(ctx, db, prep)
-	}
-	if err := prep.CompatibleWith(db.Schema); err != nil {
-		return false, fmt.Errorf("core: %w", err)
-	}
-	prep.WarmIndexes(db)
-	var unstable atomic.Bool
-	rules := make([]int, len(prep.Rules))
-	for ri := range rules {
-		rules[ri] = ri
-	}
-	errs := forEachRuleParallel(prep, par, rules,
-		func(ri int, ec *datalog.ExecContext) error {
-			if unstable.Load() {
-				return nil // some rule already has an assignment: verdict set
-			}
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			ok, err := prep.Rules[ri].HasAssignment(db, ec)
-			if ok {
-				unstable.Store(true)
-			}
-			return err
-		})
-	for _, err := range errs {
-		if err != nil {
-			return false, err
-		}
-	}
-	return !unstable.Load(), nil
 }
 
 // FirstViolation returns one satisfying assignment witnessing instability,

@@ -20,13 +20,13 @@ func RunStage(db *engine.Database, p *datalog.Program) (*Result, *engine.Databas
 	if err != nil {
 		return nil, nil, err
 	}
-	return runStage(nil, db, prep, 0, 0)
+	return runStage(nil, db, prep)
 }
 
-func runStage(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par, shardMin int) (*Result, *engine.Database, error) {
+func runStage(ctx context.Context, db *engine.Database, prep *datalog.Prepared) (*Result, *engine.Database, error) {
 	work := db.Fork()
 	start := time.Now()
-	derived, rounds, err := deriveAuto(work, prep, deriveConfig{shrinkBases: true, parallelism: par, shardMin: shardMin, ctx: ctx})
+	derived, rounds, err := derive(work, prep, deriveConfig{shrinkBases: true, ctx: ctx})
 	evalDur := time.Since(start)
 	if err != nil {
 		return nil, nil, err

@@ -43,12 +43,12 @@ func RunStepGreedyWithOptions(db *engine.Database, p *datalog.Program, opts Step
 	if err != nil {
 		return nil, nil, err
 	}
-	return runStepGreedy(nil, db, prep, 0, opts)
+	return runStepGreedy(nil, db, prep, opts)
 }
 
-func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par int, opts StepGreedyOptions) (*Result, *engine.Database, error) {
+func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts StepGreedyOptions) (*Result, *engine.Database, error) {
 	// Phase 1 (Eval): end run with provenance capture.
-	endRes, _, graph, err := runEndCaptured(ctx, db, prep, true, par, 0)
+	endRes, _, graph, err := runEndCaptured(ctx, db, prep, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -266,18 +266,6 @@ func CheckStableWarm(db *engine.Database, prep *datalog.Prepared, w *WarmStart) 
 	return CheckStableWarmCtx(nil, db, prep, w)
 }
 
-// CheckStableWarmParCtx is CheckStableWarmCtx whose cold path — no usable
-// hints, so a full stability probe — fans the per-rule probes out over par
-// workers (CheckStableParCtx). The warm path stays sequential: it probes
-// only the insert-seeded passes, whose work is bounded by the update batch
-// rather than the session.
-func CheckStableWarmParCtx(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart, par int) (bool, error) {
-	if w == nil || !w.PrevStable {
-		return CheckStableParCtx(ctx, db, prep, par)
-	}
-	return CheckStableWarmCtx(ctx, db, prep, w)
-}
-
 // CheckStableWarmCtx reports whether db is stable (Def. 3.12), using
 // incremental hints to avoid a full probe. When the hints say an earlier
 // version was stable, the new state can only be unstable through an

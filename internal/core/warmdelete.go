@@ -64,7 +64,7 @@ import (
 // phase 3's insert-seeded round and its cascade enumerate. The
 // update-stream equivalence suite and the warm-delete differential
 // suites assert byte-identity against from-scratch recomputation.
-func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Prepared, par, shardMin int, w *WarmStart) (*Result, *engine.Database, bool, error) {
+func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (*Result, *engine.Database, bool, error) {
 	if w == nil || w.InsertOnly || w.PrevResult == nil || w.PrevResult.Semantics != SemEnd {
 		return nil, nil, false, nil
 	}
@@ -262,11 +262,9 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 		work.Delta(t.Rel).Insert(t)
 		prevLive = append(prevLive, t)
 	}
-	derived, rounds, err := deriveAuto(work, prep, deriveConfig{
-		parallelism: par,
-		shardMin:    shardMin,
-		ctx:         ctx,
-		warmSeeds:   w.seedRelations(work),
+	derived, rounds, err := derive(work, prep, deriveConfig{
+		ctx:       ctx,
+		warmSeeds: w.seedRelations(work),
 	})
 	evalDur := time.Since(start)
 	if err != nil {

@@ -64,12 +64,6 @@ type PreparedRule struct {
 	// positive), so the union over these passes covers exactly the new work.
 	insertPasses []*plan
 
-	// Shard is the rule's mode under sharded parallel evaluation, from the
-	// co-partitioning analysis (see copartition.go): ShardLocal rules can
-	// run on every shard against its local partition; a plan containing any
-	// Shard0 rule is evaluated sequentially.
-	Shard ShardMode
-
 	// deltaIdx holds the body indexes of the rule's delta atoms, in order.
 	deltaIdx []int
 	// baseIdx holds the body indexes of the rule's base atoms, in order.
@@ -123,13 +117,11 @@ type Prepared struct {
 	// Rules holds one PreparedRule per program rule, in program order.
 	Rules []*PreparedRule
 
-	// Declared index requirements, per plan shape. Sequential execution
-	// leaves index construction lazy (only columns a run actually probes
-	// get built — cheaper when rules never fire); concurrent execution
-	// pre-builds its shape's requirements so lookups perform no writes.
+	// Declared index requirements. Execution leaves index construction lazy
+	// (only columns a run actually probes get built — cheaper when rules
+	// never fire); WarmIndexes pre-builds the union on request.
 	reqs          []IndexReq // union of all shapes, deduplicated
 	seminaiveReqs []IndexReq // pass/naive plans: base + scratch targets
-	fromBaseReqs  []IndexReq // fromBase plans: base + delta targets
 
 	// readSet is the union of the rules' read-sets: every relation some
 	// rule body references. A base-table update that touches no read-set
@@ -137,11 +129,6 @@ type Prepared struct {
 	// this to skip re-derivation entirely after such updates.
 	readSet    map[string]bool
 	readSorted []string
-
-	// part is the co-partitioning verdict for the program: partition keys
-	// for the derived relations, replicated relations, and whether every
-	// rule is shard-local (see copartition.go).
-	part *Partitioning
 
 	ctxPool     sync.Pool
 	scratchPool sync.Pool
@@ -244,8 +231,7 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 			})
 		}
 
-		// Collect the index requirements each plan's probes imply, bucketed
-		// by shape so executors warm only what their phase reads.
+		// Collect the index requirements each plan's probes imply.
 		collect := func(list *[]IndexReq, pl *plan, deltaTargets ...IndexTarget) {
 			for d, bi := range pl.order {
 				col := pl.lookup[d]
@@ -262,12 +248,12 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 				}
 			}
 		}
-		var opReqs []IndexReq // operational probes fold into the union only
-		collect(&opReqs, pr.operational, TargetDelta)
+		var unionOnly []IndexReq // operational and fromBase probes fold into the union only
+		collect(&unionOnly, pr.operational, TargetDelta)
 		// FromBase delta atoms may read base alone (views, stability
 		// formulas) or base ∪ delta (Algorithm 1 with pre-existing
 		// deletions); require both.
-		collect(&pp.fromBaseReqs, pr.fromBase, TargetBase, TargetDelta)
+		collect(&unionOnly, pr.fromBase, TargetBase, TargetDelta)
 		collect(&pp.seminaiveReqs, pr.naive, TargetScratch)
 		for _, pl := range pr.passes {
 			collect(&pp.seminaiveReqs, pl, TargetScratch)
@@ -280,11 +266,6 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 		pp.readSorted = append(pp.readSorted, rel)
 	}
 	sort.Strings(pp.readSorted)
-	part, modes := analyzePartitioning(p, schema)
-	pp.part = part
-	for i, m := range modes {
-		pp.Rules[i].Shard = m
-	}
 	pp.ctxPool.New = func() any { return NewExecContext() }
 	pp.scratchPool.New = func() any { return pp.newScratch() }
 	return pp, nil
@@ -293,19 +274,6 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 // IndexReqs returns the declared index requirements, deduplicated, in
 // first-use order.
 func (pp *Prepared) IndexReqs() []IndexReq { return pp.reqs }
-
-// Partitioning returns the co-partitioning verdict computed at Prepare
-// time. Callers must not mutate the returned struct.
-func (pp *Prepared) Partitioning() *Partitioning { return pp.part }
-
-// Shardable reports whether every rule is shard-local under the program's
-// partition-key assignment, i.e. the whole seminaive fixpoint can run
-// hash-sharded with a single merge at the end.
-func (pp *Prepared) Shardable() bool { return pp.part.Shardable }
-
-// PartitionKeys returns the partition key column per partitionable derived
-// relation. Callers must not mutate the returned map.
-func (pp *Prepared) PartitionKeys() map[string]int { return pp.part.Keys }
 
 // ReadSet returns the relations any rule body references (base or delta
 // side), sorted. A base-table update confined to relations outside this
@@ -358,57 +326,24 @@ func (pp *Prepared) CompatibleWith(schema *engine.Schema) error {
 	return nil
 }
 
-// warm builds the base/delta requirements of one shape's list on db. An
-// index that already exists may hold stale buckets from earlier deletions
-// (lazy compaction is a write), so every touched relation is also synced —
-// after warming, concurrent lookups perform no writes.
-func warm(db *engine.Database, reqs []IndexReq) {
-	for _, rq := range reqs {
+// WarmIndexes pre-builds every base- and delta-relation index any prepared
+// plan probes, so no lazy index construction happens on the evaluation hot
+// path. Use it on long-lived databases that serve repeated requests; for
+// one-shot runs lazy building is cheaper (columns of rules that never fire
+// are never built), so the executors do not call it.
+func (pp *Prepared) WarmIndexes(db *engine.Database) {
+	for _, rq := range pp.reqs {
 		switch rq.Target {
 		case TargetBase:
 			if r := db.Relation(rq.Rel); r != nil {
 				r.EnsureIndex(rq.Col)
-				r.SyncIndexes()
 			}
 		case TargetDelta:
 			if d := db.Delta(rq.Rel); d != nil {
 				d.EnsureIndex(rq.Col)
-				d.SyncIndexes()
 			}
 		}
 	}
-}
-
-// WarmIndexes pre-builds every base- and delta-relation index any prepared
-// plan probes, so no lazy index construction happens on the evaluation hot
-// path. Use it on long-lived databases that serve repeated requests; for
-// one-shot sequential runs lazy building is cheaper (columns of rules that
-// never fire are never built), so the executors call the shape-specific
-// warmers below only when running concurrently — there, a lazy index build
-// mid-lookup would be a data race.
-func (pp *Prepared) WarmIndexes(db *engine.Database) {
-	warm(db, pp.reqs)
-}
-
-// WarmSeminaiveIndexes pre-builds the base-relation indexes the seminaive
-// pass plans probe (delta atoms read derive-internal scratch, covered by
-// AcquireScratch). Required before parallel derivation.
-func (pp *Prepared) WarmSeminaiveIndexes(db *engine.Database) {
-	for _, rq := range pp.seminaiveReqs {
-		if rq.Target == TargetBase {
-			if r := db.Relation(rq.Rel); r != nil {
-				r.EnsureIndex(rq.Col)
-				r.SyncIndexes()
-			}
-		}
-	}
-}
-
-// WarmFromBaseIndexes pre-builds the base- and delta-relation indexes the
-// FromBase plans probe. Required before Algorithm 1's parallel provenance
-// sweep.
-func (pp *Prepared) WarmFromBaseIndexes(db *engine.Database) {
-	warm(db, pp.fromBaseReqs)
 }
 
 // AcquireContext returns a pooled execution context for use with the
@@ -424,7 +359,7 @@ func (pp *Prepared) ReleaseContext(ctx *ExecContext) { pp.ctxPool.Put(ctx) }
 // scratch index requirements pre-registered so inserts maintain them
 // incrementally), plus the round-recycled dedup sets and buffers the
 // derivation loop needs. Pooling the whole bundle means repeated
-// derivations — and each shard of a sharded run — allocate near-zero.
+// derivations allocate near-zero.
 type Scratch struct {
 	// Old and Frontier are the seminaive scratch relations, keyed by
 	// relation name: Old holds deltas from completed rounds, Frontier the

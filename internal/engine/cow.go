@@ -240,7 +240,6 @@ func (r *Relation) freeze() *frozenRel {
 	r.order, r.live, r.dead = nil, nil, 0
 	r.byKey = nil
 	r.indexes = nil
-	r.dirty = nil
 	return fz
 }
 

@@ -60,11 +60,6 @@ type Relation struct {
 	// shared warm index, built at most once per snapshot across all forks.
 	indexes map[int]map[Value]*idxBucket
 
-	// dirty lists index buckets holding tombstoned IDs since the last
-	// SyncIndexes call, so staleness can be flushed in O(affected buckets)
-	// before a phase that reads the relation concurrently.
-	dirty []*idxBucket
-
 	// positional marks a scratch relation (NewScratchRelation): inserts of
 	// interned tuples dedup by ID alone and skip intern-map maintenance.
 	positional bool
@@ -73,9 +68,8 @@ type Relation struct {
 // idxBucket is one hash-index bucket: tuple IDs in insertion order, of
 // which n are still live (dead IDs are filtered out lazily on lookup).
 type idxBucket struct {
-	ids   []TupleID
-	n     int32 // live count
-	stale bool  // queued on Relation.dirty for the next SyncIndexes
+	ids []TupleID
+	n   int32 // live count
 
 	// maxSeq and unsorted track whether ids is provably Seq-ascending, so
 	// LookupEach can stream the bucket without materializing and sorting a
@@ -306,9 +300,6 @@ func (r *Relation) DeleteID(id TupleID) bool {
 			b.n-- // the stale ID is filtered lazily on the next lookup
 			if b.n == 0 {
 				delete(idx, t.Vals[col].mapKey())
-			} else if !b.stale {
-				b.stale = true
-				r.dirty = append(r.dirty, b)
 			}
 		}
 	}
@@ -393,7 +384,6 @@ func (r *Relation) flatten(cols []int) {
 	r.byID, r.order, r.live, r.dead = byID, order, live, 0
 	r.byKey = nil
 	r.indexes = nil
-	r.dirty = nil
 	for _, col := range cols {
 		r.ensureIndex(col)
 	}
@@ -455,10 +445,9 @@ func (r *Relation) IDs() []TupleID {
 }
 
 // EnsureIndex builds the hash index on col if missing. Prepared programs
-// declare their (relation, column) index requirements up front and build
-// them here before evaluation starts, so no lazy index construction (a
-// write) happens on the lookup hot path — a requirement for evaluating
-// rules concurrently over a shared relation. On an overlay this warms the
+// declare their (relation, column) index requirements up front and can
+// build them here before evaluation starts, so no lazy index construction
+// happens on the lookup hot path. On an overlay this warms the
 // snapshot-shared frozen index (built at most once across all forks) plus
 // the private tail index.
 func (r *Relation) EnsureIndex(col int) {
@@ -496,19 +485,6 @@ func (r *Relation) IndexedColumns() []int {
 	return out
 }
 
-// SyncIndexes compacts every index bucket holding tombstoned IDs, in
-// O(affected buckets). After a sync (and until the next deletion) Lookup
-// performs no writes, so the relation can be read from multiple goroutines.
-// Frozen buckets are never stale, so only the tail needs syncing.
-func (r *Relation) SyncIndexes() {
-	for _, b := range r.dirty {
-		if b.stale {
-			b.compact(r)
-		}
-	}
-	r.dirty = r.dirty[:0]
-}
-
 // Reset empties the relation for reuse, keeping allocated capacity and
 // registered index columns (their buckets are dropped; inserts repopulate
 // them). Used to recycle seminaive scratch relations across rounds and
@@ -520,7 +496,6 @@ func (r *Relation) Reset() {
 	r.live = r.live[:0]
 	r.dead = 0
 	r.byKey = nil
-	r.dirty = r.dirty[:0]
 	for col := range r.indexes {
 		clear(r.indexes[col])
 	}
@@ -808,7 +783,6 @@ func (b *idxBucket) compact(r *Relation) {
 		}
 	}
 	b.ids = b.ids[:n]
-	b.stale = false
 }
 
 // LookupCount returns the number of live tuples whose value at col equals v

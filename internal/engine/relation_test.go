@@ -429,38 +429,6 @@ func TestRelationIndexSurvivesDeleteReinsert(t *testing.T) {
 	}
 }
 
-// TestRelationSyncIndexes: after deletions, SyncIndexes leaves every
-// bucket fully compacted so lookups perform no writes (the invariant the
-// parallel evaluation phase depends on), with unchanged results.
-func TestRelationSyncIndexes(t *testing.T) {
-	r := NewRelation("R", 2)
-	var tuples []*Tuple
-	for i := 0; i < 20; i++ {
-		tp := NewTuple("R", Int(i%4), Int(i))
-		r.Insert(tp)
-		tuples = append(tuples, tp)
-	}
-	r.EnsureIndex(0)
-	for i := 0; i < 20; i += 2 {
-		r.DeleteTuple(tuples[i])
-	}
-	r.SyncIndexes()
-	// Exact per-bucket counts: odd i survive, so only values 1 and 3 keep
-	// five tuples each; every returned tuple must be live.
-	want := map[int]int{1: 5, 3: 5}
-	for v := 0; v < 4; v++ {
-		got := r.Lookup(0, Int(v))
-		for _, tp := range got {
-			if !r.ContainsTuple(tp) {
-				t.Fatalf("lookup returned dead tuple %v", tp)
-			}
-		}
-		if len(got) != want[v] {
-			t.Fatalf("Lookup(0,%d) = %d tuples, want %d", v, len(got), want[v])
-		}
-	}
-}
-
 // TestRelationReset: Reset empties the relation but keeps registered index
 // columns, and reuse after Reset behaves like a fresh relation.
 func TestRelationReset(t *testing.T) {

@@ -22,9 +22,8 @@ const quickScenarios = 500
 //  1. Stability: each semantics' repaired database is stable (Def. 3.12).
 //  2. Deletion-only: the stabilizing set ⊆ input tuples, the repaired
 //     instance ⊆ input instance, and sizes reconcile exactly.
-//  3. Determinism: sequential, parallel (4 workers), sharded (4 shards,
-//     no size floor), prepared, and forked-input execution produce
-//     byte-identical results.
+//  3. Determinism: unprepared, prepared, and forked-input execution
+//     produce byte-identical results.
 //  4. Containments (Prop. 3.20): Stage ⊆ End, Step ⊆ End, and — when the
 //     solver proved minimality — |Ind| ≤ |Step|, |Ind| ≤ |Stage|.
 func checkScenario(t *testing.T, sc *Scenario) {
@@ -79,17 +78,6 @@ func checkScenario(t *testing.T, sc *Scenario) {
 			name string
 			run  func() (*core.Result, error)
 		}{
-			{"parallel", func() (*core.Result, error) {
-				r, _, err := core.RunWith(sc.DB, sc.Program, sem, core.Options{Parallelism: 4})
-				return r, err
-			}},
-			{"sharded", func() (*core.Result, error) {
-				// ShardMinTuples: -1 removes the size floor so generated
-				// scenarios (small by construction) actually shard whenever
-				// the co-partitioning analysis allows it.
-				r, _, err := core.RunWith(sc.DB, sc.Program, sem, core.Options{Parallelism: 4, ShardMinTuples: -1})
-				return r, err
-			}},
 			{"prepared", func() (*core.Result, error) {
 				r, _, err := core.RunWith(sc.DB, sc.Program, sem, core.Options{Prepared: prep})
 				return r, err

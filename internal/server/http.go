@@ -63,8 +63,6 @@ type RepairRequest struct {
 	// TimeoutMS bounds the request; 0 uses the server default, < 0
 	// disables it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallelism overrides the server's per-request worker count.
-	Parallelism int `json:"parallelism,omitempty"`
 	// SolverMaxNodes overrides the SAT budget (independent semantics).
 	SolverMaxNodes int64 `json:"solver_max_nodes,omitempty"`
 	// Version pins the request to a retained snapshot version
@@ -74,7 +72,6 @@ type RepairRequest struct {
 
 func (rr *RepairRequest) options() RequestOptions {
 	opts := RequestOptions{
-		Parallelism:    rr.Parallelism,
 		SolverMaxNodes: rr.SolverMaxNodes,
 		Version:        rr.Version,
 	}
@@ -355,22 +352,22 @@ func semFromString(s string) (core.Semantics, error) {
 	}
 }
 
-// updateRows converts an UpdateRequest tuple map into engine rows, in
-// schema declaration order then row order, so batch application order —
-// and therefore tuple identity assignment — is deterministic for a given
-// request body.
-func (s *Service) updateRows(schema map[string][][]any) ([]engine.Row, error) {
-	if len(schema) == 0 {
+// updateRows converts an UpdateRequest tuple map into engine rows, sorted
+// by relation name, then row order, so batch application order — and
+// therefore tuple identity assignment — is deterministic for a given
+// request body. WAL replay depends on this order.
+func (s *Service) updateRows(tuples map[string][][]any) ([]engine.Row, error) {
+	if len(tuples) == 0 {
 		return nil, nil
 	}
-	rels := make([]string, 0, len(schema))
-	for rel := range schema {
+	rels := make([]string, 0, len(tuples))
+	for rel := range tuples {
 		rels = append(rels, rel)
 	}
 	sort.Strings(rels)
 	var out []engine.Row
 	for _, rel := range rels {
-		for ri, row := range schema[rel] {
+		for ri, row := range tuples[rel] {
 			vals, err := jsonValues(row)
 			if err != nil {
 				return nil, fmt.Errorf("relation %s row %d: %w", rel, ri, err)

@@ -18,7 +18,6 @@ type RepairsRequest struct {
 	// "cardinality" restricts the space to minimum-cost repairs only.
 	Minimal        string `json:"minimal,omitempty"`
 	TimeoutMS      int64  `json:"timeout_ms,omitempty"`
-	Parallelism    int    `json:"parallelism,omitempty"`
 	SolverMaxNodes int64  `json:"solver_max_nodes,omitempty"`
 	Version        uint64 `json:"version,omitempty"`
 }
@@ -33,7 +32,6 @@ type QueryRequest struct {
 	K              int    `json:"k,omitempty"`
 	Minimal        string `json:"minimal,omitempty"`
 	TimeoutMS      int64  `json:"timeout_ms,omitempty"`
-	Parallelism    int    `json:"parallelism,omitempty"`
 	SolverMaxNodes int64  `json:"solver_max_nodes,omitempty"`
 	Version        uint64 `json:"version,omitempty"`
 }
@@ -177,7 +175,6 @@ func (s *Service) handleRepairs(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := (&RepairRequest{
 		TimeoutMS:      req.TimeoutMS,
-		Parallelism:    req.Parallelism,
 		SolverMaxNodes: req.SolverMaxNodes,
 		Version:        req.Version,
 	}).options()
@@ -208,7 +205,6 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := (&RepairRequest{
 		TimeoutMS:      req.TimeoutMS,
-		Parallelism:    req.Parallelism,
 		SolverMaxNodes: req.SolverMaxNodes,
 		Version:        req.Version,
 	}).options()

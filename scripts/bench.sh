@@ -37,7 +37,7 @@ trap 'rm -f "$raw" "$json"' EXIT
 
 if [ "$check" = 1 ]; then
     # Key benches only: every leg a checked speedup is derived from.
-    benchre='^(BenchmarkPreparedRepair|BenchmarkForkVsClone|BenchmarkStepSearch|BenchmarkServerThroughput|BenchmarkSessionUpdate|BenchmarkDeleteMaintenance|BenchmarkColumnarVsRow|BenchmarkShardedDerivation)'
+    benchre='^(BenchmarkPreparedRepair|BenchmarkForkVsClone|BenchmarkStepSearch|BenchmarkServerThroughput|BenchmarkSessionUpdate|BenchmarkDeleteMaintenance|BenchmarkColumnarVsRow)'
     echo "running key benchmarks for the regression check..."
     go test -bench="$benchre" -benchmem -run='^$' "$@" . > "$raw"
 else
@@ -50,8 +50,8 @@ cat "$raw"
 
 # Convert `go test -bench` lines into a JSON array of
 # {name, iterations, ns_per_op, bytes_per_op, allocs_per_op}, then append
-# derived comparison entries: the prepared-vs-unprepared,
-# parallel-vs-sequential, CoW, serving, and mutable-session speedups the
+# derived comparison entries: the prepared-vs-unprepared, CoW,
+# serving, and mutable-session speedups the
 # respective subsystems exist for (speedup > 1 means the first leg is
 # faster).
 awk -v date="$date" '
@@ -97,17 +97,6 @@ END {
           "BenchmarkPreparedRepair/small/prepared", "BenchmarkPreparedRepair/small/unprepared")
     ratio("comparison/prepared_vs_unprepared_mas", \
           "BenchmarkPreparedRepair/mas/prepared", "BenchmarkPreparedRepair/mas/unprepared")
-    ratio("comparison/parallel_vs_sequential", \
-          "BenchmarkParallelDerivation/parallel", "BenchmarkParallelDerivation/sequential")
-    # Shard-local parallel evaluation on a co-partitionable workload: the
-    # sharded leg fans out to NumCPU shards, sharded4 pins 4 shards for a
-    # host-independent scaling figure. On a single-core host both sit
-    # below 1.0 (shards run serially, partition+merge is pure overhead);
-    # multi-core runs show the real speedup.
-    ratio("comparison/sharded_vs_sequential", \
-          "BenchmarkShardedDerivation/sharded", "BenchmarkShardedDerivation/sequential")
-    ratio("scaling/sharded_speedup_4cores", \
-          "BenchmarkShardedDerivation/sharded4", "BenchmarkShardedDerivation/sequential")
     ratio("comparison/fork_vs_clone", \
           "BenchmarkForkVsClone/fork", "BenchmarkForkVsClone/clone")
     ratio("comparison/step_search", \
@@ -200,9 +189,9 @@ function parse(line, arr, marr,    name, val) {
 }
 BEGIN {
     # Checked entries: large, stable cross-leg ratios. Deliberately not
-    # checked: parallel_vs_sequential (~1.0 on single-core CI), the mas
-    # pair (~1.1), and columnar_vs_row (~1.0; its stable signal is the
-    # memory ratio, gated below) — a 25% band around parity is all noise.
+    # checked: the mas pair (~1.1) and columnar_vs_row (~1.0; its stable
+    # signal is the memory ratio, gated below) — a 25% band around parity
+    # is all noise.
     keys["comparison/prepared_vs_unprepared_small"] = 1
     keys["comparison/fork_vs_clone"] = 1
     keys["comparison/step_search"] = 1
@@ -224,23 +213,6 @@ BEGIN {
     close(baseline)
     while ((getline line < fresh) > 0) parse(line, now, mnow)
     close(fresh)
-
-    # Sharded evaluation is gated conditionally: a single-core host
-    # records a baseline below 1.0 (shards run serially there), and a
-    # 25% band around a sub-1.0 number is all noise. Once a multi-core
-    # snapshot establishes a genuine speedup, the entry becomes a checked
-    # key and a regression below the band fails the gate. The arming
-    # threshold is 1.15, not 1.0: a single-core run can drift a few
-    # percent past parity on scheduler noise (the same jitter that once
-    # pushed parallel_vs_sequential to 0.760 — identical B/op and
-    # allocs/op across snapshots proved no code change was involved), and
-    # a baseline armed by such a fluke would make every later single-core
-    # run fail its floor. 1.15 is beyond single-core noise; only a real
-    # multi-core speedup arms the gate.
-    if (base["comparison/sharded_vs_sequential"] >= 1.15)
-        keys["comparison/sharded_vs_sequential"] = 1
-    if (base["scaling/sharded_speedup_4cores"] >= 1.15)
-        keys["scaling/sharded_speedup_4cores"] = 1
 
     fail = 0
     for (k in keys) {

@@ -21,11 +21,10 @@ type (
 	// one with NewServer.
 	Service = server.Service
 	// ServerConfig tunes a Service (cache size, admission bound, default
-	// timeout, per-request parallelism, solver budget, retained-version
-	// window).
+	// timeout, solver budget, retained-version window).
 	ServerConfig = server.Config
-	// RequestOptions tunes one request (timeout, parallelism, solver
-	// budget overrides, pinned snapshot version).
+	// RequestOptions tunes one request (timeout, solver budget override,
+	// pinned snapshot version).
 	RequestOptions = server.RequestOptions
 	// SessionInfo is a point-in-time view of one cached session,
 	// including its version head and retention window.
