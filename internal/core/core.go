@@ -96,13 +96,15 @@ type Result struct {
 	Optimal bool
 	// SolverNodes is the number of SAT search nodes (independent only).
 	SolverNodes int64
-	// FormulaClauses is the provenance formula size (independent only).
+	// FormulaClauses is the provenance formula size (independent only): one
+	// clause per assignment over the relevant possible delta tuples (the
+	// closure V; see the lemma on buildIndependentCNF).
 	FormulaClauses int
 	// GraphAssignments is the provenance graph size (step only).
 	GraphAssignments int
-	// RepairCost is the weighted objective value (independent semantics
-	// with IndependentOptions.Weight; equals Size() under the default
-	// minimum-cardinality metric).
+	// RepairCost is the weighted objective value: the total weight of
+	// Deleted (independent semantics with IndependentOptions.Weight; equals
+	// Size() under the default minimum-cardinality metric).
 	RepairCost int64
 
 	ids  map[engine.TupleID]bool

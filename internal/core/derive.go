@@ -33,6 +33,18 @@ type deriveConfig struct {
 	// capture and shrinkBases (the callers that set those re-derive from
 	// scratch).
 	warmSeeds map[string]*engine.Relation
+	// closure, when non-nil, switches the loop into possible-deletion
+	// closure mode (Algorithm 1; the lemma is on buildIndependentCNF). It
+	// changes three things: every assignment adds its clause to this
+	// formula; every tuple the assignment binds at a non-delta atom — the
+	// head and its base co-atoms, i.e. the clause's positive literals —
+	// joins the next frontier; and work is only read, never mutated (base
+	// atoms keep ranging over the live base, the scratch deltas alone hold
+	// the closure). At fixpoint the formula is F_V. Incompatible with every
+	// other mode above.
+	closure *provenance.Formula
+	// maxClauses bounds closure's size; exceeding it is an error.
+	maxClauses int
 	// ctx carries per-request cancellation into the round loop: it is
 	// checked at the top of every round, before every rule evaluation, and
 	// every evalCheckEvery emitted assignments. Nil means never canceled.
@@ -41,8 +53,8 @@ type deriveConfig struct {
 
 // derive runs seminaive rounds of the prepared delta program over work
 // (mutated in place: deltas always grow; bases shrink only under
-// shrinkBases). It returns the derived delta tuples in derivation order and
-// the number of rounds until fixpoint.
+// shrinkBases; closure mode leaves it untouched). It returns the derived
+// delta tuples in derivation order and the number of rounds until fixpoint.
 //
 // Seminaive justification: under end semantics bases never shrink, so any
 // assignment's validity persists and each assignment is enumerated exactly
@@ -50,7 +62,10 @@ type deriveConfig struct {
 // bases only shrink, so an assignment using no frontier delta would have
 // been valid (and fired, deleting its head) one stage earlier — hence every
 // genuinely new assignment uses a frontier delta and the same pass
-// structure is sound.
+// structure is sound. Closure mode is the end-semantics argument again:
+// the base is never touched, so an assignment whose delta atoms all lie in
+// the closure is enumerated exactly once, in the round after the last of
+// them joined.
 func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]*engine.Tuple, int, error) {
 	schema := work.Schema
 	scr := prep.AcquireScratch()
@@ -100,19 +115,34 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 		newHeads = newHeads[:0]
 		clear(newSet)
 
+		// admit queues t for the next frontier unless it is already a delta.
+		admit := func(t *engine.Tuple) {
+			id := t.TID
+			if !derivedSet[id] && !newSet[id] && !work.Delta(t.Rel).ContainsID(id) {
+				newSet[id] = true
+				newHeads = append(newHeads, t)
+			}
+		}
+
 		// process applies the per-assignment logic, invoked in (rule, pass,
-		// enumeration) order.
-		process := func(rule *datalog.Rule, asn *datalog.Assignment) {
+		// enumeration) order; it reports whether enumeration may continue.
+		process := func(asn *datalog.Assignment) bool {
 			head := asn.Head()
-			id := head.TID
+			if cfg.closure != nil {
+				cfg.closure.Add(head.TID, provenance.ClauseOf(asn))
+				for i, t := range asn.Tuples {
+					if !asn.Rule.Body[i].Delta {
+						admit(t)
+					}
+				}
+				return cfg.closure.Len() <= cfg.maxClauses
+			}
 			if cfg.capture != nil {
 				// AddDerivation keeps the first layer for a known head.
-				cfg.capture.AddDerivation(id, round, provenance.ClauseOf(asn))
+				cfg.capture.AddDerivation(head.TID, round, provenance.ClauseOf(asn))
 			}
-			if !derivedSet[id] && !newSet[id] && !work.Delta(rule.Head.Rel).ContainsID(id) {
-				newSet[id] = true
-				newHeads = append(newHeads, head)
-			}
+			admit(head)
+			return true
 		}
 
 		// Warm-continuation round 1 probes only the insert-seeded passes:
@@ -144,16 +174,20 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 			if err := ctxErr(cfg.ctx); err != nil {
 				return nil, rounds, err
 			}
-			rule := prep.Rules[ri].Rule
 			emitted := 0
 			err := evalOne(ri, ctx,
 				func(asn *datalog.Assignment) bool {
-					process(rule, asn)
+					if !process(asn) {
+						return false
+					}
 					emitted++
 					return emitted%evalCheckEvery != 0 || ctxErr(cfg.ctx) == nil
 				})
 			if err != nil {
 				return nil, rounds, err
+			}
+			if cfg.closure != nil && cfg.closure.Len() > cfg.maxClauses {
+				return nil, rounds, fmt.Errorf("core: provenance formula exceeded %d clauses", cfg.maxClauses)
 			}
 			if err := ctxErr(cfg.ctx); err != nil {
 				return nil, rounds, err
@@ -186,6 +220,9 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 			derivedSet[head.TID] = true
 			derivedAll = append(derivedAll, head)
 			frontier[head.Rel].Insert(head)
+			if cfg.closure != nil {
+				continue // the closure lives in the scratch deltas only
+			}
 			if cfg.shrinkBases {
 				// Stage: move base → delta now.
 				work.Relation(head.Rel).DeleteTuple(head)

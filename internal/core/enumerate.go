@@ -196,7 +196,7 @@ func enumerateRepairs(ctx context.Context, db *engine.Database, prep *datalog.Pr
 		res.Optimal = sol.Optimal
 		res.SolverNodes = sol.Nodes
 		res.FormulaClauses = ic.formula.Len()
-		res.RepairCost = sol.WeightedCost
+		res.RepairCost = sol.WeightedCost - ic.preDeletedCost
 		space.Repairs = append(space.Repairs, res)
 	}
 	updDur := time.Since(updStart)

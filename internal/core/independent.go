@@ -42,10 +42,12 @@ type IndependentOptions struct {
 const DefaultMaxClauses = 5_000_000
 
 // RunIndependent computes Ind(P, D) with Algorithm 1: store the DNF
-// provenance of every *possible* delta tuple (delta body atoms range over
-// all base tuples, not just derivable ones), negate into CNF over "tuple
-// deleted" variables, and find a satisfying assignment setting the minimum
-// number of variables true. The deleted-variable set is the repair.
+// provenance of the relevant *possible* delta tuples (delta body atoms range
+// over the possible-deletion closure V, not just derivable tuples — and,
+// by the lemma on buildIndependentCNF, need range no further), negate into
+// CNF over "tuple deleted" variables, and find a satisfying assignment
+// setting the minimum number of variables true. The deleted-variable set is
+// the repair.
 //
 // The returned database is the repaired instance; Result.Optimal reports
 // whether the solver proved minimality.
@@ -68,55 +70,61 @@ type indCNF struct {
 	ids        []engine.TupleID
 	varOf      map[engine.TupleID]int
 	preDeleted map[engine.TupleID]bool
-	prefer     []int
-	weights    []int64
-	evalDur    time.Duration
-	ppDur      time.Duration
+	// preDeletedCost is what the pre-deleted variables contribute to every
+	// model's weighted cost.
+	preDeletedCost int64
+	prefer         []int
+	weights        []int64
+	evalDur        time.Duration
+	ppDur          time.Duration
 }
 
 // buildIndependentCNF runs phases 1–2 of Algorithm 1 (Eval + ProcessProv)
 // and assembles the solver inputs.
+//
+// Line 1 of Algorithm 1 asks for the provenance of every possible delta
+// tuple: one clause per assignment with delta atoms ranging over every base
+// tuple. Phase 1 builds only the part of that formula that can matter, and
+// the restriction is exact, not a heuristic.
+//
+// Lemma. Let F be the full CNF — a clause (∨ x_p ∨ ∨ ¬x_d) per assignment, a
+// unit clause per pre-deleted tuple — plus the blocking clauses of any
+// enumeration prefix. Let V be the least set that contains the pre-deleted
+// tuples and, for every clause whose negative literals all lie in V, that
+// clause's positive literals. Let F_V be the clauses whose negative
+// literals all lie in V; every variable of F_V then lies in V.
+//
+//   - If M is a model of F, then M ∩ V is a model of F and of F_V: a
+//     dropped clause has a negative literal outside V, false in M ∩ V; a
+//     kept clause mentions only variables in V, on which M ∩ V agrees with
+//     M (so one satisfied positively is satisfied by a variable in V); a
+//     blocking clause (∨ ¬x_s, s ∈ S ⊆ V) stays satisfied for the same
+//     reason.
+//   - A model of F_V, extended by false outside V, is a model of F: every
+//     dropped clause has a negative literal outside V.
+//
+// Hence F and F_V have the same set-minimal models (a set-minimal model M
+// of F equals M ∩ V) and the same minimum cost, and — weights being ≥ 1, so
+// that cost order refines set inclusion — the same cost-ordered k-best
+// set-minimal enumeration with the same Complete flag. V is what derive's
+// closure mode computes: seeded with db's deltas, each round adds the
+// positive literals of the clauses whose negative literals the rounds
+// before it put into V.
 func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts IndependentOptions) (*indCNF, error) {
 	maxClauses := opts.MaxClauses
 	if maxClauses <= 0 {
 		maxClauses = DefaultMaxClauses
 	}
 
-	// Phase 1 (Eval): provenance of all possible delta tuples (line 1 of
-	// Algorithm 1) — one positivized evaluation pass per rule. Delta atoms
-	// range over every *possible* deletion: all live base tuples plus any
-	// tuples already deleted before this run (the §3.6 "user deletes a
-	// specific set of tuples" initialization); the latter are forced
-	// deleted in the CNF below.
+	// Phase 1 (Eval): provenance of the relevant possible delta tuples —
+	// derive's closure mode, seeded with the deletions made before this run
+	// (the §3.6 "user deletes a specific set of tuples" initialization),
+	// which are forced deleted in the CNF below.
 	evalStart := time.Now()
 	formula := provenance.NewFormula()
-	ec := prep.AcquireContext()
-	var evalErr error
-	for _, pr := range prep.Rules {
-		if err := ctxErr(ctx); err != nil {
-			prep.ReleaseContext(ec)
-			return nil, err
-		}
-		emitted := 0
-		err := pr.EvalFromBase(db, true, ec, func(asn *datalog.Assignment) bool {
-			formula.Add(asn.Head().TID, provenance.ClauseOf(asn))
-			if formula.Len() > maxClauses {
-				evalErr = fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
-				return false
-			}
-			emitted++
-			return emitted%evalCheckEvery != 0 || ctxErr(ctx) == nil
-		})
-		if err != nil {
-			prep.ReleaseContext(ec)
-			return nil, err
-		}
-		if evalErr != nil {
-			prep.ReleaseContext(ec)
-			return nil, evalErr
-		}
+	if _, _, err := derive(db, prep, deriveConfig{closure: formula, maxClauses: maxClauses, ctx: ctx}); err != nil {
+		return nil, err
 	}
-	prep.ReleaseContext(ec)
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -149,9 +157,23 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 			return nil, err
 		}
 	}
+	// weightOf is the objective's cost of deleting t: 1 under minimum
+	// cardinality, Weight(t) when that is larger.
+	weightOf := func(t *engine.Tuple) int64 {
+		if opts.Weight != nil && t != nil {
+			if w := opts.Weight(t); w > 1 {
+				return w
+			}
+		}
+		return 1
+	}
 	// Pre-existing deletions are facts, not choices: force their
-	// variables true so the stability clauses respect them.
+	// variables true so the stability clauses respect them. Every model
+	// pays for them, so the reported cost leaves them out — it is the cost
+	// of the new deletions, whichever pre-deleted tuples the closure's
+	// clauses happen to mention.
 	preDeleted := make(map[engine.TupleID]bool)
+	var preDeletedCost int64
 	for _, rs := range db.Schema.Relations {
 		db.Delta(rs.Name).Scan(func(t *engine.Tuple) bool {
 			preDeleted[t.TID] = true
@@ -159,6 +181,7 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 				if err := cnf.AddClause(v); err != nil {
 					return false
 				}
+				preDeletedCost += weightOf(t)
 			}
 			return true
 		})
@@ -196,27 +219,21 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 	if opts.Weight != nil {
 		weights = make([]int64, len(ids)+1)
 		for i, id := range ids {
-			t := db.LookupID(id)
-			w := int64(1)
-			if t != nil {
-				if tw := opts.Weight(t); tw > 1 {
-					w = tw
-				}
-			}
-			weights[i+1] = w
+			weights[i+1] = weightOf(db.LookupID(id))
 		}
 	}
 
 	return &indCNF{
-		formula:    formula,
-		cnf:        cnf,
-		ids:        ids,
-		varOf:      varOf,
-		preDeleted: preDeleted,
-		prefer:     prefer,
-		weights:    weights,
-		evalDur:    evalDur,
-		ppDur:      ppDur,
+		formula:        formula,
+		cnf:            cnf,
+		ids:            ids,
+		varOf:          varOf,
+		preDeleted:     preDeleted,
+		preDeletedCost: preDeletedCost,
+		prefer:         prefer,
+		weights:        weights,
+		evalDur:        evalDur,
+		ppDur:          ppDur,
 	}, nil
 }
 
@@ -286,7 +303,7 @@ func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prep
 	res.Optimal = solved.Optimal
 	res.SolverNodes = solved.Nodes
 	res.FormulaClauses = ic.formula.Len()
-	res.RepairCost = solved.WeightedCost
+	res.RepairCost = solved.WeightedCost - ic.preDeletedCost
 	res.Timing = Breakdown{Eval: ic.evalDur, ProcessProv: ic.ppDur, Solve: solveDur, Update: updDur}
 	return res, work, nil
 }

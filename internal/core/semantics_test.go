@@ -525,6 +525,89 @@ func TestIndependentWithPreExistingDeltas(t *testing.T) {
 	}
 }
 
+// TestIndependentClosureSeededByPreDeletions: Algorithm 1's formula covers
+// the possible-deletion closure of the §3.6 initialization — the tuples
+// deleted before the run seed it, and a delta rule contributes clauses only
+// through them. Forgetting the seed leaves the formula empty and the
+// "repair" unstable.
+func TestIndependentClosureSeededByPreDeletions(t *testing.T) {
+	schema, err := engine.ParseSchema("A(x)\nB(x)\nC(x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(rel string, x int) string {
+		return engine.ContentKey(rel, []engine.Value{engine.Int(x)})
+	}
+	cases := []struct {
+		name       string
+		program    string
+		preDeleted []string
+		want       []string
+		clauses    int
+	}{
+		{
+			name:       "pre-deleted A(1) forces B(1) only",
+			program:    "Delta_B(x) :- B(x), Delta_A(x).",
+			preDeleted: []string{key("A", 1)},
+			want:       []string{key("B", 1)},
+			clauses:    1,
+		},
+		{
+			name:    "nothing pre-deleted: no clause can matter",
+			program: "Delta_B(x) :- B(x), Delta_A(x).",
+		},
+		{
+			name:       "the closure follows a cascade",
+			program:    "Delta_B(x) :- B(x), Delta_A(x).\nDelta_C(x) :- C(x), Delta_B(x).",
+			preDeleted: []string{key("A", 1)},
+			want:       []string{key("B", 1), key("C", 1)},
+			clauses:    2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := datalog.ParseAndValidate(tc.program, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := engine.NewDatabase(schema)
+			db.MustInsert("A", engine.Int(1))
+			db.MustInsert("B", engine.Int(1))
+			db.MustInsert("B", engine.Int(2))
+			db.MustInsert("C", engine.Int(1))
+			db.MustInsert("C", engine.Int(2))
+			for _, k := range tc.preDeleted {
+				if !db.DeleteToDelta(k) {
+					t.Fatalf("fixture: %s not found", k)
+				}
+			}
+			res, repaired, err := RunIndependent(db, p, IndependentOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Size() != len(tc.want) {
+				t.Fatalf("deleted %v, want %v", res.Keys(), tc.want)
+			}
+			for _, k := range tc.want {
+				if !res.Contains(k) {
+					t.Fatalf("deleted %v, want %v", res.Keys(), tc.want)
+				}
+			}
+			for _, k := range tc.preDeleted {
+				if res.Contains(k) {
+					t.Fatalf("pre-deleted %s reported as a new deletion", k)
+				}
+			}
+			if res.FormulaClauses != tc.clauses {
+				t.Fatalf("FormulaClauses = %d, want %d", res.FormulaClauses, tc.clauses)
+			}
+			if stable, err := CheckStable(repaired, p); err != nil || !stable {
+				t.Fatalf("repaired database not stable (err=%v)", err)
+			}
+		})
+	}
+}
+
 func TestRunDispatcherAndErrors(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
 	if _, _, err := Run(db, p, Semantics(99)); err == nil {

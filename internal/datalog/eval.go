@@ -56,8 +56,9 @@ const (
 	// DeltaFromDelta: delta atoms read ∆_i content (operational semantics).
 	DeltaFromDelta DeltaMode = iota
 	// DeltaFromBase: delta atoms read R_i base content — every base tuple
-	// is a *possible* deletion. Used by Algorithm 1 to build the provenance
-	// of all possible delta tuples (§5.1).
+	// is a *possible* deletion. Used for view witnesses and stability
+	// formulas over one database state, and by the test-only full sweep
+	// Algorithm 1's restricted formula is checked against (§5.1).
 	DeltaFromBase
 )
 

@@ -87,7 +87,7 @@ func TestEvalRuleJoinsThroughDelta(t *testing.T) {
 func TestEvalRuleDeltaFromBaseMode(t *testing.T) {
 	db := exampleDB()
 	p := validatedExample(t)
-	// In DeltaFromBase mode (Algorithm 1 provenance), rule (1) ranges its
+	// In DeltaFromBase mode (every base tuple a possible deletion), rule (1) ranges its
 	// ∆Grant atom over the Grant base relation: both grants join, giving
 	// 3 assignments (Maggie-NSF, Marge-ERC, Homer-ERC).
 	var n int

@@ -47,8 +47,8 @@ type PreparedRule struct {
 	// operational: delta atoms read ∆_i (the live deltas) — stability
 	// checks, step executions, trigger statements.
 	operational *plan
-	// fromBase: delta atoms read base content (every base tuple is a
-	// possible deletion) — Algorithm 1 provenance capture, view witnesses.
+	// fromBase: delta atoms read base content — view witnesses and
+	// stability formulas over one database state.
 	fromBase *plan
 	// passes[p]: seminaive pass p — the p-th delta atom reads the frontier,
 	// earlier delta atoms read old deltas, later ones old ∪ frontier.
@@ -192,7 +192,7 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 		})
 		pr.fromBase = planFor(pr.cr, func(bi int) int {
 			if isDelta(bi) {
-				return 1 // reads base ∪ delta: at least as large as a base
+				return 1 // as large as a base atom; ties go to the base atoms
 			}
 			return 0
 		})
@@ -250,10 +250,7 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 		}
 		var unionOnly []IndexReq // operational and fromBase probes fold into the union only
 		collect(&unionOnly, pr.operational, TargetDelta)
-		// FromBase delta atoms may read base alone (views, stability
-		// formulas) or base ∪ delta (Algorithm 1 with pre-existing
-		// deletions); require both.
-		collect(&unionOnly, pr.fromBase, TargetBase, TargetDelta)
+		collect(&unionOnly, pr.fromBase, TargetBase)
 		collect(&pp.seminaiveReqs, pr.naive, TargetScratch)
 		for _, pl := range pr.passes {
 			collect(&pp.seminaiveReqs, pl, TargetScratch)
@@ -434,25 +431,12 @@ func (pr *PreparedRule) EvalOperational(db *engine.Database, ctx *ExecContext, e
 	return pr.evalWith(pr.operational, SourcesFor(db, pr.Rule, DeltaFromDelta), ctx, emit)
 }
 
-// EvalFromBase enumerates assignments with delta atoms ranging over base
-// content — every base tuple is a possible deletion (Algorithm 1, §5.1).
-// With includeDeleted, delta atoms additionally range over already-deleted
-// tuples (the §3.6 initialization where a user deletes a specific set).
-func (pr *PreparedRule) EvalFromBase(db *engine.Database, includeDeleted bool, ctx *ExecContext, emit func(*Assignment) bool) error {
-	var sources []AtomSource
-	if includeDeleted {
-		sources = make([]AtomSource, len(pr.Rule.Body))
-		for i, a := range pr.Rule.Body {
-			if a.Delta {
-				sources[i] = AtomSource{db.Relation(a.Rel), db.Delta(a.Rel)}
-			} else {
-				sources[i] = AtomSource{db.Relation(a.Rel)}
-			}
-		}
-	} else {
-		sources = SourcesFor(db, pr.Rule, DeltaFromBase)
-	}
-	return pr.evalWith(pr.fromBase, sources, ctx, emit)
+// EvalFromBase enumerates assignments with every atom, delta atoms
+// included, ranging over the live base relation: the shape of a view body
+// or a stability formula evaluated against one database state (the
+// side-effect solver's witness and violation enumeration).
+func (pr *PreparedRule) EvalFromBase(db *engine.Database, ctx *ExecContext, emit func(*Assignment) bool) error {
+	return pr.evalWith(pr.fromBase, SourcesFor(db, pr.Rule, DeltaFromBase), ctx, emit)
 }
 
 // EvalInsertSeeded enumerates the rule's assignments that use at least one

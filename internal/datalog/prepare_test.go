@@ -67,7 +67,7 @@ func TestPreparedOperationalMatchesEvalRule(t *testing.T) {
 }
 
 // TestPreparedFromBaseMatchesEvalRule: the FromBase plan matches the
-// DeltaFromBase per-call path (the Algorithm 1 / view-witness shape).
+// DeltaFromBase per-call path (the view-witness shape).
 func TestPreparedFromBaseMatchesEvalRule(t *testing.T) {
 	db, p, pp := preparedExample(t)
 	ctx := pp.AcquireContext()
@@ -80,7 +80,7 @@ func TestPreparedFromBaseMatchesEvalRule(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := pp.Rules[i].EvalFromBase(db, false, ctx, func(a *Assignment) bool {
+		if err := pp.Rules[i].EvalFromBase(db, ctx, func(a *Assignment) bool {
 			prepared = append(prepared, a)
 			return true
 		}); err != nil {

@@ -184,7 +184,7 @@ func (v *View) Eval(db *engine.Database) ([]*Row, error) {
 	defer v.prep.ReleaseContext(ctx)
 	rows := make(map[string]*Row)
 	var order []string
-	err := v.prep.Rules[0].EvalFromBase(db, false, ctx, func(asn *datalog.Assignment) bool {
+	err := v.prep.Rules[0].EvalFromBase(db, ctx, func(asn *datalog.Assignment) bool {
 		// Project the head variables out of the assignment.
 		vals := make([]engine.Value, len(v.HeadVars))
 		for bi, a := range v.Body {
@@ -307,7 +307,7 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		ctx := progPrep.AcquireContext()
 		var evalErr error
 		for _, pr := range progPrep.Rules {
-			err := pr.EvalFromBase(db, false, ctx, func(asn *datalog.Assignment) bool {
+			err := pr.EvalFromBase(db, ctx, func(asn *datalog.Assignment) bool {
 				stability.Add(asn.Head().TID, provenance.ClauseOf(asn))
 				if stability.Len() > maxClauses {
 					evalErr = fmt.Errorf("sideeffect: stability formula exceeded %d clauses", maxClauses)
