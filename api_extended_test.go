@@ -39,23 +39,6 @@ func TestPublicAPIEnumerateAndQuery(t *testing.T) {
 	}
 }
 
-func TestPublicAPIParallel(t *testing.T) {
-	db, prog := apiDB(t)
-	seq, err := deltarepair.RepairAll(db, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := deltarepair.RepairAllParallel(db, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sem := range deltarepair.AllSemantics {
-		if !seq[sem].SameSet(par[sem]) {
-			t.Fatalf("%s: parallel differs from sequential", sem)
-		}
-	}
-}
-
 func TestPublicAPIReport(t *testing.T) {
 	db, prog := apiDB(t)
 	var buf bytes.Buffer

@@ -255,7 +255,7 @@ func BenchmarkSemantics(b *testing.B) {
 
 // BenchmarkRepairEnumeration measures k-best repair enumeration against
 // the single-repair baseline on the MAS cascade: k=1 is one Min-Ones
-// solve over the shared provenance CNF (the RunIndependent path), k=8
+// solve over the shared provenance CNF (the single-repair independent path), k=8
 // adds up to seven blocking-clause re-solves plus materializations.
 // bench.sh turns the pair into the comparison/server_repairs entry.
 func BenchmarkRepairEnumeration(b *testing.B) {
@@ -320,7 +320,7 @@ func BenchmarkEvaluationStrategies(b *testing.B) {
 	}
 	b.Run("seminaive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunEnd(ds.DB, p); err != nil {
+			if _, _, err := core.Run(ds.DB, p, core.SemEnd); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -32,12 +32,11 @@
 //	    `Delta_Grant(g, n) :- Grant(g, n), n = 'ERC'.`, schema)
 //	result, repaired, _ := deltarepair.Repair(db, prog, deltarepair.Independent)
 //
-// See the examples/ directory for complete programs, and DESIGN.md for the
+// See the examples/ directory for complete programs, and README.md for the
 // architecture and the paper-experiment index.
 package deltarepair
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -146,44 +145,20 @@ func Repair(db *Database, p *Program, sem Semantics) (*Result, *Database, error)
 	return core.Run(db, p, sem)
 }
 
-// RepairWith is Repair with explicit options (solver budgets etc.).
+// RepairWith is Repair with explicit options: solver budgets, warm-start
+// hints, and per-request cancellation — with Options.Ctx set, the run aborts
+// at its next checkpoint (every derivation round, every few thousand
+// enumerated assignments, and inside the SAT search) once the context is
+// canceled or its deadline passes, and returns ctx.Err().
 func RepairWith(db *Database, p *Program, sem Semantics, opts Options) (*Result, *Database, error) {
 	return core.RunWith(db, p, sem, opts)
 }
 
-// RepairContext is Repair with per-request cancellation: when ctx is
-// canceled or its deadline passes, the executors abort at their next
-// checkpoint (every derivation round, every few thousand enumerated
-// assignments, and inside the SAT search) and return ctx.Err(). This is
-// the entry point serving layers use to bound worst-case request latency.
-func RepairContext(ctx context.Context, db *Database, p *Program, sem Semantics) (*Result, *Database, error) {
-	return RepairWithContext(ctx, db, p, sem, Options{})
-}
-
-// RepairWithContext is RepairContext with explicit options.
-func RepairWithContext(ctx context.Context, db *Database, p *Program, sem Semantics, opts Options) (*Result, *Database, error) {
-	opts.Ctx = ctx
-	return core.RunWith(db, p, sem, opts)
-}
-
-// RepairAllContext runs all four semantics sequentially under one context;
-// it stops at the first cancellation or error.
-func RepairAllContext(ctx context.Context, db *Database, p *Program) (map[Semantics]*Result, error) {
-	out := make(map[Semantics]*Result, len(AllSemantics))
-	for _, sem := range AllSemantics {
-		res, _, err := RepairWithContext(ctx, db, p, sem, Options{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sem, err)
-		}
-		out[sem] = res
-	}
-	return out, nil
-}
-
-// RepairAll runs all four semantics and returns their results keyed by
-// semantics.
+// RepairAll runs all four semantics as four policies over one shared
+// derivation (the end fixpoint and its provenance graph are computed once)
+// and returns their results keyed by semantics.
 func RepairAll(db *Database, p *Program) (map[Semantics]*Result, error) {
-	return core.RunAll(db, p)
+	return core.RunAll(db, p, Options{})
 }
 
 // Prepared is a program compiled for repeated execution: validation, rule
@@ -238,32 +213,9 @@ func (pp *Prepared) RepairWith(db *Database, sem Semantics, opts Options) (*Resu
 	return core.RunWith(db, pp.prog, sem, opts)
 }
 
-// RepairContext is Prepared.Repair with per-request cancellation (see
-// RepairContext on the package level); combined with Snapshot.Fork it is
-// the hot path of the serving layer: prepared plans, a shared frozen base,
-// and a deadline per request.
-func (pp *Prepared) RepairContext(ctx context.Context, db *Database, sem Semantics) (*Result, *Database, error) {
-	return pp.RepairWithContext(ctx, db, sem, Options{})
-}
-
-// RepairWithContext is Prepared.RepairContext with explicit options.
-func (pp *Prepared) RepairWithContext(ctx context.Context, db *Database, sem Semantics, opts Options) (*Result, *Database, error) {
-	opts.Prepared = pp.prep
-	opts.Ctx = ctx
-	return core.RunWith(db, pp.prog, sem, opts)
-}
-
 // RepairAll runs all four semantics over the prepared program.
 func (pp *Prepared) RepairAll(db *Database) (map[Semantics]*Result, error) {
-	out := make(map[Semantics]*Result, len(AllSemantics))
-	for _, sem := range AllSemantics {
-		res, _, err := pp.Repair(db, sem)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sem, err)
-		}
-		out[sem] = res
-	}
-	return out, nil
+	return core.RunAll(db, pp.prog, Options{Prepared: pp.prep})
 }
 
 // IsStable reports whether the database satisfies no rule of the prepared
@@ -304,13 +256,6 @@ type (
 // as having no derivation.
 func NewExplainer(db *Database, p *Program) (*Explainer, error) {
 	return core.NewExplainer(db, p)
-}
-
-// RepairAllParallel runs all four semantics concurrently (one goroutine
-// per semantics, each on a private clone); results are identical to
-// RepairAll.
-func RepairAllParallel(db *Database, p *Program) (map[Semantics]*Result, error) {
-	return core.RunAllParallel(db, p)
 }
 
 // WriteReport writes a full Markdown repair analysis — database stats,

@@ -16,7 +16,7 @@ import (
 // fullFormulaReference is line 1 of Algorithm 1 taken literally: one sweep
 // per rule with every delta atom ranging over every possible deletion — all
 // live base tuples plus the pre-deleted ones. Production builds only the
-// clauses over the possible-deletion closure (buildIndependentCNF); this is
+// clauses over the possible-deletion closure (Derivation.buildCNF); this is
 // the formula F of its lemma, kept as the reference the restriction is
 // checked against.
 func fullFormulaReference(t *testing.T, db *engine.Database, prep *datalog.Prepared) *provenance.Formula {
@@ -119,13 +119,17 @@ func minimalModels(cnf *sat.Formula, ids []engine.TupleID, preDeleted map[engine
 }
 
 // checkClosureAgainstReference asserts, on one database, that the formula
-// production builds is exactly F_V of the lemma on buildIndependentCNF, and
+// production builds is exactly F_V of the lemma on buildCNF, and
 // that restricting to it changed neither the optimum nor the set-minimal
 // models. It reports whether the restriction dropped a clause and whether
 // the instance was small enough to brute-force.
 func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datalog.Prepared) (dropped, bruteForced bool) {
 	t.Helper()
-	ic, err := buildIndependentCNF(nil, db, prep, IndependentOptions{DisablePreferDerivable: true})
+	d, err := NewDerivation(db, prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := d.buildCNF(nil, IndependentOptions{DisablePreferDerivable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +204,26 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 	return dropped, true
 }
 
+// preDeleteEveryThird returns a fork of the scenario's database with every
+// third tuple deleted beforehand (the §3.6 initialization).
+func preDeleteEveryThird(sc *gen.Scenario) *engine.Database {
+	preDeleted := sc.DB.Fork()
+	n := 0
+	for _, rs := range sc.Schema.Relations {
+		var victims []*engine.Tuple
+		sc.DB.Relation(rs.Name).Scan(func(tp *engine.Tuple) bool {
+			if n++; n%3 == 0 {
+				victims = append(victims, tp)
+			}
+			return true
+		})
+		for _, tp := range victims {
+			preDeleted.DeleteTupleToDelta(tp)
+		}
+	}
+	return preDeleted
+}
+
 // TestClosureFormulaMatchesFullSweep runs the reference comparison over the
 // cross-semantics suite's 500 generator seeds, each as generated and again
 // with every third tuple deleted beforehand (the §3.6 initialization, which
@@ -212,20 +236,7 @@ func TestClosureFormulaMatchesFullSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		preDeleted := sc.DB.Fork()
-		n := 0
-		for _, rs := range sc.Schema.Relations {
-			var victims []*engine.Tuple
-			sc.DB.Relation(rs.Name).Scan(func(tp *engine.Tuple) bool {
-				if n++; n%3 == 0 {
-					victims = append(victims, tp)
-				}
-				return true
-			})
-			for _, tp := range victims {
-				preDeleted.DeleteTupleToDelta(tp)
-			}
-		}
+		preDeleted := preDeleteEveryThird(sc)
 		for _, leg := range []struct {
 			name string
 			db   *engine.Database

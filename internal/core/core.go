@@ -5,9 +5,11 @@
 // independent semantics and Algorithm 2 (layered provenance-graph greedy)
 // for step semantics.
 //
-// All executors take the input database by value semantics: they clone it,
-// never mutating the caller's instance, and return both the computed
-// stabilizing set and the repaired database.
+// The four are policies over one Derivation (derivation.go): it derives the
+// artefacts they choose from once per request — the end fixpoint and its
+// provenance graph, the stage fixpoint, Algorithm 1's closure formula — and
+// every run returns the stabilizing set together with the repaired database
+// as a copy-on-write fork; the caller's instance is never mutated.
 package core
 
 import (
@@ -86,9 +88,14 @@ type Result struct {
 	// Deleted is the stabilizing set S in deterministic (Seq) order.
 	Deleted []*engine.Tuple
 	// Rounds is the number of derivation rounds/stages taken (end, stage)
-	// or provenance layers traversed (step).
+	// or provenance layers traversed (step). For an end fixpoint reused
+	// within a Derivation it is the rounds of the derivation that produced
+	// it.
 	Rounds int
-	// Timing is the per-phase runtime breakdown.
+	// Timing is the per-phase runtime breakdown. It is additive across the
+	// semantics run on one Derivation: the time of a shared artefact (the
+	// end fixpoint and its graph) is charged once, to the Result of the
+	// semantics that first demanded it, and is zero in the others.
 	Timing Breakdown
 	// Optimal reports whether minimality was proven (independent semantics
 	// with a completed solver run; vacuously true for end and stage whose
@@ -98,7 +105,7 @@ type Result struct {
 	SolverNodes int64
 	// FormulaClauses is the provenance formula size (independent only): one
 	// clause per assignment over the relevant possible delta tuples (the
-	// closure V; see the lemma on buildIndependentCNF).
+	// closure V; see the lemma on Derivation.buildCNF).
 	FormulaClauses int
 	// GraphAssignments is the provenance graph size (step only).
 	GraphAssignments int

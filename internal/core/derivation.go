@@ -1,0 +1,259 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"time"
+
+	"repro/internal/datalog"
+	"repro/internal/engine"
+	"repro/internal/provenance"
+)
+
+// Derivation is everything one request derives about one database under one
+// prepared program. §3 of the paper defines the four semantics as four
+// choices over the same delta-rule assignments, and the code reads that way:
+// a Derivation is the only caller of derive and produces the three artefacts
+// the semantics choose from —
+//
+//   - the end fixpoint (Def. 3.10), cold or continued from a previous
+//     version's by the WarmStart hints, with the layered provenance graph of
+//     §5.2 only when a policy asks for one;
+//   - the stage fixpoint (Def. 3.7);
+//   - the possible-deletion closure formula of Algorithm 1;
+//
+// — and every semantics is a short policy over them: end deletes all of the
+// end fixpoint, stage all of the stage fixpoint, step what Algorithm 2's
+// traversal of the graph selects, independent a Min-Ones model of the
+// formula's CNF. finish materialises whichever set a policy chose.
+//
+// The end fixpoint and its graph are memoised, so the policies of one
+// repair-all share them: whichever of end, step, independent (tie order)
+// and the Explainer runs first produces the fixpoint and the others reuse
+// it; a graph-less fixpoint is re-derived once, cold and captured, the first
+// time a graph is demanded, and serves both forms from then on. Two rules
+// keep the accounting of shared work honest:
+//
+//   - Timing is additive. A shared artefact's time is charged once, to the
+//     Result of the policy that first demanded it; a policy that reuses it
+//     reports zero for that phase. Summing Result.Timing over the semantics
+//     run on one Derivation therefore never exceeds the time spent in it.
+//   - Result.Rounds of a reused end fixpoint is the round count of the
+//     derivation that produced it — a cold run's when a cold run produced
+//     it, even if this policy's own hints would have continued warm.
+//
+// A Derivation runs on one goroutine and lives for one request; it never
+// mutates its database, and every Run returns a private fork.
+type Derivation struct {
+	db   *engine.Database
+	prep *datalog.Prepared
+	// naive selects the reference evaluation strategy (RunEndNaive).
+	naive bool
+
+	end   *fixpoint
+	graph *provenance.Graph // of end's derivation; nil until a policy asks
+}
+
+// fixpoint is a derived deletion set in the order finish applies it
+// (a continued run's surviving previous fixpoint first, then derivation
+// order) and the rounds its derivation took.
+type fixpoint struct {
+	tuples []*engine.Tuple
+	rounds int
+}
+
+// NewDerivation starts a derivation of db under prep. db is frozen in place
+// (a change of representation, not of content — what every executor's Fork
+// always did first), so every artefact reads the one frozen core and its
+// shared warm indexes, and every result is an O(changes) fork of it.
+func NewDerivation(db *engine.Database, prep *datalog.Prepared) (*Derivation, error) {
+	if err := prep.CompatibleWith(db.Schema); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	db.Freeze()
+	return &Derivation{db: db, prep: prep}, nil
+}
+
+// resolvePlan is the one way from a program to the plan that runs it: every
+// entry point that takes a program comes through here, once per call. A nil
+// prepared plan is compiled on the spot; a supplied one must have been
+// prepared from p (a nil p trusts it).
+func resolvePlan(db *engine.Database, p *datalog.Program, prepared *datalog.Prepared) (*datalog.Prepared, error) {
+	if prepared == nil {
+		return datalog.Prepare(p, db.Schema)
+	}
+	if p != nil && prepared.Program != p {
+		return nil, fmt.Errorf("core: prepared plan was built from a different program")
+	}
+	return prepared, nil
+}
+
+// derivationFor is resolvePlan followed by NewDerivation.
+func derivationFor(db *engine.Database, p *datalog.Program, prepared *datalog.Prepared) (*Derivation, error) {
+	prep, err := resolvePlan(db, p, prepared)
+	if err != nil {
+		return nil, err
+	}
+	return NewDerivation(db, prep)
+}
+
+// Run executes one semantics' policy and returns its stabilizing set and
+// the repaired fork. opts is read as by RunWith, except Prepared: the plan
+// was fixed by NewDerivation. Warm hints are per call — each semantics of a
+// repair-all brings its own previous result.
+func (d *Derivation) Run(sem Semantics, opts Options) (*Result, *engine.Database, error) {
+	if err := ctxErr(opts.Ctx); err != nil {
+		return nil, nil, err
+	}
+	if res, work, ok := d.warmShortcut(sem, opts.Warm); ok {
+		return res, work, nil
+	}
+	if sem != SemEnd {
+		// End continues its previous fixpoint instead (endFixpoint); the
+		// others replay their previous result when the batch provably
+		// interacts with no rule.
+		if res, work, ok, err := d.changeProbe(opts.Ctx, sem, opts.Warm); ok || err != nil {
+			return res, work, err
+		}
+	}
+	switch sem {
+	case SemEnd:
+		return d.runEnd(opts)
+	case SemStage:
+		return d.runStage(opts)
+	case SemStep:
+		return d.runStep(opts)
+	case SemIndependent:
+		return d.runIndependent(opts)
+	default:
+		return nil, nil, fmt.Errorf("core: unknown semantics %v", sem)
+	}
+}
+
+// endFixpoint returns the end-semantics fixpoint of the database, producing
+// it on first demand: continued from the previous version's fixpoint when w
+// allows (O(changes): directly after insert-only batches, via DRed after
+// batches with deletions), otherwise cold — and always cold when the
+// provenance graph is wanted, because only a full derivation sees every
+// assignment. The duration is what this call spent; zero on a memo hit.
+func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart, wantGraph bool) (*fixpoint, time.Duration, error) {
+	if d.end != nil && (d.graph != nil || !wantGraph) {
+		return d.end, 0, nil
+	}
+	start := time.Now()
+	work, cfg := d.db, deriveConfig{ctx: ctx, naive: d.naive}
+	var prior []*engine.Tuple
+	if wantGraph {
+		cfg.capture = provenance.NewGraph()
+	} else if prev, ok, err := previousEndFixpoint(ctx, d.db, d.prep, w); err != nil {
+		return nil, 0, err
+	} else if ok {
+		// Install the maintained fixpoint as already-processed deltas of a
+		// scratch fork; the inserted tuples are the round-1 frontier.
+		prior, work = prev, d.db.Fork()
+		for _, t := range prior {
+			work.Delta(t.Rel).Insert(t)
+		}
+		cfg.warmSeeds = w.seedRelations(work)
+	}
+	derived, rounds, err := derive(work, d.prep, cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	d.end = &fixpoint{tuples: append(slices.Clip(prior), derived...), rounds: rounds}
+	d.graph = cfg.capture
+	return d.end, time.Since(start), nil
+}
+
+// closureFormula computes the provenance of the relevant possible delta
+// tuples — derive's closure mode, seeded with the deletions made before this
+// run (§3.6). The lemma that makes the restriction exact is on buildCNF.
+func (d *Derivation) closureFormula(ctx context.Context, maxClauses int) (*provenance.Formula, error) {
+	formula := provenance.NewFormula()
+	_, _, err := derive(d.db, d.prep, deriveConfig{closure: formula, maxClauses: maxClauses, ctx: ctx})
+	return formula, err
+}
+
+// finish materialises a policy's choice: a fork of the database with the
+// chosen tuples moved base → delta in the given order — the repaired
+// instance (D \ S) ∪ ∆(S) — and a Result over them. A chosen tuple that is
+// not live is an error: a policy bug, or for a replayed previous result a
+// stale hint.
+func (d *Derivation) finish(sem Semantics, chosen []*engine.Tuple) (*Result, *engine.Database, error) {
+	start := time.Now()
+	work := d.db.Fork()
+	for _, t := range chosen {
+		if !work.DeleteTupleToDelta(t) {
+			return nil, nil, fmt.Errorf("core: %s semantics selected %s, which is not live", sem, t.Key())
+		}
+	}
+	res := newResult(sem, slices.Clone(chosen))
+	res.Timing.Update = time.Since(start)
+	return res, work, nil
+}
+
+// finishIDs is finish for the policies that choose by interned tuple ID.
+// Tuples resolve against the database; forks share tuple pointers.
+func (d *Derivation) finishIDs(sem Semantics, ids []engine.TupleID) (*Result, *engine.Database, error) {
+	chosen := make([]*engine.Tuple, len(ids))
+	for i, id := range ids {
+		if chosen[i] = d.db.LookupID(id); chosen[i] == nil {
+			return nil, nil, fmt.Errorf("core: %s semantics selected unknown tuple t%d", sem, id)
+		}
+	}
+	return d.finish(sem, chosen)
+}
+
+// runEnd is end semantics (Def. 3.10): standard datalog evaluation treating
+// delta relations as intensional — every derivable delta tuple is derived
+// against the original base relations, and the bases are updated once at
+// the very end. The policy takes all of the (unique) fixpoint.
+func (d *Derivation) runEnd(opts Options) (*Result, *engine.Database, error) {
+	fp, evalDur, err := d.endFixpoint(opts.Ctx, opts.Warm, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, work, err := d.finish(SemEnd, fp.tuples)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Rounds = fp.rounds
+	res.Optimal = true // unique fixpoint; nothing to optimize
+	res.Timing.Eval = evalDur
+	return res, work, nil
+}
+
+// runStage is stage semantics (Def. 3.7): at every stage all rules are
+// evaluated against the previous stage's database, all derivable delta
+// tuples are added at once, and the base relations are updated before the
+// next stage. By Prop. 3.9 the result is a unique fixpoint, and the policy
+// takes all of it — on the fork the stages already shrank, so there is
+// nothing left for finish to move.
+func (d *Derivation) runStage(opts Options) (*Result, *engine.Database, error) {
+	work := d.db.Fork()
+	start := time.Now()
+	derived, rounds, err := derive(work, d.prep, deriveConfig{shrinkBases: true, ctx: opts.Ctx})
+	if err != nil {
+		return nil, nil, err
+	}
+	res := newResult(SemStage, derived)
+	res.Rounds = rounds
+	res.Optimal = true // unique fixpoint
+	res.Timing.Eval = time.Since(start)
+	return res, work, nil
+}
+
+// RunEndNaive is end semantics evaluated without the seminaive frontier
+// optimization: every round re-evaluates every rule against all deltas
+// derived so far. The result is identical to Run(db, p, SemEnd); this entry
+// point exists for the evaluation-strategy ablation benchmark (the paper's
+// implementation uses "standard naïve evaluation", §6).
+func RunEndNaive(db *engine.Database, p *datalog.Program) (*Result, *engine.Database, error) {
+	d, err := derivationFor(db, p, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	d.naive = true
+	return d.Run(SemEnd, Options{})
+}

@@ -25,8 +25,9 @@ type deriveConfig struct {
 	// by the evaluation-strategy ablation benchmark; results are identical.
 	naive bool
 	// warmSeeds, when non-nil, switches the loop into warm-continuation
-	// mode (end semantics after insert-only base updates): work's
-	// pre-existing deltas are installed as already-processed old deltas
+	// mode (end semantics continued from a previous version's fixpoint):
+	// work's pre-existing deltas — the caller installs the maintained
+	// fixpoint there, on a private fork — are already-processed old deltas
 	// instead of the round-1 frontier, and round 1 evaluates only the
 	// insert-seeded passes over these relations — every genuinely new
 	// assignment binds at least one inserted tuple. Incompatible with
@@ -34,14 +35,13 @@ type deriveConfig struct {
 	// scratch).
 	warmSeeds map[string]*engine.Relation
 	// closure, when non-nil, switches the loop into possible-deletion
-	// closure mode (Algorithm 1; the lemma is on buildIndependentCNF). It
+	// closure mode (Algorithm 1; the lemma is on Derivation.buildCNF). It
 	// changes three things: every assignment adds its clause to this
-	// formula; every tuple the assignment binds at a non-delta atom — the
-	// head and its base co-atoms, i.e. the clause's positive literals —
-	// joins the next frontier; and work is only read, never mutated (base
-	// atoms keep ranging over the live base, the scratch deltas alone hold
-	// the closure). At fixpoint the formula is F_V. Incompatible with every
-	// other mode above.
+	// formula, and every tuple the assignment binds at a non-delta atom —
+	// the head and its base co-atoms, i.e. the clause's positive literals —
+	// joins the next frontier (base atoms keep ranging over the live base).
+	// At fixpoint the formula is F_V. Incompatible with every other mode
+	// above.
 	closure *provenance.Formula
 	// maxClauses bounds closure's size; exceeding it is an error.
 	maxClauses int
@@ -51,10 +51,12 @@ type deriveConfig struct {
 	ctx context.Context
 }
 
-// derive runs seminaive rounds of the prepared delta program over work
-// (mutated in place: deltas always grow; bases shrink only under
-// shrinkBases; closure mode leaves it untouched). It returns the derived
-// delta tuples in derivation order and the number of rounds until fixpoint.
+// derive runs seminaive rounds of the prepared delta program over work,
+// which is only read — the derived deltas live in the pooled scratch
+// relations — except under shrinkBases, where every round's heads move
+// base → delta in place. It returns the derived delta tuples in derivation
+// order and the number of rounds until fixpoint. Derivation is its only
+// caller.
 //
 // Seminaive justification: under end semantics bases never shrink, so any
 // assignment's validity persists and each assignment is enumerated exactly
@@ -220,14 +222,10 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 			derivedSet[head.TID] = true
 			derivedAll = append(derivedAll, head)
 			frontier[head.Rel].Insert(head)
-			if cfg.closure != nil {
-				continue // the closure lives in the scratch deltas only
-			}
 			if cfg.shrinkBases {
 				// Stage: move base → delta now.
-				work.Relation(head.Rel).DeleteTuple(head)
+				work.DeleteTupleToDelta(head)
 			}
-			work.Delta(head.Rel).Insert(head)
 		}
 	}
 	return derivedAll, rounds, nil

@@ -52,7 +52,7 @@ type RepairSpace struct {
 	// Repairs holds distinct minimal repairs in nondecreasing (weighted)
 	// cost order; ties resolve deterministically by the solver's
 	// tie-breaking. Repairs[0] is byte-identical to the single
-	// RunIndependent result under the same options.
+	// independent-semantics Run result under the same options.
 	Repairs []*Result
 	// Complete reports that the enumeration provably exhausted the space
 	// (or, with CardinalityOnly, the minimum-cost tie band): no further
@@ -142,27 +142,19 @@ func EnumerateRepairs(db *engine.Database, p *datalog.Program, k int) (*RepairSp
 // later solves (see sat.EnumerateMinOnes). Every returned repair is
 // verified to stabilize the database, exactly like the single-repair path.
 func EnumerateRepairsWith(db *engine.Database, p *datalog.Program, opts Options, eopts EnumerateOptions) (*RepairSpace, error) {
-	prep := opts.Prepared
-	if prep == nil {
-		var err error
-		prep, err = datalog.Prepare(p, db.Schema)
-		if err != nil {
-			return nil, err
-		}
-	} else if p != nil && prep.Program != p {
-		return nil, fmt.Errorf("core: prepared plan was built from a different program")
-	} else if err := prep.CompatibleWith(db.Schema); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	d, err := derivationFor(db, p, opts.Prepared)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, err
 	}
-	return enumerateRepairs(opts.Ctx, db, prep, opts.Independent, eopts)
+	return d.enumerate(opts.Ctx, opts.Independent, eopts)
 }
 
-func enumerateRepairs(ctx context.Context, db *engine.Database, prep *datalog.Prepared, iopts IndependentOptions, eopts EnumerateOptions) (*RepairSpace, error) {
+func (d *Derivation) enumerate(ctx context.Context, iopts IndependentOptions, eopts EnumerateOptions) (*RepairSpace, error) {
 	k := ClampEnumK(eopts.K)
-	ic, err := buildIndependentCNF(ctx, db, prep, iopts)
+	ic, err := d.buildCNF(ctx, iopts)
 	if err != nil {
 		return nil, err
 	}
@@ -188,14 +180,12 @@ func enumerateRepairs(ctx context.Context, db *engine.Database, prep *datalog.Pr
 	}
 	updStart := time.Now()
 	for _, sol := range enum.Solutions {
-		deleted, _, err := ic.materialize(ctx, db, prep, sol.Assignment)
+		res, _, err := d.materialize(ctx, ic, sol.Assignment)
 		if err != nil {
 			return nil, err
 		}
-		res := newResult(SemIndependent, deleted)
 		res.Optimal = sol.Optimal
 		res.SolverNodes = sol.Nodes
-		res.FormulaClauses = ic.formula.Len()
 		res.RepairCost = sol.WeightedCost - ic.preDeletedCost
 		space.Repairs = append(space.Repairs, res)
 	}

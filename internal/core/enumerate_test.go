@@ -21,7 +21,7 @@ func spaceKeys(rs *RepairSpace) [][]string {
 
 func TestEnumerateK1MatchesRunIndependent(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	single, _, err := RunIndependent(academicDB(), p, IndependentOptions{})
+	single, _, err := Run(academicDB(), p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}

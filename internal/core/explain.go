@@ -70,15 +70,26 @@ type Explainer struct {
 // database is not modified; it is retained (read-only) to render tuple IDs
 // as content keys.
 func NewExplainer(db *engine.Database, p *datalog.Program) (*Explainer, error) {
-	prep, err := datalog.Prepare(p, db.Schema)
-	if err != nil {
-		return nil, err
-	}
-	_, _, graph, err := runEndCaptured(nil, db, prep, true)
+	graph, err := CaptureProvenance(db, p)
 	if err != nil {
 		return nil, err
 	}
 	return &Explainer{graph: graph, db: db}, nil
+}
+
+// CaptureProvenance runs end-semantics derivation and returns the layered
+// provenance graph (§5.2, Figure 5 of the paper) without applying any
+// deletions. The graph underlies Algorithm 2, the Explainer, and the DOT
+// visualization.
+func CaptureProvenance(db *engine.Database, p *datalog.Program) (*provenance.Graph, error) {
+	d, err := derivationFor(db, p, nil)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := d.endFixpoint(nil, nil, true); err != nil {
+		return nil, err
+	}
+	return d.graph, nil
 }
 
 // keyOf renders a tuple ID as its content key (reporting only).

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/datalog"
 	"repro/internal/engine"
 	"repro/internal/provenance"
 	"repro/internal/sat"
@@ -41,29 +40,11 @@ type IndependentOptions struct {
 // DefaultMaxClauses bounds the provenance formula of Algorithm 1.
 const DefaultMaxClauses = 5_000_000
 
-// RunIndependent computes Ind(P, D) with Algorithm 1: store the DNF
-// provenance of the relevant *possible* delta tuples (delta body atoms range
-// over the possible-deletion closure V, not just derivable tuples — and,
-// by the lemma on buildIndependentCNF, need range no further), negate into
-// CNF over "tuple deleted" variables, and find a satisfying assignment
-// setting the minimum number of variables true. The deleted-variable set is
-// the repair.
-//
-// The returned database is the repaired instance; Result.Optimal reports
-// whether the solver proved minimality.
-func RunIndependent(db *engine.Database, p *datalog.Program, opts IndependentOptions) (*Result, *engine.Database, error) {
-	prep, err := datalog.Prepare(p, db.Schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runIndependent(nil, db, prep, opts)
-}
-
 // indCNF is the compiled Algorithm 1 instance — the positivized provenance
 // formula negated into CNF over deletion variables, plus the solver
-// steering derived from it. It is shared between the single-repair solver
-// (runIndependent) and the repair-space enumerator (enumerateRepairs): both
-// must see the byte-identical formula so their first solutions agree.
+// steering derived from it. It is shared between the single-repair policy
+// (runIndependent) and the repair-space enumerator (enumerate): both must
+// see the byte-identical formula so their first solutions agree.
 type indCNF struct {
 	formula    *provenance.Formula
 	cnf        *sat.Formula
@@ -79,8 +60,8 @@ type indCNF struct {
 	ppDur          time.Duration
 }
 
-// buildIndependentCNF runs phases 1–2 of Algorithm 1 (Eval + ProcessProv)
-// and assembles the solver inputs.
+// buildCNF runs phases 1–2 of Algorithm 1 (Eval + ProcessProv) and
+// assembles the solver inputs.
 //
 // Line 1 of Algorithm 1 asks for the provenance of every possible delta
 // tuple: one clause per assignment with delta atoms ranging over every base
@@ -110,19 +91,20 @@ type indCNF struct {
 // closure mode computes: seeded with db's deltas, each round adds the
 // positive literals of the clauses whose negative literals the rounds
 // before it put into V.
-func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts IndependentOptions) (*indCNF, error) {
+func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*indCNF, error) {
+	db := d.db
 	maxClauses := opts.MaxClauses
 	if maxClauses <= 0 {
 		maxClauses = DefaultMaxClauses
 	}
 
-	// Phase 1 (Eval): provenance of the relevant possible delta tuples —
-	// derive's closure mode, seeded with the deletions made before this run
-	// (the §3.6 "user deletes a specific set of tuples" initialization),
-	// which are forced deleted in the CNF below.
+	// Phase 1 (Eval): provenance of the relevant possible delta tuples,
+	// seeded with the deletions made before this run (the §3.6 "user deletes
+	// a specific set of tuples" initialization), which are forced deleted in
+	// the CNF below.
 	evalStart := time.Now()
-	formula := provenance.NewFormula()
-	if _, _, err := derive(db, prep, deriveConfig{closure: formula, maxClauses: maxClauses, ctx: ctx}); err != nil {
+	formula, err := d.closureFormula(ctx, maxClauses)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctxErr(ctx); err != nil {
@@ -188,26 +170,30 @@ func buildIndependentCNF(ctx context.Context, db *engine.Database, prep *datalog
 	}
 
 	// Tie preference: try end-derivable tuples first (deepest layer first),
-	// steering equal-cost optima toward sets other semantics contain.
+	// steering equal-cost optima toward sets other semantics contain. The
+	// order is read off the end fixpoint's provenance graph, shared with
+	// step and charged to this phase only if nobody produced it before.
 	var prefer []int
 	if !opts.DisablePreferDerivable {
-		if _, _, graph, err := runEndCaptured(ctx, db, prep, true); err == nil {
-			heads := append([]engine.TupleID(nil), graph.Heads...)
-			idx := make(map[engine.TupleID]int, len(heads))
-			for i, h := range heads {
-				idx[h] = i
+		if _, _, err := d.endFixpoint(ctx, nil, true); err != nil {
+			return nil, err
+		}
+		graph := d.graph
+		heads := append([]engine.TupleID(nil), graph.Heads...)
+		idx := make(map[engine.TupleID]int, len(heads))
+		for i, h := range heads {
+			idx[h] = i
+		}
+		sort.SliceStable(heads, func(i, j int) bool {
+			li, lj := graph.Layer[heads[i]], graph.Layer[heads[j]]
+			if li != lj {
+				return li > lj
 			}
-			sort.SliceStable(heads, func(i, j int) bool {
-				li, lj := graph.Layer[heads[i]], graph.Layer[heads[j]]
-				if li != lj {
-					return li > lj
-				}
-				return idx[heads[i]] < idx[heads[j]]
-			})
-			for _, h := range heads {
-				if v, ok := varOf[h]; ok {
-					prefer = append(prefer, v)
-				}
+			return idx[heads[i]] < idx[heads[j]]
+		})
+		for _, h := range heads {
+			if v, ok := varOf[h]; ok {
+				prefer = append(prefer, v)
 			}
 		}
 	}
@@ -250,37 +236,45 @@ func (ic *indCNF) satOptions(ctx context.Context, opts IndependentOptions) sat.O
 // materialize turns a satisfying assignment into the deleted-tuple set and
 // the repaired fork, verifying stabilization (correctness of Algorithm 1):
 // fail loudly rather than return a bad repair.
-func (ic *indCNF) materialize(ctx context.Context, db *engine.Database, prep *datalog.Prepared, assignment []bool) ([]*engine.Tuple, *engine.Database, error) {
-	work := db.Fork()
-	var deleted []*engine.Tuple
+func (d *Derivation) materialize(ctx context.Context, ic *indCNF, assignment []bool) (*Result, *engine.Database, error) {
+	var chosen []engine.TupleID
 	for i, id := range ic.ids {
 		if assignment[i+1] && !ic.preDeleted[id] {
-			t := db.LookupID(id)
-			if t == nil || !work.DeleteTupleToDelta(t) {
-				return nil, nil, fmt.Errorf("core: solver selected unknown tuple t%d", id)
-			}
-			deleted = append(deleted, t)
+			chosen = append(chosen, id)
 		}
 	}
-	stable, err := CheckStablePCtx(ctx, work, prep)
+	res, work, err := d.finishIDs(SemIndependent, chosen)
+	if err != nil {
+		return nil, nil, err
+	}
+	stable, err := CheckStablePCtx(ctx, work, d.prep)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !stable {
 		return nil, nil, fmt.Errorf("core: independent repair failed to stabilize (internal error)")
 	}
-	return deleted, work, nil
+	res.FormulaClauses = ic.formula.Len()
+	return res, work, nil
 }
 
-func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts IndependentOptions) (*Result, *engine.Database, error) {
-	ic, err := buildIndependentCNF(ctx, db, prep, opts)
+// runIndependent computes Ind(P, D) with Algorithm 1: store the DNF
+// provenance of the relevant *possible* delta tuples (delta body atoms range
+// over the possible-deletion closure V, not just derivable tuples — and, by
+// the lemma on buildCNF, need range no further), negate into CNF over "tuple
+// deleted" variables, and find a satisfying assignment setting the minimum
+// number of variables true. The deleted-variable set is the repair;
+// Result.Optimal reports whether the solver proved minimality.
+func (d *Derivation) runIndependent(opts Options) (*Result, *engine.Database, error) {
+	ctx := opts.Ctx
+	ic, err := d.buildCNF(ctx, opts.Independent)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// Phase 3 (Solve): Min-Ones-SAT (line 5).
 	solveStart := time.Now()
-	solved := sat.MinOnes(ic.cnf, ic.satOptions(ctx, opts))
+	solved := sat.MinOnes(ic.cnf, ic.satOptions(ctx, opts.Independent))
 	solveDur := time.Since(solveStart)
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
@@ -291,19 +285,16 @@ func runIndependent(ctx context.Context, db *engine.Database, prep *datalog.Prep
 		return nil, nil, fmt.Errorf("core: provenance CNF unexpectedly unsatisfiable")
 	}
 
-	// Output (line 6): tuples whose deletion variable is true.
+	// Output (line 6): tuples whose deletion variable is true. Update spans
+	// the stabilization proof as well as the fork.
 	updStart := time.Now()
-	deleted, work, err := ic.materialize(ctx, db, prep, solved.Assignment)
+	res, work, err := d.materialize(ctx, ic, solved.Assignment)
 	if err != nil {
 		return nil, nil, err
 	}
-	updDur := time.Since(updStart)
-
-	res := newResult(SemIndependent, deleted)
 	res.Optimal = solved.Optimal
 	res.SolverNodes = solved.Nodes
-	res.FormulaClauses = ic.formula.Len()
 	res.RepairCost = solved.WeightedCost - ic.preDeletedCost
-	res.Timing = Breakdown{Eval: ic.evalDur, ProcessProv: ic.ppDur, Solve: solveDur, Update: updDur}
+	res.Timing = Breakdown{Eval: ic.evalDur, ProcessProv: ic.ppDur, Solve: solveDur, Update: time.Since(updStart)}
 	return res, work, nil
 }

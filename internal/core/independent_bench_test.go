@@ -10,13 +10,12 @@ import (
 	"repro/internal/tpch"
 )
 
-// BenchmarkBuildIndependentCNF is the layer benchmark of Algorithm 1's
-// phases 1–2 (the closure derivation, the CNF, the tie-preference order) on
-// the programs the socket benchmark's two dense workloads spend their
-// independent-semantics time in, at that benchmark's scales: MAS-8 and
+// layerBench runs op over the programs the socket benchmark's two dense
+// workloads spend their core time in, at that benchmark's scales — MAS-8 and
 // MAS-19 are the update_repair_stream sessions, T-1 the largest formula of
-// cold_repair_all. clauses/op is the formula size the solver is handed.
-func BenchmarkBuildIndependentCNF(b *testing.B) {
+// cold_repair_all — each as a frozen snapshot with a prepared plan, the way
+// the Service holds a session.
+func layerBench(b *testing.B, op func(b *testing.B, snap *engine.Snapshot, prep *datalog.Prepared)) {
 	md := mas.Generate(mas.Config{Scale: 0.1, Seed: 1})
 	td := tpch.Generate(tpch.Config{Scale: 0.01, Seed: 1})
 	mustProgram := func(p *datalog.Program, err error) *datalog.Program {
@@ -40,17 +39,49 @@ func BenchmarkBuildIndependentCNF(b *testing.B) {
 				b.Fatal(err)
 			}
 			snap := bc.db.Freeze()
-			clauses := 0
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ic, err := buildIndependentCNF(nil, snap.Fork(), prep, IndependentOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				clauses = ic.formula.Len()
-			}
-			b.ReportMetric(float64(clauses), "clauses/op")
+			op(b, snap, prep)
 		})
 	}
+}
+
+// BenchmarkBuildIndependentCNF is the layer benchmark of Algorithm 1's
+// phases 1–2 (the closure derivation, the CNF, the tie-preference order).
+// clauses/op is the formula size the solver is handed.
+func BenchmarkBuildIndependentCNF(b *testing.B) {
+	layerBench(b, func(b *testing.B, snap *engine.Snapshot, prep *datalog.Prepared) {
+		clauses := 0
+		for i := 0; i < b.N; i++ {
+			d, err := NewDerivation(snap.Fork(), prep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ic, err := d.buildCNF(nil, IndependentOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			clauses = ic.formula.Len()
+		}
+		b.ReportMetric(float64(clauses), "clauses/op")
+	})
+}
+
+// BenchmarkRepairAll is the layer benchmark of one /repair-all: the four
+// semantics as four policies over one Derivation of one fork. It is where
+// computing the end fixpoint once instead of once per consumer shows.
+func BenchmarkRepairAll(b *testing.B) {
+	layerBench(b, func(b *testing.B, snap *engine.Snapshot, prep *datalog.Prepared) {
+		for i := 0; i < b.N; i++ {
+			d, err := NewDerivation(snap.Fork(), prep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, sem := range AllSemantics {
+				if _, _, err := d.Run(sem, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

@@ -115,7 +115,7 @@ func TestPropertyContainmentAndSizes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rs, err := RunAll(db, p)
+		rs, err := RunAll(db, p, Options{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -152,7 +152,7 @@ func TestPropertyGreedyStepVsExhaustive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		greedy, _, err := RunStepGreedy(db, p)
+		greedy, _, err := Run(db, p, SemStep)
 		if err != nil {
 			t.Logf("seed %d greedy: %v", seed, err)
 			return false
@@ -165,7 +165,7 @@ func TestPropertyGreedyStepVsExhaustive(t *testing.T) {
 			t.Logf("seed %d: exhaustive %d > greedy %d", seed, exh.Size(), greedy.Size())
 			return false
 		}
-		ind, _, err := RunIndependent(db, p, IndependentOptions{})
+		ind, _, err := Run(db, p, SemIndependent)
 		if err != nil {
 			t.Logf("seed %d ind: %v", seed, err)
 			return false
@@ -254,7 +254,7 @@ func TestPropertyRandomStepSubsetOfEnd(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		endRes, _, err := RunEnd(db, p)
+		endRes, _, err := Run(db, p, SemEnd)
 		if err != nil {
 			return false
 		}
@@ -320,7 +320,7 @@ func TestExhaustiveStepBudget(t *testing.T) {
 // TestIndependentClauseBudget exercises the formula-cap failure path.
 func TestIndependentClauseBudget(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	if _, _, err := RunIndependent(db, p, IndependentOptions{MaxClauses: 1}); err == nil {
+	if _, _, err := RunWith(db, p, SemIndependent, Options{Independent: IndependentOptions{MaxClauses: 1}}); err == nil {
 		t.Fatal("tiny clause budget should error")
 	}
 }
@@ -330,11 +330,11 @@ func TestIndependentClauseBudget(t *testing.T) {
 // chosen set may differ.
 func TestIndependentPreferenceToggle(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	a, _, err := RunIndependent(db, p, IndependentOptions{})
+	a, _, err := Run(db, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunIndependent(db, p, IndependentOptions{DisablePreferDerivable: true})
+	b, _, err := RunWith(db, p, SemIndependent, Options{Independent: IndependentOptions{DisablePreferDerivable: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

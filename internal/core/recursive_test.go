@@ -54,7 +54,7 @@ func TestRecursiveCascadeEndAndStage(t *testing.T) {
 	db := chainDB(n)
 	p := reachabilityProgram(t, db)
 
-	end, _, err := RunEnd(db, p)
+	end, _, err := Run(db, p, SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRecursiveCascadeEndAndStage(t *testing.T) {
 	if end.Rounds != n {
 		t.Fatalf("end rounds = %d, want %d (one hop per round)", end.Rounds, n)
 	}
-	stage, _, err := RunStage(db, p)
+	stage, _, err := Run(db, p, SemStage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRecursiveCascadeStepAndIndependent(t *testing.T) {
 	db := chainDB(n)
 	p := reachabilityProgram(t, db)
 
-	step, _, err := RunStepGreedy(db, p)
+	step, _, err := Run(db, p, SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRecursiveCascadeStepAndIndependent(t *testing.T) {
 	// chain by deleting an Edge... Edges are not deletable by any rule,
 	// but independent semantics may delete them anyway — deleting the
 	// first edge (1,2) stops the cascade at cost 2 (node 1 + edge).
-	ind, _, err := RunIndependent(db, p, IndependentOptions{})
+	ind, _, err := Run(db, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRecursiveDeepChainScales(t *testing.T) {
 	const n = 400
 	db := chainDB(n)
 	p := reachabilityProgram(t, db)
-	end, _, err := RunEnd(db, p)
+	end, _, err := Run(db, p, SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRecursiveProvenanceLayers(t *testing.T) {
 	const n = 7
 	db := chainDB(n)
 	p := reachabilityProgram(t, db)
-	res, _, err := RunStepGreedy(db, p)
+	res, _, err := Run(db, p, SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/datalog"
 	"repro/internal/engine"
@@ -13,13 +12,15 @@ import (
 type Options struct {
 	// Independent configures Algorithm 1 when sem == SemIndependent.
 	Independent IndependentOptions
+	// Step configures Algorithm 2 when sem == SemStep.
+	Step StepGreedyOptions
 	// Prepared supplies a pre-compiled execution plan (datalog.Prepare) so
 	// repeated runs amortize validation and join planning. It must have
 	// been prepared from the same program passed to RunWith. Nil means
 	// prepare on the fly.
 	Prepared *datalog.Prepared
 	// Ctx, when non-nil, carries per-request cancellation and deadlines
-	// into the executors: the derivation loop checks it every round and
+	// into the policies: the derivation loop checks it every round and
 	// every evalCheckEvery emitted assignments, Algorithm 1 additionally
 	// between its phases and inside the SAT search, and Algorithm 2
 	// between its phases. A canceled run returns ctx.Err() promptly
@@ -62,112 +63,38 @@ func CtxErr(ctx context.Context) error {
 func ctxErr(ctx context.Context) error { return CtxErr(ctx) }
 
 // Run executes the chosen semantics with default options and returns the
-// stabilizing set and the repaired database. The input database is cloned,
+// stabilizing set and the repaired database. The input database is forked,
 // never mutated.
 func Run(db *engine.Database, p *datalog.Program, sem Semantics) (*Result, *engine.Database, error) {
 	return RunWith(db, p, sem, Options{})
 }
 
-// RunWith is Run with explicit options.
+// RunWith is Run with explicit options: one policy over a Derivation of its
+// own. Callers that want several semantics of one database should share a
+// Derivation (RunAll, or NewDerivation and Derivation.Run).
 func RunWith(db *engine.Database, p *datalog.Program, sem Semantics, opts Options) (*Result, *engine.Database, error) {
-	prep := opts.Prepared
-	if prep == nil {
-		var err error
-		prep, err = datalog.Prepare(p, db.Schema)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if p != nil && prep.Program != p {
-		return nil, nil, fmt.Errorf("core: prepared plan was built from a different program")
-	} else if err := prep.CompatibleWith(db.Schema); err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	if err := ctxErr(opts.Ctx); err != nil {
+	d, err := derivationFor(db, p, opts.Prepared)
+	if err != nil {
 		return nil, nil, err
 	}
-	if res, work, ok := runWarmShortcut(db, prep, sem, opts.Warm); ok {
-		return res, work, nil
-	}
-	switch sem {
-	case SemEnd:
-		// Insert-only batches continue the previous fixpoint directly;
-		// batches with deletions run the DRed over-delete/re-derive
-		// continuation. Either way the warm path costs O(changes).
-		if res, work, ok, err := runEndWarm(opts.Ctx, db, prep, opts.Warm); ok || err != nil {
-			return res, work, err
-		}
-		if res, work, ok, err := runEndWarmDelete(opts.Ctx, db, prep, opts.Warm); ok || err != nil {
-			return res, work, err
-		}
-		return runEnd(opts.Ctx, db, prep)
-	case SemStage:
-		if res, work, ok, err := runChangeProbe(opts.Ctx, db, prep, sem, opts.Warm); ok || err != nil {
-			return res, work, err
-		}
-		return runStage(opts.Ctx, db, prep)
-	case SemStep:
-		if res, work, ok, err := runChangeProbe(opts.Ctx, db, prep, sem, opts.Warm); ok || err != nil {
-			return res, work, err
-		}
-		return runStepGreedy(opts.Ctx, db, prep, StepGreedyOptions{})
-	case SemIndependent:
-		if res, work, ok, err := runChangeProbe(opts.Ctx, db, prep, sem, opts.Warm); ok || err != nil {
-			return res, work, err
-		}
-		return runIndependent(opts.Ctx, db, prep, opts.Independent)
-	default:
-		return nil, nil, fmt.Errorf("core: unknown semantics %v", sem)
-	}
+	return d.Run(sem, opts)
 }
 
-// RunAll executes all four semantics and returns results keyed by
-// semantics, in AllSemantics order.
-func RunAll(db *engine.Database, p *datalog.Program) (map[Semantics]*Result, error) {
+// RunAll executes all four semantics as policies over one Derivation and
+// returns results keyed by semantics, in AllSemantics order. opts is read
+// as by RunWith.
+func RunAll(db *engine.Database, p *datalog.Program, opts Options) (map[Semantics]*Result, error) {
+	d, err := derivationFor(db, p, opts.Prepared)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[Semantics]*Result, len(AllSemantics))
 	for _, sem := range AllSemantics {
-		res, _, err := Run(db, p, sem)
+		res, _, err := d.Run(sem, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sem, err)
 		}
 		out[sem] = res
-	}
-	return out, nil
-}
-
-// RunAllParallel is RunAll with one goroutine per semantics. Every
-// executor works on a private copy-on-write fork of one frozen base and
-// the executors share no mutable state, so results are identical to the
-// sequential RunAll; wall-clock time approaches the slowest single
-// semantics (usually independent). The forks share the snapshot's warm
-// indexes — the first executor to probe a column builds it once and every
-// other fork reads it — so, unlike the old deep-clone fan-out, parallel
-// execution no longer repeats index construction per goroutine.
-func RunAllParallel(db *engine.Database, p *datalog.Program) (map[Semantics]*Result, error) {
-	// Freeze once up front (Freeze mutates the database's representation,
-	// so it must not race with the executors), then hand each goroutine a
-	// private O(relations) fork of the shared frozen base.
-	snap := db.Freeze()
-	forks := make([]*engine.Database, len(AllSemantics))
-	for i := range AllSemantics {
-		forks[i] = snap.Fork()
-	}
-	results := make([]*Result, len(AllSemantics))
-	errs := make([]error, len(AllSemantics))
-	var wg sync.WaitGroup
-	for i, sem := range AllSemantics {
-		wg.Add(1)
-		go func(i int, sem Semantics) {
-			defer wg.Done()
-			results[i], _, errs[i] = Run(forks[i], p, sem)
-		}(i, sem)
-	}
-	wg.Wait()
-	out := make(map[Semantics]*Result, len(AllSemantics))
-	for i, sem := range AllSemantics {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("%s: %w", sem, errs[i])
-		}
-		out[sem] = results[i]
 	}
 	return out, nil
 }

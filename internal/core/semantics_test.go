@@ -11,7 +11,7 @@ import (
 // {g2, a2, a3, w1, w2, p1, p2, c}.
 func TestEndSemanticsRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, repaired, err := RunEnd(db, p)
+	res, repaired, err := Run(db, p, SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestEndSemanticsRunningExample(t *testing.T) {
 // already empty when rule (4) could fire.
 func TestStageSemanticsRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, repaired, err := RunStage(db, p)
+	res, repaired, err := Run(db, p, SemStage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestStageSemanticsRunningExample(t *testing.T) {
 // S = {g2, a2, a3, w1, w2}.
 func TestStepGreedyRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, repaired, err := RunStepGreedy(db, p)
+	res, repaired, err := Run(db, p, SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestStepExhaustiveRunningExample(t *testing.T) {
 // Ind(P, D) = {g2, ag2, ag3}.
 func TestIndependentRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, repaired, err := RunIndependent(db, p, IndependentOptions{})
+	res, repaired, err := Run(db, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestIndependentRunningExample(t *testing.T) {
 // stabilizing set (Prop. 3.18) that contains the end result's bound.
 func TestRandomStepIsStabilizing(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	endRes, _, err := RunEnd(db, p)
+	endRes, _, err := Run(db, p, SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRandomStepIsStabilizing(t *testing.T) {
 // running example: |Ind| ≤ |Step| ≤ ... and Stage, Step ⊆ End.
 func TestRelationshipsRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	rs, err := RunAll(db, p)
+	rs, err := RunAll(db, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ Delta_R2(y) :- R1(x), R2(y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	indRes, _, err := RunIndependent(db, p, IndependentOptions{})
+	indRes, _, err := Run(db, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ Delta_R2(y) :- R1(x), R2(y).
 	if stepRes.Size() != 1 {
 		t.Fatalf("Step size = %d, want 1", stepRes.Size())
 	}
-	greedyRes, _, err := RunStepGreedy(db, p)
+	greedyRes, _, err := Run(db, p, SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ Delta_R2(y) :- R1(x), R2(y).
 	mustStable(t, db, p, stepRes)
 	mustStable(t, db, p, greedyRes)
 	// End and Stage delete both tuples.
-	endRes, _, _ := RunEnd(db, p)
+	endRes, _, _ := Run(db, p, SemEnd)
 	if endRes.Size() != 2 {
 		t.Fatalf("End size = %d, want 2", endRes.Size())
 	}
@@ -245,7 +245,7 @@ func TestProposition320Item1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind, _, err := RunIndependent(db, p, IndependentOptions{})
+	ind, _, err := Run(db, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +288,11 @@ Delta_R3(y) :- R3(y), R1(x), Delta_R2(x).
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage, _, err := RunStage(db, p)
+	stage, _, err := Run(db, p, SemStage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	end, _, err := RunEnd(db, p)
+	end, _, err := Run(db, p, SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,14 +329,14 @@ Delta_R2(y) :- R1(x), R2(y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage, _, err := RunStage(db, p)
+	stage, _, err := Run(db, p, SemStage)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stage.Size() != n+1 {
 		t.Fatalf("Stage size = %d, want %d (the whole database)", stage.Size(), n+1)
 	}
-	step, _, err := RunStepGreedy(db, p)
+	step, _, err := Run(db, p, SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,14 +377,14 @@ Delta_R3(z) :- R3(z), R1(x), Delta_R2(y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage, _, err := RunStage(db, p)
+	stage, _, err := Run(db, p, SemStage)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stage.Size() != 2 {
 		t.Fatalf("Stage size = %d (%v), want 2", stage.Size(), stage.Keys())
 	}
-	step, _, err := RunStepGreedy(db, p)
+	step, _, err := Run(db, p, SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ Delta_VC(y) :- VC(y), Delta_E(x, y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind, _, err := RunIndependent(db, p, IndependentOptions{})
+	ind, _, err := Run(db, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestPreExistingDeltasSeedDerivation(t *testing.T) {
 	work := db.Clone()
 	work.DeleteToDelta(engine.ContentKey("Grant", []engine.Value{engine.Int(2), engine.Str("ERC")}))
 
-	res, _, err := RunEnd(work, p2)
+	res, _, err := Run(work, p2, SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestIndependentWithPreExistingDeltas(t *testing.T) {
 	work := db.Clone()
 	work.DeleteToDelta(engine.ContentKey("Grant", []engine.Value{engine.Int(2), engine.Str("ERC")}))
 
-	res, repaired, err := RunIndependent(work, p, IndependentOptions{})
+	res, repaired, err := Run(work, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestIndependentClosureSeededByPreDeletions(t *testing.T) {
 					t.Fatalf("fixture: %s not found", k)
 				}
 			}
-			res, repaired, err := RunIndependent(db, p, IndependentOptions{})
+			res, repaired, err := Run(db, p, SemIndependent)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -620,7 +620,7 @@ func TestRunDispatcherAndErrors(t *testing.T) {
 	if Semantics(99).String() == "" {
 		t.Fatal("unknown semantics should still render")
 	}
-	all, err := RunAll(db, p)
+	all, err := RunAll(db, p, Options{})
 	if err != nil || len(all) != 4 {
 		t.Fatalf("RunAll = %v, %v", all, err)
 	}
@@ -628,7 +628,7 @@ func TestRunDispatcherAndErrors(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, _, err := RunIndependent(db, p, IndependentOptions{})
+	res, _, err := Run(db, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}

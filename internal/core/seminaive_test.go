@@ -46,7 +46,7 @@ func multiDeltaProgram(t *testing.T) (*engine.Database, *datalog.Program) {
 // join two delta atoms across rounds.
 func TestSeminaiveMultiDeltaMatchesNaive(t *testing.T) {
 	db, p := multiDeltaProgram(t)
-	semi, _, err := RunEnd(db, p)
+	semi, _, err := Run(db, p, SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSeminaivePropertyMatchesNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		semi, _, err1 := RunEnd(db, p)
+		semi, _, err1 := Run(db, p, SemEnd)
 		naive, _, err2 := RunEndNaive(db, p)
 		if err1 != nil || err2 != nil {
 			t.Logf("seed %d: %v / %v", seed, err1, err2)
@@ -105,7 +105,7 @@ func TestBreakdownTotal(t *testing.T) {
 // TestContainmentOnIdenticalResults: the flags on a pure cascade.
 func TestContainmentOnIdenticalResults(t *testing.T) {
 	db, p := multiDeltaProgram(t)
-	rs, err := RunAll(db, p)
+	rs, err := RunAll(db, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // (Def. 3.12): no rule has a satisfying assignment over the current state
 // (live bases joined with recorded deltas).
 func CheckStable(db *engine.Database, p *datalog.Program) (bool, error) {
-	prep, err := datalog.Prepare(p, db.Schema)
+	prep, err := resolvePlan(db, p, nil)
 	if err != nil {
 		return false, err
 	}

@@ -13,21 +13,6 @@ import (
 	"repro/internal/engine"
 )
 
-// RunStepGreedy computes a step-semantics stabilizing set with Algorithm 2:
-// build the provenance graph of the end-semantics run, compute each tuple's
-// benefit (assignments it participates in minus assignments its delta
-// participates in), then traverse the graph layer by layer greedily adding
-// the highest-benefit tuple and pruning delta tuples that can no longer be
-// derived.
-//
-// Finding Step(P, D) — the minimum over all step executions — is NP-hard
-// (Prop. 4.2); the greedy output is a stabilizing set realizable by a step
-// execution, matching the paper's heuristic. The returned database is the
-// repaired instance.
-func RunStepGreedy(db *engine.Database, p *datalog.Program) (*Result, *engine.Database, error) {
-	return RunStepGreedyWithOptions(db, p, StepGreedyOptions{})
-}
-
 // StepGreedyOptions configures Algorithm 2.
 type StepGreedyOptions struct {
 	// IgnoreBenefits disables the benefit-ordered selection: tuples are
@@ -37,21 +22,24 @@ type StepGreedyOptions struct {
 	IgnoreBenefits bool
 }
 
-// RunStepGreedyWithOptions is RunStepGreedy with explicit options.
-func RunStepGreedyWithOptions(db *engine.Database, p *datalog.Program, opts StepGreedyOptions) (*Result, *engine.Database, error) {
-	prep, err := datalog.Prepare(p, db.Schema)
+// runStep computes a step-semantics stabilizing set with Algorithm 2: take
+// the provenance graph of the end-semantics derivation, compute each tuple's
+// benefit (assignments it participates in minus assignments its delta
+// participates in), then traverse the graph layer by layer greedily adding
+// the highest-benefit tuple and pruning delta tuples that can no longer be
+// derived.
+//
+// Finding Step(P, D) — the minimum over all step executions — is NP-hard
+// (Prop. 4.2); the greedy output is a stabilizing set realizable by a step
+// execution, matching the paper's heuristic.
+func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
+	ctx := opts.Ctx
+	// Phase 1 (Eval): the end fixpoint with provenance capture.
+	_, evalDur, err := d.endFixpoint(ctx, nil, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runStepGreedy(nil, db, prep, opts)
-}
-
-func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepared, opts StepGreedyOptions) (*Result, *engine.Database, error) {
-	// Phase 1 (Eval): end run with provenance capture.
-	endRes, _, graph, err := runEndCaptured(ctx, db, prep, true)
-	if err != nil {
-		return nil, nil, err
-	}
+	graph := d.graph
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
@@ -93,7 +81,7 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 		l := graph.Layer[h]
 		layerOrder[l] = append(layerOrder[l], h)
 	}
-	if !opts.IgnoreBenefits {
+	if !opts.Step.IgnoreBenefits {
 		for _, heads := range layerOrder {
 			sort.SliceStable(heads, func(i, j int) bool {
 				bi, bj := benefits[heads[i]], benefits[heads[j]]
@@ -157,29 +145,15 @@ func runStepGreedy(ctx context.Context, db *engine.Database, prep *datalog.Prepa
 	}
 	trDur := time.Since(trStart)
 
-	// Materialize the result and the repaired database. Tuples resolve by
-	// ID against the input database; the fork shares tuple pointers.
-	updStart := time.Now()
-	work := db.Fork()
-	deleted := make([]*engine.Tuple, 0, len(order))
-	for _, id := range order {
-		t := db.LookupID(id)
-		if t == nil || !work.DeleteTupleToDelta(t) {
-			return nil, nil, fmt.Errorf("core: step semantics selected unknown tuple t%d", id)
-		}
-		deleted = append(deleted, t)
+	res, work, err := d.finishIDs(SemStep, order)
+	if err != nil {
+		return nil, nil, err
 	}
-	updDur := time.Since(updStart)
-
-	res := newResult(SemStep, deleted)
 	res.Rounds = graph.NumLayers
 	res.GraphAssignments = len(clauses)
-	res.Timing = Breakdown{
-		Eval:        endRes.Timing.Eval,
-		ProcessProv: ppDur,
-		Traverse:    trDur,
-		Update:      updDur,
-	}
+	res.Timing.Eval = evalDur
+	res.Timing.ProcessProv = ppDur
+	res.Timing.Traverse = trDur
 	return res, work, nil
 }
 
@@ -228,7 +202,7 @@ func RunStepExhaustive(db *engine.Database, p *datalog.Program, opts StepExhaust
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStepStates
 	}
-	prep, err := datalog.Prepare(p, db.Schema)
+	prep, err := resolvePlan(db, p, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -314,7 +288,7 @@ func RunStepExhaustive(db *engine.Database, p *datalog.Program, opts StepExhaust
 // trigger-firing order can produce; the result is a stabilizing set but not
 // necessarily a small one.
 func RunStepRandom(db *engine.Database, p *datalog.Program, seed int64) (*Result, *engine.Database, error) {
-	prep, err := datalog.Prepare(p, db.Schema)
+	prep, err := resolvePlan(db, p, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -39,7 +39,7 @@ import (
 // from-scratch recomputation at every version, for all four semantics.
 
 // WarmStart carries incremental-update hints into RunWith and
-// CheckStableWarm. The caller (normally internal/server) is responsible
+// CheckStableWarmCtx. The caller (normally internal/server) is responsible
 // for the hints' truth: PrevResult/PrevStable must describe an earlier
 // version of the same database lineage, and ChangedRels/Inserted must
 // cover every base change between that version and the database being
@@ -51,7 +51,7 @@ type WarmStart struct {
 	// earlier version, enabling read-set pruning (all semantics) and
 	// fixpoint continuation (end semantics, insert-only updates).
 	PrevResult *Result
-	// PrevStable, for CheckStableWarm: the earlier version was verified
+	// PrevStable, for CheckStableWarmCtx: the earlier version was verified
 	// stable.
 	PrevStable bool
 	// ChangedRels lists the base relations modified between the earlier
@@ -113,32 +113,28 @@ func (w *WarmStart) seedRelations(db *engine.Database) map[string]*engine.Relati
 	return seeds
 }
 
-// runWarmShortcut attempts the read-set-pruning shortcut: when no changed
+// warmShortcut attempts the read-set-pruning shortcut: when no changed
 // relation is in the prepared read-set, the previous result is replayed
 // onto a fork of the new version without any derivation. handled reports
 // whether the shortcut applied; when false the caller must run the full
-// executor. The replay verifies every previous deletion is still live —
-// a failed replay means the caller's hints were wrong, and the run falls
-// back to a full computation rather than trusting them.
-func runWarmShortcut(db *engine.Database, prep *datalog.Prepared, sem Semantics, w *WarmStart) (*Result, *engine.Database, bool) {
-	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != sem || w.touchesReadSet(prep) {
+// policy.
+func (d *Derivation) warmShortcut(sem Semantics, w *WarmStart) (*Result, *engine.Database, bool) {
+	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != sem || w.touchesReadSet(d.prep) {
 		return nil, nil, false
 	}
-	return replayPrevResult(db.Fork(), w.PrevResult, time.Now())
+	return d.replay(w.PrevResult, time.Now())
 }
 
-// replayPrevResult re-applies a previous version's result onto a fork of
-// the new version: every previously deleted tuple is moved base → delta
-// again, and the result metadata is copied. ok is false when a previous
-// deletion is no longer live — a stale hint; the caller then runs the
-// full executor instead of trusting the hints.
-func replayPrevResult(work *engine.Database, prev *Result, start time.Time) (*Result, *engine.Database, bool) {
-	for _, t := range prev.Deleted {
-		if !work.DeleteTupleToDelta(t) {
-			return nil, nil, false // stale hint: recompute from scratch
-		}
+// replay re-applies a previous version's result onto a fork of the new
+// version: every previously deleted tuple is moved base → delta again, and
+// the result metadata is copied. ok is false when a previous deletion is no
+// longer live — the caller's hints were wrong, and the run falls back to
+// the full policy rather than trusting them.
+func (d *Derivation) replay(prev *Result, start time.Time) (*Result, *engine.Database, bool) {
+	res, work, err := d.finish(prev.Semantics, prev.Deleted)
+	if err != nil {
+		return nil, nil, false // stale hint: recompute from scratch
 	}
-	res := newResult(prev.Semantics, append([]*engine.Tuple(nil), prev.Deleted...))
 	res.Rounds = prev.Rounds
 	res.Optimal = prev.Optimal
 	res.SolverNodes = prev.SolverNodes
@@ -149,45 +145,43 @@ func replayPrevResult(work *engine.Database, prev *Result, start time.Time) (*Re
 	return res, work, true
 }
 
-// runChangeProbe attempts cached-result replay for the semantics without
-// an incremental executor (stage, step, independent) after an update
+// changeProbe attempts cached-result replay for the semantics without an
+// incremental continuation (stage, step, independent) after an update
 // batch that does touch the read-set. It probes whether any rule
 // assignment binds any changed tuple: every atom position is seeded in
 // turn with the batch's deleted and still-live inserted tuples, while
 // every other position reads live ∪ deleted — a superset of both the
 // previous and the current version's contents at every atom (base atoms:
 // rows absent from both are irrelevant; delta atoms: whatever subset of
-// base-or-deleted content an executor ranges over). Zero probe hits mean
-// no assignment of any rule, under any executor's sources, binds a
+// base-or-deleted content a policy's artefact ranges over). Zero probe hits
+// mean no assignment of any rule, under any artefact's sources, binds a
 // changed tuple, so the two versions have identical assignment universes
 // — and identical enumeration order, because unchanged tuples keep their
 // relative storage and index order across Apply (deletions hide rows,
-// insertions append). Every executor is a deterministic function of that
+// insertions append). Every policy is a deterministic function of that
 // enumeration — including the variable numbering of Algorithm 1's
 // formula and the tie-breaking of Algorithm 2's greedy — so the previous
-// result is reproduced verbatim and is replayed without running the
-// executor. Any probe hit falls back to the full executor; the probe's
-// cost is bounded by the update batch and its join neighborhood, not the
-// database.
-func runChangeProbe(ctx context.Context, db *engine.Database, prep *datalog.Prepared, sem Semantics, w *WarmStart) (*Result, *engine.Database, bool, error) {
+// result is reproduced verbatim and is replayed without deriving anything.
+// Any probe hit falls back to the full policy; the probe's cost is bounded
+// by the update batch and its join neighborhood, not the database.
+func (d *Derivation) changeProbe(ctx context.Context, sem Semantics, w *WarmStart) (*Result, *engine.Database, bool, error) {
 	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != sem {
 		return nil, nil, false, nil
 	}
 	start := time.Now()
-	work := db.Fork()
-	schema := work.Schema
+	db := d.db
 
 	// Seeds: the deleted tuples plus the still-live inserted tuples.
 	// Folded multi-version hints may record tuples inserted then deleted
 	// inside the range (in neither endpoint version); they stay in the
 	// delete view, which only over-approximates — a spurious hit costs a
 	// fallback, never correctness.
-	deletes := groupByRelation(schema, w.Deleted)
+	deletes := groupByRelation(db.Schema, w.Deleted)
 	seeds := make(map[string]*engine.Relation, len(deletes))
 	for rel, r := range deletes {
 		seeds[rel] = r.Clone()
 	}
-	for rel, r := range w.seedRelations(work) {
+	for rel, r := range w.seedRelations(db) {
 		dst := seeds[rel]
 		if dst == nil {
 			seeds[rel] = r
@@ -198,46 +192,38 @@ func runChangeProbe(ctx context.Context, db *engine.Database, prep *datalog.Prep
 			return true
 		})
 	}
-	if len(seeds) == 0 {
-		// Every change was an insert-then-delete no-op inside the hint
-		// range; both endpoint versions are identical.
-		return probeReplay(work, w.PrevResult, start)
-	}
-
-	ec := prep.AcquireContext()
-	defer prep.ReleaseContext(ec)
-	for _, pr := range prep.Rules {
-		if err := ctxErr(ctx); err != nil {
-			return nil, nil, false, err
-		}
-		rule := pr.Rule
-		src := func(bi int) datalog.AtomSource {
-			rel := rule.Body[bi].Rel
-			if d := deletes[rel]; d != nil {
-				return datalog.AtomSource{work.Relation(rel), d}
+	// No seeds: every change was an insert-then-delete no-op inside the hint
+	// range, and both endpoint versions are identical.
+	if len(seeds) > 0 {
+		ec := d.prep.AcquireContext()
+		defer d.prep.ReleaseContext(ec)
+		for _, pr := range d.prep.Rules {
+			if err := ctxErr(ctx); err != nil {
+				return nil, nil, false, err
 			}
-			return datalog.AtomSource{work.Relation(rel)}
-		}
-		hit := false
-		err := pr.EvalChangeSeeded(seeds, false, src, ec, func(*datalog.Assignment) bool {
-			hit = true
-			return false
-		})
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if hit {
-			return nil, nil, false, nil // the change interacts: full run
+			rule := pr.Rule
+			src := func(bi int) datalog.AtomSource {
+				rel := rule.Body[bi].Rel
+				if del := deletes[rel]; del != nil {
+					return datalog.AtomSource{db.Relation(rel), del}
+				}
+				return datalog.AtomSource{db.Relation(rel)}
+			}
+			hit := false
+			err := pr.EvalChangeSeeded(seeds, false, src, ec, func(*datalog.Assignment) bool {
+				hit = true
+				return false
+			})
+			if err != nil {
+				return nil, nil, false, err
+			}
+			if hit {
+				return nil, nil, false, nil // the change interacts: full run
+			}
 		}
 	}
-	return probeReplay(work, w.PrevResult, start)
-}
-
-// probeReplay adapts replayPrevResult's three-value shape to the
-// (handled, error) dispatch convention of the warm executors.
-func probeReplay(work *engine.Database, prev *Result, start time.Time) (*Result, *engine.Database, bool, error) {
-	res, db, ok := replayPrevResult(work, prev, start)
-	return res, db, ok, nil
+	res, work, ok := d.replay(w.PrevResult, start)
+	return res, work, ok, nil
 }
 
 // groupByRelation materializes per-relation tuple lists as scratch
@@ -259,11 +245,6 @@ func groupByRelation(schema *engine.Schema, lists map[string][]*engine.Tuple) ma
 		out[rel] = r
 	}
 	return out
-}
-
-// CheckStableWarm is CheckStableWarmCtx without cancellation.
-func CheckStableWarm(db *engine.Database, prep *datalog.Prepared, w *WarmStart) (bool, error) {
-	return CheckStableWarmCtx(nil, db, prep, w)
 }
 
 // CheckStableWarmCtx reports whether db is stable (Def. 3.12), using

@@ -231,7 +231,7 @@ func TestCheckStableWarm(t *testing.T) {
 	check := func(name string, snap *engine.Snapshot, info *engine.ApplyInfo) {
 		t.Helper()
 		warm := &WarmStart{PrevStable: true, ChangedRels: info.Changed, Inserted: info.InsertedTuples}
-		got, err := CheckStableWarm(snap.Fork(), prep, warm)
+		got, err := CheckStableWarmCtx(nil, snap.Fork(), prep, warm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -272,12 +272,12 @@ func TestCheckStableWarm(t *testing.T) {
 	}
 	check("violating insert", s4, info)
 	warm := &WarmStart{PrevStable: true, ChangedRels: info.Changed, Inserted: info.InsertedTuples}
-	if stable, _ := CheckStableWarm(s4.Fork(), prep, warm); stable {
+	if stable, _ := CheckStableWarmCtx(nil, s4.Fork(), prep, warm); stable {
 		t.Fatal("violating insert reported stable")
 	}
 
 	// Without usable hints the warm probe falls back to a full check.
-	if stable, err := CheckStableWarm(s4.Fork(), prep, nil); err != nil || stable {
+	if stable, err := CheckStableWarmCtx(nil, s4.Fork(), prep, nil); err != nil || stable {
 		t.Fatalf("nil hints fallback: stable=%v err=%v", stable, err)
 	}
 }

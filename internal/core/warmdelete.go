@@ -2,21 +2,48 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/datalog"
 	"repro/internal/engine"
 )
 
+// previousEndFixpoint turns end-semantics hints into the part of the
+// previous version's fixpoint that still holds at db, for
+// Derivation.endFixpoint to continue from instead of deriving cold.
+// Soundness after insert-only batches: end-semantics derivation is monotone
+// in the base (bodies are positive and bases never shrink during the run),
+// so with no deletions since the previous version every previously derived
+// delta is still derivable — the old fixpoint is a subset of the new one and
+// is continued as it stands. Batches with deletions go through the DRed
+// maintenance below. Either way the continuation's unique-fixpoint result is
+// identical to a from-scratch run.
+//
+// ok is false when there are no usable hints, or a hint references a tuple
+// that is not live — a stale hint; the caller then derives cold.
+func previousEndFixpoint(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) ([]*engine.Tuple, bool, error) {
+	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != SemEnd {
+		return nil, false, nil
+	}
+	if !w.InsertOnly {
+		return maintainEndFixpoint(ctx, db, prep, w)
+	}
+	for _, t := range w.PrevResult.Deleted {
+		if !db.Relation(t.Rel).ContainsTuple(t) {
+			return nil, false, nil // stale hint: recompute from scratch
+		}
+	}
+	return w.PrevResult.Deleted, true, nil
+}
+
 // Incremental delete maintenance for end semantics (DRed-style).
 //
-// runEndWarm continues the previous version's fixpoint after insert-only
-// batches; this file extends the continuation to batches containing
-// deletions, so every update batch costs O(changes) instead of falling
-// off the warm path into a full seminaive recompute. The algorithm is
-// the classic over-delete / re-derive pipeline (DRed), adapted to delta
-// programs where every derived head is itself a live base tuple (the
-// mandatory self atom, Def. 3.1):
+// After insert-only batches the previous version's fixpoint is continued
+// as it stands (previousEndFixpoint); this file extends the continuation to
+// batches containing deletions, so every update batch costs O(changes)
+// instead of falling off the warm path into a full seminaive recompute.
+// The algorithm is the classic over-delete / re-derive pipeline (DRed),
+// adapted to delta programs where every derived head is itself a live base
+// tuple (the mandatory self atom, Def. 3.1):
 //
 //  1. Over-delete. Mark dead the previously derived tuples that were
 //     themselves deleted by the batch (their self atom can no longer
@@ -43,13 +70,13 @@ import (
 //     supporting dead tuples dead — their revival would have to assume
 //     itself.
 //
-//  3. Continue. The surviving-plus-revived fixpoint is installed as
-//     already-processed deltas and derivation continues exactly like the
-//     insert-only warm path: round 1 probes only the insert-seeded
-//     passes (any genuinely new assignment binds an inserted tuple —
-//     bodies are positive and phases 1–2 already computed everything
-//     derivable without the inserts), later rounds run the normal
-//     seminaive frontier.
+//  3. Continue (Derivation.endFixpoint). The surviving-plus-revived
+//     fixpoint is installed as already-processed deltas and derivation
+//     continues exactly like the insert-only warm path: round 1 probes
+//     only the insert-seeded passes (any genuinely new assignment binds
+//     an inserted tuple — bodies are positive and phases 1–2 already
+//     computed everything derivable without the inserts), later rounds
+//     run the normal seminaive frontier.
 //
 // Exactness. Let F be the previous fixpoint over D_old and F_new the
 // fixpoint over D_new. Phase 1 kills every F-tuple with any invalidated
@@ -64,13 +91,11 @@ import (
 // phase 3's insert-seeded round and its cascade enumerate. The
 // update-stream equivalence suite and the warm-delete differential
 // suites assert byte-identity against from-scratch recomputation.
-func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (*Result, *engine.Database, bool, error) {
-	if w == nil || w.InsertOnly || w.PrevResult == nil || w.PrevResult.Semantics != SemEnd {
-		return nil, nil, false, nil
-	}
-	start := time.Now()
-	work := db.Fork()
-	schema := work.Schema
+//
+// maintainEndFixpoint runs phases 1–2 and returns F₁. ok is false when the
+// hints do not describe this lineage; the caller then derives cold.
+func maintainEndFixpoint(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) ([]*engine.Tuple, bool, error) {
+	schema := db.Schema
 	prev := w.PrevResult
 
 	// Interned identity of the batch-deleted tuples.
@@ -94,8 +119,8 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 			frontier = append(frontier, t)
 			continue
 		}
-		if !work.Relation(t.Rel).ContainsTuple(t) {
-			return nil, nil, false, nil // stale hint: recompute from scratch
+		if !db.Relation(t.Rel).ContainsTuple(t) {
+			return nil, false, nil // stale hint: recompute from scratch
 		}
 	}
 
@@ -115,9 +140,9 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 				return datalog.AtomSource{}
 			}
 			if d := delView[rel]; d != nil {
-				return datalog.AtomSource{work.Relation(rel), d}
+				return datalog.AtomSource{db.Relation(rel), d}
 			}
-			return datalog.AtomSource{work.Relation(rel)}
+			return datalog.AtomSource{db.Relation(rel)}
 		}
 	}
 	markDead := func(asn *datalog.Assignment) bool {
@@ -130,10 +155,10 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 	}
 	for _, pr := range prep.Rules {
 		if err := ctxErr(ctx); err != nil {
-			return nil, nil, true, err
+			return nil, false, err
 		}
 		if err := pr.EvalChangeSeeded(delView, true, overOld(pr.Rule), ec, markDead); err != nil {
-			return nil, nil, true, err
+			return nil, false, err
 		}
 	}
 	for len(frontier) > 0 {
@@ -145,13 +170,13 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 				continue // no delta atom can bind a dead tuple
 			}
 			if err := ctxErr(ctx); err != nil {
-				return nil, nil, true, err
+				return nil, false, err
 			}
 			rule := pr.Rule
 			for p := 0; p < pr.NumDeltaBody(); p++ {
-				srcs := seededPassSources(work, rule, p, seeds, fAll, delView)
+				srcs := seededPassSources(db, rule, p, seeds, fAll, delView)
 				if err := pr.EvalPass(p, srcs, ec, markDead); err != nil {
-					return nil, nil, true, err
+					return nil, false, err
 				}
 			}
 		}
@@ -174,7 +199,7 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 			surv.Insert(t)
 			continue
 		}
-		if deleted[t.TID] || !work.Relation(t.Rel).ContainsTuple(t) {
+		if deleted[t.TID] || !db.Relation(t.Rel).ContainsTuple(t) {
 			continue // gone from the base: stays dead
 		}
 		candSet[t.TID] = true
@@ -192,7 +217,7 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 				}
 				return datalog.AtomSource{}
 			}
-			return datalog.AtomSource{work.Relation(rel)}
+			return datalog.AtomSource{db.Relation(rel)}
 		}
 	}
 	var pending []*engine.Tuple
@@ -208,10 +233,10 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 		candSeeds := groupByRelation(schema, candLists)
 		for _, pr := range prep.Rules {
 			if err := ctxErr(ctx); err != nil {
-				return nil, nil, true, err
+				return nil, false, err
 			}
 			if err := pr.EvalSelfSeeded(candSeeds[pr.Rule.Head.Rel], liveSrc(pr.Rule), ec, revive); err != nil {
-				return nil, nil, true, err
+				return nil, false, err
 			}
 		}
 	}
@@ -239,48 +264,25 @@ func runEndWarmDelete(ctx context.Context, db *engine.Database, prep *datalog.Pr
 				continue
 			}
 			if err := ctxErr(ctx); err != nil {
-				return nil, nil, true, err
+				return nil, false, err
 			}
 			rule := pr.Rule
 			for p := 0; p < pr.NumDeltaBody(); p++ {
-				srcs := seededPassSources(work, rule, p, seeds, fSurv, nil)
+				srcs := seededPassSources(db, rule, p, seeds, fSurv, nil)
 				if err := pr.EvalPass(p, srcs, ec, revive); err != nil {
-					return nil, nil, true, err
+					return nil, false, err
 				}
 			}
 		}
 	}
 
-	// Phase 3: install the maintained fixpoint as already-processed deltas
-	// and continue derivation with the inserted tuples as the round-1
-	// frontier (exactly the insert-only warm continuation).
 	prevLive := make([]*engine.Tuple, 0, len(prev.Deleted))
 	for _, t := range prev.Deleted {
-		if dead[t.TID] {
-			continue
+		if !dead[t.TID] {
+			prevLive = append(prevLive, t)
 		}
-		work.Delta(t.Rel).Insert(t)
-		prevLive = append(prevLive, t)
 	}
-	derived, rounds, err := derive(work, prep, deriveConfig{
-		ctx:       ctx,
-		warmSeeds: w.seedRelations(work),
-	})
-	evalDur := time.Since(start)
-	if err != nil {
-		return nil, nil, true, err
-	}
-	all := make([]*engine.Tuple, 0, len(prevLive)+len(derived))
-	all = append(append(all, prevLive...), derived...)
-	updStart := time.Now()
-	for _, t := range all {
-		work.Relation(t.Rel).DeleteTuple(t)
-	}
-	res := newResult(SemEnd, all)
-	res.Rounds = rounds
-	res.Optimal = true
-	res.Timing = Breakdown{Eval: evalDur, Update: time.Since(updStart)}
-	return res, work, true, nil
+	return prevLive, true, nil
 }
 
 // byRelation groups tuples by relation name, preserving order.

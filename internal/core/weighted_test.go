@@ -14,7 +14,7 @@ func TestWeightedIndependentRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
 
 	// Baseline: cardinality-minimum is {g2, ag2, ag3}.
-	base, _, err := RunIndependent(db, p, IndependentOptions{})
+	base, _, err := Run(db, p, SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +24,14 @@ func TestWeightedIndependentRunningExample(t *testing.T) {
 
 	// AuthGrant deletions cost 10: {g2, ag2, ag3} now costs 21, while
 	// {g2, a2, a3, w1, w2} costs 5 — the solver must switch.
-	weighted, _, err := RunIndependent(db, p, IndependentOptions{
+	weighted, _, err := RunWith(db, p, SemIndependent, Options{Independent: IndependentOptions{
 		Weight: func(tp *engine.Tuple) int64 {
 			if tp.Rel == "AuthGrant" {
 				return 10
 			}
 			return 1
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestWeightedIndependentRunningExample(t *testing.T) {
 // reported under the weighted metric.
 func TestWeightedIndependentMildWeightKeepsOptimum(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, _, err := RunIndependent(db, p, IndependentOptions{
+	res, _, err := RunWith(db, p, SemIndependent, Options{Independent: IndependentOptions{
 		Weight: func(tp *engine.Tuple) int64 {
 			if tp.Rel == "Grant" {
 				return 2
 			}
 			return 1
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestWeightedIndependentStillStabilizes(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		res, _, err := RunIndependent(db, p, IndependentOptions{
+		res, _, err := RunWith(db, p, SemIndependent, Options{Independent: IndependentOptions{
 			Weight: func(tp *engine.Tuple) int64 {
 				if tp.Rel == "R2" {
 					return 3
 				}
 				return 1
 			},
-		})
+		}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -145,7 +145,7 @@ type compiledRule struct {
 
 // compile numbers the rule's variables and inlines constants; the result
 // is cached on the rule under a sync.Once so concurrent evaluations (e.g.
-// core.RunAllParallel) share one plan safely.
+// two requests on one session) share one plan safely.
 func (r *Rule) compile() *compiledRule {
 	r.compileOnce.Do(r.doCompile)
 	return r.compiled

@@ -63,8 +63,8 @@ type frozenBucket struct {
 
 // index returns the frozen hash index on col, building and publishing it
 // on first use. The build happens at most once per (snapshot, column)
-// across all forks — this is what lets RunAllParallel's four forks probe
-// one warm index instead of four rebuilt ones.
+// across all forks — this is what lets concurrent requests on private
+// forks probe one warm index instead of one rebuilt per fork.
 func (fz *frozenRel) index(col int) map[Value]*frozenBucket {
 	if m := fz.indexes.Load(); m != nil {
 		if idx, ok := (*m)[col]; ok {

@@ -212,7 +212,7 @@ func TestForkDifferentialModel(t *testing.T) {
 	}
 }
 
-// TestForkSharedWarmIndexes asserts the RunAllParallel satellite: sibling
+// TestForkSharedWarmIndexes asserts what concurrent requests rely on: sibling
 // forks of one snapshot share warm index pages, and forking does not
 // rebuild indexes for untouched relations. The frozen index is built at
 // most once per (snapshot, column) — either donated by the frozen

@@ -40,11 +40,11 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, _, err := core.RunStepGreedy(ds.DB, p)
+		full, _, err := core.Run(ds.DB, p, core.SemStep)
 		if err != nil {
 			return nil, err
 		}
-		abl, _, err := core.RunStepGreedyWithOptions(ds.DB, p, core.StepGreedyOptions{IgnoreBenefits: true})
+		abl, _, err := core.RunWith(ds.DB, p, core.SemStep, core.Options{Step: core.StepGreedyOptions{IgnoreBenefits: true}})
 		if err != nil {
 			return nil, err
 		}
@@ -62,11 +62,11 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, _, err := core.RunIndependent(ds.DB, p, core.IndependentOptions{MaxNodes: cfg.IndMaxNodes})
+		full, _, err := core.RunWith(ds.DB, p, core.SemIndependent, core.Options{Independent: core.IndependentOptions{MaxNodes: cfg.IndMaxNodes}})
 		if err != nil {
 			return nil, err
 		}
-		abl, _, err := core.RunIndependent(ds.DB, p, core.IndependentOptions{MaxNodes: 1})
+		abl, _, err := core.RunWith(ds.DB, p, core.SemIndependent, core.Options{Independent: core.IndependentOptions{MaxNodes: 1}})
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, _, err := core.RunEnd(ds.DB, p)
+		full, _, err := core.Run(ds.DB, p, core.SemEnd)
 		if err != nil {
 			return nil, err
 		}

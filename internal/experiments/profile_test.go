@@ -22,7 +22,7 @@ func TestProfileDCIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		t0 := time.Now()
-		res, _, err := core.RunIndependent(db, dcs, core.IndependentOptions{})
+		res, _, err := core.Run(db, dcs, core.SemIndependent)
 		if err != nil {
 			t.Fatal(err)
 		}

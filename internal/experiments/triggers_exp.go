@@ -83,7 +83,7 @@ func TriggerComparison(cfg Config) ([]TriggerRow, error) {
 				}
 			}
 		}
-		rs, err := core.RunAll(ds.DB, p)
+		rs, err := core.RunAll(ds.DB, p, core.Options{})
 		if err != nil {
 			return nil, err
 		}

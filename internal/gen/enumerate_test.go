@@ -41,7 +41,7 @@ func checkEnumeration(t *testing.T, sc *Scenario) {
 	}
 
 	// (1) + (2): stability, deletion-only, distinctness, cost order.
-	single, _, err := core.RunIndependent(sc.DB.Clone(), sc.Program, core.IndependentOptions{})
+	single, _, err := core.Run(sc.DB.Clone(), sc.Program, core.SemIndependent)
 	if err != nil {
 		t.Fatalf("seed %d: single independent: %v", sc.Seed, err)
 	}

@@ -23,7 +23,8 @@ const quickScenarios = 500
 //  2. Deletion-only: the stabilizing set ⊆ input tuples, the repaired
 //     instance ⊆ input instance, and sizes reconcile exactly.
 //  3. Determinism: unprepared, prepared, and forked-input execution
-//     produce byte-identical results.
+//     produce byte-identical results, and so does RunAll's shared
+//     Derivation.
 //  4. Containments (Prop. 3.20): Stage ⊆ End, Step ⊆ End, and — when the
 //     solver proved minimality — |Ind| ≤ |Step|, |Ind| ≤ |Stage|.
 func checkScenario(t *testing.T, sc *Scenario) {
@@ -96,6 +97,18 @@ func checkScenario(t *testing.T, sc *Scenario) {
 				t.Fatalf("seed %d: %s/%s nondeterministic:\n sequential: %s\n %s: %s\nprogram:\n%s",
 					sc.Seed, sem, st.name, seqKeys, st.name, got, sc.ProgramSource)
 			}
+		}
+	}
+
+	// (3b) Sharing: RunAll's one Derivation gives every semantics the result
+	// its own Run gave it.
+	all, err := core.RunAll(sc.DB, sc.Program, core.Options{})
+	if err != nil {
+		t.Fatalf("seed %d: RunAll: %v", sc.Seed, err)
+	}
+	for _, sem := range core.AllSemantics {
+		if got, want := fmt.Sprintf("%v", all[sem].Keys()), fmt.Sprintf("%v", results[sem].Keys()); got != want {
+			t.Fatalf("seed %d: RunAll %s %s != Run %s\nprogram:\n%s", sc.Seed, sem, got, want, sc.ProgramSource)
 		}
 	}
 

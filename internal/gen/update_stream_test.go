@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -147,11 +148,14 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) {
 	prevRes := make(map[core.Semantics]*core.Result)
 	checkWarmChain := func(n int, info *engine.ApplyInfo) {
 		t.Helper()
+		hints := make(map[core.Semantics]*core.WarmStart)
+		coldKeys := make(map[core.Semantics]string)
 		for _, sem := range core.AllSemantics {
 			cold, _, err := core.RunWith(chain.Fork(), sc.Program, sem, core.Options{Prepared: prep})
 			if err != nil {
 				t.Fatalf("seed %d v%d: chain cold %s: %v", sc.Seed, n, sem, err)
 			}
+			coldKeys[sem] = fmt.Sprintf("%v", cold.Keys())
 			if info != nil && prevRes[sem] != nil {
 				warm := &core.WarmStart{
 					PrevResult:  prevRes[sem],
@@ -160,11 +164,12 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) {
 					Deleted:     info.DeletedTuples,
 					InsertOnly:  info.InsertOnly(),
 				}
+				hints[sem] = warm
 				got, repaired, err := core.RunWith(chain.Fork(), sc.Program, sem, core.Options{Prepared: prep, Warm: warm})
 				if err != nil {
 					t.Fatalf("seed %d v%d: chain warm %s: %v", sc.Seed, n, sem, err)
 				}
-				if gotKeys, wantKeys := fmt.Sprintf("%v", got.Keys()), fmt.Sprintf("%v", cold.Keys()); gotKeys != wantKeys {
+				if gotKeys, wantKeys := fmt.Sprintf("%v", got.Keys()), coldKeys[sem]; gotKeys != wantKeys {
 					t.Fatalf("seed %d v%d: %s warm chain %s != cold %s\nprogram:\n%s",
 						sc.Seed, n, sem, gotKeys, wantKeys, sc.ProgramSource)
 				}
@@ -175,6 +180,34 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) {
 				continue
 			}
 			prevRes[sem] = cold
+		}
+
+		// Repair-all: one Derivation per version, each semantics with its own
+		// hints, must give every semantics its cold answer whoever produced
+		// the shared end fixpoint. In AllSemantics order end's hints arrive
+		// after independent or step memoised a cold captured fixpoint; in
+		// reverse, the graph is demanded after end's continuation (insert-only
+		// or DRed) produced a graph-less one.
+		reversed := slices.Clone(core.AllSemantics)
+		slices.Reverse(reversed)
+		for _, order := range [][]core.Semantics{core.AllSemantics, reversed} {
+			d, err := core.NewDerivation(chain.Fork(), prep)
+			if err != nil {
+				t.Fatalf("seed %d v%d: derivation: %v", sc.Seed, n, err)
+			}
+			for _, sem := range order {
+				got, repaired, err := d.Run(sem, core.Options{Warm: hints[sem]})
+				if err != nil {
+					t.Fatalf("seed %d v%d: repair-all %v %s: %v", sc.Seed, n, order, sem, err)
+				}
+				if gotKeys := fmt.Sprintf("%v", got.Keys()); gotKeys != coldKeys[sem] {
+					t.Fatalf("seed %d v%d: repair-all %v: %s %s != cold %s\nprogram:\n%s",
+						sc.Seed, n, order, sem, gotKeys, coldKeys[sem], sc.ProgramSource)
+				}
+				if stable, err := core.CheckStableP(repaired, prep); err != nil || !stable {
+					t.Fatalf("seed %d v%d: repair-all %v: %s repaired fork not stable (err=%v)", sc.Seed, n, order, sem, err)
+				}
+			}
 		}
 	}
 	checkWarmChain(0, nil)

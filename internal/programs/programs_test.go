@@ -113,21 +113,21 @@ func TestProgram4Semantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end, _, err := core.RunEnd(ds.DB, p)
+	end, _, err := core.Run(ds.DB, p, core.SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if end.Size() != ds.HubOrgAuthors+1 {
 		t.Fatalf("end size = %d, want %d (org + its authors)", end.Size(), ds.HubOrgAuthors+1)
 	}
-	step, _, err := core.RunStepGreedy(ds.DB, p)
+	step, _, err := core.Run(ds.DB, p, core.SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if step.Size() != 1 || step.Deleted[0].Rel != "Organization" {
 		t.Fatalf("step = %v, want single Organization tuple", step.Keys())
 	}
-	ind, _, err := core.RunIndependent(ds.DB, p, core.IndependentOptions{})
+	ind, _, err := core.Run(ds.DB, p, core.SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestProgram2IndependentNotContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := core.RunAll(ds.DB, p)
+	rs, err := core.RunAll(ds.DB, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestProgram8SeparatesStepAndStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := core.RunAll(ds.DB, p)
+	rs, err := core.RunAll(ds.DB, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPrograms16To20Cascade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := core.RunAll(ds.DB, p)
+		rs, err := core.RunAll(ds.DB, p, core.Options{})
 		if err != nil {
 			t.Fatalf("program %d: %v", n, err)
 		}
@@ -232,11 +232,11 @@ func TestPrograms11To15IndependentShrinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		end, _, err := core.RunEnd(ds.DB, p)
+		end, _, err := core.Run(ds.DB, p, core.SemEnd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ind, _, err := core.RunIndependent(ds.DB, p, core.IndependentOptions{MaxNodes: 200000})
+		ind, _, err := core.RunWith(ds.DB, p, core.SemIndependent, core.Options{Independent: core.IndependentOptions{MaxNodes: 200000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestRunningExampleProgramFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := core.RunAll(db, p)
+	rs, err := core.RunAll(db, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestInjectErrorsCreatesViolations(t *testing.T) {
 	}
 	// Independent semantics repairs with roughly one deletion per error
 	// (it may need slightly more when donor rows themselves conflict).
-	ind, _, err := core.RunIndependent(db, p, core.IndependentOptions{})
+	ind, _, err := core.Run(db, p, core.SemIndependent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestTPCHProgramsSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := core.RunAll(ds.DB, p)
+		rs, err := core.RunAll(ds.DB, p, core.Options{})
 		if err != nil {
 			t.Fatalf("T-%d: %v", n, err)
 		}
@@ -428,7 +428,7 @@ func TestTPCHProgramsSmoke(t *testing.T) {
 	// T-5: both nation-cascade rules share a body; step picks the cheaper
 	// side, so Step ≤ Stage and typically strictly smaller.
 	p5, _ := TPCH(5, ds)
-	rs, err := core.RunAll(ds.DB, p5)
+	rs, err := core.RunAll(ds.DB, p5, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

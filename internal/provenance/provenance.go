@@ -108,7 +108,7 @@ func (c Clause) String() string {
 // Formula is the flat provenance of possible delta tuples: one clause per
 // assignment, the disjunction of which is the formula F of Algorithm 1.
 // core fills it with the relevant possible delta tuples only (the closure
-// V; see the lemma on core's buildIndependentCNF for why that is exact).
+// V; see the lemma on core's Derivation.buildCNF for why that is exact).
 // Heads records the delta tuple each clause derives (parallel to Clauses);
 // Algorithm 1 itself only needs the clause bodies, but heads are kept for
 // reporting and tests. A synthetic head of 0 is permitted (used by the

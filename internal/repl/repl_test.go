@@ -166,11 +166,11 @@ func TestSessionQuitAndRunLoop(t *testing.T) {
 }
 
 // TestSessionManualEqualsStepSemantics: firing the greedy algorithm's
-// choices by hand ends at the same repair as RunStepGreedy.
+// choices by hand ends at the same repair as the step policy (Algorithm 2).
 func TestSessionManualEqualsStepSemantics(t *testing.T) {
 	db := programs.RunningExampleDB()
 	p, _ := programs.RunningExampleProgram()
-	want, _, err := core.RunStepGreedy(db, p)
+	want, _, err := core.Run(db, p, core.SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}

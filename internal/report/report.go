@@ -69,13 +69,9 @@ func Generate(w io.Writer, db *engine.Database, p *datalog.Program, opts Options
 	fmt.Fprintf(w, "    %s\n\n", witness)
 
 	// Run everything.
-	results := make(map[core.Semantics]*core.Result, 4)
-	for _, sem := range core.AllSemantics {
-		res, _, err := core.RunWith(db, p, sem, core.Options{Independent: opts.Independent})
-		if err != nil {
-			return fmt.Errorf("%s: %w", sem, err)
-		}
-		results[sem] = res
+	results, err := core.RunAll(db, p, core.Options{Independent: opts.Independent})
+	if err != nil {
+		return err
 	}
 
 	// Side-by-side summary.

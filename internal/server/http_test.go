@@ -270,3 +270,83 @@ func TestHTTPNoSuchViewRowIs400(t *testing.T) {
 		t.Fatalf("missing view row: status %d (body %v), want 400", status, body)
 	}
 }
+
+// TestHTTPRepairAllEqualsRepairsAfterUpdate: /repair-all runs the four
+// semantics as policies over one shared derivation, each warm-started from
+// its own cached result; after an update that interacts with the rules
+// (an insert that extends the cascade, a delete that sends end semantics
+// through delete maintenance) its answer at the pinned version must equal
+// the four /repair answers a second session gives at that version.
+func TestHTTPRepairAllEqualsRepairsAfterUpdate(t *testing.T) {
+	svc := New(Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	const update = `{"inserts": {"AuthGrant": [[2, 2]], "Writes": [[2, 7]]}, "deletes": {"AuthGrant": [[5, 2]]}}`
+	for _, name := range []string{"papers", "single"} {
+		body := strings.Replace(registerBody, `"name": "papers"`, `"name": "`+name+`"`, 1)
+		if status, resp := postJSON(t, client, ts.URL+"/v1/sessions", body); status != http.StatusCreated {
+			t.Fatalf("register %s: status %d, body %v", name, status, resp)
+		}
+	}
+	// Version 1 answers become the hints of the version 2 requests.
+	if status, resp := postJSON(t, client, ts.URL+"/v1/sessions/papers/repair-all", `{}`); status != http.StatusOK {
+		t.Fatalf("repair-all v1: status %d, body %v", status, resp)
+	}
+	for _, name := range []string{"papers", "single"} {
+		status, resp := postJSON(t, client, ts.URL+"/v1/sessions/"+name+"/update", update)
+		if status != http.StatusOK || resp["version"].(float64) != 2 {
+			t.Fatalf("update %s: status %d, body %v", name, status, resp)
+		}
+	}
+
+	status, all := postJSON(t, client, ts.URL+"/v1/sessions/papers/repair-all", `{"version": 2}`)
+	if status != http.StatusOK || all["version"].(float64) != 2 {
+		t.Fatalf("repair-all v2: status %d, body %v", status, all)
+	}
+	results := all["results"].(map[string]any)
+	sets := make(map[string]map[string]bool)
+	for _, sem := range []string{"independent", "step", "stage", "end"} {
+		status, one := postJSON(t, client, ts.URL+"/v1/sessions/single/repair",
+			fmt.Sprintf(`{"semantics": %q, "version": 2}`, sem))
+		if status != http.StatusOK {
+			t.Fatalf("repair %s: status %d, body %v", sem, status, one)
+		}
+		got := results[sem].(map[string]any)
+		if fmt.Sprint(got["deleted"]) != fmt.Sprint(one["deleted"]) || got["size"] != one["size"] || got["optimal"] != one["optimal"] {
+			t.Errorf("%s: repair-all %v (size %v, optimal %v) != repair %v (size %v, optimal %v)", sem,
+				got["deleted"], got["size"], got["optimal"], one["deleted"], one["size"], one["optimal"])
+		}
+		sets[sem] = make(map[string]bool)
+		for _, k := range one["deleted"].([]any) {
+			sets[sem][k.(string)] = true
+		}
+	}
+	if !sets["end"][`Author(i2,"Maggie")`] || sets["end"][`Author(i5,"Homer")`] {
+		t.Fatalf("the update did not move the cascade from Homer to Maggie: end deletes %v", sets["end"])
+	}
+	subset := func(a, b string) bool {
+		for k := range sets[a] {
+			if !sets[b][k] {
+				return false
+			}
+		}
+		return true
+	}
+	want := map[string]bool{
+		"StepEqStage": subset("step", "stage") && subset("stage", "step"),
+		"IndInStage":  subset("independent", "stage"),
+		"IndInStep":   subset("independent", "step"),
+		"StageInEnd":  subset("stage", "end"),
+		"StepInEnd":   subset("step", "end"),
+		"IndLeStep":   len(sets["independent"]) <= len(sets["step"]),
+		"IndLeStage":  len(sets["independent"]) <= len(sets["stage"]),
+	}
+	cont := all["containment"].(map[string]any)
+	for flag, v := range want {
+		if cont[flag] != v {
+			t.Errorf("containment %s = %v, the four /repair answers give %v", flag, cont[flag], v)
+		}
+	}
+}

@@ -851,11 +851,17 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 	if err != nil {
 		return nil, 0, err
 	}
+	// One fork, one derivation: the four policies share the end fixpoint and
+	// its provenance graph; each brings its own previous result as hints.
+	d, err := core.NewDerivation(snap.Fork(), sess.prep)
+	if err != nil {
+		return nil, 0, err
+	}
+	copts := s.coreOptions(sess, reqCtx, opts)
 	out := make(map[core.Semantics]*core.Result, len(core.AllSemantics))
 	for _, sem := range core.AllSemantics {
-		copts := s.coreOptions(sess, reqCtx, opts)
 		copts.Warm = sess.repairHints(sem, version, copts.Independent.MaxNodes)
-		res, _, err := core.RunWith(snap.Fork(), sess.prog, sem, copts)
+		res, _, err := d.Run(sem, copts)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", sem, err)
 		}

@@ -126,7 +126,7 @@ func TestProgram4OrderAnomaly(t *testing.T) {
 
 	// The paper's point: step semantics achieves the size-1 repair
 	// regardless of naming or creation order.
-	step, _, err := core.RunStepGreedy(ds.DB, p)
+	step, _, err := core.Run(ds.DB, p, core.SemStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestProgram5TriggersMatchSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		endRes, _, err := core.RunEnd(ds.DB, p)
+		endRes, _, err := core.Run(ds.DB, p, core.SemEnd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestProgram20TriggersMatchSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	endRes, _, err := core.RunEnd(ds.DB, p)
+	endRes, _, err := core.Run(ds.DB, p, core.SemEnd)
 	if err != nil {
 		t.Fatal(err)
 	}

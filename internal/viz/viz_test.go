@@ -16,7 +16,7 @@ func runningExample(t *testing.T) (*engine.Database, *core.Result, map[core.Sema
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := core.RunAll(db, p)
+	results, err := core.RunAll(db, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
