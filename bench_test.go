@@ -279,37 +279,6 @@ func BenchmarkRepairEnumeration(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarVsRow contrasts the columnar frozen-core read paths
-// (batch probes with pushed-down column checks, zero-copy lookups) against
-// the row-oriented reference on the same end-semantics workload. Each leg
-// freezes its own fork so the per-mode read structures are rebuilt from
-// scratch; bench.sh turns the pair into the comparison/columnar_vs_row
-// speedup and the memory/columnar_vs_row allocation-ratio entries.
-func BenchmarkColumnarVsRow(b *testing.B) {
-	ds := mas.Generate(mas.Config{Scale: 0.02, Seed: 1})
-	p, err := programs.MAS(10, ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"row", false}, {"columnar", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := engine.SetColumnarEnabled(mode.on)
-			defer engine.SetColumnarEnabled(prev)
-			db := ds.DB.Clone()
-			db.Freeze()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Run(db, p, core.SemEnd); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEvaluationStrategies contrasts seminaive and naive end-semantics
 // evaluation on the 5-layer cascade (the DESIGN.md evaluation ablation).
 func BenchmarkEvaluationStrategies(b *testing.B) {

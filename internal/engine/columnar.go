@@ -1,64 +1,35 @@
 package engine
 
-import (
-	"math"
-	"os"
-	"sync/atomic"
-)
+import "math"
 
-// Columnar frozen cores.
+// Columnar sealed segments.
 //
-// A frozen core is immutable and shared by every fork of every version of
-// a session, so a cache-friendly layout amortizes across all serving
-// traffic at once. frozenCols is the columnar image of one core: per
-// column a flat int64 vector (integers inline, floats as IEEE-754 bits,
-// strings as indexes into a per-core intern table) plus a parallel
-// TupleID slice mirroring the core's positions. The row-oriented tuple
-// objects remain the identity layer — deltas, provenance, and reports
-// share *Tuple pointers — but the hot evaluation loops filter candidate
-// positions on these vectors and only materialize the survivors, so a
-// failing candidate never touches tuple memory.
+// A sealed segment is immutable and shared by every fork of every version
+// that contains it, so a cache-friendly layout amortizes across all
+// serving traffic at once. frozenCols is the columnar image of one
+// segment: per column a flat int64 vector (integers inline, floats as
+// IEEE-754 bits, strings as indexes into a per-segment intern table),
+// indexed by the segment's positions. The row-oriented tuple objects
+// remain the identity layer — deltas,
+// provenance, and reports share *Tuple pointers — but the hot evaluation
+// loops filter candidate positions on these vectors and only materialize
+// the survivors, so a failing candidate never touches tuple memory.
 //
-// The columnar form builds lazily, at most once per core across all
-// forks (same discipline as the frozen hash indexes), and the overlay
-// tail stays row-oriented for cheap writes. REPRO_COLUMNAR=0 (or
-// SetColumnarEnabled(false)) disables every columnar read path, turning
-// the row-oriented code back into the reference implementation the
-// columnar path is differentially tested against.
-
-// columnarOn gates every columnar read path. Default on; REPRO_COLUMNAR=0
-// in the environment starts the process with it off.
-var columnarOn atomic.Bool
-
-func init() {
-	switch os.Getenv("REPRO_COLUMNAR") {
-	case "0", "false", "off":
-	default:
-		columnarOn.Store(true)
-	}
-}
-
-// ColumnarEnabled reports whether columnar frozen-core read paths are
-// active.
-func ColumnarEnabled() bool { return columnarOn.Load() }
-
-// SetColumnarEnabled toggles the columnar frozen-core read paths and
-// returns the previous setting. Both settings are exact — results are
-// byte-identical either way — so the toggle exists for differential tests
-// and benchmarks, and as a kill switch.
-func SetColumnarEnabled(on bool) bool { return columnarOn.Swap(on) }
+// The columnar form builds lazily, at most once per sealed segment across
+// all forks and versions (same discipline as the segment's hash indexes),
+// and the overlay tail stays row-oriented for cheap writes.
 
 // ColCheck is one additional equality constraint on a scan or probe: the
 // tuple's value at Col must equal Val (cross-kind numeric equality,
 // mirroring Value.Equal). The batch scan/probe APIs evaluate ColChecks on
-// the frozen core's column vectors when available, culling candidates
-// before any tuple is materialized.
+// each sealed segment's column vectors, culling candidates before any
+// tuple is materialized.
 type ColCheck struct {
 	Col int
 	Val Value
 }
 
-// colVec is one column of a frozen core: a flat int64 vector with a kind
+// colVec is one column of a sealed segment: a flat int64 vector with a kind
 // tag. Uniform columns (the common case — schema columns hold one kind)
 // carry a single kind; mixed columns a parallel per-row kind slice.
 type colVec struct {
@@ -115,17 +86,13 @@ func (cv *colVec) valueAt(strs []string, row int) Value {
 	}
 }
 
-// frozenCols is the columnar image of a frozen core: one colVec per
-// column, a parallel TupleID slice, and the string intern table the
-// string cells index into. Immutable once built.
+// frozenCols is the columnar image of a sealed segment: one colVec per
+// column and the string intern table the string cells index into.
+// Immutable once built.
 type frozenCols struct {
-	tids []TupleID
 	cols []colVec
 	strs []string
 }
-
-// Rows returns the number of rows (frozen positions).
-func (fc *frozenCols) Rows() int { return len(fc.tids) }
 
 // valueAt reconstructs the Value at (column, row).
 func (fc *frozenCols) valueAt(col, row int) Value {
@@ -142,13 +109,10 @@ func (fc *frozenCols) match(row int, checks []ColCheck) bool {
 	return true
 }
 
-// buildFrozenCols converts a frozen core's tuples into columnar form.
+// buildFrozenCols converts a sealed segment's tuples into columnar form.
 func buildFrozenCols(order []*Tuple, arity int) *frozenCols {
 	n := len(order)
-	fc := &frozenCols{
-		tids: make([]TupleID, n),
-		cols: make([]colVec, arity),
-	}
+	fc := &frozenCols{cols: make([]colVec, arity)}
 	strIdx := make(map[string]int64)
 	intern := func(s string) int64 {
 		if i, ok := strIdx[s]; ok {
@@ -158,9 +122,6 @@ func buildFrozenCols(order []*Tuple, arity int) *frozenCols {
 		fc.strs = append(fc.strs, s)
 		strIdx[s] = i
 		return i
-	}
-	for i, t := range order {
-		fc.tids[i] = t.TID
 	}
 	for col := range fc.cols {
 		cv := &fc.cols[col]
@@ -193,8 +154,8 @@ func buildFrozenCols(order []*Tuple, arity int) *frozenCols {
 }
 
 // checksMatchTuple evaluates checks against a row-oriented tuple — the
-// overlay-tail and columnar-disabled fallback, and the behaviour the
-// columnar matchRow must agree with.
+// overlay-tail path, and the behaviour the columnar matchRow must agree
+// with.
 func checksMatchTuple(t *Tuple, checks []ColCheck) bool {
 	for _, c := range checks {
 		if !t.Vals[c.Col].Equal(c.Val) {

@@ -6,15 +6,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// Differential tests for the columnar frozen-core read paths: every
-// batch API must agree, tuple for tuple and in order, with the
-// row-oriented reference (the same code with the columnar toggle off),
-// across random overlay states — frozen cores, private tails, deletions
-// on both sides — and adversarial values (NaN, -0.0, cross-kind
-// numerics, interned strings).
+// Differential tests for the columnar sealed-segment read paths: every
+// batch API must agree, tuple for tuple and in order, with a row-oriented
+// reference (Scan, Value.Equal and a Seq sort over plain tuples), across
+// random overlay states — one to three sealed segments, tombstones,
+// private tails, deletions on both sides — and adversarial values (NaN,
+// -0.0, cross-kind numerics, interned strings).
 
 // colTestVals is the adversarial value pool: cross-kind equal pairs
 // (int 2 vs float 2.0), negative zero, NaN, floats, and strings.
@@ -67,14 +68,16 @@ func TestColVecMatchRowMirrorsEqual(t *testing.T) {
 	}
 }
 
-// randomOverlay builds a relation in a random overlay state: a frozen
-// core, a private tail, and random deletions on both sides.
+// randomOverlay builds a relation in a random overlay state: a core sealed
+// in one to four rounds (so one to three segments, with tombstones), a
+// private tail, and random deletions on both sides.
 func randomOverlay(rng *rand.Rand) *Relation {
 	schema := NewSchema()
 	if _, err := schema.AddRelation("R", "r", "a", "b", "c"); err != nil {
 		panic(err)
 	}
 	db := NewDatabase(schema)
+	rel := db.Relation("R")
 	pool := colTestVals()
 	// NaN is excluded from stored cells (NaN map keys would split index
 	// buckets); it stays in the probe pool.
@@ -86,21 +89,21 @@ func randomOverlay(rng *rand.Rand) *Relation {
 		stored = append(stored, v)
 	}
 	pick := func() Value { return stored[rng.Intn(len(stored))] }
-	for i, n := 0, rng.Intn(40); i < n; i++ {
-		db.MustInsert("R", pick(), pick(), pick())
-	}
-	db.Freeze()
-	for i, n := 0, rng.Intn(20); i < n; i++ {
-		db.MustInsert("R", pick(), pick(), pick())
-	}
-	rel := db.Relation("R")
-	var all []*Tuple
-	rel.Scan(func(t *Tuple) bool { all = append(all, t); return true })
-	for _, tp := range all {
-		if rng.Intn(5) == 0 {
-			rel.DeleteTuple(tp)
+	mutate := func(inserts int) {
+		for i, n := 0, rng.Intn(inserts); i < n; i++ {
+			db.MustInsert("R", pick(), pick(), pick())
+		}
+		for _, tp := range rel.Tuples() {
+			if rng.Intn(5) == 0 {
+				rel.DeleteTuple(tp)
+			}
 		}
 	}
+	for round, rounds := 0, 1+rng.Intn(4); round < rounds; round++ {
+		mutate(40)
+		db.Freeze()
+	}
+	mutate(20)
 	return rel
 }
 
@@ -119,13 +122,13 @@ func sameTuples(a, b []*Tuple) bool {
 }
 
 // TestBatchAPIsMatchRowReference: on random overlay states, Lookup,
-// LookupEach, ScanChecked, and ScanRuns with the columnar paths on must
-// yield exactly the sequences the row-oriented reference (columnar off)
-// yields — which in turn must match the brute-force Lookup/Scan+filter
-// composition.
+// LookupEach, ScanChecked, and ScanRuns — which evaluate checks on the
+// segments' column vectors and stream index buckets — must yield exactly
+// the sequences the row-oriented reference yields: Scan filtered with
+// Value.Equal / checksMatchTuple on the tuples themselves, sorted by Seq
+// for lookups. Along the way every sealed row's frozenCols.match must
+// agree with checksMatchTuple on its tuple.
 func TestBatchAPIsMatchRowReference(t *testing.T) {
-	prev := SetColumnarEnabled(true)
-	defer SetColumnarEnabled(prev)
 	probes := colTestVals()
 	for trial := 0; trial < 120; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -174,26 +177,29 @@ func TestBatchAPIsMatchRowReference(t *testing.T) {
 				checks = append(checks, ColCheck{Col: rng.Intn(3), Val: probes[rng.Intn(len(probes))]})
 			}
 
-			colLookup := rel.Lookup(col, v)
-			colEach := each(col, v, checks)
-			colChecked := checked(checks)
-
-			SetColumnarEnabled(false)
-			rowLookup := rel.Lookup(col, v)
-			rowEach := each(col, v, checks)
-			rowChecked := checked(checks)
-			SetColumnarEnabled(true)
-
-			if !sameTuples(colLookup, rowLookup) {
-				t.Fatalf("trial %d probe %d: Lookup(%d, %#v) columnar %d tuples, row %d", trial, p, col, v, len(colLookup), len(rowLookup))
+			rowLookup := filter(scan(), []ColCheck{{Col: col, Val: v}})
+			sort.SliceStable(rowLookup, func(i, j int) bool { return rowLookup[i].Seq < rowLookup[j].Seq })
+			if got := rel.Lookup(col, v); !sameTuples(got, rowLookup) {
+				t.Fatalf("trial %d probe %d: Lookup(%d, %#v) = %d tuples, row reference %d", trial, p, col, v, len(got), len(rowLookup))
 			}
-			want := filter(rowLookup, checks)
-			if !sameTuples(colEach, want) || !sameTuples(rowEach, want) {
-				t.Fatalf("trial %d probe %d: LookupEach(%d, %#v, %v) diverged from Lookup+filter", trial, p, col, v, checks)
+			if got := rel.LookupCount(col, v); got != len(rowLookup) {
+				t.Fatalf("trial %d probe %d: LookupCount(%d, %#v) = %d, row reference %d", trial, p, col, v, got, len(rowLookup))
 			}
-			wantScan := filter(scan(), checks)
-			if !sameTuples(colChecked, wantScan) || !sameTuples(rowChecked, wantScan) {
+			if got := each(col, v, checks); !sameTuples(got, filter(rowLookup, checks)) {
+				t.Fatalf("trial %d probe %d: LookupEach(%d, %#v, %v) diverged from the row reference", trial, p, col, v, checks)
+			}
+			if got := checked(checks); !sameTuples(got, filter(scan(), checks)) {
 				t.Fatalf("trial %d probe %d: ScanChecked(%v) diverged from Scan+filter", trial, p, checks)
+			}
+			if fz := rel.frozen; fz != nil {
+				for _, seg := range fz.segs {
+					fc := seg.columnar()
+					for pos, tp := range seg.order {
+						if fc.match(pos, checks) != checksMatchTuple(tp, checks) {
+							t.Fatalf("trial %d probe %d: frozenCols.match(%d, %v) disagrees with checksMatchTuple on %s", trial, p, pos, checks, tp)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -203,8 +209,6 @@ func TestBatchAPIsMatchRowReference(t *testing.T) {
 // frozen core shares the bucket slice — zero allocations, capacity
 // clipped so appends cannot scribble on the shared storage.
 func TestLookupZeroCopyFrozen(t *testing.T) {
-	prev := SetColumnarEnabled(true)
-	defer SetColumnarEnabled(prev)
 	schema := NewSchema()
 	if _, err := schema.AddRelation("R", "r", "a", "b"); err != nil {
 		t.Fatal(err)
@@ -227,19 +231,12 @@ func TestLookupZeroCopyFrozen(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { rel.Lookup(0, v) }); allocs != 0 {
 		t.Fatalf("frozen-core Lookup allocated %.1f times per op, want 0", allocs)
 	}
-	// The row path must return the same tuples, just in freshly allocated
-	// storage.
-	SetColumnarEnabled(false)
-	row := rel.Lookup(0, v)
-	SetColumnarEnabled(true)
-	if !sameTuples(got, row) {
-		t.Fatal("columnar and row Lookup disagree on a pristine frozen core")
-	}
 }
 
-// TestSnapshotFormatsCrossLoad: the same database saved in row (format
-// 1) and columnar (format 2) encodings must declare the expected format
-// on the wire and load back content-identical.
+// TestSnapshotFormatsCrossLoad: Save declares the columnar encoding
+// (format 2) on the wire, and the same content in the row encoding
+// (format 1 — no longer written, but what existing data directories
+// hold) still loads; both load back content-identical.
 func TestSnapshotFormatsCrossLoad(t *testing.T) {
 	schema := NewSchema()
 	if _, err := schema.AddRelation("R", "r", "a", "b", "c"); err != nil {
@@ -272,31 +269,45 @@ func TestSnapshotFormatsCrossLoad(t *testing.T) {
 	}
 	ref := fuzzDumpDB(db)
 
-	for _, mode := range []struct {
-		name       string
-		columnar   bool
-		wantFormat int
-	}{{"row", false, 1}, {"columnar", true, 2}} {
-		var buf bytes.Buffer
-		prevSet := SetColumnarEnabled(mode.columnar)
-		err := db.Save(&buf)
-		SetColumnarEnabled(prevSet)
+	var columnar bytes.Buffer
+	if err := db.Save(&columnar); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(columnar.Bytes())).Decode(&snap); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if snap.Format != 2 {
+		t.Fatalf("Save declares format %d, want 2", snap.Format)
+	}
+
+	// The format-1 stream of the same database: row-oriented contents in
+	// place of the column blocks.
+	rowSnap := snapshot{Format: 1, NextSeq: snap.NextSeq}
+	for _, sr := range snap.Relations {
+		base, err := sr.BaseC.rows(len(sr.Attrs))
 		if err != nil {
-			t.Fatalf("%s: save: %v", mode.name, err)
+			t.Fatal(err)
 		}
-		var snap snapshot
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-			t.Fatalf("%s: decode: %v", mode.name, err)
-		}
-		if snap.Format != mode.wantFormat {
-			t.Fatalf("%s: snapshot declares format %d, want %d", mode.name, snap.Format, mode.wantFormat)
-		}
-		rdb, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+		delta, err := sr.DeltaC.rows(len(sr.Attrs))
 		if err != nil {
-			t.Fatalf("%s: load: %v", mode.name, err)
+			t.Fatal(err)
+		}
+		sr.Base, sr.Delta, sr.BaseC, sr.DeltaC = base, delta, nil, nil
+		rowSnap.Relations = append(rowSnap.Relations, sr)
+	}
+	var row bytes.Buffer
+	if err := gob.NewEncoder(&row).Encode(rowSnap); err != nil {
+		t.Fatalf("encode format 1: %v", err)
+	}
+
+	for name, stream := range map[string][]byte{"row": row.Bytes(), "columnar": columnar.Bytes()} {
+		rdb, err := LoadSnapshot(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatalf("%s: load: %v", name, err)
 		}
 		if got := fuzzDumpDB(rdb); got != ref {
-			t.Fatalf("%s: round trip changed content:\n%s\nwant:\n%s", mode.name, got, ref)
+			t.Fatalf("%s: round trip changed content:\n%s\nwant:\n%s", name, got, ref)
 		}
 	}
 }

@@ -223,7 +223,7 @@ func TestForkSharedWarmIndexes(t *testing.T) {
 	db.Relation("R").EnsureIndex(0) // warm before freezing
 	snap := db.Freeze()
 
-	fzR := snap.base["R"]
+	fzR := snap.base["R"].segs[0]
 	idx0 := fzR.indexes.Load()
 	if idx0 == nil {
 		t.Fatal("freeze did not donate the warm index to the frozen core")
@@ -265,7 +265,7 @@ func TestForkSharedWarmIndexes(t *testing.T) {
 	if fork1.Relation("S").indexes != nil || fork2.Relation("S").indexes != nil {
 		t.Fatal("fork allocated tail indexes for an untouched relation")
 	}
-	if snap.base["S"].indexes.Load() != nil {
+	if snap.base["S"].segs[0].indexes.Load() != nil {
 		t.Fatal("frozen core built an index nobody asked for")
 	}
 }

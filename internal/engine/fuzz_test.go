@@ -48,10 +48,9 @@ func fuzzDumpDB(db *Database) string {
 }
 
 // FuzzSnapshot: loading arbitrary bytes never panics; it either errors or
-// yields a database that survives, content-identical, a freeze/flatten
-// cycle (building and discarding columnar cores) and a save/load
-// round-trip in both the row (format 1) and columnar (format 2)
-// snapshot encodings.
+// yields a database that survives, content-identical, a freeze (sealing
+// segments and building their columnar images), a fold of those segments
+// and a save/load round-trip.
 func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
@@ -64,38 +63,35 @@ func FuzzSnapshot(f *testing.F) {
 		_ = db.Stats()
 		ref := fuzzDumpDB(db)
 
-		// Freeze into (columnar-indexed) immutable cores, then flatten
-		// back to flat row storage: content must be untouched.
+		// Freeze into sealed segments, build each one's columnar image, then
+		// fold every overlay into a private one-segment core: content must
+		// be untouched.
 		db.Freeze()
 		if got := fuzzDumpDB(db); got != ref {
 			t.Fatalf("freeze changed content:\n%s\nwant:\n%s", got, ref)
 		}
 		for _, rs := range db.Schema.Relations {
-			db.base[rs.Name].materialize()
-			db.delta[rs.Name].materialize()
+			for _, rel := range []*Relation{db.base[rs.Name], db.delta[rs.Name]} {
+				if rel.Arity > 0 {
+					rel.ScanChecked([]ColCheck{{Col: 0, Val: Int(0)}}, func(*Tuple) bool { return true })
+				}
+				rel.adopt(rel.reseal(0, false, nil, new(sealStats)))
+			}
 		}
 		if got := fuzzDumpDB(db); got != ref {
-			t.Fatalf("flatten changed content:\n%s\nwant:\n%s", got, ref)
+			t.Fatalf("fold changed content:\n%s\nwant:\n%s", got, ref)
 		}
 
-		// Save/load round-trip in both encodings. The toggle is global,
-		// but fuzz executions are sequential within a worker process and
-		// the prior value is restored before the next check.
-		for _, columnar := range []bool{false, true} {
-			prev := SetColumnarEnabled(columnar)
-			var buf strings.Builder
-			err := db.Save(&buf)
-			SetColumnarEnabled(prev)
-			if err != nil {
-				t.Fatalf("save (columnar=%v): %v", columnar, err)
-			}
-			rdb, err := LoadSnapshot(strings.NewReader(buf.String()))
-			if err != nil {
-				t.Fatalf("reload (columnar=%v): %v", columnar, err)
-			}
-			if got := fuzzDumpDB(rdb); got != ref {
-				t.Fatalf("round trip (columnar=%v) changed content:\n%s\nwant:\n%s", columnar, got, ref)
-			}
+		var buf strings.Builder
+		if err := db.Save(&buf); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		rdb, err := LoadSnapshot(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatalf("reload: %v", err)
+		}
+		if got := fuzzDumpDB(rdb); got != ref {
+			t.Fatalf("round trip changed content:\n%s\nwant:\n%s", got, ref)
 		}
 	})
 }

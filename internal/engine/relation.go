@@ -18,13 +18,15 @@ import (
 // is dead.
 //
 // A Relation is either flat (it owns all of its storage) or a
-// copy-on-write overlay over a shared immutable frozenRel (see cow.go). An
-// overlay records divergence from the frozen base as a per-fork deletion
-// bitmap (fdel/fdead) plus a private appended tail, for which the flat
-// machinery below (byID/order/live/indexes/byKey) is reused unchanged.
-// Every read merges "frozen minus deleted" with the tail in insertion
-// order, so an overlay is observationally identical to the deep clone it
-// replaces while forking in O(1) and mutating in O(changes).
+// copy-on-write overlay over a shared immutable frozenRel (see cow.go): a
+// short list of sealed segments plus tombstones. An overlay records
+// divergence from the core as per-fork deletion bitmaps (fdel) plus
+// a private appended tail, for which the flat machinery below
+// (byID/order/live/indexes/byKey) is reused unchanged. Every read is one
+// loop — the sealed segments in order, minus deleted positions, then the
+// open tail — which is insertion order, so an overlay is observationally
+// identical to the deep clone it replaces while forking in O(1) and
+// mutating in O(changes).
 //
 // A Relation is used both for base relations R_i and delta relations ∆_i
 // (which share the base relation's schema per §3.1 of the paper).
@@ -32,13 +34,15 @@ type Relation struct {
 	Name  string
 	Arity int
 
-	// frozen, when non-nil, is the shared immutable base this relation
-	// overlays. fdel marks deleted frozen tuples by their position in
-	// frozen.order (lazily allocated bitmap); fdead counts the set bits.
-	// All remaining fields then describe only the private tail.
-	frozen *frozenRel
-	fdel   []uint64
-	fdead  int
+	// frozen, when non-nil, is the shared immutable core this relation
+	// overlays, and fdel the deleted positions over its segments: the
+	// core's own tombstones, read in place, until this fork's first delete
+	// takes a private copy of the counts — and of the bitmap of each
+	// segment it then deletes from (fdelOwned). All remaining fields
+	// describe only the private tail.
+	frozen    *frozenRel
+	fdel      *tombstones
+	fdelOwned [maxSegments]bool
 
 	byID  map[TupleID]int32 // live tuples: TID -> position in order
 	order []*Tuple          // insertion order; dead slots remain until compact
@@ -49,15 +53,16 @@ type Relation struct {
 	// lazily on the first insert or key-based operation and maintained
 	// afterwards; relations that are only scanned, probed, and deleted
 	// from (forked bases inside executors) never pay for it. For an
-	// overlay it covers only the tail: frozen content resolves through the
-	// frozenRel's shared intern map, built once per snapshot.
+	// overlay it covers only the tail: sealed content resolves through
+	// each segment's shared intern map, built once per segment.
 	byKey map[string]TupleID
 
 	// indexes[col][value] -> bucket of TIDs having that value at col.
 	// Values are normalized with Value.mapKey, so probing hashes the Value
 	// directly — no string building. For an overlay these buckets cover
-	// only the tail; the frozen side of a lookup reads the frozenRel's
-	// shared warm index, built at most once per snapshot across all forks.
+	// only the tail; the sealed side of a lookup reads each segment's
+	// shared warm index, built at most once per segment across all
+	// versions and forks.
 	indexes map[int]map[Value]*idxBucket
 
 	// positional marks a scratch relation (NewScratchRelation): inserts of
@@ -103,29 +108,52 @@ func NewScratchRelation(name string, arity int) *Relation {
 	return r
 }
 
-// fdelGet reports whether the frozen tuple at the given position has been
-// deleted in this overlay.
-func (r *Relation) fdelGet(pos int32) bool {
-	if r.fdel == nil {
-		return false
-	}
-	return r.fdel[uint32(pos)>>6]&(1<<(uint32(pos)&63)) != 0
+// fdelGet reports whether the tuple at the given position of the given
+// sealed segment has been deleted — by this overlay or, already, in its
+// core.
+func (r *Relation) fdelGet(seg int, pos int32) bool {
+	d := r.fdel.bits[seg]
+	return d != nil && d[uint32(pos)>>6]&(1<<(uint32(pos)&63)) != 0
 }
 
-// fdelSet marks the frozen tuple at the given position deleted, allocating
-// the bitmap on first use (one word per 64 frozen tuples).
-func (r *Relation) fdelSet(pos int32) {
-	if r.fdel == nil {
-		r.fdel = make([]uint64, (len(r.frozen.order)+63)/64)
+// fdelSet marks the live tuple at the given position of the given sealed
+// segment deleted. A fork's first delete in a segment takes a private copy
+// of the core's bitmap for it (one word per 64 tuples of the segment).
+func (r *Relation) fdelSet(seg int, pos int32) {
+	if r.fdel == &r.frozen.tomb {
+		own := *r.fdel
+		r.fdel = &own
 	}
-	r.fdel[uint32(pos)>>6] |= 1 << (uint32(pos) & 63)
+	if !r.fdelOwned[seg] {
+		own := make([]uint64, (len(r.frozen.segs[seg].order)+63)/64)
+		copy(own, r.fdel.bits[seg])
+		r.fdel.bits[seg], r.fdelOwned[seg] = own, true
+	}
+	r.fdel.bits[seg][uint32(pos)>>6] |= 1 << (uint32(pos) & 63)
+	r.fdel.n[seg]++
+	r.fdel.dead++
+}
+
+// sealedPos locates the live sealed tuple with the given ID: the index of
+// its segment and its position inside it. A tuple deleted and re-inserted
+// in an earlier fork sits tombstoned in one segment and live in a later
+// one, so a dead hit keeps looking.
+func (r *Relation) sealedPos(id TupleID) (seg int, pos int32, ok bool) {
+	if fz := r.frozen; fz != nil {
+		for i, s := range fz.segs {
+			if p, hit := s.byID[id]; hit && !r.fdelGet(i, p) {
+				return i, p, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // Len returns the number of live tuples.
 func (r *Relation) Len() int {
 	n := len(r.byID)
 	if r.frozen != nil {
-		n += len(r.frozen.order) - r.fdead
+		n += r.frozen.n - r.fdel.dead
 	}
 	return n
 }
@@ -135,12 +163,8 @@ func (r *Relation) ContainsID(id TupleID) bool {
 	if _, ok := r.byID[id]; ok {
 		return true
 	}
-	if r.frozen != nil {
-		if pos, ok := r.frozen.byID[id]; ok {
-			return !r.fdelGet(pos)
-		}
-	}
-	return false
+	_, _, ok := r.sealedPos(id)
+	return ok
 }
 
 // ContainsTuple reports whether the given tuple is live in the relation.
@@ -151,10 +175,8 @@ func (r *Relation) GetID(id TupleID) *Tuple {
 	if pos, ok := r.byID[id]; ok {
 		return r.order[pos]
 	}
-	if r.frozen != nil {
-		if pos, ok := r.frozen.byID[id]; ok && !r.fdelGet(pos) {
-			return r.frozen.order[pos]
-		}
+	if seg, pos, ok := r.sealedPos(id); ok {
+		return r.frozen.segs[seg].order[pos]
 	}
 	return nil
 }
@@ -174,15 +196,17 @@ func (r *Relation) Get(key string) *Tuple {
 }
 
 // lookupKey resolves a content key to a live tuple's ID, consulting the
-// tail intern map and, for overlays, the snapshot-shared frozen intern map
+// tail intern map and, for overlays, each segment's shared intern map
 // filtered through the deletion bitmap.
 func (r *Relation) lookupKey(key string) (TupleID, bool) {
 	if id, ok := r.internKeys()[key]; ok {
 		return id, true
 	}
-	if fz := r.frozen; fz != nil && len(fz.order) > 0 {
-		if id, ok := fz.keyMap()[key]; ok && !r.fdelGet(fz.byID[id]) {
-			return id, true
+	if fz := r.frozen; fz != nil {
+		for i, s := range fz.segs {
+			if id, ok := s.keyMap()[key]; ok && !r.fdelGet(i, s.byID[id]) {
+				return id, true
+			}
 		}
 	}
 	return 0, false
@@ -210,8 +234,8 @@ func (r *Relation) internKeys() map[string]TupleID {
 // This is the insert/dedup boundary — the one place outside reporting where
 // the content intern map is consulted. The common case (an interned tuple
 // already present by ID) short-circuits before any content-key work. On an
-// overlay, inserts always land in the private tail; the frozen base is
-// never modified.
+// overlay, inserts always land in the private tail; the sealed segments
+// are never modified.
 func (r *Relation) Insert(t *Tuple) bool {
 	if len(t.Vals) != r.Arity {
 		panic(fmt.Sprintf("engine: arity mismatch inserting %s into %s/%d", t, r.Name, r.Arity))
@@ -220,10 +244,8 @@ func (r *Relation) Insert(t *Tuple) bool {
 		if _, dup := r.byID[t.TID]; dup {
 			return false
 		}
-		if fz := r.frozen; fz != nil {
-			if pos, ok := fz.byID[t.TID]; ok && !r.fdelGet(pos) {
-				return false
-			}
+		if _, _, dup := r.sealedPos(t.TID); dup {
+			return false
 		}
 	}
 	if !r.positional || t.TID == 0 {
@@ -264,30 +286,29 @@ func (r *Relation) Insert(t *Tuple) bool {
 }
 
 // DeleteID removes the tuple with the given interned ID; it reports whether
-// the tuple was live. Deleting a frozen tuple from an overlay sets one bit
-// in the fork's deletion bitmap — the shared base and its warm indexes are
-// untouched (lookups filter through the bitmap lazily).
+// the tuple was live. Deleting a sealed tuple from an overlay sets one bit
+// in the fork's deletion bitmap — the shared segments and their warm
+// indexes are untouched (lookups filter through the bitmap lazily).
 func (r *Relation) DeleteID(id TupleID) bool {
 	pos, ok := r.byID[id]
 	if !ok {
-		if fz := r.frozen; fz != nil {
-			if fpos, ok := fz.byID[id]; ok && !r.fdelGet(fpos) {
-				r.fdelSet(fpos)
-				r.fdead++
-				// The tail intern map never holds frozen keys, and frozen
-				// index buckets are filtered through the bitmap at lookup,
-				// so no map or bucket maintenance is needed here.
-				// Mirror the flat-relation compaction policy: once most of
-				// the frozen base is deleted the overlay stops paying the
-				// bitmap filter on every scan and flattens into a private
-				// flat relation.
-				if r.fdead*2 > len(fz.order) && len(fz.order) > 16 {
-					r.materialize()
-				}
-				return true
-			}
+		seg, spos, ok := r.sealedPos(id)
+		if !ok {
+			return false
 		}
-		return false
+		fz := r.frozen
+		r.fdelSet(seg, spos)
+		// The tail intern map never holds sealed keys, and sealed index
+		// buckets are filtered through the bitmap at lookup, so no map or
+		// bucket maintenance is needed here. Mirror the flat-relation
+		// compaction policy: once most sealed positions are dead the
+		// overlay stops paying the bitmap filter on every scan and folds
+		// the survivors into a private one-segment core — the same
+		// compaction a freeze runs, tail untouched.
+		if r.fdel.dead*2 > fz.n && fz.n > 16 {
+			r.adopt(r.reseal(0, false, fz.indexedColumns(), new(sealStats)))
+		}
+		return true
 	}
 	t := r.order[pos]
 	delete(r.byID, id)
@@ -342,68 +363,23 @@ func (r *Relation) compact() {
 	r.dead = 0
 }
 
-// materialize flattens an overlay into a private flat relation: the live
-// frozen tuples and the live tail merge into owned storage, and indexed
-// columns are rebuilt locally. Called when the overlay has diverged so far
-// (or must be refrozen) that structural sharing no longer pays.
-func (r *Relation) materialize() {
-	r.flatten(r.IndexedColumns())
-}
-
-// flatten merges the live frozen tuples and the live tail into owned flat
-// storage, then rebuilds local indexes for cols (nil skips the rebuild —
-// freeze flattens this way because the new core builds its own positional
-// indexes from the merged order).
-func (r *Relation) flatten(cols []int) {
-	fz := r.frozen
-	if fz == nil {
-		return
-	}
-	n := r.Len()
-	order := make([]*Tuple, 0, n)
-	byID := make(map[TupleID]int32, n)
-	for i, t := range fz.order {
-		if r.fdelGet(int32(i)) {
-			continue
-		}
-		byID[t.TID] = int32(len(order))
-		order = append(order, t)
-	}
-	for i, t := range r.order {
-		if !r.live[i] {
-			continue
-		}
-		byID[t.TID] = int32(len(order))
-		order = append(order, t)
-	}
-	live := make([]bool, len(order))
-	for i := range live {
-		live[i] = true
-	}
-	r.frozen, r.fdel, r.fdead = nil, nil, 0
-	r.byID, r.order, r.live, r.dead = byID, order, live, 0
-	r.byKey = nil
-	r.indexes = nil
-	for _, col := range cols {
-		r.ensureIndex(col)
-	}
-}
-
 // Scan calls fn for each live tuple in insertion order; fn returning false
 // stops the scan. Mutating the relation during a scan is not supported.
-// For an overlay the frozen base (minus this fork's deletions) precedes the
+// For an overlay the sealed segments (minus deleted positions) precede the
 // tail, which is exactly the insertion order a deep clone would observe.
 func (r *Relation) Scan(fn func(*Tuple) bool) {
 	if fz := r.frozen; fz != nil {
-		if r.fdead == 0 {
-			for _, t := range fz.order {
-				if !fn(t) {
-					return
+		for i, s := range fz.segs {
+			if r.fdel.n[i] == 0 {
+				for _, t := range s.order {
+					if !fn(t) {
+						return
+					}
 				}
+				continue
 			}
-		} else {
-			for i, t := range fz.order {
-				if r.fdelGet(int32(i)) {
+			for p, t := range s.order {
+				if r.fdelGet(i, int32(p)) {
 					continue
 				}
 				if !fn(t) {
@@ -447,14 +423,16 @@ func (r *Relation) IDs() []TupleID {
 // EnsureIndex builds the hash index on col if missing. Prepared programs
 // declare their (relation, column) index requirements up front and can
 // build them here before evaluation starts, so no lazy index construction
-// happens on the lookup hot path. On an overlay this warms the
-// snapshot-shared frozen index (built at most once across all forks) plus
-// the private tail index.
+// happens on the lookup hot path. On an overlay this warms each segment's
+// shared index (built at most once across all versions and forks) plus the
+// private tail index.
 func (r *Relation) EnsureIndex(col int) {
 	if col >= 0 && col < r.Arity {
 		r.ensureIndex(col)
-		if fz := r.frozen; fz != nil && len(fz.order) > 0 {
-			fz.index(col)
+		if fz := r.frozen; fz != nil {
+			for _, s := range fz.segs {
+				s.index(col)
+			}
 		}
 	}
 }
@@ -462,8 +440,8 @@ func (r *Relation) EnsureIndex(col int) {
 // IndexedColumns returns the columns with built indexes, sorted ascending.
 // Snapshots persist these so a restored database can pre-warm the same
 // indexes instead of rebuilding them lazily on the first query. For an
-// overlay the frozen base's warm columns count: they are equally warm for
-// this fork.
+// overlay the sealed segments' warm columns count: they are equally warm
+// for this fork.
 func (r *Relation) IndexedColumns() []int {
 	set := make(map[int]bool, len(r.indexes))
 	for col := range r.indexes {
@@ -488,9 +466,9 @@ func (r *Relation) IndexedColumns() []int {
 // Reset empties the relation for reuse, keeping allocated capacity and
 // registered index columns (their buckets are dropped; inserts repopulate
 // them). Used to recycle seminaive scratch relations across rounds and
-// runs instead of allocating fresh ones. Any frozen base is detached.
+// runs instead of allocating fresh ones. Any frozen core is detached.
 func (r *Relation) Reset() {
-	r.frozen, r.fdel, r.fdead = nil, nil, 0
+	r.frozen, r.fdel, r.fdelOwned = nil, nil, [maxSegments]bool{}
 	clear(r.byID)
 	r.order = r.order[:0]
 	r.live = r.live[:0]
@@ -534,55 +512,103 @@ func (r *Relation) ensureIndex(col int) map[Value]*idxBucket {
 	return idx
 }
 
-// Lookup returns the live tuples whose value at col equals v (numeric
-// values compare cross-kind, mirroring Value.Equal), ordered by insertion
-// sequence (deterministic). The first call on a column builds its index in
-// O(n). No content key is built: the probe hashes the Value itself. On an
-// overlay the frozen side reads the snapshot-shared warm index filtered
-// through the deletion bitmap, then the tail index is merged in. A probe
-// answered entirely by a frozen bucket (no deletions, no tail hits) shares
-// the bucket's Seq-sorted slice zero-copy; results are read-only in either
-// case (appending is safe — the shared slice's capacity is clipped).
-func (r *Relation) Lookup(col int, v Value) []*Tuple {
-	if col < 0 || col >= r.Arity {
+// tailBucket returns the tail index bucket for the normalized value mk on
+// col (building the tail index if missing) with dead IDs dropped, or nil.
+// A tail that never received a row — every pristine fork's — is not
+// indexed at all: the probe pays for the sealed segments only, and the
+// index is built from the tail's rows by the first probe that finds some.
+func (r *Relation) tailBucket(col int, mk Value) *idxBucket {
+	if len(r.order) == 0 {
 		return nil
-	}
-	mk := v.mapKey()
-	var fb *frozenBucket
-	fz := r.frozen
-	if fz != nil && len(fz.order) > 0 {
-		fb = fz.index(col)[mk]
 	}
 	tb := r.ensureIndex(col)[mk]
 	if tb != nil && int(tb.n) != len(tb.ids) {
 		tb.compact(r)
 	}
-	frozenN, tailN := 0, 0
-	if fb != nil {
-		frozenN = len(fb.tuples)
+	return tb
+}
+
+// sealedBuckets returns, per sealed segment, the index bucket for the
+// normalized value mk on col (nil where the segment has no match), and
+// whether their concatenation is Seq-ascending together with the Seq of
+// its last tuple. Segments are sealed chronologically, so it almost always
+// is; the exception is a tuple object deleted and re-inserted inside one
+// fork (it keeps its old Seq but lands in a later segment), and delta
+// relations, which receive tuples in deletion order.
+func (r *Relation) sealedBuckets(col int, mk Value) (fbs [maxSegments]*frozenBucket, ascending bool, last *Tuple) {
+	ascending = true
+	if fz := r.frozen; fz != nil {
+		for i, s := range fz.segs {
+			b := s.index(col)[mk]
+			if b == nil {
+				continue
+			}
+			fbs[i] = b
+			if last != nil && b.tuples[0].Seq < last.Seq {
+				ascending = false
+			}
+			last = b.tuples[len(b.tuples)-1]
+		}
 	}
+	return fbs, ascending, last
+}
+
+// Lookup returns the live tuples whose value at col equals v (numeric
+// values compare cross-kind, mirroring Value.Equal), ordered by insertion
+// sequence (deterministic). The first call on a column builds its index in
+// O(n). No content key is built: the probe hashes the Value itself. On an
+// overlay the sealed side reads each segment's shared warm index filtered
+// through the deletion bitmap, then the tail index is merged in. A probe
+// answered entirely by one tombstone-free segment's bucket (no tail hits)
+// shares the bucket's Seq-sorted slice zero-copy; results are read-only in
+// either case (appending is safe — the shared slice's capacity is
+// clipped).
+func (r *Relation) Lookup(col int, v Value) []*Tuple {
+	if col < 0 || col >= r.Arity {
+		return nil
+	}
+	mk := v.mapKey()
+	fbs, _, _ := r.sealedBuckets(col, mk)
+	sealedN, hits, only := 0, 0, 0
+	for i, b := range fbs {
+		if b != nil {
+			sealedN += len(b.tuples)
+			hits++
+			only = i
+		}
+	}
+	tb := r.tailBucket(col, mk)
+	tailN := 0
 	if tb != nil {
 		tailN = int(tb.n)
 	}
-	if frozenN+tailN == 0 {
+	if sealedN+tailN == 0 {
 		return nil
 	}
-	if tailN == 0 && r.fdead == 0 && columnarOn.Load() {
-		// Zero-copy fast path: the frozen bucket is the whole answer and is
+	if tailN == 0 && hits == 1 && r.fdel.n[only] == 0 {
+		// Zero-copy fast path: one sealed bucket is the whole answer and is
 		// already in result order.
-		return fb.tuples[:frozenN:frozenN]
+		b := fbs[only]
+		return b.tuples[:sealedN:sealedN]
 	}
-	out := make([]*Tuple, 0, frozenN+tailN)
+	out := make([]*Tuple, 0, sealedN+tailN)
 	sorted := true
-	if fb != nil {
-		if r.fdead == 0 {
-			out = append(out, fb.tuples...)
+	for i, b := range fbs {
+		if b == nil {
+			continue
+		}
+		start := len(out)
+		if r.fdel.n[i] == 0 {
+			out = append(out, b.tuples...)
 		} else {
-			for i, pos := range fb.poss {
-				if !r.fdelGet(pos) {
-					out = append(out, fb.tuples[i])
+			for j, pos := range b.poss {
+				if !r.fdelGet(i, pos) {
+					out = append(out, b.tuples[j])
 				}
 			}
+		}
+		if start > 0 && len(out) > start && out[start-1].Seq > out[start].Seq {
+			sorted = false
 		}
 	}
 	if tb != nil {
@@ -606,18 +632,26 @@ func (r *Relation) Lookup(col int, v Value) []*Tuple {
 // LookupEach calls fn for each live tuple whose value at col equals v and
 // that satisfies every check, in Lookup order (Seq-ascending), without
 // materializing a result slice; fn returning false stops the iteration.
-// Checks are evaluated on the frozen core's column vectors when the
-// columnar image is available, culling failing candidates before their
-// tuples are touched. When the merged order cannot be streamed directly
-// (an unsorted tail bucket, or a tail that interleaves with the frozen
-// side), it falls back to Lookup and filters — the yielded sequence is
-// identical either way. Mutating the relation mid-iteration is not
-// supported.
+// Checks are evaluated on each segment's column vectors, culling failing
+// candidates before their tuples are touched. When the merged order cannot
+// be streamed directly (an unsorted tail bucket, or a bucket that
+// interleaves with an earlier one), it falls back to Lookup and filters —
+// the yielded sequence is identical either way. Mutating the relation
+// mid-iteration is not supported.
 func (r *Relation) LookupEach(col int, v Value, checks []ColCheck, fn func(*Tuple) bool) {
 	if col < 0 || col >= r.Arity {
 		return
 	}
-	if !columnarOn.Load() {
+	mk := v.mapKey()
+	fbs, stream, last := r.sealedBuckets(col, mk)
+	tb := r.tailBucket(col, mk)
+	if stream && tb != nil && tb.n > 0 {
+		// The tail follows the sealed side in result order only if it is
+		// itself sorted and its earliest tuple postdates the sealed side's
+		// latest.
+		stream = !tb.unsorted && (last == nil || r.order[r.byID[tb.ids[0]]].Seq >= last.Seq)
+	}
+	if !stream {
 		for _, t := range r.Lookup(col, v) {
 			if checksMatchTuple(t, checks) && !fn(t) {
 				return
@@ -625,50 +659,22 @@ func (r *Relation) LookupEach(col int, v Value, checks []ColCheck, fn func(*Tupl
 		}
 		return
 	}
-	mk := v.mapKey()
-	var fb *frozenBucket
-	fz := r.frozen
-	if fz != nil && len(fz.order) > 0 {
-		fb = fz.index(col)[mk]
-	}
-	tb := r.ensureIndex(col)[mk]
-	if tb != nil && int(tb.n) != len(tb.ids) {
-		tb.compact(r)
-	}
-	if tb != nil && tb.n > 0 {
-		stream := !tb.unsorted
-		if stream && fb != nil && len(fb.tuples) > 0 {
-			// The tail follows the frozen side in result order only if its
-			// earliest tuple postdates the frozen bucket's latest.
-			first := r.order[r.byID[tb.ids[0]]]
-			stream = first.Seq >= fb.tuples[len(fb.tuples)-1].Seq
+	for i, b := range fbs {
+		if b == nil {
+			continue
 		}
-		if !stream {
-			for _, t := range r.Lookup(col, v) {
-				if checksMatchTuple(t, checks) && !fn(t) {
-					return
-				}
-			}
-			return
-		}
-	}
-	if fb != nil {
 		var fc *frozenCols
 		if len(checks) > 0 {
-			fc = fz.columnar()
+			fc = r.frozen.segs[i].columnar()
 		}
-		for i, pos := range fb.poss {
-			if r.fdead > 0 && r.fdelGet(pos) {
+		for j, pos := range b.poss {
+			if r.fdelGet(i, pos) {
 				continue
 			}
-			if fc != nil {
-				if !fc.match(int(pos), checks) {
-					continue
-				}
-			} else if !checksMatchTuple(fb.tuples[i], checks) {
+			if fc != nil && !fc.match(int(pos), checks) {
 				continue
 			}
-			if !fn(fb.tuples[i]) {
+			if !fn(b.tuples[j]) {
 				return
 			}
 		}
@@ -684,73 +690,65 @@ func (r *Relation) LookupEach(col int, v Value, checks []ColCheck, fn func(*Tupl
 }
 
 // ScanChecked calls fn for each live tuple satisfying every check, in Scan
-// order; fn returning false stops the scan. Checks are evaluated on the
-// frozen core's column vectors when the columnar image is available, so a
-// failing frozen row is rejected on flat vectors without touching its
-// tuple.
+// order; fn returning false stops the scan. Checks are evaluated on each
+// segment's column vectors, so a failing sealed row is rejected on flat
+// vectors without touching its tuple.
 func (r *Relation) ScanChecked(checks []ColCheck, fn func(*Tuple) bool) {
 	if len(checks) == 0 {
 		r.Scan(fn)
 		return
 	}
-	var fc *frozenCols
-	fz := r.frozen
-	if fz != nil {
-		fc = fz.columnar() // nil when disabled or the core is empty
+	if fz := r.frozen; fz != nil {
+		for i, s := range fz.segs {
+			fc := s.columnar()
+			for pos, t := range s.order {
+				if r.fdelGet(i, int32(pos)) {
+					continue
+				}
+				if !fc.match(pos, checks) {
+					continue
+				}
+				if !fn(t) {
+					return
+				}
+			}
+		}
 	}
-	if fc != nil {
-		for pos := range fz.order {
-			if r.fdead > 0 && r.fdelGet(int32(pos)) {
-				continue
-			}
-			if !fc.match(pos, checks) {
-				continue
-			}
-			if !fn(fz.order[pos]) {
-				return
-			}
+	for i, t := range r.order {
+		if !r.live[i] || !checksMatchTuple(t, checks) {
+			continue
 		}
-		for i, t := range r.order {
-			if !r.live[i] || !checksMatchTuple(t, checks) {
-				continue
-			}
-			if !fn(t) {
-				return
-			}
+		if !fn(t) {
+			return
 		}
-		return
 	}
-	r.Scan(func(t *Tuple) bool {
-		if !checksMatchTuple(t, checks) {
-			return true
-		}
-		return fn(t)
-	})
 }
 
 // ScanRuns calls fn with maximal runs of consecutive live tuples in Scan
-// order — whole frozen-core stretches between deletions, then whole tail
-// stretches between dead slots — so batch consumers iterate plain slices
-// instead of paying a callback per tuple. fn returning false stops the
-// scan. Runs alias internal storage: fn must not retain or mutate them
-// past the call.
+// order — a whole segment when it has no deleted position, else its
+// stretches between deletions, then whole tail stretches between dead
+// slots — so batch consumers iterate plain slices instead of paying a
+// callback per tuple. fn returning false stops the scan. Runs alias
+// internal storage: fn must not retain or mutate them past the call.
 func (r *Relation) ScanRuns(fn func([]*Tuple) bool) {
-	if fz := r.frozen; fz != nil && len(fz.order) > 0 {
-		if r.fdead == 0 {
-			if !fn(fz.order) {
-				return
+	if fz := r.frozen; fz != nil {
+		for i, s := range fz.segs {
+			if r.fdel.n[i] == 0 {
+				if !fn(s.order) {
+					return
+				}
+				continue
 			}
-		} else {
 			start := 0
-			for pos := range fz.order {
-				if r.fdelGet(int32(pos)) {
-					if pos > start && !fn(fz.order[start:pos]) {
+			for pos := range s.order {
+				if r.fdelGet(i, int32(pos)) {
+					if pos > start && !fn(s.order[start:pos]) {
 						return
 					}
 					start = pos + 1
 				}
 			}
-			if start < len(fz.order) && !fn(fz.order[start:]) {
+			if start < len(s.order) && !fn(s.order[start:]) {
 				return
 			}
 		}
@@ -793,20 +791,22 @@ func (r *Relation) LookupCount(col int, v Value) int {
 	}
 	mk := v.mapKey()
 	n := 0
-	if fz := r.frozen; fz != nil && len(fz.order) > 0 {
-		if b := fz.index(col)[mk]; b != nil {
-			if r.fdead == 0 {
-				n += len(b.tuples)
-			} else {
-				for _, pos := range b.poss {
-					if !r.fdelGet(pos) {
-						n++
-					}
-				}
+	fbs, _, _ := r.sealedBuckets(col, mk)
+	for i, b := range fbs {
+		if b == nil {
+			continue
+		}
+		if r.fdel.n[i] == 0 {
+			n += len(b.tuples)
+			continue
+		}
+		for _, pos := range b.poss {
+			if !r.fdelGet(i, pos) {
+				n++
 			}
 		}
 	}
-	if b := r.ensureIndex(col)[mk]; b != nil {
+	if b := r.tailBucket(col, mk); b != nil {
 		n += int(b.n)
 	}
 	return n

@@ -42,8 +42,8 @@ type snapCols struct {
 }
 
 // snapRelation is the serialized form of one relation schema plus its base
-// and delta contents — row-oriented (Base/Delta, format 1) or columnar
-// (BaseC/DeltaC, format 2). BaseIdx/DeltaIdx record which single-column
+// and delta contents — columnar (BaseC/DeltaC, format 2; what Save writes)
+// or row-oriented (Base/Delta, format 1; read only). BaseIdx/DeltaIdx record which single-column
 // hash indexes were built at save time so LoadSnapshot can pre-warm them —
 // restoring into the same steady state instead of paying a first-query
 // latency spike while indexes rebuild lazily. All content fields are
@@ -74,10 +74,9 @@ type snapshot struct {
 	NextSeq int
 }
 
-// snapshotFormat is the current snapshot version: columnar relation
-// contents. Format-1 (row-oriented) streams still load; Save emits format 1
-// when the columnar paths are disabled, keeping the row encoder alive as
-// the differential reference.
+// snapshotFormat is the snapshot version Save writes: columnar relation
+// contents. Format-1 (row-oriented) streams still load — existing data
+// directories hold them — but are no longer written.
 const snapshotFormat = 2
 
 // encodeSnapCols converts one relation side to columnar serialized form.
@@ -172,34 +171,18 @@ func (sc *snapCols) rows(arity int) ([]snapTuple, error) {
 // Save serializes the database (schema, base and delta relations, tuple
 // identifiers and order) to w.
 func (db *Database) Save(w io.Writer) error {
-	columnar := columnarOn.Load()
 	snap := snapshot{Format: snapshotFormat, NextSeq: db.seq}
-	if !columnar {
-		snap.Format = 1
-	}
 	for _, rs := range db.Schema.Relations {
-		sr := snapRelation{
+		snap.Relations = append(snap.Relations, snapRelation{
 			Name:     rs.Name,
 			IDPrefix: rs.IDPrefix,
 			Attrs:    rs.Attrs,
 			NextID:   db.nextID[rs.Name],
+			BaseC:    encodeSnapCols(db.base[rs.Name].Tuples(), len(rs.Attrs)),
+			DeltaC:   encodeSnapCols(db.delta[rs.Name].Tuples(), len(rs.Attrs)),
 			BaseIdx:  db.base[rs.Name].IndexedColumns(),
 			DeltaIdx: db.delta[rs.Name].IndexedColumns(),
-		}
-		if columnar {
-			sr.BaseC = encodeSnapCols(db.base[rs.Name].Tuples(), len(rs.Attrs))
-			sr.DeltaC = encodeSnapCols(db.delta[rs.Name].Tuples(), len(rs.Attrs))
-		} else {
-			db.base[rs.Name].Scan(func(t *Tuple) bool {
-				sr.Base = append(sr.Base, snapTuple{ID: t.ID, Seq: t.Seq, Vals: t.Vals})
-				return true
-			})
-			db.delta[rs.Name].Scan(func(t *Tuple) bool {
-				sr.Delta = append(sr.Delta, snapTuple{ID: t.ID, Seq: t.Seq, Vals: t.Vals})
-				return true
-			})
-		}
-		snap.Relations = append(snap.Relations, sr)
+		})
 	}
 	return gob.NewEncoder(w).Encode(snap)
 }

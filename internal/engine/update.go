@@ -11,14 +11,18 @@ import (
 // A Snapshot is immutable, but serving systems answer repairs over data
 // that changes between requests. Apply produces the *next* immutable
 // version from a batch of base-table inserts and deletes: it forks the
-// snapshot, applies the batch to the fork's private overlay, and
-// re-freezes — so relations the batch never touches keep sharing their
-// frozen core (storage, warm indexes, intern map) with every earlier
-// version, and the cost of an update is O(touched relations + changes),
-// never O(database). A SnapshotRing strings versions together under a
-// monotonically increasing version counter with a small retention window,
-// so in-flight requests keep reading the version they started on while
-// writers advance the head.
+// snapshot, applies the batch to the fork's private overlay, and seals
+// what the fork changed — so relations the batch never touches keep
+// sharing their frozen core with every earlier version, and a touched
+// relation keeps sharing every segment the seal did not rewrite (storage,
+// warm indexes, intern map). The median update copies its own rows plus
+// at most max(32, √(n/8)) rows of a touched relation of n rows, and an
+// amortised O(√n) per row changed while that relation keeps growing; the
+// figures and the tier constants behind them are on maxSegments in cow.go.
+// A SnapshotRing strings versions together under a monotonically
+// increasing version counter with a small retention window, so in-flight
+// requests keep reading the version they started on while writers advance
+// the head.
 
 // Row addresses one base tuple by content: a relation name and its values
 // in schema order. Rows are how update batches name insertions and
@@ -45,6 +49,13 @@ type ApplyInfo struct {
 	// DeletedTuples holds the tuples of the effective deletes, per
 	// relation.
 	DeletedTuples map[string][]*Tuple
+	// RowsSealed counts the rows written into newly built segments — the
+	// batch's own inserts plus every row compaction copied — and
+	// RowsCompacted the copied part. Compactions counts the tier merges
+	// among those rewrites (a recent segment spilling into the middle one,
+	// or a fold into a new base). RowsSealed over Inserted+Deleted is the
+	// write amplification of the update path.
+	RowsSealed, RowsCompacted, Compactions int
 }
 
 // InsertOnly reports whether the batch performed no effective deletions.
@@ -58,9 +69,10 @@ func (ai *ApplyInfo) DeleteOnly() bool { return ai.Inserted == 0 }
 // replace a row's content). The receiver is untouched — existing forks
 // keep reading it — and the returned snapshot shares the frozen core of
 // every relation the batch did not modify, including its lazily built warm
-// indexes and intern map. Only relations with effective changes are
-// re-frozen (flatten + donate), so update cost scales with the touched
-// relations and the changes, not the database.
+// indexes and intern map. A relation with effective changes seals exactly
+// those (see Relation.freeze and the cost figures on maxSegments): the
+// batch's rows plus a small recent segment at the median, the whole
+// relation only at a fold, once per eighth of it changed.
 //
 // Deleted rows leave the database entirely: a base-table update is
 // upstream data churn, not a repair, so nothing is recorded in the delta
@@ -129,7 +141,9 @@ func (s *Snapshot) Apply(inserts, deletes []Row) (*Snapshot, *ApplyInfo, error) 
 		info.Changed = append(info.Changed, rel)
 	}
 	sort.Strings(info.Changed)
-	return work.Freeze(), info, nil
+	next, st := work.freeze()
+	info.RowsSealed, info.RowsCompacted, info.Compactions = st.sealed, st.compacted, st.compactions
+	return next, info, nil
 }
 
 // SnapshotRing is a bounded history of snapshot versions: a monotonically

@@ -69,7 +69,7 @@ func TestSnapshotApplySharesUntouchedCores(t *testing.T) {
 	snap, _ := updateTestSnapshot(t)
 	// Warm an index on the untouched relation so sharing is observable work
 	// saved, not just pointer equality.
-	snap.base["R"].index(0)
+	snap.base["R"].segs[0].index(0)
 
 	next, _, err := snap.Apply(nil, []Row{{Rel: "S", Vals: []Value{Int(1)}}})
 	if err != nil {
@@ -84,7 +84,7 @@ func TestSnapshotApplySharesUntouchedCores(t *testing.T) {
 	if next.base["S"] == snap.base["S"] {
 		t.Fatal("touched relation core unexpectedly shared")
 	}
-	if next.base["R"].indexes.Load() != snap.base["R"].indexes.Load() {
+	if next.base["R"].segs[0].indexes.Load() != snap.base["R"].segs[0].indexes.Load() {
 		t.Fatal("untouched relation's warm indexes not shared")
 	}
 	// Deltas were never touched: all shared.

@@ -49,8 +49,10 @@ func sortedResultKeys(res *core.Result) string {
 
 // checkUpdateStream drives one scenario's update stream through a
 // mutable session and cross-checks every version against from-scratch
-// recomputation.
-func checkUpdateStream(t *testing.T, us *UpdateStream) {
+// recomputation. It returns the number of segment tier merges the
+// stream's Apply chain ran, so a caller can insist the stream was long
+// enough to cross them.
+func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 	t.Helper()
 	sc := us.Scenario
 	ctx := context.Background()
@@ -229,6 +231,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) {
 			t.Fatalf("seed %d: chain apply %d: %v", sc.Seed, i, err)
 		}
 		chain = next
+		compactions += info.Compactions
 		checkWarmChain(i+1, info)
 
 		checkVersion(i+1, version)
@@ -249,6 +252,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) {
 			}
 		}
 	}
+	return compactions
 }
 
 // TestUpdateStreamEquivalenceQuick is the fixed-seed CI mode: 500
@@ -261,6 +265,34 @@ func TestUpdateStreamEquivalenceQuick(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			checkUpdateStream(t, GenerateShapedStream(seed, streamOps, ShapeForSeed(seed)))
+		})
+	}
+}
+
+// longStreamSeeds and longStreamOps size the long-stream leg: six of the
+// fixed seeds, each driven through 300 batches. The quick streams above
+// are three batches long — sealed segments pile up to three there, but no
+// relation is ever folded — so this leg is what asserts incremental ==
+// from scratch, for all four semantics and at every version, across
+// versions whose storage was rewritten underneath them. A generated
+// relation is a few dozen rows at most and only folds once the rows and
+// tombstones outside its base outgrow a recent segment, which most
+// scenarios never reach; these six are among the first sixty seeds the
+// ones whose streams fold often (3 to 13 times) at a runtime of about a
+// second each.
+var longStreamSeeds = []int64{11, 17, 33, 35, 52, 55}
+
+const longStreamOps = 300
+
+// TestUpdateStreamEquivalenceLong is checkUpdateStream on streams long
+// enough to cross base folds.
+func TestUpdateStreamEquivalenceLong(t *testing.T) {
+	for _, seed := range longStreamSeeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			if n := checkUpdateStream(t, GenerateShapedStream(seed, longStreamOps, ShapeForSeed(seed))); n < 3 {
+				t.Fatalf("seed %d: %d batches ran %d segment compactions", seed, longStreamOps, n)
+			}
 		})
 	}
 }

@@ -170,8 +170,12 @@ type Recovered struct {
 	// SnapshotVersion is the version of the on-disk snapshot the replay
 	// started from.
 	SnapshotVersion uint64
-	// Replayed is the number of WAL records applied on top of it.
-	Replayed int
+	// Replayed is the number of WAL records applied on top of it, and
+	// Compactions the segment tier merges those applies ran (each record
+	// is sealed onto the loaded snapshot like a live update, not
+	// re-frozen).
+	Replayed    int
+	Compactions int
 	// WalStats reports what the WAL read found (torn tail, corrupt
 	// records); the damaged tail has already been truncated.
 	WalStats *ReadStats
@@ -203,7 +207,7 @@ func (m *Manager) Open(name string) (*Recovered, error) {
 	}
 	snap := db.Freeze()
 	version := snapVer
-	replayed := 0
+	replayed, compactions := 0, 0
 	for _, rec := range recs {
 		if rec.Version <= version {
 			continue // pre-snapshot tail left by a crash mid-compaction
@@ -213,13 +217,14 @@ func (m *Manager) Open(name string) (*Recovered, error) {
 			// stop at the last version that is provably continuous.
 			break
 		}
-		next, _, err := snap.Apply(rec.Inserts, rec.Deletes)
+		next, info, err := snap.Apply(rec.Inserts, rec.Deletes)
 		if err != nil {
 			return nil, fmt.Errorf("durability: session %q replaying version %d: %w", name, rec.Version, err)
 		}
 		snap = next
 		version = rec.Version
 		replayed++
+		compactions += info.Compactions
 	}
 	log, err := OpenLog(walPath, m.opts.Fsync)
 	if err != nil {
@@ -235,6 +240,7 @@ func (m *Manager) Open(name string) (*Recovered, error) {
 		Version:         version,
 		SnapshotVersion: snapVer,
 		Replayed:        replayed,
+		Compactions:     compactions,
 		WalStats:        stats,
 		Store:           &SessionStore{dir: dir, log: log, snapshotEvery: m.opts.SnapshotEvery, snapVersion: snapVer},
 	}, nil

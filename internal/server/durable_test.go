@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,6 +125,114 @@ func TestDurableCrashRecoveryAllSemantics(t *testing.T) {
 	}
 	if res.Version != version+1 {
 		t.Fatalf("post-recovery update version %d, want %d", res.Version, version+1)
+	}
+}
+
+// pinnedRepairBodies returns the POST /repair response bodies of all four
+// semantics pinned at the given version, with the one field that is a
+// wall-clock measurement (elapsed_us) zeroed.
+func pinnedRepairBodies(t *testing.T, svc *Service, name string, version uint64) map[core.Semantics]string {
+	t.Helper()
+	out := make(map[core.Semantics]string)
+	for _, sem := range core.AllSemantics {
+		body := fmt.Sprintf(`{"semantics": %q, "version": %d}`, sem, version)
+		rr := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/sessions/"+name+"/repair", strings.NewReader(body)))
+		if rr.Code != 200 {
+			t.Fatalf("%s repair at version %d: %d %s", sem, version, rr.Code, rr.Body)
+		}
+		out[sem] = regexp.MustCompile(`"elapsed_us": \d+`).ReplaceAllString(rr.Body.String(), `"elapsed_us": 0`)
+	}
+	return out
+}
+
+// metricValue reads one un-labelled sample from GET /metrics.
+func metricValue(t *testing.T, svc *Service, name string) int {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindStringSubmatch(rr.Body.String())
+	if m == nil {
+		t.Fatalf("metric %s not rendered", name)
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// TestDurableCrashRecoveryAcrossCompactionTiers: a history long enough that
+// both the live session and the recovery's WAL replay cross both segment
+// compaction tiers. 64 batches grow Cite to ~520 rows and end on a snapshot
+// compaction; the 56-record tail then inserts three Cite rows and deletes
+// one old one per batch (every fifth batch also churns Writes, so the
+// repairs move), which on a one-segment base of that size spills the
+// recent segment after about a dozen records and folds the base a few
+// records later, more than once. The recovered head must equal the last
+// acknowledged version and the pinned /repair bodies must be byte-identical
+// before the kill and after recovery, although the two services hold the
+// same rows in differently shaped segments.
+func TestDurableCrashRecoveryAcrossCompactionTiers(t *testing.T) {
+	dir := t.TempDir()
+	svc := openDurable(t, dir, Config{SnapshotEvery: 64})
+	register(t, svc, "papers")
+	ctx := context.Background()
+	cite := func(i int) engine.Row { return row("Cite", engine.Int(1000+i), engine.Int(2000+i)) }
+	var version uint64
+	for b := 0; b < 120; b++ {
+		var ins, del []engine.Row
+		if b < 64 {
+			for i := 0; i < 8; i++ {
+				ins = append(ins, cite(8*b+i))
+			}
+		} else {
+			for i := 0; i < 3; i++ {
+				ins = append(ins, cite(512+3*(b-64)+i))
+			}
+			del = append(del, cite(b-64))
+			switch b % 10 {
+			case 0:
+				ins = append(ins, row("Writes", engine.Int(2), engine.Int(6)))
+			case 5:
+				del = append(del, row("Writes", engine.Int(2), engine.Int(6)))
+			}
+		}
+		res, err := svc.Update(ctx, "papers", ins, del, RequestOptions{})
+		if err != nil {
+			t.Fatalf("update %d: %v", b, err)
+		}
+		version = res.Version
+	}
+	if n := metricValue(t, svc, "deltarepaird_segment_compactions_total"); n < 4 {
+		t.Fatalf("live history ran %d segment compactions, want both tiers crossed repeatedly", n)
+	}
+	if sealed, changed := metricValue(t, svc, "deltarepaird_update_rows_sealed_total"), metricValue(t, svc, "deltarepaird_update_rows_changed_total"); sealed < changed/2 || sealed > 20*changed {
+		t.Fatalf("%d rows sealed for %d rows changed", sealed, changed)
+	}
+	if info := svc.Sessions()[0]; info.Segments < 1 || info.Segments > 3 {
+		t.Fatalf("head spread over %d segments", info.Segments)
+	}
+	before := pinnedRepairBodies(t, svc, "papers", version)
+	wantDump, _ := dumpHead(t, svc, "papers")
+	// Crash: abandon svc without Close.
+
+	svc2 := openDurable(t, dir, Config{SnapshotEvery: 64})
+	defer svc2.Close()
+	gotDump, gotVer := dumpHead(t, svc2, "papers")
+	if gotVer != version {
+		t.Fatalf("recovered version %d, want the last acknowledged %d", gotVer, version)
+	}
+	if gotDump != wantDump {
+		t.Fatalf("recovered state not byte-identical:\n got:\n%s\nwant:\n%s", gotDump, wantDump)
+	}
+	if n := metricValue(t, svc2, "deltarepaird_recovery_replayed_records_total"); n != 120-64 {
+		t.Fatalf("recovery replayed %d records, want %d", n, 120-64)
+	}
+	if n := metricValue(t, svc2, "deltarepaird_segment_compactions_total"); n < 2 {
+		t.Fatalf("replay ran %d segment compactions, want a spill and a fold at least", n)
+	}
+	for sem, want := range before {
+		if got := pinnedRepairBodies(t, svc2, "papers", version)[sem]; got != want {
+			t.Fatalf("%s repair body changed across recovery:\n before: %s\n after:  %s", sem, want, got)
+		}
 	}
 }
 
@@ -347,6 +458,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"deltarepaird_sessions 1",
 		"deltarepaird_session_versions 2",
 		"deltarepaird_request_seconds_count 4",
+		"deltarepaird_update_rows_changed_total 1",
+		"deltarepaird_update_rows_sealed_total 1",
+		"deltarepaird_segment_compactions_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

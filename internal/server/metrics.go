@@ -23,6 +23,15 @@ type svcMetrics struct {
 	// from the durability layer after a restart or eviction).
 	starts *metrics.CounterVec
 
+	// Update write amplification: rows the accepted batches changed
+	// (effective inserts + deletes), rows written into newly sealed
+	// segments for them (the batch's own plus every row compaction
+	// copied), and the segment tier merges behind the difference — which
+	// a recovery's WAL replay runs too.
+	rowsChanged        *metrics.Counter
+	rowsSealed         *metrics.Counter
+	segmentCompactions *metrics.Counter
+
 	// WAL and recovery instrumentation; all zero when durability is off.
 	walAppendSeconds *metrics.Histogram
 	recoverySeconds  *metrics.Histogram
@@ -42,6 +51,12 @@ func newSvcMetrics(s *Service) *svcMetrics {
 			"End-to-end request latency in seconds, admission queueing included.", nil),
 		starts: reg.NewCounterVec("deltarepaird_session_starts_total",
 			"Session activations by start type: warm, cold, or recovered from disk.", "type"),
+		rowsChanged: reg.NewCounter("deltarepaird_update_rows_changed_total",
+			"Rows update batches effectively inserted or deleted."),
+		rowsSealed: reg.NewCounter("deltarepaird_update_rows_sealed_total",
+			"Rows written into newly sealed segments by updates, compaction copies included."),
+		segmentCompactions: reg.NewCounter("deltarepaird_segment_compactions_total",
+			"Segment tier merges (recent-into-middle spills and base folds) run by updates and by recovery replay."),
 		walAppendSeconds: reg.NewHistogram("deltarepaird_wal_append_seconds",
 			"WAL append latency in seconds (includes fsync when the policy demands it).", nil),
 		recoverySeconds: reg.NewHistogram("deltarepaird_recovery_seconds",

@@ -591,6 +591,7 @@ func (s *Service) loadSession(name string) (*Session, error) {
 	}
 	s.metrics.recoverySeconds.ObserveSeconds(time.Since(start))
 	s.metrics.replayedRecords.Add(uint64(rec.Replayed))
+	s.metrics.segmentCompactions.Add(uint64(rec.Compactions))
 	if rec.WalStats.TornTail {
 		s.metrics.tornTails.Inc()
 	}
@@ -644,6 +645,11 @@ type SessionInfo struct {
 	RetainedVersions int `json:"retained_versions,omitempty"`
 	// Updates counts base-table update batches applied.
 	Updates int64 `json:"updates,omitempty"`
+	// Segments is the largest number of sealed storage segments any
+	// relation of the head version is spread over (1 after registration
+	// or recovery, at most 3 after updates): the fan-out a probe of the
+	// most-updated relation pays. 0 until warmed.
+	Segments int `json:"segments,omitempty"`
 }
 
 // Sessions lists cached sessions, most recently used first.
@@ -667,6 +673,7 @@ func (s *Service) Sessions() []SessionInfo {
 			info.Warmed = true
 			head, version := sess.ring.Head()
 			info.Tuples = head.TotalTuples()
+			info.Segments = head.Segments()
 			info.Version = version
 			info.OldestVersion = sess.ring.Oldest()
 			info.RetainedVersions = sess.ring.Retained()
@@ -928,10 +935,11 @@ type UpdateResult struct {
 // window is Config.MaxVersions).
 //
 // Untouched relations share their frozen storage and warm indexes with
-// the previous version, so an update costs O(touched relations +
-// changes), not O(database) — and nothing of the session's prepared
-// plans is recomputed. A batch that does not fit the session schema
-// (unknown relation, wrong arity) fails atomically with
+// the previous version and a touched relation seals only the rows the
+// batch changed (engine.Snapshot.Apply: the batch plus a small recent
+// segment at the median, never the relation) — and nothing of the
+// session's prepared plans is recomputed. A batch that does not fit the
+// session schema (unknown relation, wrong arity) fails atomically with
 // ErrSchemaMismatch. Concurrent updates to one session serialize;
 // versions advance one batch at a time.
 //
@@ -970,6 +978,9 @@ func (s *Service) Update(ctx context.Context, name string, inserts, deletes []en
 		}
 	}
 	version := sess.ring.AdvanceApplied(next, info)
+	s.metrics.rowsChanged.Add(uint64(info.Inserted + info.Deleted))
+	s.metrics.rowsSealed.Add(uint64(info.RowsSealed))
+	s.metrics.segmentCompactions.Add(uint64(info.Compactions))
 	if sess.store != nil && sess.store.ShouldCompact() {
 		// A failed compaction is not a failed update (the batch is already
 		// durable in the WAL); the next batch simply retries.

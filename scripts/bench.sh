@@ -37,7 +37,7 @@ trap 'rm -f "$raw" "$json"' EXIT
 
 if [ "$check" = 1 ]; then
     # Key benches only: every leg a checked speedup is derived from.
-    benchre='^(BenchmarkPreparedRepair|BenchmarkForkVsClone|BenchmarkStepSearch|BenchmarkServerThroughput|BenchmarkSessionUpdate|BenchmarkDeleteMaintenance|BenchmarkColumnarVsRow)'
+    benchre='^(BenchmarkPreparedRepair|BenchmarkForkVsClone|BenchmarkStepSearch|BenchmarkServerThroughput|BenchmarkSessionUpdate|BenchmarkDeleteMaintenance)'
     echo "running key benchmarks for the regression check..."
     go test -bench="$benchre" -benchmem -run='^$' "$@" . > "$raw"
 else
@@ -101,18 +101,6 @@ END {
           "BenchmarkForkVsClone/fork", "BenchmarkForkVsClone/clone")
     ratio("comparison/step_search", \
           "BenchmarkStepSearch/fork", "BenchmarkStepSearch/clone")
-    # Columnar frozen cores: same end-semantics repair with the columnar
-    # read paths on vs the row-oriented reference, plus the allocation
-    # reduction the zero-copy/batch-probe paths buy. Expected speedup is
-    # ~1.0 (observed 0.96-1.3 across runs): the bench relations are a few
-    # hundred rows, so per-probe latency differences sit inside run noise.
-    # The entry is recorded for trend-watching but deliberately NOT gated
-    # in check mode; the columnar win this workload can measure stably is
-    # the allocation drop, gated via memory/columnar_vs_row below.
-    ratio("comparison/columnar_vs_row", \
-          "BenchmarkColumnarVsRow/columnar", "BenchmarkColumnarVsRow/row")
-    memratio("memory/columnar_vs_row", \
-             "BenchmarkColumnarVsRow/columnar", "BenchmarkColumnarVsRow/row")
     memratio("memory/fork_vs_clone", \
              "BenchmarkForkVsClone/fork", "BenchmarkForkVsClone/clone")
     # O(changes) scaling evidence, not a speedup: forking (or updating) a
@@ -121,6 +109,10 @@ END {
           "BenchmarkForkVsClone/fork", "BenchmarkForkVsClone/fork10x")
     ratio("scaling/update_cost_10x_base", \
           "BenchmarkSessionUpdate/update_only", "BenchmarkSessionUpdate/update_only_10x")
+    # ... and the same when the batch touches a relation that grew 10x: the
+    # update seals its own rows, it does not re-freeze the relation.
+    ratio("scaling/update_touched_10x_base", \
+          "BenchmarkSessionUpdate/update_touched", "BenchmarkSessionUpdate/update_touched_10x")
     # Serving: cached-session requests (Prepare once / Freeze once / fork
     # per request behind admission control) vs naive per-request Repair,
     # at 1, 4, and 16 concurrent clients.
@@ -189,9 +181,8 @@ function parse(line, arr, marr,    name, val) {
 }
 BEGIN {
     # Checked entries: large, stable cross-leg ratios. Deliberately not
-    # checked: the mas pair (~1.1) and columnar_vs_row (~1.0; its stable
-    # signal is the memory ratio, gated below) — a 25% band around parity
-    # is all noise.
+    # checked: the mas pair (~1.1) — a 25% band around parity is all
+    # noise.
     keys["comparison/prepared_vs_unprepared_small"] = 1
     keys["comparison/fork_vs_clone"] = 1
     keys["comparison/step_search"] = 1
@@ -203,10 +194,10 @@ BEGIN {
     # rather than a relative band (the baseline itself is ~1.0).
     scal["scaling/fork_cost_10x_base"] = 1
     scal["scaling/update_cost_10x_base"] = 1
+    scal["scaling/update_touched_10x_base"] = 1
     # Memory-ratio entries: allocs/op of the heavy leg over the lean leg.
     # A drop below the baseline band means the lean path started
-    # allocating — the zero-copy/batch-probe machinery regressed.
-    mkeys["memory/columnar_vs_row"] = 1
+    # allocating — forking stopped being structural sharing.
     mkeys["memory/fork_vs_clone"] = 1
 
     while ((getline line < baseline) > 0) parse(line, base, mbase)

@@ -154,10 +154,14 @@ func BenchmarkServerThroughput(b *testing.B) {
 //     re-register, and repair (re-prepare + re-freeze + cold indexes).
 //
 // The update_only legs isolate the Update call itself on a 1× and a 10×
-// base: because cost is O(touched relations + changes), the 10× base —
-// all growth in relations the delta never touches — should cost about
-// the same (scripts/bench.sh records the ratio as
-// scaling/update_cost_10x_base; ~1.0 is the O(changes) evidence).
+// base where all growth is in relations the delta never touches
+// (scripts/bench.sh records the ratio as scaling/update_cost_10x_base:
+// untouched relations share their cores). The update_touched legs do the
+// same with a batch that inserts and deletes one row of T1 — a relation
+// that does grow with the base, 1 000 rows against 10 000 — so
+// scaling/update_touched_10x_base is the evidence that an update seals its
+// own rows instead of re-freezing the relation: ~1 with segment-structured
+// cores, ~10 when every touched relation was flattened and re-frozen.
 func BenchmarkSessionUpdate(b *testing.B) {
 	ctx := context.Background()
 	// Each iteration i inserts Seed row (100+i%64) and deletes the row
@@ -209,10 +213,15 @@ func BenchmarkSessionUpdate(b *testing.B) {
 		}
 	})
 
+	t1Row := func(i int) []deltarepair.Row {
+		return []deltarepair.Row{{Rel: "T1", Vals: []engine.Value{engine.Int(500_000 + i%64), engine.Int(1)}}}
+	}
 	for _, leg := range []struct {
 		name  string
 		scale int
-	}{{"update_only", 1}, {"update_only_10x", 10}} {
+		row   func(int) []deltarepair.Row
+	}{{"update_only", 1, seedRow}, {"update_only_10x", 10, seedRow},
+		{"update_touched", 500, t1Row}, {"update_touched_10x", 5000, t1Row}} {
 		b.Run(leg.name, func(b *testing.B) {
 			db, prog := buildScaledBenchWorkload(b, leg.scale)
 			svc := server.New(server.Config{})
@@ -225,7 +234,7 @@ func BenchmarkSessionUpdate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := svc.Update(ctx, "u", seedRow(i), seedRow(i-1), server.RequestOptions{}); err != nil {
+				if _, err := svc.Update(ctx, "u", leg.row(i), leg.row(i-1), server.RequestOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
