@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§6), one benchmark per artifact, plus the design-choice ablations from
-// DESIGN.md and micro-benchmarks of the core machinery. Scales are
-// laptop-friendly; raise them through internal/experiments.Config (or the
-// cmd/experiments flags) to approach the paper's dataset sizes.
+// (§6), one benchmark per artifact, plus the design-choice ablations of
+// experiments.Ablations and micro-benchmarks of the core machinery. Scales
+// are laptop-friendly; raise them through internal/experiments.Config (or
+// the cmd/experiments flags) to approach the paper's dataset sizes.
 //
 //	go test -bench=. -benchmem .
 package deltarepair_test
@@ -280,7 +280,7 @@ func BenchmarkRepairEnumeration(b *testing.B) {
 }
 
 // BenchmarkEvaluationStrategies contrasts seminaive and naive end-semantics
-// evaluation on the 5-layer cascade (the DESIGN.md evaluation ablation).
+// evaluation on the 5-layer cascade (the third of experiments.Ablations).
 func BenchmarkEvaluationStrategies(b *testing.B) {
 	ds := mas.Generate(mas.Config{Scale: 0.05, Seed: 1})
 	p, err := programs.MAS(20, ds)

@@ -274,7 +274,7 @@ func selfCheck(dir string) error {
 	}
 	before := make(map[core.Semantics][]string)
 	for _, sem := range core.AllSemantics {
-		res, _, err := svc.Repair(ctx, name, sem, server.RequestOptions{})
+		res, _, _, err := svc.RepairVersioned(ctx, name, sem, server.RequestOptions{})
 		if err != nil {
 			return fmt.Errorf("pre-crash %s repair: %v", sem, err)
 		}

@@ -13,7 +13,8 @@
 //
 // Scales default to laptop-friendly fractions of the paper's datasets while
 // preserving every reported shape; raise -mas-scale / -tpch-scale / -rows
-// toward 1.0 / 5000 to approach the paper's sizes (see EXPERIMENTS.md).
+// toward 1.0 / 5000 to approach the paper's sizes (runtimes then grow;
+// the shapes do not change).
 package main
 
 import (

@@ -6,8 +6,8 @@
 // for step semantics.
 //
 // The four are policies over one Derivation (derivation.go): it derives the
-// artefacts they choose from once per request — the end fixpoint and its
-// provenance graph, the stage fixpoint, Algorithm 1's closure formula — and
+// artefacts they choose from once per request — Algorithm 1's closure
+// formula with the end graph read off it, the end and stage fixpoints — and
 // every run returns the stabilizing set together with the repaired database
 // as a copy-on-write fork; the caller's instance is never mutated.
 package core

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/engine"
-	"repro/internal/provenance"
 )
 
 // Derivation is everything one request derives about one database under one
@@ -17,31 +16,30 @@ import (
 // a Derivation is the only caller of derive and produces the three artefacts
 // the semantics choose from —
 //
-//   - the end fixpoint (Def. 3.10), cold or continued from a previous
-//     version's by the WarmStart hints, with the layered provenance graph of
-//     §5.2 only when a policy asks for one;
+//   - Algorithm 1's closure formula F_V, with the layered provenance graph
+//     of §5.2 read off it instead of derived again (closureArtefact);
+//   - the end fixpoint (Def. 3.10): the graph's heads once the formula
+//     exists, else derived cold or continued by the WarmStart hints;
 //   - the stage fixpoint (Def. 3.7);
-//   - the possible-deletion closure formula of Algorithm 1;
 //
 // — and every semantics is a short policy over them: end deletes all of the
 // end fixpoint, stage all of the stage fixpoint, step what Algorithm 2's
 // traversal of the graph selects, independent a Min-Ones model of the
-// formula's CNF. finish materialises whichever set a policy chose.
+// formula's CNF (tie order from the graph). finish materialises whichever
+// set a policy chose.
 //
-// The end fixpoint and its graph are memoised, so the policies of one
-// repair-all share them: whichever of end, step, independent (tie order)
-// and the Explainer runs first produces the fixpoint and the others reuse
-// it; a graph-less fixpoint is re-derived once, cold and captured, the first
-// time a graph is demanded, and serves both forms from then on. Two rules
-// keep the accounting of shared work honest:
+// The provenance and the end fixpoint are memoised, so the policies of one
+// repair-all share them: whichever of independent, step and the Explainer
+// runs first builds the provenance, and the others reuse it. Two rules keep
+// the accounting of shared work honest:
 //
 //   - Timing is additive. A shared artefact's time is charged once, to the
 //     Result of the policy that first demanded it; a policy that reuses it
 //     reports zero for that phase. Summing Result.Timing over the semantics
 //     run on one Derivation therefore never exceeds the time spent in it.
 //   - Result.Rounds of a reused end fixpoint is the round count of the
-//     derivation that produced it — a cold run's when a cold run produced
-//     it, even if this policy's own hints would have continued warm.
+//     derivation that produced it — a cold run's when it was read off the
+//     provenance, even if this policy's own hints would have continued warm.
 //
 // A Derivation runs on one goroutine and lives for one request; it never
 // mutates its database, and every Run returns a private fork.
@@ -51,8 +49,8 @@ type Derivation struct {
 	// naive selects the reference evaluation strategy (RunEndNaive).
 	naive bool
 
-	end   *fixpoint
-	graph *provenance.Graph // of end's derivation; nil until a policy asks
+	prov *closure
+	end  *fixpoint
 }
 
 // fixpoint is a derived deletion set in the order finish applies it
@@ -132,21 +130,30 @@ func (d *Derivation) Run(sem Semantics, opts Options) (*Result, *engine.Database
 }
 
 // endFixpoint returns the end-semantics fixpoint of the database, producing
-// it on first demand: continued from the previous version's fixpoint when w
-// allows (O(changes): directly after insert-only batches, via DRed after
-// batches with deletions), otherwise cold — and always cold when the
-// provenance graph is wanted, because only a full derivation sees every
-// assignment. The duration is what this call spent; zero on a memo hit.
-func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart, wantGraph bool) (*fixpoint, time.Duration, error) {
-	if d.end != nil && (d.graph != nil || !wantGraph) {
+// it on first demand: read off the provenance graph when a policy built
+// one, else continued from the previous version's fixpoint when w allows
+// (O(changes): directly after insert-only batches, via DRed after batches
+// with deletions), else derived cold. The duration is what this call spent;
+// zero on a memo hit.
+func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart) (*fixpoint, time.Duration, error) {
+	if d.end != nil {
 		return d.end, 0, nil
 	}
 	start := time.Now()
+	if d.prov != nil {
+		// The graph's heads are E less the pre-deleted tuples, in derivation
+		// order: a head is bound at a self atom over the live base (Def.
+		// 3.1), so it is never pre-deleted.
+		g := d.prov.graph
+		d.end = &fixpoint{tuples: make([]*engine.Tuple, len(g.Heads)), rounds: g.NumLayers}
+		for i, h := range g.Heads {
+			d.end.tuples[i] = d.db.LookupID(h)
+		}
+		return d.end, time.Since(start), nil
+	}
 	work, cfg := d.db, deriveConfig{ctx: ctx, naive: d.naive}
 	var prior []*engine.Tuple
-	if wantGraph {
-		cfg.capture = provenance.NewGraph()
-	} else if prev, ok, err := previousEndFixpoint(ctx, d.db, d.prep, w); err != nil {
+	if prev, ok, err := previousEndFixpoint(ctx, d.db, d.prep, w); err != nil {
 		return nil, 0, err
 	} else if ok {
 		// Install the maintained fixpoint as already-processed deltas of a
@@ -162,17 +169,7 @@ func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart, wantGraph bo
 		return nil, 0, err
 	}
 	d.end = &fixpoint{tuples: append(slices.Clip(prior), derived...), rounds: rounds}
-	d.graph = cfg.capture
 	return d.end, time.Since(start), nil
-}
-
-// closureFormula computes the provenance of the relevant possible delta
-// tuples — derive's closure mode, seeded with the deletions made before this
-// run (§3.6). The lemma that makes the restriction exact is on buildCNF.
-func (d *Derivation) closureFormula(ctx context.Context, maxClauses int) (*provenance.Formula, error) {
-	formula := provenance.NewFormula()
-	_, _, err := derive(d.db, d.prep, deriveConfig{closure: formula, maxClauses: maxClauses, ctx: ctx})
-	return formula, err
 }
 
 // finish materialises a policy's choice: a fork of the database with the
@@ -210,7 +207,7 @@ func (d *Derivation) finishIDs(sem Semantics, ids []engine.TupleID) (*Result, *e
 // against the original base relations, and the bases are updated once at
 // the very end. The policy takes all of the (unique) fixpoint.
 func (d *Derivation) runEnd(opts Options) (*Result, *engine.Database, error) {
-	fp, evalDur, err := d.endFixpoint(opts.Ctx, opts.Warm, false)
+	fp, evalDur, err := d.endFixpoint(opts.Ctx, opts.Warm)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -40,8 +40,8 @@ func semanticsOrders() [][]Semantics {
 
 // checkOrderIndependence asserts that one Derivation, asked for the four
 // semantics in any order, gives each the result a Derivation of its own
-// gives it — whichever policy happened to produce the shared end fixpoint,
-// with or without its graph — and that every repaired fork holds exactly
+// gives it — whichever policy happened to produce the shared provenance and
+// end fixpoint — and that every repaired fork holds exactly
 // the input's deletions plus the result's.
 func checkOrderIndependence(t *testing.T, db *engine.Database, p *datalog.Program) {
 	t.Helper()

@@ -17,9 +17,6 @@ type deriveConfig struct {
 	// the loop implements end-semantics derivation: bases stay at D⁰ and
 	// only the delta side grows (Def. 3.10).
 	shrinkBases bool
-	// capture, when non-nil, records every assignment found into the
-	// provenance graph with its derivation round as the layer (§5.2).
-	capture *provenance.Graph
 	// naive disables the seminaive frontier optimization: every round
 	// re-evaluates every rule against the full delta contents. Used only
 	// by the evaluation-strategy ablation benchmark; results are identical.
@@ -31,8 +28,7 @@ type deriveConfig struct {
 	// instead of the round-1 frontier, and round 1 evaluates only the
 	// insert-seeded passes over these relations — every genuinely new
 	// assignment binds at least one inserted tuple. Incompatible with
-	// capture and shrinkBases (the callers that set those re-derive from
-	// scratch).
+	// shrinkBases (stage re-derives from scratch).
 	warmSeeds map[string]*engine.Relation
 	// closure, when non-nil, switches the loop into possible-deletion
 	// closure mode (Algorithm 1; the lemma is on Derivation.buildCNF). It
@@ -40,10 +36,11 @@ type deriveConfig struct {
 	// formula, and every tuple the assignment binds at a non-delta atom —
 	// the head and its base co-atoms, i.e. the clause's positive literals —
 	// joins the next frontier (base atoms keep ranging over the live base).
-	// At fixpoint the formula is F_V. Incompatible with every other mode
-	// above.
+	// At fixpoint the formula is F_V, and the end fixpoint's layered graph
+	// is read off it (provenance.Formula.EndGraph). Incompatible with every
+	// other mode above.
 	closure *provenance.Formula
-	// maxClauses bounds closure's size; exceeding it is an error.
+	// maxClauses bounds closure's size; exceeding it is errTooManyClauses.
 	maxClauses int
 	// ctx carries per-request cancellation into the round loop: it is
 	// checked at the top of every round, before every rule evaluation, and
@@ -139,10 +136,6 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 				}
 				return cfg.closure.Len() <= cfg.maxClauses
 			}
-			if cfg.capture != nil {
-				// AddDerivation keeps the first layer for a known head.
-				cfg.capture.AddDerivation(head.TID, round, provenance.ClauseOf(asn))
-			}
 			admit(head)
 			return true
 		}
@@ -189,7 +182,7 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 				return nil, rounds, err
 			}
 			if cfg.closure != nil && cfg.closure.Len() > cfg.maxClauses {
-				return nil, rounds, fmt.Errorf("core: provenance formula exceeded %d clauses", cfg.maxClauses)
+				return nil, rounds, errTooManyClauses(cfg.maxClauses)
 			}
 			if err := ctxErr(cfg.ctx); err != nil {
 				return nil, rounds, err

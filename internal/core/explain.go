@@ -53,7 +53,7 @@ func (e *Explanation) render(b *strings.Builder, depth int) {
 }
 
 // Explainer answers "why was this tuple deleted" for a database/program
-// pair, using one end-semantics provenance capture. Explanations exist for
+// pair, using the end-semantics provenance graph. Explanations exist for
 // every tuple deletable under end semantics — a superset of every
 // semantics' result (Prop. 3.20), so results from any executor can be
 // explained.
@@ -77,24 +77,21 @@ func NewExplainer(db *engine.Database, p *datalog.Program) (*Explainer, error) {
 	return &Explainer{graph: graph, db: db}, nil
 }
 
-// CaptureProvenance runs end-semantics derivation and returns the layered
-// provenance graph (§5.2, Figure 5 of the paper) without applying any
-// deletions. The graph underlies Algorithm 2, the Explainer, and the DOT
-// visualization.
+// CaptureProvenance returns the layered provenance graph of the
+// end-semantics derivation (§5.2, Figure 5 of the paper) without applying
+// any deletions: read off Algorithm 1's closure formula, under
+// DefaultMaxClauses. The graph underlies Algorithm 2, the Explainer, and
+// the DOT visualization.
 func CaptureProvenance(db *engine.Database, p *datalog.Program) (*provenance.Graph, error) {
 	d, err := derivationFor(db, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := d.endFixpoint(nil, nil, true); err != nil {
+	prov, _, _, err := d.closureArtefact(nil, DefaultMaxClauses)
+	if err != nil {
 		return nil, err
 	}
-	return d.graph, nil
-}
-
-// keyOf renders a tuple ID as its content key (reporting only).
-func (ex *Explainer) keyOf(id engine.TupleID) string {
-	return ex.db.DisplayKey(id)
+	return prov.graph, nil
 }
 
 // Explainable reports whether the tuple with the given content key has at
@@ -152,17 +149,17 @@ func (ex *Explainer) explain(id engine.TupleID, onPath map[engine.TupleID]bool) 
 		return nil
 	}
 	c := clauses[best]
-	e := &Explanation{Tuple: ex.keyOf(id), Layer: ex.graph.Layer[id]}
+	e := &Explanation{Tuple: ex.db.DisplayKey(id), Layer: ex.graph.Layer[id]}
 	for _, pos := range c.Pos {
 		if pos != id {
-			e.Because = append(e.Because, ex.keyOf(pos))
+			e.Because = append(e.Because, ex.db.DisplayKey(pos))
 		}
 	}
 	sort.Strings(e.Because)
 	deps := make([]string, 0, len(c.Neg))
 	depOf := make(map[string]engine.TupleID, len(c.Neg))
 	for _, dep := range c.Neg {
-		k := ex.keyOf(dep)
+		k := ex.db.DisplayKey(dep)
 		deps = append(deps, k)
 		depOf[k] = dep
 	}

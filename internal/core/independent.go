@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -40,6 +41,11 @@ type IndependentOptions struct {
 // DefaultMaxClauses bounds the provenance formula of Algorithm 1.
 const DefaultMaxClauses = 5_000_000
 
+// errTooManyClauses is the error of a closure formula over maxClauses.
+func errTooManyClauses(maxClauses int) error {
+	return fmt.Errorf("core: provenance formula exceeded %d clauses", maxClauses)
+}
+
 // indCNF is the compiled Algorithm 1 instance — the positivized provenance
 // formula negated into CNF over deletion variables, plus the solver
 // steering derived from it. It is shared between the single-repair policy
@@ -48,8 +54,6 @@ const DefaultMaxClauses = 5_000_000
 type indCNF struct {
 	formula    *provenance.Formula
 	cnf        *sat.Formula
-	ids        []engine.TupleID
-	varOf      map[engine.TupleID]int
 	preDeleted map[engine.TupleID]bool
 	// preDeletedCost is what the pre-deleted variables contribute to every
 	// model's weighted cost.
@@ -92,50 +96,30 @@ type indCNF struct {
 // positive literals of the clauses whose negative literals the rounds
 // before it put into V.
 func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*indCNF, error) {
-	db := d.db
-	maxClauses := opts.MaxClauses
-	if maxClauses <= 0 {
-		maxClauses = DefaultMaxClauses
-	}
-
 	// Phase 1 (Eval): provenance of the relevant possible delta tuples,
 	// seeded with the deletions made before this run (the §3.6 "user deletes
 	// a specific set of tuples" initialization), which are forced deleted in
-	// the CNF below.
-	evalStart := time.Now()
-	formula, err := d.closureFormula(ctx, maxClauses)
+	// the CNF below. Shared with step and the Explainer, and charged here
+	// only if nobody built it before.
+	prov, evalDur, projDur, err := d.closureArtefact(ctx, opts.MaxClauses)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	evalDur := time.Since(evalStart)
+	formula := prov.formula
 
 	// Phase 2 (ProcessProv): negate into CNF over deletion variables
 	// (lines 2–4): clause (t₁ ∧ … ∧ ¬d₁ ∧ …) negates to
 	// (x_t₁ ∨ … ∨ ¬x_d₁ ∨ …) where x_t means "t is deleted". SAT variables
-	// map 1:1 to interned tuple IDs (numbered by first occurrence); no
-	// string keys exist anywhere on this path.
+	// are the formula's, numbered 1:1 from interned tuple IDs by first
+	// occurrence; no string keys exist anywhere on this path.
 	ppStart := time.Now()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
 	ids := formula.TupleIDs()
-	varOf := make(map[engine.TupleID]int, len(ids))
-	for i, id := range ids {
-		varOf[id] = i + 1
-	}
 	cnf := sat.NewFormula(len(ids))
-	for _, c := range formula.Clauses {
-		lits := make([]int, 0, len(c.Pos)+len(c.Neg))
-		for _, id := range c.Pos {
-			lits = append(lits, varOf[id])
-		}
-		for _, id := range c.Neg {
-			lits = append(lits, -varOf[id])
-		}
-		if err := cnf.AddClause(lits...); err != nil {
+	for i := range formula.Clauses {
+		if err := cnf.AddClause(formula.Lits(i)...); err != nil {
 			return nil, err
 		}
 	}
@@ -154,50 +138,31 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	// pays for them, so the reported cost leaves them out — it is the cost
 	// of the new deletions, whichever pre-deleted tuples the closure's
 	// clauses happen to mention.
-	preDeleted := make(map[engine.TupleID]bool)
 	var preDeletedCost int64
-	for _, rs := range db.Schema.Relations {
-		db.Delta(rs.Name).Scan(func(t *engine.Tuple) bool {
-			preDeleted[t.TID] = true
-			if v, ok := varOf[t.TID]; ok {
-				if err := cnf.AddClause(v); err != nil {
-					return false
-				}
-				preDeletedCost += weightOf(t)
+	for _, t := range prov.seeds {
+		if v := formula.Var(t.TID); v != 0 {
+			if err := cnf.AddClause(v); err != nil {
+				return nil, err
 			}
-			return true
-		})
+			preDeletedCost += weightOf(t)
+		}
 	}
 
 	// Tie preference: try end-derivable tuples first (deepest layer first),
 	// steering equal-cost optima toward sets other semantics contain. The
-	// order is read off the end fixpoint's provenance graph, shared with
-	// step and charged to this phase only if nobody produced it before.
+	// order is read off the end fixpoint's provenance graph.
 	var prefer []int
 	if !opts.DisablePreferDerivable {
-		if _, _, err := d.endFixpoint(ctx, nil, true); err != nil {
-			return nil, err
-		}
-		graph := d.graph
-		heads := append([]engine.TupleID(nil), graph.Heads...)
-		idx := make(map[engine.TupleID]int, len(heads))
-		for i, h := range heads {
-			idx[h] = i
-		}
-		sort.SliceStable(heads, func(i, j int) bool {
-			li, lj := graph.Layer[heads[i]], graph.Layer[heads[j]]
-			if li != lj {
-				return li > lj
-			}
-			return idx[heads[i]] < idx[heads[j]]
-		})
+		graph := prov.graph
+		heads := slices.Clone(graph.Heads)
+		sort.SliceStable(heads, func(i, j int) bool { return graph.Layer[heads[i]] > graph.Layer[heads[j]] })
 		for _, h := range heads {
-			if v, ok := varOf[h]; ok {
+			if v := formula.Var(h); v != 0 {
 				prefer = append(prefer, v)
 			}
 		}
 	}
-	ppDur := time.Since(ppStart)
+	ppDur := projDur + time.Since(ppStart)
 
 	// Optional weighted objective: minimum total weight instead of
 	// minimum cardinality.
@@ -205,22 +170,78 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	if opts.Weight != nil {
 		weights = make([]int64, len(ids)+1)
 		for i, id := range ids {
-			weights[i+1] = weightOf(db.LookupID(id))
+			weights[i+1] = weightOf(d.db.LookupID(id))
 		}
 	}
 
 	return &indCNF{
 		formula:        formula,
 		cnf:            cnf,
-		ids:            ids,
-		varOf:          varOf,
-		preDeleted:     preDeleted,
+		preDeleted:     prov.preDeleted,
 		preDeletedCost: preDeletedCost,
 		prefer:         prefer,
 		weights:        weights,
 		evalDur:        evalDur,
 		ppDur:          ppDur,
 	}, nil
+}
+
+// closure is a Derivation's provenance: Algorithm 1's formula F_V, the end
+// graph read off it, and the pre-deleted tuples seeding both (in scan
+// order, and as a set).
+type closure struct {
+	formula    *provenance.Formula
+	graph      *provenance.Graph
+	seeds      []*engine.Tuple
+	preDeleted map[engine.TupleID]bool
+}
+
+// closureArtefact returns the Derivation's provenance, built on first
+// demand: derive's closure mode yields F_V, and EndGraph reads the end graph
+// off it; evalDur and projDur time the two, and are zero on a memo hit.
+// maxClauses ≤ 0 means DefaultMaxClauses; a memoised formula over the cap
+// fails as a fresh build under it would.
+//
+// Lemma. Let E be the end fixpoint (Def. 3.10) plus the pre-deleted tuples,
+// and V, F_V as on buildCNF. Every end-semantics assignment is a clause of
+// F_V, and E ⊆ V: by induction on rounds, an assignment binds base atoms to
+// the live base and delta atoms to earlier members of E, in V, so its
+// clause is in F_V, and its head, bound at the self atom (Def. 3.1), is a
+// positive literal of it. Conversely a clause of F_V whose negative
+// literals all lie in E is an end-semantics assignment. So E is the forward
+// (Horn) closure of F_V from the pre-deleted tuples, the end graph is F_V's
+// clauses with negative literals in E, and seminaive end evaluation
+// enumerates each in round 1 + the latest round among its negative
+// literals (pre-deleted: 0) — EndGraph's layers. V ⊋ E is possible (a base
+// atom of one rule can be another's delta atom): the projection only drops.
+func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov *closure, evalDur, projDur time.Duration, err error) {
+	if maxClauses <= 0 {
+		maxClauses = DefaultMaxClauses
+	}
+	if d.prov != nil {
+		if d.prov.formula.Len() > maxClauses {
+			return nil, 0, 0, errTooManyClauses(maxClauses)
+		}
+		return d.prov, 0, 0, nil
+	}
+	start := time.Now()
+	formula := provenance.NewFormula()
+	if _, _, err := derive(d.db, d.prep, deriveConfig{closure: formula, maxClauses: maxClauses, ctx: ctx}); err != nil {
+		return nil, 0, 0, err
+	}
+	evalDur = time.Since(start)
+	start = time.Now()
+	prov = &closure{formula: formula, preDeleted: make(map[engine.TupleID]bool)}
+	for _, rs := range d.db.Schema.Relations {
+		d.db.Delta(rs.Name).Scan(func(t *engine.Tuple) bool {
+			prov.seeds = append(prov.seeds, t)
+			prov.preDeleted[t.TID] = true
+			return true
+		})
+	}
+	prov.graph = formula.EndGraph(prov.preDeleted)
+	d.prov = prov
+	return prov, evalDur, time.Since(start), nil
 }
 
 // satOptions assembles the solver options for one Min-Ones search over the
@@ -238,7 +259,7 @@ func (ic *indCNF) satOptions(ctx context.Context, opts IndependentOptions) sat.O
 // fail loudly rather than return a bad repair.
 func (d *Derivation) materialize(ctx context.Context, ic *indCNF, assignment []bool) (*Result, *engine.Database, error) {
 	var chosen []engine.TupleID
-	for i, id := range ic.ids {
+	for i, id := range ic.formula.TupleIDs() {
 		if assignment[i+1] && !ic.preDeleted[id] {
 			chosen = append(chosen, id)
 		}

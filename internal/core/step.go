@@ -23,7 +23,8 @@ type StepGreedyOptions struct {
 }
 
 // runStep computes a step-semantics stabilizing set with Algorithm 2: take
-// the provenance graph of the end-semantics derivation, compute each tuple's
+// the provenance graph of the end-semantics derivation (read off Algorithm
+// 1's closure formula; the lemma is on closureArtefact), compute each tuple's
 // benefit (assignments it participates in minus assignments its delta
 // participates in), then traverse the graph layer by layer greedily adding
 // the highest-benefit tuple and pruning delta tuples that can no longer be
@@ -34,33 +35,30 @@ type StepGreedyOptions struct {
 // execution, matching the paper's heuristic.
 func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
 	ctx := opts.Ctx
-	// Phase 1 (Eval): the end fixpoint with provenance capture.
-	_, evalDur, err := d.endFixpoint(ctx, nil, true)
+	// Phase 1 (Eval): the closure formula, shared with independent and
+	// charged here only if nobody built it before.
+	prov, evalDur, projDur, err := d.closureArtefact(ctx, DefaultMaxClauses)
 	if err != nil {
 		return nil, nil, err
 	}
-	graph := d.graph
+	graph := prov.graph
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
 
-	// Phase 2 (ProcessProv): flatten the graph into indexed clauses and
-	// compute benefits. Everything is keyed by interned tuple IDs; no
-	// content keys exist on this path.
+	// Phase 2 (ProcessProv): the graph projection, then index the graph's
+	// clauses by the tuples they bind, compute benefits, and order the heads
+	// layer by layer — by benefit (desc), then derivation order, within a
+	// layer. Everything is keyed by interned tuple IDs; no content keys exist
+	// on this path.
 	ppStart := time.Now()
-	type flatClause struct {
-		head     engine.TupleID
-		pos, neg []engine.TupleID
-	}
-	var clauses []flatClause
-	headAlive := make(map[engine.TupleID]int, len(graph.Heads))
+	var headOf []engine.TupleID                // clause id -> the head it derives
 	posIdx := make(map[engine.TupleID][]int32) // tuple -> clause ids where it ∈ Pos, ≠ head
 	negIdx := make(map[engine.TupleID][]int32) // tuple -> clause ids where it ∈ Neg
 	for _, h := range graph.Heads {
 		for _, c := range graph.Assignments[h] {
-			ci := int32(len(clauses))
-			clauses = append(clauses, flatClause{head: h, pos: c.Pos, neg: c.Neg})
-			headAlive[h]++
+			ci := int32(len(headOf))
+			headOf = append(headOf, h)
 			for _, id := range c.Pos {
 				if id != h {
 					posIdx[id] = append(posIdx[id], ci)
@@ -72,27 +70,15 @@ func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
 		}
 	}
 	benefits := graph.Benefits()
-
-	// Pre-sort each layer's heads by (benefit desc, derivation order asc).
-	layerOrder := make([][]engine.TupleID, graph.NumLayers+1)
-	derivIdx := make(map[engine.TupleID]int, len(graph.Heads))
-	for i, h := range graph.Heads {
-		derivIdx[h] = i
-		l := graph.Layer[h]
-		layerOrder[l] = append(layerOrder[l], h)
-	}
-	if !opts.Step.IgnoreBenefits {
-		for _, heads := range layerOrder {
-			sort.SliceStable(heads, func(i, j int) bool {
-				bi, bj := benefits[heads[i]], benefits[heads[j]]
-				if bi != bj {
-					return bi > bj
-				}
-				return derivIdx[heads[i]] < derivIdx[heads[j]]
-			})
+	heads := slices.Clone(graph.Heads)
+	sort.SliceStable(heads, func(i, j int) bool {
+		a, b := heads[i], heads[j]
+		if la, lb := graph.Layer[a], graph.Layer[b]; la != lb {
+			return la < lb
 		}
-	}
-	ppDur := time.Since(ppStart)
+		return !opts.Step.IgnoreBenefits && benefits[a] > benefits[b]
+	})
+	ppDur := projDur + time.Since(ppStart)
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
@@ -101,7 +87,8 @@ func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
 	trStart := time.Now()
 	inS := make(map[engine.TupleID]bool)
 	removed := make(map[engine.TupleID]bool)
-	void := make([]bool, len(clauses))
+	void := make([]bool, len(headOf))
+	voided := make(map[engine.TupleID]int) // head -> its void clauses
 	var order []engine.TupleID
 
 	var voidClause func(ci int32)
@@ -111,9 +98,9 @@ func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
 			return
 		}
 		void[ci] = true
-		h := clauses[ci].head
-		headAlive[h]--
-		if headAlive[h] == 0 && !inS[h] && !removed[h] {
+		h := headOf[ci]
+		voided[h]++
+		if voided[h] == len(graph.Assignments[h]) && !inS[h] && !removed[h] {
 			removeHead(h)
 		}
 	}
@@ -135,11 +122,8 @@ func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
 		}
 	}
 
-	for layer := 1; layer <= graph.NumLayers; layer++ {
-		for _, h := range layerOrder[layer] {
-			if inS[h] || removed[h] {
-				continue
-			}
+	for _, h := range heads {
+		if !inS[h] && !removed[h] {
 			addToS(h)
 		}
 	}
@@ -150,7 +134,7 @@ func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
 		return nil, nil, err
 	}
 	res.Rounds = graph.NumLayers
-	res.GraphAssignments = len(clauses)
+	res.GraphAssignments = len(headOf)
 	res.Timing.Eval = evalDur
 	res.Timing.ProcessProv = ppDur
 	res.Timing.Traverse = trDur

@@ -175,12 +175,10 @@ func (d *Derivation) changeProbe(ctx context.Context, sem Semantics, w *WarmStar
 	// Folded multi-version hints may record tuples inserted then deleted
 	// inside the range (in neither endpoint version); they stay in the
 	// delete view, which only over-approximates — a spurious hit costs a
-	// fallback, never correctness.
+	// fallback, never correctness. The seeds get their own scratch copy of
+	// the deleted tuples, because the inserted ones are added to it.
 	deletes := groupByRelation(db.Schema, w.Deleted)
-	seeds := make(map[string]*engine.Relation, len(deletes))
-	for rel, r := range deletes {
-		seeds[rel] = r.Clone()
-	}
+	seeds := groupByRelation(db.Schema, w.Deleted)
 	for rel, r := range w.seedRelations(db) {
 		dst := seeds[rel]
 		if dst == nil {

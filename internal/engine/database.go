@@ -206,10 +206,9 @@ func (db *Database) TotalDeltaTuples() int {
 
 // Clone returns a deep structural copy sharing immutable tuples; overlays
 // flatten, so the clone owns plain storage with no frozen base attached.
-// Executors use the O(changes) Fork (see cow.go) for their working copies;
-// Clone remains for callers that need a fully private copy — and as the
-// reference behaviour the copy-on-write fork is differentially tested
-// against.
+// No production code calls it: executors use the O(changes) Fork (see
+// cow.go). Clone is the reference the copy-on-write fork is checked against
+// (TestForkVsCloneAllPrograms) and measured against (BenchmarkForkVsClone).
 func (db *Database) Clone() *Database {
 	c := &Database{
 		Schema: db.Schema,

@@ -816,7 +816,9 @@ func (r *Relation) LookupCount(col int, v Value) int {
 // pointer (they are immutable); the ID map and order slices are copied, and
 // indexes and the content intern map are dropped (they rebuild lazily on
 // demand). Overlays flatten: the clone owns plain storage regardless of the
-// receiver's representation. No content keys are touched.
+// receiver's representation. No content keys are touched. Its one
+// non-test caller is Database.Clone, the reference the copy-on-write fork
+// is checked and measured against.
 func (r *Relation) Clone() *Relation {
 	n := r.Len()
 	c := &Relation{

@@ -21,7 +21,8 @@ type AblationRow struct {
 	AblTime  time.Duration
 }
 
-// Ablations runs the three design-choice ablations DESIGN.md calls out:
+// Ablations runs three design-choice ablations, each switching off one
+// choice the executors make:
 //
 //  1. Algorithm 2 without benefit ordering (arbitrary in-layer order) —
 //     shows the benefit heuristic's effect on repair size.

@@ -2,9 +2,9 @@
 // evaluation (§6): Table 3 (containment of results), Figures 6-8 (result
 // sizes, runtimes, and runtime breakdowns over the MAS programs), Figure 9
 // (TPC-H sizes and runtimes), Tables 4-5 and Figure 10 (the HoloClean
-// comparison), and the trigger comparison — plus the ablations DESIGN.md
-// calls out. Each experiment produces typed rows and a paper-shaped text
-// rendering.
+// comparison), and the trigger comparison — plus three design-choice
+// ablations (Ablations). Each experiment produces typed rows and a
+// paper-shaped text rendering.
 package experiments
 
 import (
@@ -16,8 +16,8 @@ import (
 
 // Config selects workload sizes and budgets. The zero value gives the
 // defaults used throughout the repository's recorded outputs: scaled-down
-// datasets that preserve every relative shape the paper reports (see
-// EXPERIMENTS.md for the paper-vs-measured record).
+// datasets that preserve every relative shape the paper reports (sizes,
+// containments and phase orderings, not absolute runtimes).
 type Config struct {
 	// MASScale scales the MAS dataset; default 0.05 (~6.2K tuples).
 	MASScale float64

@@ -187,9 +187,9 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 		// Repair-all: one Derivation per version, each semantics with its own
 		// hints, must give every semantics its cold answer whoever produced
 		// the shared end fixpoint. In AllSemantics order end's hints arrive
-		// after independent or step memoised a cold captured fixpoint; in
-		// reverse, the graph is demanded after end's continuation (insert-only
-		// or DRed) produced a graph-less one.
+		// after independent built the provenance, and end reads its fixpoint
+		// off the graph; in reverse, end's continuation (insert-only or DRed)
+		// produces the fixpoint before step builds the provenance.
 		reversed := slices.Clone(core.AllSemantics)
 		slices.Reverse(reversed)
 		for _, order := range [][]core.Semantics{core.AllSemantics, reversed} {

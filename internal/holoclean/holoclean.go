@@ -6,8 +6,8 @@
 // increasingly as the error rate grows (Table 4's −26…−693 column), and
 // (c) can leave residual DC violations (Table 5). This package simulates
 // exactly that behavioural signature with a majority-vote model over
-// attribute co-occurrence, gated by a confidence threshold — without the
-// original's Torch/ML stack (see DESIGN.md §3, substitution 5).
+// attribute co-occurrence, gated by a confidence threshold — a substitute
+// for the original's Torch/ML stack that keeps only that signature.
 //
 // Scope mirrors the paper's comparison setup: a single extended Author
 // table Author(aid, name, oid, organization) with DC1-DC4 (the default

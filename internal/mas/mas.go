@@ -6,8 +6,8 @@
 // The real MAS fragment is not redistributable; the experiments only depend
 // on the schema, the relative cardinalities, and skewed join fan-outs
 // (hub organizations with many authors, prolific authors with many papers,
-// well-cited publications). The generator reproduces those properties
-// deterministically from a seed (see DESIGN.md §3, substitution 3).
+// well-cited publications). The generator substitutes for the real
+// fragment by reproducing those properties deterministically from a seed.
 package mas
 
 import (

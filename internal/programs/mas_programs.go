@@ -108,8 +108,8 @@ func masSource(n int, ds *mas.Dataset) (string, error) {
 (2) Delta_Writes(aid, pid) :- Writes(aid, pid), Author(aid, n, oid), aid = %d.
 `, authorID, authorID), nil
 	case 4:
-		// Paper head "∆A(aid, pid)" normalized to the full Author vector
-		// (Def. 3.1); see DESIGN.md §4.
+		// Paper head "∆A(aid, pid)" normalized to the full Author vector,
+		// because Def. 3.1 requires the head to repeat a body atom.
 		return fmt.Sprintf(`
 (1) Delta_Author(aid, n, oid) :- Organization(oid, n2), Author(aid, n, oid), oid = %d.
 (2) Delta_Organization(oid, n2) :- Organization(oid, n2), Author(aid, n, oid), oid = %d.
@@ -170,8 +170,9 @@ func masSource(n int, ds *mas.Dataset) (string, error) {
 		}
 		return fmt.Sprintf("(1) Delta_Cite(pid, c2) :- %s.\n", body), nil
 	case 16, 17, 18, 19, 20:
-		// Cascade chain prefixes (paper's rule tags normalized to
-		// prefixes; see DESIGN.md §4).
+		// Cascade chain prefixes: program 16 + k is the chain's first k + 1
+		// rules (the paper lists these programs by rule tags; here each tag
+		// set is normalized to a prefix of one chain).
 		rules := []string{
 			fmt.Sprintf("(1) Delta_Organization(oid, n2) :- Organization(oid, n2), oid = %d.", orgID),
 			"(2) Delta_Author(aid, n, oid) :- Author(aid, n, oid), Delta_Organization(oid, n2).",

@@ -1,9 +1,7 @@
 package provenance
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/engine"
 )
@@ -13,7 +11,8 @@ import (
 // which ∆(t) is first derived (the round of the End-semantics evaluation;
 // cf. Figure 5 of the paper). Algorithm 2 traverses the graph layer by
 // layer, choosing tuples by benefit. Tuples are identified by their
-// interned engine.TupleID throughout.
+// interned engine.TupleID throughout. The one way to build a Graph is
+// Formula.EndGraph.
 type Graph struct {
 	// Heads lists derived delta tuple IDs in first-derivation order.
 	Heads []engine.TupleID
@@ -23,40 +22,62 @@ type Graph struct {
 	Layer map[engine.TupleID]int
 	// NumLayers is the maximum layer.
 	NumLayers int
-
-	seen       map[string]bool // per-head clause dedup
-	sigBuf     []byte          // reusable dedup-key scratch
-	sigScratch []engine.TupleID
 }
 
-// NewGraph creates an empty provenance graph.
-func NewGraph() *Graph {
-	return &Graph{
-		Assignments: make(map[engine.TupleID][]Clause),
-		Layer:       make(map[engine.TupleID]int),
-		seen:        make(map[string]bool),
+// EndGraph is the end-semantics graph read off the formula (why it is, is
+// the lemma on core's Derivation.closureArtefact): starting from the seeded
+// (pre-deleted) tuples at layer 0, a clause fires at 1 + the largest layer
+// among its Neg tuples, and its head joins E then. The graph holds exactly
+// the fired clauses: heads layer by layer, within a layer in clause order,
+// each head's clauses in firing order. A seed can be a head; it is in E
+// from layer 0 regardless. One pass: each clause counts its Neg tuples
+// outside E, and a tuple joining E counts down the clauses it is a Neg of.
+func (f *Formula) EndGraph(seeded map[engine.TupleID]bool) *Graph {
+	g := &Graph{Assignments: make(map[engine.TupleID][]Clause), Layer: make(map[engine.TupleID]int)}
+	inE := make([]bool, len(f.ids)+1) // by variable; 0 stands for unmentioned tuples
+	for id := range seeded {
+		inE[f.vars[id]] = true
 	}
-}
-
-// AddDerivation records that clause derives ∆(head) at the given 1-based
-// layer. The layer is retained only for the first derivation of a head;
-// repeated identical clauses are dropped. It reports whether the clause was
-// recorded.
-func (g *Graph) AddDerivation(head engine.TupleID, layer int, c Clause) bool {
-	if _, known := g.Layer[head]; !known {
-		g.Heads = append(g.Heads, head)
-		g.Layer[head] = layer
-		if layer > g.NumLayers {
-			g.NumLayers = layer
+	missing := make([]int, len(f.Clauses))
+	negOf := make([][]int, len(f.ids)+1)
+	var ready []int
+	for i := range f.Clauses {
+		for _, l := range f.Lits(i) {
+			if l < 0 && !inE[-l] {
+				missing[i]++
+				negOf[-l] = append(negOf[-l], i)
+			}
+		}
+		if missing[i] == 0 {
+			ready = append(ready, i)
 		}
 	}
-	g.sigBuf, g.sigScratch = appendSig(g.sigBuf[:0], g.sigScratch, head, c)
-	if g.seen[string(g.sigBuf)] { // compiler-optimized: no allocation on hit
-		return false
+	var entered []int
+	for layer := 1; len(ready) > 0; layer++ {
+		entered = entered[:0]
+		for _, ci := range ready {
+			h := f.Heads[ci]
+			if _, known := g.Layer[h]; !known {
+				g.Heads = append(g.Heads, h)
+				g.Layer[h], g.NumLayers = layer, layer
+			}
+			g.Assignments[h] = append(g.Assignments[h], f.Clauses[ci])
+			if v := f.vars[h]; !inE[v] {
+				inE[v] = true
+				entered = append(entered, v)
+			}
+		}
+		ready = ready[:0]
+		for _, v := range entered {
+			for _, ci := range negOf[v] {
+				if missing[ci]--; missing[ci] == 0 {
+					ready = append(ready, ci)
+				}
+			}
+		}
+		slices.Sort(ready)
 	}
-	g.seen[string(g.sigBuf)] = true
-	g.Assignments[head] = append(g.Assignments[head], c)
-	return true
+	return g
 }
 
 // LayerHeads returns the heads first derived at the given layer, in
@@ -69,15 +90,6 @@ func (g *Graph) LayerHeads(layer int) []engine.TupleID {
 		}
 	}
 	return out
-}
-
-// NumAssignments returns the total number of recorded assignments.
-func (g *Graph) NumAssignments() int {
-	n := 0
-	for _, cs := range g.Assignments {
-		n += len(cs)
-	}
-	return n
 }
 
 // Benefits computes the benefit b_t of every base tuple t mentioned in the
@@ -98,20 +110,4 @@ func (g *Graph) Benefits() map[engine.TupleID]int {
 		}
 	}
 	return b
-}
-
-// String renders a per-layer summary for debugging, e.g.
-// "layer 1: t12[1]". Resolve IDs through the database for content keys.
-func (g *Graph) String() string {
-	var b strings.Builder
-	for l := 1; l <= g.NumLayers; l++ {
-		fmt.Fprintf(&b, "layer %d:", l)
-		heads := g.LayerHeads(l)
-		slices.Sort(heads)
-		for _, h := range heads {
-			fmt.Fprintf(&b, " t%d[%d]", h, len(g.Assignments[h]))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

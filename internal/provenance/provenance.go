@@ -1,7 +1,8 @@
 // Package provenance implements the provenance representations of §5 of the
 // paper: Boolean-formula provenance (DNF per delta tuple, used by Algorithm
 // 1 for independent semantics) and the layered provenance graph with tuple
-// benefits (used by Algorithm 2 for step semantics).
+// benefits (used by Algorithm 2 for step semantics) — one structure, not
+// two: the graph is read off the formula (Formula.EndGraph).
 //
 // Throughout, tuples are identified by their interned engine.TupleID; a
 // delta tuple ∆(t) is identified by t's ID — delta relations share tuples
@@ -83,14 +84,6 @@ func appendSig(buf []byte, scratch []engine.TupleID, head engine.TupleID, c Clau
 	return buf, scratch
 }
 
-// sigKey builds the dedup map key "head | clause content" as a compact
-// binary string.
-func sigKey(head engine.TupleID, c Clause) string {
-	buf := make([]byte, 0, 24+8*(len(c.Pos)+len(c.Neg)))
-	buf, _ = appendSig(buf, nil, head, c)
-	return string(buf)
-}
-
 // String renders the clause as a conjunction of tuple IDs, e.g.
 // "t3 ∧ ¬t7" (debugging; resolve IDs through the database for readable
 // content keys).
@@ -110,12 +103,22 @@ func (c Clause) String() string {
 // core fills it with the relevant possible delta tuples only (the closure
 // V; see the lemma on core's Derivation.buildCNF for why that is exact).
 // Heads records the delta tuple each clause derives (parallel to Clauses);
-// Algorithm 1 itself only needs the clause bodies, but heads are kept for
-// reporting and tests. A synthetic head of 0 is permitted (used by the
-// side-effect solver for view-witness clauses).
+// Algorithm 1 needs only the clause bodies, the end graph (EndGraph) needs
+// the heads. A synthetic head of 0 is permitted (used by the side-effect
+// solver for view-witness clauses).
+//
+// Every tuple a clause mentions is numbered as a variable, 1, 2, … in
+// first-occurrence order as clauses are added, and each clause is kept over
+// those numbers as well (Lits), so the CNF and the end graph index slices
+// instead of maps.
 type Formula struct {
 	Clauses []Clause
 	Heads   []engine.TupleID
+
+	vars  map[engine.TupleID]int // tuple → variable
+	ids   []engine.TupleID       // variable v is ids[v-1]
+	lits  []int                  // every clause's literals, concatenated
+	start []int                  // clause i's literals are lits[start[i]:start[i+1]]
 
 	seen       map[string]bool // canonical clause+head dedup
 	sigBuf     []byte          // reusable dedup-key scratch
@@ -124,7 +127,7 @@ type Formula struct {
 
 // NewFormula creates an empty provenance formula.
 func NewFormula() *Formula {
-	return &Formula{seen: make(map[string]bool)}
+	return &Formula{vars: make(map[engine.TupleID]int), start: []int{0}, seen: make(map[string]bool)}
 }
 
 // Add records the clause deriving head, deduplicating exact repeats. It
@@ -137,30 +140,39 @@ func (f *Formula) Add(head engine.TupleID, c Clause) bool {
 	f.seen[string(f.sigBuf)] = true
 	f.Clauses = append(f.Clauses, c)
 	f.Heads = append(f.Heads, head)
+	for _, id := range c.Pos {
+		f.lits = append(f.lits, f.number(id))
+	}
+	for _, id := range c.Neg {
+		f.lits = append(f.lits, -f.number(id))
+	}
+	f.start = append(f.start, len(f.lits))
 	return true
+}
+
+// number returns id's variable, numbering it if it is new.
+func (f *Formula) number(id engine.TupleID) int {
+	v, ok := f.vars[id]
+	if !ok {
+		f.ids = append(f.ids, id)
+		v = len(f.ids)
+		f.vars[id] = v
+	}
+	return v
 }
 
 // Len returns the number of clauses.
 func (f *Formula) Len() int { return len(f.Clauses) }
 
+// Lits returns clause i over the formula's variables: +v for each Pos
+// tuple, −v for each Neg tuple, in the clause's order. The slice is shared;
+// do not modify it.
+func (f *Formula) Lits(i int) []int { return f.lits[f.start[i]:f.start[i+1]:f.start[i+1]] }
+
+// Var returns the variable numbering id, or 0 when no clause mentions it.
+func (f *Formula) Var(id engine.TupleID) int { return f.vars[id] }
+
 // TupleIDs returns every distinct tuple ID mentioned in the formula
-// (positively or negatively), in first-occurrence order.
-func (f *Formula) TupleIDs() []engine.TupleID {
-	var out []engine.TupleID
-	seen := make(map[engine.TupleID]bool)
-	add := func(id engine.TupleID) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	for _, c := range f.Clauses {
-		for _, id := range c.Pos {
-			add(id)
-		}
-		for _, id := range c.Neg {
-			add(id)
-		}
-	}
-	return out
-}
+// (positively or negatively), in first-occurrence order: variable v is
+// TupleIDs()[v-1]. The slice is shared; do not modify it.
+func (f *Formula) TupleIDs() []engine.TupleID { return f.ids }

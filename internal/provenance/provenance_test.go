@@ -69,6 +69,10 @@ func TestClauseOfDeduplicatesRepeatedTuples(t *testing.T) {
 }
 
 func TestClauseSigOrderInsensitive(t *testing.T) {
+	sigKey := func(head engine.TupleID, c Clause) string {
+		buf, _ := appendSig(nil, nil, head, c)
+		return string(buf)
+	}
 	a := Clause{Pos: []engine.TupleID{1, 2}, Neg: []engine.TupleID{3}}
 	b := Clause{Pos: []engine.TupleID{2, 1}, Neg: []engine.TupleID{3}}
 	if sigKey(9, a) != sigKey(9, b) {
@@ -108,34 +112,40 @@ func TestFormulaDedupAndTupleIDs(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("TupleIDs = %v", ids)
 	}
+	// Clauses over the variables numbering TupleIDs: t1 is 1, ¬t2 is -2.
+	if lits := f.Lits(1); len(lits) != 2 || lits[0] != 1 || lits[1] != -2 {
+		t.Fatalf("Lits(1) = %v, want [1 -2]", lits)
+	}
+	if f.Var(2) != 2 || f.Var(7) != 0 {
+		t.Fatalf("Var(2) = %d, Var(7) = %d; want 2, 0", f.Var(2), f.Var(7))
+	}
 }
 
 func TestGraphLayersAndBenefits(t *testing.T) {
 	// IDs: g=1, a4=2, ag4=3, a5=4, ag5=5.
 	const g, a4, ag4, a5, ag5 = 1, 2, 3, 4, 5
-	gr := NewGraph()
-	// Layer 1: ∆(g) via {g}; layer 2: ∆(a) via {a, ag, ¬g} twice-ish.
-	if !gr.AddDerivation(g, 1, Clause{Pos: []engine.TupleID{g}}) {
-		t.Fatal("first derivation should record")
-	}
-	gr.AddDerivation(a4, 2, Clause{Pos: []engine.TupleID{a4, ag4}, Neg: []engine.TupleID{g}})
-	gr.AddDerivation(a5, 2, Clause{Pos: []engine.TupleID{a5, ag5}, Neg: []engine.TupleID{g}})
+	f := NewFormula()
+	// ∆(g) via {g}; ∆(a) via {a, ag, ¬g} twice-ish.
+	f.Add(g, Clause{Pos: []engine.TupleID{g}})
+	f.Add(a4, Clause{Pos: []engine.TupleID{a4, ag4}, Neg: []engine.TupleID{g}})
+	f.Add(a5, Clause{Pos: []engine.TupleID{a5, ag5}, Neg: []engine.TupleID{g}})
 	// Duplicate clause for a4 dropped.
-	if gr.AddDerivation(a4, 3, Clause{Pos: []engine.TupleID{a4, ag4}, Neg: []engine.TupleID{g}}) {
+	if f.Add(a4, Clause{Pos: []engine.TupleID{ag4, a4}, Neg: []engine.TupleID{g}}) {
 		t.Fatal("duplicate clause should be dropped")
 	}
-	// Layer is fixed by the first derivation.
-	if gr.Layer[a4] != 2 {
-		t.Fatalf("layer = %d, want 2", gr.Layer[a4])
+	gr := f.EndGraph(nil)
+	// Layers are outputs: ∆(g) needs nothing, ∆(a4) and ∆(a5) need ∆(g).
+	if gr.Layer[g] != 1 || gr.Layer[a4] != 2 || gr.Layer[a5] != 2 {
+		t.Fatalf("layers = %v, want g:1 a4:2 a5:2", gr.Layer)
 	}
 	if gr.NumLayers != 2 {
 		t.Fatalf("NumLayers = %d, want 2", gr.NumLayers)
 	}
-	if heads := gr.LayerHeads(2); len(heads) != 2 {
-		t.Fatalf("layer-2 heads = %v", heads)
+	if heads := gr.LayerHeads(2); len(heads) != 2 || heads[0] != a4 || heads[1] != a5 {
+		t.Fatalf("layer-2 heads = %v, want [a4 a5] in clause order", heads)
 	}
-	if gr.NumAssignments() != 3 {
-		t.Fatalf("NumAssignments = %d, want 3", gr.NumAssignments())
+	if n := len(gr.Assignments[g]) + len(gr.Assignments[a4]) + len(gr.Assignments[a5]); n != 3 {
+		t.Fatalf("%d assignments, want 3", n)
 	}
 	b := gr.Benefits()
 	// g: +1 (own assignment) -2 (delta dep of two a assignments) = -1.
@@ -146,32 +156,45 @@ func TestGraphLayersAndBenefits(t *testing.T) {
 	if b[a4] != 1 || b[ag4] != 1 {
 		t.Fatalf("benefits = %v", b)
 	}
-	if s := gr.String(); !strings.Contains(s, "layer 1:") || !strings.Contains(s, "layer 2:") {
-		t.Fatalf("String = %q", s)
-	}
 }
 
 // TestGraphMatchesPaperFigure5 rebuilds the running example's provenance
-// graph and checks the benefits annotated in Figure 5: w1:3, p1:1, a2:-1,
-// g2:-1, a3:-1, p2:2(*), w2:3, c:1, ag2/ag3 not derived (∅ benefit in the
-// figure because they have no delta node; they participate in assignments).
+// graph from its clauses and checks the layers and the benefits annotated in
+// Figure 5: w1:3, p1:1, a2:-1, g2:-1, a3:-1, p2:2(*), w2:3, c:1, ag2/ag3 not
+// derived (∅ benefit in the figure because they have no delta node; they
+// participate in assignments).
 func TestGraphMatchesPaperFigure5(t *testing.T) {
 	// Tuple IDs standing in for the paper's named tuples.
 	const g2, a2, ag2, a3, ag3, p1, w1, p2, w2, c = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
 	ids := func(xs ...engine.TupleID) []engine.TupleID { return xs }
-	g := NewGraph()
-	// Rule (0): ∆(g2) from {g2}.
-	g.AddDerivation(g2, 1, Clause{Pos: ids(g2)})
-	// Rule (1): ∆(a2) from {a2, ag2, ¬g2}; ∆(a3) from {a3, ag3, ¬g2}.
-	g.AddDerivation(a2, 2, Clause{Pos: ids(a2, ag2), Neg: ids(g2)})
-	g.AddDerivation(a3, 2, Clause{Pos: ids(a3, ag3), Neg: ids(g2)})
+	f := NewFormula()
+	// Rule (4): ∆(c) from {c, w1, w2, ¬p1} — added first: layers follow
+	// the negative literals, not the order clauses arrive in.
+	f.Add(c, Clause{Pos: ids(c, w1, w2), Neg: ids(p1)})
 	// Rules (2)/(3): ∆(p1), ∆(w1) from {p1, w1, ¬a2}; ∆(p2), ∆(w2) from {p2, w2, ¬a3}.
-	g.AddDerivation(p1, 3, Clause{Pos: ids(p1, w1), Neg: ids(a2)})
-	g.AddDerivation(w1, 3, Clause{Pos: ids(p1, w1), Neg: ids(a2)})
-	g.AddDerivation(p2, 3, Clause{Pos: ids(p2, w2), Neg: ids(a3)})
-	g.AddDerivation(w2, 3, Clause{Pos: ids(p2, w2), Neg: ids(a3)})
-	// Rule (4): ∆(c) from {c, w1, w2, ¬p1}.
-	g.AddDerivation(c, 4, Clause{Pos: ids(c, w1, w2), Neg: ids(p1)})
+	f.Add(p1, Clause{Pos: ids(p1, w1), Neg: ids(a2)})
+	f.Add(w1, Clause{Pos: ids(p1, w1), Neg: ids(a2)})
+	f.Add(p2, Clause{Pos: ids(p2, w2), Neg: ids(a3)})
+	f.Add(w2, Clause{Pos: ids(p2, w2), Neg: ids(a3)})
+	// Rule (1): ∆(a2) from {a2, ag2, ¬g2}; ∆(a3) from {a3, ag3, ¬g2}.
+	f.Add(a2, Clause{Pos: ids(a2, ag2), Neg: ids(g2)})
+	f.Add(a3, Clause{Pos: ids(a3, ag3), Neg: ids(g2)})
+	// Rule (0): ∆(g2) from {g2}.
+	f.Add(g2, Clause{Pos: ids(g2)})
+	g := f.EndGraph(nil)
+
+	wantLayer := map[engine.TupleID]int{g2: 1, a2: 2, a3: 2, p1: 3, w1: 3, p2: 3, w2: 3, c: 4}
+	if len(g.Layer) != len(wantLayer) {
+		t.Fatalf("heads = %v, want %d", g.Heads, len(wantLayer))
+	}
+	for k, wl := range wantLayer {
+		if g.Layer[k] != wl {
+			t.Errorf("layer[t%d] = %d, want %d", k, g.Layer[k], wl)
+		}
+	}
+	if g.NumLayers != 4 {
+		t.Fatalf("NumLayers = %d, want 4", g.NumLayers)
+	}
 
 	b := g.Benefits()
 	want := map[engine.TupleID]int{
@@ -189,7 +212,35 @@ func TestGraphMatchesPaperFigure5(t *testing.T) {
 			t.Errorf("benefit[t%d] = %d, want %d", k, b[k], wv)
 		}
 	}
-	if g.NumLayers != 4 {
-		t.Fatalf("NumLayers = %d, want 4", g.NumLayers)
+}
+
+// TestEndGraphSeeded: with a pre-deleted tuple, layer 1 is exactly the
+// clauses whose negative literals are all seeded; a clause needing a tuple
+// nothing derives never fires; and a clause deriving the seed itself is
+// recorded, with the seed still counting as layer 0 for its dependents.
+func TestEndGraphSeeded(t *testing.T) {
+	const s, x, y, z, q, w = 1, 2, 3, 4, 5, 6
+	ids := func(xs ...engine.TupleID) []engine.TupleID { return xs }
+	f := NewFormula()
+	f.Add(z, Clause{Pos: ids(z), Neg: ids(s, x)})
+	f.Add(s, Clause{Pos: ids(s), Neg: ids(x)})
+	f.Add(x, Clause{Pos: ids(x), Neg: ids(s)})
+	f.Add(w, Clause{Pos: ids(w), Neg: ids(q)})
+	f.Add(y, Clause{Pos: ids(y, x)})
+	g := f.EndGraph(map[engine.TupleID]bool{s: true})
+
+	if l1 := g.LayerHeads(1); len(l1) != 2 || l1[0] != x || l1[1] != y {
+		t.Fatalf("layer 1 = %v, want [t%d t%d] (negatives all seeded, in clause order)", l1, x, y)
+	}
+	if g.Layer[z] != 2 || g.Layer[s] != 2 || g.NumLayers != 2 {
+		t.Fatalf("layers = %v (NumLayers %d), want z:2 s:2", g.Layer, g.NumLayers)
+	}
+	if _, fired := g.Layer[w]; fired || len(g.Assignments[w]) != 0 {
+		t.Fatalf("clause needing underived t%d fired", q)
+	}
+	for _, h := range []engine.TupleID{x, y, z, s} {
+		if len(g.Assignments[h]) != 1 {
+			t.Fatalf("t%d has %d assignments, want 1", h, len(g.Assignments[h]))
+		}
 	}
 }

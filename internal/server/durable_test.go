@@ -90,7 +90,7 @@ func TestDurableCrashRecoveryAllSemantics(t *testing.T) {
 	}
 	before := make(map[core.Semantics]string)
 	for _, sem := range core.AllSemantics {
-		res, _, err := svc.Repair(ctx, "papers", sem, RequestOptions{})
+		res, _, _, err := svc.RepairVersioned(ctx, "papers", sem, RequestOptions{})
 		if err != nil {
 			t.Fatalf("pre-crash %s: %v", sem, err)
 		}
@@ -109,7 +109,7 @@ func TestDurableCrashRecoveryAllSemantics(t *testing.T) {
 		t.Fatalf("recovered state not byte-identical:\n got:\n%s\nwant:\n%s", gotDump, wantDump)
 	}
 	for _, sem := range core.AllSemantics {
-		res, _, err := svc2.Repair(ctx, "papers", sem, RequestOptions{})
+		res, _, _, err := svc2.RepairVersioned(ctx, "papers", sem, RequestOptions{})
 		if err != nil {
 			t.Fatalf("post-recovery %s: %v", sem, err)
 		}
@@ -433,10 +433,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	svc := New(Config{})
 	register(t, svc, "papers")
 	ctx := context.Background()
-	if _, _, err := svc.Repair(ctx, "papers", core.SemEnd, RequestOptions{}); err != nil {
+	if _, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemEnd, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.Repair(ctx, "papers", core.SemEnd, RequestOptions{}); err != nil {
+	if _, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemEnd, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Update(ctx, "papers", []engine.Row{row("Grant", engine.Int(3), engine.Str("DFG"))}, nil, RequestOptions{}); err != nil {

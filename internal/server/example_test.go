@@ -34,14 +34,14 @@ func ExampleService() {
 
 	// Requests are safe to issue concurrently; each works on a private
 	// copy-on-write fork of the session's frozen snapshot.
-	res, _, err := svc.Repair(context.Background(), "grants", core.SemStage, server.RequestOptions{})
+	res, _, _, err := svc.RepairVersioned(context.Background(), "grants", core.SemStage, server.RequestOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
 	fmt.Printf("%s deleted %d tuples: %v\n", res.Semantics, res.Size(), res.Keys())
 
-	stable, _ := svc.IsStable(context.Background(), "grants", server.RequestOptions{})
+	stable, _, _ := svc.IsStableVersioned(context.Background(), "grants", server.RequestOptions{})
 	fmt.Printf("session database stable: %v\n", stable)
 	// Output:
 	// stage deleted 2 tuples: [Grant(i2,"ERC") Author(i10,i2)]

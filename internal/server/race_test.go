@@ -55,7 +55,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 				sem := core.AllSemantics[(w+i)%len(core.AllSemantics)]
 				switch i % 4 {
 				case 0, 1:
-					res, _, err := svc.Repair(ctx, "hot", sem, RequestOptions{})
+					res, _, _, err := svc.RepairVersioned(ctx, "hot", sem, RequestOptions{})
 					if err != nil {
 						errCh <- fmt.Errorf("worker %d repair %s: %w", w, sem, err)
 						return
@@ -65,7 +65,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 						return
 					}
 				case 2:
-					stable, err := svc.IsStable(ctx, "hot", RequestOptions{})
+					stable, _, err := svc.IsStableVersioned(ctx, "hot", RequestOptions{})
 					if err != nil {
 						errCh <- fmt.Errorf("worker %d is-stable: %w", w, err)
 						return
@@ -128,7 +128,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 				// Warm some of the churn sessions to exercise concurrent
 				// Prepare+Freeze against the hammer traffic.
 				if i%3 == 0 {
-					if _, _, err := svc.Repair(ctx, name, core.SemEnd, RequestOptions{}); err != nil && !errors.Is(err, ErrNotFound) {
+					if _, _, _, err := svc.RepairVersioned(ctx, name, core.SemEnd, RequestOptions{}); err != nil && !errors.Is(err, ErrNotFound) {
 						errCh <- fmt.Errorf("churn repair: %w", err)
 						return
 					}
@@ -162,7 +162,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 	}
 
 	// The hot session must still serve pristine results after the storm.
-	res, _, err := svc.Repair(ctx, "hot", core.SemStage, RequestOptions{})
+	res, _, _, err := svc.RepairVersioned(ctx, "hot", core.SemStage, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestServiceEnumerateRepairs(t *testing.T) {
 		t.Fatalf("running example space: k=%d optimal=%v", sp.K(), sp.Optimal)
 	}
 	// The first repair is the single independent repair.
-	single, _, err := svc.Repair(ctx, "papers", core.SemIndependent, RequestOptions{})
+	single, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -802,18 +802,12 @@ func (s *Service) begin(ctx context.Context, name string, opts RequestOptions) (
 	return sess, reqCtx, done, nil
 }
 
-// Repair computes the stabilizing set for the named session under the
-// chosen semantics on a private fork of the session's snapshot (the head
-// version, or the version pinned in opts). It returns the result and the
-// repaired fork (safe to read; discarding it is free).
-func (s *Service) Repair(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (*core.Result, *engine.Database, error) {
-	res, db, _, err := s.RepairVersioned(ctx, name, sem, opts)
-	return res, db, err
-}
-
-// RepairVersioned is Repair additionally reporting the snapshot version
-// the repair executed against — the head at admission time, or the pinned
-// opts.Version. Results computed at a version warm-start later requests:
+// RepairVersioned computes the stabilizing set for the named session under
+// the chosen semantics on a private fork of the session's snapshot. It
+// returns the result, the repaired fork (safe to read; discarding it is
+// free) and the snapshot version the repair executed against — the head at
+// admission time, or the pinned opts.Version. Results computed at a version
+// warm-start later requests:
 // an update confined to relations outside the program's read-set replays
 // the cached result with no derivation at all, and insert-only updates
 // continue the end-semantics fixpoint from the previous result.
@@ -838,15 +832,9 @@ func (s *Service) RepairVersioned(ctx context.Context, name string, sem core.Sem
 	return res, repaired, version, nil
 }
 
-// RepairAll runs all four semantics for the named session under one
-// admission token and one deadline, returning results keyed by semantics.
-func (s *Service) RepairAll(ctx context.Context, name string, opts RequestOptions) (map[core.Semantics]*core.Result, error) {
-	out, _, err := s.RepairAllVersioned(ctx, name, opts)
-	return out, err
-}
-
-// RepairAllVersioned is RepairAll additionally reporting the snapshot
-// version the repairs executed against.
+// RepairAllVersioned runs all four semantics for the named session under
+// one admission token and one deadline, returning results keyed by
+// semantics and the snapshot version the repairs executed against.
 func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts RequestOptions) (_ map[core.Semantics]*core.Result, _ uint64, err error) {
 	defer s.track("repair_all", time.Now(), &err)
 	sess, reqCtx, done, err := s.begin(ctx, name, opts)
@@ -858,8 +846,8 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 	if err != nil {
 		return nil, 0, err
 	}
-	// One fork, one derivation: the four policies share the end fixpoint and
-	// its provenance graph; each brings its own previous result as hints.
+	// One fork, one derivation: the four policies share the provenance and
+	// the end fixpoint; each brings its own previous result as hints.
 	d, err := core.NewDerivation(snap.Fork(), sess.prep)
 	if err != nil {
 		return nil, 0, err
@@ -878,16 +866,10 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 	return out, version, nil
 }
 
-// IsStable reports whether the session's database is already stable
-// (Def. 3.12) using the cached prepared plans. The request deadline is
-// honored between rule probes.
-func (s *Service) IsStable(ctx context.Context, name string, opts RequestOptions) (bool, error) {
-	stable, _, err := s.IsStableVersioned(ctx, name, opts)
-	return stable, err
-}
-
-// IsStableVersioned is IsStable additionally reporting the snapshot
-// version probed. Stability verdicts warm-start later probes: once a
+// IsStableVersioned reports whether the session's database is already
+// stable (Def. 3.12) using the cached prepared plans, and the snapshot
+// version probed. The request deadline is honored between rule probes.
+// Stability verdicts warm-start later probes: once a
 // version is known stable, probing a later version evaluates only the
 // insert-seeded passes of rules reading updated relations (deletions
 // alone can never destabilize a stable database — rule bodies are

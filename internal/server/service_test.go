@@ -48,7 +48,7 @@ func TestServiceRepairMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s direct: %v", sem, err)
 		}
-		got, repaired, err := svc.Repair(context.Background(), "papers", sem, RequestOptions{})
+		got, repaired, _, err := svc.RepairVersioned(context.Background(), "papers", sem, RequestOptions{})
 		if err != nil {
 			t.Fatalf("%s served: %v", sem, err)
 		}
@@ -65,7 +65,7 @@ func TestServiceRepairMatchesDirect(t *testing.T) {
 func TestServiceRequestsAreIsolated(t *testing.T) {
 	svc := New(Config{})
 	register(t, svc, "papers")
-	first, _, err := svc.Repair(context.Background(), "papers", core.SemStage, RequestOptions{})
+	first, _, _, err := svc.RepairVersioned(context.Background(), "papers", core.SemStage, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestServiceRequestsAreIsolated(t *testing.T) {
 	// Every subsequent request must see the pristine base, not earlier
 	// requests' deletions.
 	for i := 0; i < 10; i++ {
-		res, _, err := svc.Repair(context.Background(), "papers", core.SemStage, RequestOptions{})
+		res, _, _, err := svc.RepairVersioned(context.Background(), "papers", core.SemStage, RequestOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestServiceRequestsAreIsolated(t *testing.T) {
 func TestServiceRepairAllAndStability(t *testing.T) {
 	svc := New(Config{})
 	register(t, svc, "papers")
-	results, err := svc.RepairAll(context.Background(), "papers", RequestOptions{})
+	results, _, err := svc.RepairAllVersioned(context.Background(), "papers", RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestServiceRepairAllAndStability(t *testing.T) {
 	if !cont.StageInEnd || !cont.StepInEnd || !cont.IndLeStep || !cont.IndLeStage {
 		t.Errorf("always-true containments violated: %+v", cont)
 	}
-	stable, err := svc.IsStable(context.Background(), "papers", RequestOptions{})
+	stable, _, err := svc.IsStableVersioned(context.Background(), "papers", RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestServiceDeleteViewTuple(t *testing.T) {
 func TestServiceSessionLifecycle(t *testing.T) {
 	svc := New(Config{MaxSessions: 2})
 	register(t, svc, "a")
-	if _, _, err := svc.Repair(context.Background(), "missing", core.SemEnd, RequestOptions{}); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := svc.RepairVersioned(context.Background(), "missing", core.SemEnd, RequestOptions{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown session: got %v, want ErrNotFound", err)
 	}
 	db, prog := fixture(t)
@@ -146,7 +146,7 @@ func TestServiceSessionLifecycle(t *testing.T) {
 	}
 	register(t, svc, "b")
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if _, _, err := svc.Repair(context.Background(), "a", core.SemEnd, RequestOptions{}); err != nil {
+	if _, _, _, err := svc.RepairVersioned(context.Background(), "a", core.SemEnd, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	register(t, svc, "c")
@@ -156,7 +156,7 @@ func TestServiceSessionLifecycle(t *testing.T) {
 	if svc.Evictions() != 1 {
 		t.Fatalf("evictions %d, want 1", svc.Evictions())
 	}
-	if _, _, err := svc.Repair(context.Background(), "b", core.SemEnd, RequestOptions{}); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := svc.RepairVersioned(context.Background(), "b", core.SemEnd, RequestOptions{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("evicted session: got %v, want ErrNotFound", err)
 	}
 	if !svc.Deregister("c") || svc.Deregister("c") {
@@ -170,13 +170,13 @@ func TestServiceCancellation(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := svc.Repair(canceled, "papers", core.SemStage, RequestOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := svc.RepairVersioned(canceled, "papers", core.SemStage, RequestOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled ctx: got %v, want context.Canceled", err)
 	}
 
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel2()
-	if _, _, err := svc.Repair(expired, "papers", core.SemIndependent, RequestOptions{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, _, err := svc.RepairVersioned(expired, "papers", core.SemIndependent, RequestOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired deadline: got %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestServiceAdmissionBound(t *testing.T) {
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			_, _, err := svc.Repair(context.Background(), "papers", core.SemStage, RequestOptions{})
+			_, _, _, err := svc.RepairVersioned(context.Background(), "papers", core.SemStage, RequestOptions{})
 			errs <- err
 		}()
 	}
@@ -208,7 +208,7 @@ func TestServiceWarmingIsSingleFlight(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, _, err := svc.Repair(context.Background(), "papers", core.SemEnd, RequestOptions{})
+			_, _, _, err := svc.RepairVersioned(context.Background(), "papers", core.SemEnd, RequestOptions{})
 			errs <- err
 		}()
 	}
@@ -247,7 +247,7 @@ func TestServiceRejectsInvalidSessions(t *testing.T) {
 	if err := svc.Register("bad", db.Schema, db, bad); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	if _, _, err := svc.Repair(context.Background(), "bad", core.SemEnd, RequestOptions{}); err == nil {
+	if _, _, _, err := svc.RepairVersioned(context.Background(), "bad", core.SemEnd, RequestOptions{}); err == nil {
 		t.Error("empty program should fail to warm")
 	}
 }

@@ -266,20 +266,20 @@ func TestServiceReplayRespectsSolverBudget(t *testing.T) {
 	// Cold reference under the default (unlimited) budget.
 	coldSvc := New(Config{})
 	register(t, coldSvc, "papers")
-	want, _, err := coldSvc.Repair(ctx, "papers", core.SemIndependent, RequestOptions{})
+	want, _, _, err := coldSvc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Prime the cache with a 1-node budget (truncated, normally
 	// non-optimal).
-	truncated, _, err := svc.Repair(ctx, "papers", core.SemIndependent, RequestOptions{SolverMaxNodes: 1})
+	truncated, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{SolverMaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Now ask with the default budget: must NOT replay the truncated
 	// result.
-	got, _, err := svc.Repair(ctx, "papers", core.SemIndependent, RequestOptions{})
+	got, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestServiceReplayRespectsSolverBudget(t *testing.T) {
 			keysOf(got), got.Optimal, keysOf(want), want.Optimal, keysOf(truncated), truncated.Optimal)
 	}
 	// Same budget twice IS allowed to replay — and must agree with cold.
-	again, _, err := svc.Repair(ctx, "papers", core.SemIndependent, RequestOptions{})
+	again, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{})
 	if err != nil || keysOf(again) != keysOf(want) {
 		t.Fatalf("same-budget replay drifted (err=%v)", err)
 	}

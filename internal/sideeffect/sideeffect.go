@@ -290,12 +290,12 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		}
 		formula.Add(0, c)
 	}
+	witnesses := formula.Len()
 
 	maxClauses := opts.MaxClauses
 	if maxClauses <= 0 {
 		maxClauses = core.DefaultMaxClauses
 	}
-	stability := provenance.NewFormula()
 	var progPrep *datalog.Prepared
 	if p != nil {
 		// Prepare the delta program once: its FromBase plans serve both the
@@ -308,8 +308,8 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		var evalErr error
 		for _, pr := range progPrep.Rules {
 			err := pr.EvalFromBase(db, ctx, func(asn *datalog.Assignment) bool {
-				stability.Add(asn.Head().TID, provenance.ClauseOf(asn))
-				if stability.Len() > maxClauses {
+				formula.Add(asn.Head().TID, provenance.ClauseOf(asn))
+				if formula.Len()-witnesses > maxClauses {
 					evalErr = fmt.Errorf("sideeffect: stability formula exceeded %d clauses", maxClauses)
 					return false
 				}
@@ -330,39 +330,12 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		return nil, nil, err
 	}
 
-	// Variable space: all tuples mentioned anywhere.
-	varOf := make(map[engine.TupleID]int)
-	ids := []engine.TupleID{}
-	intern := func(id engine.TupleID) int {
-		if v, ok := varOf[id]; ok {
-			return v
-		}
-		v := len(ids) + 1
-		varOf[id] = v
-		ids = append(ids, id)
-		return v
-	}
-	var clauses [][]int
-	for _, c := range formula.Clauses {
-		lits := make([]int, 0, len(c.Pos))
-		for _, id := range c.Pos {
-			lits = append(lits, intern(id)) // witness: delete one of these
-		}
-		clauses = append(clauses, lits)
-	}
-	for _, c := range stability.Clauses {
-		lits := make([]int, 0, len(c.Pos)+len(c.Neg))
-		for _, id := range c.Pos {
-			lits = append(lits, intern(id))
-		}
-		for _, id := range c.Neg {
-			lits = append(lits, -intern(id))
-		}
-		clauses = append(clauses, lits)
-	}
+	// Variable space: all tuples mentioned anywhere, numbered by the
+	// formula; a witness clause is all positive (delete one of these).
+	ids := formula.TupleIDs()
 	cnf := sat.NewFormula(len(ids))
-	for _, lits := range clauses {
-		if err := cnf.AddClause(lits...); err != nil {
+	for i := range formula.Clauses {
+		if err := cnf.AddClause(formula.Lits(i)...); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -2,7 +2,8 @@
 // paper evaluates on: the eight TPC-H tables at reduced cardinalities
 // totalling ~376K tuples at scale 1.0 (the paper's fragment size), keeping
 // the standard TPC-H cardinality ratios (lineitem ≈ 4× orders,
-// partsupp = 4× part, etc.). See DESIGN.md §3, substitution 4.
+// partsupp = 4× part, etc.). It substitutes for dbgen's output, which the
+// experiments need only for those ratios and the join keys.
 //
 // Attribute lists are simplified to the key and join columns the paper's
 // programs use (Table 2 writes the remaining attributes as X/Y/Z).

@@ -130,7 +130,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("cached/c%d", clients), func(b *testing.B) {
 			runClients(b, clients, func() error {
-				_, _, err := svc.Repair(ctx, "bench", core.SemStage, server.RequestOptions{})
+				_, _, _, err := svc.RepairVersioned(ctx, "bench", core.SemStage, server.RequestOptions{})
 				return err
 			})
 		})
@@ -187,7 +187,7 @@ func BenchmarkSessionUpdate(b *testing.B) {
 			if _, err := svc.Update(ctx, "inc", seedRow(i), seedRow(i-1), server.RequestOptions{}); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := svc.Repair(ctx, "inc", core.SemStage, server.RequestOptions{}); err != nil {
+			if _, _, _, err := svc.RepairVersioned(ctx, "inc", core.SemStage, server.RequestOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -207,7 +207,7 @@ func BenchmarkSessionUpdate(b *testing.B) {
 			if err := svc.Register("re", db.Schema, db, prog); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := svc.Repair(ctx, "re", core.SemStage, server.RequestOptions{}); err != nil {
+			if _, _, _, err := svc.RepairVersioned(ctx, "re", core.SemStage, server.RequestOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
