@@ -81,6 +81,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request timeout (0 = none)")
 		solverNodes = flag.Int64("solver-max-nodes", 0, "default Min-Ones-SAT node budget (0 = solver default)")
 		maxVersions = flag.Int("max-versions", 0, "retained snapshot versions per session for pinned reads (0 = engine default)")
+		maxBody     = flag.Int64("max-body-bytes", 0, "largest request body accepted, in bytes; longer ones get 413 (0 = 64 MiB)")
 		demo        = flag.Bool("demo", false, "preload the paper's running example as session \"running-example\"")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		dataDir     = flag.String("data-dir", "", "persist sessions (WAL + snapshots) under this directory; empty = in-memory only")
@@ -124,6 +125,7 @@ func main() {
 		DefaultTimeout: *timeout,
 		SolverMaxNodes: *solverNodes,
 		MaxVersions:    *maxVersions,
+		MaxBodyBytes:   *maxBody,
 		DataDir:        *dataDir,
 		NoFsync:        !*fsync,
 		SnapshotEvery:  *snapEvery,

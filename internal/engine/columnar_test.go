@@ -283,17 +283,21 @@ func TestSnapshotFormatsCrossLoad(t *testing.T) {
 
 	// The format-1 stream of the same database: row-oriented contents in
 	// place of the column blocks.
+	rows := func(sc *snapCols, arity int) []snapTuple {
+		b, err := sc.block(arity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]snapTuple, len(b.ids))
+		for i := range out {
+			out[i] = snapTuple{ID: b.ids[i], Seq: b.seqs[i], Vals: b.vals[i*arity : (i+1)*arity]}
+		}
+		return out
+	}
 	rowSnap := snapshot{Format: 1, NextSeq: snap.NextSeq}
 	for _, sr := range snap.Relations {
-		base, err := sr.BaseC.rows(len(sr.Attrs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		delta, err := sr.DeltaC.rows(len(sr.Attrs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr.Base, sr.Delta, sr.BaseC, sr.DeltaC = base, delta, nil, nil
+		sr.Base, sr.Delta = rows(sr.BaseC, len(sr.Attrs)), rows(sr.DeltaC, len(sr.Attrs))
+		sr.BaseC, sr.DeltaC = nil, nil
 		rowSnap.Relations = append(rowSnap.Relations, sr)
 	}
 	var row bytes.Buffer

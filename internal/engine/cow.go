@@ -116,8 +116,8 @@ type frozenBucket struct {
 
 // newSegment seals rows into a segment with the hash indexes on the warm
 // columns built. byID and keys, when the caller already has them for
-// exactly these rows, are donated instead of rebuilt (keys may be nil:
-// the intern map then builds lazily).
+// exactly these rows, are donated instead of rebuilt (either may be nil:
+// byID is then built here, the intern map lazily).
 func newSegment(arity int, order []*Tuple, byID map[TupleID]int32, keys map[string]TupleID, warm []int) *segment {
 	if byID == nil {
 		byID = make(map[TupleID]int32, len(order))
@@ -527,6 +527,13 @@ func (db *Database) pristineSince(s *Snapshot) bool {
 // and every other fork. Safe to call concurrently.
 func (s *Snapshot) Fork() *Database {
 	s.forks.Add(1)
+	return s.mint()
+}
+
+// mint builds a pristine database over the snapshot: Fork without the
+// count, for the database a loader seals the snapshot from — its origin,
+// not a working copy served from it.
+func (s *Snapshot) mint() *Database {
 	db := &Database{
 		Schema: s.schema,
 		base:   make(map[string]*Relation, len(s.base)),

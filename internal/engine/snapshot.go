@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Snapshot persistence: a Database (schema, base relations, delta
@@ -127,9 +128,16 @@ func encodeSnapCols(tuples []*Tuple, arity int) *snapCols {
 	return sc
 }
 
-// rows flattens a columnar side back into row-oriented snapTuples.
-func (sc *snapCols) rows(arity int) ([]snapTuple, error) {
-	out := make([]snapTuple, len(sc.IDs))
+// snapBlock is one decoded relation side in the form sealRows takes:
+// parallel IDs and Seqs, and the rows' values row-major.
+type snapBlock struct {
+	ids  []string
+	seqs []int
+	vals []Value
+}
+
+// block decodes a columnar side into row-major form.
+func (sc *snapCols) block(arity int) (*snapBlock, error) {
 	if len(sc.Seqs) != len(sc.IDs) || len(sc.Cols) != arity {
 		return nil, fmt.Errorf("engine: malformed columnar snapshot block")
 	}
@@ -138,34 +146,53 @@ func (sc *snapCols) rows(arity int) ([]snapTuple, error) {
 			return nil, fmt.Errorf("engine: malformed columnar snapshot vector")
 		}
 	}
-	for i := range out {
-		vals := make([]Value, arity)
-		for c := range vals {
-			sv := &sc.Cols[c]
+	vals := make([]Value, len(sc.IDs)*arity)
+	for c := range sc.Cols {
+		sv := &sc.Cols[c]
+		for i, d := range sv.Data {
 			kind := Kind(sv.Kind)
 			if sv.Kinds != nil {
 				kind = Kind(sv.Kinds[i])
 			}
+			v := &vals[i*arity+c]
 			switch kind {
 			case KindInt:
-				vals[c] = Value{Kind: KindInt, Int: sv.Data[i]}
+				*v = Value{Kind: KindInt, Int: d}
 			case KindFloat:
-				// -0.0 normalization happens in sanitizeSnapTuple, shared
-				// with the row decoding path.
-				vals[c] = Value{Kind: KindFloat, Flt: math.Float64frombits(uint64(sv.Data[i]))}
+				// -0.0 normalization happens in sanitize, shared with the
+				// row decoding path.
+				*v = Value{Kind: KindFloat, Flt: math.Float64frombits(uint64(d))}
 			case KindString:
-				d := sv.Data[i]
 				if d < 0 || d >= int64(len(sc.Strs)) {
 					return nil, fmt.Errorf("engine: columnar snapshot string index out of range")
 				}
-				vals[c] = Value{Kind: KindString, Str: sc.Strs[d]}
+				*v = Value{Kind: KindString, Str: sc.Strs[d]}
 			default:
 				return nil, fmt.Errorf("engine: columnar snapshot has unknown value kind %d", kind)
 			}
 		}
-		out[i] = snapTuple{ID: sc.IDs[i], Seq: sc.Seqs[i], Vals: vals}
 	}
-	return out, nil
+	return &snapBlock{ids: sc.IDs, seqs: sc.Seqs, vals: vals}, nil
+}
+
+// tupleBlock flattens a row-oriented (format 1) side into row-major form.
+// gob decodes arbitrary bytes, so each tuple's arity is checked here.
+func tupleBlock(tuples []snapTuple, sr *snapRelation) (*snapBlock, error) {
+	arity := len(sr.Attrs)
+	b := &snapBlock{
+		ids:  make([]string, len(tuples)),
+		seqs: make([]int, len(tuples)),
+		vals: make([]Value, 0, len(tuples)*arity),
+	}
+	for i, st := range tuples {
+		if len(st.Vals) != arity {
+			return nil, fmt.Errorf("engine: snapshot tuple %q has %d values, relation %s has arity %d",
+				st.ID, len(st.Vals), sr.Name, arity)
+		}
+		b.ids[i], b.seqs[i] = st.ID, st.Seq
+		b.vals = append(b.vals, st.Vals...)
+	}
+	return b, nil
 }
 
 // Save serializes the database (schema, base and delta relations, tuple
@@ -197,104 +224,84 @@ func (db *Database) SaveFile(path string) error {
 	return db.Save(f)
 }
 
-// sanitizeSnapTuple validates one decoded tuple against its relation
-// schema before insertion: gob decodes arbitrary bytes, so arity and
-// value kinds cannot be trusted (Relation.Insert panics on arity
-// mismatches by contract). Float zeros are normalized to +0.0 — gob
-// omits zero-valued struct fields, so -0.0 cannot survive a re-save,
-// and load-time normalization keeps save/load a fixpoint.
-func sanitizeSnapTuple(st *snapTuple, sr *snapRelation) error {
-	if len(st.Vals) != len(sr.Attrs) {
-		return fmt.Errorf("engine: snapshot tuple %q has %d values, relation %s has arity %d",
-			st.ID, len(st.Vals), sr.Name, len(sr.Attrs))
-	}
-	for i := range st.Vals {
-		switch st.Vals[i].Kind {
+// sanitize validates a decoded side's values before they are sealed: gob
+// decodes arbitrary bytes, so value kinds cannot be trusted. Float zeros
+// are normalized to +0.0 — gob omits zero-valued struct fields, so -0.0
+// cannot survive a re-save, and load-time normalization keeps save/load a
+// fixpoint.
+func (b *snapBlock) sanitize(arity int) error {
+	for i := range b.vals {
+		v := &b.vals[i]
+		switch v.Kind {
 		case KindInt, KindString:
 		case KindFloat:
-			if st.Vals[i].Flt == 0 {
-				st.Vals[i].Flt = 0
+			if v.Flt == 0 {
+				v.Flt = 0
 			}
 		default:
-			return fmt.Errorf("engine: snapshot tuple %q has unknown value kind %d", st.ID, st.Vals[i].Kind)
+			return fmt.Errorf("engine: snapshot tuple %q has unknown value kind %d", b.ids[i/arity], v.Kind)
 		}
 	}
 	return nil
 }
 
 // LoadSnapshot reconstructs a database from a Save stream. Tuple
-// identifiers, sequence order, and delta contents round-trip exactly.
+// identifiers, sequence order, and delta contents round-trip exactly. Each
+// relation side is sealed straight into one segment (see LoadRows), with
+// the stored IDs and Seqs, and the indexes that existed at save time built
+// at once — restoring into the same steady state instead of paying a
+// first-query latency spike while indexes rebuild lazily. Content stored
+// twice in one side keeps its first row, as inserting the rows would.
 func LoadSnapshot(r io.Reader) (*Database, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	var in snapshot
+	if err := gob.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("engine: decoding snapshot: %w", err)
 	}
-	if snap.Format != 1 && snap.Format != snapshotFormat {
-		return nil, fmt.Errorf("engine: unsupported snapshot format %d", snap.Format)
+	if in.Format != 1 && in.Format != snapshotFormat {
+		return nil, fmt.Errorf("engine: unsupported snapshot format %d", in.Format)
 	}
 	schema := NewSchema()
-	for _, sr := range snap.Relations {
+	for _, sr := range in.Relations {
 		if _, err := schema.AddRelation(sr.Name, sr.IDPrefix, sr.Attrs...); err != nil {
 			return nil, err
 		}
 	}
-	db := NewDatabase(schema)
-	maxSeq := 0
-	for i := range snap.Relations {
-		sr := &snap.Relations[i]
-		// A columnar (format 2) relation flattens back to rows up front;
-		// the insertion path below is shared by both formats.
-		if sr.BaseC != nil {
-			rows, err := sr.BaseC.rows(len(sr.Attrs))
+	s := newSnapshot(schema)
+	for i := range in.Relations {
+		sr := &in.Relations[i]
+		arity := len(sr.Attrs)
+		for _, side := range []struct {
+			cols *snapCols
+			rows []snapTuple
+			idx  []int
+			into map[string]*frozenRel
+		}{{sr.BaseC, sr.Base, sr.BaseIdx, s.base}, {sr.DeltaC, sr.Delta, sr.DeltaIdx, s.delta}} {
+			var b *snapBlock
+			var err error
+			if side.cols != nil {
+				b, err = side.cols.block(arity)
+			} else {
+				b, err = tupleBlock(side.rows, sr)
+			}
+			if err == nil {
+				err = b.sanitize(arity)
+			}
 			if err != nil {
 				return nil, err
 			}
-			sr.Base = rows
-		}
-		if sr.DeltaC != nil {
-			rows, err := sr.DeltaC.rows(len(sr.Attrs))
-			if err != nil {
-				return nil, err
+			for _, q := range b.seqs {
+				s.seq = max(s.seq, q)
 			}
-			sr.Delta = rows
+			n := dedupRows(b.vals, arity, func(dst, src int) {
+				b.ids[dst], b.seqs[dst] = b.ids[src], b.seqs[src]
+			})
+			warm := slices.DeleteFunc(side.idx, func(col int) bool { return col < 0 || col >= arity })
+			side.into[sr.Name] = sealRows(sr.Name, arity, b.vals[:n*arity], b.ids[:n], b.seqs[:n], warm)
 		}
+		s.nextID[sr.Name] = sr.NextID
 	}
-	for _, sr := range snap.Relations {
-		for _, st := range sr.Base {
-			if err := sanitizeSnapTuple(&st, &sr); err != nil {
-				return nil, err
-			}
-			t := &Tuple{ID: st.ID, Rel: sr.Name, Vals: st.Vals, Seq: st.Seq}
-			db.base[sr.Name].Insert(t)
-			if st.Seq > maxSeq {
-				maxSeq = st.Seq
-			}
-		}
-		for _, st := range sr.Delta {
-			if err := sanitizeSnapTuple(&st, &sr); err != nil {
-				return nil, err
-			}
-			t := &Tuple{ID: st.ID, Rel: sr.Name, Vals: st.Vals, Seq: st.Seq}
-			db.delta[sr.Name].Insert(t)
-			if st.Seq > maxSeq {
-				maxSeq = st.Seq
-			}
-		}
-		db.nextID[sr.Name] = sr.NextID
-		// Pre-warm the indexes that existed at save time: building them now,
-		// while the data is hot, avoids a lazy rebuild on the first query.
-		for _, col := range sr.BaseIdx {
-			db.base[sr.Name].EnsureIndex(col)
-		}
-		for _, col := range sr.DeltaIdx {
-			db.delta[sr.Name].EnsureIndex(col)
-		}
-	}
-	if snap.NextSeq > maxSeq {
-		maxSeq = snap.NextSeq
-	}
-	db.seq = maxSeq
-	return db, nil
+	s.seq = max(s.seq, in.NextSeq)
+	return s.mint(), nil
 }
 
 // LoadSnapshotFile is LoadSnapshot reading from a file path.

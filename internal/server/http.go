@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -37,7 +37,8 @@ import (
 // (read-your-writes) to any retained version; responses echo the version
 // they executed against. Status codes: 400 malformed input / future
 // version, 404 unknown session, 409 duplicate register / schema-mismatch
-// update / evicted version, 499 client canceled, 504 deadline exceeded.
+// update / evicted version, 413 body over Config.MaxBodyBytes, 499 client
+// canceled, 504 deadline exceeded.
 
 // RegisterRequest is the POST /v1/sessions body.
 type RegisterRequest struct {
@@ -48,8 +49,9 @@ type RegisterRequest struct {
 	// Program is the delta program source.
 	Program string `json:"program"`
 	// Tuples lists rows per relation. Values are JSON scalars: integral
-	// numbers become ints, other numbers floats, strings strings.
-	Tuples map[string][][]any `json:"tuples"`
+	// numbers become ints, other numbers floats, strings strings. A row
+	// repeating an earlier row's content is dropped (set semantics).
+	Tuples Tuples `json:"tuples"`
 	// Warm eagerly prepares and freezes the session instead of leaving it
 	// to the first request.
 	Warm bool `json:"warm,omitempty"`
@@ -124,11 +126,20 @@ type RepairAllResponse struct {
 
 // UpdateRequest is the POST /v1/sessions/{name}/update body: base-table
 // rows to delete and insert (deletes apply first, so one batch can
-// replace a row). Values follow the RegisterRequest conventions.
+// replace a row). Values follow the RegisterRequest conventions. It is
+// the body's shape for Go clients that encode one; the handler decodes
+// the same fields as updateBody, whose rows are Tuples.
 type UpdateRequest struct {
 	Inserts   map[string][][]any `json:"inserts,omitempty"`
 	Deletes   map[string][][]any `json:"deletes,omitempty"`
 	TimeoutMS int64              `json:"timeout_ms,omitempty"`
+}
+
+// updateBody is an UpdateRequest as handleUpdate decodes it.
+type updateBody struct {
+	Inserts   Tuples `json:"inserts"`
+	Deletes   Tuples `json:"deletes"`
+	TimeoutMS int64  `json:"timeout_ms"`
 }
 
 // ViewDeleteRequest is the delete-view-tuple body.
@@ -153,7 +164,8 @@ type ViewDeleteResponse struct {
 	ElapsedUS      int64    `json:"elapsed_us"`
 }
 
-// Handler returns the JSON API over this service.
+// Handler returns the JSON API over this service. Every POST body is read
+// through http.MaxBytesReader with Config.MaxBodyBytes as the limit.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -168,7 +180,12 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{name}/query", s.handleQuery)
 	mux.HandleFunc("POST /v1/sessions/{name}/is-stable", s.handleIsStable)
 	mux.HandleFunc("POST /v1/sessions/{name}/delete-view-tuple", s.handleDeleteViewTuple)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -196,16 +213,33 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// writeBadRequest reports a request the client must change: 413 for a
+// body over the size limit, 400 for anything else.
 func writeBadRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // decodeBody decodes a JSON body with numbers kept exact; an empty body
-// decodes to the zero value so POSTs without options work.
+// decodes to the zero value so POSTs without options work. Anything but
+// whitespace after the value is an error.
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.UseNumber()
-	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
+	if err := dec.Decode(v); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		return fmt.Errorf("decoding request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
 		return fmt.Errorf("decoding request body: %w", err)
 	}
 	return nil
@@ -217,14 +251,7 @@ func jsonValue(raw any) (engine.Value, error) {
 	case string:
 		return engine.Str(x), nil
 	case json.Number:
-		if i, err := x.Int64(); err == nil {
-			return engine.Int64(i), nil
-		}
-		f, err := x.Float64()
-		if err != nil {
-			return engine.Value{}, fmt.Errorf("bad number %q", x.String())
-		}
-		return engine.Float(f), nil
+		return numberValue(string(x))
 	case float64: // decoder without UseNumber
 		if x == float64(int64(x)) {
 			return engine.Int64(int64(x)), nil
@@ -233,6 +260,19 @@ func jsonValue(raw any) (engine.Value, error) {
 	default:
 		return engine.Value{}, fmt.Errorf("unsupported value %v (%T): want string or number", raw, raw)
 	}
+}
+
+// numberValue converts one JSON number: an int when it parses as one, else
+// a float.
+func numberValue(tok string) (engine.Value, error) {
+	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
+		return engine.Int64(i), nil
+	}
+	f, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		return engine.Value{}, fmt.Errorf("bad number %q", tok)
+	}
+	return engine.Float(f), nil
 }
 
 func jsonValues(raw []any) ([]engine.Value, error) {
@@ -290,7 +330,10 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// buildSession parses and loads a RegisterRequest into engine objects.
+// buildSession parses a RegisterRequest and seals its rows into a
+// database: one base segment per relation, loaded in schema declaration
+// order (not name order) so tuple identities — and therefore result
+// ordering — are deterministic for a given registration body.
 func buildSession(req *RegisterRequest) (*engine.Schema, *engine.Database, *datalog.Program, error) {
 	if req.Name == "" {
 		return nil, nil, nil, fmt.Errorf("missing session name")
@@ -299,27 +342,27 @@ func buildSession(req *RegisterRequest) (*engine.Schema, *engine.Database, *data
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	for rel := range req.Tuples {
+	for rel := range req.Tuples.rels {
 		if schema.Relation(rel) == nil {
 			return nil, nil, nil, fmt.Errorf("tuples reference unknown relation %q", rel)
 		}
 	}
-	db := engine.NewDatabase(schema)
-	// Load relations in schema declaration order (not map order) so tuple
-	// identities — and therefore result ordering — are deterministic for a
-	// given registration body.
-	for _, rs := range schema.Relations {
-		for ri, row := range req.Tuples[rs.Name] {
-			vals, err := jsonValues(row)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("relation %s row %d: %w", rs.Name, ri, err)
-			}
-			if _, err := db.Insert(rs.Name, vals...); err != nil {
-				return nil, nil, nil, fmt.Errorf("relation %s row %d: %w", rs.Name, ri, err)
-			}
+	blocks := make([][]engine.Value, len(schema.Relations))
+	for i, rs := range schema.Relations {
+		b := req.Tuples.rels[rs.Name]
+		if b == nil {
+			continue
 		}
+		if ri, w := b.badRow(rs.Arity()); ri >= 0 {
+			return nil, nil, nil, fmt.Errorf("relation %s row %d: %s expects %d values, got %d", rs.Name, ri, rs.Name, rs.Arity(), w)
+		}
+		blocks[i] = b.vals
 	}
 	prog, err := datalog.ParseAndValidate(req.Program, schema)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	db, err := engine.LoadRows(schema, blocks)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -352,51 +395,15 @@ func semFromString(s string) (core.Semantics, error) {
 	}
 }
 
-// updateRows converts an UpdateRequest tuple map into engine rows, sorted
-// by relation name, then row order, so batch application order — and
-// therefore tuple identity assignment — is deterministic for a given
-// request body. WAL replay depends on this order.
-func (s *Service) updateRows(tuples map[string][][]any) ([]engine.Row, error) {
-	if len(tuples) == 0 {
-		return nil, nil
-	}
-	rels := make([]string, 0, len(tuples))
-	for rel := range tuples {
-		rels = append(rels, rel)
-	}
-	sort.Strings(rels)
-	var out []engine.Row
-	for _, rel := range rels {
-		for ri, row := range tuples[rel] {
-			vals, err := jsonValues(row)
-			if err != nil {
-				return nil, fmt.Errorf("relation %s row %d: %w", rel, ri, err)
-			}
-			out = append(out, engine.Row{Rel: rel, Vals: vals})
-		}
-	}
-	return out, nil
-}
-
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req UpdateRequest
+	var req updateBody
 	if err := decodeBody(r, &req); err != nil {
 		writeBadRequest(w, err)
 		return
 	}
-	inserts, err := s.updateRows(req.Inserts)
-	if err != nil {
-		writeBadRequest(w, err)
-		return
-	}
-	deletes, err := s.updateRows(req.Deletes)
-	if err != nil {
-		writeBadRequest(w, err)
-		return
-	}
 	opts := (&RepairRequest{TimeoutMS: req.TimeoutMS}).options()
-	res, err := s.Update(r.Context(), name, inserts, deletes, opts)
+	res, err := s.Update(r.Context(), name, req.Inserts.rows(), req.Deletes.rows(), opts)
 	if err != nil {
 		writeErr(w, err)
 		return

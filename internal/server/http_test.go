@@ -175,6 +175,15 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"bad program", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "R(x) :- R(x)."}`, http.StatusBadRequest, ""},
 		{"bad tuple value", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [[true]]}}`, http.StatusBadRequest, ""},
 		{"bad arity", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [[1, 2]]}}`, http.StatusBadRequest, ""},
+		{"row not an array", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [1]}}`, http.StatusBadRequest, ""},
+		{"object cell", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [[{"a": 1}]]}}`, http.StatusBadRequest, ""},
+		{"tuples not an object", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": [[1]]}`, http.StatusBadRequest, ""},
+		{"number out of range", "/v1/sessions", `{"name": "x", "schema": "R(a)", "program": "Delta_R(x) :- R(x).", "tuples": {"R": [[1e400]]}}`, http.StatusBadRequest, ""},
+		{"trailing garbage", "/v1/sessions/papers/repair", `{"semantics": "stage"} x`, http.StatusBadRequest, ""},
+		{"second value", "/v1/sessions/papers/repair", `{"semantics": "stage"}{}`, http.StatusBadRequest, ""},
+		{"trailing data after register", "/v1/sessions", `{"name": "y", "schema": "R(a)", "program": "Delta_R(x) :- R(x)."}]`, http.StatusBadRequest, ""},
+		{"trailing whitespace", "/v1/sessions/papers/repair", "{\"semantics\": \"stage\"} \n\t\r ", http.StatusOK, `{"semantics": "stage"}`},
+		{"empty body", "/v1/sessions/papers/is-stable", ``, http.StatusOK, ""},
 		{"unknown semantics", "/v1/sessions/none/repair", `{"semantics": "quantum"}`, http.StatusBadRequest, ""},
 		{"missing semantics", "/v1/sessions/none/repair", `{}`, http.StatusBadRequest, ""},
 		{"unknown session", "/v1/sessions/none/repair", `{"semantics": "end"}`, http.StatusNotFound, ""},
@@ -208,6 +217,36 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Fatalf("delete unknown: %v (%v)", resp.StatusCode, err)
 	}
 	resp.Body.Close()
+}
+
+// TestHTTPBodyLimit: a POST body longer than Config.MaxBodyBytes is
+// refused with 413 and the usual error body, on register and on update;
+// a body of exactly the limit is served. The limit defaults to
+// DefaultMaxBodyBytes.
+func TestHTTPBodyLimit(t *testing.T) {
+	if got := New(Config{}).cfg.MaxBodyBytes; got != DefaultMaxBodyBytes {
+		t.Fatalf("default body limit %d, want %d", got, DefaultMaxBodyBytes)
+	}
+	limit := int64(len(registerBody))
+	svc := New(Config{MaxBodyBytes: limit})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	over := strings.Replace(registerBody, `"warm": true`, `"warm": true `, 1)
+	if status, body := postJSON(t, client, ts.URL+"/v1/sessions", over); status != http.StatusRequestEntityTooLarge || body["error"] == nil {
+		t.Fatalf("register one byte over the limit: status %d, body %v; want 413 with an error", status, body)
+	}
+	if status, body := postJSON(t, client, ts.URL+"/v1/sessions", registerBody); status != http.StatusCreated {
+		t.Fatalf("register at the limit: status %d, body %v", status, body)
+	}
+	big := `{"inserts": {"Pub": [[60, "` + strings.Repeat("x", int(limit)) + `"]]}}`
+	if status, body := postJSON(t, client, ts.URL+"/v1/sessions/papers/update", big); status != http.StatusRequestEntityTooLarge || body["error"] == nil {
+		t.Fatalf("update over the limit: status %d, body %v; want 413 with an error", status, body)
+	}
+	if status, body := postJSON(t, client, ts.URL+"/v1/sessions/papers/update", `{"inserts": {"Pub": [[60, "x"]]}}`); status != http.StatusOK {
+		t.Fatalf("update under the limit: status %d, body %v", status, body)
+	}
 }
 
 func TestHTTPMalformedViewIs400(t *testing.T) {

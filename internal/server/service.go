@@ -65,6 +65,9 @@ const (
 	// DefaultMaxSessions is the session-cache capacity when
 	// Config.MaxSessions is 0.
 	DefaultMaxSessions = 64
+	// DefaultMaxBodyBytes is the request-body limit when
+	// Config.MaxBodyBytes is 0.
+	DefaultMaxBodyBytes = 64 << 20
 )
 
 // Config tunes a Service.
@@ -88,6 +91,9 @@ type Config struct {
 	// In-flight requests on older versions always complete — eviction only
 	// limits *new* pinned reads.
 	MaxVersions int
+	// MaxBodyBytes bounds every POST body the HTTP API reads; a longer
+	// body is refused with 413. 0 means DefaultMaxBodyBytes.
+	MaxBodyBytes int64
 
 	// DataDir enables durability: every registered session is persisted
 	// (snapshot + write-ahead log of update batches) under this directory,
@@ -154,6 +160,9 @@ func Open(cfg Config) (*Service, error) {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
+	}
+	if cfg.MaxBodyBytes <= 0 {
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	s := &Service{
 		cfg:     cfg,
