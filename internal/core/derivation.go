@@ -104,16 +104,11 @@ func (d *Derivation) Run(sem Semantics, opts Options) (*Result, *engine.Database
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, nil, err
 	}
-	if res, work, ok := d.warmShortcut(sem, opts.Warm); ok {
-		return res, work, nil
-	}
-	if sem != SemEnd {
-		// End continues its previous fixpoint instead (endFixpoint); the
-		// others replay their previous result when the batch provably
-		// interacts with no rule.
-		if res, work, ok, err := d.changeProbe(opts.Ctx, sem, opts.Warm); ok || err != nil {
-			return res, work, err
-		}
+	// Every semantics replays its previous result when the batch provably
+	// interacts with no rule; otherwise end continues its previous fixpoint
+	// (endFixpoint) and the others derive.
+	if res, work, ok, err := d.changeProbe(opts.Ctx, sem, opts.Warm); ok || err != nil {
+		return res, work, err
 	}
 	switch sem {
 	case SemEnd:

@@ -71,10 +71,9 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 	old, frontier := scr.Old, scr.Frontier
 	derivedSet, newSet := scr.Derived, scr.Fresh
 	newHeads := scr.Heads[:0]
-	eligible := scr.Eligible[:0]
 	defer func() {
-		// Hand grown buffers back so the pool keeps their capacity.
-		scr.Heads, scr.Eligible = newHeads, eligible
+		// Hand the grown buffer back so the pool keeps its capacity.
+		scr.Heads = newHeads
 		prep.ReleaseScratch(scr)
 	}()
 	for _, rs := range schema.Relations {
@@ -140,44 +139,34 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 			return true
 		}
 
-		// Warm-continuation round 1 probes only the insert-seeded passes:
-		// the pre-existing deltas are a fully processed fixpoint, so every
-		// new assignment must bind an inserted tuple.
+		// Warm-continuation round 1 probes only the insert-seeded passes over
+		// the operational sources: the pre-existing deltas are a fully
+		// processed fixpoint, so every new assignment must bind an inserted
+		// tuple at a base atom.
 		warmRound := cfg.warmSeeds != nil && round == 1
-		seeded := func(rel string) bool { return cfg.warmSeeds[rel] != nil }
 
-		eligible = eligible[:0]
+		emitted := 0
+		emit := func(asn *datalog.Assignment) bool {
+			if !process(asn) {
+				return false
+			}
+			emitted++
+			return emitted%evalCheckEvery != 0 || ctxErr(cfg.ctx) == nil
+		}
 		for ri, pr := range prep.Rules {
-			if warmRound {
-				if !pr.ReadsAny(seeded) {
-					continue // no seeded relation in the body: nothing new
-				}
-			} else if pr.NumDeltaBody() == 0 && round > 1 && !cfg.naive {
+			if pr.NumDeltaBody() == 0 && round > 1 && !cfg.naive {
 				continue // condition rules fire only against D⁰/stage 1
 			}
-			eligible = append(eligible, ri)
-		}
-
-		evalOne := func(ri int, ec *datalog.ExecContext, emit func(*datalog.Assignment) bool) error {
-			if warmRound {
-				return prep.Rules[ri].EvalInsertSeeded(work, cfg.warmSeeds, ec, emit)
-			}
-			return evalRuleRound(work, prep, ri, cfg.naive, old, frontier, ec, emit)
-		}
-
-		for _, ri := range eligible {
 			if err := ctxErr(cfg.ctx); err != nil {
 				return nil, rounds, err
 			}
-			emitted := 0
-			err := evalOne(ri, ctx,
-				func(asn *datalog.Assignment) bool {
-					if !process(asn) {
-						return false
-					}
-					emitted++
-					return emitted%evalCheckEvery != 0 || ctxErr(cfg.ctx) == nil
-				})
+			emitted = 0
+			var err error
+			if warmRound {
+				err = pr.EvalChangeSeeded(cfg.warmSeeds, true, operationalSrc(work, pr.Rule), ctx, emit)
+			} else {
+				err = evalRuleRound(work, prep, ri, cfg.naive, old, frontier, ctx, emit)
+			}
 			if err != nil {
 				return nil, rounds, err
 			}

@@ -28,14 +28,14 @@ type Options struct {
 	Ctx context.Context
 	// Warm, when non-nil, carries incremental-update hints from a
 	// versioned serving layer (see WarmStart): a previous version's result
-	// plus the base changes since. Updates outside the prepared read-set
-	// replay the previous result without deriving anything; end semantics
+	// plus the base changes since. Every semantics replays the previous
+	// result without deriving anything whenever a seeded change probe
+	// proves the changes interact with no rule; otherwise end semantics
 	// continues the previous fixpoint incrementally — directly after
 	// insert-only updates, via DRed-style over-delete/re-derive after
-	// updates containing deletions; the other semantics replay the
-	// previous result whenever a seeded change probe proves the batch
-	// interacts with no rule. Hints never change results — inapplicable
-	// ones simply fall back to a full run.
+	// updates containing deletions — and the others run in full. Hints
+	// never change results — inapplicable ones simply fall back to a full
+	// run.
 	Warm *WarmStart
 }
 

@@ -49,82 +49,71 @@ func sortedKeys(res *Result) string {
 	return fmt.Sprintf("%v", keys)
 }
 
-// TestWarmShortcutOutsideReadSet: updates confined to relations no rule
-// reads replay the previous result exactly, without deriving anything.
-func TestWarmShortcutOutsideReadSet(t *testing.T) {
+// TestWarmProbeReplay: for every semantics, a batch whose changed tuples
+// bind no rule assignment replays the previous result — whether it touches
+// only a relation no rule reads, or read relations with rows that join
+// nothing — and a binding batch recomputes. Every answer equals a cold run.
+func TestWarmProbeReplay(t *testing.T) {
 	_, db, prog, prep := warmFixture(t)
 	snap := db.Freeze()
-
-	for _, sem := range AllSemantics {
-		prev, _, err := RunWith(snap.Fork(), prog, sem, Options{Prepared: prep})
+	row := func(rel string, vals ...int) engine.Row {
+		r := engine.Row{Rel: rel}
+		for _, v := range vals {
+			r.Vals = append(r.Vals, engine.Int(v))
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name             string
+		inserts, deletes []engine.Row
+		replay           bool
+	}{
+		{"relation no rule reads", []engine.Row{row("Audit", 9, 9)}, []engine.Row{row("Audit", 1, 1)}, true},
+		// C(7) has no B partner and B(20, 9) neither an A nor a C one.
+		{"read relations, no binding", []engine.Row{row("C", 7), row("B", 20, 9)}, nil, true},
+		// A(9) violates the condition rule: every repair must grow.
+		{"binding insert", []engine.Row{row("A", 9)}, nil, false},
+	} {
+		next, info, err := snap.Apply(tc.inserts, tc.deletes)
 		if err != nil {
-			t.Fatalf("%s: %v", sem, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if prev.Size() == 0 {
-			t.Fatalf("%s: fixture should require deletions", sem)
+		for _, sem := range AllSemantics {
+			prev, _, err := RunWith(snap.Fork(), prog, sem, Options{Prepared: prep})
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, sem, err)
+			}
+			if prev.Size() == 0 {
+				t.Fatalf("%s: fixture should require deletions", sem)
+			}
+			warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
+			got, repaired, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep, Warm: warm})
+			if err != nil {
+				t.Fatalf("%s %s warm: %v", tc.name, sem, err)
+			}
+			cold, _, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep})
+			if err != nil {
+				t.Fatalf("%s %s cold: %v", tc.name, sem, err)
+			}
+			if exactKeys(got) != exactKeys(cold) {
+				t.Fatalf("%s %s: warm %s != cold %s", tc.name, sem, exactKeys(got), exactKeys(cold))
+			}
+			if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
+				t.Errorf("%s %s: warm repaired fork not stable (err=%v)", tc.name, sem, err)
+			}
+			if !tc.replay {
+				if got.Size() <= prev.Size() {
+					t.Errorf("%s %s: a binding insert should grow the repair (%d vs %d)", tc.name, sem, got.Size(), prev.Size())
+				}
+				continue
+			}
+			// A replay derives nothing: the previous answer and its
+			// diagnostics carry over and no executor time is charged.
+			if exactKeys(got) != exactKeys(prev) || got.Rounds != prev.Rounds || got.Optimal != prev.Optimal || got.Timing.Eval != 0 {
+				t.Errorf("%s %s: not replayed (keys %s vs %s, rounds %d vs %d, optimal %v vs %v, eval %v)", tc.name, sem,
+					exactKeys(got), exactKeys(prev), got.Rounds, prev.Rounds, got.Optimal, prev.Optimal, got.Timing.Eval)
+			}
 		}
-
-		// Update only the Audit relation (outside the read-set).
-		next, info, err := snap.Apply(
-			[]engine.Row{{Rel: "Audit", Vals: []engine.Value{engine.Int(9), engine.Int(9)}}},
-			[]engine.Row{{Rel: "Audit", Vals: []engine.Value{engine.Int(1), engine.Int(1)}}},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm := &WarmStart{PrevResult: prev, ChangedRels: info.Changed, Inserted: info.InsertedTuples, InsertOnly: info.InsertOnly()}
-		got, repaired, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep, Warm: warm})
-		if err != nil {
-			t.Fatalf("%s warm: %v", sem, err)
-		}
-		scratch, _, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep})
-		if err != nil {
-			t.Fatalf("%s scratch: %v", sem, err)
-		}
-		if sortedKeys(got) != sortedKeys(scratch) {
-			t.Fatalf("%s: warm %s != scratch %s", sem, sortedKeys(got), sortedKeys(scratch))
-		}
-		// The shortcut must not have derived: Rounds carries over and the
-		// repaired fork is stable.
-		if got.Rounds != prev.Rounds || got.Optimal != prev.Optimal {
-			t.Errorf("%s: diagnostics not carried over (%d/%v vs %d/%v)", sem, got.Rounds, got.Optimal, prev.Rounds, prev.Optimal)
-		}
-		stable, err := CheckStableP(repaired, prep)
-		if err != nil || !stable {
-			t.Errorf("%s: warm repaired fork not stable (err=%v)", sem, err)
-		}
-	}
-}
-
-// TestWarmShortcutRefusedInsideReadSet: an update touching a read-set
-// relation must not replay the previous result — the semantics recompute
-// and pick up the new tuples.
-func TestWarmShortcutRefusedInsideReadSet(t *testing.T) {
-	_, db, prog, prep := warmFixture(t)
-	snap := db.Freeze()
-	prev, _, err := RunWith(snap.Fork(), prog, SemStage, Options{Prepared: prep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Insert a new violating A tuple: the stage repair must grow.
-	next, info, err := snap.Apply([]engine.Row{{Rel: "A", Vals: []engine.Value{engine.Int(9)}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := &WarmStart{PrevResult: prev, ChangedRels: info.Changed, Inserted: info.InsertedTuples, InsertOnly: true}
-	got, _, err := RunWith(next.Fork(), prog, SemStage, Options{Prepared: prep, Warm: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch, _, err := RunWith(next.Fork(), prog, SemStage, Options{Prepared: prep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sortedKeys(got) != sortedKeys(scratch) {
-		t.Fatalf("warm %s != scratch %s", sortedKeys(got), sortedKeys(scratch))
-	}
-	if got.Size() <= prev.Size() {
-		t.Fatalf("insert inside read-set should grow the repair (%d vs %d)", got.Size(), prev.Size())
 	}
 }
 
@@ -150,7 +139,7 @@ func TestWarmEndContinuation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm := &WarmStart{PrevResult: prev, ChangedRels: info.Changed, Inserted: info.InsertedTuples, InsertOnly: info.InsertOnly()}
+		warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
 		got, repaired, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm})
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +176,7 @@ func TestWarmEndRefusedAfterDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := &WarmStart{PrevResult: prev, ChangedRels: info.Changed, Inserted: info.InsertedTuples, InsertOnly: info.InsertOnly()}
+	warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
 	got, _, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +194,7 @@ func TestWarmEndRefusedAfterDeletes(t *testing.T) {
 }
 
 // TestCheckStableWarm: incremental stability probing matches full probes
-// across update shapes — outside the read-set, deletion-only, and
+// across update shapes — a relation no rule reads, deletion-only, and
 // insert-driven instability.
 func TestCheckStableWarm(t *testing.T) {
 	schema, err := engine.ParseSchema("A(x)\nB(x)\nAudit(x)")
@@ -230,7 +219,7 @@ func TestCheckStableWarm(t *testing.T) {
 
 	check := func(name string, snap *engine.Snapshot, info *engine.ApplyInfo) {
 		t.Helper()
-		warm := &WarmStart{PrevStable: true, ChangedRels: info.Changed, Inserted: info.InsertedTuples}
+		warm := &WarmStart{PrevStable: true, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
 		got, err := CheckStableWarmCtx(nil, snap.Fork(), prep, warm)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -244,12 +233,12 @@ func TestCheckStableWarm(t *testing.T) {
 		}
 	}
 
-	// Outside the read-set: no evaluation needed, still stable.
+	// A relation no rule reads: its insert seeds no atom, still stable.
 	s1, info, err := snap.Apply([]engine.Row{{Rel: "Audit", Vals: []engine.Value{engine.Int(1)}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("outside read-set", s1, info)
+	check("unread relation", s1, info)
 
 	// Deletion-only: stable stays stable.
 	s2, info, err := snap.Apply(nil, []engine.Row{{Rel: "B", Vals: []engine.Value{engine.Int(2)}}})
@@ -271,7 +260,7 @@ func TestCheckStableWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("violating insert", s4, info)
-	warm := &WarmStart{PrevStable: true, ChangedRels: info.Changed, Inserted: info.InsertedTuples}
+	warm := &WarmStart{PrevStable: true, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
 	if stable, _ := CheckStableWarmCtx(nil, s4.Fork(), prep, warm); stable {
 		t.Fatal("violating insert reported stable")
 	}

@@ -24,7 +24,7 @@ func previousEndFixpoint(ctx context.Context, db *engine.Database, prep *datalog
 	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != SemEnd {
 		return nil, false, nil
 	}
-	if !w.InsertOnly {
+	if len(w.Deleted) > 0 {
 		return maintainEndFixpoint(ctx, db, prep, w)
 	}
 	for _, t := range w.PrevResult.Deleted {
@@ -61,11 +61,14 @@ func previousEndFixpoint(ctx context.Context, db *engine.Database, prep *datalog
 //     alternative derivation that bound nothing deleted or dead — pure
 //     counting is unsound here precisely because recursive programs can
 //     hold cyclic support alive. Recover exactly the well-founded
-//     survivors by a least-fixpoint closure from below: seed each
-//     candidate's self atom and ask whether a derivation exists over the
-//     live base and the surviving fixpoint; every revival joins the
-//     delta view and is propagated through the seminaive pass plans
-//     until no candidate revives. Starting from the surviving fixpoint
+//     survivors by a least-fixpoint closure from below: seed the
+//     candidates at every base atom over their relations and ask whether
+//     a derivation with a candidate head exists over the live base and
+//     the surviving fixpoint (a seed at a non-self atom binds a live base
+//     row, so every emitted assignment is a genuine derivation, and
+//     non-candidate heads are ignored); every revival joins the delta
+//     view and is propagated through the seminaive pass plans until no
+//     candidate revives. Starting from the surviving fixpoint
 //     and only ever adding derivable tuples keeps cyclic, mutually
 //     supporting dead tuples dead — their revival would have to assume
 //     itself.
@@ -232,10 +235,13 @@ func maintainEndFixpoint(ctx context.Context, db *engine.Database, prep *datalog
 	if len(candSet) > 0 {
 		candSeeds := groupByRelation(schema, candLists)
 		for _, pr := range prep.Rules {
+			if candSeeds[pr.Rule.Head.Rel] == nil {
+				continue // no candidate among this rule's heads
+			}
 			if err := ctxErr(ctx); err != nil {
 				return nil, false, err
 			}
-			if err := pr.EvalSelfSeeded(candSeeds[pr.Rule.Head.Rel], liveSrc(pr.Rule), ec, revive); err != nil {
+			if err := pr.EvalChangeSeeded(candSeeds, true, liveSrc(pr.Rule), ec, revive); err != nil {
 				return nil, false, err
 			}
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/datalog"
@@ -14,11 +16,9 @@ import (
 // a serving layer would pass for the next request at the new version.
 func warmInfo(prev *Result, info *engine.ApplyInfo) *WarmStart {
 	return &WarmStart{
-		PrevResult:  prev,
-		ChangedRels: info.Changed,
-		Inserted:    info.InsertedTuples,
-		Deleted:     info.DeletedTuples,
-		InsertOnly:  info.InsertOnly(),
+		PrevResult: prev,
+		Inserted:   info.InsertedTuples,
+		Deleted:    info.DeletedTuples,
 	}
 }
 
@@ -97,28 +97,7 @@ func TestWarmEndDeleteContinuation(t *testing.T) {
 // rather than lost — the classic case derivation counting gets right and
 // naive over-deletion gets wrong.
 func TestWarmEndDeleteAlternativeSupport(t *testing.T) {
-	schema, err := engine.ParseSchema("A(x)\nB(x, y)\nC(x)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := datalog.ParseAndValidate(`
-		Delta_A(x) :- A(x), x > 5.
-		Delta_C(y) :- C(y), B(x, y), Delta_A(x).
-	`, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := datalog.Prepare(prog, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := engine.NewDatabase(schema)
-	db.MustInsert("A", engine.Int(6))
-	db.MustInsert("A", engine.Int(7))
-	db.MustInsert("B", engine.Int(6), engine.Int(0))
-	db.MustInsert("B", engine.Int(7), engine.Int(0))
-	db.MustInsert("C", engine.Int(0))
-	snap := db.Freeze()
+	snap, prog, prep := altSupportFixture(t)
 	prev, _, err := RunWith(snap.Fork(), prog, SemEnd, Options{Prepared: prep})
 	if err != nil {
 		t.Fatal(err)
@@ -158,32 +137,7 @@ func TestWarmEndDeleteAlternativeSupport(t *testing.T) {
 // revive each other (the unsoundness that rules out pure counting for
 // recursive programs).
 func TestWarmEndDeleteCyclicSupport(t *testing.T) {
-	schema, err := engine.ParseSchema("N(x)\nE(x, y)\nBad(x)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := datalog.ParseAndValidate(`
-		Delta_N(x) :- N(x), Bad(x).
-		Delta_N(x) :- N(x), E(x, y), Delta_N(y).
-	`, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := datalog.Prepare(prog, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := engine.NewDatabase(schema)
-	for i := 1; i <= 3; i++ {
-		db.MustInsert("N", engine.Int(i))
-	}
-	// 1 and 2 form a support cycle; 3 is the externally bad root that
-	// feeds the cycle through E(1, 3).
-	db.MustInsert("E", engine.Int(1), engine.Int(2))
-	db.MustInsert("E", engine.Int(2), engine.Int(1))
-	db.MustInsert("E", engine.Int(1), engine.Int(3))
-	db.MustInsert("Bad", engine.Int(3))
-	snap := db.Freeze()
+	snap, prog, prep := cyclicSupportFixture(t)
 	prev, _, err := RunWith(snap.Fork(), prog, SemEnd, Options{Prepared: prep})
 	if err != nil {
 		t.Fatal(err)
@@ -224,6 +178,194 @@ func TestWarmEndDeleteCyclicSupport(t *testing.T) {
 		}
 		if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
 			t.Fatalf("%s: warm-repaired fork not stable (err=%v)", tc.name, err)
+		}
+	}
+}
+
+// preparedFixture parses a schema and a program, prepares it, and freezes
+// an instance filled by fill.
+func preparedFixture(t *testing.T, schemaSrc, progSrc string, fill func(*engine.Database)) (*engine.Snapshot, *datalog.Program, *datalog.Prepared) {
+	t.Helper()
+	schema, err := engine.ParseSchema(schemaSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := datalog.ParseAndValidate(progSrc, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := datalog.Prepare(prog, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.NewDatabase(schema)
+	fill(db)
+	return db.Freeze(), prog, prep
+}
+
+// altSupportFixture: C(0) is derived twice, through A(6) and through A(7).
+func altSupportFixture(t *testing.T) (*engine.Snapshot, *datalog.Program, *datalog.Prepared) {
+	return preparedFixture(t, "A(x)\nB(x, y)\nC(x)", `
+		Delta_A(x) :- A(x), x > 5.
+		Delta_C(y) :- C(y), B(x, y), Delta_A(x).
+	`, func(db *engine.Database) {
+		db.MustInsert("A", engine.Int(6))
+		db.MustInsert("A", engine.Int(7))
+		db.MustInsert("B", engine.Int(6), engine.Int(0))
+		db.MustInsert("B", engine.Int(7), engine.Int(0))
+		db.MustInsert("C", engine.Int(0))
+	})
+}
+
+// cyclicSupportFixture: a recursive program where N(1) and N(2) form a
+// support cycle and N(3) is the externally bad root that feeds the cycle
+// through E(1, 3).
+func cyclicSupportFixture(t *testing.T) (*engine.Snapshot, *datalog.Program, *datalog.Prepared) {
+	return preparedFixture(t, "N(x)\nE(x, y)\nBad(x)", `
+		Delta_N(x) :- N(x), Bad(x).
+		Delta_N(x) :- N(x), E(x, y), Delta_N(y).
+	`, func(db *engine.Database) {
+		for i := 1; i <= 3; i++ {
+			db.MustInsert("N", engine.Int(i))
+		}
+		db.MustInsert("E", engine.Int(1), engine.Int(2))
+		db.MustInsert("E", engine.Int(2), engine.Int(1))
+		db.MustInsert("E", engine.Int(1), engine.Int(3))
+		db.MustInsert("Bad", engine.Int(3))
+	})
+}
+
+// selfJoinFixture: the recursive rule also reads its head relation at a
+// non-self base atom, so revival seeds candidates there too. N(1) is
+// derived through both bad roots N(3) and N(4).
+func selfJoinFixture(t *testing.T) (*engine.Snapshot, *datalog.Program, *datalog.Prepared) {
+	return preparedFixture(t, "N(x)\nE(x, y)\nBad(x)", `
+		Delta_N(x) :- N(x), Bad(x).
+		Delta_N(x) :- N(x), E(x, y), N(y), Delta_N(y).
+	`, func(db *engine.Database) {
+		for i := 1; i <= 4; i++ {
+			db.MustInsert("N", engine.Int(i))
+		}
+		db.MustInsert("E", engine.Int(1), engine.Int(3))
+		db.MustInsert("E", engine.Int(1), engine.Int(4))
+		db.MustInsert("Bad", engine.Int(3))
+		db.MustInsert("Bad", engine.Int(4))
+	})
+}
+
+// reviveSet is DRed's re-derive phase as a least fixpoint from below:
+// starting from the surviving fixpoint, a candidate revives when some rule
+// derives it over the live base and the survivors plus the revivals so far.
+// With allBase the candidates are seeded at every base atom over their
+// relations, as maintainEndFixpoint does; without it only at the rule's
+// self atom. It returns the revived keys, sorted.
+func reviveSet(t *testing.T, db *engine.Database, prep *datalog.Prepared, surv, cands []*engine.Tuple, allBase bool) []string {
+	t.Helper()
+	delta := slices.Clone(surv)
+	left := make(map[engine.TupleID]*engine.Tuple, len(cands))
+	for _, c := range cands {
+		left[c.TID] = c
+	}
+	var revived []string
+	for grew := true; grew; {
+		grew = false
+		view := groupByRelation(db.Schema, byRelation(delta))
+		var pending []*engine.Tuple
+		for _, c := range left {
+			pending = append(pending, c)
+		}
+		seeds := groupByRelation(db.Schema, byRelation(pending))
+		revive := func(asn *datalog.Assignment) bool {
+			if h := asn.Head(); left[h.TID] != nil {
+				delete(left, h.TID)
+				delta = append(delta, h)
+				revived = append(revived, h.Key())
+				grew = true
+			}
+			return true
+		}
+		for _, pr := range prep.Rules {
+			src := make([]datalog.AtomSource, len(pr.Rule.Body))
+			for bi, a := range pr.Rule.Body {
+				if a.Delta {
+					src[bi] = datalog.AtomSource{view[a.Rel]}
+				} else {
+					src[bi] = datalog.AtomSource{db.Relation(a.Rel)}
+				}
+			}
+			var err error
+			if allBase {
+				err = pr.EvalChangeSeeded(seeds, true, func(bi int) datalog.AtomSource { return src[bi] }, nil, revive)
+			} else {
+				src[pr.Rule.SelfIdx] = datalog.AtomSource{seeds[pr.Rule.Head.Rel]}
+				err = datalog.EvalRule(pr.Rule, src, revive)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sort.Strings(revived)
+	return revived
+}
+
+// TestReviveSeedingAllBaseAtoms: seeding the revival candidates at every
+// base atom over their relations revives exactly the set that seeding only
+// the self atom revives, on the alternative-support, the recursive
+// cyclic-support and the self-join fixtures. Survivors and candidates are
+// what DRed's over-delete phase leaves after each deletion.
+func TestReviveSeedingAllBaseAtoms(t *testing.T) {
+	alt, altProg, altPrep := altSupportFixture(t)
+	cyc, cycProg, cycPrep := cyclicSupportFixture(t)
+	sj, sjProg, sjPrep := selfJoinFixture(t)
+	for _, tc := range []struct {
+		name        string
+		snap        *engine.Snapshot
+		prog        *datalog.Program
+		prep        *datalog.Prepared
+		del         engine.Row
+		surv, cands []string
+		want        []string
+	}{
+		{"alternative support", alt, altProg, altPrep,
+			engine.Row{Rel: "A", Vals: []engine.Value{engine.Int(7)}},
+			[]string{"A(i6)"}, []string{"C(i0)"}, []string{"C(i0)"}},
+		{"cut cycle feed", cyc, cycProg, cycPrep,
+			engine.Row{Rel: "E", Vals: []engine.Value{engine.Int(1), engine.Int(3)}},
+			[]string{"N(i3)"}, []string{"N(i1)", "N(i2)"}, nil},
+		{"delete bad root", cyc, cycProg, cycPrep,
+			engine.Row{Rel: "Bad", Vals: []engine.Value{engine.Int(3)}},
+			nil, []string{"N(i1)", "N(i2)", "N(i3)"}, nil},
+		{"self join", sj, sjProg, sjPrep,
+			engine.Row{Rel: "Bad", Vals: []engine.Value{engine.Int(4)}},
+			[]string{"N(i3)"}, []string{"N(i1)", "N(i4)"}, []string{"N(i1)"}},
+	} {
+		prev, _, err := RunWith(tc.snap.Fork(), tc.prog, SemEnd, Options{Prepared: tc.prep})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		pick := func(keys []string) []*engine.Tuple {
+			var out []*engine.Tuple
+			for _, tp := range prev.Deleted {
+				if slices.Contains(keys, tp.Key()) {
+					out = append(out, tp)
+				}
+			}
+			if len(out) != len(keys) {
+				t.Fatalf("%s: %v not all in the previous fixpoint %v", tc.name, keys, prev.Keys())
+			}
+			return out
+		}
+		next, _, err := tc.snap.Apply(nil, []engine.Row{tc.del})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		db := next.Fork()
+		surv, cands := pick(tc.surv), pick(tc.cands)
+		self := reviveSet(t, db, tc.prep, surv, cands, false)
+		all := reviveSet(t, db, tc.prep, surv, cands, true)
+		if !slices.Equal(self, tc.want) || !slices.Equal(all, tc.want) {
+			t.Fatalf("%s: self-atom seeding revived %v, all-base seeding %v, want %v", tc.name, self, all, tc.want)
 		}
 	}
 }
@@ -341,7 +483,7 @@ func TestWarmDeleteMASPrograms(t *testing.T) {
 				// Delete the first and last tuples of the previous repair
 				// (when it has any — both live as base rows under end/step/
 				// stage/independent deletion-only semantics), and resurrect
-				// the first: a mixed batch inside the read-set.
+				// the first: a mixed batch on relations the program reads.
 				var deletes, inserts []engine.Row
 				if prev.Size() > 0 {
 					first := prev.Deleted[0]

@@ -65,17 +65,19 @@ const (
 // SourcesFor builds the per-atom sources for evaluating rule against db.
 func SourcesFor(db *engine.Database, rule *Rule, mode DeltaMode) []AtomSource {
 	out := make([]AtomSource, len(rule.Body))
-	for i, a := range rule.Body {
-		switch {
-		case !a.Delta:
-			out[i] = AtomSource{db.Relation(a.Rel)}
-		case mode == DeltaFromBase:
-			out[i] = AtomSource{db.Relation(a.Rel)}
-		default:
-			out[i] = AtomSource{db.Delta(a.Rel)}
-		}
+	for i := range rule.Body {
+		out[i] = SourceFor(db, &rule.Body[i], mode)
 	}
 	return out
+}
+
+// SourceFor is one atom's entry of SourcesFor: the live base relation, or
+// ∆_i for a delta atom under DeltaFromDelta.
+func SourceFor(db *engine.Database, a *Atom, mode DeltaMode) AtomSource {
+	if a.Delta && mode == DeltaFromDelta {
+		return AtomSource{db.Delta(a.Rel)}
+	}
+	return AtomSource{db.Relation(a.Rel)}
 }
 
 // EvalRule enumerates every assignment of rule over the given per-atom

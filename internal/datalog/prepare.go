@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/engine"
@@ -45,7 +44,9 @@ type PreparedRule struct {
 	cr *compiledRule
 
 	// operational: delta atoms read ∆_i (the live deltas) — stability
-	// checks, step executions, trigger statements.
+	// checks, step executions, trigger statements — or, under EvalNaive, the
+	// full seminaive delta contents (old ∪ frontier): the same weights, so
+	// the same plan.
 	operational *plan
 	// fromBase: delta atoms read base content — view witnesses and
 	// stability formulas over one database state.
@@ -53,57 +54,20 @@ type PreparedRule struct {
 	// passes[p]: seminaive pass p — the p-th delta atom reads the frontier,
 	// earlier delta atoms read old deltas, later ones old ∪ frontier.
 	passes []*plan
-	// naive: delta atoms read the full delta contents (old ∪ frontier) —
-	// the evaluation-strategy ablation.
-	naive *plan
 	// insertPasses[i]: base atom baseIdx[i] reads only a caller-supplied
-	// seed of freshly inserted tuples, other base atoms read the live base,
-	// delta atoms read ∆_i. Warm-start stability probes and incremental
-	// derivations use these: after a base-table update, every genuinely new
-	// assignment must bind at least one inserted tuple (rule bodies are
-	// positive), so the union over these passes covers exactly the new work.
+	// seed of changed tuples, the other atoms read what the caller supplies
+	// (EvalChangeSeeded's base-atom passes).
 	insertPasses []*plan
 
 	// deltaIdx holds the body indexes of the rule's delta atoms, in order.
 	deltaIdx []int
 	// baseIdx holds the body indexes of the rule's base atoms, in order.
 	baseIdx []int
-	// reads holds the distinct relation names the rule body references
-	// (base or delta side), in first-use order.
-	reads []string
 }
 
 // NumDeltaBody returns the number of ∆-atoms in the rule body (the number
 // of seminaive passes).
 func (pr *PreparedRule) NumDeltaBody() int { return len(pr.deltaIdx) }
-
-// ReadSet returns the distinct relation names the rule body references
-// (base or delta side), in first-use order. The head relation is always
-// included via the mandatory self atom (Def. 3.1). Callers must not
-// mutate the returned slice.
-func (pr *PreparedRule) ReadSet() []string { return pr.reads }
-
-// Reads reports whether the rule body references the relation (base or
-// delta side).
-func (pr *PreparedRule) Reads(rel string) bool {
-	for _, r := range pr.reads {
-		if r == rel {
-			return true
-		}
-	}
-	return false
-}
-
-// ReadsAny reports whether the rule body references any relation for
-// which changed returns true.
-func (pr *PreparedRule) ReadsAny(changed func(rel string) bool) bool {
-	for _, r := range pr.reads {
-		if changed(r) {
-			return true
-		}
-	}
-	return false
-}
 
 // Prepared is a program compiled for repeated execution: validated rules,
 // static join plans per source shape, declared index requirements, and
@@ -122,13 +86,6 @@ type Prepared struct {
 	// never fire); WarmIndexes pre-builds the union on request.
 	reqs          []IndexReq // union of all shapes, deduplicated
 	seminaiveReqs []IndexReq // pass/naive plans: base + scratch targets
-
-	// readSet is the union of the rules' read-sets: every relation some
-	// rule body references. A base-table update that touches no read-set
-	// relation cannot change any rule's assignments — serving layers use
-	// this to skip re-derivation entirely after such updates.
-	readSet    map[string]bool
-	readSorted []string
 
 	ctxPool     sync.Pool
 	scratchPool sync.Pool
@@ -170,13 +127,6 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 			} else {
 				pr.baseIdx = append(pr.baseIdx, bi)
 			}
-			if !pr.Reads(a.Rel) {
-				pr.reads = append(pr.reads, a.Rel)
-			}
-			if pp.readSet == nil {
-				pp.readSet = make(map[string]bool)
-			}
-			pp.readSet[a.Rel] = true
 		}
 
 		// Static plans per source shape. The greedy planner breaks bound-
@@ -195,12 +145,6 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 				return 1 // as large as a base atom; ties go to the base atoms
 			}
 			return 0
-		})
-		pr.naive = planFor(pr.cr, func(bi int) int {
-			if isDelta(bi) {
-				return 0
-			}
-			return 1
 		})
 		pr.passes = make([]*plan, len(pr.deltaIdx))
 		for pass := range pr.deltaIdx {
@@ -222,7 +166,7 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 			pr.insertPasses[i] = planFor(pr.cr, func(bi int) int {
 				switch {
 				case bi == seedAtom:
-					return 0 // the inserted-tuple seed drives the join
+					return 0 // the changed-tuple seed drives the join
 				case isDelta(bi):
 					return 1
 				default:
@@ -248,21 +192,18 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 				}
 			}
 		}
-		var unionOnly []IndexReq // operational and fromBase probes fold into the union only
+		// Probes over ∆_i and R_i fold into the union only; EvalNaive's probes
+		// over old ∪ frontier are seminaive scratch requirements.
+		var unionOnly []IndexReq
 		collect(&unionOnly, pr.operational, TargetDelta)
 		collect(&unionOnly, pr.fromBase, TargetBase)
-		collect(&pp.seminaiveReqs, pr.naive, TargetScratch)
+		collect(&pp.seminaiveReqs, pr.operational, TargetScratch)
 		for _, pl := range pr.passes {
 			collect(&pp.seminaiveReqs, pl, TargetScratch)
 		}
 
 		pp.Rules[i] = pr
 	}
-	pp.readSorted = make([]string, 0, len(pp.readSet))
-	for rel := range pp.readSet {
-		pp.readSorted = append(pp.readSorted, rel)
-	}
-	sort.Strings(pp.readSorted)
 	pp.ctxPool.New = func() any { return NewExecContext() }
 	pp.scratchPool.New = func() any { return pp.newScratch() }
 	return pp, nil
@@ -271,27 +212,6 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 // IndexReqs returns the declared index requirements, deduplicated, in
 // first-use order.
 func (pp *Prepared) IndexReqs() []IndexReq { return pp.reqs }
-
-// ReadSet returns the relations any rule body references (base or delta
-// side), sorted. A base-table update confined to relations outside this
-// set cannot change any rule's assignments — and therefore cannot change
-// any repair — so serving layers reuse the previous version's results
-// verbatim for such updates. Callers must not mutate the returned slice.
-func (pp *Prepared) ReadSet() []string { return pp.readSorted }
-
-// Reads reports whether any rule body references the relation.
-func (pp *Prepared) Reads(rel string) bool { return pp.readSet[rel] }
-
-// ReadsAnyOf reports whether any rule body references any of the given
-// relations.
-func (pp *Prepared) ReadsAnyOf(rels []string) bool {
-	for _, rel := range rels {
-		if pp.readSet[rel] {
-			return true
-		}
-	}
-	return false
-}
 
 // CompatibleWith reports whether databases over the given schema can be
 // executed against these prepared plans: both schemas must declare the
@@ -366,8 +286,6 @@ type Scratch struct {
 	Derived, Fresh map[engine.TupleID]bool
 	// Heads buffers one round's newly derived head tuples.
 	Heads []*engine.Tuple
-	// Eligible buffers the rule indexes evaluated in one round.
-	Eligible []int
 }
 
 func (pp *Prepared) newScratch() *Scratch {
@@ -411,7 +329,6 @@ func (pp *Prepared) ReleaseScratch(s *Scratch) {
 	clear(s.Derived)
 	clear(s.Fresh)
 	s.Heads = s.Heads[:0]
-	s.Eligible = s.Eligible[:0]
 	pp.scratchPool.Put(s)
 }
 
@@ -439,44 +356,6 @@ func (pr *PreparedRule) EvalFromBase(db *engine.Database, ctx *ExecContext, emit
 	return pr.evalWith(pr.fromBase, SourcesFor(db, pr.Rule, DeltaFromBase), ctx, emit)
 }
 
-// EvalInsertSeeded enumerates the rule's assignments that use at least one
-// freshly inserted base tuple: for each base atom in turn, that atom reads
-// only the matching seed relation (the tuples a base-table update
-// inserted), the other base atoms read the live base, and delta atoms read
-// ∆_i. Because rule bodies are positive conjunctions, every assignment
-// that did not exist before the insert must bind an inserted tuple at some
-// base atom, so the union over these passes is exactly the new
-// assignments (an assignment using several inserted tuples is emitted once
-// per such atom; dedup if that matters). Atoms whose relation has no seed
-// (or an empty one) are skipped.
-//
-// This is the evaluation primitive behind warm-start stability probes and
-// incremental derivation after updates: probing only the delta between
-// versions instead of re-enumerating every assignment from scratch.
-func (pr *PreparedRule) EvalInsertSeeded(db *engine.Database, seeds map[string]*engine.Relation, ctx *ExecContext, emit func(*Assignment) bool) error {
-	for i, bi := range pr.baseIdx {
-		seed := seeds[pr.Rule.Body[bi].Rel]
-		if seed == nil || seed.Len() == 0 {
-			continue
-		}
-		sources := make([]AtomSource, len(pr.Rule.Body))
-		for j, a := range pr.Rule.Body {
-			switch {
-			case j == bi:
-				sources[j] = AtomSource{seed}
-			case a.Delta:
-				sources[j] = AtomSource{db.Delta(a.Rel)}
-			default:
-				sources[j] = AtomSource{db.Relation(a.Rel)}
-			}
-		}
-		if err := pr.evalWith(pr.insertPasses[i], sources, ctx, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // EvalChangeSeeded enumerates the rule's assignments that bind at least
 // one changed tuple: for each body atom in turn — base atoms via the
 // insert-pass plans, delta atoms via the seminaive pass plans — that atom
@@ -488,15 +367,16 @@ func (pr *PreparedRule) EvalInsertSeeded(db *engine.Database, seeds map[string]*
 // passes covers every assignment the change created or invalidated (an
 // assignment binding several changed tuples is emitted once per such
 // atom; dedup if that matters). With baseOnly, seeding is restricted to
-// base atoms and delta atoms read only their src sources — the shape
-// delete propagation wants, where changed delta-side tuples are swept
-// separately through the dead-tuple frontier.
+// base atoms and delta atoms read only their src sources — the shape of
+// every caller that tracks delta-side changes through its own frontier.
 //
-// This is the delete-side sibling of EvalInsertSeeded, generalized: the
-// caller chooses the per-position sources, so the same primitive drives
-// DRed over-deletion (deleted tuples seeded over a superset of the old
-// version) and cached-result change probes (deletes plus inserts seeded
-// over a superset of both versions).
+// This is the one seeded evaluation: the caller chooses the seeds and the
+// per-position sources, so the same primitive drives the warm stability
+// probe and end-semantics continuation (inserted tuples over the
+// operational sources), DRed over-deletion (deleted tuples over a superset
+// of the old version) and revival (candidates over the live base and the
+// survivors), and the cached-result change probe (deletes plus inserts over
+// a superset of both versions).
 func (pr *PreparedRule) EvalChangeSeeded(seeds map[string]*engine.Relation, baseOnly bool, src func(bi int) AtomSource, ctx *ExecContext, emit func(*Assignment) bool) error {
 	evalAt := func(pl *plan, seedAt int, seed *engine.Relation) error {
 		sources := make([]AtomSource, len(pr.Rule.Body))
@@ -533,35 +413,6 @@ func (pr *PreparedRule) EvalChangeSeeded(seeds map[string]*engine.Relation, base
 	return nil
 }
 
-// EvalSelfSeeded enumerates exactly the derivations of the seed tuples:
-// the rule's mandatory self atom (Rule.SelfIdx — the base atom carrying
-// the head's terms, Def. 3.1) reads only the seed, so every emitted
-// assignment's head is a seed tuple, while every other atom reads the
-// sources src supplies for its body position. Incremental re-derivation
-// uses this to ask "does this over-deleted tuple still have a surviving
-// derivation?" at a cost bounded by the seed, not the database.
-func (pr *PreparedRule) EvalSelfSeeded(seed *engine.Relation, src func(bi int) AtomSource, ctx *ExecContext, emit func(*Assignment) bool) error {
-	if seed == nil || seed.Len() == 0 {
-		return nil
-	}
-	for i, bi := range pr.baseIdx {
-		if bi != pr.Rule.SelfIdx {
-			continue
-		}
-		sources := make([]AtomSource, len(pr.Rule.Body))
-		for j := range pr.Rule.Body {
-			if j == bi {
-				sources[j] = AtomSource{seed}
-			} else {
-				sources[j] = src(j)
-			}
-		}
-		return pr.evalWith(pr.insertPasses[i], sources, ctx, emit)
-	}
-	// Unreachable for validated rules: the self atom is always a base atom.
-	return fmt.Errorf("datalog: rule %s has no base self atom", ruleName(pr.Rule))
-}
-
 // EvalPass enumerates assignments for one seminaive pass over
 // caller-supplied sources (built to the pass shape: the pass-th delta atom
 // reads the frontier, earlier delta atoms old deltas, later ones
@@ -573,7 +424,7 @@ func (pr *PreparedRule) EvalPass(pass int, sources []AtomSource, ctx *ExecContex
 // EvalNaive enumerates assignments with every delta atom reading the full
 // delta contents, over caller-supplied sources.
 func (pr *PreparedRule) EvalNaive(sources []AtomSource, ctx *ExecContext, emit func(*Assignment) bool) error {
-	return pr.evalWith(pr.naive, sources, ctx, emit)
+	return pr.evalWith(pr.operational, sources, ctx, emit)
 }
 
 // HasAssignment reports whether the rule has at least one assignment over

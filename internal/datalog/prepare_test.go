@@ -164,56 +164,12 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// TestPreparedReadSet: the program-level and per-rule read-sets name
-// exactly the relations rule bodies reference, so relations outside the
-// read-set are provably irrelevant to every repair.
-func TestPreparedReadSet(t *testing.T) {
-	schema, err := engine.ParseSchema("A(x)\nB(x)\nC(x)\nAudit(x, y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := ParseAndValidate(`
-		Delta_A(x) :- A(x), B(x).
-		Delta_B(x) :- B(x), Delta_A(x).
-	`, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := Prepare(prog, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pp.ReadSet(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
-		t.Fatalf("program read-set %v, want [A B]", got)
-	}
-	if !pp.Reads("A") || !pp.Reads("B") || pp.Reads("C") || pp.Reads("Audit") {
-		t.Fatal("Reads misclassifies relations")
-	}
-	if pp.ReadsAnyOf([]string{"C", "Audit"}) {
-		t.Fatal("ReadsAnyOf claims the program reads untouched relations")
-	}
-	if !pp.ReadsAnyOf([]string{"Audit", "B"}) {
-		t.Fatal("ReadsAnyOf misses a read relation")
-	}
-	r0 := pp.Rules[0]
-	if !r0.Reads("A") || !r0.Reads("B") || r0.Reads("C") {
-		t.Fatalf("rule 0 read-set %v", r0.ReadSet())
-	}
-	if !r0.ReadsAny(func(rel string) bool { return rel == "B" }) {
-		t.Fatal("rule 0 ReadsAny misses B")
-	}
-	// Rule 1's delta atom still contributes A to its read-set: delta
-	// contents are derived from A's base content.
-	if r1 := pp.Rules[1]; !r1.Reads("A") || !r1.Reads("B") {
-		t.Fatalf("rule 1 read-set %v", r1.ReadSet())
-	}
-}
-
-// TestEvalInsertSeeded: the insert-seeded passes enumerate exactly the
-// assignments that appeared because of an insert batch — the set
-// difference between evaluating the updated database and the original —
-// for every rule of the running example.
-func TestEvalInsertSeeded(t *testing.T) {
+// TestEvalChangeSeededBaseOnly: seeding the base atoms with an insert batch
+// over the operational sources enumerates exactly the assignments that
+// appeared because of it — the set difference between evaluating the
+// updated database and the original — for every rule of the running
+// example.
+func TestEvalChangeSeededBaseOnly(t *testing.T) {
 	db, p, pp := preparedExample(t)
 	// Mid-repair state: one grant already deleted, so delta joins fire.
 	db.DeleteToDelta(db.Relation("Grant").Keys()[1])
@@ -259,7 +215,9 @@ func TestEvalInsertSeeded(t *testing.T) {
 			}
 		}
 		seeded := make(map[string]bool)
-		if err := pp.Rules[i].EvalInsertSeeded(db, seeds, ctx, func(a *Assignment) bool {
+		src := SourcesFor(db, r, DeltaFromDelta)
+		at := func(bi int) AtomSource { return src[bi] }
+		if err := pp.Rules[i].EvalChangeSeeded(seeds, true, at, ctx, func(a *Assignment) bool {
 			seeded[a.String()] = true
 			return true
 		}); err != nil {
@@ -294,7 +252,6 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 	s.Frontier["Grant"].Insert(tp)
 	s.Derived[tp.TID] = true
 	s.Heads = append(s.Heads, tp)
-	s.Eligible = append(s.Eligible, 0)
 	pp.ReleaseScratch(s)
 	s2 := pp.AcquireScratch()
 	defer pp.ReleaseScratch(s2)
@@ -303,7 +260,7 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 			t.Fatalf("recycled scratch for %s not reset", rs.Name)
 		}
 	}
-	if len(s2.Derived) != 0 || len(s2.Fresh) != 0 || len(s2.Heads) != 0 || len(s2.Eligible) != 0 {
+	if len(s2.Derived) != 0 || len(s2.Fresh) != 0 || len(s2.Heads) != 0 {
 		t.Fatal("recycled scratch sets/buffers not reset")
 	}
 }

@@ -22,13 +22,15 @@ type snapTuple struct {
 	Vals []Value
 }
 
-// snapVec is one serialized column vector (format 2): integers inline,
-// floats as IEEE-754 bits, strings as indexes into the relation's string
-// table. Kinds is nil when the column is uniformly Kind — the schema-clean
-// common case — so a typical column serializes as one flat []int64.
+// snapVec is one serialized column vector (format 2), a sealed segment's
+// colVec as written: integers inline, floats as IEEE-754 bits, strings as
+// indexes into the relation's string table. Kinds is nil when the column is
+// uniformly Kind — the schema-clean common case — so a typical column
+// serializes as one flat []int64. (Kind is a uint8, so gob writes these
+// fields exactly as it writes a byte and a []byte.)
 type snapVec struct {
-	Kind  byte
-	Kinds []byte // per-row kinds; nil when uniform
+	Kind  Kind
+	Kinds []Kind // per-row kinds; nil when uniform
 	Data  []int64
 }
 
@@ -80,50 +82,21 @@ type snapshot struct {
 // directories hold them — but are no longer written.
 const snapshotFormat = 2
 
-// encodeSnapCols converts one relation side to columnar serialized form.
+// encodeSnapCols converts one relation side to columnar serialized form:
+// the sealed-segment image buildFrozenCols builds, plus IDs and Seqs.
 func encodeSnapCols(tuples []*Tuple, arity int) *snapCols {
-	n := len(tuples)
+	fc := buildFrozenCols(tuples, arity)
 	sc := &snapCols{
-		IDs:  make([]string, n),
-		Seqs: make([]int, n),
+		IDs:  make([]string, len(tuples)),
+		Seqs: make([]int, len(tuples)),
 		Cols: make([]snapVec, arity),
+		Strs: fc.strs,
 	}
-	strIdx := make(map[string]int64)
 	for i, t := range tuples {
 		sc.IDs[i], sc.Seqs[i] = t.ID, t.Seq
 	}
-	for col := range sc.Cols {
-		sv := &sc.Cols[col]
-		sv.Data = make([]int64, n)
-		uniform := true
-		for i, t := range tuples {
-			v := t.Vals[col]
-			if i == 0 {
-				sv.Kind = byte(v.Kind)
-			} else if byte(v.Kind) != sv.Kind {
-				uniform = false
-			}
-			switch v.Kind {
-			case KindInt:
-				sv.Data[i] = v.Int
-			case KindFloat:
-				sv.Data[i] = int64(math.Float64bits(v.Flt))
-			default:
-				idx, ok := strIdx[v.Str]
-				if !ok {
-					idx = int64(len(sc.Strs))
-					sc.Strs = append(sc.Strs, v.Str)
-					strIdx[v.Str] = idx
-				}
-				sv.Data[i] = idx
-			}
-		}
-		if !uniform {
-			sv.Kinds = make([]byte, n)
-			for i, t := range tuples {
-				sv.Kinds[i] = byte(t.Vals[col].Kind)
-			}
-		}
+	for c, cv := range fc.cols {
+		sc.Cols[c] = snapVec{Kind: cv.kind, Kinds: cv.kinds, Data: cv.data}
 	}
 	return sc
 }
@@ -150,9 +123,9 @@ func (sc *snapCols) block(arity int) (*snapBlock, error) {
 	for c := range sc.Cols {
 		sv := &sc.Cols[c]
 		for i, d := range sv.Data {
-			kind := Kind(sv.Kind)
+			kind := sv.Kind
 			if sv.Kinds != nil {
-				kind = Kind(sv.Kinds[i])
+				kind = sv.Kinds[i]
 			}
 			v := &vals[i*arity+c]
 			switch kind {

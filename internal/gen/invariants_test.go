@@ -162,11 +162,9 @@ func checkScenario(t *testing.T, sc *Scenario) {
 			t.Fatalf("seed %d: warm-delete prev %s: %v", sc.Seed, sem, err)
 		}
 		warm := &core.WarmStart{
-			PrevResult:  prev,
-			ChangedRels: info.Changed,
-			Inserted:    info.InsertedTuples,
-			Deleted:     info.DeletedTuples,
-			InsertOnly:  info.InsertOnly(),
+			PrevResult: prev,
+			Inserted:   info.InsertedTuples,
+			Deleted:    info.DeletedTuples,
 		}
 		cold, _, err := core.RunWith(next.Fork(), sc.Program, sem, core.Options{Prepared: prep})
 		if err != nil {

@@ -22,9 +22,9 @@ import (
 // incremental result must be identical to registering a fresh session
 // with that version's contents and recomputing from scratch. This is the
 // oracle that licenses every warm-start shortcut in core and server
-// (read-set pruning, cached-result replay, end-semantics fixpoint
-// continuation, insert-seeded stability probes): whatever path a request
-// takes, the answer must be indistinguishable from a cold computation.
+// (change-probe replay, end-semantics fixpoint continuation, insert-seeded
+// stability probes): whatever path a request takes, the answer must be
+// indistinguishable from a cold computation.
 //
 // Results are compared as sorted content-key sets: the incremental and
 // fresh lineages assign different tuple identities and insertion
@@ -99,7 +99,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 			expected[version][sem] = wantKeys
 
 			// First incremental request at this version: exercises the
-			// cross-version warm-start paths (read-set pruning, end
+			// cross-version warm-start paths (probe replay, end
 			// continuation) or a cold run.
 			got, _, gotVer, err := svc.RepairVersioned(ctx, "s", sem, server.RequestOptions{Version: version})
 			if err != nil {
@@ -144,8 +144,8 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 	// batch's ApplyInfo as hints) and cold on the very same snapshot.
 	// Shared lineage means shared tuple identities, so the comparison is
 	// byte-identity — exact Seq-ordered keys, not merely set equality —
-	// across whichever warm path engages: read-set replay, change-probe
-	// replay, end continuation, or the delete-maintenance pipeline.
+	// across whichever warm path engages: change-probe replay, end
+	// continuation, or the delete-maintenance pipeline.
 	chain := freshDB(0).Freeze()
 	prevRes := make(map[core.Semantics]*core.Result)
 	checkWarmChain := func(n int, info *engine.ApplyInfo) {
@@ -160,11 +160,9 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 			coldKeys[sem] = fmt.Sprintf("%v", cold.Keys())
 			if info != nil && prevRes[sem] != nil {
 				warm := &core.WarmStart{
-					PrevResult:  prevRes[sem],
-					ChangedRels: info.Changed,
-					Inserted:    info.InsertedTuples,
-					Deleted:     info.DeletedTuples,
-					InsertOnly:  info.InsertOnly(),
+					PrevResult: prevRes[sem],
+					Inserted:   info.InsertedTuples,
+					Deleted:    info.DeletedTuples,
 				}
 				hints[sem] = warm
 				got, repaired, err := core.RunWith(chain.Fork(), sc.Program, sem, core.Options{Prepared: prep, Warm: warm})
@@ -340,8 +338,9 @@ func TestUpdateStreamDeterminism(t *testing.T) {
 
 // TestUpdateStreamCoverage: the seed space must exercise the shapes the
 // warm-start machinery branches on — insert-only ops, ops with deletes,
-// ops whose batch lands outside the program's read-set, and streams
-// whose instances actually need repair.
+// ops whose batch lands outside every relation a rule body reads (the
+// probe then seeds no atom and replays), and streams whose instances
+// actually need repair.
 func TestUpdateStreamCoverage(t *testing.T) {
 	insertOnly, withDeletes, outsideReadSet, repairs := 0, 0, 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
@@ -349,6 +348,12 @@ func TestUpdateStreamCoverage(t *testing.T) {
 		prep, err := datalog.Prepare(us.Scenario.Program, us.Scenario.Schema)
 		if err != nil {
 			t.Fatal(err)
+		}
+		reads := make(map[string]bool)
+		for _, r := range us.Scenario.Program.Rules {
+			for _, a := range r.Body {
+				reads[a.Rel] = true
+			}
 		}
 		for _, op := range us.Ops {
 			if len(op.Deletes) == 0 && len(op.Inserts) > 0 {
@@ -359,7 +364,7 @@ func TestUpdateStreamCoverage(t *testing.T) {
 			}
 			touched := false
 			for _, row := range append(append([]engine.Row{}, op.Inserts...), op.Deletes...) {
-				if prep.Reads(row.Rel) {
+				if reads[row.Rel] {
 					touched = true
 				}
 			}
@@ -375,7 +380,7 @@ func TestUpdateStreamCoverage(t *testing.T) {
 		t.Errorf("op shape coverage: %d insert-only, %d with deletes", insertOnly, withDeletes)
 	}
 	if outsideReadSet < 10 {
-		t.Errorf("only %d ops land outside the read-set", outsideReadSet)
+		t.Errorf("only %d ops land outside every relation a rule reads", outsideReadSet)
 	}
 	if repairs < 50 {
 		t.Errorf("only %d/200 streams start unstable", repairs)

@@ -130,16 +130,14 @@ type RepairAllResponse struct {
 // the body's shape for Go clients that encode one; the handler decodes
 // the same fields as updateBody, whose rows are Tuples.
 type UpdateRequest struct {
-	Inserts   map[string][][]any `json:"inserts,omitempty"`
-	Deletes   map[string][][]any `json:"deletes,omitempty"`
-	TimeoutMS int64              `json:"timeout_ms,omitempty"`
+	Inserts map[string][][]any `json:"inserts,omitempty"`
+	Deletes map[string][][]any `json:"deletes,omitempty"`
 }
 
 // updateBody is an UpdateRequest as handleUpdate decodes it.
 type updateBody struct {
-	Inserts   Tuples `json:"inserts"`
-	Deletes   Tuples `json:"deletes"`
-	TimeoutMS int64  `json:"timeout_ms"`
+	Inserts Tuples `json:"inserts"`
+	Deletes Tuples `json:"deletes"`
 }
 
 // ViewDeleteRequest is the delete-view-tuple body.
@@ -402,8 +400,7 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	opts := (&RepairRequest{TimeoutMS: req.TimeoutMS}).options()
-	res, err := s.Update(r.Context(), name, req.Inserts.rows(), req.Deletes.rows(), opts)
+	res, err := s.Update(r.Context(), name, req.Inserts.rows(), req.Deletes.rows(), RequestOptions{})
 	if err != nil {
 		writeErr(w, err)
 		return

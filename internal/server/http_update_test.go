@@ -37,9 +37,10 @@ func TestHTTPUpdateEndToEnd(t *testing.T) {
 	baseSize := int(body["size"].(float64))
 
 	// Update: drop the AuthGrant edge that dooms Marge, insert an
-	// unrelated pub.
+	// unrelated pub. Updates take no deadline; a client still sending
+	// timeout_ms is accepted, the field ignored.
 	status, body = postJSON(t, client, ts.URL+"/v1/sessions/papers/update",
-		`{"deletes": {"AuthGrant": [[4, 2]]}, "inserts": {"Pub": [[50, "new"]]}}`)
+		`{"deletes": {"AuthGrant": [[4, 2]]}, "inserts": {"Pub": [[50, "new"]]}, "timeout_ms": 1}`)
 	if status != http.StatusOK {
 		t.Fatalf("update: %d %v", status, body)
 	}

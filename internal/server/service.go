@@ -382,21 +382,11 @@ func (sess *Session) stableHints(version uint64) *core.WarmStart {
 // broken (no hints) — the same answer a consistent read after the
 // eviction would give.
 func (sess *Session) changesSince(from, to uint64) (*core.WarmStart, bool) {
-	w := &core.WarmStart{InsertOnly: true}
-	changedSet := make(map[string]bool)
+	w := &core.WarmStart{}
 	for v := from + 1; v <= to; v++ {
 		info, ok := sess.ring.AppliedAt(v)
 		if !ok {
 			return nil, false
-		}
-		for _, rel := range info.Changed {
-			if !changedSet[rel] {
-				changedSet[rel] = true
-				w.ChangedRels = append(w.ChangedRels, rel)
-			}
-		}
-		if !info.InsertOnly() {
-			w.InsertOnly = false
 		}
 		for rel, tuples := range info.InsertedTuples {
 			if w.Inserted == nil {
@@ -816,10 +806,9 @@ func (s *Service) begin(ctx context.Context, name string, opts RequestOptions) (
 // returns the result, the repaired fork (safe to read; discarding it is
 // free) and the snapshot version the repair executed against — the head at
 // admission time, or the pinned opts.Version. Results computed at a version
-// warm-start later requests:
-// an update confined to relations outside the program's read-set replays
-// the cached result with no derivation at all, and insert-only updates
-// continue the end-semantics fixpoint from the previous result.
+// warm-start later requests: an update whose changed tuples bind no rule
+// assignment replays the cached result with no derivation at all, and
+// otherwise end semantics continues its fixpoint from the previous result.
 func (s *Service) RepairVersioned(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (_ *core.Result, _ *engine.Database, _ uint64, err error) {
 	defer s.track("repair", time.Now(), &err)
 	sess, reqCtx, done, err := s.begin(ctx, name, opts)
@@ -880,10 +869,9 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 // version probed. The request deadline is honored between rule probes.
 // Stability verdicts warm-start later probes: once a
 // version is known stable, probing a later version evaluates only the
-// insert-seeded passes of rules reading updated relations (deletions
-// alone can never destabilize a stable database — rule bodies are
-// positive), and updates outside the program's read-set need no
-// evaluation at all.
+// insert-seeded passes (deletions alone can never destabilize a stable
+// database — rule bodies are positive), and a range without inserts needs
+// no evaluation at all.
 func (s *Service) IsStableVersioned(ctx context.Context, name string, opts RequestOptions) (_ bool, _ uint64, err error) {
 	defer s.track("is_stable", time.Now(), &err)
 	sess, reqCtx, done, err := s.begin(ctx, name, opts)

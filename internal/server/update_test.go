@@ -120,7 +120,7 @@ func TestServiceVersionRetention(t *testing.T) {
 
 // TestServiceWarmStartCacheCorrectness drives the cache-sensitive paths
 // directly: repeated repairs at one version (replay), repairs after
-// updates outside the read-set (read-set pruning), insert-only updates
+// updates to a relation no rule reads (probe replay), insert-only updates
 // (end continuation), and a mixed update (full recompute) — every answer
 // must equal a cold service's.
 func TestServiceWarmStartCacheCorrectness(t *testing.T) {

@@ -308,11 +308,9 @@ func BenchmarkDeleteMaintenance(b *testing.B) {
 				opts := core.Options{Prepared: prep}
 				if leg.warm {
 					opts.Warm = &core.WarmStart{
-						PrevResult:  prev,
-						ChangedRels: info.Changed,
-						Inserted:    info.InsertedTuples,
-						Deleted:     info.DeletedTuples,
-						InsertOnly:  info.InsertOnly(),
+						PrevResult: prev,
+						Inserted:   info.InsertedTuples,
+						Deleted:    info.DeletedTuples,
 					}
 				}
 				res, _, err := core.RunWith(next.Fork(), prog, core.SemEnd, opts)
