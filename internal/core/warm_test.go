@@ -49,72 +49,83 @@ func sortedKeys(res *Result) string {
 	return fmt.Sprintf("%v", keys)
 }
 
-// TestWarmProbeReplay: for every semantics, a batch whose changed tuples
-// bind no rule assignment replays the previous result — whether it touches
-// only a relation no rule reads, or read relations with rows that join
-// nothing — and a binding batch recomputes. Every answer equals a cold run.
-func TestWarmProbeReplay(t *testing.T) {
+func warmRow(rel string, vals ...int) engine.Row {
+	r := engine.Row{Rel: rel}
+	for _, v := range vals {
+		r.Vals = append(r.Vals, engine.Int(v))
+	}
+	return r
+}
+
+// checkWarmProbe applies one batch to the warm fixture and, for every
+// semantics, runs warm from the previous result and cold on the new
+// instance. The answers must be equal and the repaired fork stable. With
+// replay the previous answer carries over unchanged; without it the batch
+// binds a rule and every repair must grow.
+func checkWarmProbe(t *testing.T, inserts, deletes []engine.Row, replay bool) {
+	t.Helper()
 	_, db, prog, prep := warmFixture(t)
 	snap := db.Freeze()
-	row := func(rel string, vals ...int) engine.Row {
-		r := engine.Row{Rel: rel}
-		for _, v := range vals {
-			r.Vals = append(r.Vals, engine.Int(v))
-		}
-		return r
+	next, info, err := snap.Apply(inserts, deletes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name             string
-		inserts, deletes []engine.Row
-		replay           bool
-	}{
-		{"relation no rule reads", []engine.Row{row("Audit", 9, 9)}, []engine.Row{row("Audit", 1, 1)}, true},
-		// C(7) has no B partner and B(20, 9) neither an A nor a C one.
-		{"read relations, no binding", []engine.Row{row("C", 7), row("B", 20, 9)}, nil, true},
-		// A(9) violates the condition rule: every repair must grow.
-		{"binding insert", []engine.Row{row("A", 9)}, nil, false},
-	} {
-		next, info, err := snap.Apply(tc.inserts, tc.deletes)
+	for _, sem := range AllSemantics {
+		prev, _, err := RunWith(snap.Fork(), prog, sem, Options{Prepared: prep})
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", sem, err)
 		}
-		for _, sem := range AllSemantics {
-			prev, _, err := RunWith(snap.Fork(), prog, sem, Options{Prepared: prep})
-			if err != nil {
-				t.Fatalf("%s %s: %v", tc.name, sem, err)
+		if prev.Size() == 0 {
+			t.Fatalf("%s: fixture should require deletions", sem)
+		}
+		warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
+		got, repaired, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep, Warm: warm})
+		if err != nil {
+			t.Fatalf("%s warm: %v", sem, err)
+		}
+		cold, _, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep})
+		if err != nil {
+			t.Fatalf("%s cold: %v", sem, err)
+		}
+		if exactKeys(got) != exactKeys(cold) {
+			t.Fatalf("%s: warm %s != cold %s", sem, exactKeys(got), exactKeys(cold))
+		}
+		if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
+			t.Errorf("%s: warm repaired fork not stable (err=%v)", sem, err)
+		}
+		if !replay {
+			if got.Size() <= prev.Size() {
+				t.Errorf("%s: a binding insert should grow the repair (%d vs %d)", sem, got.Size(), prev.Size())
 			}
-			if prev.Size() == 0 {
-				t.Fatalf("%s: fixture should require deletions", sem)
-			}
-			warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
-			got, repaired, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep, Warm: warm})
-			if err != nil {
-				t.Fatalf("%s %s warm: %v", tc.name, sem, err)
-			}
-			cold, _, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep})
-			if err != nil {
-				t.Fatalf("%s %s cold: %v", tc.name, sem, err)
-			}
-			if exactKeys(got) != exactKeys(cold) {
-				t.Fatalf("%s %s: warm %s != cold %s", tc.name, sem, exactKeys(got), exactKeys(cold))
-			}
-			if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
-				t.Errorf("%s %s: warm repaired fork not stable (err=%v)", tc.name, sem, err)
-			}
-			if !tc.replay {
-				if got.Size() <= prev.Size() {
-					t.Errorf("%s %s: a binding insert should grow the repair (%d vs %d)", tc.name, sem, got.Size(), prev.Size())
-				}
-				continue
-			}
-			// A replay derives nothing: the previous answer and its
-			// diagnostics carry over and no executor time is charged.
-			if exactKeys(got) != exactKeys(prev) || got.Rounds != prev.Rounds || got.Optimal != prev.Optimal || got.Timing.Eval != 0 {
-				t.Errorf("%s %s: not replayed (keys %s vs %s, rounds %d vs %d, optimal %v vs %v, eval %v)", tc.name, sem,
-					exactKeys(got), exactKeys(prev), got.Rounds, prev.Rounds, got.Optimal, prev.Optimal, got.Timing.Eval)
-			}
+			continue
+		}
+		// A replay derives nothing: the previous answer and its
+		// diagnostics carry over and no executor time is charged.
+		if exactKeys(got) != exactKeys(prev) || got.Rounds != prev.Rounds || got.Optimal != prev.Optimal || got.Timing.Eval != 0 {
+			t.Errorf("%s: not replayed (keys %s vs %s, rounds %d vs %d, optimal %v vs %v, eval %v)", sem,
+				exactKeys(got), exactKeys(prev), got.Rounds, prev.Rounds, got.Optimal, prev.Optimal, got.Timing.Eval)
 		}
 	}
+}
+
+// TestWarmShortcutOutsideReadSet: a batch confined to a relation no rule
+// reads binds nothing, so every semantics replays the previous result.
+func TestWarmShortcutOutsideReadSet(t *testing.T) {
+	checkWarmProbe(t, []engine.Row{warmRow("Audit", 9, 9)}, []engine.Row{warmRow("Audit", 1, 1)}, true)
+}
+
+// TestWarmShortcutRefusedInsideReadSet: an insert that binds a rule must
+// not replay — A(9) violates the condition rule, so every semantics
+// recomputes and its repair grows.
+func TestWarmShortcutRefusedInsideReadSet(t *testing.T) {
+	checkWarmProbe(t, []engine.Row{warmRow("A", 9)}, nil, false)
+}
+
+// TestWarmProbeReplay: a batch that touches relations rules read, with rows
+// that join nothing, still binds no rule assignment and replays — C(7) has
+// no B partner and B(20, 9) neither an A nor a C one.
+func TestWarmProbeReplay(t *testing.T) {
+	checkWarmProbe(t, []engine.Row{warmRow("C", 7), warmRow("B", 20, 9)}, nil, true)
 }
 
 // TestWarmEndContinuation: after insert-only updates, end semantics
