@@ -37,7 +37,7 @@
 //	     -d '{"query": "Q(p) :- Pub(p, a).", "k": 4}'
 //
 // With -data-dir, sessions are durable: registrations and update batches
-// are persisted (write-ahead log + periodic snapshot compaction) and
+// are persisted (write-ahead log + periodic checkpoints) and
 // recovered after a restart:
 //
 //	deltarepaird -addr :8080 -data-dir /var/lib/deltarepaird
@@ -84,9 +84,9 @@ func main() {
 		maxBody     = flag.Int64("max-body-bytes", 0, "largest request body accepted, in bytes; longer ones get 413 (0 = 64 MiB)")
 		demo        = flag.Bool("demo", false, "preload the paper's running example as session \"running-example\"")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		dataDir     = flag.String("data-dir", "", "persist sessions (WAL + snapshots) under this directory; empty = in-memory only")
+		dataDir     = flag.String("data-dir", "", "persist sessions (WAL + checkpoints) under this directory; empty = in-memory only")
 		fsync       = flag.Bool("fsync", true, "fsync the WAL on every update (false: OS-buffered, survives process crash but not power loss)")
-		snapEvery   = flag.Int("snapshot-every", 0, "WAL records between snapshot compactions (0 = default, negative = never)")
+		snapEvery   = flag.Int("snapshot-every", 0, "WAL records between checkpoint compactions (0 = default, negative = never)")
 		selfcheck   = flag.Bool("selfcheck", false, "run a persist/restart/recover round trip against -data-dir and exit")
 	)
 	flag.Parse()
@@ -258,7 +258,7 @@ func selfCheck(dir string) error {
 	}
 	ctx := context.Background()
 	// Three batches: insert, mixed, delete — with SnapshotEvery=2 this
-	// crosses a compaction boundary, so recovery exercises snapshot load
+	// crosses a compaction boundary, so recovery exercises checkpoint load
 	// plus WAL tail replay.
 	batches := []struct{ ins, del []engine.Row }{
 		{ins: []engine.Row{{Rel: "Writes", Vals: []engine.Value{engine.Int(2), engine.Int(6)}}}},
@@ -283,7 +283,7 @@ func selfCheck(dir string) error {
 		before[sem] = res.Keys()
 	}
 	// Crash: no svc.Close(). The acknowledged batches are durable in the
-	// snapshot + WAL; the open handles are simply abandoned.
+	// checkpoint + WAL; the open handles are simply abandoned.
 
 	svc2, err := server.Open(cfg)
 	if err != nil {

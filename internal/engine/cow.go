@@ -83,13 +83,14 @@ func recentCap(base int) int {
 	return max(recentRows, int(math.Sqrt(float64(base/foldFraction))))
 }
 
-// segment is an immutable run of tuples sealed by one freeze, shared by
-// pointer between every core — every version — that contains it. The read
-// structures built lazily over it (positional hash indexes, the columnar
-// image of columnar.go, the content intern map) hang off the segment, not
-// the core, so they are built once per segment however many versions and
-// forks read it.
-type segment struct {
+// Segment is an immutable run of tuples sealed by one freeze, shared by
+// pointer between every core — every version — that contains it, so its
+// pointer is its identity: a checkpoint writes each segment once (see
+// checkpoint.go). The read structures built lazily over it (positional
+// hash indexes, the columnar image of columnar.go, the content intern map)
+// hang off the segment, not the core, so they are built once per segment
+// however many versions and forks read it.
+type Segment struct {
 	arity int
 	order []*Tuple          // sealed tuples, insertion order
 	byID  map[TupleID]int32 // TID -> position in order
@@ -118,14 +119,14 @@ type frozenBucket struct {
 // columns built. byID and keys, when the caller already has them for
 // exactly these rows, are donated instead of rebuilt (either may be nil:
 // byID is then built here, the intern map lazily).
-func newSegment(arity int, order []*Tuple, byID map[TupleID]int32, keys map[string]TupleID, warm []int) *segment {
+func newSegment(arity int, order []*Tuple, byID map[TupleID]int32, keys map[string]TupleID, warm []int) *Segment {
 	if byID == nil {
 		byID = make(map[TupleID]int32, len(order))
 		for pos, t := range order {
 			byID[t.TID] = int32(pos)
 		}
 	}
-	s := &segment{arity: arity, order: order, byID: byID}
+	s := &Segment{arity: arity, order: order, byID: byID}
 	if keys != nil {
 		s.keys.Store(&keys)
 	}
@@ -143,7 +144,7 @@ func newSegment(arity int, order []*Tuple, byID map[TupleID]int32, keys map[stri
 // it on first use. The build happens at most once per (segment, column)
 // across all versions and forks — this is what lets concurrent requests on
 // private forks probe one warm index instead of one rebuilt per fork.
-func (s *segment) index(col int) map[Value]*frozenBucket {
+func (s *Segment) index(col int) map[Value]*frozenBucket {
 	if m := s.indexes.Load(); m != nil {
 		if idx, ok := (*m)[col]; ok {
 			return idx
@@ -156,7 +157,7 @@ func (s *segment) index(col int) map[Value]*frozenBucket {
 
 // buildIndexLocked builds and publishes the positional index on col; the
 // caller must hold s.mu. Returns the existing index if already built.
-func (s *segment) buildIndexLocked(col int) map[Value]*frozenBucket {
+func (s *Segment) buildIndexLocked(col int) map[Value]*frozenBucket {
 	old := s.indexes.Load()
 	if old != nil {
 		if idx, ok := (*old)[col]; ok {
@@ -212,7 +213,7 @@ func (s *segment) buildIndexLocked(col int) map[Value]*frozenBucket {
 
 // columnar returns the segment's columnar image, building and publishing
 // it on first use (at most once per segment across all versions and forks).
-func (s *segment) columnar() *frozenCols {
+func (s *Segment) columnar() *frozenCols {
 	if fc := s.cols.Load(); fc != nil {
 		return fc
 	}
@@ -228,7 +229,7 @@ func (s *segment) columnar() *frozenCols {
 
 // keyMap returns the segment's content-intern map, building and publishing
 // it on first use (at most once per segment across all versions and forks).
-func (s *segment) keyMap() map[string]TupleID {
+func (s *Segment) keyMap() map[string]TupleID {
 	if m := s.keys.Load(); m != nil {
 		return *m
 	}
@@ -263,7 +264,7 @@ type frozenRel struct {
 	arity      int
 	positional bool
 
-	segs []*segment
+	segs []*Segment
 	n    int // total positions: the segments' lengths summed
 	tomb tombstones
 }
@@ -389,11 +390,11 @@ func (r *Relation) reseal(from int, withTail bool, warm []int, st *sealStats) *f
 	if withTail {
 		tail, tailByID, tailKeys = r.order, r.byID, r.byKey
 	}
-	var oldSegs []*segment
+	var oldSegs []*Segment
 	if r.frozen != nil {
 		oldSegs = r.frozen.segs
 	}
-	core.segs = append(make([]*segment, 0, from+1), oldSegs[:from]...)
+	core.segs = append(make([]*Segment, 0, from+1), oldSegs[:from]...)
 	for i, s := range core.segs {
 		core.n += len(s.order)
 		if n := r.fdel.n[i]; n > 0 {

@@ -101,7 +101,7 @@ func sealRows(rel string, arity int, vals []Value, ids []string, seqs []int, war
 		slab[i] = Tuple{ID: ids[i], Rel: rel, Vals: vals[i*arity : end : end], Seq: seqs[i], TID: first + TupleID(i) + 1}
 		order[i] = &slab[i]
 	}
-	fz.segs = []*segment{newSegment(arity, order, nil, nil, warm)}
+	fz.segs = []*Segment{newSegment(arity, order, nil, nil, warm)}
 	return fz
 }
 

@@ -289,14 +289,14 @@ func TestCompaction(t *testing.T) {
 		t.Fatalf("WAL size after compaction = %d, want 0", got)
 	}
 	entries, _ := os.ReadDir(sessDir)
-	snaps := 0
+	manifests := 0
 	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".snap" {
-			snaps++
+		if filepath.Ext(e.Name()) == ".manifest" {
+			manifests++
 		}
 	}
-	if snaps != 1 {
-		t.Fatalf("%d snapshot files after compaction, want 1", snaps)
+	if manifests != 1 {
+		t.Fatalf("%d checkpoint manifests after compaction, want 1", manifests)
 	}
 	st.Close()
 
@@ -315,8 +315,8 @@ func TestCompaction(t *testing.T) {
 }
 
 // TestCrashBetweenSnapshotAndTruncate covers the compaction crash window:
-// the new snapshot is in place but the WAL still holds records at or below
-// its version. Recovery must skip them.
+// the new checkpoint is in place but the WAL still holds records at or
+// below its version. Recovery must skip them.
 func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	m := mgr(t, dir, -1)
@@ -337,8 +337,8 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Write the snapshot at version 3 directly, without truncating the WAL
-	// — exactly the state a crash between rename and truncate leaves.
+	// Write the checkpoint at version 3 directly, without truncating the
+	// WAL — exactly the state a crash between rename and truncate leaves.
 	cur := db.Freeze()
 	for v := uint64(2); v <= 3; v++ {
 		next, _, err := cur.Apply([]engine.Row{row("S", engine.Int64(int64(v)))}, nil)
@@ -347,8 +347,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 		}
 		cur = next
 	}
-	sessDir := filepath.Join(dir, encodeName("window"))
-	if err := writeSnapshotFile(filepath.Join(sessDir, snapName(3)), cur.Fork()); err != nil {
+	if err := st.writeCheckpoint(cur, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

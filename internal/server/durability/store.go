@@ -8,27 +8,30 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/engine"
 )
 
 // On-disk layout, one directory per session under Options.Dir:
 //
-//	<dir>/<encoded-name>/meta.json       registration metadata (name, sources)
-//	<dir>/<encoded-name>/snap-<V>.snap   newest engine snapshot, at version V
-//	<dir>/<encoded-name>/wal.log         update batches applied since version V
+//	<dir>/<encoded-name>/meta.json           registration metadata (name, sources)
+//	<dir>/<encoded-name>/ckpt-<V>.manifest   newest checkpoint, at version V
+//	<dir>/<encoded-name>/seg-<N>.seg         the segment files it names
+//	<dir>/<encoded-name>/wal.log             update batches applied since version V
 //
-// Snapshots are written to a .tmp file, fsynced, and renamed into place, so
-// every crash window leaves either the old snapshot or the new one — never
-// a half-written file. The WAL is truncated only after the covering
-// snapshot is durably in place; recovery skips WAL records at or below the
-// snapshot version, so a crash between the rename and the truncate is
-// harmless (the stale tail is simply ignored and dropped by the next
-// compaction).
+// A checkpoint (checkpoint.go) writes only the segment files the previous
+// one does not reference, then lands its manifest tmp + fsync + rename, so
+// every crash window leaves either the old checkpoint or the new one —
+// never a half-written manifest. The WAL is truncated only after the new
+// manifest is durably in place, and the superseded manifest and segment
+// files are removed last; recovery skips WAL records at or below the
+// checkpoint version and sweeps whatever a crash left behind (*.tmp files,
+// unreferenced segment files, superseded manifests). A directory from
+// before checkpoints holds a snap-<V>.snap (engine.Save) instead; Open
+// reads it once and rewrites it as a checkpoint at V.
 
 // DefaultSnapshotEvery is the compaction cadence (WAL records between
-// snapshots) when Options.SnapshotEvery is 0.
+// checkpoints) when Options.SnapshotEvery is 0.
 const DefaultSnapshotEvery = 64
 
 // Options configures a Manager.
@@ -37,16 +40,16 @@ type Options struct {
 	Dir string
 	// Fsync is the WAL flush policy.
 	Fsync FsyncPolicy
-	// SnapshotEvery is the number of WAL records that triggers snapshot
-	// compaction. 0 means DefaultSnapshotEvery; negative disables
+	// SnapshotEvery is the number of WAL records that triggers a
+	// checkpoint. 0 means DefaultSnapshotEvery; negative disables
 	// automatic compaction.
 	SnapshotEvery int
 }
 
 // Meta is a session's registration metadata, stored as meta.json. Schema
-// and Program are source text: Program is re-parsed during recovery (the
-// engine snapshot carries only data, not rules); Schema is informational —
-// the authoritative schema is reconstructed by engine.LoadSnapshot.
+// and Program are source text: Program is re-parsed during recovery (a
+// checkpoint carries only data, not rules); Schema is informational — the
+// authoritative schema is the one the checkpoint's manifest records.
 type Meta struct {
 	Name    string `json:"name"`
 	Schema  string `json:"schema"`
@@ -131,48 +134,57 @@ func (m *Manager) Delete(name string) error {
 	return os.RemoveAll(m.sessionDir(name))
 }
 
-// Create persists a new session: its metadata, an initial snapshot at
-// version 1, and an empty WAL. A session directory that already exists
-// fails with os.ErrExist — concurrent Creates race on the atomic Mkdir,
-// so the filesystem is the duplicate-registration arbiter.
+// Create persists a new session: the version-1 checkpoint of db, an empty
+// WAL, and its metadata. db is frozen (it stays usable, as a pristine fork
+// of its snapshot). A session directory that already exists fails with
+// os.ErrExist — concurrent Creates race on the atomic Mkdir, so the
+// filesystem is the duplicate-registration arbiter. An acknowledged Create
+// survives power loss: meta.json and the directory entries leading to it
+// are fsynced.
 func (m *Manager) Create(meta Meta, db *engine.Database) (*SessionStore, error) {
 	dir := m.sessionDir(meta.Name)
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		return nil, err // ErrExist = duplicate
 	}
-	if err := writeSnapshotFile(filepath.Join(dir, snapName(1)), db); err != nil {
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	// meta.json lands last: its presence marks the directory complete
-	// (List and Exists key off it).
-	if err := writeJSON(filepath.Join(dir, "meta.json"), &meta); err != nil {
+	st := &SessionStore{dir: dir, snapshotEvery: m.opts.SnapshotEvery, nextSegment: 1}
+	if err := st.writeCheckpoint(db.Freeze(), 1, nil); err != nil {
 		os.RemoveAll(dir)
 		return nil, err
 	}
 	log, err := OpenLog(filepath.Join(dir, "wal.log"), m.opts.Fsync)
 	if err != nil {
+		os.RemoveAll(dir)
 		return nil, err
 	}
-	return &SessionStore{dir: dir, log: log, snapshotEvery: m.opts.SnapshotEvery, snapVersion: 1}, nil
+	// meta.json lands last: its presence marks the directory complete
+	// (List and Exists key off it). Its fsync covers the session
+	// directory's entries; the data directory's holds the session's.
+	if err := writeJSON(filepath.Join(dir, "meta.json"), &meta); err != nil {
+		log.Close()
+		os.RemoveAll(dir)
+		return nil, err
+	}
+	syncDir(m.opts.Dir)
+	st.log = log
+	return st, nil
 }
 
 // Recovered is a session restored from disk: its metadata, the replayed
 // head state, and the reopened store for further appends.
 type Recovered struct {
 	Meta Meta
-	// Snapshot is the recovered head — the newest durable snapshot with
+	// Snapshot is the recovered head — the newest durable checkpoint with
 	// the WAL tail replayed onto it via Snapshot.Apply (deterministic, so
 	// the head is byte-identical to the pre-crash state).
 	Snapshot *engine.Snapshot
 	// Version is the head's version number.
 	Version uint64
-	// SnapshotVersion is the version of the on-disk snapshot the replay
+	// SnapshotVersion is the version of the on-disk checkpoint the replay
 	// started from.
 	SnapshotVersion uint64
 	// Replayed is the number of WAL records applied on top of it, and
 	// Compactions the segment tier merges those applies ran (each record
-	// is sealed onto the loaded snapshot like a live update, not
+	// is sealed onto the loaded checkpoint like a live update, not
 	// re-frozen).
 	Replayed    int
 	Compactions int
@@ -183,34 +195,33 @@ type Recovered struct {
 	Store *SessionStore
 }
 
-// Open recovers the named session: load the newest snapshot, replay the
-// WAL tail (repairing a torn or corrupt tail by truncation), and reopen
-// the log for appending.
+// Open recovers the named session: load the newest checkpoint — or
+// migrate a legacy snapshot file into one — sweep what no recovery reads,
+// replay the WAL tail (repairing a torn or corrupt tail by truncation), and
+// reopen the log for appending.
 func (m *Manager) Open(name string) (*Recovered, error) {
 	dir := m.sessionDir(name)
 	var meta Meta
 	if err := readJSON(filepath.Join(dir, "meta.json"), &meta); err != nil {
 		return nil, fmt.Errorf("durability: session %q: %w", name, err)
 	}
-	snapPath, snapVer, err := newestSnapshot(dir)
+	st, snap, err := m.loadStore(dir)
 	if err != nil {
 		return nil, fmt.Errorf("durability: session %q: %w", name, err)
 	}
-	db, err := engine.LoadSnapshotFile(snapPath)
-	if err != nil {
-		return nil, fmt.Errorf("durability: session %q snapshot: %w", name, err)
+	if err := sweep(dir, st.snapVersion, st.files); err != nil {
+		return nil, fmt.Errorf("durability: session %q: %w", name, err)
 	}
 	walPath := filepath.Join(dir, "wal.log")
 	recs, stats, err := ReadLog(walPath, true)
 	if err != nil {
 		return nil, fmt.Errorf("durability: session %q: %w", name, err)
 	}
-	snap := db.Freeze()
-	version := snapVer
+	version := st.snapVersion
 	replayed, compactions := 0, 0
 	for _, rec := range recs {
 		if rec.Version <= version {
-			continue // pre-snapshot tail left by a crash mid-compaction
+			continue // pre-checkpoint tail left by a crash mid-compaction
 		}
 		if rec.Version != version+1 {
 			// A gap can only mean a record sequence this build never writes;
@@ -234,26 +245,94 @@ func (m *Manager) Open(name string) (*Recovered, error) {
 	// crashed just short of a compaction does not need another full window
 	// of appends to get one.
 	log.count = replayed
+	st.log = log
 	return &Recovered{
 		Meta:            meta,
 		Snapshot:        snap,
 		Version:         version,
-		SnapshotVersion: snapVer,
+		SnapshotVersion: st.snapVersion,
 		Replayed:        replayed,
 		Compactions:     compactions,
 		WalStats:        stats,
-		Store:           &SessionStore{dir: dir, log: log, snapshotEvery: m.opts.SnapshotEvery, snapVersion: snapVer},
+		Store:           st,
 	}, nil
 }
 
+// loadStore loads a session directory's newest checkpoint and returns the
+// store that continues from it (without its log). A directory with no
+// manifest but a legacy snap-<V>.snap is migrated: the snapshot is read
+// once and written as the checkpoint at V.
+func (m *Manager) loadStore(dir string) (*SessionStore, *engine.Snapshot, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := &SessionStore{dir: dir, snapshotEvery: m.opts.SnapshotEvery, nextSegment: 1}
+	var ckpt, legacy uint64
+	var haveCkpt, haveLegacy bool
+	for _, e := range entries {
+		if v, ok := parseName(e.Name(), "ckpt-", ".manifest"); ok && (!haveCkpt || v > ckpt) {
+			ckpt, haveCkpt = v, true
+		} else if n, ok := parseName(e.Name(), "seg-", ".seg"); ok {
+			// Never reuse a segment file name, not even an orphan's.
+			st.nextSegment = max(st.nextSegment, n+1)
+		} else if v, ok := parseName(e.Name(), "snap-", ".snap"); ok && (!haveLegacy || v > legacy) {
+			legacy, haveLegacy = v, true
+		}
+	}
+	switch {
+	case haveCkpt:
+		data, err := os.ReadFile(filepath.Join(dir, manifestName(ckpt)))
+		if err != nil {
+			return nil, nil, err
+		}
+		man, err := decodeManifest(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		snap, files, err := loadCheckpoint(man, func(name string) ([]byte, error) {
+			return os.ReadFile(filepath.Join(dir, name))
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		st.files, st.snapVersion = files, ckpt
+		return st, snap, nil
+	case haveLegacy:
+		db, err := engine.LoadSnapshotFile(filepath.Join(dir, fmt.Sprintf("snap-%d.snap", legacy)))
+		if err != nil {
+			return nil, nil, fmt.Errorf("legacy snapshot: %w", err)
+		}
+		snap := db.Freeze()
+		if err := st.writeCheckpoint(snap, legacy, nil); err != nil {
+			return nil, nil, err
+		}
+		return st, snap, nil
+	}
+	return nil, nil, errors.New("no checkpoint")
+}
+
 // SessionStore is one session's open durable state: the append handle on
-// its WAL plus the compaction cadence. Callers serialize Append and
-// Compact per session (the server's per-session writer lock).
+// its WAL, the compaction cadence, and the segment files the current
+// checkpoint references. Callers serialize Append and Compact per session
+// (the server's per-session writer lock).
 type SessionStore struct {
 	dir           string
 	log           *Log
 	snapshotEvery int
 	snapVersion   uint64
+
+	// files maps each segment the current manifest references to its file.
+	// A checkpoint replaces it wholesale, so it never pins a segment the
+	// head has dropped.
+	files map[*engine.Segment]string
+	// nextSegment numbers the next segment file written.
+	nextSegment uint64
+	last        CheckpointStats
+	// crashAt, when set (by tests), is called at each stage of a
+	// checkpoint; a non-nil error stops the checkpoint there, leaving the
+	// files as a crash at that point would.
+	crashAt func(checkpointStage) error
 }
 
 // Append makes one update batch durable (per the fsync policy) before the
@@ -263,36 +342,25 @@ func (st *SessionStore) Append(rec *Record) error {
 }
 
 // ShouldCompact reports whether the WAL has accumulated enough records
-// since the last snapshot to warrant compaction.
+// since the last checkpoint to warrant compaction.
 func (st *SessionStore) ShouldCompact() bool {
 	return st.snapshotEvery > 0 && st.log.AppendCount() >= st.snapshotEvery
 }
 
-// Compact writes a snapshot of head at the given version and truncates
-// the WAL. The snapshot lands via tmp+fsync+rename, the WAL is truncated
-// only afterwards, and older snapshot files are removed last — every
-// crash window recovers to the same head.
+// Compact writes a checkpoint of head at the given version — only the
+// segments the last checkpoint lacks, then the manifest — and truncates
+// the WAL. The WAL is truncated only after the manifest is in place and
+// superseded files are removed last: every crash window recovers to the
+// same head.
 func (st *SessionStore) Compact(head *engine.Snapshot, version uint64) error {
-	path := filepath.Join(st.dir, snapName(version))
-	// Fork is O(relations) and shares all frozen storage; Save reads
-	// base/delta/nextID/seq from the fork, which Freeze/Fork round-trip.
-	if err := writeSnapshotFile(path, head.Fork()); err != nil {
-		return err
-	}
-	if err := st.log.Reset(); err != nil {
-		return err
-	}
-	prev := st.snapVersion
-	st.snapVersion = version
-	// Best-effort removal of superseded snapshots; recovery always picks
-	// the newest, so leftovers cost only disk.
-	if prev != version {
-		os.Remove(filepath.Join(st.dir, snapName(prev)))
-	}
-	return nil
+	return st.writeCheckpoint(head, version, st.log.Reset)
 }
 
-// SnapshotVersion returns the version of the newest durable snapshot.
+// LastCheckpoint reports what the newest checkpoint this store wrote
+// (Create's or a Compact's) wrote.
+func (st *SessionStore) LastCheckpoint() CheckpointStats { return st.last }
+
+// SnapshotVersion returns the version of the newest durable checkpoint.
 func (st *SessionStore) SnapshotVersion() uint64 { return st.snapVersion }
 
 // Sync flushes the WAL regardless of policy (clean shutdown).
@@ -301,59 +369,6 @@ func (st *SessionStore) Sync() error { return st.log.Sync() }
 // Close flushes and closes the WAL handle. The durable state stays on
 // disk — Close is cache eviction, not deletion.
 func (st *SessionStore) Close() error { return st.log.Close() }
-
-func snapName(version uint64) string { return fmt.Sprintf("snap-%d.snap", version) }
-
-// newestSnapshot finds the highest-versioned snap-<V>.snap in dir.
-func newestSnapshot(dir string) (string, uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", 0, err
-	}
-	best := uint64(0)
-	found := false
-	for _, e := range entries {
-		var v uint64
-		if n, _ := fmt.Sscanf(e.Name(), "snap-%d.snap", &v); n == 1 && strings.HasSuffix(e.Name(), ".snap") {
-			if !found || v > best {
-				best, found = v, true
-			}
-		}
-	}
-	if !found {
-		return "", 0, errors.New("no snapshot file")
-	}
-	return filepath.Join(dir, snapName(best)), best, nil
-}
-
-// writeSnapshotFile saves db to path atomically: tmp, fsync, rename.
-func writeSnapshotFile(path string, db *engine.Database) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := db.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
 
 // syncDir fsyncs a directory so a just-renamed entry survives power loss;
 // best-effort (some filesystems reject directory fsync).
@@ -364,19 +379,21 @@ func syncDir(dir string) {
 	}
 }
 
+// writeJSON writes v to path durably: tmp, fsync, rename, directory fsync.
 func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
+	syncDir(filepath.Dir(path))
 	return nil
 }
 

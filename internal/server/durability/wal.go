@@ -1,13 +1,15 @@
 // Package durability persists serving sessions across process restarts: a
-// per-session write-ahead log of update batches plus periodic snapshot
-// compaction, mirroring how the engine already treats state as version
-// deltas over immutable snapshots (Snapshot.Apply). A session's durable
-// state is a directory holding its registration metadata, the newest
-// snapshot (snap-<version>.snap via engine.Save), and a log of the update
-// batches applied since that snapshot. Recovery loads the snapshot and
-// replays the log tail; Apply is deterministic given the prior state and
-// the row order, so the recovered head is byte-identical to the pre-crash
-// head.
+// per-session write-ahead log of update batches plus periodic checkpoints,
+// mirroring how the engine already treats state as version deltas over
+// immutable snapshots (Snapshot.Apply). A session's durable state is a
+// directory holding its registration metadata, the newest checkpoint — a
+// manifest (ckpt-<version>.manifest) naming one file per sealed segment
+// (seg-<n>.seg via engine.AppendSegment), each written once by the first
+// checkpoint that references it — and a log of the update batches applied
+// since that checkpoint. Recovery loads each segment file back as its own
+// segment (engine.LoadLayout) and replays the log tail; Apply is
+// deterministic given the prior state and the row order, so the recovered
+// head is byte-identical to the pre-crash head.
 package durability
 
 import (
@@ -82,15 +84,27 @@ func OpenLog(path string, fsync FsyncPolicy) (*Log, error) {
 // EncodeRecord frames one record: header plus self-contained gob payload.
 // Exposed for tests that build WAL fixtures byte-by-byte.
 func EncodeRecord(rec *Record) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+	buf, err := encodeFrame(rec)
+	if err != nil {
 		return nil, fmt.Errorf("durability: encoding record: %w", err)
 	}
-	buf := make([]byte, frameHeader+payload.Len())
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload.Bytes(), crcTable))
-	copy(buf[frameHeader:], payload.Bytes())
 	return buf, nil
+}
+
+// encodeFrame gob-encodes v with a fresh encoder into one frame: the
+// header, then the payload it describes. WAL records and checkpoint
+// manifests are both such frames.
+func encodeFrame(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, frameHeader))
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	out := buf.Bytes()
+	payload := out[frameHeader:]
+	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, crcTable))
+	return out, nil
 }
 
 // Append frames rec and writes it with a single write call (so a crash
@@ -128,7 +142,7 @@ func (l *Log) AppendCount() int {
 }
 
 // Reset truncates the log to empty and restarts the append count; called
-// after a covering snapshot is durably in place. The O_APPEND handle keeps
+// after a covering checkpoint is durably in place. The O_APPEND handle keeps
 // working — subsequent appends start at the new (zero) end of file.
 func (l *Log) Reset() error {
 	l.mu.Lock()

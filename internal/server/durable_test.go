@@ -234,6 +234,170 @@ func TestDurableCrashRecoveryAcrossCompactionTiers(t *testing.T) {
 			t.Fatalf("%s repair body changed across recovery:\n before: %s\n after:  %s", sem, want, got)
 		}
 	}
+
+	// Eight more batches reach the next compaction; a crash right after it
+	// leaves no WAL tail, and the recovery loads every segment file back as
+	// its own segment: the live head's segment lengths and tombstones.
+	for b := 120; b < 128; b++ {
+		res, err := svc2.Update(ctx, "papers", []engine.Row{cite(900 + b)}, []engine.Row{cite(b - 64)}, RequestOptions{})
+		if err != nil {
+			t.Fatalf("update %d: %v", b, err)
+		}
+		version = res.Version
+	}
+	live := headLayout(t, svc2, "papers")
+	wantDump, _ = dumpHead(t, svc2, "papers")
+	// Crash again, now on a checkpoint with nothing to replay.
+
+	svc3 := openDurable(t, dir, Config{SnapshotEvery: 2})
+	defer svc3.Close()
+	gotDump, gotVer = dumpHead(t, svc3, "papers")
+	if gotVer != version || gotDump != wantDump {
+		t.Fatalf("recovery at %d without a tail not byte-identical (want %d):\n got:\n%s\nwant:\n%s", gotVer, version, gotDump, wantDump)
+	}
+	if n := metricValue(t, svc3, "deltarepaird_recovery_replayed_records_total"); n != 0 {
+		t.Fatalf("recovery right after a compaction replayed %d records", n)
+	}
+	recovered := headLayout(t, svc3, "papers")
+	if got, want := segmentShape(recovered), segmentShape(live); got != want {
+		t.Fatalf("recovered segment layout:\n%s\nwant the live head's:\n%s", got, want)
+	}
+
+	// A steady-state checkpoint (two small batches, no fold) writes exactly
+	// the segments the recovered checkpoint lacks, and no base segment.
+	for i := 0; i < 2; i++ {
+		if _, err := svc3.Update(ctx, "papers", []engine.Row{row("Grant", engine.Int(10+i), engine.Str("ERC"))}, nil, RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	had := map[*engine.Segment]bool{}
+	for _, rl := range recovered.Relations {
+		for _, seg := range append(rl.Base.Segments, rl.Delta.Segments...) {
+			had[seg] = true
+		}
+	}
+	fresh := 0
+	for _, rl := range headLayout(t, svc3, "papers").Relations {
+		for _, sl := range []engine.SideLayout{rl.Base, rl.Delta} {
+			for i, seg := range sl.Segments {
+				if had[seg] {
+					continue
+				}
+				fresh++
+				if i == 0 {
+					t.Fatalf("the steady-state checkpoint wrote a new base segment of %s", rl.Name)
+				}
+			}
+		}
+	}
+	written := metricValue(t, svc3, regexp.QuoteMeta(`deltarepaird_checkpoint_segments_total{outcome="written"}`))
+	if metricValue(t, svc3, "deltarepaird_snapshot_compactions_total") != 1 || fresh == 0 || written != fresh {
+		t.Fatalf("the steady-state checkpoint wrote %d segment files for %d new segments", written, fresh)
+	}
+}
+
+// headLayout returns the segment layout of a session's head.
+func headLayout(t *testing.T, svc *Service, name string) *engine.Layout {
+	t.Helper()
+	sess, err := svc.session(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.warm(); err != nil {
+		t.Fatal(err)
+	}
+	head, _ := sess.ring.Head()
+	return head.Layout()
+}
+
+// segmentShape renders each relation side's segment lengths and tombstone
+// counts.
+func segmentShape(l *engine.Layout) string {
+	var b strings.Builder
+	for _, rl := range l.Relations {
+		b.WriteString(rl.Name + ":")
+		for _, sl := range []engine.SideLayout{rl.Base, rl.Delta} {
+			for i, seg := range sl.Segments {
+				fmt.Fprintf(&b, " %d-%d", seg.Len(), engine.CountDeleted(sl.Tombs[i]))
+			}
+			b.WriteString(" |")
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestDurableLegacySnapshotMigration: a data directory written before
+// checkpoints — a whole-database engine.Save snapshot at version 2 plus a
+// WAL tail — recovers byte-identically under all four semantics, and the
+// session directory comes back as a checkpoint at version 2.
+func TestDurableLegacySnapshotMigration(t *testing.T) {
+	dir := t.TempDir()
+	svc := openDurable(t, dir, Config{SnapshotEvery: -1})
+	register(t, svc, "papers")
+	ctx := context.Background()
+	for i, ins := range []engine.Row{
+		row("Writes", engine.Int(2), engine.Int(6)),
+		row("Cite", engine.Int(6), engine.Int(7)),
+		row("Grant", engine.Int(3), engine.Str("DFG")),
+	} {
+		if _, err := svc.Update(ctx, "papers", []engine.Row{ins}, nil, RequestOptions{}); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	sess, err := svc.session("papers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at2, ok := sess.ring.At(2)
+	if !ok {
+		t.Fatal("version 2 not retained")
+	}
+	before := pinnedRepairBodies(t, svc, "papers", 4)
+	wantDump, _ := dumpHead(t, svc, "papers")
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sessDir := filepath.Join(dir, "s-papers")
+	entries, err := os.ReadDir(sessDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "meta.json" && e.Name() != "wal.log" {
+			os.Remove(filepath.Join(sessDir, e.Name()))
+		}
+	}
+	if err := at2.Fork().SaveFile(filepath.Join(sessDir, "snap-2.snap")); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := openDurable(t, dir, Config{SnapshotEvery: -1})
+	defer svc2.Close()
+	gotDump, gotVer := dumpHead(t, svc2, "papers")
+	if gotVer != 4 || gotDump != wantDump {
+		t.Fatalf("migrated recovery at %d not byte-identical:\n got:\n%s\nwant:\n%s", gotVer, gotDump, wantDump)
+	}
+	if n := metricValue(t, svc2, "deltarepaird_recovery_replayed_records_total"); n != 2 {
+		t.Fatalf("replayed %d records on the legacy snapshot, want 2", n)
+	}
+	for sem, want := range before {
+		if got := pinnedRepairBodies(t, svc2, "papers", 4)[sem]; got != want {
+			t.Fatalf("%s repair body changed across the migration:\n before: %s\n after:  %s", sem, want, got)
+		}
+	}
+	entries, err = os.ReadDir(sessDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	joined := strings.Join(names, " ")
+	if !strings.Contains(joined, "ckpt-2.manifest") || strings.Contains(joined, ".snap") || !strings.Contains(joined, ".seg") {
+		t.Fatalf("session directory after the migration: %v", names)
+	}
 }
 
 // TestDurableMidBatchCrash simulates a crash after the WAL append but

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/server/durability"
 )
 
 // svcMetrics is the Service's metric inventory, rendered by GET /metrics
@@ -39,6 +40,11 @@ type svcMetrics struct {
 	tornTails        *metrics.Counter
 	corruptRecords   *metrics.Counter
 	compactions      *metrics.Counter
+	// Checkpoints (registration's and every compaction's): segment files
+	// written versus segments referenced from an earlier checkpoint's
+	// files, and the bytes written.
+	checkpointSegments *metrics.CounterVec
+	checkpointBytes    *metrics.Counter
 }
 
 func newSvcMetrics(s *Service) *svcMetrics {
@@ -68,7 +74,11 @@ func newSvcMetrics(s *Service) *svcMetrics {
 		corruptRecords: reg.NewCounter("deltarepaird_recovery_corrupt_records_total",
 			"WAL records dropped for checksum or decode failures during recovery."),
 		compactions: reg.NewCounter("deltarepaird_snapshot_compactions_total",
-			"Snapshot compactions (WAL truncated into a fresh snapshot)."),
+			"Snapshot compactions (WAL truncated into a fresh checkpoint)."),
+		checkpointSegments: reg.NewCounterVec("deltarepaird_checkpoint_segments_total",
+			"Segments checkpoints referenced, by outcome: written to a new file or reused from an earlier checkpoint's.", "outcome"),
+		checkpointBytes: reg.NewCounter("deltarepaird_checkpoint_bytes_total",
+			"Bytes checkpoints wrote: segment files and manifests."),
 	}
 	reg.NewGaugeFunc("deltarepaird_sessions",
 		"Sessions currently resident in the cache.",
@@ -86,6 +96,13 @@ func newSvcMetrics(s *Service) *svcMetrics {
 			return float64(sum)
 		})
 	return m
+}
+
+// countCheckpoint adds one checkpoint's stats to the counters.
+func (m *svcMetrics) countCheckpoint(st durability.CheckpointStats) {
+	m.checkpointSegments.With("written").Add(uint64(st.Written))
+	m.checkpointSegments.With("reused").Add(uint64(st.Reused))
+	m.checkpointBytes.Add(uint64(st.Bytes))
 }
 
 // track records one request's outcome and latency; defer it at the top of

@@ -107,7 +107,7 @@ type Config struct {
 	// writes (acknowledged updates survive a process crash only).
 	NoFsync bool
 	// SnapshotEvery is the compaction cadence: after this many WAL
-	// records a fresh snapshot is written and the WAL truncated. 0 means
+	// records a fresh checkpoint is written and the WAL truncated. 0 means
 	// durability.DefaultSnapshotEvery; negative disables automatic
 	// compaction.
 	SnapshotEvery int
@@ -152,7 +152,7 @@ func New(cfg Config) *Service {
 
 // Open is New returning filesystem errors: with Config.DataDir set it
 // prepares the data directory and arms lazy crash recovery — every
-// session persisted by an earlier process is restored (newest snapshot +
+// session persisted by an earlier process is restored (newest checkpoint +
 // WAL tail replay) on its first access.
 func Open(cfg Config) (*Service, error) {
 	if cfg.MaxSessions <= 0 {
@@ -432,8 +432,8 @@ func (sess *Session) storeStable(version uint64, stable bool) {
 // is recovered lazily on next access). The program must already be
 // validated against the schema.
 //
-// With durability enabled the registration is persisted — metadata, an
-// initial snapshot at version 1, and an empty WAL — before the session
+// With durability enabled the registration is persisted — metadata, the
+// version-1 checkpoint, and an empty WAL — before the session
 // becomes visible, and the atomic session-directory create arbitrates
 // duplicate names (an evicted-but-persisted session still counts as
 // registered).
@@ -462,6 +462,7 @@ func (s *Service) Register(name string, schema *engine.Schema, db *engine.Databa
 		if cerr != nil {
 			return fmt.Errorf("server: persisting session %q: %w", name, cerr)
 		}
+		s.metrics.countCheckpoint(store.LastCheckpoint())
 		sess.store = store
 	}
 	s.mu.Lock()
@@ -531,7 +532,7 @@ func (s *Service) Deregister(name string) bool {
 
 // session returns the named session, promoting it to most-recently-used.
 // With durability enabled, a cache miss for a persisted session triggers
-// lazy crash recovery (single-flight per name): the newest snapshot is
+// lazy crash recovery (single-flight per name): the newest checkpoint is
 // loaded, the WAL tail replayed, and the session re-enters the cache at
 // its pre-crash head version.
 func (s *Service) session(name string) (*Session, error) {
@@ -965,6 +966,7 @@ func (s *Service) Update(ctx context.Context, name string, inserts, deletes []en
 		// durable in the WAL); the next batch simply retries.
 		if cerr := sess.store.Compact(next, version); cerr == nil {
 			s.metrics.compactions.Inc()
+			s.metrics.countCheckpoint(sess.store.LastCheckpoint())
 		}
 	}
 	oldest := sess.ring.Oldest()
