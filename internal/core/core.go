@@ -7,9 +7,10 @@
 //
 // The four are policies over one Derivation (derivation.go): it derives the
 // artefacts they choose from once per request — Algorithm 1's closure
-// formula with the end graph read off it, the end and stage fixpoints — and
-// every run returns the stabilizing set together with the repaired database
-// as a copy-on-write fork; the caller's instance is never mutated.
+// formula with the end graph read off it, the end and stage fixpoints. A
+// policy's Result is the stabilizing set alone; Run and RunWith return it
+// together with the repaired database, which Materialize builds as a
+// copy-on-write fork. The caller's instance is never mutated.
 package core
 
 import (

@@ -25,8 +25,9 @@ import (
 // — and every semantics is a short policy over them: end deletes all of the
 // end fixpoint, stage all of the stage fixpoint, step what Algorithm 2's
 // traversal of the graph selects, independent a Min-Ones model of the
-// formula's CNF (tie order from the graph). finish materialises whichever
-// set a policy chose.
+// formula's CNF (tie order from the graph). finish turns whichever set a
+// policy chose into a Result; Materialize builds the repaired instance only
+// for callers that read it.
 //
 // The provenance and the end fixpoint are memoised, so the policies of one
 // repair-all share them: whichever of independent, step and the Explainer
@@ -42,7 +43,7 @@ import (
 //     provenance, even if this policy's own hints would have continued warm.
 //
 // A Derivation runs on one goroutine and lives for one request; it never
-// mutates its database, and every Run returns a private fork.
+// mutates its database.
 type Derivation struct {
 	db   *engine.Database
 	prep *datalog.Prepared
@@ -51,11 +52,18 @@ type Derivation struct {
 
 	prov *closure
 	end  *fixpoint
+	// repaired is a repaired instance a policy built anyway — stage's
+	// shrunk fork, independent's self-check fork — with the Result it
+	// belongs to, so runMaterialized hands it out instead of forking again.
+	repaired struct {
+		res *Result
+		db  *engine.Database
+	}
 }
 
-// fixpoint is a derived deletion set in the order finish applies it
-// (a continued run's surviving previous fixpoint first, then derivation
-// order) and the rounds its derivation took.
+// fixpoint is a derived deletion set in derivation order (a continued
+// run's surviving previous fixpoint first) and the rounds its derivation
+// took.
 type fixpoint struct {
 	tuples []*engine.Tuple
 	rounds int
@@ -96,19 +104,20 @@ func derivationFor(db *engine.Database, p *datalog.Program, prepared *datalog.Pr
 	return NewDerivation(db, prep)
 }
 
-// Run executes one semantics' policy and returns its stabilizing set and
-// the repaired fork. opts is read as by RunWith, except Prepared: the plan
-// was fixed by NewDerivation. Warm hints are per call — each semantics of a
+// Run executes one semantics' policy and returns its stabilizing set. The
+// repaired instance is not built: Materialize builds it for callers that
+// want one. opts is read as by RunWith, except Prepared: the plan was fixed
+// by NewDerivation. Warm hints are per call — each semantics of a
 // repair-all brings its own previous result.
-func (d *Derivation) Run(sem Semantics, opts Options) (*Result, *engine.Database, error) {
+func (d *Derivation) Run(sem Semantics, opts Options) (*Result, error) {
 	if err := ctxErr(opts.Ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Every semantics replays its previous result when the batch provably
 	// interacts with no rule; otherwise end continues its previous fixpoint
 	// (endFixpoint) and the others derive.
-	if res, work, ok, err := d.changeProbe(opts.Ctx, sem, opts.Warm); ok || err != nil {
-		return res, work, err
+	if res, ok, err := d.changeProbe(opts.Ctx, sem, opts.Warm); ok || err != nil {
+		return res, err
 	}
 	switch sem {
 	case SemEnd:
@@ -120,8 +129,26 @@ func (d *Derivation) Run(sem Semantics, opts Options) (*Result, *engine.Database
 	case SemIndependent:
 		return d.runIndependent(opts)
 	default:
-		return nil, nil, fmt.Errorf("core: unknown semantics %v", sem)
+		return nil, fmt.Errorf("core: unknown semantics %v", sem)
 	}
+}
+
+// runMaterialized is Run followed by Materialize over the derivation's
+// database: the shape of every entry point that returns the repaired
+// instance.
+func (d *Derivation) runMaterialized(sem Semantics, opts Options) (*Result, *engine.Database, error) {
+	res, err := d.Run(sem, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d.repaired.res == res {
+		return res, d.repaired.db, nil
+	}
+	work, err := Materialize(d.db, res)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, work, nil
 }
 
 // endFixpoint returns the end-semantics fixpoint of the database, producing
@@ -167,73 +194,95 @@ func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart) (*fixpoint, 
 	return d.end, time.Since(start), nil
 }
 
-// finish materialises a policy's choice: a fork of the database with the
-// chosen tuples moved base → delta in the given order — the repaired
-// instance (D \ S) ∪ ∆(S) — and a Result over them. A chosen tuple that is
-// not live is an error: a policy bug, or for a replayed previous result a
-// stale hint.
-func (d *Derivation) finish(sem Semantics, chosen []*engine.Tuple) (*Result, *engine.Database, error) {
+// finish builds the Result of a policy's choice. The chosen tuples must be
+// distinct and live in the database's base: anything else is a policy bug,
+// reported as an error rather than returned as a repair. Nothing is forked;
+// Materialize builds the repaired instance on demand.
+func (d *Derivation) finish(sem Semantics, chosen []*engine.Tuple) (*Result, error) {
 	start := time.Now()
-	work := d.db.Fork()
 	for _, t := range chosen {
-		if !work.DeleteTupleToDelta(t) {
-			return nil, nil, fmt.Errorf("core: %s semantics selected %s, which is not live", sem, t.Key())
+		if !d.live(t) {
+			return nil, fmt.Errorf("core: %s semantics selected %s, which is not live", sem, t.Key())
 		}
 	}
 	res := newResult(sem, slices.Clone(chosen))
+	if len(res.ids) != len(res.Deleted) {
+		return nil, fmt.Errorf("core: %s semantics selected a tuple twice", sem)
+	}
 	res.Timing.Update = time.Since(start)
-	return res, work, nil
+	return res, nil
+}
+
+// live reports whether t is a live base tuple of the derivation's database.
+func (d *Derivation) live(t *engine.Tuple) bool {
+	r := d.db.Relation(t.Rel)
+	return r != nil && r.ContainsTuple(t)
 }
 
 // finishIDs is finish for the policies that choose by interned tuple ID.
-// Tuples resolve against the database; forks share tuple pointers.
-func (d *Derivation) finishIDs(sem Semantics, ids []engine.TupleID) (*Result, *engine.Database, error) {
+func (d *Derivation) finishIDs(sem Semantics, ids []engine.TupleID) (*Result, error) {
 	chosen := make([]*engine.Tuple, len(ids))
 	for i, id := range ids {
 		if chosen[i] = d.db.LookupID(id); chosen[i] == nil {
-			return nil, nil, fmt.Errorf("core: %s semantics selected unknown tuple t%d", sem, id)
+			return nil, fmt.Errorf("core: %s semantics selected unknown tuple t%d", sem, id)
 		}
 	}
 	return d.finish(sem, chosen)
+}
+
+// Materialize builds the repaired instance (D \ S) ∪ ∆(S) of a result
+// computed over db, or over any fork of the same version: a copy-on-write
+// fork of db with Result.Deleted moved base → delta in order. A deleted
+// tuple that is not live in db is an error — the result belongs to another
+// version. db itself is never mutated.
+func Materialize(db *engine.Database, res *Result) (*engine.Database, error) {
+	work := db.Fork()
+	for _, t := range res.Deleted {
+		if !work.DeleteTupleToDelta(t) {
+			return nil, fmt.Errorf("core: %s result deletes %s, which is not live", res.Semantics, t.Key())
+		}
+	}
+	return work, nil
 }
 
 // runEnd is end semantics (Def. 3.10): standard datalog evaluation treating
 // delta relations as intensional — every derivable delta tuple is derived
 // against the original base relations, and the bases are updated once at
 // the very end. The policy takes all of the (unique) fixpoint.
-func (d *Derivation) runEnd(opts Options) (*Result, *engine.Database, error) {
+func (d *Derivation) runEnd(opts Options) (*Result, error) {
 	fp, evalDur, err := d.endFixpoint(opts.Ctx, opts.Warm)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, work, err := d.finish(SemEnd, fp.tuples)
+	res, err := d.finish(SemEnd, fp.tuples)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res.Rounds = fp.rounds
 	res.Optimal = true // unique fixpoint; nothing to optimize
 	res.Timing.Eval = evalDur
-	return res, work, nil
+	return res, nil
 }
 
 // runStage is stage semantics (Def. 3.7): at every stage all rules are
 // evaluated against the previous stage's database, all derivable delta
 // tuples are added at once, and the base relations are updated before the
 // next stage. By Prop. 3.9 the result is a unique fixpoint, and the policy
-// takes all of it — on the fork the stages already shrank, so there is
-// nothing left for finish to move.
-func (d *Derivation) runStage(opts Options) (*Result, *engine.Database, error) {
+// takes all of it. The stages shrink a fork of their own, which is then
+// the repaired instance.
+func (d *Derivation) runStage(opts Options) (*Result, error) {
 	work := d.db.Fork()
 	start := time.Now()
 	derived, rounds, err := derive(work, d.prep, deriveConfig{shrinkBases: true, ctx: opts.Ctx})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res := newResult(SemStage, derived)
 	res.Rounds = rounds
 	res.Optimal = true // unique fixpoint
 	res.Timing.Eval = time.Since(start)
-	return res, work, nil
+	d.repaired.res, d.repaired.db = res, work
+	return res, nil
 }
 
 // RunEndNaive is end semantics evaluated without the seminaive frontier
@@ -247,5 +296,5 @@ func RunEndNaive(db *engine.Database, p *datalog.Program) (*Result, *engine.Data
 		return nil, nil, err
 	}
 	d.naive = true
-	return d.Run(SemEnd, Options{})
+	return d.runMaterialized(SemEnd, Options{})
 }

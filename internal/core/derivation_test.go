@@ -63,12 +63,17 @@ func checkOrderIndependence(t *testing.T, db *engine.Database, p *datalog.Progra
 	}
 	preDeleted := db.TotalDeltaTuples()
 	for _, order := range semanticsOrders() {
-		d, err := NewDerivation(snap.Fork(), prep)
+		base := snap.Fork()
+		d, err := NewDerivation(base, prep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, sem := range order {
-			res, repaired, err := d.Run(sem, opts)
+			res, err := d.Run(sem, opts)
+			if err != nil {
+				t.Fatalf("order %v: %s: %v", order, sem, err)
+			}
+			repaired, err := Materialize(base, res)
 			if err != nil {
 				t.Fatalf("order %v: %s: %v", order, sem, err)
 			}

@@ -180,7 +180,7 @@ func (d *Derivation) enumerate(ctx context.Context, iopts IndependentOptions, eo
 	}
 	updStart := time.Now()
 	for _, sol := range enum.Solutions {
-		res, _, err := d.materialize(ctx, ic, sol.Assignment)
+		res, err := d.solution(ctx, ic, sol.Assignment)
 		if err != nil {
 			return nil, err
 		}

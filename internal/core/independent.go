@@ -254,29 +254,34 @@ func (ic *indCNF) satOptions(ctx context.Context, opts IndependentOptions) sat.O
 	return sat.Options{MaxNodes: opts.MaxNodes, Prefer: ic.prefer, Weights: ic.weights, Cancel: cancel}
 }
 
-// materialize turns a satisfying assignment into the deleted-tuple set and
-// the repaired fork, verifying stabilization (correctness of Algorithm 1):
-// fail loudly rather than return a bad repair.
-func (d *Derivation) materialize(ctx context.Context, ic *indCNF, assignment []bool) (*Result, *engine.Database, error) {
+// solution turns a satisfying assignment into the deleted-tuple set,
+// verifying stabilization (correctness of Algorithm 1) on the repaired
+// instance: fail loudly rather than return a bad repair.
+func (d *Derivation) solution(ctx context.Context, ic *indCNF, assignment []bool) (*Result, error) {
 	var chosen []engine.TupleID
 	for i, id := range ic.formula.TupleIDs() {
 		if assignment[i+1] && !ic.preDeleted[id] {
 			chosen = append(chosen, id)
 		}
 	}
-	res, work, err := d.finishIDs(SemIndependent, chosen)
+	res, err := d.finishIDs(SemIndependent, chosen)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	work, err := Materialize(d.db, res)
+	if err != nil {
+		return nil, err
 	}
 	stable, err := CheckStablePCtx(ctx, work, d.prep)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !stable {
-		return nil, nil, fmt.Errorf("core: independent repair failed to stabilize (internal error)")
+		return nil, fmt.Errorf("core: independent repair failed to stabilize (internal error)")
 	}
 	res.FormulaClauses = ic.formula.Len()
-	return res, work, nil
+	d.repaired.res, d.repaired.db = res, work
+	return res, nil
 }
 
 // runIndependent computes Ind(P, D) with Algorithm 1: store the DNF
@@ -286,11 +291,11 @@ func (d *Derivation) materialize(ctx context.Context, ic *indCNF, assignment []b
 // deleted" variables, and find a satisfying assignment setting the minimum
 // number of variables true. The deleted-variable set is the repair;
 // Result.Optimal reports whether the solver proved minimality.
-func (d *Derivation) runIndependent(opts Options) (*Result, *engine.Database, error) {
+func (d *Derivation) runIndependent(opts Options) (*Result, error) {
 	ctx := opts.Ctx
 	ic, err := d.buildCNF(ctx, opts.Independent)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Phase 3 (Solve): Min-Ones-SAT (line 5).
@@ -298,24 +303,24 @@ func (d *Derivation) runIndependent(opts Options) (*Result, *engine.Database, er
 	solved := sat.MinOnes(ic.cnf, ic.satOptions(ctx, opts.Independent))
 	solveDur := time.Since(solveStart)
 	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !solved.Satisfiable {
 		// Cannot happen: every clause has a positive literal (the self
 		// atom), so the all-true assignment satisfies the CNF.
-		return nil, nil, fmt.Errorf("core: provenance CNF unexpectedly unsatisfiable")
+		return nil, fmt.Errorf("core: provenance CNF unexpectedly unsatisfiable")
 	}
 
 	// Output (line 6): tuples whose deletion variable is true. Update spans
-	// the stabilization proof as well as the fork.
+	// the stabilization proof and its fork.
 	updStart := time.Now()
-	res, work, err := d.materialize(ctx, ic, solved.Assignment)
+	res, err := d.solution(ctx, ic, solved.Assignment)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res.Optimal = solved.Optimal
 	res.SolverNodes = solved.Nodes
 	res.RepairCost = solved.WeightedCost - ic.preDeletedCost
 	res.Timing = Breakdown{Eval: ic.evalDur, ProcessProv: ic.ppDur, Solve: solveDur, Update: time.Since(updStart)}
-	return res, work, nil
+	return res, nil
 }

@@ -78,7 +78,7 @@ func BenchmarkRepairAll(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, sem := range AllSemantics {
-				if _, _, err := d.Run(sem, Options{}); err != nil {
+				if _, err := d.Run(sem, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -77,7 +77,7 @@ func RunWith(db *engine.Database, p *datalog.Program, sem Semantics, opts Option
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.Run(sem, opts)
+	return d.runMaterialized(sem, opts)
 }
 
 // RunAll executes all four semantics as policies over one Derivation and
@@ -90,7 +90,7 @@ func RunAll(db *engine.Database, p *datalog.Program, opts Options) (map[Semantic
 	}
 	out := make(map[Semantics]*Result, len(AllSemantics))
 	for _, sem := range AllSemantics {
-		res, _, err := d.Run(sem, opts)
+		res, err := d.Run(sem, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sem, err)
 		}

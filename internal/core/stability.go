@@ -85,9 +85,9 @@ func IsStabilizing(db *engine.Database, p *datalog.Program, keys []string) (bool
 // the repaired database; it verifies stability and errors if the set does
 // not stabilize (which would indicate an executor bug).
 func Apply(db *engine.Database, p *datalog.Program, res *Result) (*engine.Database, error) {
-	work := db.Fork()
-	for _, t := range res.Deleted {
-		work.DeleteTupleToDelta(t)
+	work, err := Materialize(db, res)
+	if err != nil {
+		return nil, err
 	}
 	stable, err := CheckStable(work, p)
 	if err != nil {

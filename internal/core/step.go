@@ -33,17 +33,17 @@ type StepGreedyOptions struct {
 // Finding Step(P, D) — the minimum over all step executions — is NP-hard
 // (Prop. 4.2); the greedy output is a stabilizing set realizable by a step
 // execution, matching the paper's heuristic.
-func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
+func (d *Derivation) runStep(opts Options) (*Result, error) {
 	ctx := opts.Ctx
 	// Phase 1 (Eval): the closure formula, shared with independent and
 	// charged here only if nobody built it before.
 	prov, evalDur, projDur, err := d.closureArtefact(ctx, DefaultMaxClauses)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	graph := prov.graph
 	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Phase 2 (ProcessProv): the graph projection, then index the graph's
@@ -80,7 +80,7 @@ func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
 	})
 	ppDur := projDur + time.Since(ppStart)
 	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Phase 3 (Traverse): greedy selection with cascading pruning.
@@ -129,16 +129,16 @@ func (d *Derivation) runStep(opts Options) (*Result, *engine.Database, error) {
 	}
 	trDur := time.Since(trStart)
 
-	res, work, err := d.finishIDs(SemStep, order)
+	res, err := d.finishIDs(SemStep, order)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res.Rounds = graph.NumLayers
 	res.GraphAssignments = len(headOf)
 	res.Timing.Eval = evalDur
 	res.Timing.ProcessProv = ppDur
 	res.Timing.Traverse = trDur
-	return res, work, nil
+	return res, nil
 }
 
 // StepExhaustiveOptions bounds the exhaustive search.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/datalog"
@@ -102,24 +103,23 @@ func (w *WarmStart) seedRelations(db *engine.Database) map[string]*engine.Relati
 	return seeds
 }
 
-// replay re-applies a previous version's result onto a fork of the new
-// version: every previously deleted tuple is moved base → delta again, and
-// the result metadata is copied. ok is false when a previous deletion is no
-// longer live — the caller's hints were wrong, and the run falls back to
-// the full policy rather than trusting them.
-func (d *Derivation) replay(prev *Result, start time.Time) (*Result, *engine.Database, bool) {
-	res, work, err := d.finish(prev.Semantics, prev.Deleted)
-	if err != nil {
-		return nil, nil, false // stale hint: recompute from scratch
+// replay reproduces a previous version's result at the new version: the
+// deleted set and the result metadata are copied. ok is false when a
+// previous deletion is no longer live — the caller's hints were wrong, and
+// the run falls back to the full policy rather than trusting them.
+func (d *Derivation) replay(prev *Result, start time.Time) (*Result, bool) {
+	for _, t := range prev.Deleted {
+		if !d.live(t) {
+			return nil, false // stale hint: recompute from scratch
+		}
 	}
-	res.Rounds = prev.Rounds
-	res.Optimal = prev.Optimal
-	res.SolverNodes = prev.SolverNodes
-	res.FormulaClauses = prev.FormulaClauses
-	res.GraphAssignments = prev.GraphAssignments
-	res.RepairCost = prev.RepairCost
+	// The ID set is read-only once built, so the replay shares it.
+	res := &Result{Semantics: prev.Semantics, Deleted: slices.Clone(prev.Deleted), ids: prev.ids,
+		Rounds: prev.Rounds, Optimal: prev.Optimal, SolverNodes: prev.SolverNodes,
+		FormulaClauses: prev.FormulaClauses, GraphAssignments: prev.GraphAssignments,
+		RepairCost: prev.RepairCost}
 	res.Timing = Breakdown{Update: time.Since(start)}
-	return res, work, true
+	return res, true
 }
 
 // changeProbe attempts cached-result replay, for every semantics. It
@@ -141,20 +141,20 @@ func (d *Derivation) replay(prev *Result, start time.Time) (*Result, *engine.Dat
 // seeds no atom and replays. Any probe hit falls back to the full policy
 // (for end, the continuation); the probe's cost is bounded by the update
 // batch and its join neighborhood, not the database.
-func (d *Derivation) changeProbe(ctx context.Context, sem Semantics, w *WarmStart) (*Result, *engine.Database, bool, error) {
+func (d *Derivation) changeProbe(ctx context.Context, sem Semantics, w *WarmStart) (*Result, bool, error) {
 	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != sem {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	start := time.Now()
 	// An empty hint range — a repeat read at the cached version — replays
 	// before any scratch relation is built.
 	if len(w.Inserted) > 0 || len(w.Deleted) > 0 {
 		if hit, err := d.changeHits(ctx, w); hit || err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 	}
-	res, work, ok := d.replay(w.PrevResult, start)
-	return res, work, ok, nil
+	res, ok := d.replay(w.PrevResult, start)
+	return res, ok, nil
 }
 
 // changeHits runs changeProbe's sweep and reports whether any assignment

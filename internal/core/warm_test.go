@@ -128,6 +128,38 @@ func TestWarmProbeReplay(t *testing.T) {
 	checkWarmProbe(t, []engine.Row{warmRow("C", 7), warmRow("B", 20, 9)}, nil, true)
 }
 
+// TestWarmReplayRefusesStaleHint: hints claiming nothing changed while a
+// tuple the previous result deletes is gone from the new version are
+// wrong, and the replay must notice — every previously deleted tuple must
+// still be live — and fall back to the full policy, not return a repair
+// that deletes a tuple the database no longer has.
+func TestWarmReplayRefusesStaleHint(t *testing.T) {
+	_, db, prog, prep := warmFixture(t)
+	snap := db.Freeze()
+	next, _, err := snap.Apply(nil, []engine.Row{warmRow("A", 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sem := range AllSemantics {
+		prev, _, err := RunWith(snap.Fork(), prog, sem, Options{Prepared: prep})
+		if err != nil {
+			t.Fatalf("%s: %v", sem, err)
+		}
+		stale := &WarmStart{PrevResult: prev} // an empty range: "nothing changed"
+		got, _, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep, Warm: stale})
+		if err != nil {
+			t.Fatalf("%s with a stale hint: %v", sem, err)
+		}
+		cold, _, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep})
+		if err != nil {
+			t.Fatalf("%s cold: %v", sem, err)
+		}
+		if exactKeys(got) != exactKeys(cold) {
+			t.Fatalf("%s: stale hint gave %s, cold %s", sem, exactKeys(got), exactKeys(cold))
+		}
+	}
+}
+
 // TestWarmEndContinuation: after insert-only updates, end semantics
 // continues the previous fixpoint (insert-seeded round 1, then normal
 // seminaive) and matches a from-scratch run exactly — including when the

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datalog"
 	"repro/internal/engine"
+	"repro/internal/mas"
 	"repro/internal/programs"
 	"repro/internal/sideeffect"
 )
@@ -163,5 +165,38 @@ func TestAnswerPossibleNotCertain(t *testing.T) {
 	if len(ans.Possible) == len(ans.Certain) {
 		t.Fatalf("expected possible-only answers across %d distinct repairs: certain %d possible %d",
 			space.K(), len(ans.Certain), len(ans.Possible))
+	}
+}
+
+// BenchmarkQueryAnswer is the layer benchmark of the socket benchmark's
+// /query: the org query "Q(a, p) :- Writes(a, p), Author(a, n, o), o = 4."
+// (304 rows) answered against a k = 4 repair space of MAS-20 over MAS at
+// scale 0.2. The space is enumerated outside the timer; each iteration
+// parses the view and answers it, as one /query request does.
+func BenchmarkQueryAnswer(b *testing.B) {
+	md := mas.Generate(mas.Config{Scale: 0.2, Seed: 1})
+	src, err := programs.MASSource(20, md)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := datalog.ParseAndValidate(src, md.DB.Schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := md.DB
+	space, err := core.EnumerateRepairs(db, p, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		v, err := sideeffect.ParseView("Q(a, p) :- Writes(a, p), Author(a, n, o), o = 4.", db.Schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ans, err := Answer(db, v, space)
+		if err != nil || len(ans.Possible) == 0 {
+			b.Fatalf("%d possible rows, err %v", len(ans.Possible), err)
+		}
 	}
 }

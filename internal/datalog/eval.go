@@ -2,6 +2,8 @@ package datalog
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/engine"
 )
@@ -177,14 +179,82 @@ func (r *Rule) doCompile() {
 	}
 	cr.comps = make([]compiledComp, len(r.Comps))
 	for i, c := range r.Comps {
-		cc := compiledComp{left: intern(c.Left), right: intern(c.Right), op: c.Op}
-		if cc.left.varID < 0 && cc.right.varID < 0 && !cc.op.Eval(cc.left.constVal, cc.right.constVal) {
-			cr.constFalse = true
-		}
-		cr.comps[i] = cc
+		cr.comps[i] = compiledComp{left: intern(c.Left), right: intern(c.Right), op: c.Op}
 	}
 	cr.nvars = len(ids)
+	cr.propagateConsts()
 	r.compiled = cr
+}
+
+// indexExact reports whether an equality against v can probe a hash index
+// without losing a row Value.Equal accepts: strings, and numbers of
+// magnitude below 2^53, where every value that compares equal to v shares
+// its index key. (Past 2^53 an int64 and a float64 can be Equal through
+// rounding yet hash apart.)
+func indexExact(v engine.Value) bool {
+	switch v.Kind {
+	case engine.KindString:
+		return true
+	case engine.KindInt:
+		return v.Int > -1<<53 && v.Int < 1<<53
+	default:
+		return math.Abs(v.Flt) < 1<<53
+	}
+}
+
+// propagateConsts folds each comparison "v = c" (or "c = v") with an
+// index-exact constant into the rule: c replaces v in every atom and
+// comparison and the comparison goes, so the planner counts c as a bound
+// term and probes its index or pushes it down as a check. This is exact:
+// a row whose value at v's columns is Equal to c is exactly a row the
+// comparison accepted, and every other comparison on v reads the same
+// answer from c (Equal to an index-exact c implies equal Compare too).
+// Comparisons left with constants on both sides are decided here:
+// a false one gates the rule off (constFalse), a true one is dropped.
+// Rule.Comps, the AST, is untouched.
+func (cr *compiledRule) propagateConsts() {
+	subst := func(t *cTerm, id int, c engine.Value) {
+		if t.varID == id {
+			*t = cTerm{varID: -1, constVal: c}
+		}
+	}
+	for i := 0; i < len(cr.comps); {
+		c := cr.comps[i]
+		if c.op != OpEQ || (c.left.varID < 0) == (c.right.varID < 0) {
+			i++
+			continue
+		}
+		v, k := c.left, c.right
+		if v.varID < 0 {
+			v, k = k, v
+		}
+		if !indexExact(k.constVal) {
+			i++
+			continue
+		}
+		cr.comps = slices.Delete(cr.comps, i, i+1)
+		for _, a := range cr.atoms {
+			for j := range a.terms {
+				subst(&a.terms[j], v.varID, k.constVal)
+			}
+		}
+		for j := range cr.comps {
+			subst(&cr.comps[j].left, v.varID, k.constVal)
+			subst(&cr.comps[j].right, v.varID, k.constVal)
+		}
+		i = 0 // a substitution can turn an earlier "v = w" into "c = w"
+	}
+	kept := cr.comps[:0]
+	for _, c := range cr.comps {
+		if c.left.varID < 0 && c.right.varID < 0 {
+			if !c.op.Eval(c.left.constVal, c.right.constVal) {
+				cr.constFalse = true
+			}
+			continue
+		}
+		kept = append(kept, c)
+	}
+	cr.comps = kept
 }
 
 // ---------- join planning ----------

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/engine"
@@ -288,5 +289,82 @@ func TestEvalNilSourceRelation(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("nil source produced %d assignments", n)
+	}
+}
+
+// TestConstantEqualityAtIndexBoundary: "v = c" compiles to an index probe
+// only for constants whose Equal class shares one index key (strings, and
+// numbers below 2^53 in magnitude); past 2^53 an int64 and a float64 can be
+// Equal through rounding yet hash apart, so such a constant must stay a
+// filter. Either way the rule must accept exactly the rows Value.Equal
+// accepts — on the row tail and on frozen segments, through the per-call
+// planner and through the prepared view plan.
+func TestConstantEqualityAtIndexBoundary(t *testing.T) {
+	const p53 = 1 << 53
+	cells := []engine.Value{
+		engine.Int(p53 - 1), engine.Int(p53), engine.Int(p53 + 1), engine.Int(p53 + 2),
+		engine.Float(p53 - 1), engine.Float(p53), engine.Float(p53 + 2),
+		engine.Int(-p53), engine.Int(-p53 - 1), engine.Float(-p53),
+		engine.Int(4), engine.Float(4), engine.Float(4.5), engine.Str("4"),
+	}
+	consts := []engine.Value{
+		engine.Int(p53 - 1), engine.Int(p53), engine.Int(p53 + 1),
+		engine.Float(p53 - 1), engine.Float(p53), engine.Float(p53 + 2),
+		engine.Int(-p53), engine.Int(-p53 + 1), engine.Float(-p53),
+		engine.Int(4), engine.Float(4), engine.Float(4.5), engine.Str("4"),
+	}
+	for _, frozen := range []bool{false, true} {
+		s := engine.NewSchema()
+		s.MustAddRelation("N", "n", "id", "v")
+		db := engine.NewDatabase(s)
+		for i, c := range cells {
+			db.MustInsert("N", engine.Int(i), c)
+		}
+		if frozen {
+			db.Freeze()
+		}
+		for _, c := range consts {
+			var want []string
+			for _, tp := range db.Relation("N").Tuples() {
+				if tp.Vals[1].Equal(c) {
+					want = append(want, tp.Key())
+				}
+			}
+			for _, left := range []bool{false, true} {
+				cmp := Comparison{Left: V("v"), Op: OpEQ, Right: C(c)}
+				if left {
+					cmp = Comparison{Left: C(c), Op: OpEQ, Right: V("v")}
+				}
+				rule := NewRule("", NewDeltaAtom("N", V("i"), V("v")),
+					[]Atom{NewAtom("N", V("i"), V("v"))}, cmp)
+				p := NewProgram(rule)
+				if err := p.Validate(s); err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, a := range collect(t, db, rule) {
+					got = append(got, a.Tuples[0].Key())
+				}
+				pp, err := Prepare(p, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var viaPlan []string
+				if err := pp.Rules[0].EvalFromBase(db, nil, func(a *Assignment) bool {
+					viaPlan = append(viaPlan, a.Tuples[0].Key())
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				probed := pp.Rules[0].fromBase.lookup[0] == 1
+				if probed != indexExact(c) {
+					t.Errorf("%s (frozen %v): probed %v, index-exact %v", cmp, frozen, probed, indexExact(c))
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(viaPlan) != fmt.Sprint(want) {
+					t.Errorf("%s (frozen %v): EvalRule %v, prepared %v, Value.Equal accepts %v",
+						cmp, frozen, got, viaPlan, want)
+				}
+			}
+		}
 	}
 }

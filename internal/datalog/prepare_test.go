@@ -264,3 +264,34 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 		t.Fatal("recycled scratch sets/buffers not reset")
 	}
 }
+
+// TestOrgQueryProbesAuthorFirst pins the plan of the socket benchmark's
+// /query view, "Q(a, p) :- Writes(a, p), Author(a, n, o), o = 4." (as the
+// sideeffect package compiles it: a synthetic delta head over the first
+// atom). The equality folds into Author's third column, so the view plan
+// starts with an index probe of Author on column 2 and reaches Writes
+// through a probe on the author id — instead of scanning every Writes row
+// and filtering o afterwards.
+func TestOrgQueryProbesAuthorFirst(t *testing.T) {
+	s := engine.NewSchema()
+	s.MustAddRelation("Author", "au", "aid", "name", "oid")
+	s.MustAddRelation("Writes", "w", "aid", "pid")
+	p, err := ParseAndValidate("Delta_Writes(a, p) :- Writes(a, p), Author(a, n, o), o = 4.", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := Prepare(p, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := pp.Rules[0].fromBase
+	if pl.order[0] != 1 || pl.lookup[0] != 2 {
+		t.Fatalf("view plan starts with body atom %d probing column %d; want Author (1) probing column 2", pl.order[0], pl.lookup[0])
+	}
+	if pl.order[1] != 0 || pl.lookup[1] != 0 {
+		t.Fatalf("view plan reaches body atom %d probing column %d; want Writes (0) probing column 0", pl.order[1], pl.lookup[1])
+	}
+	if len(pp.Rules[0].cr.comps) != 0 {
+		t.Fatalf("o = 4 still compiled as a filter: %d comparisons left", len(pp.Rules[0].cr.comps))
+	}
+}

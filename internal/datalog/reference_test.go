@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -84,7 +85,14 @@ func checkAssignment(rule *Rule, tuples []*engine.Tuple) string {
 }
 
 // randomEvalInstance builds a random database and rule for the equivalence
-// property.
+// property. Cells are mostly ints, sometimes the integral float or the
+// string of the same number, so cross-kind equality is exercised. The rule
+// may carry comparisons of either orientation against int, integral-float,
+// non-integral-float and string constants, on head and non-head
+// variables, including a second equality on one variable (consistent or
+// contradictory) and variable-variable equalities: the shapes the compiler
+// folds into index probes. Half the databases are frozen, so both the
+// columnar segments and the row tail are probed.
 func randomEvalInstance(seed int64) (*engine.Database, *Rule, error) {
 	rng := rand.New(rand.NewSource(seed))
 	s := engine.NewSchema()
@@ -94,14 +102,44 @@ func randomEvalInstance(seed int64) (*engine.Database, *Rule, error) {
 
 	db := engine.NewDatabase(s)
 	dom := 1 + rng.Intn(4)
+	// cell draws a stored value: the number k as an int, or now and then
+	// as the equal float or as a (never equal) string.
+	cell := func() engine.Value {
+		k := rng.Intn(dom)
+		switch rng.Intn(8) {
+		case 0:
+			return engine.Float(float64(k))
+		case 1:
+			return engine.Str(fmt.Sprint("s", k))
+		default:
+			return engine.Int(k)
+		}
+	}
+	// constant draws a rule constant over the same numbers, in every kind.
+	constant := func() engine.Value {
+		k := rng.Intn(dom)
+		switch rng.Intn(6) {
+		case 0:
+			return engine.Float(float64(k))
+		case 1:
+			return engine.Str(fmt.Sprint("s", k))
+		case 2:
+			return engine.Float(float64(k) + 0.5)
+		default:
+			return engine.Int(k)
+		}
+	}
 	for i, n := 0, rng.Intn(7); i < n; i++ {
-		db.MustInsert("A", engine.Int(rng.Intn(dom)), engine.Int(rng.Intn(dom)))
+		db.MustInsert("A", cell(), cell())
 	}
 	for i, n := 0, rng.Intn(5); i < n; i++ {
-		db.MustInsert("B", engine.Int(rng.Intn(dom)))
+		db.MustInsert("B", cell())
 	}
 	for i, n := 0, rng.Intn(6); i < n; i++ {
-		db.MustInsert("C", engine.Int(rng.Intn(dom)), engine.Int(rng.Intn(dom)), engine.Int(rng.Intn(dom)))
+		db.MustInsert("C", cell(), cell(), cell())
+	}
+	if rng.Intn(2) == 0 {
+		db.Freeze()
 	}
 
 	// Random rule: head over A, body with 1-3 extra atoms and random
@@ -113,25 +151,52 @@ func randomEvalInstance(seed int64) (*engine.Database, *Rule, error) {
 	}{{"A", 2}, {"B", 1}, {"C", 3}}
 	head := Atom{Delta: true, Rel: "A", Terms: []Term{V("x"), V("y")}}
 	body := []Atom{{Rel: "A", Terms: []Term{V("x"), V("y")}}}
+	bound := []string{"x", "y"}
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		r := rels[rng.Intn(len(rels))]
 		terms := make([]Term, r.arity)
 		for j := range terms {
 			if rng.Intn(5) == 0 {
-				terms[j] = CInt(int64(rng.Intn(dom)))
+				terms[j] = C(constant())
 			} else {
-				terms[j] = V(pool[rng.Intn(len(pool))])
+				v := pool[rng.Intn(len(pool))]
+				terms[j] = V(v)
+				if !slices.Contains(bound, v) {
+					bound = append(bound, v)
+				}
 			}
 		}
 		body = append(body, Atom{Rel: r.name, Terms: terms})
 	}
 	var comps []Comparison
-	if rng.Intn(2) == 0 {
-		comps = append(comps, Comparison{
-			Left:  V("x"),
-			Op:    CompOp(rng.Intn(6)),
-			Right: CInt(int64(rng.Intn(dom))),
-		})
+	// compare appends "v op c" or, as often, "c op v".
+	compare := func(v string, op CompOp, c engine.Value) {
+		if rng.Intn(2) == 0 {
+			comps = append(comps, Comparison{Left: V(v), Op: op, Right: C(c)})
+		} else {
+			comps = append(comps, Comparison{Left: C(c), Op: op, Right: V(v)})
+		}
+	}
+	for i, n := 0, rng.Intn(4); i < n; i++ {
+		v := bound[rng.Intn(len(bound))]
+		switch rng.Intn(6) {
+		case 0:
+			compare(v, CompOp(rng.Intn(6)), constant())
+		case 1:
+			// A second equality on v: the same number in another kind
+			// (consistent) or a fresh draw (often contradictory).
+			c := constant()
+			compare(v, OpEQ, c)
+			if rng.Intn(2) == 0 && c.IsNumeric() {
+				compare(v, OpEQ, engine.Float(c.AsFloat()))
+			} else {
+				compare(v, OpEQ, constant())
+			}
+		case 2:
+			comps = append(comps, Comparison{Left: V(v), Op: OpEQ, Right: V(bound[rng.Intn(len(bound))])})
+		default:
+			compare(v, OpEQ, constant())
+		}
 	}
 	rule := NewRule("", head, body, comps...)
 	p := NewProgram(rule)

@@ -191,12 +191,17 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 		reversed := slices.Clone(core.AllSemantics)
 		slices.Reverse(reversed)
 		for _, order := range [][]core.Semantics{core.AllSemantics, reversed} {
-			d, err := core.NewDerivation(chain.Fork(), prep)
+			base := chain.Fork()
+			d, err := core.NewDerivation(base, prep)
 			if err != nil {
 				t.Fatalf("seed %d v%d: derivation: %v", sc.Seed, n, err)
 			}
 			for _, sem := range order {
-				got, repaired, err := d.Run(sem, core.Options{Warm: hints[sem]})
+				got, err := d.Run(sem, core.Options{Warm: hints[sem]})
+				if err != nil {
+					t.Fatalf("seed %d v%d: repair-all %v %s: %v", sc.Seed, n, order, sem, err)
+				}
+				repaired, err := core.Materialize(base, got)
 				if err != nil {
 					t.Fatalf("seed %d v%d: repair-all %v %s: %v", sc.Seed, n, order, sem, err)
 				}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -141,9 +143,32 @@ func pinnedRepairBodies(t *testing.T, svc *Service, name string, version uint64)
 		if rr.Code != 200 {
 			t.Fatalf("%s repair at version %d: %d %s", sem, version, rr.Code, rr.Body)
 		}
-		out[sem] = regexp.MustCompile(`"elapsed_us": \d+`).ReplaceAllString(rr.Body.String(), `"elapsed_us": 0`)
+		out[sem] = zeroElapsed(t, rr.Body.Bytes())
 	}
 	return out
+}
+
+// zeroElapsed re-encodes a JSON response body with its elapsed_us field
+// set to 0, whatever the body's formatting. Every other field, numbers
+// included, survives verbatim (UseNumber), so comparing the results still
+// compares the whole body.
+func zeroElapsed(t *testing.T, body []byte) string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	var m map[string]any
+	if err := dec.Decode(&m); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	if _, ok := m["elapsed_us"]; !ok {
+		t.Fatalf("no elapsed_us in %s", body)
+	}
+	m["elapsed_us"] = 0
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // metricValue reads one un-labelled sample from GET /metrics.

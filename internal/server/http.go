@@ -189,9 +189,7 @@ func (s *Service) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -427,7 +425,7 @@ func (s *Service) handleRepair(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	res, _, version, err := s.RepairVersioned(r.Context(), name, sem, req.options())
+	res, _, version, err := s.repair(r.Context(), name, sem, req.options())
 	if err != nil {
 		writeErr(w, err)
 		return

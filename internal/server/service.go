@@ -804,13 +804,28 @@ func (s *Service) begin(ctx context.Context, name string, opts RequestOptions) (
 
 // RepairVersioned computes the stabilizing set for the named session under
 // the chosen semantics on a private fork of the session's snapshot. It
-// returns the result, the repaired fork (safe to read; discarding it is
-// free) and the snapshot version the repair executed against — the head at
-// admission time, or the pinned opts.Version. Results computed at a version
-// warm-start later requests: an update whose changed tuples bind no rule
-// assignment replays the cached result with no derivation at all, and
+// returns the result, the repaired fork (materialised for this call; safe
+// to read) and the snapshot version the repair executed against — the head
+// at admission time, or the pinned opts.Version. Results computed at a
+// version warm-start later requests: an update whose changed tuples bind no
+// rule assignment replays the cached result with no derivation at all, and
 // otherwise end semantics continues its fixpoint from the previous result.
-func (s *Service) RepairVersioned(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (_ *core.Result, _ *engine.Database, _ uint64, err error) {
+func (s *Service) RepairVersioned(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (*core.Result, *engine.Database, uint64, error) {
+	res, db, version, err := s.repair(ctx, name, sem, opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	repaired, err := core.Materialize(db, res)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return res, repaired, version, nil
+}
+
+// repair is RepairVersioned without the repaired instance: the result, the
+// fork it was computed over, and its version. /repair serves the result
+// alone, so a replayed read does no work proportional to the repair.
+func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (_ *core.Result, _ *engine.Database, _ uint64, err error) {
 	defer s.track("repair", time.Now(), &err)
 	sess, reqCtx, done, err := s.begin(ctx, name, opts)
 	if err != nil {
@@ -821,14 +836,19 @@ func (s *Service) RepairVersioned(ctx context.Context, name string, sem core.Sem
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	db := snap.Fork()
+	d, err := core.NewDerivation(db, sess.prep)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	copts := s.coreOptions(sess, reqCtx, opts)
 	copts.Warm = sess.repairHints(sem, version, copts.Independent.MaxNodes)
-	res, repaired, err := core.RunWith(snap.Fork(), sess.prog, sem, copts)
+	res, err := d.Run(sem, copts)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	sess.storeResult(sem, version, copts.Independent.MaxNodes, res)
-	return res, repaired, version, nil
+	return res, db, version, nil
 }
 
 // RepairAllVersioned runs all four semantics for the named session under
@@ -855,7 +875,7 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 	out := make(map[core.Semantics]*core.Result, len(core.AllSemantics))
 	for _, sem := range core.AllSemantics {
 		copts.Warm = sess.repairHints(sem, version, copts.Independent.MaxNodes)
-		res, _, err := d.Run(sem, copts)
+		res, err := d.Run(sem, copts)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", sem, err)
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -41,8 +42,13 @@ type View struct {
 	// Comps holds comparison predicates.
 	Comps []datalog.Comparison
 
-	rule *datalog.Rule     // internal evaluation vehicle
-	prep *datalog.Prepared // lazy single-rule plan; built on first Eval
+	rule *datalog.Rule // internal evaluation vehicle
+	// prep is the single-rule plan, built once by the first Eval (under
+	// prepOnce, so concurrent Evals of one View share it safely); prepErr
+	// is that build's error.
+	prepOnce sync.Once
+	prep     *datalog.Prepared
+	prepErr  error
 }
 
 // ParseView parses "Name(x, y) :- R(x, z), S(z, y), x < 5." into a View.
@@ -166,19 +172,19 @@ func (r *Row) MatchesRow(target []engine.Value) bool {
 // Eval computes the view over the database's live base relations,
 // grouping witness assignments by output row. The first Eval prepares the
 // view's join plan against the database's schema; later calls reuse it.
+// Eval is safe for concurrent use.
 func (v *View) Eval(db *engine.Database) ([]*Row, error) {
 	varIdx := make(map[string]int, len(v.HeadVars))
 	for i, hv := range v.HeadVars {
 		varIdx[hv] = i
 	}
-	if v.prep == nil {
+	v.prepOnce.Do(func() {
 		// The view rule passes validation (its synthetic delta head mirrors
 		// body[0]), so it prepares like any single-rule program.
-		prep, err := datalog.Prepare(datalog.NewProgram(v.rule), db.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("sideeffect: preparing view: %w", err)
-		}
-		v.prep = prep
+		v.prep, v.prepErr = datalog.Prepare(datalog.NewProgram(v.rule), db.Schema)
+	})
+	if v.prepErr != nil {
+		return nil, fmt.Errorf("sideeffect: preparing view: %w", v.prepErr)
 	}
 	ctx := v.prep.AcquireContext()
 	defer v.prep.ReleaseContext(ctx)

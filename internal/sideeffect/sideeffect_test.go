@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/datalog"
@@ -190,5 +191,35 @@ func TestDeleteViewTupleSelfJoin(t *testing.T) {
 	}
 	if res.Size() != 1 || res.Deleted[0].Rel != "R" {
 		t.Fatalf("self-join repair = %v, want one R tuple", res.Deleted)
+	}
+}
+
+// TestViewEvalConcurrent evaluates one View from two goroutines at once,
+// the shape of two concurrent AnswerQuery calls on one parsed view: the
+// lazily built plan must be shared without a data race (go test -race)
+// and both evaluations must see every row.
+func TestViewEvalConcurrent(t *testing.T) {
+	db := joinDB(t)
+	db.Freeze()
+	v, err := ParseView("V(a, c) :- R(a, b), S(b, c).", db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	counts := make([]int, 2)
+	errs := make([]error, 2)
+	for g := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows, err := v.Eval(db)
+			counts[g], errs[g] = len(rows), err
+		}()
+	}
+	wg.Wait()
+	for g := range counts {
+		if errs[g] != nil || counts[g] != 3 {
+			t.Fatalf("goroutine %d: %d rows, err %v; want 3 rows", g, counts[g], errs[g])
+		}
 	}
 }
