@@ -341,7 +341,9 @@ func AnswerQuery(db *Database, v *View, space *RepairSpace) (*Answers, error) {
 
 // SaveSnapshot / LoadSnapshot persist a database (schema, base and delta
 // relations, tuple identities) to a binary stream, so repair sessions can
-// be resumed.
+// be resumed. The stream is the checkpoint format: a layout frame, then
+// one segment frame per non-empty relation side, each frame guarded by a
+// CRC-32C.
 func SaveSnapshot(db *Database, w io.Writer) error { return db.Save(w) }
 
 // LoadSnapshot reconstructs a database from SaveSnapshot output.

@@ -1,16 +1,21 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 )
 
-// Checkpoints: a version's sealed storage written segment by segment.
+// The on-disk format: a version's sealed storage written segment by
+// segment, for checkpoints and for Save.
 //
 // A snapshot is, per relation side, at most three immutable segments plus
 // tombstones, and one segment outlives many versions. A checkpoint
@@ -22,9 +27,16 @@ import (
 // after a recovery seals, spills and folds exactly as the one before the
 // crash would have.
 //
-// Segment file: uint32 payload length (LE), uint32 CRC-32C of the payload
-// (LE), then the payload — the frozenCols image of the segment plus its
-// tuple IDs and Seqs:
+// A checkpoint stores the layout frame and each segment frame in files of
+// their own; Save writes one file, the layout frame followed by its segment
+// frames. A frame is a uint32 payload length (LE), a uint32 CRC-32C of the
+// payload (LE), then the payload.
+//
+// Layout frame: the gob encoding of layoutFile — the Layout with each
+// segment replaced by a name the writer chose for the frame holding it.
+//
+// Segment frame: the frozenCols image of the segment plus its tuple IDs
+// and Seqs:
 //
 //	magic "DRSG", uvarint format, uvarint arity, uvarint rows n
 //	IDs      n uvarint byte lengths, then the IDs' bytes back to back
@@ -196,14 +208,203 @@ func (sl *SideLayout) core(rel string, arity int, seen map[*Segment]bool) (*froz
 }
 
 const (
+	layoutFormat  = 1
 	segmentMagic  = "DRSG"
 	segmentFormat = 1
-	segmentHeader = 8
+	frameHeader   = 8
 )
 
-var segmentCRC = crc32.MakeTable(crc32.Castagnoli)
+var frameCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendSegment appends the segment's file bytes to dst. It encodes the
+// layoutFile is a Layout as its frame stores it. The field names are the
+// wire format's: gob matches them by name.
+type layoutFile struct {
+	Format    int
+	NextSeq   int
+	Relations []layoutRel
+}
+
+type layoutRel struct {
+	Name        string
+	IDPrefix    string
+	Attrs       []string
+	NextID      int
+	Base, Delta layoutSide
+}
+
+// layoutSide names a relation side's segment frames, oldest first, with
+// the tombstone bitmap over each and the columns to index at load.
+type layoutSide struct {
+	Files []string
+	Tombs [][]uint64
+	Warm  []int
+}
+
+// AppendLayout appends the layout's frame to dst, naming each segment by
+// name, called in load order: relations in schema order, base before
+// delta, oldest segment first.
+func AppendLayout(dst []byte, l *Layout, name func(*Segment) string) []byte {
+	lf := layoutFile{Format: layoutFormat, NextSeq: l.NextSeq, Relations: make([]layoutRel, len(l.Relations))}
+	for i, rl := range l.Relations {
+		lr := &lf.Relations[i]
+		lr.Name, lr.IDPrefix, lr.Attrs, lr.NextID = rl.Name, rl.IDPrefix, rl.Attrs, rl.NextID
+		for j, sl := range [2]*SideLayout{&rl.Base, &rl.Delta} {
+			ls := [2]*layoutSide{&lr.Base, &lr.Delta}[j]
+			ls.Tombs, ls.Warm = sl.Tombs, sl.Warm
+			for _, seg := range sl.Segments {
+				ls.Files = append(ls.Files, name(seg))
+			}
+		}
+	}
+	return lf.appendFrame(dst)
+}
+
+func (lf *layoutFile) appendFrame(dst []byte) []byte {
+	start := len(dst)
+	buf := bytes.NewBuffer(append(dst, make([]byte, frameHeader)...))
+	// gob fails only on types it cannot encode, and layoutFile is not one.
+	if err := gob.NewEncoder(buf).Encode(lf); err != nil {
+		panic(err)
+	}
+	return sealFrame(buf.Bytes(), start)
+}
+
+// ReadLayout decodes a layout frame and builds the snapshot it describes
+// (LoadLayout), asking segment for each named segment in AppendLayout's
+// order.
+func ReadLayout(data []byte, segment func(name, rel string, arity int) (*Segment, error)) (*Snapshot, error) {
+	payload, err := openFrame(data, "layout")
+	if err != nil {
+		return nil, err
+	}
+	var lf layoutFile
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&lf); err != nil {
+		return nil, fmt.Errorf("engine: decoding layout: %w", err)
+	}
+	if lf.Format != layoutFormat {
+		return nil, fmt.Errorf("engine: unsupported layout format %d", lf.Format)
+	}
+	l := &Layout{NextSeq: lf.NextSeq, Relations: make([]RelationLayout, len(lf.Relations))}
+	for i, lr := range lf.Relations {
+		rl := &l.Relations[i]
+		rl.Name, rl.IDPrefix, rl.Attrs, rl.NextID = lr.Name, lr.IDPrefix, lr.Attrs, lr.NextID
+		for j, ls := range [2]*layoutSide{&lr.Base, &lr.Delta} {
+			sl := [2]*SideLayout{&rl.Base, &rl.Delta}[j]
+			sl.Tombs, sl.Warm = ls.Tombs, ls.Warm
+			for _, name := range ls.Files {
+				seg, err := segment(name, lr.Name, len(lr.Attrs))
+				if err != nil {
+					return nil, err
+				}
+				sl.Segments = append(sl.Segments, seg)
+			}
+		}
+	}
+	return LoadLayout(l)
+}
+
+// Save writes the database — schema, base and delta relations, tuple
+// identities, so a repair session resumes with the record of what was
+// already deleted — as one file: its layout frame naming the segments "1",
+// "2", … followed by those segments' frames, in that order. Each relation side is at most
+// one segment holding its live tuples in Tuples() order, with no
+// tombstones, so a database saves to the same bytes whatever segments its
+// content sits in. The indexed columns are recorded as the layout's warm
+// columns, so LoadSnapshot restores them.
+func (db *Database) Save(w io.Writer) error {
+	lf := layoutFile{Format: layoutFormat, NextSeq: db.seq, Relations: make([]layoutRel, len(db.Schema.Relations))}
+	var segs []byte
+	n := 0
+	for i, rs := range db.Schema.Relations {
+		lr := &lf.Relations[i]
+		lr.Name, lr.IDPrefix, lr.Attrs, lr.NextID = rs.Name, rs.IDPrefix, rs.Attrs, db.nextID[rs.Name]
+		for j, rel := range [2]*Relation{db.base[rs.Name], db.delta[rs.Name]} {
+			ls := [2]*layoutSide{&lr.Base, &lr.Delta}[j]
+			ls.Warm = rel.IndexedColumns()
+			if tuples := rel.Tuples(); len(tuples) > 0 {
+				n++
+				segs = appendSegment(segs, tuples, buildFrozenCols(tuples, rs.Arity()))
+				ls.Files = []string{strconv.Itoa(n)}
+			}
+		}
+	}
+	if _, err := w.Write(lf.appendFrame(nil)); err != nil {
+		return err
+	}
+	_, err := w.Write(segs)
+	return err
+}
+
+// LoadSnapshot reconstructs a database from a Save stream: the layout
+// frame through ReadLayout, each segment it names from the next frame
+// through DecodeSegment. Tuple identifiers, sequence order, values (to the
+// float bit) and delta contents round-trip exactly, and the indexes that
+// existed at save time are built at once — restoring into the same steady
+// state instead of paying a first-query latency spike while indexes
+// rebuild lazily.
+func LoadSnapshot(r io.Reader) (*Database, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("engine: reading snapshot: %w", err)
+	}
+	layout, rest := cutFrame(data)
+	n := 0
+	s, err := ReadLayout(layout, func(name, rel string, arity int) (*Segment, error) {
+		n++
+		if name != strconv.Itoa(n) {
+			return nil, fmt.Errorf("engine: snapshot names segment %q in place of %d", name, n)
+		}
+		var frame []byte
+		frame, rest = cutFrame(rest)
+		return DecodeSegment(frame, rel, arity)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("engine: %d bytes after the snapshot's last segment", len(rest))
+	}
+	return s.mint(), nil
+}
+
+// sealFrame fills in the header reserved at dst[start:] for the payload
+// that follows it.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, frameCRC))
+	return dst
+}
+
+// openFrame checks that data is exactly one intact frame and returns its
+// payload; what names the frame in errors.
+func openFrame(data []byte, what string) ([]byte, error) {
+	if len(data) < frameHeader {
+		return nil, fmt.Errorf("engine: %s frame shorter than its header", what)
+	}
+	if length := binary.LittleEndian.Uint32(data[0:4]); int64(length) != int64(len(data)-frameHeader) {
+		return nil, fmt.Errorf("engine: %s frame holds %d payload bytes, header says %d", what, len(data)-frameHeader, length)
+	}
+	payload := data[frameHeader:]
+	if crc32.Checksum(payload, frameCRC) != binary.LittleEndian.Uint32(data[4:8]) {
+		return nil, fmt.Errorf("engine: %s frame checksum mismatch", what)
+	}
+	return payload, nil
+}
+
+// cutFrame splits data after its first frame, at the length the frame's
+// header gives. A frame that does not fit is all of data, for openFrame
+// to reject.
+func cutFrame(data []byte) (frame, rest []byte) {
+	if len(data) >= frameHeader {
+		if n := uint64(binary.LittleEndian.Uint32(data)) + frameHeader; n <= uint64(len(data)) {
+			return data[:n:n], data[n:]
+		}
+	}
+	return data, nil
+}
+
+// AppendSegment appends the segment's frame to dst. It encodes the
 // segment's published columnar image when one exists and otherwise builds
 // a transient one that is not published, so writing a segment does not
 // grow what stays in memory.
@@ -212,20 +413,26 @@ func AppendSegment(dst []byte, s *Segment) []byte {
 	if fc == nil {
 		fc = buildFrozenCols(s.order, s.arity)
 	}
+	return appendSegment(dst, s.order, fc)
+}
+
+// appendSegment appends the frame of a segment holding tuples, whose
+// columnar image is fc.
+func appendSegment(dst []byte, tuples []*Tuple, fc *frozenCols) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, segmentHeader)...)
+	dst = append(dst, make([]byte, frameHeader)...)
 	dst = append(dst, segmentMagic...)
 	dst = binary.AppendUvarint(dst, segmentFormat)
-	dst = binary.AppendUvarint(dst, uint64(s.arity))
-	dst = binary.AppendUvarint(dst, uint64(len(s.order)))
-	for _, t := range s.order {
+	dst = binary.AppendUvarint(dst, uint64(len(fc.cols)))
+	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
+	for _, t := range tuples {
 		dst = binary.AppendUvarint(dst, uint64(len(t.ID)))
 	}
-	for _, t := range s.order {
+	for _, t := range tuples {
 		dst = append(dst, t.ID...)
 	}
 	prev := 0
-	for _, t := range s.order {
+	for _, t := range tuples {
 		dst = binary.AppendVarint(dst, int64(t.Seq-prev))
 		prev = t.Seq
 	}
@@ -250,27 +457,17 @@ func AppendSegment(dst []byte, s *Segment) []byte {
 			dst = binary.AppendVarint(dst, d)
 		}
 	}
-	payload := dst[start+segmentHeader:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, segmentCRC))
-	return dst
+	return sealFrame(dst, start)
 }
 
-// DecodeSegment reads a segment file of relation rel back as one sealed
+// DecodeSegment reads a segment frame of relation rel back as one sealed
 // segment, through the same seal as LoadRows, with the stored IDs and
 // Seqs. A bad checksum, a malformed payload, an arity other than the
 // relation's, an empty segment, or content stored twice is an error.
 func DecodeSegment(data []byte, rel string, arity int) (*Segment, error) {
-	if len(data) < segmentHeader {
-		return nil, errors.New("engine: segment file shorter than its header")
-	}
-	length := binary.LittleEndian.Uint32(data[0:4])
-	if int64(length) != int64(len(data)-segmentHeader) {
-		return nil, fmt.Errorf("engine: segment file holds %d payload bytes, header says %d", len(data)-segmentHeader, length)
-	}
-	payload := data[segmentHeader:]
-	if crc32.Checksum(payload, segmentCRC) != binary.LittleEndian.Uint32(data[4:8]) {
-		return nil, errors.New("engine: segment file checksum mismatch")
+	payload, err := openFrame(data, "segment")
+	if err != nil {
+		return nil, err
 	}
 	d := &segReader{buf: payload}
 	if string(d.bytes(len(segmentMagic))) != segmentMagic || d.uvarint() != segmentFormat {

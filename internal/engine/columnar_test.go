@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -230,88 +228,5 @@ func TestLookupZeroCopyFrozen(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() { rel.Lookup(0, v) }); allocs != 0 {
 		t.Fatalf("frozen-core Lookup allocated %.1f times per op, want 0", allocs)
-	}
-}
-
-// TestSnapshotFormatsCrossLoad: Save declares the columnar encoding
-// (format 2) on the wire, and the same content in the row encoding
-// (format 1 — no longer written, but what existing data directories
-// hold) still loads; both load back content-identical.
-func TestSnapshotFormatsCrossLoad(t *testing.T) {
-	schema := NewSchema()
-	if _, err := schema.AddRelation("R", "r", "a", "b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	db := NewDatabase(schema)
-	rng := rand.New(rand.NewSource(7))
-	pool := colTestVals()
-	var tuples []*Tuple
-	for i := 0; i < 60; i++ {
-		v := func() Value {
-			for {
-				v := pool[rng.Intn(len(pool))]
-				// NaN map keys split index buckets, and -0.0 is lossy on
-				// the wire either way (gob omits zero-valued fields, and
-				// the columnar decoder normalizes to match): neither
-				// belongs in stored round-trip content.
-				if v.Kind == KindFloat && (math.IsNaN(v.Flt) || v.Flt == 0 && math.Signbit(v.Flt)) {
-					continue
-				}
-				return v
-			}
-		}
-		tuples = append(tuples, db.MustInsert("R", v(), v(), v()))
-	}
-	for _, tp := range tuples {
-		if rng.Intn(4) == 0 {
-			db.DeleteTupleToDelta(tp)
-		}
-	}
-	ref := fuzzDumpDB(db)
-
-	var columnar bytes.Buffer
-	if err := db.Save(&columnar); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(columnar.Bytes())).Decode(&snap); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if snap.Format != 2 {
-		t.Fatalf("Save declares format %d, want 2", snap.Format)
-	}
-
-	// The format-1 stream of the same database: row-oriented contents in
-	// place of the column blocks.
-	rows := func(sc *snapCols, arity int) []snapTuple {
-		b, err := sc.block(arity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]snapTuple, len(b.ids))
-		for i := range out {
-			out[i] = snapTuple{ID: b.ids[i], Seq: b.seqs[i], Vals: b.vals[i*arity : (i+1)*arity]}
-		}
-		return out
-	}
-	rowSnap := snapshot{Format: 1, NextSeq: snap.NextSeq}
-	for _, sr := range snap.Relations {
-		sr.Base, sr.Delta = rows(sr.BaseC, len(sr.Attrs)), rows(sr.DeltaC, len(sr.Attrs))
-		sr.BaseC, sr.DeltaC = nil, nil
-		rowSnap.Relations = append(rowSnap.Relations, sr)
-	}
-	var row bytes.Buffer
-	if err := gob.NewEncoder(&row).Encode(rowSnap); err != nil {
-		t.Fatalf("encode format 1: %v", err)
-	}
-
-	for name, stream := range map[string][]byte{"row": row.Bytes(), "columnar": columnar.Bytes()} {
-		rdb, err := LoadSnapshot(bytes.NewReader(stream))
-		if err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
-		if got := fuzzDumpDB(rdb); got != ref {
-			t.Fatalf("%s: round trip changed content:\n%s\nwant:\n%s", name, got, ref)
-		}
 	}
 }

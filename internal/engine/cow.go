@@ -164,20 +164,42 @@ func (s *Segment) buildIndexLocked(col int) map[Value]*frozenBucket {
 			return idx
 		}
 	}
-	idx := make(map[Value]*frozenBucket)
+	// A counting sort: number each value's bucket and count its rows, then
+	// place the rows in one slab of positions and one of tuples, so a build
+	// allocates per index, not per value.
+	bucketOf := make(map[Value]int32)
+	of := make([]int32, len(s.order))
+	var at []int32 // per bucket: its row count, then where its next row goes
 	sortNeeded := false
 	for pos, t := range s.order {
 		v := t.Vals[col].mapKey()
-		b := idx[v]
-		if b == nil {
-			b = &frozenBucket{}
-			idx[v] = b
+		b, ok := bucketOf[v]
+		if !ok {
+			b = int32(len(at))
+			bucketOf[v] = b
+			at = append(at, 0)
 		}
-		if n := len(b.tuples); n > 0 && b.tuples[n-1].Seq > t.Seq {
-			sortNeeded = true
-		}
-		b.poss = append(b.poss, int32(pos))
-		b.tuples = append(b.tuples, t)
+		at[b]++
+		of[pos] = b
+		sortNeeded = sortNeeded || pos > 0 && s.order[pos-1].Seq > t.Seq
+	}
+	buckets := make([]frozenBucket, len(at))
+	poss := make([]int32, len(s.order))
+	tuples := make([]*Tuple, len(s.order))
+	start := int32(0)
+	for b, n := range at {
+		end := start + n
+		buckets[b] = frozenBucket{poss: poss[start:end:end], tuples: tuples[start:end:end]}
+		at[b], start = start, end
+	}
+	for pos, t := range s.order {
+		b := of[pos]
+		poss[at[b]], tuples[at[b]] = int32(pos), t
+		at[b]++
+	}
+	idx := make(map[Value]*frozenBucket, len(bucketOf))
+	for v, b := range bucketOf {
+		idx[v] = &buckets[b]
 	}
 	if sortNeeded {
 		// Segments almost always hold tuples in Seq order (sealing and

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -50,48 +51,68 @@ func fuzzDumpDB(db *Database) string {
 // FuzzSnapshot: loading arbitrary bytes never panics; it either errors or
 // yields a database that survives, content-identical, a freeze (sealing
 // segments and building their columnar images), a fold of those segments
-// and a save/load round-trip.
+// and a save/load round-trip. Each input is also loaded with its frames'
+// headers rewritten to fit their bytes, so mutations reach the payload
+// decoders past the checksums.
 func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := LoadSnapshot(strings.NewReader(string(data)))
-		if err != nil {
-			return
-		}
-		_ = db.TotalTuples()
-		_ = db.Stats()
-		ref := fuzzDumpDB(db)
-
-		// Freeze into sealed segments, build each one's columnar image, then
-		// fold every overlay into a private one-segment core: content must
-		// be untouched.
-		db.Freeze()
-		if got := fuzzDumpDB(db); got != ref {
-			t.Fatalf("freeze changed content:\n%s\nwant:\n%s", got, ref)
-		}
-		for _, rs := range db.Schema.Relations {
-			for _, rel := range []*Relation{db.base[rs.Name], db.delta[rs.Name]} {
-				if rel.Arity > 0 {
-					rel.ScanChecked([]ColCheck{{Col: 0, Val: Int(0)}}, func(*Tuple) bool { return true })
-				}
-				rel.adopt(rel.reseal(0, false, nil, new(sealStats)))
-			}
-		}
-		if got := fuzzDumpDB(db); got != ref {
-			t.Fatalf("fold changed content:\n%s\nwant:\n%s", got, ref)
-		}
-
-		var buf strings.Builder
-		if err := db.Save(&buf); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-		rdb, err := LoadSnapshot(strings.NewReader(buf.String()))
-		if err != nil {
-			t.Fatalf("reload: %v", err)
-		}
-		if got := fuzzDumpDB(rdb); got != ref {
-			t.Fatalf("round trip changed content:\n%s\nwant:\n%s", got, ref)
-		}
+		checkSnapshotBytes(t, data)
+		checkSnapshotBytes(t, reframe(data))
 	})
+}
+
+// reframe returns data with every frame's checksum rewritten, and the
+// length of a last frame that does not fit.
+func reframe(data []byte) []byte {
+	out := slices.Clone(data)
+	for rest := out; len(rest) >= frameHeader; {
+		var frame []byte
+		frame, rest = cutFrame(rest)
+		sealFrame(frame, 0)
+	}
+	return out
+}
+
+func checkSnapshotBytes(t *testing.T, data []byte) {
+	t.Helper()
+	db, err := LoadSnapshot(strings.NewReader(string(data)))
+	if err != nil {
+		return
+	}
+	_ = db.TotalTuples()
+	_ = db.Stats()
+	ref := fuzzDumpDB(db)
+
+	// Freeze into sealed segments, build each one's columnar image, then
+	// fold every overlay into a private one-segment core: content must be
+	// untouched.
+	db.Freeze()
+	if got := fuzzDumpDB(db); got != ref {
+		t.Fatalf("freeze changed content:\n%s\nwant:\n%s", got, ref)
+	}
+	for _, rs := range db.Schema.Relations {
+		for _, rel := range []*Relation{db.base[rs.Name], db.delta[rs.Name]} {
+			if rel.Arity > 0 {
+				rel.ScanChecked([]ColCheck{{Col: 0, Val: Int(0)}}, func(*Tuple) bool { return true })
+			}
+			rel.adopt(rel.reseal(0, false, nil, new(sealStats)))
+		}
+	}
+	if got := fuzzDumpDB(db); got != ref {
+		t.Fatalf("fold changed content:\n%s\nwant:\n%s", got, ref)
+	}
+
+	var buf strings.Builder
+	if err := db.Save(&buf); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	rdb, err := LoadSnapshot(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	if got := fuzzDumpDB(rdb); got != ref {
+		t.Fatalf("round trip changed content:\n%s\nwant:\n%s", got, ref)
+	}
 }

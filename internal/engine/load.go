@@ -9,9 +9,10 @@ import (
 )
 
 // Bulk loading: how a database is built from rows in bulk. Registration
-// (LoadRows) and restored snapshots (LoadSnapshot, which crash recovery
-// reads) both seal each relation side's rows straight into one base
-// segment — tuples from one slab, their IDs from one string, their TIDs
+// (LoadRows) and decoded segment frames (DecodeSegment: the segments of a
+// Save file, and the checkpoint segment files crash recovery reads) both
+// seal rows straight into one segment — tuples from one slab, their IDs
+// from one string, their TIDs
 // from one reservation of the interning counter — instead of inserting
 // them one at a time into a flat relation that a later Freeze seals. The
 // database returned is the pristine fork of its own snapshot, so its

@@ -11,11 +11,12 @@ import (
 
 var loadSink *engine.Database
 
-// BenchmarkLoadSnapshot times restoring a saved database — the path crash
-// recovery reads a session's newest snapshot through — for the socket
-// benchmark's datasets, MAS at scale 0.1 and TPC-H at 0.01, saved with the
-// first column of every relation indexed, as a served session's snapshot
-// carries the columns its program probes.
+// BenchmarkLoadSnapshot times restoring a saved database — its layout
+// frame and one segment frame per relation side, decoded as crash
+// recovery decodes a checkpoint — for the socket benchmark's datasets, MAS
+// at scale 0.1 and TPC-H at 0.01, saved with the first column of every
+// relation indexed, as a served session's snapshot carries the columns its
+// program probes.
 func BenchmarkLoadSnapshot(b *testing.B) {
 	for _, ds := range []struct {
 		name string

@@ -1,11 +1,8 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 )
 
@@ -156,46 +153,4 @@ func TestLoadRowsMatchesInsert(t *testing.T) {
 	if _, err := LoadRows(schema, make([][]Value, 3)); err == nil {
 		t.Error("fewer blocks than relations loaded")
 	}
-}
-
-// TestLoadSnapshotDedupsLikeInsert: a snapshot side storing equal content
-// twice (gob input is not trusted) keeps its first row, as the per-row
-// Insert loop LoadSnapshot used to run did, while the Seq counter still
-// covers the dropped rows. (Values of an undefined kind are left out: a
-// snapshot holding one does not load.)
-func TestLoadSnapshotDedupsLikeInsert(t *testing.T) {
-	schema, rows := loadRowsFixture()
-	in := snapshot{Format: 1}
-	want := NewDatabase(schema)
-	seq := 0
-	for i, rs := range schema.Relations {
-		sr := snapRelation{Name: rs.Name, IDPrefix: rs.IDPrefix, Attrs: rs.Attrs, NextID: 100 + i}
-		if i < len(rows) {
-			for j, row := range rows[i] {
-				if slices.ContainsFunc(row, func(v Value) bool { return v.Kind > KindFloat }) {
-					continue
-				}
-				seq++
-				st := snapTuple{ID: fmt.Sprintf("%s%d", rs.IDPrefix, j), Seq: seq, Vals: row}
-				sr.Base = append(sr.Base, st)
-				vals := append([]Value(nil), row...)
-				if err := (&snapBlock{ids: []string{st.ID}, vals: vals}).sanitize(len(vals)); err != nil {
-					t.Fatal(err)
-				}
-				want.base[rs.Name].Insert(&Tuple{ID: st.ID, Rel: rs.Name, Vals: vals, Seq: seq})
-			}
-		}
-		want.nextID[rs.Name] = sr.NextID
-		in.Relations = append(in.Relations, sr)
-	}
-	want.seq = seq
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameDatabase(t, "snapshot", got, want)
 }

@@ -2,7 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,6 +16,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Delete a couple of tuples so the delta side is non-trivial.
 	db.DeleteToDelta(ContentKey("Grant", []Value{Int(2), Str("ERC")}))
 	db.DeleteToDelta(ContentKey("Author", []Value{Int(4), Str("Marge")}))
+	// Grant's columns turn mixed-kind, and -0.0 is stored beside +0.0: the
+	// segment frames keep every value's kind and float bits.
+	db.MustInsert("Grant", Float(math.Copysign(0, -1)), Str("NSF"))
+	db.MustInsert("Grant", Float(0), Str("NSF"))
+	db.MustInsert("Grant", Str("g9"), Float(2.5))
 
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
@@ -32,20 +41,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("schema relation %d differs: %v vs %v", i, rs, brs)
 		}
 	}
-	// Contents round trip, including order, IDs, and deltas.
+	// Contents round trip exactly, including order, IDs, deltas, value
+	// kinds and float bits.
 	for _, rs := range db.Schema.Relations {
-		a, b := db.Relation(rs.Name).Tuples(), back.Relation(rs.Name).Tuples()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d vs %d tuples", rs.Name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Key() != b[i].Key() || a[i].ID != b[i].ID || a[i].Seq != b[i].Seq {
-				t.Fatalf("%s[%d]: %v vs %v", rs.Name, i, a[i], b[i])
+		for _, side := range [][2]*Relation{{db.Relation(rs.Name), back.Relation(rs.Name)}, {db.Delta(rs.Name), back.Delta(rs.Name)}} {
+			a, b := side[0].Tuples(), side[1].Tuples()
+			if len(a) != len(b) {
+				t.Fatalf("%s: %d vs %d tuples", rs.Name, len(a), len(b))
 			}
-		}
-		da, dbt := db.Delta(rs.Name).Tuples(), back.Delta(rs.Name).Tuples()
-		if len(da) != len(dbt) {
-			t.Fatalf("%s delta: %d vs %d", rs.Name, len(da), len(dbt))
+			for i := range a {
+				if a[i].Key() != b[i].Key() || a[i].ID != b[i].ID || a[i].Seq != b[i].Seq {
+					t.Fatalf("%s[%d]: %v vs %v", rs.Name, i, a[i], b[i])
+				}
+				for j, v := range a[i].Vals {
+					w := b[i].Vals[j]
+					if v.Kind != w.Kind || v.Int != w.Int || v.Str != w.Str || math.Float64bits(v.Flt) != math.Float64bits(w.Flt) {
+						t.Fatalf("%s[%d] column %d: %#v vs %#v", rs.Name, i, j, v, w)
+					}
+				}
+			}
 		}
 	}
 	// Inserting after load continues the ID sequence without collisions.
@@ -59,13 +73,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.snap")
+	path := filepath.Join(t.TempDir(), "db.snap")
 	db := paperDatabase()
-	if err := db.SaveFile(path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadSnapshotFile(path)
+	if err := db.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = os.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := LoadSnapshot(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +98,29 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
 func TestSnapshotErrors(t *testing.T) {
-	if _, err := LoadSnapshot(strings.NewReader("not a gob stream")); err == nil {
-		t.Fatal("garbage input should fail")
+	var buf bytes.Buffer
+	if err := paperDatabase().Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadSnapshotFile("/nonexistent/db.snap"); err == nil {
-		t.Fatal("missing file should fail")
+	good := buf.Bytes()
+	layout, _ := cutFrame(good)
+	for name, data := range map[string][]byte{
+		"garbage":     []byte("not a snapshot"),
+		"layout only": layout,
+		"truncated":   good[:len(good)-1],
+		"trailing":    append(slices.Clone(good), 0),
+	} {
+		if _, err := LoadSnapshot(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
 	}
-	db := paperDatabase()
-	if err := db.SaveFile("/nonexistent/dir/db.snap"); err == nil {
-		t.Fatal("unwritable path should fail")
+	if err := paperDatabase().Save(failingWriter{}); err == nil {
+		t.Fatal("a failing writer should fail Save")
 	}
 }
 

@@ -1,12 +1,7 @@
 package durability
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -16,47 +11,20 @@ import (
 )
 
 // Checkpoints. A checkpoint at version V is one manifest, ckpt-<V>.manifest,
-// plus the segment files it names, seg-<N>.seg. A segment file holds one
-// sealed engine segment (engine.AppendSegment) and is written once: the
-// first checkpoint that references the segment writes it, and every later
-// one that still references it lists the same file. Between folds a
-// checkpoint therefore writes only the small recent and middle segments of
-// the relations that changed; a new base only after a fold.
+// plus the segment files it names, seg-<N>.seg. The manifest is the
+// version's layout frame (engine.AppendLayout) naming each segment by its
+// file; a segment file holds one sealed engine segment (engine.AppendSegment)
+// and is written once: the first checkpoint that references the segment
+// writes it, and every later one that still references it names the same
+// file. Between folds a checkpoint therefore writes only the small recent
+// and middle segments of the relations that changed; a new base only after
+// a fold.
 //
-// The manifest is framed like a WAL record (uint32 length, uint32 CRC-32C,
-// gob payload) and lands tmp + fsync + rename + directory fsync, after the
+// The manifest lands tmp + fsync + rename + directory fsync, after the
 // segment files it names are fsynced and their directory entries too.
-// Recovery loads each segment file back as its own segment, so the
-// recovered head has the live head's segment layout.
-
-// manifestFormat is the manifest version this build writes and reads.
-const manifestFormat = 1
-
-// manifest is the serialized checkpoint: engine.Layout with each segment
-// replaced by the name of its file.
-type manifest struct {
-	Format    int
-	Version   uint64
-	NextSeq   int
-	Relations []manifestRel
-}
-
-type manifestRel struct {
-	Name        string
-	IDPrefix    string
-	Attrs       []string
-	NextID      int
-	Base, Delta manifestSide
-}
-
-// manifestSide lists a relation side's segment files, oldest first, with
-// the tombstone bitmap over each (empty when nothing is deleted there) and
-// the columns to index at load.
-type manifestSide struct {
-	Files []string
-	Tombs [][]uint64
-	Warm  []int
-}
+// Recovery loads each segment file back as its own segment
+// (engine.ReadLayout), so the recovered head has the live head's segment
+// layout.
 
 func manifestName(version uint64) string { return fmt.Sprintf("ckpt-%d.manifest", version) }
 
@@ -75,90 +43,30 @@ func parseName(name, prefix, suffix string) (uint64, bool) {
 	return n, err == nil && strconv.FormatUint(n, 10) == num
 }
 
-// encodeManifest frames the manifest's gob encoding.
-func encodeManifest(m *manifest) ([]byte, error) {
-	buf, err := encodeFrame(m)
-	if err != nil {
-		return nil, fmt.Errorf("durability: encoding manifest: %w", err)
-	}
-	return buf, nil
-}
-
-// decodeManifest checks a manifest's frame and decodes it.
-func decodeManifest(data []byte) (*manifest, error) {
-	if len(data) < frameHeader || int64(binary.LittleEndian.Uint32(data[0:4])) != int64(len(data)-frameHeader) {
-		return nil, errors.New("durability: manifest length does not match its frame")
-	}
-	payload := data[frameHeader:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[4:8]) {
-		return nil, errors.New("durability: manifest checksum mismatch")
-	}
-	var m manifest
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("durability: decoding manifest: %w", err)
-	}
-	if m.Format != manifestFormat {
-		return nil, fmt.Errorf("durability: unsupported manifest format %d", m.Format)
-	}
-	return &m, nil
-}
-
-// manifestOf returns the manifest of a layout at version, naming each
-// segment's file by name.
-func manifestOf(l *engine.Layout, version uint64, name func(*engine.Segment) string) *manifest {
-	m := &manifest{Format: manifestFormat, Version: version, NextSeq: l.NextSeq, Relations: make([]manifestRel, len(l.Relations))}
-	for i, rl := range l.Relations {
-		mr := &m.Relations[i]
-		mr.Name, mr.IDPrefix, mr.Attrs, mr.NextID = rl.Name, rl.IDPrefix, rl.Attrs, rl.NextID
-		for _, side := range []struct {
-			sl *engine.SideLayout
-			ms *manifestSide
-		}{{&rl.Base, &mr.Base}, {&rl.Delta, &mr.Delta}} {
-			side.ms.Tombs, side.ms.Warm = side.sl.Tombs, side.sl.Warm
-			for _, seg := range side.sl.Segments {
-				side.ms.Files = append(side.ms.Files, name(seg))
-			}
-		}
-	}
-	return m
-}
-
 // loadCheckpoint rebuilds the snapshot a manifest describes, reading each
 // segment file through read, and returns which file each loaded segment
 // came from.
-func loadCheckpoint(m *manifest, read func(name string) ([]byte, error)) (*engine.Snapshot, map[*engine.Segment]string, error) {
+func loadCheckpoint(manifest []byte, read func(name string) ([]byte, error)) (*engine.Snapshot, map[*engine.Segment]string, error) {
 	files := make(map[*engine.Segment]string)
 	seen := make(map[string]bool)
-	l := &engine.Layout{NextSeq: m.NextSeq, Relations: make([]engine.RelationLayout, len(m.Relations))}
-	for i, mr := range m.Relations {
-		rl := &l.Relations[i]
-		rl.Name, rl.IDPrefix, rl.Attrs, rl.NextID = mr.Name, mr.IDPrefix, mr.Attrs, mr.NextID
-		for _, side := range []struct {
-			ms *manifestSide
-			sl *engine.SideLayout
-		}{{&mr.Base, &rl.Base}, {&mr.Delta, &rl.Delta}} {
-			side.sl.Tombs, side.sl.Warm = side.ms.Tombs, side.ms.Warm
-			for _, name := range side.ms.Files {
-				if _, ok := parseName(name, "seg-", ".seg"); !ok || seen[name] {
-					return nil, nil, fmt.Errorf("durability: manifest names segment file %q twice or badly", name)
-				}
-				seen[name] = true
-				data, err := read(name)
-				if err != nil {
-					return nil, nil, err
-				}
-				seg, err := engine.DecodeSegment(data, mr.Name, len(mr.Attrs))
-				if err != nil {
-					return nil, nil, fmt.Errorf("durability: segment file %s: %w", name, err)
-				}
-				files[seg] = name
-				side.sl.Segments = append(side.sl.Segments, seg)
-			}
+	snap, err := engine.ReadLayout(manifest, func(name, rel string, arity int) (*engine.Segment, error) {
+		if _, ok := parseName(name, "seg-", ".seg"); !ok || seen[name] {
+			return nil, fmt.Errorf("durability: manifest names segment file %q twice or badly", name)
 		}
-	}
-	snap, err := engine.LoadLayout(l)
+		seen[name] = true
+		data, err := read(name)
+		if err != nil {
+			return nil, err
+		}
+		seg, err := engine.DecodeSegment(data, rel, arity)
+		if err != nil {
+			return nil, fmt.Errorf("durability: segment file %s: %w", name, err)
+		}
+		files[seg] = name
+		return seg, nil
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("durability: checkpoint at version %d: %w", m.Version, err)
+		return nil, nil, err
 	}
 	return snap, files, nil
 }
@@ -206,7 +114,7 @@ func (st *SessionStore) writeCheckpoint(head *engine.Snapshot, version uint64, l
 	files := make(map[*engine.Segment]string, len(st.files))
 	var fresh []*engine.Segment
 	var stats CheckpointStats
-	m := manifestOf(head.Layout(), version, func(seg *engine.Segment) string {
+	data := engine.AppendLayout(nil, head.Layout(), func(seg *engine.Segment) string {
 		name, ok := st.files[seg]
 		if ok {
 			stats.Reused++
@@ -219,16 +127,12 @@ func (st *SessionStore) writeCheckpoint(head *engine.Snapshot, version uint64, l
 		return name
 	})
 	for _, seg := range fresh {
-		data := engine.AppendSegment(nil, seg)
-		if err := writeFileSync(filepath.Join(st.dir, files[seg]), data); err != nil {
+		frame := engine.AppendSegment(nil, seg)
+		if err := writeFileSync(filepath.Join(st.dir, files[seg]), frame); err != nil {
 			return err
 		}
 		stats.Written++
-		stats.Bytes += int64(len(data))
-	}
-	data, err := encodeManifest(m)
-	if err != nil {
-		return err
+		stats.Bytes += int64(len(frame))
 	}
 	if len(fresh) > 0 {
 		// The new segment files' directory entries are durable before the
@@ -298,8 +202,8 @@ func writeFileSync(path string, data []byte) error {
 
 // sweep removes what no recovery reads from a session directory whose
 // current checkpoint is the given manifest version and file set: *.tmp
-// files, segment files the manifest does not reference, superseded
-// manifests and legacy snapshot files.
+// files, segment files the manifest does not reference and superseded
+// manifests.
 func sweep(dir string, version uint64, files map[*engine.Segment]string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -316,8 +220,6 @@ func sweep(dir string, version uint64, files map[*engine.Segment]string) error {
 			stale = v != version
 		} else if _, ok := parseName(name, "seg-", ".seg"); ok {
 			stale = !kept[name]
-		} else if _, ok := parseName(name, "snap-", ".snap"); ok {
-			stale = true
 		} else {
 			stale = strings.HasSuffix(name, ".tmp")
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -36,8 +37,8 @@ func layoutShape(s *engine.Snapshot) string {
 }
 
 // checkpointState reads a session directory: the file names, sorted, and
-// the segment files its only manifest names. It fails the test on a *.tmp
-// file, more than one manifest, or a segment file no manifest names.
+// the version of its only manifest. It fails the test on a *.tmp file,
+// more than one manifest, or a segment file the manifest does not name.
 func checkpointState(t *testing.T, sessDir string) (names []string, manifestVersion uint64) {
 	t.Helper()
 	entries, err := os.ReadDir(sessDir)
@@ -45,13 +46,13 @@ func checkpointState(t *testing.T, sessDir string) (names []string, manifestVers
 		t.Fatal(err)
 	}
 	var manifests []uint64
-	segs := map[string]bool{}
+	segs := 0
 	for _, e := range entries {
 		names = append(names, e.Name())
 		if v, ok := parseName(e.Name(), "ckpt-", ".manifest"); ok {
 			manifests = append(manifests, v)
 		} else if _, ok := parseName(e.Name(), "seg-", ".seg"); ok {
-			segs[e.Name()] = true
+			segs++
 		} else if e.Name() != "meta.json" && e.Name() != "wal.log" {
 			t.Fatalf("leftover %s in %v", e.Name(), names)
 		}
@@ -63,23 +64,14 @@ func checkpointState(t *testing.T, sessDir string) (names []string, manifestVers
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := decodeManifest(data)
+	_, files, err := loadCheckpoint(data, func(name string) ([]byte, error) {
+		return os.ReadFile(filepath.Join(sessDir, name))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	named := 0
-	for _, mr := range m.Relations {
-		for _, side := range []manifestSide{mr.Base, mr.Delta} {
-			for _, f := range side.Files {
-				if !segs[f] {
-					t.Fatalf("manifest names missing segment file %s", f)
-				}
-				named++
-			}
-		}
-	}
-	if named != len(segs) {
-		t.Fatalf("%d segment files on disk, the manifest names %d: %v", len(segs), named, names)
+	if len(files) != segs {
+		t.Fatalf("%d segment files on disk, the manifest names %d: %v", segs, len(files), names)
 	}
 	return names, manifests[0]
 }
@@ -254,10 +246,11 @@ func TestOpenSweepsLeftovers(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotMigrates: a directory holding the whole-database
-// snapshot of the earlier format plus a WAL tail recovers the same head,
-// once, and comes back as a checkpoint at the snapshot's version.
-func TestLegacySnapshotMigrates(t *testing.T) {
+// TestLegacySnapshotRefused: a directory from before checkpoints — meta.json,
+// a WAL and a whole-database snap-<V>.snap — does not open: the error names
+// the snapshot file as a pre-checkpoint one, and the directory is left
+// byte for byte as it was, nothing swept.
+func TestLegacySnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	m := mgr(t, dir, -1)
 	_, db := testDB(t)
@@ -265,8 +258,7 @@ func TestLegacySnapshotMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at3 := appendN(t, st, db.Freeze(), 1, 3)
-	head := appendN(t, st, at3, 3, 6)
+	appendN(t, st, db.Freeze(), 1, 6)
 	st.Close()
 	sessDir := filepath.Join(dir, encodeName("legacy"))
 	names, _ := checkpointState(t, sessDir)
@@ -275,30 +267,35 @@ func TestLegacySnapshotMigrates(t *testing.T) {
 			os.Remove(filepath.Join(sessDir, name))
 		}
 	}
-	if err := at3.Fork().SaveFile(filepath.Join(sessDir, "snap-3.snap")); err != nil {
+	if err := os.WriteFile(filepath.Join(sessDir, "snap-3.snap"), []byte("whole-database snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before := dirContents(t, sessDir)
 
-	rec, err := m.Open("legacy")
+	if _, err := m.Open("legacy"); err == nil || !strings.Contains(err.Error(), "snap-3.snap is a pre-checkpoint snapshot") {
+		t.Fatalf("opening a pre-checkpoint directory: %v", err)
+	}
+	if after := dirContents(t, sessDir); !maps.Equal(after, before) {
+		t.Fatalf("Open changed the directory: %v files, want %v", slices.Sorted(maps.Keys(after)), slices.Sorted(maps.Keys(before)))
+	}
+}
+
+// dirContents reads every file of a directory.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := dumpSnap(t, rec.Snapshot), dumpSnap(t, head); got != want || rec.Version != 6 || rec.Replayed != 3 || rec.SnapshotVersion != 3 {
-		t.Fatalf("migrated recovery at %d from %d replaying %d:\n%s\nwant 6 from 3 replaying 3:\n%s",
-			rec.Version, rec.SnapshotVersion, rec.Replayed, got, want)
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
 	}
-	rec.Store.Close()
-	if _, v := checkpointState(t, sessDir); v != 3 {
-		t.Fatalf("migrated to a checkpoint at %d, want 3", v)
-	}
-	again, err := m.Open("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Store.Close()
-	if got, want := dumpSnap(t, again.Snapshot), dumpSnap(t, head); got != want || again.Replayed != 3 {
-		t.Fatalf("recovery from the migrated checkpoint differs (replayed %d)", again.Replayed)
-	}
+	return files
 }
 
 // TestCompactWritesOnlyNewSegments: a checkpoint writes the segments the
@@ -350,40 +347,35 @@ func TestCompactWritesOnlyNewSegments(t *testing.T) {
 // encodeCheckpoint renders a snapshot as FuzzCheckpoint's input: the
 // manifest bytes and the segment files back to back, in the order the
 // manifest names them.
-func encodeCheckpoint(s *engine.Snapshot, version uint64) (man, segs []byte) {
+func encodeCheckpoint(s *engine.Snapshot) (man, segs []byte) {
 	n := uint64(0)
-	m := manifestOf(s.Layout(), version, func(seg *engine.Segment) string {
+	man = engine.AppendLayout(nil, s.Layout(), func(seg *engine.Segment) string {
 		n++
 		segs = engine.AppendSegment(segs, seg)
 		return segmentName(n)
 	})
-	man, err := encodeManifest(m)
-	if err != nil {
-		panic(err)
-	}
 	return man, segs
 }
 
-// splitSegments assigns FuzzCheckpoint's concatenated segment files to the
-// names the manifest lists, in order; a frame that does not fit ends the
-// split.
-func splitSegments(m *manifest, segs []byte) map[string][]byte {
-	files := map[string][]byte{}
-	for _, mr := range m.Relations {
-		for _, side := range []manifestSide{mr.Base, mr.Delta} {
-			for _, name := range side.Files {
-				if len(segs) < frameHeader {
-					return files
-				}
-				n := uint64(binary.LittleEndian.Uint32(segs)) + frameHeader
-				if n > uint64(len(segs)) {
-					return files
-				}
-				files[name], segs = segs[:n], segs[n:]
-			}
+// segmentReader hands out FuzzCheckpoint's concatenated segment files as
+// the files the manifest names, one frame per call in naming order, and
+// records them in files; reframe rewrites each frame's header to fit its
+// bytes first.
+func segmentReader(segs []byte, reframe bool, files map[string][]byte) func(string) ([]byte, error) {
+	return func(name string) ([]byte, error) {
+		if len(segs) < frameHeader {
+			return nil, os.ErrNotExist
 		}
+		n := min(uint64(binary.LittleEndian.Uint32(segs))+frameHeader, uint64(len(segs)))
+		frame := segs[:n:n]
+		segs = segs[n:]
+		if reframe {
+			frame = slices.Clone(frame)
+			setFrame(frame)
+		}
+		files[name] = frame
+		return frame, nil
 	}
-	return files
 }
 
 // setFrame rewrites a frame's header to its payload's length and checksum.
@@ -409,7 +401,7 @@ func FuzzCheckpoint(f *testing.F) {
 			}
 			snap = next
 			if i%16 == 0 {
-				man, segs := encodeCheckpoint(snap, uint64(i+2))
+				man, segs := encodeCheckpoint(snap)
 				f.Add(man, segs, i%32 == 0)
 			}
 		}
@@ -423,24 +415,8 @@ func FuzzCheckpoint(f *testing.F) {
 			man = slices.Clone(man)
 			setFrame(man)
 		}
-		m, err := decodeManifest(man)
-		if err != nil {
-			return
-		}
-		files := splitSegments(m, segs)
-		if reframe {
-			for name, data := range files {
-				files[name] = slices.Clone(data)
-				setFrame(files[name])
-			}
-		}
-		read := func(name string) ([]byte, error) {
-			if data, ok := files[name]; ok {
-				return data, nil
-			}
-			return nil, os.ErrNotExist
-		}
-		snap, loaded, err := loadCheckpoint(m, read)
+		files := map[string][]byte{}
+		snap, loaded, err := loadCheckpoint(man, segmentReader(segs, reframe, files))
 		if err != nil {
 			return
 		}
@@ -448,9 +424,10 @@ func FuzzCheckpoint(f *testing.F) {
 			t.Fatalf("%d segments loaded from %d files", len(loaded), len(files))
 		}
 		// One flipped bit in any frame is caught.
+		read := func(name string) ([]byte, error) { return files[name], nil }
 		flipped := slices.Clone(man)
 		flipped[len(flipped)-1] ^= 0x10
-		if _, err := decodeManifest(flipped); err == nil {
+		if _, _, err := loadCheckpoint(flipped, read); err == nil {
 			t.Fatal("a flipped manifest byte decoded")
 		}
 		for name, data := range files {
@@ -461,13 +438,8 @@ func FuzzCheckpoint(f *testing.F) {
 			}
 		}
 
-		man2, segs2 := encodeCheckpoint(snap, m.Version)
-		m2, err := decodeManifest(man2)
-		if err != nil {
-			t.Fatalf("re-encoded manifest: %v", err)
-		}
-		files2 := splitSegments(m2, segs2)
-		snap2, _, err := loadCheckpoint(m2, func(name string) ([]byte, error) { return files2[name], nil })
+		man2, segs2 := encodeCheckpoint(snap)
+		snap2, _, err := loadCheckpoint(man2, segmentReader(segs2, false, map[string][]byte{}))
 		if err != nil {
 			t.Fatalf("re-encoded checkpoint: %v", err)
 		}
@@ -477,7 +449,7 @@ func FuzzCheckpoint(f *testing.F) {
 		if got, want := layoutShape(snap2), layoutShape(snap); got != want {
 			t.Fatalf("round trip changed the layout:\n%s\nwant:\n%s", got, want)
 		}
-		if man3, segs3 := encodeCheckpoint(snap2, m.Version); !bytes.Equal(man3, man2) || !bytes.Equal(segs3, segs2) {
+		if man3, segs3 := encodeCheckpoint(snap2); !bytes.Equal(man3, man2) || !bytes.Equal(segs3, segs2) {
 			t.Fatal("re-encoding is not a fixpoint")
 		}
 	})

@@ -41,18 +41,20 @@ func mgr(t *testing.T, dir string, every int) *Manager {
 
 func row(rel string, vals ...engine.Value) engine.Row { return engine.Row{Rel: rel, Vals: vals} }
 
-// dumpSnap renders a snapshot's full content deterministically for
-// byte-identity assertions.
+// dumpSnap renders a snapshot's full content, base and delta,
+// deterministically for byte-identity assertions.
 func dumpSnap(t *testing.T, s *engine.Snapshot) string {
 	t.Helper()
 	var out string
 	fork := s.Fork()
 	for _, rs := range fork.Schema.Relations {
-		rel := fork.Relation(rs.Name)
-		rel.Scan(func(tu *engine.Tuple) bool {
-			out += tu.ID + "|" + tu.Rel + "|" + tu.Key() + "\n"
-			return true
-		})
+		for _, rel := range []*engine.Relation{fork.Relation(rs.Name), fork.Delta(rs.Name)} {
+			rel.Scan(func(tu *engine.Tuple) bool {
+				out += tu.ID + "|" + tu.Rel + "|" + tu.Key() + "\n"
+				return true
+			})
+			out += "--\n"
+		}
 	}
 	return out
 }

@@ -26,9 +26,7 @@ import (
 // manifest is durably in place, and the superseded manifest and segment
 // files are removed last; recovery skips WAL records at or below the
 // checkpoint version and sweeps whatever a crash left behind (*.tmp files,
-// unreferenced segment files, superseded manifests). A directory from
-// before checkpoints holds a snap-<V>.snap (engine.Save) instead; Open
-// reads it once and rewrites it as a checkpoint at V.
+// unreferenced segment files, superseded manifests).
 
 // DefaultSnapshotEvery is the compaction cadence (WAL records between
 // checkpoints) when Options.SnapshotEvery is 0.
@@ -195,10 +193,9 @@ type Recovered struct {
 	Store *SessionStore
 }
 
-// Open recovers the named session: load the newest checkpoint — or
-// migrate a legacy snapshot file into one — sweep what no recovery reads,
-// replay the WAL tail (repairing a torn or corrupt tail by truncation), and
-// reopen the log for appending.
+// Open recovers the named session: load the newest checkpoint, sweep what
+// no recovery reads, replay the WAL tail (repairing a torn or corrupt tail
+// by truncation), and reopen the log for appending.
 func (m *Manager) Open(name string) (*Recovered, error) {
 	dir := m.sessionDir(name)
 	var meta Meta
@@ -259,57 +256,46 @@ func (m *Manager) Open(name string) (*Recovered, error) {
 }
 
 // loadStore loads a session directory's newest checkpoint and returns the
-// store that continues from it (without its log). A directory with no
-// manifest but a legacy snap-<V>.snap is migrated: the snapshot is read
-// once and written as the checkpoint at V.
+// store that continues from it (without its log). A directory whose only
+// snapshot is a whole-database snap-<V>.snap from before checkpoints is an
+// error naming that file, and is left as it is.
 func (m *Manager) loadStore(dir string) (*SessionStore, *engine.Snapshot, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	st := &SessionStore{dir: dir, snapshotEvery: m.opts.SnapshotEvery, nextSegment: 1}
-	var ckpt, legacy uint64
-	var haveCkpt, haveLegacy bool
+	var ckpt uint64
+	var haveCkpt bool
+	var legacy string
 	for _, e := range entries {
 		if v, ok := parseName(e.Name(), "ckpt-", ".manifest"); ok && (!haveCkpt || v > ckpt) {
 			ckpt, haveCkpt = v, true
 		} else if n, ok := parseName(e.Name(), "seg-", ".seg"); ok {
 			// Never reuse a segment file name, not even an orphan's.
 			st.nextSegment = max(st.nextSegment, n+1)
-		} else if v, ok := parseName(e.Name(), "snap-", ".snap"); ok && (!haveLegacy || v > legacy) {
-			legacy, haveLegacy = v, true
+		} else if _, ok := parseName(e.Name(), "snap-", ".snap"); ok {
+			legacy = e.Name()
 		}
 	}
-	switch {
-	case haveCkpt:
-		data, err := os.ReadFile(filepath.Join(dir, manifestName(ckpt)))
-		if err != nil {
-			return nil, nil, err
+	if !haveCkpt {
+		if legacy != "" {
+			return nil, nil, fmt.Errorf("%s is a pre-checkpoint snapshot, which this build does not read", legacy)
 		}
-		man, err := decodeManifest(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		snap, files, err := loadCheckpoint(man, func(name string) ([]byte, error) {
-			return os.ReadFile(filepath.Join(dir, name))
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		st.files, st.snapVersion = files, ckpt
-		return st, snap, nil
-	case haveLegacy:
-		db, err := engine.LoadSnapshotFile(filepath.Join(dir, fmt.Sprintf("snap-%d.snap", legacy)))
-		if err != nil {
-			return nil, nil, fmt.Errorf("legacy snapshot: %w", err)
-		}
-		snap := db.Freeze()
-		if err := st.writeCheckpoint(snap, legacy, nil); err != nil {
-			return nil, nil, err
-		}
-		return st, snap, nil
+		return nil, nil, errors.New("no checkpoint")
 	}
-	return nil, nil, errors.New("no checkpoint")
+	data, err := os.ReadFile(filepath.Join(dir, manifestName(ckpt)))
+	if err != nil {
+		return nil, nil, err
+	}
+	snap, files, err := loadCheckpoint(data, func(name string) ([]byte, error) {
+		return os.ReadFile(filepath.Join(dir, name))
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("checkpoint at version %d: %w", ckpt, err)
+	}
+	st.files, st.snapVersion = files, ckpt
+	return st, snap, nil
 }
 
 // SessionStore is one session's open durable state: the append handle on

@@ -3,11 +3,11 @@
 // mirroring how the engine already treats state as version deltas over
 // immutable snapshots (Snapshot.Apply). A session's durable state is a
 // directory holding its registration metadata, the newest checkpoint — a
-// manifest (ckpt-<version>.manifest) naming one file per sealed segment
-// (seg-<n>.seg via engine.AppendSegment), each written once by the first
-// checkpoint that references it — and a log of the update batches applied
-// since that checkpoint. Recovery loads each segment file back as its own
-// segment (engine.LoadLayout) and replays the log tail; Apply is
+// manifest (ckpt-<version>.manifest, engine.AppendLayout) naming one file
+// per sealed segment (seg-<n>.seg, engine.AppendSegment), each written once
+// by the first checkpoint that references it — and a log of the update
+// batches applied since that checkpoint. Recovery loads each segment file
+// back as its own segment (engine.ReadLayout) and replays the log tail; Apply is
 // deterministic given the prior state and the row order, so the recovered
 // head is byte-identical to the pre-crash head.
 package durability

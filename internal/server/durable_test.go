@@ -352,79 +352,6 @@ func segmentShape(l *engine.Layout) string {
 	return b.String()
 }
 
-// TestDurableLegacySnapshotMigration: a data directory written before
-// checkpoints — a whole-database engine.Save snapshot at version 2 plus a
-// WAL tail — recovers byte-identically under all four semantics, and the
-// session directory comes back as a checkpoint at version 2.
-func TestDurableLegacySnapshotMigration(t *testing.T) {
-	dir := t.TempDir()
-	svc := openDurable(t, dir, Config{SnapshotEvery: -1})
-	register(t, svc, "papers")
-	ctx := context.Background()
-	for i, ins := range []engine.Row{
-		row("Writes", engine.Int(2), engine.Int(6)),
-		row("Cite", engine.Int(6), engine.Int(7)),
-		row("Grant", engine.Int(3), engine.Str("DFG")),
-	} {
-		if _, err := svc.Update(ctx, "papers", []engine.Row{ins}, nil, RequestOptions{}); err != nil {
-			t.Fatalf("update %d: %v", i, err)
-		}
-	}
-	sess, err := svc.session("papers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	at2, ok := sess.ring.At(2)
-	if !ok {
-		t.Fatal("version 2 not retained")
-	}
-	before := pinnedRepairBodies(t, svc, "papers", 4)
-	wantDump, _ := dumpHead(t, svc, "papers")
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sessDir := filepath.Join(dir, "s-papers")
-	entries, err := os.ReadDir(sessDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != "meta.json" && e.Name() != "wal.log" {
-			os.Remove(filepath.Join(sessDir, e.Name()))
-		}
-	}
-	if err := at2.Fork().SaveFile(filepath.Join(sessDir, "snap-2.snap")); err != nil {
-		t.Fatal(err)
-	}
-
-	svc2 := openDurable(t, dir, Config{SnapshotEvery: -1})
-	defer svc2.Close()
-	gotDump, gotVer := dumpHead(t, svc2, "papers")
-	if gotVer != 4 || gotDump != wantDump {
-		t.Fatalf("migrated recovery at %d not byte-identical:\n got:\n%s\nwant:\n%s", gotVer, gotDump, wantDump)
-	}
-	if n := metricValue(t, svc2, "deltarepaird_recovery_replayed_records_total"); n != 2 {
-		t.Fatalf("replayed %d records on the legacy snapshot, want 2", n)
-	}
-	for sem, want := range before {
-		if got := pinnedRepairBodies(t, svc2, "papers", 4)[sem]; got != want {
-			t.Fatalf("%s repair body changed across the migration:\n before: %s\n after:  %s", sem, want, got)
-		}
-	}
-	entries, err = os.ReadDir(sessDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	joined := strings.Join(names, " ")
-	if !strings.Contains(joined, "ckpt-2.manifest") || strings.Contains(joined, ".snap") || !strings.Contains(joined, ".seg") {
-		t.Fatalf("session directory after the migration: %v", names)
-	}
-}
-
 // TestDurableMidBatchCrash simulates a crash after the WAL append but
 // before the update became visible (or acknowledged): recovery replays the
 // record, restoring the at-least-once contract.
