@@ -1,0 +1,111 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/datalog"
+	"repro/internal/engine"
+	"repro/internal/mas"
+	"repro/internal/programs"
+	"repro/internal/tpch"
+)
+
+// socketProgram is one of the socket benchmark's 26 cold_repair_all
+// programs: MAS-1..20 over MAS at scale 0.1 and T-1..6 over TPC-H at scale
+// 0.01, both generated with seed 1.
+type socketProgram struct {
+	name string
+	db   *engine.Database
+	prep *datalog.Prepared
+}
+
+func socketPrograms(tb testing.TB) []socketProgram {
+	tb.Helper()
+	md := mas.Generate(mas.Config{Scale: 0.1, Seed: 1})
+	td := tpch.Generate(tpch.Config{Scale: 0.01, Seed: 1})
+	var out []socketProgram
+	for n := 1; n <= 26; n++ {
+		db, name := md.DB, fmt.Sprintf("MAS-%d", n)
+		var (
+			p   *datalog.Program
+			err error
+		)
+		if n <= 20 {
+			p, err = programs.MAS(n, md)
+		} else {
+			db, name = td.DB, fmt.Sprintf("T-%d", n-20)
+			p, err = programs.TPCH(n-20, td)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		prep, err := datalog.Prepare(p, db.Schema)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, socketProgram{name, db, prep})
+	}
+	return out
+}
+
+// TestIndependentSearchFingerprint pins Algorithm 1 on the socket
+// benchmark's 26 programs under the default node budget: the provenance
+// formula's size, the CNF's size after its body dedup, and the Min-Ones
+// search's node count, cost and optimality. The node count is the search's
+// fingerprint — the same branching order and the same work charge per node
+// reproduce it exactly, and MAS-14 is cut by the work budget, so a change
+// to either moves it.
+func TestIndependentSearchFingerprint(t *testing.T) {
+	want := map[string]struct {
+		clauses, cnf int
+		nodes, cost  int64
+		optimal      bool
+	}{
+		"MAS-1": {159, 159, 1, 159, true}, "MAS-2": {158, 158, 1, 1, true},
+		"MAS-3": {316, 158, 1, 1, true}, "MAS-4": {196, 98, 1, 1, true},
+		"MAS-5": {159, 159, 1, 159, true}, "MAS-6": {317, 317, 1, 159, true},
+		"MAS-7": {9, 9, 1, 9, true}, "MAS-8": {632, 474, 3, 159, true},
+		"MAS-9": {329, 329, 1, 329, true}, "MAS-10": {627, 627, 1, 623, true},
+		"MAS-11": {840, 840, 1, 840, true}, "MAS-12": {840, 840, 1, 751, true},
+		"MAS-13": {1197, 1197, 1, 570, true}, "MAS-14": {1197, 1197, 25728, 542, false},
+		"MAS-15": {1197, 1197, 1, 60, true}, "MAS-16": {1, 1, 1, 1, true},
+		"MAS-17": {99, 99, 1, 99, true}, "MAS-18": {363, 363, 1, 363, true},
+		"MAS-19": {627, 627, 1, 623, true}, "MAS-20": {683, 683, 1, 679, true},
+		"T-1": {41550, 41550, 1, 1, true}, "T-2": {41550, 41550, 1, 628, true},
+		"T-3": {41550, 41550, 1, 1, true}, "T-4": {84, 84, 1, 37, true},
+		"T-5": {751, 376, 1, 6, true}, "T-6": {41582, 41582, 1079, 5, true},
+	}
+	for _, sp := range socketPrograms(t) {
+		t.Run(sp.name, func(t *testing.T) {
+			w := want[sp.name]
+			d, err := NewDerivation(sp.db.Fork(), sp.prep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ic, err := d.buildCNF(nil, IndependentOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ic.formula.Len(); got != w.clauses {
+				t.Errorf("provenance clauses = %d, want %d: the closure derivation or the head+body dedup changed", got, w.clauses)
+			}
+			if got := ic.cnf.NumClauses(); got != w.cnf {
+				t.Errorf("CNF clauses = %d, want %d: the CNF's body dedup changed", got, w.cnf)
+			}
+			res, err := d.Run(SemIndependent, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SolverNodes != w.nodes {
+				t.Errorf("SolverNodes = %d, want %d: the search's branching order or its work charge per node changed", res.SolverNodes, w.nodes)
+			}
+			if res.RepairCost != w.cost {
+				t.Errorf("RepairCost = %d, want %d: the search returns a different repair", res.RepairCost, w.cost)
+			}
+			if res.Optimal != w.optimal {
+				t.Errorf("Optimal = %v, want %v: the search stops at a different point of its budget", res.Optimal, w.optimal)
+			}
+		})
+	}
+}

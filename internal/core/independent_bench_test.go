@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mas"
 	"repro/internal/programs"
+	"repro/internal/sat"
 	"repro/internal/tpch"
 )
 
@@ -84,4 +85,36 @@ func BenchmarkRepairAll(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSolveIndependent is the layer benchmark of Algorithm 1's phase 3
+// alone: one Min-Ones search over a prebuilt CNF, on the two programs whose
+// search dominates cold_repair_all — MAS-14, cut by the default work
+// budget, and T-6, a 41.6 K-clause formula. nodes/op and cost are the
+// search's fingerprint (TestIndependentSearchFingerprint pins them).
+func BenchmarkSolveIndependent(b *testing.B) {
+	for _, sp := range socketPrograms(b) {
+		if sp.name != "MAS-14" && sp.name != "T-6" {
+			continue
+		}
+		b.Run(sp.name, func(b *testing.B) {
+			d, err := NewDerivation(sp.db.Fork(), sp.prep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ic, err := d.buildCNF(nil, IndependentOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := ic.satOptions(nil, IndependentOptions{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			var solved sat.Result
+			for i := 0; i < b.N; i++ {
+				solved = sat.MinOnes(ic.cnf, opts)
+			}
+			b.ReportMetric(float64(solved.Nodes), "nodes/op")
+			b.ReportMetric(float64(solved.WeightedCost-ic.preDeletedCost), "cost")
+		})
+	}
 }
