@@ -79,7 +79,7 @@ func main() {
 		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "session cache capacity (LRU beyond this)")
 		maxInFlight = flag.Int("max-inflight", 0, "max concurrently executing repairs (0 = 2x GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-request timeout (0 = none)")
-		solverNodes = flag.Int64("solver-max-nodes", 0, "default Min-Ones-SAT node budget (0 = solver default)")
+		solverNodes = flag.Int64("solver-max-nodes", 0, "Min-Ones-SAT node budget, and the ceiling on a request's solver_max_nodes (0 = solver default)")
 		maxVersions = flag.Int("max-versions", 0, "retained snapshot versions per session for pinned reads (0 = engine default)")
 		maxBody     = flag.Int64("max-body-bytes", 0, "largest request body accepted, in bytes; longer ones get 413 (0 = 64 MiB)")
 		demo        = flag.Bool("demo", false, "preload the paper's running example as session \"running-example\"")

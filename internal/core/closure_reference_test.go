@@ -59,7 +59,7 @@ func referenceCNF(t *testing.T, f *provenance.Formula, preDeleted map[engine.Tup
 	}
 	cnf = sat.NewFormula(len(ids))
 	add := func(lits ...int) {
-		if err := cnf.AddClause(lits...); err != nil {
+		if _, err := cnf.AddClause(lits...); err != nil {
 			t.Fatal(err)
 		}
 	}

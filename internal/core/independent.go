@@ -112,17 +112,14 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 
 	// Phase 2 (ProcessProv): negate into CNF over deletion variables
 	// (lines 2–4): clause (t₁ ∧ … ∧ ¬d₁ ∧ …) negates to
-	// (x_t₁ ∨ … ∨ ¬x_d₁ ∨ …) where x_t means "t is deleted". SAT variables
-	// are the formula's, numbered 1:1 from interned tuple IDs by first
-	// occurrence; no string keys exist anywhere on this path.
+	// (x_t₁ ∨ … ∨ ¬x_d₁ ∨ …) where x_t means "t is deleted". The formula
+	// wrote that CNF as it derived the clauses, with the pre-deleted
+	// tuples' unit clauses after them (closureArtefact), and the solver
+	// reads it in place: SAT variables are the formula's, numbered 1:1 from
+	// interned tuple IDs by first occurrence; no string keys and no copy of
+	// the clauses exist anywhere on this path.
 	ppStart := time.Now()
 	ids := formula.TupleIDs()
-	cnf := sat.NewFormula(len(ids))
-	for i := range formula.Clauses {
-		if err := cnf.AddClause(formula.Lits(i)...); err != nil {
-			return nil, err
-		}
-	}
 	// weightOf is the objective's cost of deleting t: 1 under minimum
 	// cardinality, Weight(t) when that is larger.
 	weightOf := func(t *engine.Tuple) int64 {
@@ -133,17 +130,12 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 		}
 		return 1
 	}
-	// Pre-existing deletions are facts, not choices: force their
-	// variables true so the stability clauses respect them. Every model
-	// pays for them, so the reported cost leaves them out — it is the cost
-	// of the new deletions, whichever pre-deleted tuples the closure's
-	// clauses happen to mention.
+	// Every model pays for the forced pre-deleted tuples, so the reported
+	// cost leaves them out — it is the cost of the new deletions, whichever
+	// pre-deleted tuples the closure's clauses happen to mention.
 	var preDeletedCost int64
 	for _, t := range prov.seeds {
-		if v := formula.Var(t.TID); v != 0 {
-			if err := cnf.AddClause(v); err != nil {
-				return nil, err
-			}
+		if formula.Var(t.TID) != 0 {
 			preDeletedCost += weightOf(t)
 		}
 	}
@@ -176,7 +168,7 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 
 	return &indCNF{
 		formula:        formula,
-		cnf:            cnf,
+		cnf:            formula.CNF(),
 		preDeleted:     prov.preDeleted,
 		preDeletedCost: preDeletedCost,
 		prefer:         prefer,
@@ -240,6 +232,14 @@ func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov 
 		})
 	}
 	prov.graph = formula.EndGraph(prov.preDeleted)
+	// Pre-existing deletions are facts, not choices: a unit clause per
+	// pre-deleted tuple the clauses mention forces its variable true, so
+	// the stability clauses respect them.
+	for _, t := range prov.seeds {
+		if v := formula.Var(t.TID); v != 0 {
+			formula.CNF().AddClause(v)
+		}
+	}
 	d.prov = prov
 	return prov, evalDur, time.Since(start), nil
 }

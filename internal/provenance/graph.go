@@ -41,8 +41,14 @@ func (f *Formula) EndGraph(seeded map[engine.TupleID]bool) *Graph {
 	missing := make([]int, len(f.Clauses))
 	negOf := make([][]int, len(f.ids)+1)
 	var ready []int
-	for i := range f.Clauses {
-		for _, l := range f.Lits(i) {
+	for i, c := range f.Clauses {
+		lits := f.Lits(i)
+		if f.body[i] < 0 { // a tautological body has no CNF clause: number its Neg tuples here
+			for _, id := range c.Neg {
+				lits = append(lits, -int32(f.vars[id]))
+			}
+		}
+		for _, l := range lits {
 			if l < 0 && !inE[-l] {
 				missing[i]++
 				negOf[-l] = append(negOf[-l], i)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/engine"
+	"repro/internal/sat"
 )
 
 // Clause is the provenance of one assignment α: the conjunction of the base
@@ -53,37 +54,6 @@ func ClauseOf(asn *datalog.Assignment) Clause {
 	return c
 }
 
-// appendID appends one TupleID as 8 little-endian bytes.
-func appendID(buf []byte, id engine.TupleID) []byte {
-	return append(buf,
-		byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
-		byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
-}
-
-// appendSig appends the canonical dedup key "head | clause content" to
-// buf: the head ID, sorted Pos IDs, a separator, sorted Neg IDs, each ID
-// as 8 little-endian bytes. scratch is reused for sorting the ID runs;
-// both grown slices are returned so callers can recycle them — dedup
-// lookups run once per enumerated assignment, so the key must not allocate
-// on the hit path.
-func appendSig(buf []byte, scratch []engine.TupleID, head engine.TupleID, c Clause) ([]byte, []engine.TupleID) {
-	buf = appendID(buf, head)
-	appendIDs := func(ids []engine.TupleID) {
-		scratch = append(scratch[:0], ids...)
-		slices.Sort(scratch)
-		for _, id := range scratch {
-			buf = appendID(buf, id)
-		}
-	}
-	appendIDs(c.Pos)
-	// Single-byte Pos/Neg separator. Re-parsing ambiguity would need an
-	// ID whose encoding straddles the separator position, i.e. an ID of
-	// at least 0xfe<<56 — unreachable for the sequential intern counter.
-	buf = append(buf, 0xfe)
-	appendIDs(c.Neg)
-	return buf, scratch
-}
-
 // String renders the clause as a conjunction of tuple IDs, e.g.
 // "t3 ∧ ¬t7" (debugging; resolve IDs through the database for readable
 // content keys).
@@ -108,45 +78,69 @@ func (c Clause) String() string {
 // solver for view-witness clauses).
 //
 // Every tuple a clause mentions is numbered as a variable, 1, 2, … in
-// first-occurrence order as clauses are added, and each clause is kept over
-// those numbers as well (Lits), so the CNF and the end graph index slices
-// instead of maps.
+// first-occurrence order as clauses are added, and each clause's body goes
+// over those numbers straight into the formula's CNF (see CNF) — the one
+// copy of the literals, which the solver reads in place and the end graph
+// indexes. Clauses are deduplicated on head and body: the same body under
+// two heads is two clauses here (the end graph needs both heads) and one
+// CNF clause.
 type Formula struct {
 	Clauses []Clause
 	Heads   []engine.TupleID
 
-	vars  map[engine.TupleID]int // tuple → variable
-	ids   []engine.TupleID       // variable v is ids[v-1]
-	lits  []int                  // every clause's literals, concatenated
-	start []int                  // clause i's literals are lits[start[i]:start[i+1]]
-
-	seen       map[string]bool // canonical clause+head dedup
-	sigBuf     []byte          // reusable dedup-key scratch
-	sigScratch []engine.TupleID
+	vars map[engine.TupleID]int // tuple → variable
+	ids  []engine.TupleID       // variable v is ids[v-1]
+	cnf  *sat.Formula
+	// body[i] is clause i's CNF clause, or -1 for a tautological body (a
+	// tuple in both Pos and Neg), which the CNF drops. The clauses over one
+	// CNF clause b are chained for the head+body dedup, latest first:
+	// lastOf[b] is the latest (-1: none), prevOf[i] the one before i.
+	body, prevOf, lastOf []int32
+	taut                 map[string]bool // head+body keys of tautological clauses
+	scratch              []int           // reusable literal scratch for Add
 }
 
 // NewFormula creates an empty provenance formula.
 func NewFormula() *Formula {
-	return &Formula{vars: make(map[engine.TupleID]int), start: []int{0}, seen: make(map[string]bool)}
+	return &Formula{vars: make(map[engine.TupleID]int), cnf: sat.NewFormula(0), taut: make(map[string]bool)}
 }
 
-// Add records the clause deriving head, deduplicating exact repeats. It
-// reports whether the clause was new.
+// Add records the clause deriving head, deduplicating exact repeats (the
+// same head, Pos set and Neg set). It reports whether the clause was new.
+// Its body goes into the CNF on the way, and the CNF's own body dedup
+// finds the clauses to compare heads with, so Add builds no key and
+// allocates nothing beyond slice growth (a tautological body, which has no
+// CNF clause, is keyed by a string instead).
 func (f *Formula) Add(head engine.TupleID, c Clause) bool {
-	f.sigBuf, f.sigScratch = appendSig(f.sigBuf[:0], f.sigScratch, head, c)
-	if f.seen[string(f.sigBuf)] { // compiler-optimized: no allocation on hit
-		return false
-	}
-	f.seen[string(f.sigBuf)] = true
-	f.Clauses = append(f.Clauses, c)
-	f.Heads = append(f.Heads, head)
+	lits := f.scratch[:0]
 	for _, id := range c.Pos {
-		f.lits = append(f.lits, f.number(id))
+		lits = append(lits, f.number(id))
 	}
 	for _, id := range c.Neg {
-		f.lits = append(f.lits, -f.number(id))
+		lits = append(lits, -f.number(id))
 	}
-	f.start = append(f.start, len(f.lits))
+	f.scratch = lits
+	body, _ := f.cnf.AddClause(lits...) // every literal is a numbered variable
+	prev := int32(-1)
+	if body >= 0 {
+		for len(f.lastOf) <= body {
+			f.lastOf = append(f.lastOf, -1)
+		}
+		for i := f.lastOf[body]; i >= 0; i = f.prevOf[i] {
+			if f.Heads[i] == head {
+				return false
+			}
+		}
+		prev, f.lastOf[body] = f.lastOf[body], int32(len(f.Clauses))
+	} else if key := fmt.Sprint(head, slices.Compact(slices.Sorted(slices.Values(lits)))); !f.taut[key] {
+		f.taut[key] = true
+	} else {
+		return false
+	}
+	f.Clauses = append(f.Clauses, c)
+	f.Heads = append(f.Heads, head)
+	f.body = append(f.body, int32(body))
+	f.prevOf = append(f.prevOf, prev)
 	return true
 }
 
@@ -155,7 +149,7 @@ func (f *Formula) number(id engine.TupleID) int {
 	v, ok := f.vars[id]
 	if !ok {
 		f.ids = append(f.ids, id)
-		v = len(f.ids)
+		v = f.cnf.AddVar()
 		f.vars[id] = v
 	}
 	return v
@@ -164,10 +158,24 @@ func (f *Formula) number(id engine.TupleID) int {
 // Len returns the number of clauses.
 func (f *Formula) Len() int { return len(f.Clauses) }
 
-// Lits returns clause i over the formula's variables: +v for each Pos
-// tuple, −v for each Neg tuple, in the clause's order. The slice is shared;
-// do not modify it.
-func (f *Formula) Lits(i int) []int { return f.lits[f.start[i]:f.start[i+1]:f.start[i+1]] }
+// CNF is Algorithm 1's CNF over the formula's variables (lines 2–4): each
+// distinct clause body t₁ ∧ … ∧ ¬d₁ ∧ … negated into (x_t₁ ∨ … ∨ ¬x_d₁ ∨ …),
+// x_t meaning "t is deleted" — which over the variables is the body's own
+// literals. It is filled as clauses are added, in clause order, and
+// handed to the solver as is; whatever is appended to it (core's unit
+// clauses for pre-deleted tuples) stays in it.
+func (f *Formula) CNF() *sat.Formula { return f.cnf }
+
+// Lits returns clause i's body over the formula's variables as the CNF
+// stores it: +v for each Pos tuple, −v for each Neg tuple, sorted ascending.
+// A tautological body (a tuple in both Pos and Neg) has no CNF clause, and
+// Lits returns nil for it. The slice is shared; do not modify it.
+func (f *Formula) Lits(i int) []int32 {
+	if f.body[i] < 0 {
+		return nil
+	}
+	return f.cnf.Clause(int(f.body[i]))
+}
 
 // Var returns the variable numbering id, or 0 when no clause mentions it.
 func (f *Formula) Var(id engine.TupleID) int { return f.vars[id] }

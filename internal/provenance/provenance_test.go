@@ -69,27 +69,38 @@ func TestClauseOfDeduplicatesRepeatedTuples(t *testing.T) {
 }
 
 func TestClauseSigOrderInsensitive(t *testing.T) {
-	sigKey := func(head engine.TupleID, c Clause) string {
-		buf, _ := appendSig(nil, nil, head, c)
-		return string(buf)
+	// Add dedups on the head and the Pos and Neg sets: the order inside a
+	// set is ignored, a tuple's sign and the head are not.
+	ids := func(xs ...engine.TupleID) []engine.TupleID { return xs }
+	f := NewFormula()
+	a := Clause{Pos: ids(1, 2), Neg: ids(3)}
+	f.Add(9, a)
+	if f.Add(9, Clause{Pos: ids(2, 1), Neg: ids(3)}) {
+		t.Fatal("dedup should ignore Pos order")
 	}
-	a := Clause{Pos: []engine.TupleID{1, 2}, Neg: []engine.TupleID{3}}
-	b := Clause{Pos: []engine.TupleID{2, 1}, Neg: []engine.TupleID{3}}
-	if sigKey(9, a) != sigKey(9, b) {
-		t.Fatal("canonical sigs should ignore Pos order")
+	if !f.Add(9, Clause{Pos: ids(1), Neg: ids(2, 3)}) {
+		t.Fatal("different clauses must both be kept")
 	}
-	c := Clause{Pos: []engine.TupleID{1}, Neg: []engine.TupleID{2, 3}}
-	if sigKey(9, a) == sigKey(9, c) {
-		t.Fatal("different clauses must have different sigs")
+	if !f.Add(9, Clause{Pos: ids(1, 2, 3)}) {
+		t.Fatal("sign placement must be part of the dedup key")
 	}
-	// Pos vs Neg placement matters.
-	d := Clause{Pos: []engine.TupleID{1, 2, 3}}
-	if sigKey(9, a) == sigKey(9, d) {
-		t.Fatal("sign placement must be part of the sig")
+	if !f.Add(8, a) {
+		t.Fatal("head must be part of the dedup key")
 	}
-	// The head is part of the sig.
-	if sigKey(9, a) == sigKey(8, a) {
-		t.Fatal("head must be part of the sig")
+	// A tautological body (tuple 4 both present and deleted) has no CNF
+	// clause, and dedups the same way.
+	taut := Clause{Pos: ids(1, 4), Neg: ids(4)}
+	if !f.Add(9, taut) || f.Add(9, Clause{Pos: ids(4, 1), Neg: ids(4)}) || !f.Add(8, taut) {
+		t.Fatal("tautological clauses must dedup on head and body")
+	}
+	// Six clauses; the CNF holds the three distinct non-tautological bodies.
+	if f.Len() != 6 || f.CNF().NumClauses() != 3 || f.Lits(4) != nil {
+		t.Fatalf("Len = %d, CNF clauses = %d, Lits(4) = %v; want 6, 3, nil", f.Len(), f.CNF().NumClauses(), f.Lits(4))
+	}
+	// The end graph still reads it: with tuple 4 seeded, head 8's only
+	// firing clause is the tautological one (its other needs tuple 3).
+	if g := f.EndGraph(map[engine.TupleID]bool{4: true}); len(g.Assignments[8]) != 1 || len(g.Assignments[8][0].Neg) != 1 {
+		t.Fatalf("head 8's end-graph clauses = %v, want the tautological one", g.Assignments[8])
 	}
 }
 
@@ -112,9 +123,10 @@ func TestFormulaDedupAndTupleIDs(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("TupleIDs = %v", ids)
 	}
-	// Clauses over the variables numbering TupleIDs: t1 is 1, ¬t2 is -2.
-	if lits := f.Lits(1); len(lits) != 2 || lits[0] != 1 || lits[1] != -2 {
-		t.Fatalf("Lits(1) = %v, want [1 -2]", lits)
+	// Clauses over the variables numbering TupleIDs, sorted as the CNF
+	// stores them: ¬t2 is -2, t1 is 1.
+	if lits := f.Lits(1); len(lits) != 2 || lits[0] != -2 || lits[1] != 1 {
+		t.Fatalf("Lits(1) = %v, want [-2 1]", lits)
 	}
 	if f.Var(2) != 2 || f.Var(7) != 0 {
 		t.Fatalf("Var(2) = %d, Var(7) = %d; want 2, 0", f.Var(2), f.Var(7))

@@ -1,20 +1,9 @@
 package sat
 
-// Solution is one satisfying assignment found during an enumeration.
-type Solution struct {
-	// Assignment holds variable values (index 1..NumVars; index 0 unused).
-	Assignment []bool
-	// Cost is the number of true variables in Assignment.
-	Cost int
-	// WeightedCost is the objective value under Options.Weights (equal to
-	// Cost under uniform weights).
-	WeightedCost int64
-	// Optimal reports whether this solution's search proved it minimal
-	// among the solutions not blocked before it.
-	Optimal bool
-	// Nodes is the node count of the search that found this solution.
-	Nodes int64
-}
+// Solution is one satisfying assignment found during an enumeration: the
+// Result of the search that found it, whose Optimal reports that it is
+// minimal among the solutions not blocked before it.
+type Solution = Result
 
 // EnumResult reports a blocking-clause enumeration.
 type EnumResult struct {
@@ -51,12 +40,13 @@ type EnumResult struct {
 // its best-effort solution and stops the enumeration with Optimal=false:
 // continuing would yield solutions in unproven order.
 //
-// f is mutated: the blocking clauses remain after the call. The whole
-// enumeration is deterministic.
+// The blocking clauses go into a fork of f that shares f's clauses, so f
+// itself is not modified. The whole enumeration is deterministic.
 func EnumerateMinOnes(f *Formula, k int, minCostOnly bool, opts Options) EnumResult {
 	if k < 1 {
 		k = 1
 	}
+	f = f.fork()
 	out := EnumResult{Optimal: true}
 	for len(out.Solutions) < k {
 		solved := MinOnes(f, opts)
@@ -76,13 +66,7 @@ func EnumerateMinOnes(f *Formula, k int, minCostOnly bool, opts Options) EnumRes
 			out.Complete = solved.Optimal
 			return out
 		}
-		out.Solutions = append(out.Solutions, Solution{
-			Assignment:   solved.Assignment,
-			Cost:         solved.Cost,
-			WeightedCost: solved.WeightedCost,
-			Optimal:      solved.Optimal,
-			Nodes:        solved.Nodes,
-		})
+		out.Solutions = append(out.Solutions, solved)
 		if !solved.Optimal {
 			return out
 		}
@@ -96,7 +80,7 @@ func EnumerateMinOnes(f *Formula, k int, minCostOnly bool, opts Options) EnumRes
 				lits = append(lits, -v)
 			}
 		}
-		if err := f.AddClause(lits...); err != nil {
+		if _, err := f.AddClause(lits...); err != nil {
 			// Unreachable: the literals come from f's own variables. Report
 			// a truncated enumeration rather than panic.
 			out.Optimal = false

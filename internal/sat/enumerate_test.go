@@ -61,7 +61,7 @@ func chainFormula(t *testing.T) *Formula {
 	t.Helper()
 	f := NewFormula(4)
 	for _, c := range [][]int{{1, 2}, {2, 3}, {3, 4}} {
-		if err := f.AddClause(c...); err != nil {
+		if _, err := f.AddClause(c...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestEnumerateForcedSingleton(t *testing.T) {
 	// x1 forced true and nothing else constrainable: the only set-minimal
 	// solution is {1}; blocking it must terminate the enumeration.
 	f := NewFormula(2)
-	if err := f.AddClause(1); err != nil {
+	if _, err := f.AddClause(1); err != nil {
 		t.Fatal(err)
 	}
 	enum := EnumerateMinOnes(f, 8, false, Options{})
@@ -171,7 +171,7 @@ func TestEnumerateEmptySolutionCompletes(t *testing.T) {
 	// (¬x1 ∨ ¬x2) is satisfied by the empty set: one solution, then the
 	// empty blocking clause proves completeness.
 	f := NewFormula(2)
-	if err := f.AddClause(-1, -2); err != nil {
+	if _, err := f.AddClause(-1, -2); err != nil {
 		t.Fatal(err)
 	}
 	enum := EnumerateMinOnes(f, 4, false, Options{})
@@ -182,10 +182,10 @@ func TestEnumerateEmptySolutionCompletes(t *testing.T) {
 
 func TestEnumerateUnsat(t *testing.T) {
 	f := NewFormula(1)
-	if err := f.AddClause(1); err != nil {
+	if _, err := f.AddClause(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddClause(-1); err != nil {
+	if _, err := f.AddClause(-1); err != nil {
 		t.Fatal(err)
 	}
 	enum := EnumerateMinOnes(f, 4, false, Options{})
@@ -202,7 +202,7 @@ func TestEnumerateBudgetTruncation(t *testing.T) {
 	f := NewFormula(20)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
-		if err := f.AddClause(rng.Intn(20)+1, rng.Intn(20)+1); err != nil {
+		if _, err := f.AddClause(rng.Intn(20)+1, rng.Intn(20)+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestEnumerateDeterministic(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 25; i++ {
 			lits := []int{rng.Intn(10) + 1, rng.Intn(10) + 1, rng.Intn(10) + 1}
-			if err := f.AddClause(lits...); err != nil {
+			if _, err := f.AddClause(lits...); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,37 +9,49 @@
 // best satisfying assignment found so far (which still yields a stabilizing
 // set, per the paper's remark that any satisfying assignment stabilizes the
 // database).
+//
+// A Formula is one flat clause store — every clause's literals in a single
+// []int32 — and it is the only copy of the clauses: the provenance formula
+// writes its CNF straight into one as clauses are derived, and the solver
+// reads it in place, indexing it once by occurrence.
 package sat
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
-// Formula is a CNF formula over variables 1..NumVars. Literals are signed
-// integers: +v means "v is true", -v means "v is false". Duplicate clauses
-// are stored once (delta-rule provenance frequently derives the same CNF
-// clause from several rules or symmetric join orders); dedup hashes the
-// sorted literal slice directly — no string keys are built on this path.
+// Formula is a CNF formula over variables 1..NumVars, kept as one flat
+// clause store: all literals concatenated in one slice, clause i being
+// lits[start[i]:start[i+1]]. Literals are signed: +v means "v is true", -v
+// means "v is false". A clause is stored canonically — literals sorted
+// ascending, duplicates removed — tautologies are dropped, and a body that
+// is already stored is not stored again (delta-rule provenance frequently
+// derives the same CNF clause from several rules or symmetric join orders).
+// Clauses keep the order they were first added in. The dedup hashes the
+// canonical literals into a bucket table whose chains run through the
+// clause indexes, so adding a clause allocates nothing of its own: only the
+// flat slices grow.
 type Formula struct {
 	numVars int
-	clauses [][]int
-	seen    map[uint64][]int32 // clause hash -> indexes of clauses with it
+	lits    []int32
+	start   []int32 // clause i is lits[start[i]:start[i+1]]
+	buckets []int32 // hash bucket → 1 + its latest clause, 0 if empty; a power of two long
+	next    []int32 // clause → 1 + the clause before it in its bucket, 0 at the chain's end
 }
 
 // NewFormula creates a formula over numVars variables.
 func NewFormula(numVars int) *Formula {
-	return &Formula{numVars: numVars}
+	return &Formula{numVars: numVars, start: []int32{0}}
 }
 
 // NumVars returns the number of variables.
 func (f *Formula) NumVars() int { return f.numVars }
 
-// NumClauses returns the number of stored clauses (tautologies are dropped
-// at AddClause time).
-func (f *Formula) NumClauses() int { return len(f.clauses) }
+// NumClauses returns the number of stored clauses (tautologies and repeated
+// bodies are dropped at AddClause time).
+func (f *Formula) NumClauses() int { return len(f.start) - 1 }
 
 // AddVar adds a fresh variable and returns its 1-based index.
 func (f *Formula) AddVar() int {
@@ -47,72 +59,82 @@ func (f *Formula) AddVar() int {
 	return f.numVars
 }
 
-// AddClause adds a disjunction of literals. Duplicate literals are removed;
-// tautological clauses (v ∨ ¬v) are dropped. An empty clause makes the
-// formula unsatisfiable and is stored as such.
-func (f *Formula) AddClause(lits ...int) error {
-	seen := make(map[int]bool, len(lits))
-	clause := make([]int, 0, len(lits))
+// AddClause adds the disjunction of lits and returns the index of the clause
+// holding it: a new clause, or the stored one with the same body. A
+// tautology (v ∨ ¬v) is dropped and yields -1. An empty clause makes the
+// formula unsatisfiable and is stored as such. The literals are
+// canonicalised in place at the end of the store, so lits is not modified.
+func (f *Formula) AddClause(lits ...int) (int, error) {
+	n := len(f.lits)
 	for _, l := range lits {
-		v := l
-		if v < 0 {
-			v = -v
+		if l == 0 || abs(l) > f.numVars {
+			f.lits = f.lits[:n]
+			return -1, fmt.Errorf("sat: literal %d out of range (numVars=%d)", l, f.numVars)
 		}
-		if l == 0 || v > f.numVars {
-			return fmt.Errorf("sat: literal %d out of range (numVars=%d)", l, f.numVars)
-		}
-		if seen[-l] {
-			return nil // tautology: always satisfied
-		}
-		if !seen[l] {
-			seen[l] = true
-			clause = append(clause, l)
+		f.lits = append(f.lits, int32(l))
+	}
+	slices.Sort(f.lits[n:])
+	c := slices.Compact(f.lits[n:])
+	f.lits = f.lits[:n+len(c)]
+	for i := 0; i < len(c) && c[i] < 0; i++ {
+		if _, taut := slices.BinarySearch(c, -c[i]); taut {
+			f.lits = f.lits[:n]
+			return -1, nil
 		}
 	}
-	sort.Ints(clause)
-	if f.seen == nil {
-		f.seen = make(map[uint64][]int32)
+	if f.NumClauses() >= len(f.buckets) {
+		f.grow()
 	}
-	h := hashLits(clause)
-	for _, ci := range f.seen[h] {
-		if slices.Equal(f.clauses[ci], clause) {
-			return nil // duplicate clause
+	b := hashLits(c) & uint64(len(f.buckets)-1)
+	for ci := f.buckets[b]; ci != 0; ci = f.next[ci-1] {
+		if slices.Equal(f.Clause(int(ci-1)), c) {
+			f.lits = f.lits[:n]
+			return int(ci - 1), nil
 		}
 	}
-	f.seen[h] = append(f.seen[h], int32(len(f.clauses)))
-	f.clauses = append(f.clauses, clause)
-	return nil
+	f.next = append(f.next, f.buckets[b])
+	f.buckets[b] = int32(len(f.start))
+	f.start = append(f.start, int32(len(f.lits)))
+	return f.NumClauses() - 1, nil
 }
 
-// hashLits is an FNV-1a hash over a sorted literal slice.
-func hashLits(lits []int) uint64 {
+// grow doubles the bucket table and rechains every clause into it.
+func (f *Formula) grow() {
+	f.buckets = make([]int32, max(64, 2*len(f.buckets)))
+	mask := uint64(len(f.buckets) - 1)
+	for ci := range f.NumClauses() {
+		b := hashLits(f.Clause(ci)) & mask
+		f.next[ci], f.buckets[b] = f.buckets[b], int32(ci+1)
+	}
+}
+
+// hashLits is an FNV-1a hash over a canonical clause, one literal per step,
+// folded so that the low bits the bucket mask keeps depend on every bit.
+func hashLits(c []int32) uint64 {
 	h := uint64(14695981039346656037)
-	for _, l := range lits {
-		x := uint64(uint32(int32(l)))
-		for i := 0; i < 4; i++ {
-			h ^= x & 0xff
-			h *= 1099511628211
-			x >>= 8
-		}
+	for _, l := range c {
+		h = (h ^ uint64(uint32(l))) * 1099511628211
 	}
-	return h
+	return h ^ h>>29
 }
 
-// Clause returns the i-th stored clause (shared slice; do not mutate).
-func (f *Formula) Clause(i int) []int { return f.clauses[i] }
+// fork returns a formula equal to f that grows apart from it: the two share
+// f's clauses (the shared slices are clipped, so either side's appends
+// reallocate), and only the bucket table is copied.
+func (f *Formula) fork() *Formula {
+	return &Formula{numVars: f.numVars, lits: slices.Clip(f.lits), start: slices.Clip(f.start),
+		buckets: slices.Clone(f.buckets), next: slices.Clip(f.next)}
+}
+
+// Clause returns the i-th stored clause in canonical form (shared slice; do
+// not mutate).
+func (f *Formula) Clause(i int) []int32 { return f.lits[f.start[i]:f.start[i+1]:f.start[i+1]] }
 
 // Eval reports whether the assignment (1-based; assignment[v] is v's value)
 // satisfies every clause.
 func (f *Formula) Eval(assignment []bool) bool {
-	for _, c := range f.clauses {
-		ok := false
-		for _, l := range c {
-			if l > 0 && assignment[l] || l < 0 && !assignment[-l] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	for ci := range f.NumClauses() {
+		if !slices.ContainsFunc(f.Clause(ci), func(l int32) bool { return (l > 0) == assignment[abs(l)] }) {
 			return false
 		}
 	}
@@ -134,9 +156,9 @@ func CountOnes(assignment []bool) int {
 // feeding external solvers).
 func (f *Formula) DIMACS() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "p cnf %d %d\n", f.numVars, len(f.clauses))
-	for _, c := range f.clauses {
-		for _, l := range c {
+	fmt.Fprintf(&b, "p cnf %d %d\n", f.numVars, f.NumClauses())
+	for ci := range f.NumClauses() {
+		for _, l := range f.Clause(ci) {
 			fmt.Fprintf(&b, "%d ", l)
 		}
 		b.WriteString("0\n")

@@ -50,96 +50,115 @@ type Result struct {
 
 // MinOnes finds a satisfying assignment with as few true variables as the
 // search budget allows; it is exact (Optimal=true) when the budget is not
-// exhausted. The search is fully deterministic.
-func MinOnes(f *Formula, opts Options) Result {
-	s := newSolver(f, opts)
-	return s.solve()
-}
+// exhausted. The search is fully deterministic, and reads f in place.
+func MinOnes(f *Formula, opts Options) Result { return newSolver(f, opts).solve() }
 
 type solver struct {
 	f        *Formula
 	maxNodes int64
 
-	state      []int8  // per var: 0 unknown, +1 true, -1 false
-	satisfied  []bool  // per clause
-	unassigned []int32 // per clause: count of unassigned literals
-	occPos     [][]int32
-	occNeg     [][]int32
-	posCount   []int32 // static +v occurrence count, for branch ordering
-	prefRank   []int32
+	state    []int8 // per var: 0 unknown, +1 true, -1 false
+	prefRank []int32
 
-	trail    []int32 // assigned vars in order
-	satTrail []int32 // clauses satisfied in order
+	// Per clause: whether it is satisfied, and its counts of unassigned
+	// literals and of unassigned negative literals. The counts are kept
+	// exact only while the clause is unsatisfied — the only time they are
+	// read — so an assignment does not touch a clause satisfied before it,
+	// and undoing one touches only the clauses it counted down.
+	satisfied []bool
+	free      []int32
+	freeNeg   []int32
 
-	// usedStamp/usedEpoch implement the zero-allocation disjointness set for
-	// lowerBound: a variable is "used" iff its stamp equals the current
-	// epoch, and bumping the epoch clears the whole set in O(1). lowerBound
-	// runs at every search node, so a per-call map here dominated the
-	// solver's allocation and hash-probe cost.
+	// occ lists, in clause order, the clauses holding each literal: +v's at
+	// occ[occStart[2v]:occStart[2v+1]], -v's up to occStart[2v+2]. It is
+	// built once per search, in compressed-row form, off the flat store.
+	occ      []int32
+	occStart []int32
+
+	trail    []assigned // assignments in order
+	satTrail []int32    // clauses satisfied in order
+
+	// usedStamp is lowerBound's disjointness set without allocation or
+	// clearing: an unassigned variable is "used" iff its stamp equals
+	// usedEpoch, which each call bumps. An assigned variable's stamp is -1,
+	// so the stamp alone tells whether a variable may be used.
 	usedStamp []int64
 	usedEpoch int64
 
 	// litsStack holds per-depth branching-literal scratch, reused across
 	// the whole search (recursion depth d always reuses slot d).
-	litsStack [][]int
+	litsStack [][]int32
 
 	cancel    func() bool
-	weights   []int64
+	weights   []int64 // per var: the cost of setting it true
+	weighted  bool    // Options.Weights was set
 	costNow   int64
 	bestCost  int64
 	bestAsn   []bool
 	foundAny  bool
 	nodes     int64
-	work      int64 // clause-visit counter; bounds per-node scan cost
+	work      int64 // clause positions scanned; bounds per-node scan cost
 	maxWork   int64
 	exhausted bool
 
 	firstUnsat int // scan hint: all clauses before it are satisfied
 }
 
-// workPerNode converts the node budget into a clause-visit budget, so huge
-// formulas exhaust proportionally sooner than small ones (a node on a
-// 100K-clause formula is far more expensive than on a 100-clause one).
+// workPerNode converts the node budget into a work budget. Work is charged
+// one unit per clause position a scan passes over — lowerBound's from the
+// firstUnsat hint to the clause it stops at, and pickClause's over the
+// satisfied prefix and its lookahead window — so huge formulas exhaust
+// proportionally sooner than small ones (a node on a 100K-clause formula is
+// far more expensive than on a 100-clause one).
 const workPerNode = 64
 
 func newSolver(f *Formula, opts Options) *solver {
-	n := f.numVars
+	n, m := f.numVars, f.NumClauses()
 	s := &solver{
-		f:          f,
-		maxNodes:   opts.MaxNodes,
-		state:      make([]int8, n+1),
-		satisfied:  make([]bool, len(f.clauses)),
-		unassigned: make([]int32, len(f.clauses)),
-		occPos:     make([][]int32, n+1),
-		occNeg:     make([][]int32, n+1),
-		posCount:   make([]int32, n+1),
-		prefRank:   make([]int32, n+1),
-		usedStamp:  make([]int64, n+1),
+		f:         f,
+		maxNodes:  opts.MaxNodes,
+		state:     make([]int8, n+1),
+		prefRank:  make([]int32, n+1),
+		satisfied: make([]bool, m),
+		free:      make([]int32, m),
+		freeNeg:   make([]int32, m),
+		occ:       make([]int32, len(f.lits)),
+		occStart:  make([]int32, 2*n+3),
+		usedStamp: make([]int64, n+1),
+		cancel:    opts.Cancel,
 	}
 	if s.maxNodes <= 0 {
 		s.maxNodes = DefaultMaxNodes
 	}
-	s.cancel = opts.Cancel
 	s.maxWork = s.maxNodes * workPerNode
-	if opts.Weights != nil {
-		s.weights = make([]int64, n+1)
-		for v := 1; v <= n; v++ {
-			w := int64(1)
-			if v < len(opts.Weights) && opts.Weights[v] > 0 {
-				w = opts.Weights[v]
-			}
-			s.weights[v] = w
+	s.weights, s.weighted = make([]int64, n+1), opts.Weights != nil
+	for v := 1; v <= n; v++ {
+		s.weights[v] = 1
+		if v < len(opts.Weights) && opts.Weights[v] > 0 {
+			s.weights[v] = opts.Weights[v]
 		}
 	}
-	for ci, c := range f.clauses {
-		s.unassigned[ci] = int32(len(c))
+	// Count each literal's occurrences into its slot and sum them into slot
+	// ends; then fill every slot backwards from its end, taking clauses in
+	// reverse, so each list comes out in clause order and each slot's
+	// cursor ends at its start.
+	for ci := range m {
+		c := f.Clause(ci)
+		s.free[ci] = int32(len(c))
 		for _, l := range c {
-			if l > 0 {
-				s.occPos[l] = append(s.occPos[l], int32(ci))
-				s.posCount[l]++
-			} else {
-				s.occNeg[-l] = append(s.occNeg[-l], int32(ci))
+			if l < 0 {
+				s.freeNeg[ci]++
 			}
+			s.occStart[slot(l)]++
+		}
+	}
+	for i := 1; i < len(s.occStart); i++ {
+		s.occStart[i] += s.occStart[i-1]
+	}
+	for ci := m - 1; ci >= 0; ci-- {
+		for _, l := range f.Clause(ci) {
+			s.occStart[slot(l)]--
+			s.occ[s.occStart[slot(l)]] = int32(ci)
 		}
 	}
 	for v := range s.prefRank {
@@ -153,46 +172,34 @@ func newSolver(f *Formula, opts Options) *solver {
 	return s
 }
 
+// slot is literal l's occurrence-list index: 2v for +v, 2v+1 for -v.
+func slot(l int32) int32 {
+	if l < 0 {
+		return 1 - 2*l
+	}
+	return 2 * l
+}
+
+// occs returns the clauses holding +v and those holding -v.
+func (s *solver) occs(v int32) (pos, neg []int32) {
+	return s.occ[s.occStart[2*v]:s.occStart[2*v+1]], s.occ[s.occStart[2*v+1]:s.occStart[2*v+2]]
+}
+
 func (s *solver) solve() Result {
 	// An empty clause is immediately unsatisfiable.
-	for _, c := range s.f.clauses {
-		if len(c) == 0 {
-			return Result{Satisfiable: false, Nodes: 0, Optimal: true}
+	for _, n := range s.free {
+		if n == 0 {
+			return Result{Optimal: true}
 		}
 	}
-	// Root simplification: assign pure-negative variables false (free), and
-	// propagate root units.
-	conflict := false
-	for v := 1; v <= s.f.numVars; v++ {
-		if s.state[v] == 0 && len(s.occPos[v]) == 0 && len(s.occNeg[v]) > 0 {
-			if !s.assignAndPropagate(v, false) {
-				conflict = true
-				break
-			}
-		}
-	}
-	if !conflict {
-		for ci := range s.f.clauses {
-			if !s.satisfied[ci] && s.unassigned[ci] == 1 {
-				if !s.propagateClause(int32(ci)) {
-					conflict = true
-					break
-				}
-			}
-		}
-	}
-	if !conflict {
+	if s.rootPropagate() {
 		// Seed the bound with a greedy max-coverage solution: it both makes
 		// branch-and-bound prune aggressively and guarantees a good answer
 		// if the node budget runs out mid-search.
 		s.greedyDescent()
 		s.search(0)
 	}
-	res := Result{
-		Satisfiable: s.foundAny,
-		Nodes:       s.nodes,
-		Optimal:     !s.exhausted,
-	}
+	res := Result{Satisfiable: s.foundAny, Nodes: s.nodes, Optimal: !s.exhausted}
 	if s.foundAny {
 		res.Assignment = s.bestAsn
 		res.Cost = CountOnes(res.Assignment)
@@ -201,24 +208,40 @@ func (s *solver) solve() Result {
 	return res
 }
 
+// rootPropagate is the root simplification: it assigns pure-negative
+// variables false (free) and propagates root units, reporting false on a
+// conflict.
+func (s *solver) rootPropagate() bool {
+	for v := int32(1); v <= int32(s.f.numVars); v++ {
+		if pos, neg := s.occs(v); s.state[v] == 0 && len(pos) == 0 && len(neg) > 0 && !s.assignAndPropagate(v, false) {
+			return false
+		}
+	}
+	for ci := range s.free {
+		if !s.satisfied[ci] && s.free[ci] == 1 && !s.propagateClause(int32(ci)) {
+			return false
+		}
+	}
+	return true
+}
+
 // assign sets v to val, updating clause states. It reports false on
 // conflict (an unsatisfied clause ran out of literals). All bookkeeping is
 // reversible via undoTo regardless of conflicts.
-func (s *solver) assign(v int, val bool) bool {
+func (s *solver) assign(v int32, val bool) bool {
 	if val {
 		s.state[v] = 1
-		s.costNow += s.weight(v)
+		s.costNow += s.weights[v]
 	} else {
 		s.state[v] = -1
 	}
-	s.trail = append(s.trail, int32(v))
-
-	trueOcc, falseOcc := s.occPos[v], s.occNeg[v]
+	s.usedStamp[v] = -1
+	s.trail = append(s.trail, assigned{v, int32(len(s.satTrail))})
+	trueOcc, falseOcc := s.occs(v)
 	if !val {
 		trueOcc, falseOcc = falseOcc, trueOcc
 	}
 	for _, ci := range trueOcc {
-		s.unassigned[ci]--
 		if !s.satisfied[ci] {
 			s.satisfied[ci] = true
 			s.satTrail = append(s.satTrail, ci)
@@ -226,9 +249,14 @@ func (s *solver) assign(v int, val bool) bool {
 	}
 	ok := true
 	for _, ci := range falseOcc {
-		s.unassigned[ci]--
-		if !s.satisfied[ci] && s.unassigned[ci] == 0 {
-			ok = false
+		if !s.satisfied[ci] {
+			s.free[ci]--
+			if val {
+				s.freeNeg[ci]--
+			}
+			if s.free[ci] == 0 {
+				ok = false
+			}
 		}
 	}
 	return ok
@@ -240,12 +268,8 @@ func (s *solver) propagateClause(ci int32) bool {
 	if s.satisfied[ci] {
 		return true
 	}
-	for _, l := range s.f.clauses[ci] {
-		v := l
-		if v < 0 {
-			v = -v
-		}
-		if s.state[v] == 0 {
+	for _, l := range s.f.Clause(int(ci)) {
+		if v := abs(l); s.state[v] == 0 {
 			return s.assignAndPropagate(v, l > 0)
 		}
 	}
@@ -254,121 +278,116 @@ func (s *solver) propagateClause(ci int32) bool {
 }
 
 // assignAndPropagate assigns and then resolves any unit clauses created.
-func (s *solver) assignAndPropagate(v int, val bool) bool {
+func (s *solver) assignAndPropagate(v int32, val bool) bool {
 	if !s.assign(v, val) {
 		return false
 	}
-	falseOcc := s.occNeg[v]
-	if !val {
-		falseOcc = s.occPos[v]
+	falseOcc, neg := s.occs(v)
+	if val {
+		falseOcc = neg
 	}
 	for _, ci := range falseOcc {
-		if !s.satisfied[ci] && s.unassigned[ci] == 1 {
-			if !s.propagateClause(ci) {
-				return false
-			}
+		if !s.satisfied[ci] && s.free[ci] == 1 && !s.propagateClause(ci) {
+			return false
 		}
 	}
 	return true
 }
 
-type checkpoint struct {
-	trailLen, satLen int
-	firstUnsat       int
-}
+// assigned is a trail entry: the variable, and the length satTrail had
+// before its assignment.
+type assigned struct{ v, satLen int32 }
 
-func (s *solver) mark() checkpoint {
-	return checkpoint{len(s.trail), len(s.satTrail), s.firstUnsat}
-}
+type checkpoint struct{ trailLen, firstUnsat int }
 
+func (s *solver) mark() checkpoint { return checkpoint{len(s.trail), s.firstUnsat} }
+
+// undoTo unassigns, latest first, every variable assigned since cp. Each
+// one counts back up the clauses its assignment counted down — those with
+// its falsified literal that are unsatisfied again by now, since whatever
+// satisfied them later is already undone — and unsatisfies the clauses it
+// satisfied.
 func (s *solver) undoTo(cp checkpoint) {
 	s.firstUnsat = cp.firstUnsat
-	for len(s.satTrail) > cp.satLen {
-		ci := s.satTrail[len(s.satTrail)-1]
-		s.satTrail = s.satTrail[:len(s.satTrail)-1]
-		s.satisfied[ci] = false
+	for i := len(s.trail) - 1; i >= cp.trailLen; i-- {
+		a := s.trail[i]
+		pos, neg := s.occs(a.v)
+		if s.state[a.v] == 1 {
+			s.costNow -= s.weights[a.v]
+			for _, ci := range neg {
+				if !s.satisfied[ci] {
+					s.free[ci]++
+					s.freeNeg[ci]++
+				}
+			}
+		} else {
+			for _, ci := range pos {
+				if !s.satisfied[ci] {
+					s.free[ci]++
+				}
+			}
+		}
+		s.state[a.v], s.usedStamp[a.v] = 0, 0
+		for _, ci := range s.satTrail[a.satLen:] {
+			s.satisfied[ci] = false
+		}
+		s.satTrail = s.satTrail[:a.satLen]
 	}
-	for len(s.trail) > cp.trailLen {
-		v := s.trail[len(s.trail)-1]
-		s.trail = s.trail[:len(s.trail)-1]
-		if s.state[v] == 1 {
-			s.costNow -= s.weight(int(v))
-		}
-		s.state[v] = 0
-		for _, ci := range s.occPos[v] {
-			s.unassigned[ci]++
-		}
-		for _, ci := range s.occNeg[v] {
-			s.unassigned[ci]++
-		}
-	}
+	s.trail = s.trail[:cp.trailLen]
 }
 
 // lowerBound counts variable-disjoint unsatisfied clauses whose remaining
 // literals are all positive: each such clause forces at least one more true
 // variable. Scanning stops as soon as the bound suffices to prune, and the
-// scan is charged against the work budget (an early abort just returns a
-// weaker — still valid — bound).
+// clause positions scanned are charged against the work budget (an early
+// abort just returns a weaker — still valid — bound). A clause with a free
+// negative literal is passed over on its count alone, and the rest read
+// only the stamps of their positive literals.
 func (s *solver) lowerBound(enough int64) int64 {
 	if enough <= 0 {
 		return 0
 	}
 	s.usedEpoch++
-	epoch := s.usedEpoch
+	epoch, used := s.usedEpoch, s.usedStamp
+	lits, start, satisfied, freeNeg := s.f.lits, s.f.start, s.satisfied, s.freeNeg
 	var lb int64
-	for ci := s.firstUnsat; ci < len(s.f.clauses); ci++ {
-		c := s.f.clauses[ci]
-		s.work++
-		if s.satisfied[ci] {
+	for ci := s.firstUnsat; ci < len(satisfied); ci++ {
+		if satisfied[ci] || freeNeg[ci] != 0 {
 			continue
 		}
-		allPos, disjoint := true, true
+		c := lits[start[ci]:start[ci+1]]
+		disjoint := true
 		for _, l := range c {
-			if l < 0 {
-				if s.state[-l] == 0 {
-					allPos = false
-					break
-				}
-				continue
-			}
-			if s.state[l] != 0 {
-				continue
-			}
-			if s.usedStamp[l] == epoch {
+			if l > 0 && used[l] == epoch {
 				disjoint = false
+				break
 			}
 		}
-		if !allPos || !disjoint {
+		if !disjoint {
 			continue
 		}
 		// The clause forces at least its cheapest unassigned literal.
-		minW := int64(1 << 62)
-		for _, l := range c {
-			if l > 0 && s.state[l] == 0 {
-				if w := s.weight(l); w < minW {
-					minW = w
+		minW := int64(1)
+		if s.weighted {
+			minW = 1 << 62
+			for _, l := range c {
+				if l > 0 && used[l] >= 0 {
+					minW = min(minW, s.weights[l])
 				}
 			}
 		}
-		lb += minW
-		if lb >= enough {
+		if lb += minW; lb >= enough {
+			s.work += int64(ci - s.firstUnsat + 1)
 			return lb
 		}
 		for _, l := range c {
-			if l > 0 && s.state[l] == 0 {
-				s.usedStamp[l] = epoch
+			if l > 0 && used[l] >= 0 {
+				used[l] = epoch
 			}
 		}
 	}
+	s.work += int64(len(satisfied) - s.firstUnsat)
 	return lb
-}
-
-// weight returns the cost of setting v true (1 under uniform weights).
-func (s *solver) weight(v int) int64 {
-	if s.weights == nil {
-		return 1
-	}
-	return s.weights[v]
 }
 
 // pickClause chooses an unsatisfied clause to branch on; returns -1 when
@@ -377,26 +396,19 @@ func (s *solver) weight(v int) int64 {
 // and picks the clause with the fewest unassigned literals within a small
 // lookahead window past the first unsatisfied one, bounding per-node cost.
 func (s *solver) pickClause() int {
-	for s.firstUnsat < len(s.f.clauses) && s.satisfied[s.firstUnsat] {
+	for s.firstUnsat < len(s.free) && s.satisfied[s.firstUnsat] {
 		s.firstUnsat++
 		s.work++
 	}
-	if s.firstUnsat >= len(s.f.clauses) {
+	if s.firstUnsat >= len(s.free) {
 		return -1
 	}
 	const lookahead = 128
-	bestCi := s.firstUnsat
-	bestN := s.unassigned[bestCi]
-	end := s.firstUnsat + lookahead
-	if end > len(s.f.clauses) {
-		end = len(s.f.clauses)
-	}
+	bestCi, bestN := s.firstUnsat, s.free[s.firstUnsat]
+	end := min(s.firstUnsat+lookahead, len(s.free))
 	for ci := s.firstUnsat + 1; ci < end && bestN > 2; ci++ {
 		s.work++
-		if s.satisfied[ci] {
-			continue
-		}
-		if n := s.unassigned[ci]; n < bestN {
+		if n := s.free[ci]; !s.satisfied[ci] && n < bestN {
 			bestCi, bestN = ci, n
 		}
 	}
@@ -420,13 +432,10 @@ func (s *solver) greedyDescent() {
 		}
 		// Free move: a negative unassigned literal satisfies the clause at
 		// zero cost.
-		var bestVar int
+		var bestVar int32
 		bestCover := -1
-		for _, l := range s.f.clauses[ci] {
-			v := l
-			if v < 0 {
-				v = -v
-			}
+		for _, l := range s.f.Clause(ci) {
+			v := abs(l)
 			if s.state[v] != 0 {
 				continue
 			}
@@ -438,48 +447,41 @@ func (s *solver) greedyDescent() {
 				break
 			}
 			cover := 0
-			for _, cj := range s.occPos[v] {
+			pos, _ := s.occs(v)
+			for _, cj := range pos {
 				if !s.satisfied[cj] {
 					cover++
 				}
 			}
 			// Maximize coverage per unit weight (cover/w), comparing as
 			// cross products to stay in integers; prefRank breaks ties.
-			better := bestCover < 0 ||
-				int64(cover)*s.weight(bestVar) > int64(bestCover)*s.weight(v) ||
-				(int64(cover)*s.weight(bestVar) == int64(bestCover)*s.weight(v) && s.prefRank[v] < s.prefRank[bestVar])
-			if better {
+			lhs, rhs := int64(cover)*s.weights[bestVar], int64(bestCover)*s.weights[v]
+			if bestCover < 0 || lhs > rhs || lhs == rhs && s.prefRank[v] < s.prefRank[bestVar] {
 				bestCover, bestVar = cover, v
 			}
 		}
-		if bestCover >= 0 && bestVar != 0 {
-			if !s.assignAndPropagate(bestVar, true) {
-				return
-			}
-		} else if bestCover < 0 && bestVar == 0 {
-			continue // clause got satisfied by the negative-literal move
+		if bestVar != 0 && !s.assignAndPropagate(bestVar, true) {
+			return
 		}
 	}
 }
 
 func (s *solver) record() {
-	cost := s.costNow
-	if s.foundAny && cost >= s.bestCost {
+	if s.foundAny && s.costNow >= s.bestCost {
 		return
 	}
 	s.foundAny = true
-	s.bestCost = cost
-	asn := make([]bool, s.f.numVars+1)
-	for v := 1; v <= s.f.numVars; v++ {
-		asn[v] = s.state[v] == 1 // unassigned vars default to false
+	s.bestCost = s.costNow
+	s.bestAsn = make([]bool, s.f.numVars+1)
+	for v := range s.bestAsn {
+		s.bestAsn[v] = s.state[v] == 1 // unassigned vars default to false
 	}
-	s.bestAsn = asn
 }
 
 // litLess orders branching literals: negative (free) first, then positive
 // by preference rank, then by weight, then by static occurrence
 // (descending), then by variable index.
-func (s *solver) litLess(li, lj int) bool {
+func (s *solver) litLess(li, lj int32) bool {
 	ni, nj := li < 0, lj < 0
 	if ni != nj {
 		return ni
@@ -489,32 +491,29 @@ func (s *solver) litLess(li, lj int) bool {
 		if s.prefRank[vi] != s.prefRank[vj] {
 			return s.prefRank[vi] < s.prefRank[vj]
 		}
-		if s.weights != nil && s.weight(vi) != s.weight(vj) {
-			return s.weight(vi) < s.weight(vj)
+		if s.weights[vi] != s.weights[vj] {
+			return s.weights[vi] < s.weights[vj]
 		}
-		if s.posCount[vi] != s.posCount[vj] {
-			return s.posCount[vi] > s.posCount[vj]
+		if pi, pj := s.posCount(vi), s.posCount(vj); pi != pj {
+			return pi > pj
 		}
 	}
 	return vi < vj
 }
 
+// posCount is v's static positive occurrence count, for branch ordering.
+func (s *solver) posCount(v int32) int32 { return s.occStart[2*v+1] - s.occStart[2*v] }
+
 func (s *solver) search(depth int) {
 	s.nodes++
-	if s.nodes > s.maxNodes || s.work > s.maxWork {
-		s.exhausted = true
-		return
-	}
-	if s.cancel != nil && s.nodes%cancelCheckEvery == 0 && s.cancel() {
+	if s.nodes > s.maxNodes || s.work > s.maxWork ||
+		s.cancel != nil && s.nodes%cancelCheckEvery == 0 && s.cancel() {
 		s.exhausted = true
 		return
 	}
 	if s.foundAny {
 		margin := s.bestCost - s.costNow
-		if margin <= 0 {
-			return
-		}
-		if s.lowerBound(margin) >= margin {
+		if margin <= 0 || s.lowerBound(margin) >= margin {
 			return
 		}
 	}
@@ -530,12 +529,8 @@ func (s *solver) search(depth int) {
 		s.litsStack = append(s.litsStack, nil)
 	}
 	lits := s.litsStack[depth][:0]
-	for _, l := range s.f.clauses[ci] {
-		v := l
-		if v < 0 {
-			v = -v
-		}
-		if s.state[v] == 0 {
+	for _, l := range s.f.Clause(ci) {
+		if s.state[abs(l)] == 0 {
 			lits = append(lits, l)
 		}
 	}
@@ -550,28 +545,12 @@ func (s *solver) search(depth int) {
 		cp := s.mark()
 		ok := true
 		for _, prev := range lits[:i] {
-			v, val := abs(prev), prev < 0 // falsify prev: v=true if prev was negative
-			if s.state[v] != 0 {
-				if (s.state[v] == 1) != val {
-					ok = false
-				}
-			} else if !s.assignAndPropagate(v, val) {
-				ok = false
-			}
-			if !ok {
+			if ok = s.force(-prev); !ok {
 				break
 			}
 		}
-		if ok {
-			v, val := abs(l), l > 0
-			if s.state[v] != 0 {
-				ok = (s.state[v] == 1) == val
-			} else {
-				ok = s.assignAndPropagate(v, val)
-			}
-			if ok {
-				s.search(depth + 1)
-			}
+		if ok && s.force(l) {
+			s.search(depth + 1)
 		}
 		s.undoTo(cp)
 		if s.exhausted {
@@ -580,7 +559,17 @@ func (s *solver) search(depth int) {
 	}
 }
 
-func abs(x int) int {
+// force makes literal l true, propagating, and reports false on a
+// conflict — l's variable already holding the other value included.
+func (s *solver) force(l int32) bool {
+	v, val := abs(l), l > 0
+	if s.state[v] != 0 {
+		return (s.state[v] == 1) == val
+	}
+	return s.assignAndPropagate(v, val)
+}
+
+func abs[T int | int32](x T) T {
 	if x < 0 {
 		return -x
 	}

@@ -30,10 +30,10 @@ func bruteMinOnes(f *Formula) int {
 func TestMinOnesTrivial(t *testing.T) {
 	f := NewFormula(2)
 	// (x1) ∧ (¬x2): forced x1=true, x2=false.
-	if err := f.AddClause(1); err != nil {
+	if _, err := f.AddClause(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddClause(-2); err != nil {
+	if _, err := f.AddClause(-2); err != nil {
 		t.Fatal(err)
 	}
 	res := MinOnes(f, Options{})
@@ -47,7 +47,7 @@ func TestMinOnesTrivial(t *testing.T) {
 
 func TestMinOnesEmptyClauseUnsat(t *testing.T) {
 	f := NewFormula(1)
-	if err := f.AddClause(); err != nil {
+	if _, err := f.AddClause(); err != nil {
 		t.Fatal(err)
 	}
 	res := MinOnes(f, Options{})
@@ -174,7 +174,7 @@ func TestMinOnesAgainstBruteForceRandom(t *testing.T) {
 				}
 				lits = append(lits, v)
 			}
-			if err := f.AddClause(lits...); err != nil {
+			if _, err := f.AddClause(lits...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -247,14 +247,14 @@ func TestFormulaAPI(t *testing.T) {
 	if v != 3 || f.NumVars() != 3 {
 		t.Fatalf("AddVar = %d, NumVars = %d", v, f.NumVars())
 	}
-	if err := f.AddClause(4); err == nil {
+	if _, err := f.AddClause(4); err == nil {
 		t.Fatal("out-of-range literal should error")
 	}
-	if err := f.AddClause(0); err == nil {
+	if _, err := f.AddClause(0); err == nil {
 		t.Fatal("zero literal should error")
 	}
 	// Tautology dropped.
-	if err := f.AddClause(1, -1); err != nil {
+	if _, err := f.AddClause(1, -1); err != nil {
 		t.Fatal(err)
 	}
 	if f.NumClauses() != 0 {

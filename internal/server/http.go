@@ -65,7 +65,8 @@ type RepairRequest struct {
 	// TimeoutMS bounds the request; 0 uses the server default, < 0
 	// disables it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// SolverMaxNodes overrides the SAT budget (independent semantics).
+	// SolverMaxNodes lowers the SAT budget (independent semantics); the
+	// daemon's budget caps it.
 	SolverMaxNodes int64 `json:"solver_max_nodes,omitempty"`
 	// Version pins the request to a retained snapshot version
 	// (read-your-writes); 0 reads the head.

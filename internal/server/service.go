@@ -36,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datalog"
 	"repro/internal/engine"
+	"repro/internal/sat"
 	"repro/internal/server/durability"
 	"repro/internal/sideeffect"
 )
@@ -82,8 +83,9 @@ type Config struct {
 	// DefaultTimeout bounds each request when the request itself does not
 	// choose a timeout. 0 means no default deadline.
 	DefaultTimeout time.Duration
-	// SolverMaxNodes is the default Min-Ones-SAT budget for independent
-	// semantics and view-tuple deletion. 0 means the solver default.
+	// SolverMaxNodes is the Min-Ones-SAT budget for independent semantics
+	// and view-tuple deletion, and the ceiling on a request's own budget.
+	// 0 means the solver default.
 	SolverMaxNodes int64
 	// MaxVersions is the per-session retained-version window: how many
 	// snapshot versions (head included) stay resolvable for pinned reads
@@ -712,7 +714,8 @@ type RequestOptions struct {
 	// Timeout overrides Config.DefaultTimeout for this request: > 0 sets
 	// a deadline, < 0 disables the default, 0 keeps the default.
 	Timeout time.Duration
-	// SolverMaxNodes overrides Config.SolverMaxNodes (> 0).
+	// SolverMaxNodes, when > 0, lowers the request's Min-Ones-SAT budget
+	// below the daemon's; it never raises it (see solverBudget).
 	SolverMaxNodes int64
 	// Version pins the request to a specific snapshot version
 	// (read-your-writes: pin the version an earlier Update returned).
@@ -756,15 +759,26 @@ func (s *Service) requestCtx(ctx context.Context, opts RequestOptions) (context.
 	return ctx, func() {}
 }
 
-func (s *Service) coreOptions(sess *Session, ctx context.Context, opts RequestOptions) core.Options {
-	nodes := s.cfg.SolverMaxNodes
-	if opts.SolverMaxNodes > 0 {
-		nodes = opts.SolverMaxNodes
+// solverBudget is the Min-Ones-SAT node budget a request runs under. The
+// daemon's budget — Config.SolverMaxNodes, or sat.DefaultMaxNodes when that
+// is 0 — is a ceiling: a client may ask for less, never for more, so one
+// request cannot buy an unbounded search.
+func (s *Service) solverBudget(opts RequestOptions) int64 {
+	ceiling := s.cfg.SolverMaxNodes
+	if ceiling <= 0 {
+		ceiling = sat.DefaultMaxNodes
 	}
+	if opts.SolverMaxNodes > 0 && opts.SolverMaxNodes < ceiling {
+		return opts.SolverMaxNodes
+	}
+	return ceiling
+}
+
+func (s *Service) coreOptions(sess *Session, ctx context.Context, opts RequestOptions) core.Options {
 	return core.Options{
 		Prepared:    sess.prep,
 		Ctx:         ctx,
-		Independent: core.IndependentOptions{MaxNodes: nodes},
+		Independent: core.IndependentOptions{MaxNodes: s.solverBudget(opts)},
 	}
 }
 
@@ -1020,12 +1034,8 @@ func (s *Service) DeleteViewTuple(ctx context.Context, name, viewSrc string, tar
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	nodes := s.cfg.SolverMaxNodes
-	if opts.SolverMaxNodes > 0 {
-		nodes = opts.SolverMaxNodes
-	}
 	res, _, err := sideeffect.DeleteViewTuple(snap.Fork(), v, target, sess.prog,
-		sideeffect.Options{MaxNodes: nodes, Ctx: reqCtx})
+		sideeffect.Options{MaxNodes: s.solverBudget(opts), Ctx: reqCtx})
 	if errors.Is(err, sideeffect.ErrNoSuchRow) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/engine"
 	"repro/internal/programs"
+	"repro/internal/sat"
 )
 
 // Service-level tests for mutable sessions: versioned updates,
@@ -291,6 +292,38 @@ func TestServiceReplayRespectsSolverBudget(t *testing.T) {
 	again, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{})
 	if err != nil || keysOf(again) != keysOf(want) {
 		t.Fatalf("same-budget replay drifted (err=%v)", err)
+	}
+}
+
+// TestSolverBudgetCeiling: a request's solver_max_nodes lowers the
+// daemon's SAT budget but cannot raise it. A huge requested budget on an
+// instance the ceiling truncates runs at the ceiling; with no configured
+// budget the ceiling is the solver's default.
+func TestSolverBudgetCeiling(t *testing.T) {
+	ctx := context.Background()
+	svc := New(Config{SolverMaxNodes: 1})
+	register(t, svc, "papers")
+	huge, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{SolverMaxNodes: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if huge.Optimal || huge.SolverNodes > 2 {
+		t.Fatalf("a 1<<40-node request under a 1-node ceiling searched %d nodes (optimal=%v): the request raised the daemon's budget",
+			huge.SolverNodes, huge.Optimal)
+	}
+	for _, tc := range []struct {
+		cfg, req, want int64
+	}{
+		{0, 0, sat.DefaultMaxNodes},
+		{0, 1 << 40, sat.DefaultMaxNodes},
+		{0, 5, 5},
+		{100, 0, 100},
+		{100, 1000, 100},
+		{100, 5, 5},
+	} {
+		if got := New(Config{SolverMaxNodes: tc.cfg}).solverBudget(RequestOptions{SolverMaxNodes: tc.req}); got != tc.want {
+			t.Errorf("solverBudget(config %d, request %d) = %d, want %d", tc.cfg, tc.req, got, tc.want)
+		}
 	}
 }
 

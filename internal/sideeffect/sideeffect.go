@@ -338,13 +338,9 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 
 	// Variable space: all tuples mentioned anywhere, numbered by the
 	// formula; a witness clause is all positive (delete one of these).
+	// The formula wrote that CNF as it went; the solver reads it in place.
 	ids := formula.TupleIDs()
-	cnf := sat.NewFormula(len(ids))
-	for i := range formula.Clauses {
-		if err := cnf.AddClause(formula.Lits(i)...); err != nil {
-			return nil, nil, err
-		}
-	}
+	cnf := formula.CNF()
 	var cancel func() bool
 	if opts.Ctx != nil {
 		cancel = func() bool { return opts.Ctx.Err() != nil }
