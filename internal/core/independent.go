@@ -237,7 +237,7 @@ func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov 
 	// the stability clauses respect them.
 	for _, t := range prov.seeds {
 		if v := formula.Var(t.TID); v != 0 {
-			formula.CNF().AddClause(v)
+			_, _ = formula.CNF().AddClause(v) // v is one of the CNF's own variables
 		}
 	}
 	d.prov = prov

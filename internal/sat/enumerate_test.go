@@ -3,6 +3,7 @@ package sat
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -242,5 +243,30 @@ func TestEnumerateDeterministic(t *testing.T) {
 	b := EnumerateMinOnes(build(), 6, false, Options{})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("enumeration not deterministic:\n a=%+v\n b=%+v", a, b)
+	}
+}
+
+// TestEnumerateLeavesFormulaUnchanged: the blocking clauses go into a fork,
+// so the formula enumerated keeps its clauses and its dedup table — also
+// when the fork's first blocking clause grows the fork's table (256 clauses
+// fill a table exactly).
+func TestEnumerateLeavesFormulaUnchanged(t *testing.T) {
+	f := NewFormula(20)
+	rng := rand.New(rand.NewSource(5))
+	for f.NumClauses() < 256 {
+		if _, err := f.AddClause(rng.Intn(20)+1, rng.Intn(20)+1, rng.Intn(20)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clauses, buckets, next := f.DIMACS(), slices.Clone(f.buckets), slices.Clone(f.next)
+	first := EnumerateMinOnes(f, 4, false, Options{})
+	if len(first.Solutions) < 2 || len(buckets) != f.NumClauses() {
+		t.Fatalf("fixture: %d solutions, a %d-bucket table; want ≥ 2 and %d", len(first.Solutions), len(buckets), f.NumClauses())
+	}
+	if f.DIMACS() != clauses || !slices.Equal(f.buckets, buckets) || !slices.Equal(f.next, next) {
+		t.Fatal("enumeration changed the formula's clauses or its dedup table")
+	}
+	if again := EnumerateMinOnes(f, 4, false, Options{}); !reflect.DeepEqual(first, again) {
+		t.Fatalf("a second enumeration differs:\n%+v\n%+v", first, again)
 	}
 }

@@ -120,10 +120,11 @@ func hashLits(c []int32) uint64 {
 
 // fork returns a formula equal to f that grows apart from it: the two share
 // f's clauses (the shared slices are clipped, so either side's appends
-// reallocate), and only the bucket table is copied.
+// reallocate), and only the dedup table, which grow rewrites in place, is
+// copied.
 func (f *Formula) fork() *Formula {
 	return &Formula{numVars: f.numVars, lits: slices.Clip(f.lits), start: slices.Clip(f.start),
-		buckets: slices.Clone(f.buckets), next: slices.Clip(f.next)}
+		buckets: slices.Clone(f.buckets), next: slices.Clone(f.next)}
 }
 
 // Clause returns the i-th stored clause in canonical form (shared slice; do
