@@ -116,8 +116,8 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	// wrote that CNF as it derived the clauses, with the pre-deleted
 	// tuples' unit clauses after them (closureArtefact), and the solver
 	// reads it in place: SAT variables are the formula's, numbered 1:1 from
-	// interned tuple IDs by first occurrence; no string keys and no copy of
-	// the clauses exist anywhere on this path.
+	// interned tuple IDs by first occurrence, and no copy of the clauses
+	// exists anywhere on this path.
 	ppStart := time.Now()
 	ids := formula.TupleIDs()
 	// weightOf is the objective's cost of deleting t: 1 under minimum

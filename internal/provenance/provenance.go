@@ -132,10 +132,12 @@ func (f *Formula) Add(head engine.TupleID, c Clause) bool {
 			}
 		}
 		prev, f.lastOf[body] = f.lastOf[body], int32(len(f.Clauses))
-	} else if key := fmt.Sprint(head, slices.Compact(slices.Sorted(slices.Values(lits)))); !f.taut[key] {
-		f.taut[key] = true
 	} else {
-		return false
+		key := fmt.Sprint(head, slices.Compact(slices.Sorted(slices.Values(lits))))
+		if f.taut[key] {
+			return false
+		}
+		f.taut[key] = true
 	}
 	f.Clauses = append(f.Clauses, c)
 	f.Heads = append(f.Heads, head)
