@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -99,7 +102,10 @@ type RepairResponse struct {
 	ByRel     map[string]int `json:"deleted_by_relation,omitempty"`
 	Rounds    int            `json:"rounds"`
 	Optimal   bool           `json:"optimal"`
-	ElapsedUS int64          `json:"elapsed_us"`
+	// ElapsedUS is the core time this request spent on the repair, in
+	// microseconds: 0 when /repair answered from the session's artefact
+	// store (the repair was computed at that version before).
+	ElapsedUS int64 `json:"elapsed_us"`
 }
 
 func repairResponse(name string, version uint64, res *core.Result) RepairResponse {
@@ -114,6 +120,37 @@ func repairResponse(name string, version uint64, res *core.Result) RepairRespons
 		Optimal:   res.Optimal,
 		ElapsedUS: res.Timing.Total().Microseconds(),
 	}
+}
+
+// repairFields encodes RepairResponse's fields from semantics to optimal,
+// in its order and under its names, without the enclosing braces: the part
+// of a /repair body the artefact store keeps. writeRepair splices it
+// between the session/version and elapsed_us fields, which gives the bytes
+// encoding the whole RepairResponse gives.
+func repairFields(res *core.Result) []byte {
+	b, _ := json.Marshal(struct {
+		Semantics string         `json:"semantics"`
+		Size      int            `json:"size"`
+		Deleted   []string       `json:"deleted"`
+		ByRel     map[string]int `json:"deleted_by_relation,omitempty"`
+		Rounds    int            `json:"rounds"`
+		Optimal   bool           `json:"optimal"`
+	}{res.Semantics.String(), res.Size(), res.Keys(), res.ByRelation(), res.Rounds, res.Optimal})
+	return b[1 : len(b)-1]
+}
+
+// writeRepair writes a 200 /repair body: a.fields between the session and
+// version fields and elapsed_us, with no encoding beyond two integers.
+func writeRepair(w http.ResponseWriter, a repairAnswer) {
+	buf := make([]byte, 0, len(a.nameJSON)+96)
+	buf = append(append(append(buf, `{"session":`...), a.nameJSON...), `,"version":`...)
+	buf = append(strconv.AppendUint(buf, a.version, 10), ',')
+	n := len(buf)
+	buf = append(strconv.AppendInt(append(buf, `,"elapsed_us":`...), a.elapsed.Microseconds(), 10), "}\n"...)
+	writeHeader(w, http.StatusOK, len(buf)+len(a.fields))
+	_, _ = w.Write(buf[:n])
+	_, _ = w.Write(a.fields)
+	_, _ = w.Write(buf[n:])
 }
 
 // RepairAllResponse reports all four semantics plus the paper's Table 3
@@ -179,18 +216,67 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{name}/query", s.handleQuery)
 	mux.HandleFunc("POST /v1/sessions/{name}/is-stable", s.handleIsStable)
 	mux.HandleFunc("POST /v1/sessions/{name}/delete-view-tuple", s.handleDeleteViewTuple)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return s.recovering(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
 		mux.ServeHTTP(w, r)
+	}))
+}
+
+// recovering wraps h so that a panic answers 500 {"error":"internal
+// error"}, logs its stack and counts in deltarepaird_panics_total instead
+// of tearing down the connection. http.ErrAbortHandler, net/http's way to
+// abort a response on purpose, is panicked on.
+func (s *Service) recovering(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			s.metrics.panics.Inc()
+			log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "internal error"})
+		}()
+		h.ServeHTTP(w, r)
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// encodeJSON is v as the API encodes it: encoding/json, one line, with a
+// trailing newline.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes()
+}
+
+// jsonString is s encoded as a JSON string.
+func jsonString(s string) []byte {
+	b, _ := json.Marshal(s)
+	return b
+}
+
+// writeHeader writes a JSON response's status line and headers for a body
+// of n bytes.
+func writeHeader(w http.ResponseWriter, status, n int) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeBody writes an encoded JSON response body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	writeHeader(w, status, len(body))
+	_, _ = w.Write(body)
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, encodeJSON(v))
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -426,12 +512,12 @@ func (s *Service) handleRepair(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	res, _, version, err := s.repair(r.Context(), name, sem, req.options())
+	a, err := s.repair(r.Context(), name, sem, req.options(), true)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, repairResponse(name, version, res))
+	writeRepair(w, a)
 }
 
 func (s *Service) handleRepairAll(w http.ResponseWriter, r *http.Request) {

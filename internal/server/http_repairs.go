@@ -209,12 +209,12 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Version:        req.Version,
 	}).options()
 	eopts := core.EnumerateOptions{K: req.K, CardinalityOnly: cardOnly}
-	ans, version, err := s.Query(r.Context(), name, req.Query, eopts, opts)
+	body, err := s.queryBody(r.Context(), name, req.Query, eopts, opts)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse(name, version, ans))
+	writeBody(w, http.StatusOK, body)
 }
 
 func queryResponse(name string, version uint64, ans *cqa.Answers) QueryResponse {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -387,5 +389,40 @@ func TestHTTPRepairAllEqualsRepairsAfterUpdate(t *testing.T) {
 		if cont[flag] != v {
 			t.Errorf("containment %s = %v, the four /repair answers give %v", flag, cont[flag], v)
 		}
+	}
+}
+
+// TestHTTPRecoversPanics: a panic inside the handler answers 500 with the
+// usual error body, logs its stack and counts in deltarepaird_panics_total;
+// http.ErrAbortHandler is panicked on untouched.
+func TestHTTPRecoversPanics(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	svc := New(Config{})
+	h := svc.recovering(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") }))
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/sessions/x/repair", nil))
+	if rr.Code != http.StatusInternalServerError || rr.Body.String() != `{"error":"internal error"}`+"\n" {
+		t.Fatalf("panic answered %d %q", rr.Code, rr.Body)
+	}
+	if !strings.Contains(logged.String(), "boom") || !strings.Contains(logged.String(), "goroutine") {
+		t.Fatalf("panic not logged with its stack: %q", logged.String())
+	}
+	if n := metricValue(t, svc, "deltarepaird_panics_total"); n != 1 {
+		t.Fatalf("deltarepaird_panics_total = %d, want 1", n)
+	}
+
+	abort := svc.recovering(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) }))
+	func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Fatalf("recovered %v, want http.ErrAbortHandler", p)
+			}
+		}()
+		abort.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+	}()
+	if n := metricValue(t, svc, "deltarepaird_panics_total"); n != 1 {
+		t.Fatalf("an aborted handler counted as a panic (%d)", n)
 	}
 }

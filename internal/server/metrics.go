@@ -45,6 +45,24 @@ type svcMetrics struct {
 	// files, and the bytes written.
 	checkpointSegments *metrics.CounterVec
 	checkpointBytes    *metrics.Counter
+
+	// Artefact-store lookups of /repair and /query answers.
+	repairLookups, queryLookups lookupCounters
+	// panics counts handler panics the recover middleware answered.
+	panics *metrics.Counter
+}
+
+// lookupCounters are one request kind's artefact-store lookups, resolved
+// from the labelled family once so a hit counts itself without a label
+// lookup.
+type lookupCounters struct{ hit, miss *metrics.Counter }
+
+func (c lookupCounters) count(hit bool) {
+	if hit {
+		c.hit.Inc()
+	} else {
+		c.miss.Inc()
+	}
 }
 
 func newSvcMetrics(s *Service) *svcMetrics {
@@ -79,7 +97,13 @@ func newSvcMetrics(s *Service) *svcMetrics {
 			"Segments checkpoints referenced, by outcome: written to a new file or reused from an earlier checkpoint's.", "outcome"),
 		checkpointBytes: reg.NewCounter("deltarepaird_checkpoint_bytes_total",
 			"Bytes checkpoints wrote: segment files and manifests."),
+		panics: reg.NewCounter("deltarepaird_panics_total",
+			"Handler panics answered with 500 by the recover middleware."),
 	}
+	lookups := reg.NewCounterVec("deltarepaird_artefact_lookups_total",
+		"Artefact-store lookups of /repair and /query answers, by kind and outcome: hit (stored bytes served) or miss.", "kind", "outcome")
+	m.repairLookups = lookupCounters{lookups.With("repair", "hit"), lookups.With("repair", "miss")}
+	m.queryLookups = lookupCounters{lookups.With("query", "hit"), lookups.With("query", "miss")}
 	reg.NewGaugeFunc("deltarepaird_sessions",
 		"Sessions currently resident in the cache.",
 		func() float64 { return float64(s.Len()) })

@@ -7,66 +7,23 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cqa"
+	"repro/internal/engine"
 	"repro/internal/sideeffect"
 )
 
-// spaceKey identifies one cached repair space. Spaces depend on everything
-// the key carries: the snapshot version, the effective (clamped) k, the
-// effective solver budget — a truncated enumeration under a small budget
-// must never be replayed for a request that asked for a larger one — and
-// the minimality mode.
-type spaceKey struct {
-	version  uint64
-	k        int
-	nodes    int64
-	cardOnly bool
-}
-
-// cachedSpace returns the space cached under key, or nil.
-func (sess *Session) cachedSpace(key spaceKey) *core.RepairSpace {
-	sess.cacheMu.Lock()
-	defer sess.cacheMu.Unlock()
-	return sess.spaces[key]
-}
-
-// storeSpace caches an enumerated space, pruning entries whose version has
-// left the retention ring (they can never be requested again — resolve
-// fails first), which bounds the cache to the retained-version window.
-func (sess *Session) storeSpace(key spaceKey, sp *core.RepairSpace) {
-	oldest := sess.ring.Oldest()
-	sess.cacheMu.Lock()
-	defer sess.cacheMu.Unlock()
-	for k := range sess.spaces {
-		if k.version < oldest {
-			delete(sess.spaces, k)
-		}
-	}
-	sess.spaces[key] = sp
-}
-
 // spaceFor returns the session's repair space for (version, k, budget,
-// mode), enumerating and caching it on a miss. The caller must hold an
-// admission token (begin) and have resolved the version.
-func (s *Service) spaceFor(sess *Session, reqCtx context.Context, version uint64, eopts core.EnumerateOptions, opts RequestOptions) (*core.RepairSpace, error) {
-	copts := s.coreOptions(sess, reqCtx, opts)
-	key := spaceKey{
-		version:  version,
-		k:        core.ClampEnumK(eopts.K),
-		nodes:    copts.Independent.MaxNodes,
-		cardOnly: eopts.CardinalityOnly,
-	}
-	if sp := sess.cachedSpace(key); sp != nil {
-		return sp, nil
-	}
-	snap, _, err := sess.resolve(version)
-	if err != nil {
-		return nil, err
+// mode), enumerating and storing it on a miss. The caller must hold an
+// admission token (begin) and have resolved the version to snap.
+func (s *Service) spaceFor(sess *Session, snap *engine.Snapshot, version uint64, eopts core.EnumerateOptions, copts core.Options) (*core.RepairSpace, error) {
+	key := spaceKey(version, eopts, copts)
+	if a, ok := sess.artefacts.get(key); ok {
+		return a.space, nil
 	}
 	sp, err := core.EnumerateRepairsWith(snap.Fork(), sess.prog, copts, eopts)
 	if err != nil {
 		return nil, err
 	}
-	sess.storeSpace(key, sp)
+	sess.artefacts.put(key, artefact{space: sp})
 	return sp, nil
 }
 
@@ -74,8 +31,8 @@ func (s *Service) spaceFor(sess *Session, reqCtx context.Context, version uint64
 // for the named session — distinct minimal repairs in nondecreasing cost
 // order plus the per-tuple certain/possible classification — on a private
 // fork of the session's snapshot (head, or the version pinned in opts).
-// Spaces are cached per (version, k, solver budget, minimality mode) and
-// replayed until an update mints a new version.
+// Spaces are stored per (version, k, solver budget, minimality mode) and
+// replayed while their version is retained.
 func (s *Service) EnumerateRepairs(ctx context.Context, name string, eopts core.EnumerateOptions, opts RequestOptions) (_ *core.RepairSpace, _ uint64, err error) {
 	defer s.track("repairs", time.Now(), &err)
 	sess, reqCtx, done, err := s.begin(ctx, name, opts)
@@ -83,11 +40,11 @@ func (s *Service) EnumerateRepairs(ctx context.Context, name string, eopts core.
 		return nil, 0, err
 	}
 	defer done()
-	_, version, err := sess.resolve(opts.Version)
+	snap, version, err := sess.resolve(opts.Version)
 	if err != nil {
 		return nil, 0, err
 	}
-	sp, err := s.spaceFor(sess, reqCtx, version, eopts, opts)
+	sp, err := s.spaceFor(sess, snap, version, eopts, s.coreOptions(sess, reqCtx, opts))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -98,7 +55,7 @@ func (s *Service) EnumerateRepairs(ctx context.Context, name string, eopts core.
 // repair space: certain answers hold in every enumerated repair, possible
 // answers in at least one. The query source is parsed per request against
 // the session schema (same surface as DeleteViewTuple views); the space is
-// resolved through the same per-(version, k, budget, mode) cache as
+// resolved through the same per-(version, k, budget, mode) store as
 // EnumerateRepairs, so repeated queries against one version enumerate
 // once.
 func (s *Service) Query(ctx context.Context, name, querySrc string, eopts core.EnumerateOptions, opts RequestOptions) (_ *cqa.Answers, _ uint64, err error) {
@@ -108,21 +65,60 @@ func (s *Service) Query(ctx context.Context, name, querySrc string, eopts core.E
 		return nil, 0, err
 	}
 	defer done()
-	v, err := sideeffect.ParseView(querySrc, sess.schema)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
 	snap, version, err := sess.resolve(opts.Version)
 	if err != nil {
 		return nil, 0, err
 	}
-	sp, err := s.spaceFor(sess, reqCtx, version, eopts, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	ans, err := cqa.Answer(snap.Fork(), v, sp)
+	ans, err := s.answer(sess, snap, version, querySrc, eopts, s.coreOptions(sess, reqCtx, opts))
 	if err != nil {
 		return nil, 0, err
 	}
 	return ans, version, nil
+}
+
+// queryBody is Query encoded as the POST /query body, answered from the
+// session's artefact store where it can be: a body stored for (version,
+// query source, space key) is returned as it is, with no parse, no
+// evaluation and no encoding. A miss answers, encodes once and stores the
+// body.
+func (s *Service) queryBody(ctx context.Context, name, querySrc string, eopts core.EnumerateOptions, opts RequestOptions) (_ []byte, err error) {
+	defer s.track("query", time.Now(), &err)
+	sess, reqCtx, done, err := s.begin(ctx, name, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	snap, version, err := sess.resolve(opts.Version)
+	if err != nil {
+		return nil, err
+	}
+	copts := s.coreOptions(sess, reqCtx, opts)
+	key := queryKey(version, querySrc, eopts, copts)
+	stored, ok := sess.artefacts.get(key)
+	s.metrics.queryLookups.count(ok)
+	if ok {
+		return stored.body, nil
+	}
+	ans, err := s.answer(sess, snap, version, querySrc, eopts, copts)
+	if err != nil {
+		return nil, err
+	}
+	body := encodeJSON(queryResponse(name, version, ans))
+	sess.artefacts.put(key, artefact{body: body})
+	return body, nil
+}
+
+// answer parses querySrc and answers it over the space at version. The
+// caller must hold an admission token (begin) and have resolved the
+// version to snap.
+func (s *Service) answer(sess *Session, snap *engine.Snapshot, version uint64, querySrc string, eopts core.EnumerateOptions, copts core.Options) (*cqa.Answers, error) {
+	v, err := sideeffect.ParseView(querySrc, sess.schema)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	sp, err := s.spaceFor(sess, snap, version, eopts, copts)
+	if err != nil {
+		return nil, err
+	}
+	return cqa.Answer(snap.Fork(), v, sp)
 }

@@ -14,9 +14,12 @@
 //   - Session cache: an LRU keyed by session name caches the Prepared
 //     plan and frozen Snapshot. Warming is single-flight (sync.Once per
 //     session): concurrent first requests prepare and freeze exactly once.
-//   - Isolation: every request works on a private Snapshot.Fork; forks
-//     share the frozen storage and warm indexes read-only, so requests
-//     never observe each other's deletions.
+//   - Isolation: every request that computes works on a private
+//     Snapshot.Fork; forks share the frozen storage and warm indexes
+//     read-only, so requests never observe each other's deletions.
+//   - Artefacts: what a request computed from a snapshot version is kept
+//     in the session's version-keyed artefact store (artefacts.go), so a
+//     repeat read of that version is answered without computing.
 //   - Cancellation: per-request deadlines (Config.DefaultTimeout or the
 //     request's own timeout) flow through core.Options.Ctx into the
 //     executors' derivation rounds and the SAT search.
@@ -230,6 +233,7 @@ func (s *Service) Close() error {
 // callers interact through Service methods.
 type Session struct {
 	name        string
+	nameJSON    []byte // name as a JSON string, spliced into /repair bodies
 	schema      *engine.Schema
 	db          *engine.Database
 	prog        *datalog.Program
@@ -261,34 +265,14 @@ type Session struct {
 	// versions together with the per-version ApplyInfo that warm-start
 	// hints are assembled from (readers go through the ring's own lock);
 	// verMu serializes writers so the version history stays linear.
-	// cacheMu guards the latest-result cache and the stability knowledge.
-	verMu sync.Mutex
-	ring  *engine.SnapshotRing
-
-	cacheMu sync.Mutex
-	results map[core.Semantics]*cachedResult
-	stable  *stableState
-	spaces  map[spaceKey]*core.RepairSpace
+	// artefacts holds what requests computed from those versions (results,
+	// verdicts, spaces, encoded bodies), pruned with the ring.
+	verMu     sync.Mutex
+	ring      *engine.SnapshotRing
+	artefacts *artefactStore
 
 	requests atomic.Int64
 	updates  atomic.Int64
-}
-
-// cachedResult is the most recent repair result for one semantics, with
-// the version it was computed at and the effective solver budget it ran
-// under (results of independent semantics depend on the budget: a
-// truncated search can return a non-minimal repair, which must never be
-// replayed for a request that asked for a different budget).
-type cachedResult struct {
-	version     uint64
-	solverNodes int64
-	res         *core.Result
-}
-
-// stableState is the most recent stability verdict and its version.
-type stableState struct {
-	version uint64
-	stable  bool
 }
 
 func (sess *Session) warm() error {
@@ -306,8 +290,7 @@ func (sess *Session) warm() error {
 			sess.snap = sess.db.Freeze()
 			sess.ring = engine.NewSnapshotRing(sess.snap, sess.maxVersions)
 		}
-		sess.results = make(map[core.Semantics]*cachedResult)
-		sess.spaces = make(map[spaceKey]*core.RepairSpace)
+		sess.artefacts = newArtefactStore(sess.ring)
 		sess.warmDone.Store(true)
 	})
 	return sess.warmErr
@@ -331,29 +314,21 @@ func (sess *Session) resolve(version uint64) (*engine.Snapshot, uint64, error) {
 		ErrVersionGone, sess.name, version, sess.ring.Oldest(), head)
 }
 
-// repairHints assembles incremental-execution hints for a repair at the
-// given version: the latest cached result for the semantics (if computed
-// at the same or an earlier retained version, under the same effective
-// solver budget where the budget matters) plus the union of the base
-// changes between that version and this one. Returns nil when no exact
-// hints exist — the request then runs from scratch.
-func (sess *Session) repairHints(sem core.Semantics, version uint64, solverNodes int64) *core.WarmStart {
-	sess.cacheMu.Lock()
-	cached := sess.results[sem]
-	sess.cacheMu.Unlock()
-	if cached == nil || cached.version > version {
-		return nil
-	}
-	// Only independent semantics consults the SAT budget; for the others
-	// results are budget-independent and any cached entry qualifies.
-	if sem == core.SemIndependent && cached.solverNodes != solverNodes {
-		return nil
-	}
-	w, ok := sess.changesSince(cached.version, version)
+// repairHints assembles incremental-execution hints for a repair: the
+// newest result stored under key's semantics and budget at key's version
+// or an earlier retained one, plus the union of the base changes between
+// that version and key's. Returns nil when no exact hints exist — the
+// request then runs from scratch.
+func (sess *Session) repairHints(key artefactKey) *core.WarmStart {
+	a, from, ok := sess.artefacts.latest(key, func(artefact) bool { return true })
 	if !ok {
 		return nil
 	}
-	w.PrevResult = cached.res
+	w, ok := sess.changesSince(from, key.version)
+	if !ok {
+		return nil
+	}
+	w.PrevResult = a.res
 	return w
 }
 
@@ -362,13 +337,12 @@ func (sess *Session) repairHints(sem core.Semantics, version uint64, solverNodes
 // verified *stable* (an unstable predecessor says nothing — deletions may
 // have removed the violations since).
 func (sess *Session) stableHints(version uint64) *core.WarmStart {
-	sess.cacheMu.Lock()
-	st := sess.stable
-	sess.cacheMu.Unlock()
-	if st == nil || !st.stable || st.version > version {
+	_, from, ok := sess.artefacts.latest(artefactKey{version: version, kind: stableArtefact},
+		func(a artefact) bool { return a.stable })
+	if !ok {
 		return nil
 	}
-	w, ok := sess.changesSince(st.version, version)
+	w, ok := sess.changesSince(from, version)
 	if !ok {
 		return nil
 	}
@@ -406,25 +380,6 @@ func (sess *Session) changesSince(from, to uint64) (*core.WarmStart, bool) {
 	return w, true
 }
 
-// storeResult caches a computed result for warm-starting later requests;
-// the cache only moves forward in version order.
-func (sess *Session) storeResult(sem core.Semantics, version uint64, solverNodes int64, res *core.Result) {
-	sess.cacheMu.Lock()
-	defer sess.cacheMu.Unlock()
-	if cur := sess.results[sem]; cur == nil || version >= cur.version {
-		sess.results[sem] = &cachedResult{version: version, solverNodes: solverNodes, res: res}
-	}
-}
-
-// storeStable records a stability verdict; forward-only like storeResult.
-func (sess *Session) storeStable(version uint64, stable bool) {
-	sess.cacheMu.Lock()
-	defer sess.cacheMu.Unlock()
-	if sess.stable == nil || version >= sess.stable.version {
-		sess.stable = &stableState{version: version, stable: stable}
-	}
-}
-
 // Register adds a named session. The Service takes ownership of db: the
 // caller must not mutate it afterwards (the first request freezes it into
 // the shared snapshot). Registering an existing name returns ErrDuplicate;
@@ -451,7 +406,7 @@ func (s *Service) Register(name string, schema *engine.Schema, db *engine.Databa
 		return fmt.Errorf("server: session %q database built over a different schema", name)
 	}
 	sess := &Session{
-		name: name, schema: schema, db: db, prog: prog,
+		name: name, nameJSON: jsonString(name), schema: schema, db: db, prog: prog,
 		tuples:      db.TotalTuples(),
 		maxVersions: s.cfg.MaxVersions,
 	}
@@ -601,6 +556,7 @@ func (s *Service) loadSession(name string) (*Session, error) {
 	s.metrics.starts.With("recovered").Inc()
 	return &Session{
 		name:        name,
+		nameJSON:    jsonString(name),
 		schema:      schema,
 		prog:        prog,
 		tuples:      rec.Snapshot.TotalTuples(),
@@ -652,6 +608,9 @@ type SessionInfo struct {
 	// or recovery, at most 3 after updates): the fan-out a probe of the
 	// most-updated relation pays. 0 until warmed.
 	Segments int `json:"segments,omitempty"`
+	// ArtefactBytes is the encoded response bytes the session's artefact
+	// store holds for pinned reads (at most 8 MiB). 0 until warmed.
+	ArtefactBytes int `json:"artefact_bytes,omitempty"`
 }
 
 // Sessions lists cached sessions, most recently used first.
@@ -680,6 +639,7 @@ func (s *Service) Sessions() []SessionInfo {
 			info.OldestVersion = sess.ring.Oldest()
 			info.RetainedVersions = sess.ring.Retained()
 			info.Updates = sess.updates.Load()
+			info.ArtefactBytes = sess.artefacts.held()
 			// Fork accounting spans every retained version, so the stat
 			// keeps counting requests that read pinned older versions.
 			for v := info.OldestVersion; v <= version; v++ {
@@ -820,49 +780,81 @@ func (s *Service) begin(ctx context.Context, name string, opts RequestOptions) (
 // the chosen semantics on a private fork of the session's snapshot. It
 // returns the result, the repaired fork (materialised for this call; safe
 // to read) and the snapshot version the repair executed against — the head
-// at admission time, or the pinned opts.Version. Results computed at a
-// version warm-start later requests: an update whose changed tuples bind no
-// rule assignment replays the cached result with no derivation at all, and
-// otherwise end semantics continues its fixpoint from the previous result.
+// at admission time, or the pinned opts.Version. Results are stored per
+// (version, semantics, budget): a repeat at a version answers from the
+// store, and a result warm-starts later versions — an update whose changed
+// tuples bind no rule assignment replays it with no derivation at all, and
+// otherwise end semantics continues its fixpoint from it.
 func (s *Service) RepairVersioned(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (*core.Result, *engine.Database, uint64, error) {
-	res, db, version, err := s.repair(ctx, name, sem, opts)
+	a, err := s.repair(ctx, name, sem, opts, false)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	repaired, err := core.Materialize(db, res)
+	repaired, err := core.Materialize(a.snap.Fork(), a.res)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return res, repaired, version, nil
+	return a.res, repaired, a.version, nil
 }
 
-// repair is RepairVersioned without the repaired instance: the result, the
-// fork it was computed over, and its version. /repair serves the result
-// alone, so a replayed read does no work proportional to the repair.
-func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (_ *core.Result, _ *engine.Database, _ uint64, err error) {
+// repairAnswer is one semantics' repair at one version, as repair returns
+// it.
+type repairAnswer struct {
+	res *core.Result
+	// fields is the encoded /repair fields (repairFields); nil unless asked
+	// for.
+	fields []byte
+	// nameJSON is the session name as a JSON string.
+	nameJSON []byte
+	snap     *engine.Snapshot
+	version  uint64
+	// elapsed is the core time this call spent: 0 when the store answered.
+	elapsed time.Duration
+}
+
+// repair is RepairVersioned without the repaired instance, answered from
+// the session's artefact store where it can be: a stored result for
+// (version, semantics, budget) — and, with withFields, its stored encoded
+// fields — costs no fork, no derivation and no encoding. A miss runs the
+// policy on a fork, warm-started from the newest stored result at or
+// before the version, encodes the fields once when asked to, and stores
+// what it built.
+func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, opts RequestOptions, withFields bool) (_ repairAnswer, err error) {
 	defer s.track("repair", time.Now(), &err)
 	sess, reqCtx, done, err := s.begin(ctx, name, opts)
 	if err != nil {
-		return nil, nil, 0, err
+		return repairAnswer{}, err
 	}
 	defer done()
 	snap, version, err := sess.resolve(opts.Version)
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	db := snap.Fork()
-	d, err := core.NewDerivation(db, sess.prep)
-	if err != nil {
-		return nil, nil, 0, err
+		return repairAnswer{}, err
 	}
 	copts := s.coreOptions(sess, reqCtx, opts)
-	copts.Warm = sess.repairHints(sem, version, copts.Independent.MaxNodes)
-	res, err := d.Run(sem, copts)
-	if err != nil {
-		return nil, nil, 0, err
+	key := repairKey(version, sem, copts)
+	stored, _ := sess.artefacts.get(key)
+	a := repairAnswer{res: stored.res, fields: stored.body, nameJSON: sess.nameJSON, snap: snap, version: version}
+	if withFields {
+		s.metrics.repairLookups.count(a.fields != nil)
 	}
-	sess.storeResult(sem, version, copts.Independent.MaxNodes, res)
-	return res, db, version, nil
+	if a.res == nil {
+		d, err := core.NewDerivation(snap.Fork(), sess.prep)
+		if err != nil {
+			return repairAnswer{}, err
+		}
+		copts.Warm = sess.repairHints(key)
+		if a.res, err = d.Run(sem, copts); err != nil {
+			return repairAnswer{}, err
+		}
+		a.elapsed = a.res.Timing.Total()
+	}
+	if withFields && a.fields == nil {
+		a.fields = repairFields(a.res)
+	}
+	if a.res != stored.res || a.fields != nil && stored.body == nil {
+		sess.artefacts.put(key, artefact{res: a.res, body: a.fields})
+	}
+	return a, nil
 }
 
 // RepairAllVersioned runs all four semantics for the named session under
@@ -880,7 +872,7 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 		return nil, 0, err
 	}
 	// One fork, one derivation: the four policies share the provenance and
-	// the end fixpoint; each brings its own previous result as hints.
+	// the end fixpoint; each brings its own stored result as hints.
 	d, err := core.NewDerivation(snap.Fork(), sess.prep)
 	if err != nil {
 		return nil, 0, err
@@ -888,12 +880,13 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 	copts := s.coreOptions(sess, reqCtx, opts)
 	out := make(map[core.Semantics]*core.Result, len(core.AllSemantics))
 	for _, sem := range core.AllSemantics {
-		copts.Warm = sess.repairHints(sem, version, copts.Independent.MaxNodes)
+		key := repairKey(version, sem, copts)
+		copts.Warm = sess.repairHints(key)
 		res, err := d.Run(sem, copts)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", sem, err)
 		}
-		sess.storeResult(sem, version, copts.Independent.MaxNodes, res)
+		sess.artefacts.put(key, artefact{res: res})
 		out[sem] = res
 	}
 	return out, version, nil
@@ -902,11 +895,11 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 // IsStableVersioned reports whether the session's database is already
 // stable (Def. 3.12) using the cached prepared plans, and the snapshot
 // version probed. The request deadline is honored between rule probes.
-// Stability verdicts warm-start later probes: once a
-// version is known stable, probing a later version evaluates only the
-// insert-seeded passes (deletions alone can never destabilize a stable
-// database — rule bodies are positive), and a range without inserts needs
-// no evaluation at all.
+// Verdicts are stored per version: a repeat probe of a version answers
+// from the store, and once a version is known stable, probing a later
+// version evaluates only the insert-seeded passes (deletions alone can
+// never destabilize a stable database — rule bodies are positive), and a
+// range without inserts needs no evaluation at all.
 func (s *Service) IsStableVersioned(ctx context.Context, name string, opts RequestOptions) (_ bool, _ uint64, err error) {
 	defer s.track("is_stable", time.Now(), &err)
 	sess, reqCtx, done, err := s.begin(ctx, name, opts)
@@ -918,11 +911,15 @@ func (s *Service) IsStableVersioned(ctx context.Context, name string, opts Reque
 	if err != nil {
 		return false, 0, err
 	}
+	key := artefactKey{version: version, kind: stableArtefact}
+	if a, ok := sess.artefacts.get(key); ok {
+		return a.stable, version, nil
+	}
 	stable, err := core.CheckStableWarmCtx(reqCtx, snap.Fork(), sess.prep, sess.stableHints(version))
 	if err != nil {
 		return false, 0, err
 	}
-	sess.storeStable(version, stable)
+	sess.artefacts.put(key, artefact{stable: stable})
 	return stable, version, nil
 }
 
@@ -992,6 +989,7 @@ func (s *Service) Update(ctx context.Context, name string, inserts, deletes []en
 		}
 	}
 	version := sess.ring.AdvanceApplied(next, info)
+	sess.artefacts.prune()
 	s.metrics.rowsChanged.Add(uint64(info.Inserted + info.Deleted))
 	s.metrics.rowsSealed.Add(uint64(info.RowsSealed))
 	s.metrics.segmentCompactions.Add(uint64(info.Compactions))
