@@ -63,25 +63,26 @@ type artefact struct {
 	body   []byte
 }
 
-// repairKey is the key of sem's repair at version under copts' budget.
-func repairKey(version uint64, sem core.Semantics, copts core.Options) artefactKey {
+// repairKey is the key of sem's repair at version under the solver budget
+// nodes.
+func repairKey(version uint64, sem core.Semantics, nodes int64) artefactKey {
 	key := artefactKey{version: version, kind: repairArtefact, sem: sem}
 	if sem == core.SemIndependent {
-		key.nodes = copts.Independent.MaxNodes
+		key.nodes = nodes
 	}
 	return key
 }
 
 // spaceKey is the key of the repair space eopts asks for at version under
-// copts' budget.
-func spaceKey(version uint64, eopts core.EnumerateOptions, copts core.Options) artefactKey {
-	return artefactKey{version: version, kind: spaceArtefact, nodes: copts.Independent.MaxNodes,
+// the solver budget nodes.
+func spaceKey(version uint64, eopts core.EnumerateOptions, nodes int64) artefactKey {
+	return artefactKey{version: version, kind: spaceArtefact, nodes: nodes,
 		k: core.ClampEnumK(eopts.K), cardOnly: eopts.CardinalityOnly}
 }
 
 // queryKey is the key of src's /query body over that space.
-func queryKey(version uint64, src string, eopts core.EnumerateOptions, copts core.Options) artefactKey {
-	key := spaceKey(version, eopts, copts)
+func queryKey(version uint64, src string, eopts core.EnumerateOptions, nodes int64) artefactKey {
+	key := spaceKey(version, eopts, nodes)
 	key.kind, key.src = queryArtefact, src
 	return key
 }

@@ -15,7 +15,7 @@ import (
 // mode), enumerating and storing it on a miss. The caller must hold an
 // admission token (begin) and have resolved the version to snap.
 func (s *Service) spaceFor(sess *Session, snap *engine.Snapshot, version uint64, eopts core.EnumerateOptions, copts core.Options) (*core.RepairSpace, error) {
-	key := spaceKey(version, eopts, copts)
+	key := spaceKey(version, eopts, copts.Independent.MaxNodes)
 	if a, ok := sess.artefacts.get(key); ok {
 		return a.space, nil
 	}
@@ -35,7 +35,7 @@ func (s *Service) spaceFor(sess *Session, snap *engine.Snapshot, version uint64,
 // replayed while their version is retained.
 func (s *Service) EnumerateRepairs(ctx context.Context, name string, eopts core.EnumerateOptions, opts RequestOptions) (_ *core.RepairSpace, _ uint64, err error) {
 	defer s.track("repairs", time.Now(), &err)
-	sess, reqCtx, done, err := s.begin(ctx, name, opts)
+	sess, done, err := s.begin(ctx, name)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -44,6 +44,8 @@ func (s *Service) EnumerateRepairs(ctx context.Context, name string, eopts core.
 	if err != nil {
 		return nil, 0, err
 	}
+	reqCtx, cancel := s.requestCtx(ctx, opts)
+	defer cancel()
 	sp, err := s.spaceFor(sess, snap, version, eopts, s.coreOptions(sess, reqCtx, opts))
 	if err != nil {
 		return nil, 0, err
@@ -60,7 +62,7 @@ func (s *Service) EnumerateRepairs(ctx context.Context, name string, eopts core.
 // once.
 func (s *Service) Query(ctx context.Context, name, querySrc string, eopts core.EnumerateOptions, opts RequestOptions) (_ *cqa.Answers, _ uint64, err error) {
 	defer s.track("query", time.Now(), &err)
-	sess, reqCtx, done, err := s.begin(ctx, name, opts)
+	sess, done, err := s.begin(ctx, name)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -69,6 +71,8 @@ func (s *Service) Query(ctx context.Context, name, querySrc string, eopts core.E
 	if err != nil {
 		return nil, 0, err
 	}
+	reqCtx, cancel := s.requestCtx(ctx, opts)
+	defer cancel()
 	ans, err := s.answer(sess, snap, version, querySrc, eopts, s.coreOptions(sess, reqCtx, opts))
 	if err != nil {
 		return nil, 0, err
@@ -83,7 +87,7 @@ func (s *Service) Query(ctx context.Context, name, querySrc string, eopts core.E
 // body.
 func (s *Service) queryBody(ctx context.Context, name, querySrc string, eopts core.EnumerateOptions, opts RequestOptions) (_ []byte, err error) {
 	defer s.track("query", time.Now(), &err)
-	sess, reqCtx, done, err := s.begin(ctx, name, opts)
+	sess, done, err := s.begin(ctx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -92,14 +96,15 @@ func (s *Service) queryBody(ctx context.Context, name, querySrc string, eopts co
 	if err != nil {
 		return nil, err
 	}
-	copts := s.coreOptions(sess, reqCtx, opts)
-	key := queryKey(version, querySrc, eopts, copts)
+	key := queryKey(version, querySrc, eopts, s.solverBudget(opts))
 	stored, ok := sess.artefacts.get(key)
 	s.metrics.queryLookups.count(ok)
 	if ok {
 		return stored.body, nil
 	}
-	ans, err := s.answer(sess, snap, version, querySrc, eopts, copts)
+	reqCtx, cancel := s.requestCtx(ctx, opts)
+	defer cancel()
+	ans, err := s.answer(sess, snap, version, querySrc, eopts, s.coreOptions(sess, reqCtx, opts))
 	if err != nil {
 		return nil, err
 	}

@@ -704,8 +704,11 @@ func normalize(ctx context.Context) context.Context {
 	return ctx
 }
 
-// requestCtx applies the effective timeout.
+// requestCtx applies the effective timeout. Requests install it once
+// admitted and only when they compute: a read answered from the artefact
+// store arms no timer.
 func (s *Service) requestCtx(ctx context.Context, opts RequestOptions) (context.Context, context.CancelFunc) {
+	ctx = normalize(ctx)
 	d := s.cfg.DefaultTimeout
 	switch {
 	case opts.Timeout > 0:
@@ -743,22 +746,21 @@ func (s *Service) coreOptions(sess *Session, ctx context.Context, opts RequestOp
 }
 
 // begin is the shared request prologue: admission, session lookup,
-// single-flight warming, accounting, and deadline installation. The caller
-// must defer both returned closures' work via done().
-func (s *Service) begin(ctx context.Context, name string, opts RequestOptions) (*Session, context.Context, func(), error) {
-	ctx = normalize(ctx)
-	if err := s.acquire(ctx); err != nil {
-		return nil, nil, nil, err
+// single-flight warming and accounting. The caller must call done when
+// the request finishes.
+func (s *Service) begin(ctx context.Context, name string) (_ *Session, done func(), _ error) {
+	if err := s.acquire(normalize(ctx)); err != nil {
+		return nil, nil, err
 	}
 	sess, err := s.session(name)
 	if err != nil {
 		s.release()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	wasWarm := sess.warmDone.Load()
 	if err := sess.warm(); err != nil {
 		s.release()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if wasWarm {
 		s.metrics.starts.With("warm").Inc()
@@ -767,13 +769,8 @@ func (s *Service) begin(ctx context.Context, name string, opts RequestOptions) (
 		// time; everything else warming for the first time is a cold start.
 		s.metrics.starts.With("cold").Inc()
 	}
-	reqCtx, cancel := s.requestCtx(ctx, opts)
 	sess.requests.Add(1)
-	done := func() {
-		cancel()
-		s.release()
-	}
-	return sess, reqCtx, done, nil
+	return sess, s.release, nil
 }
 
 // RepairVersioned computes the stabilizing set for the named session under
@@ -821,7 +818,7 @@ type repairAnswer struct {
 // what it built.
 func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, opts RequestOptions, withFields bool) (_ repairAnswer, err error) {
 	defer s.track("repair", time.Now(), &err)
-	sess, reqCtx, done, err := s.begin(ctx, name, opts)
+	sess, done, err := s.begin(ctx, name)
 	if err != nil {
 		return repairAnswer{}, err
 	}
@@ -830,8 +827,7 @@ func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, o
 	if err != nil {
 		return repairAnswer{}, err
 	}
-	copts := s.coreOptions(sess, reqCtx, opts)
-	key := repairKey(version, sem, copts)
+	key := repairKey(version, sem, s.solverBudget(opts))
 	stored, _ := sess.artefacts.get(key)
 	a := repairAnswer{res: stored.res, fields: stored.body, nameJSON: sess.nameJSON, snap: snap, version: version}
 	if withFields {
@@ -842,6 +838,9 @@ func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, o
 		if err != nil {
 			return repairAnswer{}, err
 		}
+		reqCtx, cancel := s.requestCtx(ctx, opts)
+		defer cancel()
+		copts := s.coreOptions(sess, reqCtx, opts)
 		copts.Warm = sess.repairHints(key)
 		if a.res, err = d.Run(sem, copts); err != nil {
 			return repairAnswer{}, err
@@ -862,7 +861,7 @@ func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, o
 // semantics and the snapshot version the repairs executed against.
 func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts RequestOptions) (_ map[core.Semantics]*core.Result, _ uint64, err error) {
 	defer s.track("repair_all", time.Now(), &err)
-	sess, reqCtx, done, err := s.begin(ctx, name, opts)
+	sess, done, err := s.begin(ctx, name)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -871,6 +870,8 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 	if err != nil {
 		return nil, 0, err
 	}
+	reqCtx, cancel := s.requestCtx(ctx, opts)
+	defer cancel()
 	// One fork, one derivation: the four policies share the provenance and
 	// the end fixpoint; each brings its own stored result as hints.
 	d, err := core.NewDerivation(snap.Fork(), sess.prep)
@@ -880,7 +881,7 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 	copts := s.coreOptions(sess, reqCtx, opts)
 	out := make(map[core.Semantics]*core.Result, len(core.AllSemantics))
 	for _, sem := range core.AllSemantics {
-		key := repairKey(version, sem, copts)
+		key := repairKey(version, sem, copts.Independent.MaxNodes)
 		copts.Warm = sess.repairHints(key)
 		res, err := d.Run(sem, copts)
 		if err != nil {
@@ -902,7 +903,7 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 // range without inserts needs no evaluation at all.
 func (s *Service) IsStableVersioned(ctx context.Context, name string, opts RequestOptions) (_ bool, _ uint64, err error) {
 	defer s.track("is_stable", time.Now(), &err)
-	sess, reqCtx, done, err := s.begin(ctx, name, opts)
+	sess, done, err := s.begin(ctx, name)
 	if err != nil {
 		return false, 0, err
 	}
@@ -915,6 +916,8 @@ func (s *Service) IsStableVersioned(ctx context.Context, name string, opts Reque
 	if a, ok := sess.artefacts.get(key); ok {
 		return a.stable, version, nil
 	}
+	reqCtx, cancel := s.requestCtx(ctx, opts)
+	defer cancel()
 	stable, err := core.CheckStableWarmCtx(reqCtx, snap.Fork(), sess.prep, sess.stableHints(version))
 	if err != nil {
 		return false, 0, err
@@ -964,7 +967,7 @@ type UpdateResult struct {
 // snapshot.
 func (s *Service) Update(ctx context.Context, name string, inserts, deletes []engine.Row, opts RequestOptions) (_ *UpdateResult, err error) {
 	defer s.track("update", time.Now(), &err)
-	sess, _, done, err := s.begin(ctx, name, opts)
+	sess, done, err := s.begin(ctx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -1019,7 +1022,7 @@ func (s *Service) Update(ctx context.Context, name string, inserts, deletes []en
 // the session schema.
 func (s *Service) DeleteViewTuple(ctx context.Context, name, viewSrc string, target []engine.Value, opts RequestOptions) (_ *sideeffect.Result, err error) {
 	defer s.track("delete_view", time.Now(), &err)
-	sess, reqCtx, done, err := s.begin(ctx, name, opts)
+	sess, done, err := s.begin(ctx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -1028,6 +1031,8 @@ func (s *Service) DeleteViewTuple(ctx context.Context, name, viewSrc string, tar
 	if err != nil {
 		return nil, err
 	}
+	reqCtx, cancel := s.requestCtx(ctx, opts)
+	defer cancel()
 	v, err := sideeffect.ParseView(viewSrc, sess.schema)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
