@@ -36,7 +36,7 @@ func fullFormulaReference(t *testing.T, db *engine.Database, prep *datalog.Prepa
 			}
 		}
 		err := pr.EvalNaive(sources, nil, func(asn *datalog.Assignment) bool {
-			full.Add(asn.Head().TID, provenance.ClauseOf(asn))
+			full.Add(asn.Head().TID, asn)
 			return true
 		})
 		if err != nil {
@@ -44,6 +44,18 @@ func fullFormulaReference(t *testing.T, db *engine.Database, prep *datalog.Prepa
 		}
 	}
 	return full
+}
+
+// clauseAsn builds an assignment binding pos at base atoms and neg at delta
+// atoms, whose clause is pos ∧ ¬neg: a decoded clause, to add to another
+// formula.
+func clauseAsn(pos, neg []engine.TupleID) *datalog.Assignment {
+	asn := &datalog.Assignment{Rule: &datalog.Rule{}}
+	for i, id := range append(slices.Clip(pos), neg...) {
+		asn.Rule.Body = append(asn.Rule.Body, datalog.Atom{Delta: i >= len(pos)})
+		asn.Tuples = append(asn.Tuples, &engine.Tuple{TID: id})
+	}
+	return asn
 }
 
 // referenceCNF negates a provenance formula into CNF with a unit clause per
@@ -63,12 +75,13 @@ func referenceCNF(t *testing.T, f *provenance.Formula, preDeleted map[engine.Tup
 			t.Fatal(err)
 		}
 	}
-	for _, c := range f.Clauses {
+	for i := range f.Len() {
+		pos, neg := f.Body(i)
 		var lits []int
-		for _, id := range c.Pos {
+		for _, id := range pos {
 			lits = append(lits, varOf[id])
 		}
-		for _, id := range c.Neg {
+		for _, id := range neg {
 			lits = append(lits, -varOf[id])
 		}
 		add(lits...)
@@ -144,8 +157,8 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 	for id := range ic.preDeleted {
 		inV[id] = true
 	}
-	negInV := func(c provenance.Clause) bool {
-		for _, id := range c.Neg {
+	negInV := func(neg []engine.TupleID) bool {
+		for _, id := range neg {
 			if !inV[id] {
 				return false
 			}
@@ -154,11 +167,12 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 	}
 	for grew := true; grew; {
 		grew = false
-		for _, c := range full.Clauses {
-			if !negInV(c) {
+		for i := range full.Len() {
+			pos, neg := full.Body(i)
+			if !negInV(neg) {
 				continue
 			}
-			for _, id := range c.Pos {
+			for _, id := range pos {
 				if !inV[id] {
 					inV[id], grew = true, true
 				}
@@ -171,19 +185,20 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 	// formula, and a full clause new to the restricted one was dropped —
 	// legitimately only if one of its negative literals lies outside V.
 	restricted := provenance.NewFormula()
-	for i, c := range ic.formula.Clauses {
-		restricted.Add(ic.formula.Heads[i], c)
-		if full.Add(ic.formula.Heads[i], c) {
-			t.Fatalf("restricted clause %v (head t%d) is not in the full formula", c, ic.formula.Heads[i])
+	for i, h := range ic.formula.Heads {
+		restricted.Add(h, clauseAsn(ic.formula.Body(i)))
+		if full.Add(h, clauseAsn(ic.formula.Body(i))) {
+			t.Fatalf("restricted clause %v (head t%d) is not in the full formula", ic.formula.Lits(i), h)
 		}
 	}
-	for i, c := range full.Clauses {
-		if !restricted.Add(full.Heads[i], c) {
+	for i, h := range full.Heads {
+		pos, neg := full.Body(i)
+		if !restricted.Add(h, clauseAsn(pos, neg)) {
 			continue
 		}
 		dropped = true
-		if negInV(c) {
-			t.Fatalf("dropped clause %v (head t%d) has every negative literal in V", c, full.Heads[i])
+		if negInV(neg) {
+			t.Fatalf("dropped clause %v ∧ ¬%v (head t%d) has every negative literal in V", pos, neg, h)
 		}
 	}
 
@@ -286,8 +301,8 @@ func checkEndGraphAgainstDefinition(t *testing.T, db *engine.Database, prep *dat
 	full := fullFormulaReference(t, db, prep)
 
 	inE := maps.Clone(prov.preDeleted)
-	negInE := func(c provenance.Clause) bool {
-		for _, id := range c.Neg {
+	negInE := func(neg []engine.TupleID) bool {
+		for _, id := range neg {
 			if !inE[id] {
 				return false
 			}
@@ -297,9 +312,9 @@ func checkEndGraphAgainstDefinition(t *testing.T, db *engine.Database, prep *dat
 	layer := make(map[engine.TupleID]int)
 	for round := 1; ; round++ {
 		var fired []engine.TupleID
-		for i, c := range full.Clauses {
-			if negInE(c) {
-				fired = append(fired, full.Heads[i])
+		for i, h := range full.Heads {
+			if _, neg := full.Body(i); negInE(neg) {
+				fired = append(fired, h)
 			}
 		}
 		grew := false
@@ -322,24 +337,26 @@ func checkEndGraphAgainstDefinition(t *testing.T, db *engine.Database, prep *dat
 		t.Fatalf("%d heads listed, %d in the layer map", len(g.Heads), len(layer))
 	}
 
-	sigs := func(h engine.TupleID, cs []provenance.Clause) []string {
+	sigs := func(f *provenance.Formula, h engine.TupleID, cs []int32) []string {
 		out := make([]string, 0, len(cs))
-		for _, c := range cs {
-			pos, neg := slices.Sorted(slices.Values(c.Pos)), slices.Sorted(slices.Values(c.Neg))
+		for _, ci := range cs {
+			pos, neg := f.Body(int(ci))
+			slices.Sort(pos)
+			slices.Sort(neg)
 			out = append(out, fmt.Sprint(h, pos, neg))
 		}
 		slices.Sort(out)
 		return out
 	}
-	want := make(map[engine.TupleID][]provenance.Clause)
-	for i, c := range full.Clauses {
-		if negInE(c) {
-			want[full.Heads[i]] = append(want[full.Heads[i]], c)
+	want := make(map[engine.TupleID][]int32)
+	for i, h := range full.Heads {
+		if _, neg := full.Body(i); negInE(neg) {
+			want[h] = append(want[h], int32(i))
 		}
 	}
 	for h, cs := range want {
-		if got := sigs(h, g.Assignments[h]); !slices.Equal(got, sigs(h, cs)) {
-			t.Fatalf("clauses of t%d: %v, want %v", h, got, sigs(h, cs))
+		if got := sigs(g.Formula, h, g.Assignments[h]); !slices.Equal(got, sigs(full, h, cs)) {
+			t.Fatalf("clauses of t%d: %v, want %v", h, got, sigs(full, h, cs))
 		}
 	}
 	if len(g.Assignments) != len(want) {

@@ -127,7 +127,7 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 		process := func(asn *datalog.Assignment) bool {
 			head := asn.Head()
 			if cfg.closure != nil {
-				cfg.closure.Add(head.TID, provenance.ClauseOf(asn))
+				cfg.closure.Add(head.TID, asn)
 				for i, t := range asn.Tuples {
 					if !asn.Rule.Body[i].Delta {
 						admit(t)

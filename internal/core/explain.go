@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/datalog"
@@ -22,7 +22,8 @@ import (
 type Explanation struct {
 	// Tuple is the deleted tuple's content key.
 	Tuple string
-	// Layer is the derivation layer (1 = initiating deletions).
+	// Layer is the derivation layer (1 = initiating deletions, 0 = deleted
+	// before the repair, the §3.6 initialization: a leaf).
 	Layer int
 	// Because lists the base tuples whose presence enabled the deletion
 	// (excluding the tuple itself).
@@ -41,6 +42,10 @@ func (e *Explanation) String() string {
 
 func (e *Explanation) render(b *strings.Builder, depth int) {
 	indent := strings.Repeat("  ", depth)
+	if e.Layer == 0 {
+		fmt.Fprintf(b, "%s%s deleted before the repair\n", indent, e.Tuple)
+		return
+	}
 	fmt.Fprintf(b, "%s%s deleted (layer %d)", indent, e.Tuple, e.Layer)
 	if len(e.Because) > 0 {
 		fmt.Fprintf(b, " with %s present", strings.Join(e.Because, ", "))
@@ -101,10 +106,12 @@ func (ex *Explainer) Explainable(key string) bool {
 	return t != nil && len(ex.graph.Assignments[t.TID]) > 0
 }
 
-// Explain returns the first (earliest-layer) derivation of the tuple with
-// the given content key, with delta dependencies expanded recursively; nil
-// if the tuple is not derivable. Shared dependencies are expanded once per
-// path; cycles cannot occur because dependencies strictly decrease in layer.
+// Explain returns the first derivation of the tuple with the given content
+// key — the clause that derived it in its layer — with delta dependencies
+// expanded recursively; nil if the tuple is not derivable. Every dependency
+// of a first derivation sits in an earlier layer, down to the initiating
+// deletions and the tuples deleted before the repair (layer 0, leaves), so
+// the expansion ends. Shared dependencies are expanded once per path.
 func (ex *Explainer) Explain(key string) *Explanation {
 	t := ex.db.Lookup(key)
 	if t == nil {
@@ -115,59 +122,32 @@ func (ex *Explainer) Explain(key string) *Explanation {
 
 // ExplainTuple is Explain addressed by tuple.
 func (ex *Explainer) ExplainTuple(t *engine.Tuple) *Explanation {
-	return ex.explain(t.TID, make(map[engine.TupleID]bool))
+	return ex.explain(t.TID)
 }
 
-func (ex *Explainer) explain(id engine.TupleID, onPath map[engine.TupleID]bool) *Explanation {
+func (ex *Explainer) explain(id engine.TupleID) *Explanation {
 	clauses := ex.graph.Assignments[id]
-	if len(clauses) == 0 || onPath[id] {
+	if len(clauses) == 0 {
 		return nil
 	}
-	onPath[id] = true
-	defer delete(onPath, id)
-
-	// Choose the clause whose delta dependencies sit in the earliest
-	// layers (the most "direct" derivation), deterministically.
-	best := -1
-	bestScore := 1 << 30
-	for i, c := range clauses {
-		score := 0
-		ok := true
-		for _, dep := range c.Neg {
-			l, known := ex.graph.Layer[dep]
-			if !known || onPath[dep] {
-				ok = false
-				break
-			}
-			score += l
-		}
-		if ok && score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	c := clauses[best]
+	pos, neg := ex.graph.Formula.Body(int(clauses[0]))
 	e := &Explanation{Tuple: ex.db.DisplayKey(id), Layer: ex.graph.Layer[id]}
-	for _, pos := range c.Pos {
-		if pos != id {
-			e.Because = append(e.Because, ex.db.DisplayKey(pos))
+	for _, p := range pos {
+		if p != id {
+			e.Because = append(e.Because, ex.db.DisplayKey(p))
 		}
 	}
-	sort.Strings(e.Because)
-	deps := make([]string, 0, len(c.Neg))
-	depOf := make(map[string]engine.TupleID, len(c.Neg))
-	for _, dep := range c.Neg {
-		k := ex.db.DisplayKey(dep)
-		deps = append(deps, k)
-		depOf[k] = dep
-	}
-	sort.Strings(deps)
-	for _, k := range deps {
-		if sub := ex.explain(depOf[k], onPath); sub != nil {
-			e.After = append(e.After, sub)
+	slices.Sort(e.Because)
+	slices.SortFunc(neg, func(a, b engine.TupleID) int {
+		return strings.Compare(ex.db.DisplayKey(a), ex.db.DisplayKey(b))
+	})
+	for _, dep := range neg {
+		// A dependency is in E: a head, or deleted before the repair.
+		sub := ex.explain(dep)
+		if sub == nil {
+			sub = &Explanation{Tuple: ex.db.DisplayKey(dep)}
 		}
+		e.After = append(e.After, sub)
 	}
 	return e
 }

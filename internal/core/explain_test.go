@@ -131,3 +131,45 @@ Delta_R(x) :- R(x), Delta_S(x).
 		t.Fatalf("S(1) should trace to the layer-1 R deletion: %+v", e)
 	}
 }
+
+// TestExplainAfterPreDeletion is the §3.6 scenario RepairAfterDeletions
+// serves: a user deletes Author(4,"Marge") before the repair. Writes(4,6)
+// and Pub(6,"x") are then derived from that deletion at layer 1, and their
+// explanations bottom out at it as a leaf deleted before the repair.
+func TestExplainAfterPreDeletion(t *testing.T) {
+	db, p := academicDB().Fork(), academicProgram(t)
+	marge := engine.ContentKey("Author", []engine.Value{engine.Int(4), engine.Str("Marge")})
+	if !db.DeleteToDelta(marge) {
+		t.Fatal("Author(4,Marge) should be live")
+	}
+	ex, err := NewExplainer(db, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1Key := engine.ContentKey("Writes", []engine.Value{engine.Int(4), engine.Int(6)})
+	if !ex.Explainable(w1Key) {
+		t.Fatal("w1 should be explainable")
+	}
+	e := ex.Explain(w1Key)
+	if e == nil || e.Layer != 1 || len(e.After) != 1 {
+		t.Fatalf("w1 explanation = %+v, want layer 1 after one deletion", e)
+	}
+	if leaf := e.After[0]; leaf.Tuple != marge || leaf.Layer != 0 || len(leaf.After) != 0 {
+		t.Fatalf("w1's dependency = %+v, want the pre-deleted %s as a layer-0 leaf", leaf, marge)
+	}
+	if s := e.String(); !strings.Contains(s, marge+" deleted before the repair") {
+		t.Fatalf("rendering does not name the pre-deletion:\n%s", s)
+	}
+	res, _, err := Run(db, p, SemEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Size() != 7 {
+		t.Fatalf("end deletes %d, want 7", res.Size())
+	}
+	for _, entry := range ex.ExplainResult(res) {
+		if entry.Explanation == nil {
+			t.Fatalf("end deletion %s unexplained", entry.Tuple.Key())
+		}
+	}
+}

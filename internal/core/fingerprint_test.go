@@ -109,3 +109,60 @@ func TestIndependentSearchFingerprint(t *testing.T) {
 		})
 	}
 }
+
+// TestClosureAllocs pins the allocation counts of Algorithm 1's closure
+// and of one repair-all, within ± 10 %, on MAS-8 (an update_repair_stream
+// session) and T-1 (the largest formula of cold_repair_all): a fresh
+// Derivation's buildCNF on each, and the four semantics over one
+// Derivation on MAS-8. The closure writes every clause straight into the
+// formula's flat store, and the end graph, step and the Explainer hold
+// clause indexes into it, so the counts do not grow with the clauses.
+func TestClosureAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	progs := make(map[string]socketProgram)
+	for _, sp := range socketPrograms(t) {
+		progs[sp.name] = sp
+	}
+	derivation := func(name string) *Derivation {
+		sp := progs[name]
+		d, err := NewDerivation(sp.db.Fork(), sp.prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	buildCNF := func(name string) func() {
+		return func() {
+			if _, err := derivation(name).buildCNF(nil, IndependentOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	repairAll := func(name string) func() {
+		return func() {
+			d := derivation(name)
+			for _, sem := range AllSemantics {
+				if _, err := d.Run(sem, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, leg := range []struct {
+		name string
+		runs int
+		op   func()
+		want float64
+		why  string
+	}{
+		{"buildCNF/MAS-8", 20, buildCNF("MAS-8"), 285, "clauses are being copied out of the store again"},
+		{"buildCNF/T-1", 5, buildCNF("T-1"), 1371, "clauses are being copied out of the store again"},
+		{"repair-all/MAS-8", 20, repairAll("MAS-8"), 598, "a policy copies or re-indexes the clauses, or the closure or end fixpoint is derived twice"},
+	} {
+		if got := testing.AllocsPerRun(leg.runs, leg.op); got < 0.9*leg.want || got > 1.1*leg.want {
+			t.Errorf("%s: %.0f allocs per run, want %.0f ± 10 %%: %s", leg.name, got, leg.want, leg.why)
+		}
+	}
+}

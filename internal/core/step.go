@@ -46,29 +46,15 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	// Phase 2 (ProcessProv): the graph projection, then index the graph's
-	// clauses by the tuples they bind, compute benefits, and order the heads
-	// layer by layer — by benefit (desc), then derivation order, within a
-	// layer. Everything is keyed by interned tuple IDs; no content keys exist
+	// Phase 2 (ProcessProv): the graph projection, then benefits, and the
+	// heads ordered layer by layer — by benefit (desc), then derivation
+	// order, within a layer. Clauses are the formula's, reached through its
+	// occurrence index; heads and tuples are its variables (a head is bound
+	// at its self atom, a Pos tuple, so it has one). No content keys exist
 	// on this path.
 	ppStart := time.Now()
-	var headOf []engine.TupleID                // clause id -> the head it derives
-	posIdx := make(map[engine.TupleID][]int32) // tuple -> clause ids where it ∈ Pos, ≠ head
-	negIdx := make(map[engine.TupleID][]int32) // tuple -> clause ids where it ∈ Neg
-	for _, h := range graph.Heads {
-		for _, c := range graph.Assignments[h] {
-			ci := int32(len(headOf))
-			headOf = append(headOf, h)
-			for _, id := range c.Pos {
-				if id != h {
-					posIdx[id] = append(posIdx[id], ci)
-				}
-			}
-			for _, id := range c.Neg {
-				negIdx[id] = append(negIdx[id], ci)
-			}
-		}
-	}
+	f := graph.Formula
+	occ := f.Occurrences()
 	benefits := graph.Benefits()
 	heads := slices.Clone(graph.Heads)
 	sort.SliceStable(heads, func(i, j int) bool {
@@ -76,8 +62,20 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 		if la, lb := graph.Layer[a], graph.Layer[b]; la != lb {
 			return la < lb
 		}
-		return !opts.Step.IgnoreBenefits && benefits[a] > benefits[b]
+		return !opts.Step.IgnoreBenefits && benefits[f.Var(a)] > benefits[f.Var(b)]
 	})
+	// A clause outside the graph starts void: it never fired, so no head
+	// counts on it.
+	void := slices.Repeat([]bool{true}, f.Len())
+	live := make([]int, len(f.TupleIDs())+1) // head variable -> its clauses not yet void
+	assignments := 0
+	for h, cs := range graph.Assignments {
+		live[f.Var(h)] = len(cs)
+		assignments += len(cs)
+		for _, ci := range cs {
+			void[ci] = false
+		}
+	}
 	ppDur := projDur + time.Since(ppStart)
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -85,46 +83,41 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 
 	// Phase 3 (Traverse): greedy selection with cascading pruning.
 	trStart := time.Now()
-	inS := make(map[engine.TupleID]bool)
-	removed := make(map[engine.TupleID]bool)
-	void := make([]bool, len(headOf))
-	voided := make(map[engine.TupleID]int) // head -> its void clauses
+	settled := make([]bool, len(live)) // head variable -> deleted, or underivable and not deleted
 	var order []engine.TupleID
 
 	var voidClause func(ci int32)
-	var removeHead func(h engine.TupleID)
 	voidClause = func(ci int32) {
 		if void[ci] {
 			return
 		}
 		void[ci] = true
-		h := headOf[ci]
-		voided[h]++
-		if voided[h] == len(graph.Assignments[h]) && !inS[h] && !removed[h] {
-			removeHead(h)
+		v := f.Var(f.Heads[ci])
+		if live[v]--; live[v] > 0 || settled[v] {
+			return
 		}
-	}
-	removeHead = func(h engine.TupleID) {
-		removed[h] = true
-		// Clauses requiring ∆(h) as a delta dependency are now void
-		// (h was neither deleted nor remains derivable).
-		for _, ci := range negIdx[h] {
+		// ∆(h) was not deleted and can no longer be derived: the clauses
+		// requiring it as a delta dependency are void.
+		settled[v] = true
+		_, neg := occ.Of(int32(v))
+		for _, ci := range neg {
 			voidClause(ci)
 		}
 	}
-	addToS := func(t engine.TupleID) {
-		inS[t] = true
-		order = append(order, t)
-		// Deleting t voids every assignment using t positively (other than
-		// deriving ∆(t) itself).
-		for _, ci := range posIdx[t] {
-			voidClause(ci)
-		}
-	}
-
 	for _, h := range heads {
-		if !inS[h] && !removed[h] {
-			addToS(h)
+		v := f.Var(h)
+		if settled[v] {
+			continue
+		}
+		settled[v] = true
+		order = append(order, h)
+		// Deleting h voids every assignment using h positively (other than
+		// deriving ∆(h) itself).
+		pos, _ := occ.Of(int32(v))
+		for _, ci := range pos {
+			if f.Heads[ci] != h {
+				voidClause(ci)
+			}
 		}
 	}
 	trDur := time.Since(trStart)
@@ -134,7 +127,7 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 		return nil, err
 	}
 	res.Rounds = graph.NumLayers
-	res.GraphAssignments = len(headOf)
+	res.GraphAssignments = assignments
 	res.Timing.Eval = evalDur
 	res.Timing.ProcessProv = ppDur
 	res.Timing.Traverse = trDur

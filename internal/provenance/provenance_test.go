@@ -1,8 +1,7 @@
 package provenance
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/datalog"
@@ -16,40 +15,52 @@ func simpleSchema() *engine.Schema {
 	return s
 }
 
-func TestClauseOfSeparatesPosAndNeg(t *testing.T) {
+// clause builds an assignment binding pos at base atoms and neg at delta
+// atoms, whose clause is pos ∧ ¬neg.
+func clause(pos, neg []engine.TupleID) *datalog.Assignment {
+	asn := &datalog.Assignment{Rule: &datalog.Rule{}}
+	for i, id := range append(slices.Clip(pos), neg...) {
+		asn.Rule.Body = append(asn.Rule.Body, datalog.Atom{Delta: i >= len(pos)})
+		asn.Tuples = append(asn.Tuples, &engine.Tuple{TID: id})
+	}
+	return asn
+}
+
+func TestAddSeparatesPosAndNeg(t *testing.T) {
 	s := simpleSchema()
 	db := engine.NewDatabase(s)
 	r1 := db.MustInsert("R", engine.Int(1))
 	s1 := db.MustInsert("S", engine.Int(1))
 	db.DeleteTupleToDelta(s1)
 
-	p, err := datalog.ParseAndValidate("Delta_R(x) :- R(x), Delta_S(x).", s)
+	p, err := datalog.ParseAndValidate("Delta_R(x) :- Delta_S(x), R(x).", s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clauses []Clause
+	f := NewFormula()
 	if err := datalog.EvalRuleOnDB(db, p.Rules[0], func(a *datalog.Assignment) bool {
-		clauses = append(clauses, ClauseOf(a))
+		f.Add(a.Head().TID, a)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(clauses) != 1 {
-		t.Fatalf("clauses = %d, want 1", len(clauses))
+	if f.Len() != 1 {
+		t.Fatalf("clauses = %d, want 1", f.Len())
 	}
-	c := clauses[0]
-	if len(c.Pos) != 1 || c.Pos[0] != r1.TID {
-		t.Fatalf("Pos = %v, want [%d]", c.Pos, r1.TID)
+	pos, neg := f.Body(0)
+	if !slices.Equal(pos, []engine.TupleID{r1.TID}) {
+		t.Fatalf("Pos = %v, want [%d]", pos, r1.TID)
 	}
-	if len(c.Neg) != 1 || c.Neg[0] != s1.TID {
-		t.Fatalf("Neg = %v, want [%d]", c.Neg, s1.TID)
+	if !slices.Equal(neg, []engine.TupleID{s1.TID}) {
+		t.Fatalf("Neg = %v, want [%d]", neg, s1.TID)
 	}
-	if !strings.Contains(c.String(), fmt.Sprintf("¬t%d", s1.TID)) {
-		t.Fatalf("String = %q missing negation", c.String())
+	// Pos tuples are numbered before Neg tuples, whatever the body order.
+	if ids := f.TupleIDs(); !slices.Equal(ids, []engine.TupleID{r1.TID, s1.TID}) {
+		t.Fatalf("TupleIDs = %v, want [%d %d]", ids, r1.TID, s1.TID)
 	}
 }
 
-func TestClauseOfDeduplicatesRepeatedTuples(t *testing.T) {
+func TestAddDeduplicatesRepeatedTuples(t *testing.T) {
 	s := simpleSchema()
 	db := engine.NewDatabase(s)
 	db.MustInsert("R", engine.Int(1))
@@ -58,13 +69,13 @@ func TestClauseOfDeduplicatesRepeatedTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c Clause
+	f := NewFormula()
 	datalog.EvalRuleOnDB(db, p.Rules[0], func(a *datalog.Assignment) bool {
-		c = ClauseOf(a)
+		f.Add(a.Head().TID, a)
 		return false
 	})
-	if len(c.Pos) != 1 {
-		t.Fatalf("Pos = %v, want single deduplicated entry", c.Pos)
+	if pos, neg := f.Body(0); len(pos) != 1 || len(neg) != 0 {
+		t.Fatalf("Pos = %v, Neg = %v; want a single deduplicated Pos entry", pos, neg)
 	}
 }
 
@@ -73,15 +84,15 @@ func TestClauseSigOrderInsensitive(t *testing.T) {
 	// set is ignored, a tuple's sign and the head are not.
 	ids := func(xs ...engine.TupleID) []engine.TupleID { return xs }
 	f := NewFormula()
-	a := Clause{Pos: ids(1, 2), Neg: ids(3)}
+	a := clause(ids(1, 2), ids(3))
 	f.Add(9, a)
-	if f.Add(9, Clause{Pos: ids(2, 1), Neg: ids(3)}) {
+	if f.Add(9, clause(ids(2, 1), ids(3))) {
 		t.Fatal("dedup should ignore Pos order")
 	}
-	if !f.Add(9, Clause{Pos: ids(1), Neg: ids(2, 3)}) {
+	if !f.Add(9, clause(ids(1), ids(2, 3))) {
 		t.Fatal("different clauses must both be kept")
 	}
-	if !f.Add(9, Clause{Pos: ids(1, 2, 3)}) {
+	if !f.Add(9, clause(ids(1, 2, 3), nil)) {
 		t.Fatal("sign placement must be part of the dedup key")
 	}
 	if !f.Add(8, a) {
@@ -89,28 +100,32 @@ func TestClauseSigOrderInsensitive(t *testing.T) {
 	}
 	// A tautological body (tuple 4 both present and deleted) has no CNF
 	// clause, and dedups the same way.
-	taut := Clause{Pos: ids(1, 4), Neg: ids(4)}
-	if !f.Add(9, taut) || f.Add(9, Clause{Pos: ids(4, 1), Neg: ids(4)}) || !f.Add(8, taut) {
+	taut := clause(ids(1, 4), ids(4))
+	if !f.Add(9, taut) || f.Add(9, clause(ids(4, 1), ids(4))) || !f.Add(8, taut) {
 		t.Fatal("tautological clauses must dedup on head and body")
 	}
-	// Six clauses; the CNF holds the three distinct non-tautological bodies.
-	if f.Len() != 6 || f.CNF().NumClauses() != 3 || f.Lits(4) != nil {
-		t.Fatalf("Len = %d, CNF clauses = %d, Lits(4) = %v; want 6, 3, nil", f.Len(), f.CNF().NumClauses(), f.Lits(4))
+	// Six clauses; the CNF holds the three distinct non-tautological
+	// bodies, and the side table decodes the tautological one.
+	if f.Len() != 6 || f.CNF().NumClauses() != 3 {
+		t.Fatalf("Len = %d, CNF clauses = %d; want 6, 3", f.Len(), f.CNF().NumClauses())
+	}
+	if pos, neg := f.Body(4); !slices.Equal(pos, ids(1, 4)) || !slices.Equal(neg, ids(4)) {
+		t.Fatalf("Body(4) = %v, %v; want [1 4], [4]", pos, neg)
 	}
 	// The end graph still reads it: with tuple 4 seeded, head 8's only
 	// firing clause is the tautological one (its other needs tuple 3).
-	if g := f.EndGraph(map[engine.TupleID]bool{4: true}); len(g.Assignments[8]) != 1 || len(g.Assignments[8][0].Neg) != 1 {
-		t.Fatalf("head 8's end-graph clauses = %v, want the tautological one", g.Assignments[8])
+	if g := f.EndGraph(map[engine.TupleID]bool{4: true}); !slices.Equal(g.Assignments[8], []int32{5}) {
+		t.Fatalf("head 8's end-graph clauses = %v, want the tautological one, [5]", g.Assignments[8])
 	}
 }
 
 func TestFormulaDedupAndTupleIDs(t *testing.T) {
 	f := NewFormula()
-	c1 := Clause{Pos: []engine.TupleID{1}, Neg: []engine.TupleID{2}}
+	c1 := clause([]engine.TupleID{1}, []engine.TupleID{2})
 	if !f.Add(1, c1) {
 		t.Fatal("first add should be new")
 	}
-	if f.Add(1, Clause{Pos: []engine.TupleID{1}, Neg: []engine.TupleID{2}}) {
+	if f.Add(1, clause([]engine.TupleID{1}, []engine.TupleID{2})) {
 		t.Fatal("duplicate clause should be dropped")
 	}
 	if !f.Add(3, c1) {
@@ -138,11 +153,11 @@ func TestGraphLayersAndBenefits(t *testing.T) {
 	const g, a4, ag4, a5, ag5 = 1, 2, 3, 4, 5
 	f := NewFormula()
 	// ∆(g) via {g}; ∆(a) via {a, ag, ¬g} twice-ish.
-	f.Add(g, Clause{Pos: []engine.TupleID{g}})
-	f.Add(a4, Clause{Pos: []engine.TupleID{a4, ag4}, Neg: []engine.TupleID{g}})
-	f.Add(a5, Clause{Pos: []engine.TupleID{a5, ag5}, Neg: []engine.TupleID{g}})
+	f.Add(g, clause([]engine.TupleID{g}, nil))
+	f.Add(a4, clause([]engine.TupleID{a4, ag4}, []engine.TupleID{g}))
+	f.Add(a5, clause([]engine.TupleID{a5, ag5}, []engine.TupleID{g}))
 	// Duplicate clause for a4 dropped.
-	if f.Add(a4, Clause{Pos: []engine.TupleID{ag4, a4}, Neg: []engine.TupleID{g}}) {
+	if f.Add(a4, clause([]engine.TupleID{ag4, a4}, []engine.TupleID{g})) {
 		t.Fatal("duplicate clause should be dropped")
 	}
 	gr := f.EndGraph(nil)
@@ -161,11 +176,11 @@ func TestGraphLayersAndBenefits(t *testing.T) {
 	}
 	b := gr.Benefits()
 	// g: +1 (own assignment) -2 (delta dep of two a assignments) = -1.
-	if b[g] != -1 {
-		t.Fatalf("benefit[g] = %d, want -1", b[g])
+	if b[f.Var(g)] != -1 {
+		t.Fatalf("benefit[g] = %d, want -1", b[f.Var(g)])
 	}
 	// a4: +1; ag4: +1.
-	if b[a4] != 1 || b[ag4] != 1 {
+	if b[f.Var(a4)] != 1 || b[f.Var(ag4)] != 1 {
 		t.Fatalf("benefits = %v", b)
 	}
 }
@@ -182,17 +197,17 @@ func TestGraphMatchesPaperFigure5(t *testing.T) {
 	f := NewFormula()
 	// Rule (4): ∆(c) from {c, w1, w2, ¬p1} — added first: layers follow
 	// the negative literals, not the order clauses arrive in.
-	f.Add(c, Clause{Pos: ids(c, w1, w2), Neg: ids(p1)})
+	f.Add(c, clause(ids(c, w1, w2), ids(p1)))
 	// Rules (2)/(3): ∆(p1), ∆(w1) from {p1, w1, ¬a2}; ∆(p2), ∆(w2) from {p2, w2, ¬a3}.
-	f.Add(p1, Clause{Pos: ids(p1, w1), Neg: ids(a2)})
-	f.Add(w1, Clause{Pos: ids(p1, w1), Neg: ids(a2)})
-	f.Add(p2, Clause{Pos: ids(p2, w2), Neg: ids(a3)})
-	f.Add(w2, Clause{Pos: ids(p2, w2), Neg: ids(a3)})
+	f.Add(p1, clause(ids(p1, w1), ids(a2)))
+	f.Add(w1, clause(ids(p1, w1), ids(a2)))
+	f.Add(p2, clause(ids(p2, w2), ids(a3)))
+	f.Add(w2, clause(ids(p2, w2), ids(a3)))
 	// Rule (1): ∆(a2) from {a2, ag2, ¬g2}; ∆(a3) from {a3, ag3, ¬g2}.
-	f.Add(a2, Clause{Pos: ids(a2, ag2), Neg: ids(g2)})
-	f.Add(a3, Clause{Pos: ids(a3, ag3), Neg: ids(g2)})
+	f.Add(a2, clause(ids(a2, ag2), ids(g2)))
+	f.Add(a3, clause(ids(a3, ag3), ids(g2)))
 	// Rule (0): ∆(g2) from {g2}.
-	f.Add(g2, Clause{Pos: ids(g2)})
+	f.Add(g2, clause(ids(g2), nil))
 	g := f.EndGraph(nil)
 
 	wantLayer := map[engine.TupleID]int{g2: 1, a2: 2, a3: 2, p1: 3, w1: 3, p2: 3, w2: 3, c: 4}
@@ -220,8 +235,8 @@ func TestGraphMatchesPaperFigure5(t *testing.T) {
 		c:  1,
 	}
 	for k, wv := range want {
-		if b[k] != wv {
-			t.Errorf("benefit[t%d] = %d, want %d", k, b[k], wv)
+		if b[f.Var(k)] != wv {
+			t.Errorf("benefit[t%d] = %d, want %d", k, b[f.Var(k)], wv)
 		}
 	}
 }
@@ -234,11 +249,11 @@ func TestEndGraphSeeded(t *testing.T) {
 	const s, x, y, z, q, w = 1, 2, 3, 4, 5, 6
 	ids := func(xs ...engine.TupleID) []engine.TupleID { return xs }
 	f := NewFormula()
-	f.Add(z, Clause{Pos: ids(z), Neg: ids(s, x)})
-	f.Add(s, Clause{Pos: ids(s), Neg: ids(x)})
-	f.Add(x, Clause{Pos: ids(x), Neg: ids(s)})
-	f.Add(w, Clause{Pos: ids(w), Neg: ids(q)})
-	f.Add(y, Clause{Pos: ids(y, x)})
+	f.Add(z, clause(ids(z), ids(s, x)))
+	f.Add(s, clause(ids(s), ids(x)))
+	f.Add(x, clause(ids(x), ids(s)))
+	f.Add(w, clause(ids(w), ids(q)))
+	f.Add(y, clause(ids(y, x), nil))
 	g := f.EndGraph(map[engine.TupleID]bool{s: true})
 
 	if l1 := g.LayerHeads(1); len(l1) != 2 || l1[0] != x || l1[1] != y {

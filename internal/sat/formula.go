@@ -11,9 +11,12 @@
 // database).
 //
 // A Formula is one flat clause store — every clause's literals in a single
-// []int32 — and it is the only copy of the clauses: the provenance formula
-// writes its CNF straight into one as clauses are derived, and the solver
-// reads it in place, indexing it once by occurrence.
+// []int32 — and it is the only copy of Algorithm 1's clauses: the
+// provenance formula writes each assignment's literals straight into one as
+// clauses are derived; the solver reads it in place; the end graph, step's
+// traversal, the Explainer and the DOT rendering hold clause indexes into
+// it. Occurrences is the one way to index clauses by literal: the solver
+// builds one per search, and the provenance formula one over its clauses.
 package sat
 
 import (
@@ -130,6 +133,51 @@ func (f *Formula) fork() *Formula {
 // Clause returns the i-th stored clause in canonical form (shared slice; do
 // not mutate).
 func (f *Formula) Clause(i int) []int32 { return f.lits[f.start[i]:f.start[i+1]:f.start[i+1]] }
+
+// Occurrences indexes a clause set by literal: for every variable, the
+// clauses holding it positively and those holding it negatively, each list
+// in clause order, all in one compressed-row slice.
+type Occurrences struct {
+	occ   []int32
+	start []int32 // +v's clauses are occ[start[2v]:start[2v+1]], -v's run to start[2v+2]
+}
+
+// NewOccurrences indexes clauses 0..m-1 over variables 1..n, clause ci
+// being clause(ci). It counts each literal's occurrences into its slot and
+// sums them into slot ends, then fills every slot backwards from its end,
+// taking clauses in reverse, so each list comes out in clause order and
+// each slot's cursor ends at its start.
+func NewOccurrences(n, m int, clause func(int) []int32) Occurrences {
+	slot := func(l int32) int32 {
+		if l < 0 {
+			return 1 - 2*l
+		}
+		return 2 * l
+	}
+	o := Occurrences{start: make([]int32, 2*n+3)}
+	for ci := range m {
+		for _, l := range clause(ci) {
+			o.start[slot(l)]++
+		}
+	}
+	for i := 1; i < len(o.start); i++ {
+		o.start[i] += o.start[i-1]
+	}
+	o.occ = make([]int32, o.start[len(o.start)-1])
+	for ci := m - 1; ci >= 0; ci-- {
+		for _, l := range clause(ci) {
+			o.start[slot(l)]--
+			o.occ[o.start[slot(l)]] = int32(ci)
+		}
+	}
+	return o
+}
+
+// Of returns the clauses holding +v and those holding -v. The slices are
+// shared; do not modify them.
+func (o *Occurrences) Of(v int32) (pos, neg []int32) {
+	return o.occ[o.start[2*v]:o.start[2*v+1]], o.occ[o.start[2*v+1]:o.start[2*v+2]]
+}
 
 // Eval reports whether the assignment (1-based; assignment[v] is v's value)
 // satisfies every clause.

@@ -69,11 +69,9 @@ type solver struct {
 	free      []int32
 	freeNeg   []int32
 
-	// occ lists, in clause order, the clauses holding each literal: +v's at
-	// occ[occStart[2v]:occStart[2v+1]], -v's up to occStart[2v+2]. It is
-	// built once per search, in compressed-row form, off the flat store.
-	occ      []int32
-	occStart []int32
+	// occ lists, in clause order, the clauses holding each literal. It is
+	// built once per search off the flat store.
+	occ Occurrences
 
 	trail    []assigned // assignments in order
 	satTrail []int32    // clauses satisfied in order
@@ -122,8 +120,7 @@ func newSolver(f *Formula, opts Options) *solver {
 		satisfied: make([]bool, m),
 		free:      make([]int32, m),
 		freeNeg:   make([]int32, m),
-		occ:       make([]int32, len(f.lits)),
-		occStart:  make([]int32, 2*n+3),
+		occ:       NewOccurrences(n, m, f.Clause),
 		usedStamp: make([]int64, n+1),
 		cancel:    opts.Cancel,
 	}
@@ -138,10 +135,6 @@ func newSolver(f *Formula, opts Options) *solver {
 			s.weights[v] = opts.Weights[v]
 		}
 	}
-	// Count each literal's occurrences into its slot and sum them into slot
-	// ends; then fill every slot backwards from its end, taking clauses in
-	// reverse, so each list comes out in clause order and each slot's
-	// cursor ends at its start.
 	for ci := range m {
 		c := f.Clause(ci)
 		s.free[ci] = int32(len(c))
@@ -149,16 +142,6 @@ func newSolver(f *Formula, opts Options) *solver {
 			if l < 0 {
 				s.freeNeg[ci]++
 			}
-			s.occStart[slot(l)]++
-		}
-	}
-	for i := 1; i < len(s.occStart); i++ {
-		s.occStart[i] += s.occStart[i-1]
-	}
-	for ci := m - 1; ci >= 0; ci-- {
-		for _, l := range f.Clause(ci) {
-			s.occStart[slot(l)]--
-			s.occ[s.occStart[slot(l)]] = int32(ci)
 		}
 	}
 	for v := range s.prefRank {
@@ -170,19 +153,6 @@ func newSolver(f *Formula, opts Options) *solver {
 		}
 	}
 	return s
-}
-
-// slot is literal l's occurrence-list index: 2v for +v, 2v+1 for -v.
-func slot(l int32) int32 {
-	if l < 0 {
-		return 1 - 2*l
-	}
-	return 2 * l
-}
-
-// occs returns the clauses holding +v and those holding -v.
-func (s *solver) occs(v int32) (pos, neg []int32) {
-	return s.occ[s.occStart[2*v]:s.occStart[2*v+1]], s.occ[s.occStart[2*v+1]:s.occStart[2*v+2]]
 }
 
 func (s *solver) solve() Result {
@@ -213,7 +183,7 @@ func (s *solver) solve() Result {
 // conflict.
 func (s *solver) rootPropagate() bool {
 	for v := int32(1); v <= int32(s.f.numVars); v++ {
-		if pos, neg := s.occs(v); s.state[v] == 0 && len(pos) == 0 && len(neg) > 0 && !s.assignAndPropagate(v, false) {
+		if pos, neg := s.occ.Of(v); s.state[v] == 0 && len(pos) == 0 && len(neg) > 0 && !s.assignAndPropagate(v, false) {
 			return false
 		}
 	}
@@ -237,7 +207,7 @@ func (s *solver) assign(v int32, val bool) bool {
 	}
 	s.usedStamp[v] = -1
 	s.trail = append(s.trail, assigned{v, int32(len(s.satTrail))})
-	trueOcc, falseOcc := s.occs(v)
+	trueOcc, falseOcc := s.occ.Of(v)
 	if !val {
 		trueOcc, falseOcc = falseOcc, trueOcc
 	}
@@ -282,7 +252,7 @@ func (s *solver) assignAndPropagate(v int32, val bool) bool {
 	if !s.assign(v, val) {
 		return false
 	}
-	falseOcc, neg := s.occs(v)
+	falseOcc, neg := s.occ.Of(v)
 	if val {
 		falseOcc = neg
 	}
@@ -311,7 +281,7 @@ func (s *solver) undoTo(cp checkpoint) {
 	s.firstUnsat = cp.firstUnsat
 	for i := len(s.trail) - 1; i >= cp.trailLen; i-- {
 		a := s.trail[i]
-		pos, neg := s.occs(a.v)
+		pos, neg := s.occ.Of(a.v)
 		if s.state[a.v] == 1 {
 			s.costNow -= s.weights[a.v]
 			for _, ci := range neg {
@@ -447,7 +417,7 @@ func (s *solver) greedyDescent() {
 				break
 			}
 			cover := 0
-			pos, _ := s.occs(v)
+			pos, _ := s.occ.Of(v)
 			for _, cj := range pos {
 				if !s.satisfied[cj] {
 					cover++
@@ -502,7 +472,7 @@ func (s *solver) litLess(li, lj int32) bool {
 }
 
 // posCount is v's static positive occurrence count, for branch ordering.
-func (s *solver) posCount(v int32) int32 { return s.occStart[2*v+1] - s.occStart[2*v] }
+func (s *solver) posCount(v int32) int32 { return s.occ.start[2*v+1] - s.occ.start[2*v] }
 
 func (s *solver) search(depth int) {
 	s.nodes++

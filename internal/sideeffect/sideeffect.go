@@ -282,19 +282,11 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 	// the synthetic head 0 (the view row is not a stored tuple).
 	formula := provenance.NewFormula()
 	for _, w := range row.Witnesses {
-		c := provenance.Clause{}
-		seen := make(map[engine.TupleID]bool, len(w))
-		for _, tp := range w {
-			if !seen[tp.TID] {
-				seen[tp.TID] = true
-				// The requirement is the *opposite* of a stability clause —
-				// we NEED one deletion per witness. We encode witnesses
-				// directly as positive SAT clauses below, so collect them
-				// as Pos here.
-				c.Pos = append(c.Pos, tp.TID)
-			}
-		}
-		formula.Add(0, c)
+		// The requirement is the *opposite* of a stability clause — we NEED
+		// one deletion per witness — and the view's atoms are all base
+		// atoms, so a witness's clause is the all-positive "delete one of
+		// these".
+		formula.Add(0, &datalog.Assignment{Rule: v.rule, Tuples: w})
 	}
 	witnesses := formula.Len()
 
@@ -314,7 +306,7 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		var evalErr error
 		for _, pr := range progPrep.Rules {
 			err := pr.EvalFromBase(db, ctx, func(asn *datalog.Assignment) bool {
-				formula.Add(asn.Head().TID, provenance.ClauseOf(asn))
+				formula.Add(asn.Head().TID, asn)
 				if formula.Len()-witnesses > maxClauses {
 					evalErr = fmt.Errorf("sideeffect: stability formula exceeded %d clauses", maxClauses)
 					return false

@@ -95,3 +95,18 @@ func TestRunningExampleGolden(t *testing.T) {
 	}
 	checkGolden(t, "running_example.golden", renderGolden(t, db, p))
 }
+
+// TestRunningExamplePreDeletedGolden is the same rendering after a user
+// deletes Author(4,"Marge") before the repair (§3.6): the explanations of
+// the deletions it enables end at it, deleted before the repair.
+func TestRunningExamplePreDeletedGolden(t *testing.T) {
+	db := programs.RunningExampleDB().Fork()
+	p, err := datalog.ParseAndValidate(programs.RunningExampleSource, db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.DeleteToDelta(engine.ContentKey("Author", []engine.Value{engine.Int(4), engine.Str("Marge")})) {
+		t.Fatal("Author(4,Marge) should be live")
+	}
+	checkGolden(t, "running_example_pre_deleted.golden", renderGolden(t, db, p))
+}

@@ -36,6 +36,7 @@ func ProvenanceDOT(g *provenance.Graph, name func(engine.TupleID) string) string
 	b.WriteString("digraph provenance {\n")
 	b.WriteString("  rankdir=BT;\n  node [fontsize=10];\n")
 
+	f := g.Formula
 	benefits := g.Benefits()
 
 	// Delta nodes grouped per layer with rank=same.
@@ -57,13 +58,14 @@ func ProvenanceDOT(g *provenance.Graph, name func(engine.TupleID) string) string
 	var baseOrder []string
 	benefitOf := make(map[string]int)
 	for _, h := range g.Heads {
-		for _, c := range g.Assignments[h] {
-			for _, id := range c.Pos {
+		for _, ci := range g.Assignments[h] {
+			pos, _ := f.Body(int(ci))
+			for _, id := range pos {
 				if !baseSeen[id] {
 					baseSeen[id] = true
 					n := name(id)
 					baseOrder = append(baseOrder, n)
-					benefitOf[n] = benefits[id]
+					benefitOf[n] = benefits[f.Var(id)]
 				}
 			}
 		}
@@ -86,11 +88,12 @@ func ProvenanceDOT(g *provenance.Graph, name func(engine.TupleID) string) string
 	}
 	for _, h := range g.Heads {
 		target := fmt.Sprintf("\"d:%s\"", escape(name(h)))
-		for _, c := range g.Assignments[h] {
-			for _, id := range c.Pos {
+		for _, ci := range g.Assignments[h] {
+			pos, neg := f.Body(int(ci))
+			for _, id := range pos {
 				edge(fmt.Sprintf("\"t:%s\"", escape(name(id))), target, "solid")
 			}
-			for _, id := range c.Neg {
+			for _, id := range neg {
 				edge(fmt.Sprintf("\"d:%s\"", escape(name(id))), target, "dashed")
 			}
 		}
