@@ -39,66 +39,80 @@ import (
 //     are what the constants on engine's maxSegments were chosen on.
 func BenchmarkSnapshotApply(b *testing.B) {
 	b.Run("durable_updates", func(b *testing.B) {
-		md := mas.Generate(mas.Config{Scale: 0.2, Seed: 1})
-		prog, err := programs.MAS(20, md)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prep, err := datalog.Prepare(prog, md.DB.Schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap := md.DB.Freeze()
-		if _, err := core.CheckStableP(snap.Fork(), prep); err != nil {
-			b.Fatal(err)
-		}
-		rowsOf := func(u int) []engine.Row {
-			rng := rand.New(rand.NewSource(int64(u)))
-			pid := engine.Int(10_000_000 + u*4)
-			return []engine.Row{
-				{Rel: "Publication", Vals: []engine.Value{pid, engine.Str(fmt.Sprintf("bench-t%d", u))}},
-				{Rel: "Writes", Vals: []engine.Value{engine.Int(2 + rng.Intn(max(md.NumAuthors-1, 1))), pid}},
-				{Rel: "Cite", Vals: []engine.Value{pid, engine.Int(1 + rng.Intn(md.NumPublications))}},
-			}
-		}
-		batches := make([]applyBatch, b.N)
-		for u := range batches {
-			batches[u].ins = rowsOf(u)
-			if u%4 == 3 {
-				for k := max(u-4, 0); k < u; k++ {
-					batches[u].del = append(batches[u].del, rowsOf(k)...)
-				}
-			}
-		}
+		snap, batches := durableUpdatesBatches(b, b.N)
 		runApplies(b, snap, batches)
 	})
-
 	for _, leg := range []struct {
 		name string
 		rows int
 	}{{"grow_10k", 10_000}, {"grow_100k", 100_000}} {
 		b.Run(leg.name, func(b *testing.B) {
-			schema := engine.NewSchema()
-			schema.MustAddRelation("R", "r", "id", "grp")
-			db := engine.NewDatabase(schema)
-			row := func(i int) engine.Row {
-				return engine.Row{Rel: "R", Vals: []engine.Value{engine.Int(i), engine.Int(i % 97)}}
-			}
-			for i := 0; i < leg.rows; i++ {
-				db.MustInsert("R", row(i).Vals...)
-			}
-			db.Relation("R").EnsureIndex(0)
-			db.Relation("R").EnsureIndex(1)
-			batches := make([]applyBatch, b.N)
-			for u := range batches {
-				batches[u].ins = []engine.Row{row(leg.rows + 3*u), row(leg.rows + 3*u + 1), row(leg.rows + 3*u + 2)}
-				if u%4 == 3 {
-					batches[u].del = []engine.Row{row(3 * (u / 4)), row(3*(u/4) + 1), row(3*(u/4) + 2)}
-				}
-			}
-			runApplies(b, db.Freeze(), batches)
+			snap, batches := growBatches(leg.rows, b.N)
+			runApplies(b, snap, batches)
 		})
 	}
+}
+
+// durableUpdatesBatches builds BenchmarkSnapshotApply's durable_updates
+// leg: MAS-20's frozen base, its probed indexes warm, and n batches.
+func durableUpdatesBatches(tb testing.TB, n int) (*engine.Snapshot, []applyBatch) {
+	tb.Helper()
+	md := mas.Generate(mas.Config{Scale: 0.2, Seed: 1})
+	prog, err := programs.MAS(20, md)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prep, err := datalog.Prepare(prog, md.DB.Schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap := md.DB.Freeze()
+	if _, err := core.CheckStableP(snap.Fork(), prep); err != nil {
+		tb.Fatal(err)
+	}
+	rowsOf := func(u int) []engine.Row {
+		rng := rand.New(rand.NewSource(int64(u)))
+		pid := engine.Int(10_000_000 + u*4)
+		return []engine.Row{
+			{Rel: "Publication", Vals: []engine.Value{pid, engine.Str(fmt.Sprintf("bench-t%d", u))}},
+			{Rel: "Writes", Vals: []engine.Value{engine.Int(2 + rng.Intn(max(md.NumAuthors-1, 1))), pid}},
+			{Rel: "Cite", Vals: []engine.Value{pid, engine.Int(1 + rng.Intn(md.NumPublications))}},
+		}
+	}
+	batches := make([]applyBatch, n)
+	for u := range batches {
+		batches[u].ins = rowsOf(u)
+		if u%4 == 3 {
+			for k := max(u-4, 0); k < u; k++ {
+				batches[u].del = append(batches[u].del, rowsOf(k)...)
+			}
+		}
+	}
+	return snap, batches
+}
+
+// growBatches builds a grow leg of BenchmarkSnapshotApply: a frozen
+// relation of rows rows, both columns indexed, and n batches.
+func growBatches(rows, n int) (*engine.Snapshot, []applyBatch) {
+	schema := engine.NewSchema()
+	schema.MustAddRelation("R", "r", "id", "grp")
+	db := engine.NewDatabase(schema)
+	row := func(i int) engine.Row {
+		return engine.Row{Rel: "R", Vals: []engine.Value{engine.Int(i), engine.Int(i % 97)}}
+	}
+	for i := 0; i < rows; i++ {
+		db.MustInsert("R", row(i).Vals...)
+	}
+	db.Relation("R").EnsureIndex(0)
+	db.Relation("R").EnsureIndex(1)
+	batches := make([]applyBatch, n)
+	for u := range batches {
+		batches[u].ins = []engine.Row{row(rows + 3*u), row(rows + 3*u + 1), row(rows + 3*u + 2)}
+		if u%4 == 3 {
+			batches[u].del = []engine.Row{row(3 * (u / 4)), row(3*(u/4) + 1), row(3*(u/4) + 2)}
+		}
+	}
+	return db.Freeze(), batches
 }
 
 type applyBatch struct{ ins, del []engine.Row }

@@ -257,7 +257,6 @@ func BenchmarkSemantics(b *testing.B) {
 // the single-repair baseline on the MAS cascade: k=1 is one Min-Ones
 // solve over the shared provenance CNF (the single-repair independent path), k=8
 // adds up to seven blocking-clause re-solves plus materializations.
-// bench.sh turns the pair into the comparison/server_repairs entry.
 func BenchmarkRepairEnumeration(b *testing.B) {
 	ds := mas.Generate(mas.Config{Scale: 0.02, Seed: 1})
 	p, err := programs.MAS(10, ds)
@@ -309,8 +308,8 @@ func BenchmarkEvaluationStrategies(b *testing.B) {
 // The small pair (the 13-tuple running example) models high-rate request
 // serving where per-request fixed costs dominate; the mas pair (a scale
 // 0.02 cascade) shows the amortization shrinking as the repair itself
-// grows. bench.sh turns each unprepared/prepared pair into a speedup entry
-// in the JSON snapshot.
+// grows. TestPreparedRepairAllocs pins the small prepared leg's
+// allocations.
 func BenchmarkPreparedRepair(b *testing.B) {
 	bench := func(db *deltarepair.Database, src string) func(*testing.B) {
 		return func(b *testing.B) {
@@ -356,9 +355,7 @@ func BenchmarkPreparedRepair(b *testing.B) {
 // clone (the pre-CoW behaviour, still available as Database.Clone) with
 // forking a frozen snapshot. The clone leg is O(database); the fork leg is
 // O(relations), independent of base size — the fork10x leg repeats the
-// fork on a 10x larger base and should land within noise of the small one
-// (bench.sh turns the pair into the O(changes) scaling entry, and
-// fork-vs-clone into a speedup entry).
+// fork on a 10x larger base and should land within noise of the small one.
 func BenchmarkForkVsClone(b *testing.B) {
 	ds := mas.Generate(mas.Config{Scale: 0.02, Seed: 1})
 	b.Run("clone", func(b *testing.B) {
@@ -462,23 +459,17 @@ func stepSearchCloneBaseline(db *deltarepair.Database, p *deltarepair.Program, m
 	return 0, fmt.Errorf("search exhausted")
 }
 
-// BenchmarkStepSearch measures the exhaustive step-semantics search
-// (Def. 3.5 state expansion) on the workload the CoW rework targets: a
-// small violating core inside a large, mostly shared base (the shape a
-// debugger sees when validating one suspect cascade over production
-// data). The search expands 2^6 deletion states; the fork leg is the
-// production RunStepExhaustive, which freezes the input once and forks
-// the shared base per visited state in O(deletions so far), while the
-// clone leg is the pre-CoW baseline deep-cloning the whole base at every
-// state. bench.sh turns the pair into the step_search speedup entry.
-func BenchmarkStepSearch(b *testing.B) {
+// stepSearchWorkload is BenchmarkStepSearch's shape: bigRows rows of an
+// unrelated Big relation around 30 Small rows, six of them violating.
+func stepSearchWorkload(tb testing.TB, bigRows int) (*deltarepair.Database, *deltarepair.Program) {
+	tb.Helper()
 	schema, err := deltarepair.ParseSchema(`Big(a, b)
 	                                        Small(x, tag)`)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	db := deltarepair.NewDatabase(schema)
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < bigRows; i++ {
 		db.MustInsert("Big", deltarepair.Int(i), deltarepair.Int(i%97))
 	}
 	for i := 0; i < 30; i++ {
@@ -491,8 +482,23 @@ func BenchmarkStepSearch(b *testing.B) {
 	p, err := deltarepair.ParseProgram(
 		`Delta_Small(x, t) :- Small(x, t), t = 'bad'.`, schema)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return db, p
+}
+
+// BenchmarkStepSearch measures the exhaustive step-semantics search
+// (Def. 3.5 state expansion) on the workload the CoW rework targets: a
+// small violating core inside a large, mostly shared base (the shape a
+// debugger sees when validating one suspect cascade over production
+// data). The search expands 2^6 deletion states; the fork leg is the
+// production RunStepExhaustive, which freezes the input once and forks
+// the shared base per visited state in O(deletions so far), while the
+// clone leg is the pre-CoW baseline deep-cloning the whole base at every
+// state. TestStepSearchAllocsFlat pins the fork leg's allocations as
+// independent of the base size.
+func BenchmarkStepSearch(b *testing.B) {
+	db, p := stepSearchWorkload(b, 5000)
 	b.Run("fork", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, _, err := core.RunStepExhaustive(db, p, core.StepExhaustiveOptions{})

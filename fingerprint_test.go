@@ -1,0 +1,177 @@
+package deltarepair_test
+
+import (
+	"context"
+	"testing"
+
+	deltarepair "repro"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/programs"
+	"repro/internal/server"
+)
+
+// Cost fingerprints of the root benchmarks: allocation counts and seal
+// counts that a regression moves deterministically, where the benchmarks'
+// timings only move with the machine. Allocation counts are pinned
+// without the race detector only: under it sync.Pool drops pooled items
+// at random.
+
+// allocsNear fails t unless got is within ± 10 % of want.
+func allocsNear(t *testing.T, what string, got, want float64, why string) {
+	t.Helper()
+	if got < 0.9*want || got > 1.1*want {
+		t.Errorf("%s: %.0f allocs per run, want %.0f ± 10 %%: %s", what, got, want, why)
+	}
+}
+
+// TestPreparedRepairAllocs pins BenchmarkPreparedRepair's small prepared
+// leg: a stage repair of the running example through a Prepared. Parsing,
+// validating and planning the program on every call costs ≈ 666.
+func TestPreparedRepairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := programs.RunningExampleDB()
+	p, err := deltarepair.ParseProgram(programs.RunningExampleSource, db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := deltarepair.Prepare(p, db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(50, func() {
+		if _, _, err := pp.Repair(db, deltarepair.Stage); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocsNear(t, "Prepared.Repair(stage)", got, 159, "the program is planned again per call")
+}
+
+// TestStepSearchAllocsFlat: BenchmarkStepSearch's exhaustive step search
+// forks one frozen base per visited state, so its allocations do not grow
+// when the unrelated Big relation grows tenfold. A clone per state
+// allocates in proportion to the base.
+func TestStepSearchAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	allocs := func(bigRows int) float64 {
+		db, p := stepSearchWorkload(t, bigRows)
+		return testing.AllocsPerRun(3, func() {
+			res, _, err := core.RunStepExhaustive(db, p, core.StepExhaustiveOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Size() != 6 {
+				t.Fatalf("size = %d", res.Size())
+			}
+		})
+	}
+	small, big := allocs(5_000), allocs(50_000)
+	if big > 1.1*small {
+		t.Errorf("RunStepExhaustive: %.0f allocs at 50 000 Big rows against %.0f at 5 000: a state copies the base instead of forking it", big, small)
+	}
+}
+
+// TestSessionUpdateAllocsFlat pins BenchmarkSessionUpdate's scaling legs:
+// a Service.Update allocates the same at a 1× and a 10× base, both when
+// the batch touches a relation that did not grow (update_only) and one
+// that did (update_touched). An update that re-freezes or re-seals the
+// relation it touches allocates in proportion to it.
+func TestSessionUpdateAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	allocs := func(scale int, row func(int) []deltarepair.Row) float64 {
+		db, prog := buildScaledBenchWorkload(t, scale)
+		svc := server.New(server.Config{})
+		if err := svc.Register("u", db.Schema, db, prog); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Warm("u"); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		return testing.AllocsPerRun(50, func() {
+			if _, err := svc.Update(ctx, "u", row(i), row(i-1), server.RequestOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	for _, leg := range []struct {
+		name       string
+		small, big int
+		row        func(int) []deltarepair.Row
+	}{{"update_only", 1, 10, seedRow}, {"update_touched", 500, 5000, t1Row}} {
+		small, big := allocs(leg.small, leg.row), allocs(leg.big, leg.row)
+		if big != small {
+			t.Errorf("%s: Service.Update allocates %.0f at a 10× base against %.0f at 1×: an update re-freezes or re-seals its relation", leg.name, big, small)
+		}
+	}
+}
+
+// TestSessionRepairAllocs pins BenchmarkServerThroughput's cached leg and
+// BenchmarkSessionUpdate's incremental leg: a repeat stage repair of a
+// warm session, and one update followed by a stage repair.
+func TestSessionRepairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	db, prog := buildBenchWorkload(t)
+	svc := server.New(server.Config{})
+	if err := svc.Register("s", db.Schema, db, prog); err != nil {
+		t.Fatal(err)
+	}
+	repair := func() {
+		if _, _, _, err := svc.RepairVersioned(ctx, "s", core.SemStage, server.RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repair()
+	allocsNear(t, "repeat RepairVersioned(stage)", testing.AllocsPerRun(50, repair), 95,
+		"the session's plan or its stored result is not used")
+	i := 0
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := svc.Update(ctx, "s", seedRow(i), seedRow(i-1), server.RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		repair()
+		i++
+	})
+	allocsNear(t, "Update + RepairVersioned(stage)", got, 301,
+		"the repair after an update re-plans or derives without its warm start")
+}
+
+// TestApplyRowsSealed pins the write amplification BenchmarkSnapshotApply
+// reports: the rows Snapshot.Apply seals into new segments, exactly, on
+// the durable_updates shape (1.25 per row changed: a batch seals its own
+// rows and the recent segment of ≤ 12 rows) and on a 1 000-batch grow_10k
+// run, which crosses spills and folds (21 per row changed). A per-batch
+// count in the thousands means an update re-freezes its whole relation; a
+// larger grow count means seals fold into the base too often.
+func TestApplyRowsSealed(t *testing.T) {
+	check := func(name string, snap *engine.Snapshot, batches []applyBatch, wantSealed, wantChanged int) {
+		sealed, changed := 0, 0
+		for _, b := range batches {
+			next, info, err := snap.Apply(b.ins, b.del)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed += info.RowsSealed
+			changed += info.Inserted + info.Deleted
+			snap = next
+		}
+		if sealed != wantSealed || changed != wantChanged {
+			t.Errorf("%s: %d rows sealed for %d changed, want %d for %d", name, sealed, changed, wantSealed, wantChanged)
+		}
+	}
+	snap, batches := durableUpdatesBatches(t, 400)
+	check("durable_updates", snap, batches, 2_985, 2_397)
+	snap, batches = growBatches(10_000, 1_000)
+	check("grow_10k", snap, batches, 78_968, 3_750)
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -162,8 +163,9 @@ func TestWarmReplayRefusesStaleHint(t *testing.T) {
 
 // TestWarmEndContinuation: after insert-only updates, end semantics
 // continues the previous fixpoint (insert-seeded round 1, then normal
-// seminaive) and matches a from-scratch run exactly — including when the
-// inserts cascade through delta joins.
+// seminaive) — previousEndFixpoint answers every step — and matches a
+// from-scratch run exactly, including when the inserts cascade through
+// delta joins.
 func TestWarmEndContinuation(t *testing.T) {
 	_, db, prog, prep := warmFixture(t)
 	snap := db.Freeze()
@@ -183,6 +185,11 @@ func TestWarmEndContinuation(t *testing.T) {
 			t.Fatal(err)
 		}
 		warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
+		// Rounds cannot tell a continuation from a cold run here (2 = 2):
+		// ask the continuation itself whether it answers.
+		if _, ok, err := previousEndFixpoint(context.Background(), next.Fork(), prep, warm); err != nil || !ok {
+			t.Fatalf("step %d: insert-only batch not continued from the previous fixpoint (ok=%v, err=%v)", step, ok, err)
+		}
 		got, repaired, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm})
 		if err != nil {
 			t.Fatal(err)

@@ -290,6 +290,31 @@ func BenchmarkRegister(b *testing.B) {
 	}
 }
 
+// TestRegisterAllocs pins BenchmarkRegister's allocation counts within
+// ± 10 %: decoding a body and sealing its rows allocates per relation
+// and per block, not per row. Decoding rows into []any or inserting them
+// one at a time takes MAS-0.1 from ≈ 370 to ≈ 124 000.
+func TestRegisterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	all := benchDatasets(t)
+	for _, ds := range []struct {
+		name string
+		body []byte
+		want float64
+	}{{"mas-0.1", all[19].body, 372}, {"tpch-0.01", all[20].body, 368}} {
+		got := testing.AllocsPerRun(5, func() {
+			if _, _, err := bulkLoad(ds.body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got < 0.9*ds.want || got > 1.1*ds.want {
+			t.Errorf("register %s: %.0f allocs per body, want %.0f ± 10 %%: rows are decoded into []any or inserted one at a time again", ds.name, got, ds.want)
+		}
+	}
+}
+
 // BenchmarkFirstRepairAll times the first /repair-all after a
 // BenchmarkRegister registration (MAS-20, T-1), which pays for whatever
 // the load left to be built lazily.

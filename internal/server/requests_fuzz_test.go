@@ -7,10 +7,11 @@ import (
 )
 
 // fuzzEndpoints are the session endpoints FuzzRequestBodies posts to.
-var fuzzEndpoints = [...]string{"repair", "query", "is-stable", "repairs", "update"}
+var fuzzEndpoints = [...]string{"repair", "query", "is-stable", "repairs", "update", "repair-all", "delete-view-tuple"}
 
 // FuzzRequestBodies posts fuzzed bodies to /repair, /query, /is-stable,
-// /repairs and /update of a fresh running-example session. Nothing may
+// /repairs, /update, /repair-all and /delete-view-tuple of a fresh
+// running-example session. Nothing may
 // panic, the status must be one a client can act on (200, 400, 404, 409,
 // 413, or 504 when the body's own timeout_ms expired), and a 200 /repair
 // or /query repeated must give the same body — the repeat is answered
@@ -35,6 +36,11 @@ func FuzzRequestBodies(f *testing.F) {
 		{4, `{"inserts":{"Pub":[[11,"z"]],"Writes":[[5,11]]}}`},
 		{4, `{"deletes":{"Author":[[5,"Homer"]]}}`},
 		{4, `{"inserts":{"Cite":[[6,7]]},"deletes":{"Cite":[[7,6]]}}`},
+		{5, `{"version":1}`},
+		{5, `{"solver_max_nodes":2,"timeout_ms":500}`},
+		{6, `{"view":"V(a, p) :- Author(a, n), Writes(a, p).","values":[4,6]}`},
+		{6, `{"view":"V(p) :- Pub(p, t).","values":[6],"solver_max_nodes":1,"version":1}`},
+		{6, `{"view":"V(a :- Author(a).","values":[1]}`},
 		{0, `{"semantics":`},
 		{1, `[]`},
 		{3, ``},

@@ -105,10 +105,8 @@ Link(xid, yid)
 // session: Prepare once, Freeze once, fork per request behind admission
 // control — against naive per-request Repair (re-plan + fork every call)
 // at 1, 4, and 16 concurrent clients. ns/op is wall-clock per request
-// across all clients, so 1/ns_per_op is the served request rate;
-// scripts/bench.sh turns each cached/naive pair into a
-// server_throughput/cached_vs_naive_cN speedup entry in the JSON
-// snapshot.
+// across all clients, so 1/ns_per_op is the served request rate.
+// TestSessionRepairAllocs pins a cached request's allocations.
 func BenchmarkServerThroughput(b *testing.B) {
 	db, prog := buildBenchWorkload(b)
 	svcDB, svcProg := buildBenchWorkload(b)
@@ -155,22 +153,16 @@ func BenchmarkServerThroughput(b *testing.B) {
 //
 // The update_only legs isolate the Update call itself on a 1× and a 10×
 // base where all growth is in relations the delta never touches
-// (scripts/bench.sh records the ratio as scaling/update_cost_10x_base:
-// untouched relations share their cores). The update_touched legs do the
+// (untouched relations share their cores). The update_touched legs do the
 // same with a batch that inserts and deletes one row of T1 — a relation
-// that does grow with the base, 1 000 rows against 10 000 — so
-// scaling/update_touched_10x_base is the evidence that an update seals its
-// own rows instead of re-freezing the relation: ~1 with segment-structured
-// cores, ~10 when every touched relation was flattened and re-frozen.
+// that does grow with the base, 1 000 rows against 10 000 — so their
+// ratio is the evidence that an update seals its own rows instead of
+// re-freezing the relation: ~1 with segment-structured cores, ~10 when
+// every touched relation was flattened and re-frozen.
+// TestSessionUpdateAllocsFlat pins both pairs' allocations as equal, and
+// TestSessionRepairAllocs the incremental leg's.
 func BenchmarkSessionUpdate(b *testing.B) {
 	ctx := context.Background()
-	// Each iteration i inserts Seed row (100+i%64) and deletes the row
-	// inserted the previous iteration, so the session's size stays
-	// bounded and every batch does real work (set semantics: the slot
-	// re-inserted after a wrap was deleted 63 iterations earlier).
-	seedRow := func(i int) []deltarepair.Row {
-		return []deltarepair.Row{{Rel: "Seed", Vals: []engine.Value{engine.Int(100 + i%64), engine.Str("keep")}}}
-	}
 
 	b.Run("incremental", func(b *testing.B) {
 		db, prog := buildScaledBenchWorkload(b, 1)
@@ -213,9 +205,6 @@ func BenchmarkSessionUpdate(b *testing.B) {
 		}
 	})
 
-	t1Row := func(i int) []deltarepair.Row {
-		return []deltarepair.Row{{Rel: "T1", Vals: []engine.Value{engine.Int(500_000 + i%64), engine.Int(1)}}}
-	}
 	for _, leg := range []struct {
 		name  string
 		scale int
@@ -242,6 +231,20 @@ func BenchmarkSessionUpdate(b *testing.B) {
 	}
 }
 
+// seedRow is update i of BenchmarkSessionUpdate's stream: iteration i
+// inserts Seed row (100+i%64) and deletes the row inserted the previous
+// iteration, so the session's size stays bounded and every batch does
+// real work (set semantics: the slot re-inserted after a wrap was deleted
+// 63 iterations earlier).
+func seedRow(i int) []deltarepair.Row {
+	return []deltarepair.Row{{Rel: "Seed", Vals: []engine.Value{engine.Int(100 + i%64), engine.Str("keep")}}}
+}
+
+// t1Row is seedRow's twin on T1, a relation that grows with the base.
+func t1Row(i int) []deltarepair.Row {
+	return []deltarepair.Row{{Rel: "T1", Vals: []engine.Value{engine.Int(500_000 + i%64), engine.Int(1)}}}
+}
+
 // BenchmarkDeleteMaintenance measures what incremental delete
 // maintenance buys on a delete-heavy update stream: every batch contains
 // deletions (alternating between a fixpoint member — forcing the
@@ -255,10 +258,9 @@ func BenchmarkSessionUpdate(b *testing.B) {
 //     seminaive fixpoint every delete-containing batch paid before.
 //
 // The base carries 150× bulk rows the stream never touches, the shape that
-// separates O(changes) maintenance from O(database) recomputation;
-// scripts/bench.sh records the pair as
-// session_update/incremental_delete_vs_recompute and gates it in --check
-// mode.
+// separates O(changes) maintenance from O(database) recomputation.
+// TestWarmEndDeleteContinuation (internal/core) fails when the warm path
+// falls back to the recompute.
 func BenchmarkDeleteMaintenance(b *testing.B) {
 	// Seed(1,'drop') roots the whole cascade, so deleting it exercises
 	// forced death + downward closure over the entire previous fixpoint;
