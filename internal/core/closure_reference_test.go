@@ -371,7 +371,7 @@ func checkEndGraphAgainstDefinition(t *testing.T, db *engine.Database, prep *dat
 		t.Fatalf("NumLayers = %d, cold end took %d rounds", g.NumLayers, end.Rounds)
 	}
 	for _, h := range g.Heads {
-		if !prov.preDeleted[h] && !end.ContainsID(h) {
+		if !prov.preDeleted[h] && !end.ids[h] {
 			t.Fatalf("head t%d is not in the end result", h)
 		}
 	}

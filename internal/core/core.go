@@ -132,16 +132,12 @@ func newResult(sem Semantics, deleted []*engine.Tuple) *Result {
 // Size returns |S|.
 func (r *Result) Size() int { return len(r.Deleted) }
 
-// ContainsID reports whether the stabilizing set includes the tuple with
-// the given interned ID.
-func (r *Result) ContainsID(id engine.TupleID) bool { return r.ids[id] }
-
 // ContainsTuple reports whether the stabilizing set includes the tuple.
 func (r *Result) ContainsTuple(t *engine.Tuple) bool { return r.ids[t.TID] }
 
 // Contains reports whether the stabilizing set includes the tuple with the
 // given content key (reporting/API convenience; identity checks inside the
-// engine use ContainsID).
+// engine use ContainsTuple).
 func (r *Result) Contains(key string) bool {
 	if r.keys == nil {
 		r.keys = make(map[string]bool, len(r.Deleted))

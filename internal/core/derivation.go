@@ -154,9 +154,8 @@ func (d *Derivation) runMaterialized(sem Semantics, opts Options) (*Result, *eng
 // endFixpoint returns the end-semantics fixpoint of the database, producing
 // it on first demand: read off the provenance graph when a policy built
 // one, else continued from the previous version's fixpoint when w allows
-// (O(changes): directly after insert-only batches, via DRed after batches
-// with deletions), else derived cold. The duration is what this call spent;
-// zero on a memo hit.
+// (O(changes), after insert-only batches), else derived cold. The duration
+// is what this call spent; zero on a memo hit.
 func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart) (*fixpoint, time.Duration, error) {
 	if d.end != nil {
 		return d.end, 0, nil
@@ -178,7 +177,7 @@ func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart) (*fixpoint, 
 	if prev, ok, err := previousEndFixpoint(ctx, d.db, d.prep, w); err != nil {
 		return nil, 0, err
 	} else if ok {
-		// Install the maintained fixpoint as already-processed deltas of a
+		// Install the previous fixpoint as already-processed deltas of a
 		// scratch fork; the inserted tuples are the round-1 frontier.
 		prior, work = prev, d.db.Fork()
 		for _, t := range prior {

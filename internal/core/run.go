@@ -31,11 +31,9 @@ type Options struct {
 	// plus the base changes since. Every semantics replays the previous
 	// result without deriving anything whenever a seeded change probe
 	// proves the changes interact with no rule; otherwise end semantics
-	// continues the previous fixpoint incrementally — directly after
-	// insert-only updates, via DRed-style over-delete/re-derive after
-	// updates containing deletions — and the others run in full. Hints
-	// never change results — inapplicable ones simply fall back to a full
-	// run.
+	// continues the previous fixpoint after insert-only updates, and
+	// everything else runs in full. Hints never change results —
+	// inapplicable ones simply fall back to a full run.
 	Warm *WarmStart
 }
 

@@ -26,12 +26,11 @@ import (
 //     previous result is replayed without deriving anything. A batch
 //     confined to relations no rule reads seeds nothing and always
 //     replays.
-//  2. End continuation (end, previousEndFixpoint and maintainEndFixpoint).
-//     When the probe hits, end continues the previous fixpoint instead of
-//     deriving cold: as it stands after insert-only batches (end is
-//     monotone in the base), through DRed over-deletion and revival after
-//     batches with deletions; round 1 then evaluates only the
-//     insert-seeded passes.
+//  2. End continuation (end, previousEndFixpoint). When the probe hits
+//     after an insert-only batch, end continues the previous fixpoint
+//     instead of deriving cold (end is monotone in the base); round 1 then
+//     evaluates only the insert-seeded passes. After a batch with
+//     deletions end derives cold.
 //  3. Insert-seeded stability (CheckStableWarmCtx). From a stable state,
 //     deletions keep the database stable and any new assignment binds an
 //     inserted tuple at some base atom, so stability needs only the
@@ -61,10 +60,8 @@ type WarmStart struct {
 	// interned objects from engine.ApplyInfo.InsertedTuples).
 	Inserted map[string][]*engine.Tuple
 	// Deleted holds the tuples the updates deleted, per relation (the
-	// objects from engine.ApplyInfo.DeletedTuples). Empty means the range
-	// was insert-only; otherwise the end-semantics delete continuation
-	// over-deletes their downward closure from the previous fixpoint, and
-	// the change probe seeds its sweeps with them.
+	// objects from engine.ApplyInfo.DeletedTuples). The change probe seeds
+	// its sweeps with them; any at all rule out the end continuation.
 	Deleted map[string][]*engine.Tuple
 }
 
@@ -103,6 +100,32 @@ func (w *WarmStart) seedRelations(db *engine.Database) map[string]*engine.Relati
 	return seeds
 }
 
+// previousEndFixpoint returns the previous version's end fixpoint for
+// Derivation.endFixpoint to continue from instead of deriving cold. It
+// answers only after insert-only ranges: end-semantics derivation is
+// monotone in the base (bodies are positive and bases never shrink during
+// the run), so with no deletions every previously derived delta is still
+// derivable — the old fixpoint is a subset of the new one and is continued
+// as it stands, to the unique fixpoint a from-scratch run reaches.
+//
+// ok is false when there are no usable hints, the range deleted anything,
+// or a hint references a tuple that is not live — a stale hint; the caller
+// then derives cold. After deletions the cold derivation is cheaper than
+// maintaining the fixpoint on the served workloads: on MAS-8's and
+// MAS-19's hub cascades, over-deleting and re-deriving cost more than one
+// cold run.
+func previousEndFixpoint(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) ([]*engine.Tuple, bool, error) {
+	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != SemEnd || len(w.Deleted) > 0 {
+		return nil, false, nil
+	}
+	for _, t := range w.PrevResult.Deleted {
+		if !db.Relation(t.Rel).ContainsTuple(t) {
+			return nil, false, nil // stale hint: recompute from scratch
+		}
+	}
+	return w.PrevResult.Deleted, true, nil
+}
+
 // replay reproduces a previous version's result at the new version: the
 // deleted set and the result metadata are copied. ok is false when a
 // previous deletion is no longer live — the caller's hints were wrong, and
@@ -139,8 +162,8 @@ func (d *Derivation) replay(prev *Result, start time.Time) (*Result, bool) {
 // greedy — so the previous result is reproduced verbatim and is replayed
 // without deriving anything. A batch confined to relations no rule reads
 // seeds no atom and replays. Any probe hit falls back to the full policy
-// (for end, the continuation); the probe's cost is bounded by the update
-// batch and its join neighborhood, not the database.
+// (for end, the insert-only continuation); the probe's cost is bounded by
+// the update batch and its join neighborhood, not the database.
 func (d *Derivation) changeProbe(ctx context.Context, sem Semantics, w *WarmStart) (*Result, bool, error) {
 	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != sem {
 		return nil, false, nil

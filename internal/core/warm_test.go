@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/datalog"
 	"repro/internal/engine"
+	"repro/internal/mas"
+	"repro/internal/programs"
 )
 
 // warmFixture builds a schema with a cascade program plus an Audit
@@ -49,6 +51,20 @@ func sortedKeys(res *Result) string {
 	sort.Strings(keys)
 	return fmt.Sprintf("%v", keys)
 }
+
+// warmInfo folds an ApplyInfo and the previous result into the WarmStart
+// a serving layer would pass for the next request at the new version.
+func warmInfo(prev *Result, info *engine.ApplyInfo) *WarmStart {
+	return &WarmStart{
+		PrevResult: prev,
+		Inserted:   info.InsertedTuples,
+		Deleted:    info.DeletedTuples,
+	}
+}
+
+// exactKeys is the byte-identity comparison: Seq-ordered keys, valid when
+// both results were computed on forks of the same snapshot lineage.
+func exactKeys(res *Result) string { return fmt.Sprintf("%v", res.Keys()) }
 
 func warmRow(rel string, vals ...int) engine.Row {
 	r := engine.Row{Rel: rel}
@@ -213,7 +229,8 @@ func TestWarmEndContinuation(t *testing.T) {
 }
 
 // TestWarmEndRefusedAfterDeletes: a batch with deletions must not use the
-// fixpoint continuation (stale support); results still match scratch.
+// fixpoint continuation (stale support) and derives cold; results still
+// match scratch.
 func TestWarmEndRefusedAfterDeletes(t *testing.T) {
 	_, db, prog, prep := warmFixture(t)
 	snap := db.Freeze()
@@ -227,6 +244,9 @@ func TestWarmEndRefusedAfterDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
+	if _, ok, err := previousEndFixpoint(context.Background(), next.Fork(), prep, warm); err != nil || ok {
+		t.Fatalf("delete batch continued from the previous fixpoint (ok=%v, err=%v)", ok, err)
+	}
 	got, _, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm})
 	if err != nil {
 		t.Fatal(err)
@@ -318,5 +338,169 @@ func TestCheckStableWarm(t *testing.T) {
 	// Without usable hints the warm probe falls back to a full check.
 	if stable, err := CheckStableWarmCtx(nil, s4.Fork(), prep, nil); err != nil || stable {
 		t.Fatalf("nil hints fallback: stable=%v err=%v", stable, err)
+	}
+}
+
+// TestWarmChangeProbeReplay: for the semantics without an incremental
+// executor, a delete-containing batch whose tuples provably join no rule
+// replays the cached result, while an interacting batch recomputes.
+func TestWarmChangeProbeReplay(t *testing.T) {
+	schema, err := engine.ParseSchema("A(x)\nB(x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := datalog.ParseAndValidate("Delta_A(x) :- A(x), B(x).", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := datalog.Prepare(prog, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.NewDatabase(schema)
+	db.MustInsert("A", engine.Int(1))
+	db.MustInsert("A", engine.Int(2))
+	db.MustInsert("B", engine.Int(2))
+	snap := db.Freeze()
+
+	for _, sem := range []Semantics{SemStage, SemStep, SemIndependent} {
+		prev, _, err := RunWith(snap.Fork(), prog, sem, Options{Prepared: prep})
+		if err != nil {
+			t.Fatalf("%s: %v", sem, err)
+		}
+		if prev.Size() != 1 {
+			t.Fatalf("%s: fixture repair has %d tuples, want 1", sem, prev.Size())
+		}
+
+		// A(1) has no B partner in either version: the probe finds no
+		// assignment binding it, so the cached result replays verbatim.
+		next, info, err := snap.Apply(nil, []engine.Row{{Rel: "A", Vals: []engine.Value{engine.Int(1)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep, Warm: warmInfo(prev, info)})
+		if err != nil {
+			t.Fatalf("%s warm: %v", sem, err)
+		}
+		cold, _, err := RunWith(next.Fork(), prog, sem, Options{Prepared: prep})
+		if err != nil {
+			t.Fatalf("%s cold: %v", sem, err)
+		}
+		if exactKeys(got) != exactKeys(cold) {
+			t.Fatalf("%s: replay %s != cold %s", sem, exactKeys(got), exactKeys(cold))
+		}
+		if got.Timing.Eval != 0 {
+			t.Errorf("%s: probe replay ran an executor (eval %v)", sem, got.Timing.Eval)
+		}
+
+		// Deleting B(2) interacts (it bound the only assignment): the
+		// probe hits, the executor reruns, and the repair empties.
+		next2, info2, err := snap.Apply(nil, []engine.Row{{Rel: "B", Vals: []engine.Value{engine.Int(2)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got2, _, err := RunWith(next2.Fork(), prog, sem, Options{Prepared: prep, Warm: warmInfo(prev, info2)})
+		if err != nil {
+			t.Fatalf("%s warm interacting: %v", sem, err)
+		}
+		if got2.Size() != 0 {
+			t.Fatalf("%s: deleting the join partner should empty the repair, got %s", sem, exactKeys(got2))
+		}
+	}
+}
+
+// TestWarmDeleteMASPrograms is the acceptance sweep: all 20 MAS programs
+// plus the running example, × all four semantics. Each program gets a
+// mixed batch deleting two tuples of the previous repair (guaranteed
+// fixpoint interaction) plus one unrelated base row resurrection; the
+// warm result must be byte-identical to a cold recompute on the same
+// lineage.
+func TestWarmDeleteMASPrograms(t *testing.T) {
+	ds := mas.Generate(mas.Config{Scale: 0.01, Seed: 11})
+	masProgs, err := programs.MASAll(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fixture struct {
+		name string
+		db   *engine.Database
+		prog *datalog.Program
+	}
+	var fixtures []fixture
+	for n := 1; n <= 20; n++ {
+		fixtures = append(fixtures, fixture{fmt.Sprintf("mas%02d", n), ds.DB, masProgs[n]})
+	}
+	reProg, err := programs.RunningExampleProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures = append(fixtures, fixture{"running-example", programs.RunningExampleDB(), reProg})
+
+	for _, fx := range fixtures {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			t.Parallel()
+			prep, err := datalog.Prepare(fx.prog, fx.db.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := fx.db.Freeze()
+			for _, sem := range AllSemantics {
+				prev, _, err := RunWith(snap.Fork(), fx.prog, sem, Options{Prepared: prep})
+				if err != nil {
+					t.Fatalf("%s prev: %v", sem, err)
+				}
+
+				// Delete the first and last tuples of the previous repair
+				// (when it has any — both live as base rows under end/step/
+				// stage/independent deletion-only semantics), and resurrect
+				// the first: a mixed batch on relations the program reads.
+				var deletes, inserts []engine.Row
+				if prev.Size() > 0 {
+					first := prev.Deleted[0]
+					last := prev.Deleted[len(prev.Deleted)-1]
+					deletes = append(deletes, engine.Row{Rel: first.Rel, Vals: first.Vals})
+					if last.TID != first.TID {
+						deletes = append(deletes, engine.Row{Rel: last.Rel, Vals: last.Vals})
+					}
+					inserts = append(inserts, engine.Row{Rel: first.Rel, Vals: first.Vals})
+				} else {
+					// Stable program: delete an arbitrary base row so the
+					// batch still contains an effective delete.
+					found := false
+					for _, rs := range fx.db.Schema.Relations {
+						snap.Fork().Relation(rs.Name).Scan(func(tp *engine.Tuple) bool {
+							deletes = append(deletes, engine.Row{Rel: tp.Rel, Vals: tp.Vals})
+							found = true
+							return false
+						})
+						if found {
+							break
+						}
+					}
+					if !found {
+						t.Skipf("%s: empty instance", sem)
+					}
+				}
+				next, info, err := snap.Apply(inserts, deletes)
+				if err != nil {
+					t.Fatalf("%s apply: %v", sem, err)
+				}
+				cold, _, err := RunWith(next.Fork(), fx.prog, sem, Options{Prepared: prep})
+				if err != nil {
+					t.Fatalf("%s cold: %v", sem, err)
+				}
+				got, repaired, err := RunWith(next.Fork(), fx.prog, sem, Options{Prepared: prep, Warm: warmInfo(prev, info)})
+				if err != nil {
+					t.Fatalf("%s warm: %v", sem, err)
+				}
+				if exactKeys(got) != exactKeys(cold) {
+					t.Fatalf("%s: warm %s != cold %s", sem, exactKeys(got), exactKeys(cold))
+				}
+				if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
+					t.Fatalf("%s: warm-repaired fork not stable (err=%v)", sem, err)
+				}
+			}
+		})
 	}
 }

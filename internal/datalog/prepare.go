@@ -373,10 +373,8 @@ func (pr *PreparedRule) EvalFromBase(db *engine.Database, ctx *ExecContext, emit
 // This is the one seeded evaluation: the caller chooses the seeds and the
 // per-position sources, so the same primitive drives the warm stability
 // probe and end-semantics continuation (inserted tuples over the
-// operational sources), DRed over-deletion (deleted tuples over a superset
-// of the old version) and revival (candidates over the live base and the
-// survivors), and the cached-result change probe (deletes plus inserts over
-// a superset of both versions).
+// operational sources) and the cached-result change probe (deletes plus
+// inserts over a superset of both versions).
 func (pr *PreparedRule) EvalChangeSeeded(seeds map[string]*engine.Relation, baseOnly bool, src func(bi int) AtomSource, ctx *ExecContext, emit func(*Assignment) bool) error {
 	evalAt := func(pl *plan, seedAt int, seed *engine.Relation) error {
 		sources := make([]AtomSource, len(pr.Rule.Body))

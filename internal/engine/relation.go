@@ -413,13 +413,6 @@ func (r *Relation) Keys() []string {
 	return out
 }
 
-// IDs returns the live tuples' interned IDs in insertion order.
-func (r *Relation) IDs() []TupleID {
-	out := make([]TupleID, 0, r.Len())
-	r.Scan(func(t *Tuple) bool { out = append(out, t.TID); return true })
-	return out
-}
-
 // EnsureIndex builds the hash index on col if missing. Prepared programs
 // declare their (relation, column) index requirements up front and can
 // build them here before evaluation starts, so no lazy index construction

@@ -58,12 +58,6 @@ type ApplyInfo struct {
 	RowsSealed, RowsCompacted, Compactions int
 }
 
-// InsertOnly reports whether the batch performed no effective deletions.
-func (ai *ApplyInfo) InsertOnly() bool { return ai.Deleted == 0 }
-
-// DeleteOnly reports whether the batch performed no effective insertions.
-func (ai *ApplyInfo) DeleteOnly() bool { return ai.Inserted == 0 }
-
 // Apply produces the snapshot of the database after deleting the given
 // rows and then inserting the given rows (deletes first, so a batch can
 // replace a row's content). The receiver is untouched — existing forks

@@ -41,9 +41,6 @@ func TestSnapshotApplyBasics(t *testing.T) {
 	if got := fmt.Sprintf("%v", info.Changed); got != "[R S]" {
 		t.Fatalf("changed relations %s, want [R S]", got)
 	}
-	if info.InsertOnly() || info.DeleteOnly() {
-		t.Fatalf("mixed batch misclassified: %+v", info)
-	}
 
 	// New version sees the changes; the old version is untouched.
 	newDB, oldDB := next.Fork(), snap.Fork()

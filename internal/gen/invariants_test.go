@@ -132,9 +132,9 @@ func checkScenario(t *testing.T, sc *Scenario) {
 	// with a fresh tuple identity) — is applied to the frozen scenario,
 	// and every semantics' warm run (previous result + ApplyInfo hints)
 	// must be byte-identical (exact Seq-ordered keys — warm and cold
-	// share the post-batch lineage) to a cold run. End semantics takes
-	// the over-delete/re-derive pipeline; the others take the seeded
-	// change probe or fall back, all without changing the answer.
+	// share the post-batch lineage) to a cold run. Every semantics takes
+	// the seeded change probe or falls back to a full run, without
+	// changing the answer.
 	var rows []engine.Row
 	for _, rs := range sc.Schema.Relations {
 		sc.DB.Relation(rs.Name).Scan(func(tp *engine.Tuple) bool {

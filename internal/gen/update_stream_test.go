@@ -145,7 +145,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 	// Shared lineage means shared tuple identities, so the comparison is
 	// byte-identity — exact Seq-ordered keys, not merely set equality —
 	// across whichever warm path engages: change-probe replay, end
-	// continuation, or the delete-maintenance pipeline.
+	// continuation after insert-only batches, or a cold run.
 	chain := freshDB(0).Freeze()
 	prevRes := make(map[core.Semantics]*core.Result)
 	checkWarmChain := func(n int, info *engine.ApplyInfo) {
@@ -186,8 +186,8 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 		// hints, must give every semantics its cold answer whoever produced
 		// the shared end fixpoint. In AllSemantics order end's hints arrive
 		// after independent built the provenance, and end reads its fixpoint
-		// off the graph; in reverse, end's continuation (insert-only or DRed)
-		// produces the fixpoint before step builds the provenance.
+		// off the graph; in reverse, end's insert-only continuation or cold
+		// derivation produces the fixpoint before step builds the provenance.
 		reversed := slices.Clone(core.AllSemantics)
 		slices.Reverse(reversed)
 		for _, order := range [][]core.Semantics{core.AllSemantics, reversed} {

@@ -29,7 +29,7 @@ type StreamOp struct {
 // MaxInserts], and each delete targets a random (possibly absent) row
 // with probability 1/MissDenom, a live row otherwise. Distinct shapes
 // stress distinct warm-start paths: insert-leaning batches the fixpoint
-// continuation, delete-heavy ones the over-delete/re-derive pipeline,
+// continuation, delete-heavy ones the change probe and the cold fallback,
 // interleaved ones the mixed-batch chaining.
 type StreamShape struct {
 	MinDeletes, MaxDeletes int

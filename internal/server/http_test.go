@@ -316,7 +316,7 @@ func TestHTTPNoSuchViewRowIs400(t *testing.T) {
 // semantics as policies over one shared derivation, each warm-started from
 // its own cached result; after an update that interacts with the rules
 // (an insert that extends the cascade, a delete that sends end semantics
-// through delete maintenance) its answer at the pinned version must equal
+// back to a cold derivation) its answer at the pinned version must equal
 // the four /repair answers a second session gives at that version.
 func TestHTTPRepairAllEqualsRepairsAfterUpdate(t *testing.T) {
 	svc := New(Config{})

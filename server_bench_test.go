@@ -245,86 +245,6 @@ func t1Row(i int) []deltarepair.Row {
 	return []deltarepair.Row{{Rel: "T1", Vals: []engine.Value{engine.Int(500_000 + i%64), engine.Int(1)}}}
 }
 
-// BenchmarkDeleteMaintenance measures what incremental delete
-// maintenance buys on a delete-heavy update stream: every batch contains
-// deletions (alternating between a fixpoint member — forcing the
-// over-delete/re-derive pipeline to do real work — and plain base churn),
-// and each version is repaired under end semantics.
-//
-//   - incremental: the previous version's result plus the batch's
-//     ApplyInfo warm-start the run, so repair cost tracks the batch and
-//     its join neighborhood;
-//   - recompute: the same stream with the hints withheld — the full
-//     seminaive fixpoint every delete-containing batch paid before.
-//
-// The base carries 150× bulk rows the stream never touches, the shape that
-// separates O(changes) maintenance from O(database) recomputation.
-// TestWarmEndDeleteContinuation (internal/core) fails when the warm path
-// falls back to the recompute.
-func BenchmarkDeleteMaintenance(b *testing.B) {
-	// Seed(1,'drop') roots the whole cascade, so deleting it exercises
-	// forced death + downward closure over the entire previous fixpoint;
-	// re-inserting it next batch re-derives the cascade through the
-	// insert-seeded continuation. The aux Seed rows are read-set churn
-	// outside the fixpoint. Every batch deletes at least one live row,
-	// and only the small Seed relation is ever touched — the update cost
-	// itself stays O(changes) while the recompute leg pays the fixpoint
-	// over the 150× base.
-	rootRow := []deltarepair.Row{{Rel: "Seed", Vals: []engine.Value{engine.Int(1), engine.Str("drop")}}}
-	auxRow := func(i int) []deltarepair.Row {
-		if i < 0 {
-			return nil
-		}
-		return []deltarepair.Row{{Rel: "Seed", Vals: []engine.Value{engine.Int(300 + i%64), engine.Str("keep")}}}
-	}
-	batch := func(i int) (inserts, deletes []deltarepair.Row) {
-		if i%2 == 0 {
-			return auxRow(i), append(append([]deltarepair.Row{}, rootRow...), auxRow(i-1)...)
-		}
-		return append(append([]deltarepair.Row{}, rootRow...), auxRow(i)...), auxRow(i - 1)
-	}
-
-	for _, leg := range []struct {
-		name string
-		warm bool
-	}{{"incremental", true}, {"recompute", false}} {
-		b.Run(leg.name, func(b *testing.B) {
-			db, prog := buildScaledBenchWorkload(b, 150)
-			prep, err := datalog.Prepare(prog, db.Schema)
-			if err != nil {
-				b.Fatal(err)
-			}
-			snap := db.Freeze()
-			prev, _, err := core.RunWith(snap.Fork(), prog, core.SemEnd, core.Options{Prepared: prep})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				inserts, deletes := batch(i)
-				next, info, err := snap.Apply(inserts, deletes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opts := core.Options{Prepared: prep}
-				if leg.warm {
-					opts.Warm = &core.WarmStart{
-						PrevResult: prev,
-						Inserted:   info.InsertedTuples,
-						Deleted:    info.DeletedTuples,
-					}
-				}
-				res, _, err := core.RunWith(next.Fork(), prog, core.SemEnd, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				snap, prev = next, res
-			}
-		})
-	}
-}
-
 // runClients splits b.N requests across the given number of concurrent
 // client goroutines and waits for all of them.
 func runClients(b *testing.B, clients int, req func() error) {
