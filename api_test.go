@@ -91,10 +91,14 @@ func TestPublicAPIRepairAllAndOptions(t *testing.T) {
 	if err != nil || len(all) != 4 {
 		t.Fatalf("RepairAll: %v, %v", all, err)
 	}
-	res, _, err := deltarepair.RepairWith(db, prog, deltarepair.Independent,
+	pp, err := deltarepair.Prepare(prog, db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := pp.Repair(db, deltarepair.Independent,
 		deltarepair.Options{Independent: deltarepair.IndependentOptions{MaxNodes: 1000}})
 	if err != nil || res.Size() != 3 {
-		t.Fatalf("RepairWith: %v, %v", res, err)
+		t.Fatalf("Prepared.Repair: %v, %v", res, err)
 	}
 	if len(deltarepair.AllSemantics) != 4 {
 		t.Fatal("AllSemantics should list 4 semantics")

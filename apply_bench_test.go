@@ -67,7 +67,7 @@ func durableUpdatesBatches(tb testing.TB, n int) (*engine.Snapshot, []applyBatch
 		tb.Fatal(err)
 	}
 	snap := md.DB.Freeze()
-	if _, err := core.CheckStableP(snap.Fork(), prep); err != nil {
+	if _, err := core.CheckStable(snap.Fork(), nil, core.Options{Prepared: prep}); err != nil {
 		tb.Fatal(err)
 	}
 	rowsOf := func(u int) []engine.Row {

@@ -245,7 +245,7 @@ func BenchmarkSemantics(b *testing.B) {
 	for _, sem := range core.AllSemantics {
 		b.Run(sem.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Run(ds.DB, p, sem); err != nil {
+				if _, _, err := core.RunWith(ds.DB, p, sem, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -266,7 +266,7 @@ func BenchmarkRepairEnumeration(b *testing.B) {
 	for _, k := range []int{1, 8} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sp, err := core.EnumerateRepairs(ds.DB, p, k)
+				sp, err := core.EnumerateRepairsWith(ds.DB, p, core.Options{}, core.EnumerateOptions{K: k})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -288,7 +288,7 @@ func BenchmarkEvaluationStrategies(b *testing.B) {
 	}
 	b.Run("seminaive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Run(ds.DB, p, core.SemEnd); err != nil {
+			if _, _, err := core.RunWith(ds.DB, p, core.SemEnd, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -335,7 +335,7 @@ func BenchmarkPreparedRepair(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := pp.Repair(db, deltarepair.Stage); err != nil {
+					if _, _, err := pp.Repair(db, deltarepair.Stage, deltarepair.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}

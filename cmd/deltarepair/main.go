@@ -137,10 +137,11 @@ func run() error {
 		return emitSQLArtifacts(db, prog, *emitSQL, *emitTriggers)
 	}
 	if *dotPath != "" {
-		graph, err := core.CaptureProvenance(db, prog)
+		ex, err := core.NewExplainer(db, prog)
 		if err != nil {
 			return err
 		}
+		graph := ex.Graph
 		if err := os.WriteFile(*dotPath, []byte(viz.ProvenanceDOT(graph, db.DisplayKey)), 0o644); err != nil {
 			return err
 		}

@@ -77,7 +77,10 @@ type (
 	// Result reports a computed repair: the stabilizing set, timings, and
 	// diagnostics.
 	Result = core.Result
-	// Options bundles per-semantics tuning knobs for RepairWith.
+	// Options bundles the per-call knobs of Prepared.Repair: solver
+	// budgets, warm-start hints, and cancellation — with Ctx set, a run
+	// returns ctx.Err() at its next checkpoint once the context is
+	// canceled or its deadline passes.
 	Options = core.Options
 	// IndependentOptions tunes Algorithm 1 (solver budget, tie-breaking).
 	IndependentOptions = core.IndependentOptions
@@ -140,18 +143,13 @@ func ParseProgram(src string, schema *Schema) (*Program, error) {
 
 // Repair computes the stabilizing set under the chosen semantics and
 // returns it together with the repaired database (D \ S) ∪ ∆(S). The input
-// database is cloned, never mutated.
+// database is cloned, never mutated. For options (budgets, cancellation,
+// warm-start hints) use Prepared.Repair.
+//
+// bench/check.go (bench/ is its own Go module) calls Repair, so its shape
+// changes only in a benchmark change that moves that caller first.
 func Repair(db *Database, p *Program, sem Semantics) (*Result, *Database, error) {
-	return core.Run(db, p, sem)
-}
-
-// RepairWith is Repair with explicit options: solver budgets, warm-start
-// hints, and per-request cancellation — with Options.Ctx set, the run aborts
-// at its next checkpoint (every derivation round, every few thousand
-// enumerated assignments, and inside the SAT search) once the context is
-// canceled or its deadline passes, and returns ctx.Err().
-func RepairWith(db *Database, p *Program, sem Semantics, opts Options) (*Result, *Database, error) {
-	return core.RunWith(db, p, sem, opts)
+	return core.RunWith(db, p, sem, Options{})
 }
 
 // RepairAll runs all four semantics as four policies over one shared
@@ -174,7 +172,7 @@ func RepairAll(db *Database, p *Program) (map[Semantics]*Result, error) {
 //	pp, _ := deltarepair.Prepare(prog, schema)
 //	snap := db.Freeze()
 //	// per request (safe concurrently):
-//	res, repaired, err := pp.Repair(snap.Fork(), deltarepair.Stage)
+//	res, repaired, err := pp.Repair(snap.Fork(), deltarepair.Stage, deltarepair.Options{})
 //
 // Each request then pays O(relations) to fork plus cost proportional to
 // its own deletions, never O(database); the forks share the frozen base's
@@ -183,7 +181,6 @@ func RepairAll(db *Database, p *Program) (map[Semantics]*Result, error) {
 // Freeze/Fork handle is what makes concurrent serving over one base both
 // cheap and race-free.
 type Prepared struct {
-	prog *Program
 	prep *datalog.Prepared
 }
 
@@ -194,44 +191,33 @@ func Prepare(p *Program, schema *Schema) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{prog: p, prep: prep}, nil
+	return &Prepared{prep: prep}, nil
 }
-
-// Program returns the prepared program.
-func (pp *Prepared) Program() *Program { return pp.prog }
 
 // Repair computes the stabilizing set under the chosen semantics using the
-// prepared plans. Like Repair, the input database is cloned, never mutated.
-func (pp *Prepared) Repair(db *Database, sem Semantics) (*Result, *Database, error) {
-	return pp.RepairWith(db, sem, Options{})
-}
-
-// RepairWith is Prepared.Repair with explicit options (solver budgets,
-// cancellation, warm-start hints).
-func (pp *Prepared) RepairWith(db *Database, sem Semantics, opts Options) (*Result, *Database, error) {
+// prepared plans and opts (solver budgets, cancellation, warm-start hints;
+// opts.Prepared is overwritten). Like Repair, the input database is
+// cloned, never mutated.
+func (pp *Prepared) Repair(db *Database, sem Semantics, opts Options) (*Result, *Database, error) {
 	opts.Prepared = pp.prep
-	return core.RunWith(db, pp.prog, sem, opts)
-}
-
-// RepairAll runs all four semantics over the prepared program.
-func (pp *Prepared) RepairAll(db *Database) (map[Semantics]*Result, error) {
-	return core.RunAll(db, pp.prog, Options{Prepared: pp.prep})
-}
-
-// IsStable reports whether the database satisfies no rule of the prepared
-// program, reusing the prepared plans (Def. 3.12).
-func (pp *Prepared) IsStable(db *Database) (bool, error) {
-	return core.CheckStableP(db, pp.prep)
+	return core.RunWith(db, pp.prep.Program, sem, opts)
 }
 
 // IsStable reports whether the database satisfies no rule of the program
 // (Def. 3.12): a stable database needs no repair.
+//
+// bench/check.go (bench/ is its own Go module) calls IsStable, so its shape
+// changes only in a benchmark change that moves that caller first.
 func IsStable(db *Database, p *Program) (bool, error) {
-	return core.CheckStable(db, p)
+	return core.CheckStable(db, p, Options{})
 }
 
 // IsStabilizingSet reports whether deleting the tuples with the given
 // content keys stabilizes the database (Def. 3.14).
+//
+// bench/check.go (bench/ is its own Go module) calls IsStabilizingSet, so
+// its shape changes only in a benchmark change that moves that caller
+// first.
 func IsStabilizingSet(db *Database, p *Program, keys []string) (bool, error) {
 	return core.IsStabilizing(db, p, keys)
 }
@@ -268,11 +254,11 @@ func WriteReport(w io.Writer, db *Database, p *Program) error {
 // ProvenanceDOT renders the program's deletion-provenance graph over the
 // database as Graphviz DOT (the paper's Figure 5 layout).
 func ProvenanceDOT(db *Database, p *Program) (string, error) {
-	g, err := core.CaptureProvenance(db, p)
+	ex, err := core.NewExplainer(db, p)
 	if err != nil {
 		return "", err
 	}
-	return viz.ProvenanceDOT(g, db.DisplayKey), nil
+	return viz.ProvenanceDOT(ex.Graph, db.DisplayKey), nil
 }
 
 // Deletion-propagation (source side-effect) types: remove a view tuple at
@@ -320,15 +306,12 @@ const MaxEnumRepairs = core.MaxEnumRepairs
 // distinct set-minimal stabilizing sets in nondecreasing cost order, with
 // EnumerateRepairs(db, p, 1) identical to Repair(db, p, Independent). The
 // input database is cloned, never mutated.
+//
+// bench/check.go (bench/ is its own Go module) calls EnumerateRepairs, so
+// its shape changes only in a benchmark change that moves that caller
+// first.
 func EnumerateRepairs(db *Database, p *Program, k int) (*RepairSpace, error) {
-	return core.EnumerateRepairs(db, p, k)
-}
-
-// EnumerateRepairsWith is EnumerateRepairs with explicit executor options
-// (prepared plans, context, solver budget) and enumeration
-// options (cardinality-only mode).
-func EnumerateRepairsWith(db *Database, p *Program, opts Options, eopts EnumerateOptions) (*RepairSpace, error) {
-	return core.EnumerateRepairsWith(db, p, opts, eopts)
+	return core.EnumerateRepairsWith(db, p, Options{}, EnumerateOptions{K: k})
 }
 
 // AnswerQuery evaluates a conjunctive query consistently across a repair
@@ -361,5 +344,5 @@ func RepairAfterDeletions(db *Database, p *Program, keys []string, sem Semantics
 			return nil, nil, fmt.Errorf("deltarepair: no live tuple %s to delete", k)
 		}
 	}
-	return core.Run(work, p, sem)
+	return core.RunWith(work, p, sem, Options{})
 }

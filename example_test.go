@@ -77,7 +77,7 @@ func ExamplePrepare() {
 			db.MustInsert("Dept", deltarepair.Int(d))
 			db.MustInsert("Emp", deltarepair.Int(10*d), deltarepair.Int(d))
 		}
-		res, _, _ := pp.Repair(db, deltarepair.Stage)
+		res, _, _ := pp.Repair(db, deltarepair.Stage, deltarepair.Options{})
 		fmt.Printf("%d departments: %d deletions\n", nDepts, res.Size())
 	}
 	// Output:
@@ -111,7 +111,7 @@ func ExampleDatabase_Freeze() {
 	for _, key := range deptKeys[:2] { // once per request
 		work := snap.Fork() // O(changes) working copy
 		work.DeleteToDelta(key)
-		res, _, _ := pp.Repair(work, deltarepair.Stage)
+		res, _, _ := pp.Repair(work, deltarepair.Stage, deltarepair.Options{})
 		fmt.Printf("deleting %s cascades to %d employees\n", key, res.Size())
 	}
 	// Output:

@@ -42,7 +42,7 @@ func TestPreparedRepairAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(50, func() {
-		if _, _, err := pp.Repair(db, deltarepair.Stage); err != nil {
+		if _, _, err := pp.Repair(db, deltarepair.Stage, deltarepair.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,7 +8,7 @@
 // The four are policies over one Derivation (derivation.go): it derives the
 // artefacts they choose from once per request — Algorithm 1's closure
 // formula with the end graph read off it, the end and stage fixpoints. A
-// policy's Result is the stabilizing set alone; Run and RunWith return it
+// policy's Result is the stabilizing set alone; RunWith returns it
 // together with the repaired database, which Materialize builds as a
 // copy-on-write fork. The caller's instance is never mutated.
 package core

@@ -19,11 +19,11 @@ func checkForkVsClone(t *testing.T, db *engine.Database, prog *datalog.Program) 
 	t.Helper()
 	snap := db.Freeze()
 	for _, sem := range AllSemantics {
-		resFork, repFork, err := Run(snap.Fork(), prog, sem)
+		resFork, repFork, err := RunWith(snap.Fork(), prog, sem, Options{})
 		if err != nil {
 			t.Fatalf("%s on fork: %v", sem, err)
 		}
-		resClone, repClone, err := Run(db.Clone(), prog, sem)
+		resClone, repClone, err := RunWith(db.Clone(), prog, sem, Options{})
 		if err != nil {
 			t.Fatalf("%s on clone: %v", sem, err)
 		}

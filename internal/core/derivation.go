@@ -174,9 +174,7 @@ func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart) (*fixpoint, 
 	}
 	work, cfg := d.db, deriveConfig{ctx: ctx, naive: d.naive}
 	var prior []*engine.Tuple
-	if prev, ok, err := previousEndFixpoint(ctx, d.db, d.prep, w); err != nil {
-		return nil, 0, err
-	} else if ok {
+	if prev, ok := previousEndFixpoint(d.db, w); ok {
 		// Install the previous fixpoint as already-processed deltas of a
 		// scratch fork; the inserted tuples are the round-1 frontier.
 		prior, work = prev, d.db.Fork()
@@ -286,9 +284,10 @@ func (d *Derivation) runStage(opts Options) (*Result, error) {
 
 // RunEndNaive is end semantics evaluated without the seminaive frontier
 // optimization: every round re-evaluates every rule against all deltas
-// derived so far. The result is identical to Run(db, p, SemEnd); this entry
-// point exists for the evaluation-strategy ablation benchmark (the paper's
-// implementation uses "standard naïve evaluation", §6).
+// derived so far. The result is identical to RunWith(db, p, SemEnd,
+// Options{}); this entry point exists for the evaluation-strategy ablation
+// benchmark (the paper's implementation uses "standard naïve evaluation",
+// §6).
 func RunEndNaive(db *engine.Database, p *datalog.Program) (*Result, *engine.Database, error) {
 	d, err := derivationFor(db, p, nil)
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 const MaxEnumRepairs = 64
 
 // ClampEnumK returns k normalized to [1, MaxEnumRepairs] — the clamping
-// EnumerateRepairs applies. Exported so serving layers can key caches by
-// the effective k.
+// EnumerateRepairsWith applies. Exported so serving layers can key caches
+// by the effective k.
 func ClampEnumK(k int) int {
 	if k < 1 {
 		return 1
@@ -52,7 +52,7 @@ type RepairSpace struct {
 	// Repairs holds distinct minimal repairs in nondecreasing (weighted)
 	// cost order; ties resolve deterministically by the solver's
 	// tie-breaking. Repairs[0] is byte-identical to the single
-	// independent-semantics Run result under the same options.
+	// independent-semantics RunWith result under the same options.
 	Repairs []*Result
 	// Complete reports that the enumeration provably exhausted the space
 	// (or, with CardinalityOnly, the minimum-cost tie band): no further
@@ -125,22 +125,20 @@ func (rs *RepairSpace) classify() {
 	sort.Slice(rs.certain, func(i, j int) bool { return rs.certain[i].Seq < rs.certain[j].Seq })
 }
 
-// EnumerateRepairs enumerates the k best independent-semantics repairs of
-// db under p with default options. The input database is cloned, never
-// mutated.
-func EnumerateRepairs(db *engine.Database, p *datalog.Program, k int) (*RepairSpace, error) {
-	return EnumerateRepairsWith(db, p, Options{}, EnumerateOptions{K: k})
-}
-
-// EnumerateRepairsWith is EnumerateRepairs with explicit executor and
-// enumeration options. Opts is interpreted as for RunWith (Prepared, Ctx,
-// Independent all apply; Warm hints are ignored — the space depends on the
-// whole database, not on a previous single result).
+// EnumerateRepairsWith enumerates the eopts.K best independent-semantics
+// repairs of db under p. The input database is forked, never mutated. opts
+// is interpreted as for RunWith (Prepared, Ctx, Independent all apply;
+// Warm hints are ignored — the space depends on the whole database, not on
+// a previous single result).
 //
 // The provenance CNF is built once; the solver then runs up to k times,
 // each solution's blocking clause excluding it and its supersets from
 // later solves (see sat.EnumerateMinOnes). Every returned repair is
 // verified to stabilize the database, exactly like the single-repair path.
+//
+// bench/ (its own Go module) calls EnumerateRepairsWith with
+// Options.Prepared, so its shape changes only in a benchmark change that
+// moves bench/trace.go's probes first.
 func EnumerateRepairsWith(db *engine.Database, p *datalog.Program, opts Options, eopts EnumerateOptions) (*RepairSpace, error) {
 	d, err := derivationFor(db, p, opts.Prepared)
 	if err != nil {

@@ -21,11 +21,11 @@ func spaceKeys(rs *RepairSpace) [][]string {
 
 func TestEnumerateK1MatchesRunIndependent(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	single, _, err := Run(academicDB(), p, SemIndependent)
+	single, _, err := RunWith(academicDB(), p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := EnumerateRepairs(db, p, 1)
+	space, err := EnumerateRepairsWith(db, p, Options{}, EnumerateOptions{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func keysOf(ts []*engine.Tuple) []string {
 
 func TestEnumerateRunningExampleSpace(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	space, err := EnumerateRepairs(db, p, 8)
+	space, err := EnumerateRepairsWith(db, p, Options{}, EnumerateOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestEnumerateCardinalityOnly(t *testing.T) {
 		}
 	}
 	// The band is a prefix of the set-minimal enumeration.
-	full, err := EnumerateRepairs(academicDB(), p, MaxEnumRepairs)
+	full, err := EnumerateRepairsWith(academicDB(), p, Options{}, EnumerateOptions{K: MaxEnumRepairs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEnumerateCardinalityOnly(t *testing.T) {
 // execution, and across a save/load round trip.
 func TestEnumerateDeterminism(t *testing.T) {
 	p := academicProgram(t)
-	ref, err := EnumerateRepairs(academicDB(), p, 6)
+	ref, err := EnumerateRepairsWith(academicDB(), p, Options{}, EnumerateOptions{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestEnumerateDeterminism(t *testing.T) {
 	// CoW fork of a frozen snapshot.
 	base := academicDB()
 	snap := base.Freeze()
-	got, err = EnumerateRepairs(snap.Fork(), p, 6)
+	got, err = EnumerateRepairsWith(snap.Fork(), p, Options{}, EnumerateOptions{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestEnumerateDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = EnumerateRepairs(loaded, lp, 6)
+	got, err = EnumerateRepairsWith(loaded, lp, Options{}, EnumerateOptions{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestEnumerateKClamping(t *testing.T) {
 		t.Fatalf("ClampEnumK(1000) = %d", got)
 	}
 	db, p := academicDB(), academicProgram(t)
-	space, err := EnumerateRepairs(db, p, 0)
+	space, err := EnumerateRepairsWith(db, p, Options{}, EnumerateOptions{K: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func wantIDs(t *testing.T, r *Result, want ...string) {
 // mustStable asserts that applying the result to the database stabilizes it.
 func mustStable(t *testing.T, db *engine.Database, p *datalog.Program, r *Result) {
 	t.Helper()
-	if _, err := Apply(db, p, r); err != nil {
+	if _, err := applyVerified(db, p, r); err != nil {
 		t.Fatalf("%s result is not stabilizing: %v", r.Semantics, err)
 	}
 }

@@ -67,27 +67,18 @@ func (e *Explanation) render(b *strings.Builder, depth int) {
 // the database to resolve IDs back to readable content keys when building
 // Explanation trees (the one place this reverse mapping is needed).
 type Explainer struct {
-	graph *provenance.Graph
+	// Graph is the layered provenance graph of the end-semantics
+	// derivation (§5.2, Figure 5 of the paper), read off Algorithm 1's
+	// closure formula under DefaultMaxClauses. It underlies Algorithm 2,
+	// the explanations, and the DOT visualization.
+	Graph *provenance.Graph
 	db    *engine.Database
 }
 
-// NewExplainer captures provenance for the database and program. The
-// database is not modified; it is retained (read-only) to render tuple IDs
-// as content keys.
+// NewExplainer captures provenance for the database and program without
+// applying any deletions. The database is not modified; it is retained
+// (read-only) to render tuple IDs as content keys.
 func NewExplainer(db *engine.Database, p *datalog.Program) (*Explainer, error) {
-	graph, err := CaptureProvenance(db, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Explainer{graph: graph, db: db}, nil
-}
-
-// CaptureProvenance returns the layered provenance graph of the
-// end-semantics derivation (§5.2, Figure 5 of the paper) without applying
-// any deletions: read off Algorithm 1's closure formula, under
-// DefaultMaxClauses. The graph underlies Algorithm 2, the Explainer, and
-// the DOT visualization.
-func CaptureProvenance(db *engine.Database, p *datalog.Program) (*provenance.Graph, error) {
 	d, err := derivationFor(db, p, nil)
 	if err != nil {
 		return nil, err
@@ -96,14 +87,7 @@ func CaptureProvenance(db *engine.Database, p *datalog.Program) (*provenance.Gra
 	if err != nil {
 		return nil, err
 	}
-	return prov.graph, nil
-}
-
-// Explainable reports whether the tuple with the given content key has at
-// least one derivation.
-func (ex *Explainer) Explainable(key string) bool {
-	t := ex.db.Lookup(key)
-	return t != nil && len(ex.graph.Assignments[t.TID]) > 0
+	return &Explainer{Graph: prov.graph, db: db}, nil
 }
 
 // Explain returns the first derivation of the tuple with the given content
@@ -126,12 +110,12 @@ func (ex *Explainer) ExplainTuple(t *engine.Tuple) *Explanation {
 }
 
 func (ex *Explainer) explain(id engine.TupleID) *Explanation {
-	clauses := ex.graph.Assignments[id]
+	clauses := ex.Graph.Assignments[id]
 	if len(clauses) == 0 {
 		return nil
 	}
-	pos, neg := ex.graph.Formula.Body(int(clauses[0]))
-	e := &Explanation{Tuple: ex.db.DisplayKey(id), Layer: ex.graph.Layer[id]}
+	pos, neg := ex.Graph.Formula.Body(int(clauses[0]))
+	e := &Explanation{Tuple: ex.db.DisplayKey(id), Layer: ex.Graph.Layer[id]}
 	for _, p := range pos {
 		if p != id {
 			e.Because = append(e.Because, ex.db.DisplayKey(p))

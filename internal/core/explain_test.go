@@ -17,7 +17,7 @@ func TestExplainRunningExample(t *testing.T) {
 	// w1 (Writes(4,6)) was deleted because p1 was present and a2's
 	// deletion enabled rule (3); a2's deletion traces back to g2.
 	w1Key := engine.ContentKey("Writes", []engine.Value{engine.Int(4), engine.Int(6)})
-	if !ex.Explainable(w1Key) {
+	if ex.Explain(w1Key) == nil {
 		t.Fatal("w1 should be explainable")
 	}
 	e := ex.Explain(w1Key)
@@ -56,9 +56,6 @@ func TestExplainUnderivableTuple(t *testing.T) {
 	// AuthGrant tuples are never derived by any rule: independent
 	// semantics deletes them, but there is no derivation to show.
 	agKey := engine.ContentKey("AuthGrant", []engine.Value{engine.Int(4), engine.Int(2)})
-	if ex.Explainable(agKey) {
-		t.Fatal("ag2 must not be explainable")
-	}
 	if ex.Explain(agKey) != nil {
 		t.Fatal("ag2 explanation should be nil")
 	}
@@ -71,7 +68,7 @@ func TestExplainResultCoversAllSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sem := range AllSemantics {
-		res, _, err := Run(db, p, sem)
+		res, _, err := RunWith(db, p, sem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +77,7 @@ func TestExplainResultCoversAllSemantics(t *testing.T) {
 			t.Fatalf("%s: %d entries for %d deletions", sem, len(entries), res.Size())
 		}
 		for _, entry := range entries {
-			derivable := ex.Explainable(entry.Tuple.Key())
+			derivable := ex.Explain(entry.Tuple.Key()) != nil
 			if derivable && entry.Explanation == nil {
 				t.Fatalf("%s: derivable %s lacks explanation", sem, entry.Tuple.Key())
 			}
@@ -91,7 +88,7 @@ func TestExplainResultCoversAllSemantics(t *testing.T) {
 	}
 	// Every step/stage/end deletion must be explainable (all derivable).
 	for _, sem := range []Semantics{SemStep, SemStage, SemEnd} {
-		res, _, _ := Run(db, p, sem)
+		res, _, _ := RunWith(db, p, sem, Options{})
 		for _, entry := range ex.ExplainResult(res) {
 			if entry.Explanation == nil {
 				t.Fatalf("%s deletion %s unexplained", sem, entry.Tuple.Key())
@@ -147,7 +144,7 @@ func TestExplainAfterPreDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1Key := engine.ContentKey("Writes", []engine.Value{engine.Int(4), engine.Int(6)})
-	if !ex.Explainable(w1Key) {
+	if ex.Explain(w1Key) == nil {
 		t.Fatal("w1 should be explainable")
 	}
 	e := ex.Explain(w1Key)
@@ -160,7 +157,7 @@ func TestExplainAfterPreDeletion(t *testing.T) {
 	if s := e.String(); !strings.Contains(s, marge+" deleted before the repair") {
 		t.Fatalf("rendering does not name the pre-deletion:\n%s", s)
 	}
-	res, _, err := Run(db, p, SemEnd)
+	res, _, err := RunWith(db, p, SemEnd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func (d *Derivation) solution(ctx context.Context, ic *indCNF, assignment []bool
 	if err != nil {
 		return nil, err
 	}
-	stable, err := CheckStablePCtx(ctx, work, d.prep)
+	stable, err := checkStable(ctx, work, d.prep, nil)
 	if err != nil {
 		return nil, err
 	}

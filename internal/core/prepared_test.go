@@ -170,10 +170,10 @@ func TestCheckStablePRejectsMismatchedSchema(t *testing.T) {
 	}
 	other := engine.NewSchema()
 	other.MustAddRelation("Unrelated", "u", "a")
-	if _, err := CheckStableP(engine.NewDatabase(other), prep); err == nil {
-		t.Fatal("mismatched schema accepted by CheckStableP")
+	if _, err := CheckStable(engine.NewDatabase(other), nil, Options{Prepared: prep}); err == nil {
+		t.Fatal("mismatched schema accepted by CheckStable")
 	}
-	if stable, err := CheckStableP(ds.DB, prep); err != nil || stable {
-		t.Fatalf("CheckStableP on matching schema = (%v, %v), want (false, nil)", stable, err)
+	if stable, err := CheckStable(ds.DB, nil, Options{Prepared: prep}); err != nil || stable {
+		t.Fatalf("CheckStable on matching schema = (%v, %v), want (false, nil)", stable, err)
 	}
 }

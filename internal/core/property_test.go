@@ -90,12 +90,12 @@ func TestPropertyAllSemanticsStabilize(t *testing.T) {
 			return false
 		}
 		for _, sem := range AllSemantics {
-			res, _, err := Run(db, p, sem)
+			res, _, err := RunWith(db, p, sem, Options{})
 			if err != nil {
 				t.Logf("seed %d %s: %v", seed, sem, err)
 				return false
 			}
-			if _, err := Apply(db, p, res); err != nil {
+			if _, err := applyVerified(db, p, res); err != nil {
 				t.Logf("seed %d %s: %v", seed, sem, err)
 				return false
 			}
@@ -152,7 +152,7 @@ func TestPropertyGreedyStepVsExhaustive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		greedy, _, err := Run(db, p, SemStep)
+		greedy, _, err := RunWith(db, p, SemStep, Options{})
 		if err != nil {
 			t.Logf("seed %d greedy: %v", seed, err)
 			return false
@@ -165,7 +165,7 @@ func TestPropertyGreedyStepVsExhaustive(t *testing.T) {
 			t.Logf("seed %d: exhaustive %d > greedy %d", seed, exh.Size(), greedy.Size())
 			return false
 		}
-		ind, _, err := Run(db, p, SemIndependent)
+		ind, _, err := RunWith(db, p, SemIndependent, Options{})
 		if err != nil {
 			t.Logf("seed %d ind: %v", seed, err)
 			return false
@@ -200,8 +200,8 @@ func TestPropertyStageEndRuleOrderInvariance(t *testing.T) {
 			return false
 		}
 		for _, sem := range []Semantics{SemEnd, SemStage} {
-			a, _, err1 := Run(db, p, sem)
-			b, _, err2 := Run(db, p2, sem)
+			a, _, err1 := RunWith(db, p, sem, Options{})
+			b, _, err2 := RunWith(db, p2, sem, Options{})
 			if err1 != nil || err2 != nil {
 				t.Logf("seed %d: %v %v", seed, err1, err2)
 				return false
@@ -229,8 +229,8 @@ func TestPropertyDeterminism(t *testing.T) {
 			return false
 		}
 		for _, sem := range AllSemantics {
-			a, _, err1 := Run(db, p, sem)
-			b, _, err2 := Run(db, p, sem)
+			a, _, err1 := RunWith(db, p, sem, Options{})
+			b, _, err2 := RunWith(db, p, sem, Options{})
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -254,7 +254,7 @@ func TestPropertyRandomStepSubsetOfEnd(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		endRes, _, err := Run(db, p, SemEnd)
+		endRes, _, err := RunWith(db, p, SemEnd, Options{})
 		if err != nil {
 			return false
 		}
@@ -267,7 +267,7 @@ func TestPropertyRandomStepSubsetOfEnd(t *testing.T) {
 			t.Logf("seed %d: random step escaped End", seed)
 			return false
 		}
-		if _, err := Apply(db, p, res); err != nil {
+		if _, err := applyVerified(db, p, res); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -302,9 +302,9 @@ func TestStabilityHelpers(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("the full database must be stabilizing: %v, %v", ok, err)
 	}
-	// Apply with a bogus result errors.
+	// applyVerified with a bogus result errors.
 	bogus := newResult(SemEnd, nil)
-	if _, err := Apply(db, p, bogus); err == nil {
+	if _, err := applyVerified(db, p, bogus); err == nil {
 		t.Fatal("applying a non-stabilizing result should error")
 	}
 }
@@ -330,7 +330,7 @@ func TestIndependentClauseBudget(t *testing.T) {
 // chosen set may differ.
 func TestIndependentPreferenceToggle(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	a, _, err := Run(db, p, SemIndependent)
+	a, _, err := RunWith(db, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,4 +341,24 @@ func TestIndependentPreferenceToggle(t *testing.T) {
 	if a.Size() != b.Size() {
 		t.Fatalf("preference changed optimal size: %d vs %d", a.Size(), b.Size())
 	}
+}
+
+// applyVerified deletes the result's stabilizing set from a fork of db and
+// returns the repaired database; it verifies stability and errors if the
+// set does not stabilize (which would indicate an executor bug).
+func applyVerified(db *engine.Database, p *datalog.Program, res *Result) (*engine.Database, error) {
+	work, err := Materialize(db, res)
+	if err != nil {
+		return nil, err
+	}
+	stable, err := CheckStable(work, p, Options{})
+	if err != nil {
+		return nil, err
+	}
+	if !stable {
+		w, _ := FirstViolation(work, p)
+		return nil, fmt.Errorf("core: %s result of size %d does not stabilize the database (witness: %v)",
+			res.Semantics, res.Size(), w)
+	}
+	return work, nil
 }

@@ -54,7 +54,7 @@ func TestRecursiveCascadeEndAndStage(t *testing.T) {
 	db := chainDB(n)
 	p := reachabilityProgram(t, db)
 
-	end, _, err := Run(db, p, SemEnd)
+	end, _, err := RunWith(db, p, SemEnd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRecursiveCascadeEndAndStage(t *testing.T) {
 	if end.Rounds != n {
 		t.Fatalf("end rounds = %d, want %d (one hop per round)", end.Rounds, n)
 	}
-	stage, _, err := Run(db, p, SemStage)
+	stage, _, err := RunWith(db, p, SemStage, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRecursiveCascadeStepAndIndependent(t *testing.T) {
 	db := chainDB(n)
 	p := reachabilityProgram(t, db)
 
-	step, _, err := Run(db, p, SemStep)
+	step, _, err := RunWith(db, p, SemStep, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRecursiveCascadeStepAndIndependent(t *testing.T) {
 	// chain by deleting an Edge... Edges are not deletable by any rule,
 	// but independent semantics may delete them anyway — deleting the
 	// first edge (1,2) stops the cascade at cost 2 (node 1 + edge).
-	ind, _, err := Run(db, p, SemIndependent)
+	ind, _, err := RunWith(db, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRecursiveCycleTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sem := range AllSemantics {
-		res, _, err := Run(db, p, sem)
+		res, _, err := RunWith(db, p, sem, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sem, err)
 		}
@@ -174,7 +174,7 @@ func TestMutualRecursionAllSemantics(t *testing.T) {
 		t.Fatal("program should be recursive")
 	}
 	for _, sem := range AllSemantics {
-		res, _, err := Run(db, p, sem)
+		res, _, err := RunWith(db, p, sem, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sem, err)
 		}
@@ -188,7 +188,7 @@ func TestRecursiveDeepChainScales(t *testing.T) {
 	const n = 400
 	db := chainDB(n)
 	p := reachabilityProgram(t, db)
-	end, _, err := Run(db, p, SemEnd)
+	end, _, err := RunWith(db, p, SemEnd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRecursiveProvenanceLayers(t *testing.T) {
 	const n = 7
 	db := chainDB(n)
 	p := reachabilityProgram(t, db)
-	res, _, err := Run(db, p, SemStep)
+	res, _, err := RunWith(db, p, SemStep, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

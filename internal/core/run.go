@@ -8,7 +8,9 @@ import (
 	"repro/internal/engine"
 )
 
-// Options bundles per-semantics knobs for the Run dispatcher.
+// Options bundles the knobs every operation of this package reads: RunWith,
+// RunAll, Derivation.Run, CheckStable and EnumerateRepairsWith. Each one
+// documents which fields it uses and ignores the rest.
 type Options struct {
 	// Independent configures Algorithm 1 when sem == SemIndependent.
 	Independent IndependentOptions
@@ -16,15 +18,20 @@ type Options struct {
 	Step StepGreedyOptions
 	// Prepared supplies a pre-compiled execution plan (datalog.Prepare) so
 	// repeated runs amortize validation and join planning. It must have
-	// been prepared from the same program passed to RunWith. Nil means
-	// prepare on the fly.
+	// been prepared from the same program passed alongside it (a nil
+	// program trusts it). Nil means prepare on the fly.
+	//
+	// bench/ (its own Go module) sets this field, so its name and type
+	// change only in a benchmark change that moves bench/trace.go's probes
+	// first.
 	Prepared *datalog.Prepared
 	// Ctx, when non-nil, carries per-request cancellation and deadlines
-	// into the policies: the derivation loop checks it every round and
-	// every evalCheckEvery emitted assignments, Algorithm 1 additionally
-	// between its phases and inside the SAT search, and Algorithm 2
-	// between its phases. A canceled run returns ctx.Err() promptly
-	// instead of a partial result.
+	// into the operation; it is the one way a context enters this package.
+	// The derivation loop checks it every round and every evalCheckEvery
+	// emitted assignments, Algorithm 1 additionally between its phases and
+	// inside the SAT search, Algorithm 2 between its phases, and
+	// CheckStable before every rule probe. A canceled operation returns
+	// ctx.Err() promptly instead of a partial result.
 	Ctx context.Context
 	// Warm, when non-nil, carries incremental-update hints from a
 	// versioned serving layer (see WarmStart): a previous version's result
@@ -42,10 +49,8 @@ type Options struct {
 // during one huge join at a negligible per-assignment cost.
 const evalCheckEvery = 4096
 
-// CtxErr reports the context's error, treating nil as "never canceled".
-// Exported for sibling internal packages (sideeffect, server) that poll
-// the same way; callers outside the module use context directly.
-func CtxErr(ctx context.Context) error {
+// ctxErr reports the context's error, treating nil as "never canceled".
+func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}
@@ -57,19 +62,15 @@ func CtxErr(ctx context.Context) error {
 	}
 }
 
-// ctxErr is the package-internal alias used on hot paths.
-func ctxErr(ctx context.Context) error { return CtxErr(ctx) }
-
-// Run executes the chosen semantics with default options and returns the
-// stabilizing set and the repaired database. The input database is forked,
-// never mutated.
-func Run(db *engine.Database, p *datalog.Program, sem Semantics) (*Result, *engine.Database, error) {
-	return RunWith(db, p, sem, Options{})
-}
-
-// RunWith is Run with explicit options: one policy over a Derivation of its
-// own. Callers that want several semantics of one database should share a
+// RunWith executes the chosen semantics as one policy over a Derivation of
+// its own and returns the stabilizing set and the repaired database; the
+// input database is forked, never mutated. Options{} is the default run.
+// Callers that want several semantics of one database should share a
 // Derivation (RunAll, or NewDerivation and Derivation.Run).
+//
+// bench/ (its own Go module) calls RunWith with Options.Prepared, so its
+// shape changes only in a benchmark change that moves bench/trace.go's
+// probes first.
 func RunWith(db *engine.Database, p *datalog.Program, sem Semantics, opts Options) (*Result, *engine.Database, error) {
 	d, err := derivationFor(db, p, opts.Prepared)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // {g2, a2, a3, w1, w2, p1, p2, c}.
 func TestEndSemanticsRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, repaired, err := Run(db, p, SemEnd)
+	res, repaired, err := RunWith(db, p, SemEnd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestEndSemanticsRunningExample(t *testing.T) {
 // already empty when rule (4) could fire.
 func TestStageSemanticsRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, repaired, err := Run(db, p, SemStage)
+	res, repaired, err := RunWith(db, p, SemStage, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestStageSemanticsRunningExample(t *testing.T) {
 // S = {g2, a2, a3, w1, w2}.
 func TestStepGreedyRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, repaired, err := Run(db, p, SemStep)
+	res, repaired, err := RunWith(db, p, SemStep, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestStepExhaustiveRunningExample(t *testing.T) {
 // Ind(P, D) = {g2, ag2, ag3}.
 func TestIndependentRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, repaired, err := Run(db, p, SemIndependent)
+	res, repaired, err := RunWith(db, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestIndependentRunningExample(t *testing.T) {
 // stabilizing set (Prop. 3.18) that contains the end result's bound.
 func TestRandomStepIsStabilizing(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	endRes, _, err := Run(db, p, SemEnd)
+	endRes, _, err := RunWith(db, p, SemEnd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ Delta_R2(y) :- R1(x), R2(y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	indRes, _, err := Run(db, p, SemIndependent)
+	indRes, _, err := RunWith(db, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ Delta_R2(y) :- R1(x), R2(y).
 	if stepRes.Size() != 1 {
 		t.Fatalf("Step size = %d, want 1", stepRes.Size())
 	}
-	greedyRes, _, err := Run(db, p, SemStep)
+	greedyRes, _, err := RunWith(db, p, SemStep, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ Delta_R2(y) :- R1(x), R2(y).
 	mustStable(t, db, p, stepRes)
 	mustStable(t, db, p, greedyRes)
 	// End and Stage delete both tuples.
-	endRes, _, _ := Run(db, p, SemEnd)
+	endRes, _, _ := RunWith(db, p, SemEnd, Options{})
 	if endRes.Size() != 2 {
 		t.Fatalf("End size = %d, want 2", endRes.Size())
 	}
@@ -245,7 +245,7 @@ func TestProposition320Item1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind, _, err := Run(db, p, SemIndependent)
+	ind, _, err := RunWith(db, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestProposition320Item1(t *testing.T) {
 		t.Fatalf("Ind = %v, want the single R2 tuple", ind.Keys())
 	}
 	for _, sem := range []Semantics{SemEnd, SemStage, SemStep} {
-		res, _, err := Run(db, p, sem)
+		res, _, err := RunWith(db, p, sem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,11 +288,11 @@ Delta_R3(y) :- R3(y), R1(x), Delta_R2(x).
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage, _, err := Run(db, p, SemStage)
+	stage, _, err := RunWith(db, p, SemStage, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	end, _, err := Run(db, p, SemEnd)
+	end, _, err := RunWith(db, p, SemEnd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,14 +329,14 @@ Delta_R2(y) :- R1(x), R2(y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage, _, err := Run(db, p, SemStage)
+	stage, _, err := RunWith(db, p, SemStage, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stage.Size() != n+1 {
 		t.Fatalf("Stage size = %d, want %d (the whole database)", stage.Size(), n+1)
 	}
-	step, _, err := Run(db, p, SemStep)
+	step, _, err := RunWith(db, p, SemStep, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,14 +377,14 @@ Delta_R3(z) :- R3(z), R1(x), Delta_R2(y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage, _, err := Run(db, p, SemStage)
+	stage, _, err := RunWith(db, p, SemStage, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stage.Size() != 2 {
 		t.Fatalf("Stage size = %d (%v), want 2", stage.Size(), stage.Keys())
 	}
-	step, _, err := Run(db, p, SemStep)
+	step, _, err := RunWith(db, p, SemStep, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ Delta_VC(y) :- VC(y), Delta_E(x, y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind, _, err := Run(db, p, SemIndependent)
+	ind, _, err := RunWith(db, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestStableDatabaseNeedsNoRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sem := range AllSemantics {
-		res, repaired, err := Run(db, p, sem)
+		res, repaired, err := RunWith(db, p, sem, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +464,7 @@ func TestStableDatabaseNeedsNoRepair(t *testing.T) {
 			t.Fatalf("%s changed a stable database", sem)
 		}
 	}
-	stable, err := CheckStable(db, p)
+	stable, err := CheckStable(db, p, Options{})
 	if err != nil || !stable {
 		t.Fatalf("CheckStable = %v, %v", stable, err)
 	}
@@ -482,7 +482,7 @@ func TestPreExistingDeltasSeedDerivation(t *testing.T) {
 	work := db.Clone()
 	work.DeleteToDelta(engine.ContentKey("Grant", []engine.Value{engine.Int(2), engine.Str("ERC")}))
 
-	res, _, err := Run(work, p2, SemEnd)
+	res, _, err := RunWith(work, p2, SemEnd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,23 +500,23 @@ func TestIndependentWithPreExistingDeltas(t *testing.T) {
 	work := db.Clone()
 	work.DeleteToDelta(engine.ContentKey("Grant", []engine.Value{engine.Int(2), engine.Str("ERC")}))
 
-	res, repaired, err := Run(work, p, SemIndependent)
+	res, repaired, err := RunWith(work, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The result reports only NEW deletions: the two AuthGrant links.
 	wantIDs(t, res, "ag2", "ag3")
-	stable, err := CheckStable(repaired, p)
+	stable, err := CheckStable(repaired, p, Options{})
 	if err != nil || !stable {
 		t.Fatal("repair with pre-existing deltas must stabilize")
 	}
 	// Also with every other semantics for parity.
 	for _, sem := range []Semantics{SemEnd, SemStage, SemStep} {
-		res, repaired, err := Run(work, p, sem)
+		res, repaired, err := RunWith(work, p, sem, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sem, err)
 		}
-		if ok, _ := CheckStable(repaired, p); !ok {
+		if ok, _ := CheckStable(repaired, p, Options{}); !ok {
 			t.Fatalf("%s: unstable after repair", sem)
 		}
 		if res.Contains(engine.ContentKey("Grant", []engine.Value{engine.Int(2), engine.Str("ERC")})) {
@@ -581,7 +581,7 @@ func TestIndependentClosureSeededByPreDeletions(t *testing.T) {
 					t.Fatalf("fixture: %s not found", k)
 				}
 			}
-			res, repaired, err := Run(db, p, SemIndependent)
+			res, repaired, err := RunWith(db, p, SemIndependent, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -601,7 +601,7 @@ func TestIndependentClosureSeededByPreDeletions(t *testing.T) {
 			if res.FormulaClauses != tc.clauses {
 				t.Fatalf("FormulaClauses = %d, want %d", res.FormulaClauses, tc.clauses)
 			}
-			if stable, err := CheckStable(repaired, p); err != nil || !stable {
+			if stable, err := CheckStable(repaired, p, Options{}); err != nil || !stable {
 				t.Fatalf("repaired database not stable (err=%v)", err)
 			}
 		})
@@ -610,10 +610,10 @@ func TestIndependentClosureSeededByPreDeletions(t *testing.T) {
 
 func TestRunDispatcherAndErrors(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	if _, _, err := Run(db, p, Semantics(99)); err == nil {
+	if _, _, err := RunWith(db, p, Semantics(99), Options{}); err == nil {
 		t.Fatal("unknown semantics should error")
 	}
-	res, _, err := Run(db, p, SemStage)
+	res, _, err := RunWith(db, p, SemStage, Options{})
 	if err != nil || res.Semantics != SemStage {
 		t.Fatalf("dispatch failed: %v %v", res, err)
 	}
@@ -628,7 +628,7 @@ func TestRunDispatcherAndErrors(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
-	res, _, err := Run(db, p, SemIndependent)
+	res, _, err := RunWith(db, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func multiDeltaProgram(t *testing.T) (*engine.Database, *datalog.Program) {
 // join two delta atoms across rounds.
 func TestSeminaiveMultiDeltaMatchesNaive(t *testing.T) {
 	db, p := multiDeltaProgram(t)
-	semi, _, err := Run(db, p, SemEnd)
+	semi, _, err := RunWith(db, p, SemEnd, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSeminaivePropertyMatchesNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		semi, _, err1 := Run(db, p, SemEnd)
+		semi, _, err1 := RunWith(db, p, SemEnd, Options{})
 		naive, _, err2 := RunEndNaive(db, p)
 		if err1 != nil || err2 != nil {
 			t.Logf("seed %d: %v / %v", seed, err1, err2)

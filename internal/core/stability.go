@@ -10,41 +10,61 @@ import (
 
 // CheckStable reports whether db is a stable database w.r.t. the program
 // (Def. 3.12): no rule has a satisfying assignment over the current state
-// (live bases joined with recorded deltas).
-func CheckStable(db *engine.Database, p *datalog.Program) (bool, error) {
-	prep, err := resolvePlan(db, p, nil)
+// (live bases joined with recorded deltas). opts is read as by RunWith:
+// Prepared supplies the plan (nil prepares p on the spot), Ctx is checked
+// before every rule probe, and Warm hints with PrevStable set narrow the
+// probe to the insert-seeded passes (see WarmStart). The other options are
+// ignored.
+func CheckStable(db *engine.Database, p *datalog.Program, opts Options) (bool, error) {
+	prep, err := resolvePlan(db, p, opts.Prepared)
 	if err != nil {
 		return false, err
 	}
-	return CheckStableP(db, prep)
+	return checkStable(opts.Ctx, db, prep, opts.Warm)
 }
 
-// CheckStableP is CheckStable over a prepared program: repeated stability
-// probes (server loops, the step debugger) reuse the prepared plans and a
-// pooled execution context instead of re-planning per call.
-func CheckStableP(db *engine.Database, prep *datalog.Prepared) (bool, error) {
-	return CheckStablePCtx(nil, db, prep)
-}
-
-// CheckStablePCtx is CheckStableP with per-request cancellation, checked
-// before every rule probe; serving layers use it so a stability probe
-// against a heavy session honors its deadline instead of holding an
-// admission slot.
-func CheckStablePCtx(ctx context.Context, db *engine.Database, prep *datalog.Prepared) (bool, error) {
+// checkStable is CheckStable over a resolved plan. When w says an earlier
+// version was stable, the new state can only be unstable through an
+// assignment binding at least one freshly inserted tuple at a base atom
+// (rule bodies are positive; deletions never create assignments), so a
+// range with no live insert needs no evaluation at all, and otherwise only
+// the insert-seeded passes over the operational sources are probed.
+// Without such hints every rule's operational plan is probed.
+func checkStable(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (bool, error) {
+	if err := ctxErr(ctx); err != nil {
+		return false, err
+	}
 	if err := prep.CompatibleWith(db.Schema); err != nil {
 		return false, fmt.Errorf("core: %w", err)
 	}
+	var seeds map[string]*engine.Relation
+	if w != nil && w.PrevStable {
+		if seeds = w.seedRelations(db); len(seeds) == 0 {
+			// Deletion-only update from a stable state: still stable.
+			return true, nil
+		}
+	}
 	ec := prep.AcquireContext()
 	defer prep.ReleaseContext(ec)
+	found := false
+	stop := func(*datalog.Assignment) bool {
+		found = true
+		return false
+	}
 	for _, pr := range prep.Rules {
 		if err := ctxErr(ctx); err != nil {
 			return false, err
 		}
-		ok, err := pr.HasAssignment(db, ec)
+		var err error
+		if seeds != nil {
+			err = pr.EvalChangeSeeded(seeds, true, operationalSrc(db, pr.Rule), ec, stop)
+		} else {
+			err = pr.EvalOperational(db, ec, stop)
+		}
 		if err != nil {
 			return false, err
 		}
-		if ok {
+		if found {
 			return false, nil
 		}
 	}
@@ -52,19 +72,22 @@ func CheckStablePCtx(ctx context.Context, db *engine.Database, prep *datalog.Pre
 }
 
 // FirstViolation returns one satisfying assignment witnessing instability,
-// or nil when db is stable. Useful in error messages and tests.
+// or nil when db is stable: the first assignment of the first rule that has
+// one, in the prepared operational plan's enumeration order. Useful in
+// error messages and tests.
 func FirstViolation(db *engine.Database, p *datalog.Program) (*datalog.Assignment, error) {
-	for _, r := range p.Rules {
-		var witness *datalog.Assignment
-		err := datalog.EvalRuleOnDB(db, r, func(a *datalog.Assignment) bool {
+	prep, err := resolvePlan(db, p, nil)
+	if err != nil {
+		return nil, err
+	}
+	var witness *datalog.Assignment
+	for _, pr := range prep.Rules {
+		err := pr.EvalOperational(db, nil, func(a *datalog.Assignment) bool {
 			witness = a
 			return false
 		})
-		if err != nil {
-			return nil, err
-		}
-		if witness != nil {
-			return witness, nil
+		if err != nil || witness != nil {
+			return witness, err
 		}
 	}
 	return nil, nil
@@ -78,25 +101,5 @@ func IsStabilizing(db *engine.Database, p *datalog.Program, keys []string) (bool
 	for _, k := range keys {
 		work.DeleteToDelta(k)
 	}
-	return CheckStable(work, p)
-}
-
-// Apply deletes the result's stabilizing set from a clone of db and returns
-// the repaired database; it verifies stability and errors if the set does
-// not stabilize (which would indicate an executor bug).
-func Apply(db *engine.Database, p *datalog.Program, res *Result) (*engine.Database, error) {
-	work, err := Materialize(db, res)
-	if err != nil {
-		return nil, err
-	}
-	stable, err := CheckStable(work, p)
-	if err != nil {
-		return nil, err
-	}
-	if !stable {
-		w, _ := FirstViolation(work, p)
-		return nil, fmt.Errorf("core: %s result of size %d does not stabilize the database (witness: %v)",
-			res.Semantics, res.Size(), w)
-	}
-	return work, nil
+	return CheckStable(work, p, Options{})
 }

@@ -31,17 +31,17 @@ import (
 //     instead of deriving cold (end is monotone in the base); round 1 then
 //     evaluates only the insert-seeded passes. After a batch with
 //     deletions end derives cold.
-//  3. Insert-seeded stability (CheckStableWarmCtx). From a stable state,
-//     deletions keep the database stable and any new assignment binds an
-//     inserted tuple at some base atom, so stability needs only the
-//     insert-seeded passes.
+//  3. Insert-seeded stability (CheckStable with PrevStable hints). From a
+//     stable state, deletions keep the database stable and any new
+//     assignment binds an inserted tuple at some base atom, so stability
+//     needs only the insert-seeded passes.
 //
 // All three are exact: the update-stream equivalence suite (internal/gen)
 // asserts incremental results are identical to from-scratch recomputation
 // at every version, for all four semantics.
 
-// WarmStart carries incremental-update hints into RunWith and
-// CheckStableWarmCtx. The caller (normally internal/server) is responsible
+// WarmStart carries incremental-update hints into RunWith and CheckStable
+// (Options.Warm). The caller (normally internal/server) is responsible
 // for the hints' truth: PrevResult/PrevStable must describe an earlier
 // version of the same database lineage, and Inserted and Deleted must
 // cover every base change between that version and the database being
@@ -53,7 +53,7 @@ type WarmStart struct {
 	// earlier version, enabling probe replay (all semantics) and fixpoint
 	// continuation (end semantics).
 	PrevResult *Result
-	// PrevStable, for CheckStableWarmCtx: the earlier version was verified
+	// PrevStable, for CheckStable: the earlier version was verified
 	// stable.
 	PrevStable bool
 	// Inserted holds the tuples the updates inserted, per relation (the
@@ -73,31 +73,10 @@ type WarmStart struct {
 // the probed state (a later delete of the same content re-inserts a
 // fresh tuple object, so liveness of the recorded object is exact).
 func (w *WarmStart) seedRelations(db *engine.Database) map[string]*engine.Relation {
-	seeds := make(map[string]*engine.Relation, len(w.Inserted))
-	for rel, tuples := range w.Inserted {
-		if len(tuples) == 0 {
-			continue
-		}
-		live := db.Relation(rel)
-		rs := db.Schema.Relation(rel)
-		if rs == nil || live == nil {
-			continue
-		}
-		var r *engine.Relation
-		for _, t := range tuples {
-			if !live.ContainsTuple(t) {
-				continue // inserted then deleted within the hint range
-			}
-			if r == nil {
-				r = engine.NewScratchRelation(rel, rs.Arity())
-			}
-			r.Insert(t)
-		}
-		if r != nil {
-			seeds[rel] = r
-		}
-	}
-	return seeds
+	return groupByRelation(db.Schema, w.Inserted, func(t *engine.Tuple) bool {
+		live := db.Relation(t.Rel)
+		return live != nil && live.ContainsTuple(t)
+	})
 }
 
 // previousEndFixpoint returns the previous version's end fixpoint for
@@ -114,16 +93,16 @@ func (w *WarmStart) seedRelations(db *engine.Database) map[string]*engine.Relati
 // maintaining the fixpoint on the served workloads: on MAS-8's and
 // MAS-19's hub cascades, over-deleting and re-deriving cost more than one
 // cold run.
-func previousEndFixpoint(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) ([]*engine.Tuple, bool, error) {
+func previousEndFixpoint(db *engine.Database, w *WarmStart) ([]*engine.Tuple, bool) {
 	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != SemEnd || len(w.Deleted) > 0 {
-		return nil, false, nil
+		return nil, false
 	}
 	for _, t := range w.PrevResult.Deleted {
 		if !db.Relation(t.Rel).ContainsTuple(t) {
-			return nil, false, nil // stale hint: recompute from scratch
+			return nil, false // stale hint: recompute from scratch
 		}
 	}
-	return w.PrevResult.Deleted, true, nil
+	return w.PrevResult.Deleted, true
 }
 
 // replay reproduces a previous version's result at the new version: the
@@ -191,7 +170,7 @@ func (d *Derivation) changeProbe(ctx context.Context, sem Semantics, w *WarmStar
 // both endpoint versions are identical.
 func (d *Derivation) changeHits(ctx context.Context, w *WarmStart) (bool, error) {
 	db := d.db
-	deletes, inserts := groupByRelation(db.Schema, w.Deleted), w.seedRelations(db)
+	deletes, inserts := groupByRelation(db.Schema, w.Deleted, nil), w.seedRelations(db)
 	ec := d.prep.AcquireContext()
 	defer d.prep.ReleaseContext(ec)
 	hit := false
@@ -221,64 +200,30 @@ func (d *Derivation) changeHits(ctx context.Context, w *WarmStart) (bool, error)
 }
 
 // groupByRelation materializes per-relation tuple lists as scratch
-// relations, dropping empty groups.
-func groupByRelation(schema *engine.Schema, lists map[string][]*engine.Tuple) map[string]*engine.Relation {
+// relations, keeping the tuples keep accepts (every tuple for a nil keep)
+// and dropping empty groups.
+func groupByRelation(schema *engine.Schema, lists map[string][]*engine.Tuple, keep func(*engine.Tuple) bool) map[string]*engine.Relation {
 	out := make(map[string]*engine.Relation, len(lists))
 	for rel, tuples := range lists {
-		if len(tuples) == 0 {
-			continue
-		}
 		rs := schema.Relation(rel)
 		if rs == nil {
 			continue
 		}
-		r := engine.NewScratchRelation(rel, rs.Arity())
+		var r *engine.Relation
 		for _, t := range tuples {
+			if keep != nil && !keep(t) {
+				continue
+			}
+			if r == nil {
+				r = engine.NewScratchRelation(rel, rs.Arity())
+			}
 			r.Insert(t)
 		}
-		out[rel] = r
+		if r != nil {
+			out[rel] = r
+		}
 	}
 	return out
-}
-
-// CheckStableWarmCtx reports whether db is stable (Def. 3.12), using
-// incremental hints to avoid a full probe. When the hints say an earlier
-// version was stable, the new state can only be unstable through an
-// assignment binding at least one freshly inserted tuple at a base atom
-// (rule bodies are positive; deletions never create assignments), so a
-// range with no live insert needs no evaluation at all, and otherwise only
-// the insert-seeded passes over the operational sources are probed.
-//
-// Without usable hints (nil w, or the earlier version was not known
-// stable) this is exactly CheckStablePCtx.
-func CheckStableWarmCtx(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (bool, error) {
-	if w == nil || !w.PrevStable {
-		return CheckStablePCtx(ctx, db, prep)
-	}
-	seeds := w.seedRelations(db)
-	if len(seeds) == 0 {
-		// Deletion-only update from a stable state: still stable.
-		return true, nil
-	}
-	ec := prep.AcquireContext()
-	defer prep.ReleaseContext(ec)
-	found := false
-	stop := func(*datalog.Assignment) bool {
-		found = true
-		return false
-	}
-	for _, pr := range prep.Rules {
-		if err := ctxErr(ctx); err != nil {
-			return false, err
-		}
-		if err := pr.EvalChangeSeeded(seeds, true, operationalSrc(db, pr.Rule), ec, stop); err != nil {
-			return false, err
-		}
-		if found {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // operationalSrc is datalog.SourcesFor(db, rule, DeltaFromDelta) in the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -107,7 +106,7 @@ func checkWarmProbe(t *testing.T, inserts, deletes []engine.Row, replay bool) {
 		if exactKeys(got) != exactKeys(cold) {
 			t.Fatalf("%s: warm %s != cold %s", sem, exactKeys(got), exactKeys(cold))
 		}
-		if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
+		if stable, err := CheckStable(repaired, nil, Options{Prepared: prep}); err != nil || !stable {
 			t.Errorf("%s: warm repaired fork not stable (err=%v)", sem, err)
 		}
 		if !replay {
@@ -203,8 +202,8 @@ func TestWarmEndContinuation(t *testing.T) {
 		warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
 		// Rounds cannot tell a continuation from a cold run here (2 = 2):
 		// ask the continuation itself whether it answers.
-		if _, ok, err := previousEndFixpoint(context.Background(), next.Fork(), prep, warm); err != nil || !ok {
-			t.Fatalf("step %d: insert-only batch not continued from the previous fixpoint (ok=%v, err=%v)", step, ok, err)
+		if _, ok := previousEndFixpoint(next.Fork(), warm); !ok {
+			t.Fatalf("step %d: insert-only batch not continued from the previous fixpoint", step)
 		}
 		got, repaired, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm})
 		if err != nil {
@@ -220,7 +219,7 @@ func TestWarmEndContinuation(t *testing.T) {
 		if got.Size() <= prev.Size() {
 			t.Fatalf("step %d: cascade should grow the end repair", step)
 		}
-		stable, err := CheckStableP(repaired, prep)
+		stable, err := CheckStable(repaired, nil, Options{Prepared: prep})
 		if err != nil || !stable {
 			t.Fatalf("step %d: warm repaired fork not stable (err=%v)", step, err)
 		}
@@ -244,8 +243,8 @@ func TestWarmEndRefusedAfterDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
-	if _, ok, err := previousEndFixpoint(context.Background(), next.Fork(), prep, warm); err != nil || ok {
-		t.Fatalf("delete batch continued from the previous fixpoint (ok=%v, err=%v)", ok, err)
+	if _, ok := previousEndFixpoint(next.Fork(), warm); ok {
+		t.Fatal("delete batch continued from the previous fixpoint")
 	}
 	got, _, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm})
 	if err != nil {
@@ -283,18 +282,18 @@ func TestCheckStableWarm(t *testing.T) {
 	db.MustInsert("A", engine.Int(1))
 	db.MustInsert("B", engine.Int(2)) // disjoint: stable
 	snap := db.Freeze()
-	if stable, err := CheckStableP(snap.Fork(), prep); err != nil || !stable {
+	if stable, err := CheckStable(snap.Fork(), nil, Options{Prepared: prep}); err != nil || !stable {
 		t.Fatalf("fixture should start stable (err=%v)", err)
 	}
 
 	check := func(name string, snap *engine.Snapshot, info *engine.ApplyInfo) {
 		t.Helper()
 		warm := &WarmStart{PrevStable: true, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
-		got, err := CheckStableWarmCtx(nil, snap.Fork(), prep, warm)
+		got, err := CheckStable(snap.Fork(), nil, Options{Prepared: prep, Warm: warm})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := CheckStableP(snap.Fork(), prep)
+		want, err := CheckStable(snap.Fork(), nil, Options{Prepared: prep})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -331,12 +330,12 @@ func TestCheckStableWarm(t *testing.T) {
 	}
 	check("violating insert", s4, info)
 	warm := &WarmStart{PrevStable: true, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
-	if stable, _ := CheckStableWarmCtx(nil, s4.Fork(), prep, warm); stable {
+	if stable, _ := CheckStable(s4.Fork(), nil, Options{Prepared: prep, Warm: warm}); stable {
 		t.Fatal("violating insert reported stable")
 	}
 
 	// Without usable hints the warm probe falls back to a full check.
-	if stable, err := CheckStableWarmCtx(nil, s4.Fork(), prep, nil); err != nil || stable {
+	if stable, err := CheckStable(s4.Fork(), nil, Options{Prepared: prep}); err != nil || stable {
 		t.Fatalf("nil hints fallback: stable=%v err=%v", stable, err)
 	}
 }
@@ -497,7 +496,7 @@ func TestWarmDeleteMASPrograms(t *testing.T) {
 				if exactKeys(got) != exactKeys(cold) {
 					t.Fatalf("%s: warm %s != cold %s", sem, exactKeys(got), exactKeys(cold))
 				}
-				if stable, err := CheckStableP(repaired, prep); err != nil || !stable {
+				if stable, err := CheckStable(repaired, nil, Options{Prepared: prep}); err != nil || !stable {
 					t.Fatalf("%s: warm-repaired fork not stable (err=%v)", sem, err)
 				}
 			}

@@ -14,7 +14,7 @@ func TestWeightedIndependentRunningExample(t *testing.T) {
 	db, p := academicDB(), academicProgram(t)
 
 	// Baseline: cardinality-minimum is {g2, ag2, ag3}.
-	base, _, err := Run(db, p, SemIndependent)
+	base, _, err := RunWith(db, p, SemIndependent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestWeightedIndependentStillStabilizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if _, err := Apply(db, p, res); err != nil {
+		if _, err := applyVerified(db, p, res); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Cost accounting: recompute and compare.

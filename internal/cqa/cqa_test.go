@@ -19,7 +19,7 @@ func runningExample(t *testing.T) (*engine.Database, *core.RepairSpace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := core.EnumerateRepairs(db, p, 8)
+	space, err := core.EnumerateRepairsWith(db, p, core.Options{}, core.EnumerateOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func BenchmarkQueryAnswer(b *testing.B) {
 		b.Fatal(err)
 	}
 	db := md.DB
-	space, err := core.EnumerateRepairs(db, p, 4)
+	space, err := core.EnumerateRepairsWith(db, p, core.Options{}, core.EnumerateOptions{K: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

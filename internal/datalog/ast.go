@@ -223,17 +223,6 @@ func (r *Rule) String() string {
 	return b.String()
 }
 
-// DeltaBodyCount returns the number of ∆-atoms in the body.
-func (r *Rule) DeltaBodyCount() int {
-	n := 0
-	for _, a := range r.Body {
-		if a.Delta {
-			n++
-		}
-	}
-	return n
-}
-
 // Vars returns the distinct variable names in the rule, in first-occurrence
 // order (head, then body atoms, then comparisons).
 func (r *Rule) Vars() []string {
@@ -297,26 +286,6 @@ func (p *Program) DeltaRelations() []string {
 		if !seen[r.Head.Rel] {
 			seen[r.Head.Rel] = true
 			out = append(out, r.Head.Rel)
-		}
-	}
-	return out
-}
-
-// RelationsUsed returns the distinct relation names referenced anywhere in
-// the program (heads and bodies), in first-occurrence order.
-func (p *Program) RelationsUsed() []string {
-	var out []string
-	seen := make(map[string]bool)
-	add := func(rel string) {
-		if !seen[rel] {
-			seen[rel] = true
-			out = append(out, rel)
-		}
-	}
-	for _, r := range p.Rules {
-		add(r.Head.Rel)
-		for _, a := range r.Body {
-			add(a.Rel)
 		}
 	}
 	return out

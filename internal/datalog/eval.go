@@ -1,7 +1,6 @@
 package datalog
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -41,16 +40,6 @@ func (a *Assignment) String() string {
 // a delta atom reads old ∪ frontier).
 type AtomSource []*engine.Relation
 
-func (s AtomSource) totalLen() int {
-	n := 0
-	for _, r := range s {
-		if r != nil {
-			n += r.Len()
-		}
-	}
-	return n
-}
-
 // DeltaMode selects what delta atoms range over when building sources.
 type DeltaMode int
 
@@ -80,45 +69,6 @@ func SourceFor(db *engine.Database, a *Atom, mode DeltaMode) AtomSource {
 		return AtomSource{db.Delta(a.Rel)}
 	}
 	return AtomSource{db.Relation(a.Rel)}
-}
-
-// EvalRule enumerates every assignment of rule over the given per-atom
-// sources, invoking emit for each; emit returning false stops enumeration
-// early. The rule must have been validated (SelfIdx resolved). Enumeration
-// order is deterministic.
-//
-// This entry point plans the join order per call from the live source
-// cardinalities. Repeated executions over the same program should go
-// through Prepare, which plans once per source shape and reuses pooled
-// execution state.
-func EvalRule(rule *Rule, sources []AtomSource, emit func(*Assignment) bool) error {
-	if rule.SelfIdx < 0 {
-		return fmt.Errorf("datalog: rule %s not validated", ruleName(rule))
-	}
-	if len(sources) != len(rule.Body) {
-		return fmt.Errorf("datalog: rule %s: %d sources for %d body atoms", ruleName(rule), len(sources), len(rule.Body))
-	}
-	cr := rule.compile()
-	pl := planFor(cr, func(i int) int { return sources[i].totalLen() })
-	ctx := NewExecContext()
-	return evalPlan(rule, cr, pl, sources, ctx, emit)
-}
-
-// EvalRuleOnDB enumerates assignments with the standard operational sources
-// (base atoms from R, delta atoms from ∆).
-func EvalRuleOnDB(db *engine.Database, rule *Rule, emit func(*Assignment) bool) error {
-	return EvalRule(rule, SourcesFor(db, rule, DeltaFromDelta), emit)
-}
-
-// HasAssignment reports whether the rule has at least one assignment over
-// the database's current state.
-func HasAssignment(db *engine.Database, rule *Rule) (bool, error) {
-	found := false
-	err := EvalRuleOnDB(db, rule, func(*Assignment) bool {
-		found = true
-		return false
-	})
-	return found, err
 }
 
 // ---------- rule compilation ----------
@@ -262,8 +212,8 @@ func (cr *compiledRule) propagateConsts() {
 // plan is a static join strategy for one rule under one source shape: the
 // join order, the per-depth index-probe column, and the comparison
 // schedule. Plans are immutable once built and shared freely between
-// concurrent evaluations; EvalRule builds one per call (sized from the
-// live sources), Prepare builds one per (rule, source shape) up front.
+// concurrent evaluations; Prepare builds one per (rule, source shape) up
+// front.
 type plan struct {
 	order  []int   // body atom indexes in join order
 	lookup []int   // per depth: column probed via index, -1 = full scan

@@ -173,10 +173,6 @@ func TestProgramAccessors(t *testing.T) {
 			t.Fatalf("DeltaRelations[%d] = %s, want %s", i, drels[i], want[i])
 		}
 	}
-	used := p.RelationsUsed()
-	if len(used) != 6 { // Grant, Author, AuthGrant, Pub, Writes, Cite
-		t.Fatalf("RelationsUsed = %v", used)
-	}
 	if !strings.Contains(p.String(), "Delta_Cite(c, p)") {
 		t.Fatalf("String missing rule 4: %s", p.String())
 	}
@@ -195,10 +191,17 @@ func TestRuleVarsAndDeltaCount(t *testing.T) {
 			t.Fatalf("Vars[%d] = %s, want %s", i, vars[i], want[i])
 		}
 	}
-	if r4.DeltaBodyCount() != 1 {
-		t.Fatalf("DeltaBodyCount = %d, want 1", r4.DeltaBodyCount())
+	if err := p.Validate(exampleSchema()); err != nil {
+		t.Fatal(err)
 	}
-	if p.Rules[0].DeltaBodyCount() != 0 {
+	pp, err := Prepare(p, exampleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pp.Rules[4].NumDeltaBody(); n != 1 {
+		t.Fatalf("NumDeltaBody = %d, want 1", n)
+	}
+	if pp.Rules[0].NumDeltaBody() != 0 {
 		t.Fatal("rule 0 has no delta body atoms")
 	}
 }

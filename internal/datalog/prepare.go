@@ -424,14 +424,3 @@ func (pr *PreparedRule) EvalPass(pass int, sources []AtomSource, ctx *ExecContex
 func (pr *PreparedRule) EvalNaive(sources []AtomSource, ctx *ExecContext, emit func(*Assignment) bool) error {
 	return pr.evalWith(pr.operational, sources, ctx, emit)
 }
-
-// HasAssignment reports whether the rule has at least one assignment over
-// the database's operational state.
-func (pr *PreparedRule) HasAssignment(db *engine.Database, ctx *ExecContext) (bool, error) {
-	found := false
-	err := pr.EvalOperational(db, ctx, func(*Assignment) bool {
-		found = true
-		return false
-	})
-	return found, err
-}

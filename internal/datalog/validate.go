@@ -141,44 +141,3 @@ func (p *Program) detectRecursion() bool {
 	}
 	return consumed < len(nodes)
 }
-
-// Strata returns the delta relations grouped by dependency depth: stratum 0
-// holds delta relations derivable without reading any delta atom, stratum
-// k+1 those depending on stratum-k deltas. Returns nil for recursive
-// programs (no finite stratification).
-func (p *Program) Strata() [][]string {
-	if p.detectRecursion() {
-		return nil
-	}
-	depth := make(map[string]int)
-	// Iterate to fixpoint; the graph is acyclic so this terminates.
-	changed := true
-	for changed {
-		changed = false
-		for _, r := range p.Rules {
-			d := 0
-			for _, a := range r.Body {
-				if a.Delta {
-					if bd := depth[a.Rel] + 1; bd > d {
-						d = bd
-					}
-				}
-			}
-			if d > depth[r.Head.Rel] {
-				depth[r.Head.Rel] = d
-				changed = true
-			}
-		}
-	}
-	maxD := 0
-	for _, rel := range p.DeltaRelations() {
-		if depth[rel] > maxD {
-			maxD = depth[rel]
-		}
-	}
-	out := make([][]string, maxD+1)
-	for _, rel := range p.DeltaRelations() {
-		out[depth[rel]] = append(out[depth[rel]], rel)
-	}
-	return out
-}

@@ -124,9 +124,6 @@ Delta_S(x) :- S(x), Delta_R(x).
 	if !p.Recursive {
 		t.Fatal("mutually recursive program should be flagged")
 	}
-	if p.Strata() != nil {
-		t.Fatal("recursive program has no stratification")
-	}
 
 	// Self-loop: ∆R depends on ∆R.
 	p2 := MustParse("Delta_R(x) :- R(x), Delta_R(y), x != y.")
@@ -135,24 +132,6 @@ Delta_S(x) :- S(x), Delta_R(x).
 	}
 	if !p2.Recursive {
 		t.Fatal("self-recursive program should be flagged")
-	}
-}
-
-func TestStrata(t *testing.T) {
-	p := MustParse(runningExampleSrc)
-	if err := p.Validate(exampleSchema()); err != nil {
-		t.Fatal(err)
-	}
-	strata := p.Strata()
-	// Grant at depth 0; Author at 1; Pub, Writes at 2; Cite at 3.
-	if len(strata) != 4 {
-		t.Fatalf("strata = %v", strata)
-	}
-	if strata[0][0] != "Grant" || strata[1][0] != "Author" || strata[3][0] != "Cite" {
-		t.Fatalf("strata = %v", strata)
-	}
-	if len(strata[2]) != 2 {
-		t.Fatalf("stratum 2 = %v, want Pub and Writes", strata[2])
 	}
 }
 

@@ -136,9 +136,6 @@ func relOfKey(key string) (string, bool) {
 	return key[:i], true
 }
 
-// RelOfKey exposes relation-name extraction from a content key.
-func RelOfKey(key string) (string, bool) { return relOfKey(key) }
-
 // Lookup finds the live base tuple with the given content key across all
 // relations, or the delta tuple if it has been deleted, or nil.
 func (db *Database) Lookup(key string) *Tuple {

@@ -196,13 +196,13 @@ func TestDatabaseCloneIsolation(t *testing.T) {
 }
 
 func TestRelOfKey(t *testing.T) {
-	if rel, ok := RelOfKey(`Grant(i2,"ERC")`); !ok || rel != "Grant" {
-		t.Fatalf("RelOfKey = %q/%v", rel, ok)
+	if rel, ok := relOfKey(`Grant(i2,"ERC")`); !ok || rel != "Grant" {
+		t.Fatalf("relOfKey = %q/%v", rel, ok)
 	}
-	if _, ok := RelOfKey("nope"); ok {
+	if _, ok := relOfKey("nope"); ok {
 		t.Fatal("malformed key should not parse")
 	}
-	if _, ok := RelOfKey("(i1)"); ok {
+	if _, ok := relOfKey("(i1)"); ok {
 		t.Fatal("empty relation name should not parse")
 	}
 }

@@ -41,7 +41,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, _, err := core.Run(ds.DB, p, core.SemStep)
+		full, _, err := core.RunWith(ds.DB, p, core.SemStep, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +85,7 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, _, err := core.Run(ds.DB, p, core.SemEnd)
+		full, _, err := core.RunWith(ds.DB, p, core.SemEnd, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,7 @@ func TestProfileDCIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		t0 := time.Now()
-		res, _, err := core.Run(db, dcs, core.SemIndependent)
+		res, _, err := core.RunWith(db, dcs, core.SemIndependent, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

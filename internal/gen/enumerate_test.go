@@ -23,7 +23,8 @@ const enumK = 4
 // checkEnumeration asserts the repair-space invariants on one scenario:
 //
 //  1. Every enumerated repair stabilizes the database and deletes only
-//     live input tuples (core.Apply verifies both).
+//     live input tuples (core.Materialize and core.CheckStable verify
+//     both).
 //  2. Repairs are pairwise distinct, in nondecreasing cost order, and
 //     Repairs[0] matches the single RunIndependent result.
 //  3. Classification is exact: certainly-deleted = intersection of the
@@ -35,13 +36,13 @@ const enumK = 4
 //     enumerated repair.
 func checkEnumeration(t *testing.T, sc *Scenario) {
 	t.Helper()
-	space, err := core.EnumerateRepairs(sc.DB, sc.Program, enumK)
+	space, err := core.EnumerateRepairsWith(sc.DB, sc.Program, core.Options{}, core.EnumerateOptions{K: enumK})
 	if err != nil {
 		t.Fatalf("seed %d: enumerate: %v", sc.Seed, err)
 	}
 
 	// (1) + (2): stability, deletion-only, distinctness, cost order.
-	single, _, err := core.Run(sc.DB.Clone(), sc.Program, core.SemIndependent)
+	single, _, err := core.RunWith(sc.DB.Clone(), sc.Program, core.SemIndependent, core.Options{})
 	if err != nil {
 		t.Fatalf("seed %d: single independent: %v", sc.Seed, err)
 	}
@@ -60,8 +61,12 @@ func checkEnumeration(t *testing.T, sc *Scenario) {
 			t.Fatalf("seed %d: repair %d cost %d < previous %d", sc.Seed, i, res.RepairCost, prevCost)
 		}
 		prevCost = res.RepairCost
-		if _, err := core.Apply(sc.DB, sc.Program, res); err != nil {
-			t.Fatalf("seed %d: repair %d does not stabilize: %v\nprogram:\n%s", sc.Seed, i, err, sc.ProgramSource)
+		work, err := core.Materialize(sc.DB, res)
+		if err != nil {
+			t.Fatalf("seed %d: repair %d: %v\nprogram:\n%s", sc.Seed, i, err, sc.ProgramSource)
+		}
+		if stable, err := core.CheckStable(work, sc.Program, core.Options{}); err != nil || !stable {
+			t.Fatalf("seed %d: repair %d does not stabilize (err=%v)\nprogram:\n%s", sc.Seed, i, err, sc.ProgramSource)
 		}
 	}
 
@@ -105,7 +110,7 @@ func checkEnumeration(t *testing.T, sc *Scenario) {
 	if got := spaceFingerprint(prepared); got != wantKeys {
 		t.Fatalf("seed %d: prepared enumeration diverged:\n %s\n %s\nprogram:\n%s", sc.Seed, got, wantKeys, sc.ProgramSource)
 	}
-	forked, err := core.EnumerateRepairs(sc.DB.Freeze().Fork(), sc.Program, enumK)
+	forked, err := core.EnumerateRepairsWith(sc.DB.Freeze().Fork(), sc.Program, core.Options{}, core.EnumerateOptions{K: enumK})
 	if err != nil {
 		t.Fatalf("seed %d: forked enumerate: %v", sc.Seed, err)
 	}

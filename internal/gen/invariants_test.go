@@ -37,14 +37,14 @@ func checkScenario(t *testing.T, sc *Scenario) {
 
 	results := make(map[core.Semantics]*core.Result, len(core.AllSemantics))
 	for _, sem := range core.AllSemantics {
-		res, repaired, err := core.Run(sc.DB, sc.Program, sem)
+		res, repaired, err := core.RunWith(sc.DB, sc.Program, sem, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %s: %v", sc.Seed, sem, err)
 		}
 		results[sem] = res
 
 		// (1) Stability of the repaired instance.
-		stable, err := core.CheckStable(repaired, sc.Program)
+		stable, err := core.CheckStable(repaired, sc.Program, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %s stability check: %v", sc.Seed, sem, err)
 		}
@@ -84,7 +84,7 @@ func checkScenario(t *testing.T, sc *Scenario) {
 				return r, err
 			}},
 			{"forked", func() (*core.Result, error) {
-				r, _, err := core.Run(snap.Fork(), sc.Program, sem)
+				r, _, err := core.RunWith(snap.Fork(), sc.Program, sem, core.Options{})
 				return r, err
 			}},
 		}
@@ -178,7 +178,7 @@ func checkScenario(t *testing.T, sc *Scenario) {
 			t.Fatalf("seed %d: %s warm-delete %s != cold %s\nprogram:\n%s",
 				sc.Seed, sem, gotKeys, wantKeys, sc.ProgramSource)
 		}
-		if stable, err := core.CheckStableP(repaired, prep); err != nil || !stable {
+		if stable, err := core.CheckStable(repaired, nil, core.Options{Prepared: prep}); err != nil || !stable {
 			t.Fatalf("seed %d: %s warm-delete repaired fork not stable (err=%v)", sc.Seed, sem, err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestGeneratorCoversBothShapes(t *testing.T) {
 		if sc.DB.TotalTuples() > 0 {
 			nonEmpty++
 		}
-		if stable, _ := core.CheckStable(sc.DB, sc.Program); !stable {
+		if stable, _ := core.CheckStable(sc.DB, sc.Program, core.Options{}); !stable {
 			firing++
 		}
 	}

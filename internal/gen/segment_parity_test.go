@@ -118,7 +118,7 @@ func TestColumnarParityQuick(t *testing.T) {
 				snap := db.Freeze()
 				got := make([]string, len(core.AllSemantics))
 				for i, sem := range core.AllSemantics {
-					res, _, err := core.Run(snap.Fork(), sc.Program, sem)
+					res, _, err := core.RunWith(snap.Fork(), sc.Program, sem, core.Options{})
 					if err != nil {
 						t.Fatalf("seed %d: %s: %v", seed, sem, err)
 					}

@@ -125,7 +125,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 
 		// Stability must agree with the scratch instance; repeated probes
 		// exercise the insert-seeded warm path once a version is stable.
-		wantStable, err := core.CheckStableP(fresh.Fork(), prep)
+		wantStable, err := core.CheckStable(fresh.Fork(), nil, core.Options{Prepared: prep})
 		if err != nil {
 			t.Fatalf("seed %d v%d: scratch stability: %v", sc.Seed, version, err)
 		}
@@ -173,7 +173,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 					t.Fatalf("seed %d v%d: %s warm chain %s != cold %s\nprogram:\n%s",
 						sc.Seed, n, sem, gotKeys, wantKeys, sc.ProgramSource)
 				}
-				if stable, err := core.CheckStableP(repaired, prep); err != nil || !stable {
+				if stable, err := core.CheckStable(repaired, nil, core.Options{Prepared: prep}); err != nil || !stable {
 					t.Fatalf("seed %d v%d: %s warm-repaired fork not stable (err=%v)", sc.Seed, n, sem, err)
 				}
 				prevRes[sem] = got
@@ -209,7 +209,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 					t.Fatalf("seed %d v%d: repair-all %v: %s %s != cold %s\nprogram:\n%s",
 						sc.Seed, n, order, sem, gotKeys, coldKeys[sem], sc.ProgramSource)
 				}
-				if stable, err := core.CheckStableP(repaired, prep); err != nil || !stable {
+				if stable, err := core.CheckStable(repaired, nil, core.Options{Prepared: prep}); err != nil || !stable {
 					t.Fatalf("seed %d v%d: repair-all %v: %s repaired fork not stable (err=%v)", sc.Seed, n, order, sem, err)
 				}
 			}
@@ -377,7 +377,7 @@ func TestUpdateStreamCoverage(t *testing.T) {
 				outsideReadSet++
 			}
 		}
-		if stable, _ := core.CheckStableP(us.Scenario.DB.Fork(), prep); !stable {
+		if stable, _ := core.CheckStable(us.Scenario.DB.Fork(), nil, core.Options{Prepared: prep}); !stable {
 			repairs++
 		}
 	}

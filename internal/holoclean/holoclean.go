@@ -195,11 +195,15 @@ func Repair(db *engine.Database, cfg Config) (*Report, *engine.Database, error) 
 // DCs (which may exceed the number of distinct tuples overall, as in the
 // paper's Total column).
 func ViolatingTuples(db *engine.Database, dcs *datalog.Program) ([]int, int, error) {
+	prep, err := datalog.Prepare(dcs, db.Schema)
+	if err != nil {
+		return nil, 0, err
+	}
 	out := make([]int, len(dcs.Rules))
 	total := 0
-	for i, r := range dcs.Rules {
+	for i, pr := range prep.Rules {
 		seen := make(map[engine.TupleID]bool)
-		err := datalog.EvalRuleOnDB(db, r, func(a *datalog.Assignment) bool {
+		err := pr.EvalOperational(db, nil, func(a *datalog.Assignment) bool {
 			for _, tp := range a.Tuples {
 				seen[tp.TID] = true
 			}

@@ -137,7 +137,7 @@ func TestSemanticsAlwaysFixAllViolations(t *testing.T) {
 		t.Fatal("errors must create violations")
 	}
 	for _, sem := range core.AllSemantics {
-		_, repaired, err := core.Run(db, dcs, sem)
+		_, repaired, err := core.RunWith(db, dcs, sem, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sem, err)
 		}

@@ -63,7 +63,7 @@ func TestRunningExampleGolden(t *testing.T) {
 	}
 	results := make(map[core.Semantics]*core.Result, len(core.AllSemantics))
 	for _, sem := range core.AllSemantics {
-		res, _, err := core.Run(db, prog, sem)
+		res, _, err := core.RunWith(db, prog, sem, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sem, err)
 		}

@@ -113,21 +113,21 @@ func TestProgram4Semantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end, _, err := core.Run(ds.DB, p, core.SemEnd)
+	end, _, err := core.RunWith(ds.DB, p, core.SemEnd, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if end.Size() != ds.HubOrgAuthors+1 {
 		t.Fatalf("end size = %d, want %d (org + its authors)", end.Size(), ds.HubOrgAuthors+1)
 	}
-	step, _, err := core.Run(ds.DB, p, core.SemStep)
+	step, _, err := core.RunWith(ds.DB, p, core.SemStep, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if step.Size() != 1 || step.Deleted[0].Rel != "Organization" {
 		t.Fatalf("step = %v, want single Organization tuple", step.Keys())
 	}
-	ind, _, err := core.Run(ds.DB, p, core.SemIndependent)
+	ind, _, err := core.RunWith(ds.DB, p, core.SemIndependent, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPrograms11To15IndependentShrinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		end, _, err := core.Run(ds.DB, p, core.SemEnd)
+		end, _, err := core.RunWith(ds.DB, p, core.SemEnd, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestCleanAuthorTableIsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stable, err := core.CheckStable(db, p)
+	stable, err := core.CheckStable(db, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestInjectErrorsCreatesViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stable, err := core.CheckStable(db, p)
+	stable, err := core.CheckStable(db, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestInjectErrorsCreatesViolations(t *testing.T) {
 	}
 	// Independent semantics repairs with roughly one deletion per error
 	// (it may need slightly more when donor rows themselves conflict).
-	ind, _, err := core.Run(db, p, core.SemIndependent)
+	ind, _, err := core.RunWith(db, p, core.SemIndependent, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,12 @@ func TestAddSeparatesPosAndNeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep, err := datalog.Prepare(p, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := NewFormula()
-	if err := datalog.EvalRuleOnDB(db, p.Rules[0], func(a *datalog.Assignment) bool {
+	if err := prep.Rules[0].EvalOperational(db, nil, func(a *datalog.Assignment) bool {
 		f.Add(a.Head().TID, a)
 		return true
 	}); err != nil {
@@ -69,8 +73,12 @@ func TestAddDeduplicatesRepeatedTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prep, err := datalog.Prepare(p, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := NewFormula()
-	datalog.EvalRuleOnDB(db, p.Rules[0], func(a *datalog.Assignment) bool {
+	prep.Rules[0].EvalOperational(db, nil, func(a *datalog.Assignment) bool {
 		f.Add(a.Head().TID, a)
 		return false
 	})

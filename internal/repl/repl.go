@@ -135,7 +135,7 @@ func (s *Session) cmdStatus() error {
 	if err != nil {
 		return err
 	}
-	stable, err := core.CheckStableP(s.work, prep)
+	stable, err := core.CheckStable(s.work, s.prog, core.Options{Prepared: prep})
 	if err != nil {
 		return err
 	}

@@ -170,7 +170,7 @@ func TestSessionQuitAndRunLoop(t *testing.T) {
 func TestSessionManualEqualsStepSemantics(t *testing.T) {
 	db := programs.RunningExampleDB()
 	p, _ := programs.RunningExampleProgram()
-	want, _, err := core.Run(db, p, core.SemStep)
+	want, _, err := core.RunWith(db, p, core.SemStep, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestSessionManualEqualsStepSemantics(t *testing.T) {
 			t.Fatalf("greedy choice %s not offered by the session", tp.Key())
 		}
 	}
-	stable, err := core.CheckStable(s.work, p)
+	stable, err := core.CheckStable(s.work, p, core.Options{})
 	if err != nil || !stable {
 		t.Fatal("manual replay of the greedy repair should stabilize")
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/datalog"
@@ -53,7 +52,7 @@ func Generate(w io.Writer, db *engine.Database, p *datalog.Program, opts Options
 
 	// Program and stability.
 	fmt.Fprintf(w, "## Program\n\n```prolog\n%s\n```\n\n", p.String())
-	stable, err := core.CheckStable(db, p)
+	stable, err := core.CheckStable(db, p, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -148,15 +147,4 @@ func Generate(w io.Writer, db *engine.Database, p *datalog.Program, opts Options
 		fmt.Fprintf(w, "**step** matches the minimum repair while remaining realizable by rule firings; it is the best default here.\n")
 	}
 	return nil
-}
-
-// ProgramListing renders rule-per-line program text with its labels, used
-// by callers that embed program listings in their own documents.
-func ProgramListing(p *datalog.Program) string {
-	var b strings.Builder
-	for _, r := range p.Rules {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -85,17 +85,6 @@ func TestGenerateCascadeRecommendsEnd(t *testing.T) {
 	}
 }
 
-func TestProgramListing(t *testing.T) {
-	p, err := programs.RunningExampleProgram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	listing := ProgramListing(p)
-	if strings.Count(listing, "\n") != 5 {
-		t.Fatalf("listing should have 5 lines:\n%s", listing)
-	}
-}
-
 func TestGenerateMaxExplained(t *testing.T) {
 	db := programs.RunningExampleDB()
 	p, err := programs.RunningExampleProgram()

@@ -296,7 +296,7 @@ func TestArtefactHammer(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		res, _, err := core.Run(db, prog, sem)
+		res, _, err := core.RunWith(db, prog, sem, core.Options{})
 		if err != nil {
 			panic(err)
 		}

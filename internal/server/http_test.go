@@ -79,7 +79,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := core.Run(refDB, prog, core.SemStage)
+	want, _, err := core.RunWith(refDB, prog, core.SemStage, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

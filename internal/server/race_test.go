@@ -31,7 +31,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 	}()
 	baseline := make(map[core.Semantics]string, len(core.AllSemantics))
 	for _, sem := range core.AllSemantics {
-		res, _, err := core.Run(refDB.Clone(), prog, sem)
+		res, _, err := core.RunWith(refDB.Clone(), prog, sem, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -918,7 +918,7 @@ func (s *Service) IsStableVersioned(ctx context.Context, name string, opts Reque
 	}
 	reqCtx, cancel := s.requestCtx(ctx, opts)
 	defer cancel()
-	stable, err := core.CheckStableWarmCtx(reqCtx, snap.Fork(), sess.prep, sess.stableHints(version))
+	stable, err := core.CheckStable(snap.Fork(), sess.prog, core.Options{Prepared: sess.prep, Ctx: reqCtx, Warm: sess.stableHints(version)})
 	if err != nil {
 		return false, 0, err
 	}

@@ -44,7 +44,7 @@ func TestServiceRepairMatchesDirect(t *testing.T) {
 	refDB := programs.RunningExampleDB()
 
 	for _, sem := range core.AllSemantics {
-		want, _, err := core.Run(refDB.Clone(), prog, sem)
+		want, _, err := core.RunWith(refDB.Clone(), prog, sem, core.Options{})
 		if err != nil {
 			t.Fatalf("%s direct: %v", sem, err)
 		}
@@ -55,7 +55,7 @@ func TestServiceRepairMatchesDirect(t *testing.T) {
 		if keysOf(got) != keysOf(want) {
 			t.Errorf("%s: served %s, direct %s", sem, keysOf(got), keysOf(want))
 		}
-		stable, err := core.CheckStable(repaired, prog)
+		stable, err := core.CheckStable(repaired, prog, core.Options{})
 		if err != nil || !stable {
 			t.Errorf("%s: served repaired database not stable (err=%v)", sem, err)
 		}

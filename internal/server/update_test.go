@@ -357,7 +357,7 @@ func TestServiceUpdateRepairHammer(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		res, _, err := core.Run(db, prog, core.SemStage)
+		res, _, err := core.RunWith(db, prog, core.SemStage, core.Options{})
 		if err != nil {
 			panic(err)
 		}

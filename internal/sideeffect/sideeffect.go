@@ -104,8 +104,8 @@ func ParseView(src string, schema *engine.Schema) (*View, error) {
 // buildRule assembles the internal evaluation rule. Views have ordinary
 // heads, so the delta-rule self-atom requirement does not apply; we bypass
 // Validate and compile the rule directly by marking SelfIdx on a synthetic
-// basis (EvalRule only needs SelfIdx ≥ 0 to run; Head() is meaningless for
-// views and unused).
+// basis (datalog.Prepare only needs SelfIdx ≥ 0 to plan it; Head() is
+// meaningless for views and unused).
 func (v *View) buildRule() {
 	v.rule = datalog.NewRule(v.Name,
 		datalog.Atom{Delta: true, Rel: v.Body[0].Rel, Terms: v.Body[0].Terms},
@@ -324,8 +324,8 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		}
 		progPrep.ReleaseContext(ctx)
 	}
-	if err := core.CtxErr(opts.Ctx); err != nil {
-		return nil, nil, err
+	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		return nil, nil, opts.Ctx.Err()
 	}
 
 	// Variable space: all tuples mentioned anywhere, numbered by the
@@ -338,8 +338,8 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		cancel = func() bool { return opts.Ctx.Err() != nil }
 	}
 	solved := sat.MinOnes(cnf, sat.Options{MaxNodes: opts.MaxNodes, Cancel: cancel})
-	if err := core.CtxErr(opts.Ctx); err != nil {
-		return nil, nil, err
+	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		return nil, nil, opts.Ctx.Err()
 	}
 	if !solved.Satisfiable {
 		return nil, nil, fmt.Errorf("sideeffect: no deletion set removes the view tuple")
@@ -367,7 +367,7 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 		}
 	}
 	if p != nil {
-		stable, err := core.CheckStableP(work, progPrep)
+		stable, err := core.CheckStable(work, p, core.Options{Prepared: progPrep})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -126,7 +126,7 @@ func TestProgram4OrderAnomaly(t *testing.T) {
 
 	// The paper's point: step semantics achieves the size-1 repair
 	// regardless of naming or creation order.
-	step, _, err := core.Run(ds.DB, p, core.SemStep)
+	step, _, err := core.RunWith(ds.DB, p, core.SemStep, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestProgram5TriggersMatchSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		endRes, _, err := core.Run(ds.DB, p, core.SemEnd)
+		endRes, _, err := core.RunWith(ds.DB, p, core.SemEnd, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestProgram20TriggersMatchSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	endRes, _, err := core.Run(ds.DB, p, core.SemEnd)
+	endRes, _, err := core.RunWith(ds.DB, p, core.SemEnd, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestProgram20TriggersMatchSemantics(t *testing.T) {
 		t.Fatalf("trigger result %d != end semantics %d", res.Size(), endRes.Size())
 	}
 	// The trigger-repaired database is stable w.r.t. the program.
-	stable, err := core.CheckStable(triggeredDB, p)
+	stable, err := core.CheckStable(triggeredDB, p, core.Options{})
 	if err != nil || !stable {
 		t.Fatalf("trigger result should stabilize the cascade program: %v %v", stable, err)
 	}

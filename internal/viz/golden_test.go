@@ -30,23 +30,19 @@ import (
 // end-semantics deletion's explanation, in the result's order.
 func renderGolden(t *testing.T, db *engine.Database, p *datalog.Program) string {
 	t.Helper()
-	g, err := core.CaptureProvenance(db, p)
+	ex, err := core.NewExplainer(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	b.WriteString("# Regenerate with WRITE_GOLDEN=1 go test ./internal/viz -run Golden\n")
 	b.WriteString("\n[provenance DOT, lines sorted]\n")
-	lines := strings.Split(strings.TrimSuffix(ProvenanceDOT(g, db.DisplayKey), "\n"), "\n")
+	lines := strings.Split(strings.TrimSuffix(ProvenanceDOT(ex.Graph, db.DisplayKey), "\n"), "\n")
 	slices.Sort(lines)
 	for _, l := range lines {
 		b.WriteString(l + "\n")
 	}
-	ex, err := core.NewExplainer(db, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := core.Run(db, p, core.SemEnd)
+	res, _, err := core.RunWith(db, p, core.SemEnd, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,11 @@ func TestProvenanceDOTFigure5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.CaptureProvenance(db, p)
+	ex, err := core.NewExplainer(db, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dot := ProvenanceDOT(g, func(id engine.TupleID) string { return db.LookupID(id).Key() })
+	dot := ProvenanceDOT(ex.Graph, func(id engine.TupleID) string { return db.LookupID(id).Key() })
 	// Structural spot checks against Figure 5.
 	for _, want := range []string{
 		"digraph provenance",
