@@ -217,7 +217,6 @@ func (cr *compiledRule) propagateConsts() {
 type plan struct {
 	order  []int   // body atom indexes in join order
 	lookup []int   // per depth: column probed via index, -1 = full scan
-	checks [][]int // per depth: further columns bound before the depth
 	compAt [][]int // comparisons runnable after each depth
 }
 
@@ -228,14 +227,13 @@ type plan struct {
 // Comparisons are scheduled at the first depth where both sides are bound,
 // and the index-probe column of each depth — the first column whose term is
 // a constant or a variable bound at an earlier depth — is fixed statically.
-// Every other column bound before the depth becomes a check column: the
-// probe pushes it down as an engine.ColCheck, culling candidates on frozen
-// column vectors before their tuples are materialized.
+// Every other bound column is checked by run's term match on each
+// candidate the probe yields.
 func planFor(cr *compiledRule, weight func(atom int) int) *plan {
 	n := len(cr.atoms)
 	used := make([]bool, n)
 	varBound := make([]bool, cr.nvars)
-	pl := &plan{order: make([]int, 0, n), lookup: make([]int, n), checks: make([][]int, n)}
+	pl := &plan{order: make([]int, 0, n), lookup: make([]int, n)}
 
 	for len(pl.order) < n {
 		best, bestScore, bestWeight := -1, -1, 0
@@ -255,18 +253,14 @@ func planFor(cr *compiledRule, weight func(atom int) int) *plan {
 			}
 		}
 		used[best] = true
-		// Fix the probe and check columns before the atom's own variables
-		// bind: the first bound column probes the index, the rest become
-		// pushed-down equality checks.
+		// Fix the probe column before the atom's own variables bind: the
+		// first bound column probes the index.
 		d := len(pl.order)
 		pl.lookup[d] = -1
 		for col, t := range cr.atoms[best].terms {
 			if t.varID < 0 || varBound[t.varID] {
-				if pl.lookup[d] < 0 {
-					pl.lookup[d] = col
-				} else {
-					pl.checks[d] = append(pl.checks[d], col)
-				}
+				pl.lookup[d] = col
+				break
 			}
 		}
 		pl.order = append(pl.order, best)
@@ -322,7 +316,6 @@ type ExecContext struct {
 	bound    []bool
 	tuples   []*engine.Tuple
 	fresh    [][]int
-	checks   [][]engine.ColCheck // per-depth pushed-down check scratch
 
 	// asnChunk/tupChunk are bump allocators for emitted assignments: each
 	// emit hands out the next slot of a chunk instead of allocating, cutting
@@ -389,9 +382,6 @@ func (ctx *ExecContext) ensure(nvars, natoms int) {
 	for len(ctx.fresh) < natoms {
 		ctx.fresh = append(ctx.fresh, nil)
 	}
-	for len(ctx.checks) < natoms {
-		ctx.checks = append(ctx.checks, nil)
-	}
 }
 
 type evaluator struct {
@@ -434,7 +424,10 @@ func (ev *evaluator) termValue(t cTerm) (engine.Value, bool) {
 	return engine.Value{}, false
 }
 
-// run enumerates candidates for the atom at the given join depth.
+// run enumerates candidates for the atom at the given join depth: it
+// probes the plan's index column with LookupEach, or scans, and its term
+// match rejects every candidate whose other bound columns differ
+// (Value.Equal) — the only check those columns get.
 func (ev *evaluator) run(depth int) {
 	if ev.stopped {
 		return
@@ -449,20 +442,13 @@ func (ev *evaluator) run(depth int) {
 	ai := ev.pl.order[depth]
 	atom := ev.cr.atoms[ai]
 
-	// The probe and check columns are fixed by the plan; resolve their
-	// values now. Checks are pushed down into the probe/scan so the engine
-	// can cull failing frozen candidates on column vectors.
+	// The probe column is fixed by the plan; resolve its value now. Every
+	// other bound column is checked on each candidate by the term match.
 	lookupCol := ev.pl.lookup[depth]
 	var lookupVal engine.Value
 	if lookupCol >= 0 {
 		lookupVal, _ = ev.termValue(atom.terms[lookupCol])
 	}
-	checks := ctx.checks[depth][:0]
-	for _, col := range ev.pl.checks[depth] {
-		v, _ := ev.termValue(atom.terms[col])
-		checks = append(checks, engine.ColCheck{Col: col, Val: v})
-	}
-	ctx.checks[depth] = checks
 
 	tryTuple := func(tp *engine.Tuple) bool {
 		if ev.stopped {
@@ -523,9 +509,9 @@ func (ev *evaluator) run(depth int) {
 			continue
 		}
 		if lookupCol >= 0 {
-			rel.LookupEach(lookupCol, lookupVal, checks, tryTuple)
+			rel.LookupEach(lookupCol, lookupVal, tryTuple)
 		} else {
-			rel.ScanChecked(checks, tryTuple)
+			rel.Scan(tryTuple)
 		}
 		if ev.stopped {
 			return

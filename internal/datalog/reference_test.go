@@ -91,8 +91,11 @@ func checkAssignment(rule *Rule, tuples []*engine.Tuple) string {
 // non-integral-float and string constants, on head and non-head
 // variables, including a second equality on one variable (consistent or
 // contradictory) and variable-variable equalities: the shapes the compiler
-// folds into index probes. Half the databases are frozen, so both the
-// columnar segments and the row tail are probed.
+// folds into index probes. Half the databases are frozen, so both sealed
+// segments and the row tail are probed; half of those take a second round
+// — deletions, more rows, a second freeze — and then a tail, so a probe
+// crosses tombstones, two segments and a tail before the term match
+// rejects a candidate on its further bound columns.
 func randomEvalInstance(seed int64) (*engine.Database, *Rule, error) {
 	rng := rand.New(rand.NewSource(seed))
 	s := engine.NewSchema()
@@ -129,17 +132,33 @@ func randomEvalInstance(seed int64) (*engine.Database, *Rule, error) {
 			return engine.Int(k)
 		}
 	}
-	for i, n := 0, rng.Intn(7); i < n; i++ {
-		db.MustInsert("A", cell(), cell())
+	fill := func() {
+		for i, n := 0, rng.Intn(7); i < n; i++ {
+			db.MustInsert("A", cell(), cell())
+		}
+		for i, n := 0, rng.Intn(5); i < n; i++ {
+			db.MustInsert("B", cell())
+		}
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			db.MustInsert("C", cell(), cell(), cell())
+		}
 	}
-	for i, n := 0, rng.Intn(5); i < n; i++ {
-		db.MustInsert("B", cell())
-	}
-	for i, n := 0, rng.Intn(6); i < n; i++ {
-		db.MustInsert("C", cell(), cell(), cell())
-	}
+	fill()
 	if rng.Intn(2) == 0 {
 		db.Freeze()
+		if rng.Intn(2) == 0 {
+			for _, name := range []string{"A", "B", "C"} {
+				rel := db.Relation(name)
+				for _, tp := range rel.Tuples() {
+					if rng.Intn(3) == 0 {
+						rel.DeleteTuple(tp)
+					}
+				}
+			}
+			fill()
+			db.Freeze()
+			fill()
+		}
 	}
 
 	// Random rule: head over A, body with 1-3 extra atoms and random

@@ -35,8 +35,9 @@ import (
 // Layout frame: the gob encoding of layoutFile — the Layout with each
 // segment replaced by a name the writer chose for the frame holding it.
 //
-// Segment frame: the frozenCols image of the segment plus its tuple IDs
-// and Seqs:
+// Segment frame: the segment's rows laid out column by column, after their
+// tuple IDs and Seqs. This is the only place the columns exist: in memory
+// a sealed segment keeps its rows.
 //
 //	magic "DRSG", uvarint format, uvarint arity, uvarint rows n
 //	IDs      n uvarint byte lengths, then the IDs' bytes back to back
@@ -45,8 +46,8 @@ import (
 //	columns  per column: kind byte, uniform byte (1 or 0), the n per-row
 //	         kind bytes when not uniform, then n varints of the int64 cells
 //
-// Cells are frozenCols' own encoding: integers inline, floats as IEEE-754
-// bits, strings as indexes into the segment's string table.
+// Cells are int64s: integers inline, floats as IEEE-754 bits, strings as
+// indexes into the segment's string table.
 
 // SideLayout is one relation side's sealed storage at a version.
 type SideLayout struct {
@@ -323,7 +324,7 @@ func (db *Database) Save(w io.Writer) error {
 			ls.Warm = rel.IndexedColumns()
 			if tuples := rel.Tuples(); len(tuples) > 0 {
 				n++
-				segs = appendSegment(segs, tuples, buildFrozenCols(tuples, rs.Arity()))
+				segs = appendSegment(segs, tuples, rs.Arity())
 				ls.Files = []string{strconv.Itoa(n)}
 			}
 		}
@@ -404,26 +405,21 @@ func cutFrame(data []byte) (frame, rest []byte) {
 	return data, nil
 }
 
-// AppendSegment appends the segment's frame to dst. It encodes the
-// segment's published columnar image when one exists and otherwise builds
-// a transient one that is not published, so writing a segment does not
-// grow what stays in memory.
+// AppendSegment appends the segment's frame to dst. The column layout is
+// encoded straight from the segment's rows and kept nowhere, so writing a
+// segment does not grow what stays in memory.
 func AppendSegment(dst []byte, s *Segment) []byte {
-	fc := s.cols.Load()
-	if fc == nil {
-		fc = buildFrozenCols(s.order, s.arity)
-	}
-	return appendSegment(dst, s.order, fc)
+	return appendSegment(dst, s.order, s.arity)
 }
 
-// appendSegment appends the frame of a segment holding tuples, whose
-// columnar image is fc.
-func appendSegment(dst []byte, tuples []*Tuple, fc *frozenCols) []byte {
+// appendSegment appends the frame of a segment holding tuples of the given
+// arity.
+func appendSegment(dst []byte, tuples []*Tuple, arity int) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHeader)...)
 	dst = append(dst, segmentMagic...)
 	dst = binary.AppendUvarint(dst, segmentFormat)
-	dst = binary.AppendUvarint(dst, uint64(len(fc.cols)))
+	dst = binary.AppendUvarint(dst, uint64(arity))
 	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
 	for _, t := range tuples {
 		dst = binary.AppendUvarint(dst, uint64(len(t.ID)))
@@ -436,25 +432,52 @@ func appendSegment(dst []byte, tuples []*Tuple, fc *frozenCols) []byte {
 		dst = binary.AppendVarint(dst, int64(t.Seq-prev))
 		prev = t.Seq
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(fc.strs)))
-	for _, str := range fc.strs {
-		dst = binary.AppendUvarint(dst, uint64(len(str)))
-	}
-	for _, str := range fc.strs {
-		dst = append(dst, str...)
-	}
-	for c := range fc.cols {
-		cv := &fc.cols[c]
-		if cv.kinds == nil {
-			dst = append(dst, byte(cv.kind), 1)
-		} else {
-			dst = append(dst, byte(cv.kind), 0)
-			for _, k := range cv.kinds {
-				dst = append(dst, byte(k))
+	// The string table holds each distinct string once, in the order a walk
+	// column by column, row by row first meets it.
+	strIdx := make(map[string]int64)
+	var strs []string
+	for c := 0; c < arity; c++ {
+		for _, t := range tuples {
+			if v := t.Vals[c]; v.Kind != KindInt && v.Kind != KindFloat {
+				if _, ok := strIdx[v.Str]; !ok {
+					strIdx[v.Str] = int64(len(strs))
+					strs = append(strs, v.Str)
+				}
 			}
 		}
-		for _, d := range cv.data {
-			dst = binary.AppendVarint(dst, d)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(strs)))
+	for _, str := range strs {
+		dst = binary.AppendUvarint(dst, uint64(len(str)))
+	}
+	for _, str := range strs {
+		dst = append(dst, str...)
+	}
+	for c := 0; c < arity; c++ {
+		var kind Kind
+		uniform := byte(1)
+		for i, t := range tuples {
+			if i == 0 {
+				kind = t.Vals[c].Kind
+			} else if t.Vals[c].Kind != kind {
+				uniform = 0
+			}
+		}
+		dst = append(dst, byte(kind), uniform)
+		if uniform == 0 {
+			for _, t := range tuples {
+				dst = append(dst, byte(t.Vals[c].Kind))
+			}
+		}
+		for _, t := range tuples {
+			switch v := t.Vals[c]; v.Kind {
+			case KindInt:
+				dst = binary.AppendVarint(dst, v.Int)
+			case KindFloat:
+				dst = binary.AppendVarint(dst, int64(math.Float64bits(v.Flt)))
+			default:
+				dst = binary.AppendVarint(dst, strIdx[v.Str])
+			}
 		}
 	}
 	return sealFrame(dst, start)

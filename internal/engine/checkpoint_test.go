@@ -153,17 +153,26 @@ func TestLayoutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendSegmentPublishesNothing: writing a segment reuses a published
-// columnar image and never publishes the transient one it builds.
+// TestAppendSegmentPublishesNothing: writing a segment leaves its lazily
+// built read structures — the hash indexes and the content-intern map — as
+// they were, whether they are built or not, and encodes the same bytes
+// either way.
 func TestAppendSegmentPublishesNothing(t *testing.T) {
 	seg := checkpointDB(t).Freeze().base["S"].segs[0]
-	cold := AppendSegment(nil, seg)
-	if seg.cols.Load() != nil {
-		t.Fatal("AppendSegment published a columnar image")
+	unchanged := func(when string, write func() []byte) []byte {
+		t.Helper()
+		idx, keys := seg.indexes.Load(), seg.keys.Load()
+		data := write()
+		if seg.indexes.Load() != idx || seg.keys.Load() != keys {
+			t.Fatalf("AppendSegment on a %s segment changed its indexes or its intern map", when)
+		}
+		return data
 	}
-	seg.columnar()
-	if warm := AppendSegment(nil, seg); string(warm) != string(cold) {
-		t.Fatal("the published image encodes differently from a transient one")
+	cold := unchanged("cold", func() []byte { return AppendSegment(nil, seg) })
+	seg.index(0)
+	seg.keyMap()
+	if warm := unchanged("warm", func() []byte { return AppendSegment(nil, seg) }); string(warm) != string(cold) {
+		t.Fatal("a segment with built indexes encodes differently from a cold one")
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 	"testing"
 )
 
-// Differential tests for the columnar sealed-segment read paths: every
-// batch API must agree, tuple for tuple and in order, with a row-oriented
-// reference (Scan, Value.Equal and a Seq sort over plain tuples), across
-// random overlay states — one to three sealed segments, tombstones,
-// private tails, deletions on both sides — and adversarial values (NaN,
-// -0.0, cross-kind numerics, interned strings).
+// Tests for the two places a sealed segment's values are read: its rows in
+// memory, through the batch read APIs, and its columns on disk, through the
+// segment frame. The batch APIs must agree, tuple for tuple and in order,
+// with a row-oriented reference (Scan, Value.Equal and a Seq sort over
+// plain tuples) across random overlay states — one to three sealed
+// segments, tombstones, private tails, deletions on both sides — and
+// adversarial values (NaN, -0.0, cross-kind numerics, interned strings).
+// The frame must give every cell back to the bit.
 
 // colTestVals is the adversarial value pool: cross-kind equal pairs
 // (int 2 vs float 2.0), negative zero, NaN, floats, and strings.
@@ -34,33 +36,71 @@ func colTestVals() []Value {
 	}
 }
 
-// TestColVecMatchRowMirrorsEqual: matchRow on a columnar cell must agree
-// with Value.Equal on the reconstructed cell, for every (cell, probe)
-// pair in the adversarial pool — on mixed-kind columns (per-row kinds)
-// and on uniform single-kind columns.
+// sameBits reports whether two values are the same cell to the bit: same
+// kind and same payload, floats compared by their IEEE-754 bits (so NaN
+// matches NaN and -0.0 does not match 0.0).
+func sameBits(a, b Value) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case KindInt:
+		return a.Int == b.Int
+	case KindFloat:
+		return math.Float64bits(a.Flt) == math.Float64bits(b.Flt)
+	default:
+		return a.Str == b.Str
+	}
+}
+
+// TestColVecMatchRowMirrorsEqual: every cell survives the segment frame's
+// column layout bit for bit — a round trip through AppendSegment and
+// DecodeSegment — on a mixed-kind column (per-row kinds) and on uniform
+// single-kind columns, with the IDs and Seqs of its rows.
 func TestColVecMatchRowMirrorsEqual(t *testing.T) {
-	vals := colTestVals()
+	two53 := float64(1 << 53)
+	vals := append(colTestVals(),
+		Value{Kind: KindInt, Int: math.MaxInt64},
+		Value{Kind: KindInt, Int: math.MinInt64},
+		Value{Kind: KindInt, Int: 1<<53 + 1},
+		Value{Kind: KindFloat, Flt: math.Inf(1)},
+		Value{Kind: KindFloat, Flt: math.Inf(-1)},
+		Value{Kind: KindFloat, Flt: two53},
+		Value{Kind: KindFloat, Flt: -two53},
+		Value{Kind: KindFloat, Flt: math.Float64frombits(0x7ff8000000000001)}, // a NaN with a payload
+		Value{Kind: KindString, Str: "a"},                                     // repeated: the string table holds it once
+		Value{Kind: KindString, Str: "ü\x00"},
+	)
 	groups := map[string][]Value{"mixed": vals}
 	for _, v := range vals {
-		key := fmt.Sprintf("uniform-kind%d", v.Kind)
+		key := fmt.Sprintf("uniform-%s", v.Kind)
 		groups[key] = append(groups[key], v)
 	}
 	for name, cells := range groups {
-		order := make([]*Tuple, len(cells))
+		// Column 0 numbers the rows so that no two rows share content;
+		// column 1 holds the cells under test.
+		n := len(cells)
+		flat := make([]Value, 0, 2*n)
+		ids, seqs := make([]string, n), make([]int, n)
 		for i, v := range cells {
-			order[i] = &Tuple{Vals: []Value{v}, Seq: i}
+			flat = append(flat, Int(i), v)
+			ids[i], seqs[i] = fmt.Sprintf("c%d", i), 3*i+1
 		}
-		fc := buildFrozenCols(order, 1)
+		seg := sealRows("C", 2, flat, ids, seqs, nil).segs[0]
+		back, err := DecodeSegment(AppendSegment(nil, seg), "C", 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if back.Len() != n {
+			t.Fatalf("%s: decoded %d rows, want %d", name, back.Len(), n)
+		}
 		for i, cell := range cells {
-			if got := fc.valueAt(0, i); !got.Equal(cell) && !(cell.Kind == KindFloat && math.IsNaN(cell.Flt)) {
-				t.Fatalf("%s: valueAt(%d) = %#v, want %#v", name, i, got, cell)
+			got := back.order[i]
+			if got.ID != ids[i] || got.Seq != seqs[i] {
+				t.Fatalf("%s: row %d decoded as %s seq %d, want %s seq %d", name, i, got.ID, got.Seq, ids[i], seqs[i])
 			}
-			for _, probe := range vals {
-				got := fc.cols[0].matchRow(fc.strs, i, probe)
-				want := cell.Equal(probe)
-				if got != want {
-					t.Fatalf("%s: matchRow(cell %#v, probe %#v) = %v, Value.Equal = %v", name, cell, probe, got, want)
-				}
+			if !sameBits(got.Vals[0], Int(i)) || !sameBits(got.Vals[1], cell) {
+				t.Fatalf("%s: row %d decoded as %#v, want [%#v %#v]", name, i, got.Vals, Int(i), cell)
 			}
 		}
 	}
@@ -68,14 +108,16 @@ func TestColVecMatchRowMirrorsEqual(t *testing.T) {
 
 // randomOverlay builds a relation in a random overlay state: a core sealed
 // in one to four rounds (so one to three segments, with tombstones), a
-// private tail, and random deletions on both sides.
-func randomOverlay(rng *rand.Rand) *Relation {
+// private tail, and random deletions on both sides. It also returns the
+// live rows as a model: content key to tuple ID.
+func randomOverlay(rng *rand.Rand) (*Relation, map[string]string) {
 	schema := NewSchema()
 	if _, err := schema.AddRelation("R", "r", "a", "b", "c"); err != nil {
 		panic(err)
 	}
 	db := NewDatabase(schema)
 	rel := db.Relation("R")
+	model := make(map[string]string)
 	pool := colTestVals()
 	// NaN is excluded from stored cells (NaN map keys would split index
 	// buckets); it stays in the probe pool.
@@ -89,11 +131,13 @@ func randomOverlay(rng *rand.Rand) *Relation {
 	pick := func() Value { return stored[rng.Intn(len(stored))] }
 	mutate := func(inserts int) {
 		for i, n := 0, rng.Intn(inserts); i < n; i++ {
-			db.MustInsert("R", pick(), pick(), pick())
+			tp := db.MustInsert("R", pick(), pick(), pick())
+			model[tp.Key()] = tp.ID
 		}
 		for _, tp := range rel.Tuples() {
 			if rng.Intn(5) == 0 {
 				rel.DeleteTuple(tp)
+				delete(model, tp.Key())
 			}
 		}
 	}
@@ -102,7 +146,7 @@ func randomOverlay(rng *rand.Rand) *Relation {
 		db.Freeze()
 	}
 	mutate(20)
-	return rel
+	return rel, model
 }
 
 // sameTuples reports whether two tuple sequences are identical, pointer
@@ -119,63 +163,49 @@ func sameTuples(a, b []*Tuple) bool {
 	return true
 }
 
-// TestBatchAPIsMatchRowReference: on random overlay states, Lookup,
-// LookupEach, ScanChecked, and ScanRuns — which evaluate checks on the
-// segments' column vectors and stream index buckets — must yield exactly
-// the sequences the row-oriented reference yields: Scan filtered with
-// Value.Equal / checksMatchTuple on the tuples themselves, sorted by Seq
-// for lookups. Along the way every sealed row's frozenCols.match must
-// agree with checksMatchTuple on its tuple.
+// TestBatchAPIsMatchRowReference: on random overlay states, Scan must yield
+// exactly the live rows, ScanRuns must yield Scan's sequence, and Lookup,
+// LookupCount and LookupEach — which stream index buckets across segments,
+// tombstones and the tail — must yield exactly what the row reference
+// yields: Scan filtered with Value.Equal on the tuples themselves, sorted
+// by Seq.
 func TestBatchAPIsMatchRowReference(t *testing.T) {
 	probes := colTestVals()
 	for trial := 0; trial < 120; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		rel := randomOverlay(rng)
+		rel, model := randomOverlay(rng)
 
-		scan := func() (out []*Tuple) {
-			rel.Scan(func(tp *Tuple) bool { out = append(out, tp); return true })
-			return
+		var scan []*Tuple
+		rel.Scan(func(tp *Tuple) bool { scan = append(scan, tp); return true })
+		if len(scan) != len(model) {
+			t.Fatalf("trial %d: Scan yielded %d tuples, %d are live", trial, len(scan), len(model))
 		}
-		runs := func() (out []*Tuple) {
-			rel.ScanRuns(func(run []*Tuple) bool {
-				if len(run) == 0 {
-					t.Fatalf("trial %d: ScanRuns yielded an empty run", trial)
-				}
-				out = append(out, run...)
-				return true
-			})
-			return
-		}
-		each := func(col int, v Value, checks []ColCheck) (out []*Tuple) {
-			rel.LookupEach(col, v, checks, func(tp *Tuple) bool { out = append(out, tp); return true })
-			return
-		}
-		checked := func(checks []ColCheck) (out []*Tuple) {
-			rel.ScanChecked(checks, func(tp *Tuple) bool { out = append(out, tp); return true })
-			return
-		}
-		filter := func(in []*Tuple, checks []ColCheck) (out []*Tuple) {
-			for _, tp := range in {
-				if checksMatchTuple(tp, checks) {
-					out = append(out, tp)
-				}
+		for _, tp := range scan {
+			if id, ok := model[tp.Key()]; !ok || id != tp.ID {
+				t.Fatalf("trial %d: Scan yielded %s, which is not live", trial, tp)
 			}
-			return
 		}
-
-		if got := runs(); !sameTuples(got, scan()) {
+		var runs []*Tuple
+		rel.ScanRuns(func(run []*Tuple) bool {
+			if len(run) == 0 {
+				t.Fatalf("trial %d: ScanRuns yielded an empty run", trial)
+			}
+			runs = append(runs, run...)
+			return true
+		})
+		if !sameTuples(runs, scan) {
 			t.Fatalf("trial %d: ScanRuns order diverged from Scan", trial)
 		}
 
 		for p := 0; p < 12; p++ {
 			col := rng.Intn(3)
 			v := probes[rng.Intn(len(probes))]
-			var checks []ColCheck
-			for len(checks) < rng.Intn(3) {
-				checks = append(checks, ColCheck{Col: rng.Intn(3), Val: probes[rng.Intn(len(probes))]})
+			var rowLookup []*Tuple
+			for _, tp := range scan {
+				if tp.Vals[col].Equal(v) {
+					rowLookup = append(rowLookup, tp)
+				}
 			}
-
-			rowLookup := filter(scan(), []ColCheck{{Col: col, Val: v}})
 			sort.SliceStable(rowLookup, func(i, j int) bool { return rowLookup[i].Seq < rowLookup[j].Seq })
 			if got := rel.Lookup(col, v); !sameTuples(got, rowLookup) {
 				t.Fatalf("trial %d probe %d: Lookup(%d, %#v) = %d tuples, row reference %d", trial, p, col, v, len(got), len(rowLookup))
@@ -183,21 +213,10 @@ func TestBatchAPIsMatchRowReference(t *testing.T) {
 			if got := rel.LookupCount(col, v); got != len(rowLookup) {
 				t.Fatalf("trial %d probe %d: LookupCount(%d, %#v) = %d, row reference %d", trial, p, col, v, got, len(rowLookup))
 			}
-			if got := each(col, v, checks); !sameTuples(got, filter(rowLookup, checks)) {
-				t.Fatalf("trial %d probe %d: LookupEach(%d, %#v, %v) diverged from the row reference", trial, p, col, v, checks)
-			}
-			if got := checked(checks); !sameTuples(got, filter(scan(), checks)) {
-				t.Fatalf("trial %d probe %d: ScanChecked(%v) diverged from Scan+filter", trial, p, checks)
-			}
-			if fz := rel.frozen; fz != nil {
-				for _, seg := range fz.segs {
-					fc := seg.columnar()
-					for pos, tp := range seg.order {
-						if fc.match(pos, checks) != checksMatchTuple(tp, checks) {
-							t.Fatalf("trial %d probe %d: frozenCols.match(%d, %v) disagrees with checksMatchTuple on %s", trial, p, pos, checks, tp)
-						}
-					}
-				}
+			var each []*Tuple
+			rel.LookupEach(col, v, func(tp *Tuple) bool { each = append(each, tp); return true })
+			if !sameTuples(each, rowLookup) {
+				t.Fatalf("trial %d probe %d: LookupEach(%d, %#v) diverged from the row reference", trial, p, col, v)
 			}
 		}
 	}

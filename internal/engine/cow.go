@@ -27,11 +27,11 @@ import (
 //
 // Concurrency: a Snapshot is safe for concurrent Fork and concurrent reads
 // through any number of forks. The only mutable shared state — a segment's
-// lazily built indexes, columnar image and content-intern map — is
-// published via atomic pointers to immutable values, with builders
-// serialized on the segment's mutex, so readers never lock and never
-// observe a partially built structure. Each forked Database itself is
-// single-goroutine, like any Database.
+// lazily built indexes and content-intern map — is published via atomic
+// pointers to immutable values, with builders serialized on the segment's
+// mutex, so readers never lock and never observe a partially built
+// structure. Each forked Database itself is single-goroutine, like any
+// Database.
 
 // Compaction tiers. A core holds at most maxSegments sealed segments, in
 // the order they were sealed — by role: base, middle, recent. Sealing a
@@ -86,21 +86,20 @@ func recentCap(base int) int {
 // Segment is an immutable run of tuples sealed by one freeze, shared by
 // pointer between every core — every version — that contains it, so its
 // pointer is its identity: a checkpoint writes each segment once (see
-// checkpoint.go). The read structures built lazily over it (positional
-// hash indexes, the columnar image of columnar.go, the content intern map)
-// hang off the segment, not the core, so they are built once per segment
-// however many versions and forks read it.
+// checkpoint.go). It keeps its rows as tuples; columns exist only in its
+// on-disk frame. The read structures built lazily over it (positional hash
+// indexes, the content intern map) hang off the segment, not the core, so
+// they are built once per segment however many versions and forks read it.
 type Segment struct {
 	arity int
 	order []*Tuple          // sealed tuples, insertion order
 	byID  map[TupleID]int32 // TID -> position in order
 
-	// indexes, cols, and keys hold immutable snapshots behind atomic
-	// pointers: readers load without locking; builders serialize on mu and
-	// publish a fresh value. Buckets reachable from here are never mutated.
+	// indexes and keys hold immutable snapshots behind atomic pointers:
+	// readers load without locking; builders serialize on mu and publish a
+	// fresh value. Buckets reachable from here are never mutated.
 	mu      sync.Mutex
 	indexes atomic.Pointer[map[int]map[Value]*frozenBucket]
-	cols    atomic.Pointer[frozenCols]
 	keys    atomic.Pointer[map[string]TupleID]
 }
 
@@ -231,22 +230,6 @@ func (s *Segment) buildIndexLocked(col int) map[Value]*frozenBucket {
 	next[col] = idx
 	s.indexes.Store(&next)
 	return idx
-}
-
-// columnar returns the segment's columnar image, building and publishing
-// it on first use (at most once per segment across all versions and forks).
-func (s *Segment) columnar() *frozenCols {
-	if fc := s.cols.Load(); fc != nil {
-		return fc
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fc := s.cols.Load(); fc != nil {
-		return fc
-	}
-	fc := buildFrozenCols(s.order, s.arity)
-	s.cols.Store(fc)
-	return fc
 }
 
 // keyMap returns the segment's content-intern map, building and publishing

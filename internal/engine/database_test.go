@@ -47,15 +47,6 @@ func TestSchemaConstruction(t *testing.T) {
 	if s.Relation("Author").Arity() != 2 {
 		t.Fatal("Author arity should be 2")
 	}
-	if got := s.AttrIndex("Writes", "pid"); got != 1 {
-		t.Fatalf("AttrIndex(Writes, pid) = %d, want 1", got)
-	}
-	if got := s.AttrIndex("Writes", "zzz"); got != -1 {
-		t.Fatalf("AttrIndex miss = %d, want -1", got)
-	}
-	if got := s.AttrIndex("Zzz", "pid"); got != -1 {
-		t.Fatalf("AttrIndex unknown rel = %d, want -1", got)
-	}
 	names := s.Names()
 	if names[0] != "Grant" || names[5] != "Cite" {
 		t.Fatalf("Names order wrong: %v", names)

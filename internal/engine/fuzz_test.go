@@ -50,7 +50,7 @@ func fuzzDumpDB(db *Database) string {
 
 // FuzzSnapshot: loading arbitrary bytes never panics; it either errors or
 // yields a database that survives, content-identical, a freeze (sealing
-// segments and building their columnar images), a fold of those segments
+// segments and probing each one's first column), a fold of those segments
 // and a save/load round-trip. Each input is also loaded with its frames'
 // headers rewritten to fit their bytes, so mutations reach the payload
 // decoders past the checksums.
@@ -85,9 +85,9 @@ func checkSnapshotBytes(t *testing.T, data []byte) {
 	_ = db.Stats()
 	ref := fuzzDumpDB(db)
 
-	// Freeze into sealed segments, build each one's columnar image, then
-	// fold every overlay into a private one-segment core: content must be
-	// untouched.
+	// Freeze into sealed segments, probe column 0 of each (building its
+	// index), then fold every overlay into a private one-segment core:
+	// content must be untouched.
 	db.Freeze()
 	if got := fuzzDumpDB(db); got != ref {
 		t.Fatalf("freeze changed content:\n%s\nwant:\n%s", got, ref)
@@ -95,7 +95,7 @@ func checkSnapshotBytes(t *testing.T, data []byte) {
 	for _, rs := range db.Schema.Relations {
 		for _, rel := range []*Relation{db.base[rs.Name], db.delta[rs.Name]} {
 			if rel.Arity > 0 {
-				rel.ScanChecked([]ColCheck{{Col: 0, Val: Int(0)}}, func(*Tuple) bool { return true })
+				rel.LookupEach(0, Int(0), func(*Tuple) bool { return true })
 			}
 			rel.adopt(rel.reseal(0, false, nil, new(sealStats)))
 		}

@@ -622,16 +622,14 @@ func (r *Relation) Lookup(col int, v Value) []*Tuple {
 	return out
 }
 
-// LookupEach calls fn for each live tuple whose value at col equals v and
-// that satisfies every check, in Lookup order (Seq-ascending), without
-// materializing a result slice; fn returning false stops the iteration.
-// Checks are evaluated on each segment's column vectors, culling failing
-// candidates before their tuples are touched. When the merged order cannot
-// be streamed directly (an unsorted tail bucket, or a bucket that
-// interleaves with an earlier one), it falls back to Lookup and filters —
-// the yielded sequence is identical either way. Mutating the relation
-// mid-iteration is not supported.
-func (r *Relation) LookupEach(col int, v Value, checks []ColCheck, fn func(*Tuple) bool) {
+// LookupEach calls fn for each live tuple whose value at col equals v, in
+// Lookup order (Seq-ascending), without materializing a result slice; fn
+// returning false stops the iteration. When the merged order cannot be
+// streamed directly (an unsorted tail bucket, or a bucket that interleaves
+// with an earlier one), it falls back to Lookup — the yielded sequence is
+// identical either way. Mutating the relation mid-iteration is not
+// supported.
+func (r *Relation) LookupEach(col int, v Value, fn func(*Tuple) bool) {
 	if col < 0 || col >= r.Arity {
 		return
 	}
@@ -646,7 +644,7 @@ func (r *Relation) LookupEach(col int, v Value, checks []ColCheck, fn func(*Tupl
 	}
 	if !stream {
 		for _, t := range r.Lookup(col, v) {
-			if checksMatchTuple(t, checks) && !fn(t) {
+			if !fn(t) {
 				return
 			}
 		}
@@ -656,15 +654,8 @@ func (r *Relation) LookupEach(col int, v Value, checks []ColCheck, fn func(*Tupl
 		if b == nil {
 			continue
 		}
-		var fc *frozenCols
-		if len(checks) > 0 {
-			fc = r.frozen.segs[i].columnar()
-		}
 		for j, pos := range b.poss {
 			if r.fdelGet(i, pos) {
-				continue
-			}
-			if fc != nil && !fc.match(int(pos), checks) {
 				continue
 			}
 			if !fn(b.tuples[j]) {
@@ -674,45 +665,9 @@ func (r *Relation) LookupEach(col int, v Value, checks []ColCheck, fn func(*Tupl
 	}
 	if tb != nil {
 		for _, id := range tb.ids {
-			t := r.order[r.byID[id]]
-			if checksMatchTuple(t, checks) && !fn(t) {
+			if !fn(r.order[r.byID[id]]) {
 				return
 			}
-		}
-	}
-}
-
-// ScanChecked calls fn for each live tuple satisfying every check, in Scan
-// order; fn returning false stops the scan. Checks are evaluated on each
-// segment's column vectors, so a failing sealed row is rejected on flat
-// vectors without touching its tuple.
-func (r *Relation) ScanChecked(checks []ColCheck, fn func(*Tuple) bool) {
-	if len(checks) == 0 {
-		r.Scan(fn)
-		return
-	}
-	if fz := r.frozen; fz != nil {
-		for i, s := range fz.segs {
-			fc := s.columnar()
-			for pos, t := range s.order {
-				if r.fdelGet(i, int32(pos)) {
-					continue
-				}
-				if !fc.match(pos, checks) {
-					continue
-				}
-				if !fn(t) {
-					return
-				}
-			}
-		}
-	}
-	for i, t := range r.order {
-		if !r.live[i] || !checksMatchTuple(t, checks) {
-			continue
-		}
-		if !fn(t) {
-			return
 		}
 	}
 }

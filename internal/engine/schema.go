@@ -93,20 +93,6 @@ func (s *Schema) Names() []string {
 	return out
 }
 
-// AttrIndex returns the position of attribute attr in relation rel, or -1.
-func (s *Schema) AttrIndex(rel, attr string) int {
-	rs := s.byName[rel]
-	if rs == nil {
-		return -1
-	}
-	for i, a := range rs.Attrs {
-		if a == attr {
-			return i
-		}
-	}
-	return -1
-}
-
 // String renders the schema one relation per line.
 func (s *Schema) String() string {
 	var b strings.Builder

@@ -35,8 +35,8 @@ func sameRows(a, b []*Tuple) bool {
 
 // checkRelation compares every read of got (an overlay of sealed segments)
 // with want (flat): Len, Scan and ScanRuns order, Lookup, LookupEach and
-// LookupCount per value on the first cols columns with and without checks,
-// ScanChecked, and identity lookups for every live tuple.
+// LookupCount per value on the first cols columns, and identity lookups for
+// every live tuple.
 func checkRelation(t *testing.T, tag string, got, want *Relation, cols int, domain []Value) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -62,16 +62,8 @@ func checkRelation(t *testing.T, tag string, got, want *Relation, cols int, doma
 			t.Fatalf("%s: %s not visible by ID and by key", tag, tp)
 		}
 	}
-	filter := func(in []*Tuple, checks []ColCheck) (out []*Tuple) {
-		for _, tp := range in {
-			if checksMatchTuple(tp, checks) {
-				out = append(out, tp)
-			}
-		}
-		return
-	}
 	for col := 0; col < cols; col++ {
-		for i, v := range domain {
+		for _, v := range domain {
 			have := got.Lookup(col, v)
 			if !sameRows(have, want.Lookup(col, v)) {
 				t.Fatalf("%s: Lookup(%d, %s) diverged from the model", tag, col, v)
@@ -84,21 +76,10 @@ func checkRelation(t *testing.T, tag string, got, want *Relation, cols int, doma
 			if n := got.LookupCount(col, v); n != len(have) {
 				t.Fatalf("%s: LookupCount(%d, %s) = %d, Lookup %d", tag, col, v, n, len(have))
 			}
-			for _, checks := range [][]ColCheck{nil, {{Col: (col + 1) % cols, Val: domain[(i+1)%len(domain)]}}} {
-				var each []*Tuple
-				got.LookupEach(col, v, checks, func(tp *Tuple) bool { each = append(each, tp); return true })
-				if !sameTuples(each, filter(have, checks)) {
-					t.Fatalf("%s: LookupEach(%d, %s, %v) diverged from Lookup+filter", tag, col, v, checks)
-				}
-			}
-			if i >= 2 {
-				continue // a full scan per probe value adds cost, not coverage
-			}
-			checks := []ColCheck{{Col: col, Val: v}}
-			var checked []*Tuple
-			got.ScanChecked(checks, func(tp *Tuple) bool { checked = append(checked, tp); return true })
-			if !sameTuples(checked, filter(scan, checks)) {
-				t.Fatalf("%s: ScanChecked(%v) diverged from Scan+filter", tag, checks)
+			var each []*Tuple
+			got.LookupEach(col, v, func(tp *Tuple) bool { each = append(each, tp); return true })
+			if !sameTuples(each, have) {
+				t.Fatalf("%s: LookupEach(%d, %s) diverged from Lookup", tag, col, v)
 			}
 		}
 	}

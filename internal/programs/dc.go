@@ -40,23 +40,6 @@ func DCs() (*datalog.Program, error) {
 	return datalog.ParseAndValidate(DCSource, DCSchema())
 }
 
-// DCByIndex returns a program holding only DC i (1-4), for per-constraint
-// violation counting (Table 5).
-func DCByIndex(i int) (*datalog.Program, error) {
-	p, err := DCs()
-	if err != nil {
-		return nil, err
-	}
-	if i < 1 || i > len(p.Rules) {
-		return nil, fmt.Errorf("programs: DC index %d out of range 1-%d", i, len(p.Rules))
-	}
-	single := datalog.NewProgram(p.Rules[i-1])
-	if err := single.Validate(DCSchema()); err != nil {
-		return nil, err
-	}
-	return single, nil
-}
-
 // CleanAuthorTable generates a DC-consistent Author table of the given
 // size: aids unique, names functionally determined by aid, organization
 // name functionally determined by oid. numOrgs controls the oid domain.

@@ -50,16 +50,13 @@ func TestAllMASProgramsValidate(t *testing.T) {
 
 func TestAllTPCHProgramsValidate(t *testing.T) {
 	ds := tinyTPCH(t)
-	ps, err := TPCHAll(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 6 {
-		t.Fatalf("got %d programs, want 6", len(ps))
-	}
 	wantRules := map[int]int{1: 2, 2: 2, 3: 2, 4: 3, 5: 3, 6: 4}
 	for n, want := range wantRules {
-		if got := len(ps[n].Rules); got != want {
+		p, err := TPCH(n, ds)
+		if err != nil {
+			t.Fatalf("program T-%d: %v", n, err)
+		}
+		if got := len(p.Rules); got != want {
 			t.Errorf("program T-%d: %d rules, want %d", n, got, want)
 		}
 	}
@@ -286,21 +283,6 @@ func TestDCProgram(t *testing.T) {
 	}
 	if len(p.Rules) != 4 {
 		t.Fatalf("DC rules = %d, want 4", len(p.Rules))
-	}
-	for i := 1; i <= 4; i++ {
-		single, err := DCByIndex(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(single.Rules) != 1 {
-			t.Fatalf("DCByIndex(%d) rules = %d", i, len(single.Rules))
-		}
-	}
-	if _, err := DCByIndex(0); err == nil {
-		t.Error("DC 0 should be rejected")
-	}
-	if _, err := DCByIndex(5); err == nil {
-		t.Error("DC 5 should be rejected")
 	}
 	if !strings.Contains(DCSource, "o1 != o2") {
 		t.Error("DC1 inequality missing")

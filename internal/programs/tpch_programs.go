@@ -30,19 +30,6 @@ func TPCH(n int, ds *tpch.Dataset) (*datalog.Program, error) {
 	return datalog.ParseAndValidate(src, tpch.Schema())
 }
 
-// TPCHAll returns all 6 TPC-H programs keyed by number.
-func TPCHAll(ds *tpch.Dataset) (map[int]*datalog.Program, error) {
-	out := make(map[int]*datalog.Program, 6)
-	for n := 1; n <= 6; n++ {
-		p, err := TPCH(n, ds)
-		if err != nil {
-			return nil, fmt.Errorf("program T-%d: %w", n, err)
-		}
-		out[n] = p
-	}
-	return out, nil
-}
-
 // TPCHSource exposes the concrete rule text of program T-n.
 func TPCHSource(n int, ds *tpch.Dataset) (string, error) { return tpchSource(n, ds) }
 

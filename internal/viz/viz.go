@@ -128,30 +128,3 @@ func ExplanationDOT(e *core.Explanation) string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// ComparisonDOT renders the Figure 3-style relationship diagram for a set
-// of computed results: one node per semantics with its size, and subset
-// edges where containment holds on this instance.
-func ComparisonDOT(results map[core.Semantics]*core.Result) string {
-	var b strings.Builder
-	b.WriteString("digraph comparison {\n  rankdir=LR;\n  node [shape=box, fontsize=11];\n")
-	for _, sem := range core.AllSemantics {
-		r := results[sem]
-		if r == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "  %s [label=\"%s\\n%d deleted\"];\n", sem, sem, r.Size())
-	}
-	for _, a := range core.AllSemantics {
-		for _, bSem := range core.AllSemantics {
-			if a == bSem || results[a] == nil || results[bSem] == nil {
-				continue
-			}
-			if results[a].SubsetOf(results[bSem]) && !results[a].SameSet(results[bSem]) {
-				fmt.Fprintf(&b, "  %s -> %s [label=\"⊆\"];\n", a, bSem)
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

@@ -9,20 +9,6 @@ import (
 	"repro/internal/programs"
 )
 
-func runningExample(t *testing.T) (*engine.Database, *core.Result, map[core.Semantics]*core.Result) {
-	t.Helper()
-	db := programs.RunningExampleDB()
-	p, err := programs.RunningExampleProgram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := core.RunAll(db, p, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db, results[core.SemEnd], results
-}
-
 func TestProvenanceDOTFigure5(t *testing.T) {
 	db := programs.RunningExampleDB()
 	p, err := programs.RunningExampleProgram()
@@ -82,34 +68,5 @@ func TestExplanationDOT(t *testing.T) {
 	// Three nodes in the chain w1 -> a2 -> g2.
 	if got := strings.Count(dot, "label="); got != 3 {
 		t.Errorf("node count = %d, want 3", got)
-	}
-}
-
-func TestComparisonDOT(t *testing.T) {
-	_, _, results := runningExample(t)
-	dot := ComparisonDOT(results)
-	for _, want := range []string{
-		"independent [label=\"independent\\n3 deleted\"]",
-		"step [label=\"step\\n5 deleted\"]",
-		"stage [label=\"stage\\n7 deleted\"]",
-		"end [label=\"end\\n8 deleted\"]",
-		"step -> stage", // step ⊆ stage on this instance
-		"stage -> end",  // stage ⊆ end
-	} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-	// Independent is not contained in anything here.
-	if strings.Contains(dot, "independent ->") {
-		t.Error("independent should have no subset edges on the running example")
-	}
-}
-
-func TestComparisonDOTPartialMap(t *testing.T) {
-	_, endRes, _ := runningExample(t)
-	dot := ComparisonDOT(map[core.Semantics]*core.Result{core.SemEnd: endRes})
-	if !strings.Contains(dot, "end") || strings.Contains(dot, "step") {
-		t.Errorf("partial map render wrong:\n%s", dot)
 	}
 }
