@@ -278,10 +278,17 @@ func ParseView(src string, schema *Schema) (*View, error) {
 
 // DeleteViewTuple finds a minimum base-deletion set that removes the view
 // row with the given values while keeping the database stable w.r.t. the
-// program (nil program = plain deletion propagation). Returns the solution
-// and the repaired database.
+// program (nil program = plain deletion propagation), which it prepares
+// once. Returns the solution and the repaired database.
 func DeleteViewTuple(db *Database, v *View, target []Value, p *Program) (*SideEffectResult, *Database, error) {
-	return sideeffect.DeleteViewTuple(db, v, target, p, sideeffect.Options{})
+	var prep *datalog.Prepared
+	if p != nil {
+		var err error
+		if prep, err = datalog.Prepare(p, db.Schema); err != nil {
+			return nil, nil, err
+		}
+	}
+	return sideeffect.DeleteViewTuple(db, v, target, prep, sideeffect.Options{})
 }
 
 // Repair-space types: enumeration of the k best independent-semantics

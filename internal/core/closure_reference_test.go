@@ -225,13 +225,17 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 
 // preDeleteEveryThird returns a fork of the scenario's database with every
 // third tuple deleted beforehand (the §3.6 initialization).
-func preDeleteEveryThird(sc *gen.Scenario) *engine.Database {
-	preDeleted := sc.DB.Fork()
+func preDeleteEveryThird(sc *gen.Scenario) *engine.Database { return preDeleteEvery(sc.DB, 3) }
+
+// preDeleteEvery returns a fork of db with every nth tuple deleted
+// beforehand.
+func preDeleteEvery(db *engine.Database, nth int) *engine.Database {
+	preDeleted := db.Fork()
 	n := 0
-	for _, rs := range sc.Schema.Relations {
+	for _, rs := range db.Schema.Relations {
 		var victims []*engine.Tuple
-		sc.DB.Relation(rs.Name).Scan(func(tp *engine.Tuple) bool {
-			if n++; n%3 == 0 {
+		db.Relation(rs.Name).Scan(func(tp *engine.Tuple) bool {
+			if n++; n%nth == 0 {
 				victims = append(victims, tp)
 			}
 			return true
@@ -293,11 +297,11 @@ func checkEndGraphAgainstDefinition(t *testing.T, db *engine.Database, prep *dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, _, _, err := d.closureArtefact(nil, 0)
+	prov, _, err := d.closureArtefact(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := prov.graph
+	g := prov.endGraph()
 	full := fullFormulaReference(t, db, prep)
 
 	inE := maps.Clone(prov.preDeleted)
@@ -425,4 +429,79 @@ func TestEndGraphMatchesDefinition(t *testing.T) {
 		t.Fatal("vacuous: the end graph kept every closure clause on every instance")
 	}
 	t.Logf("%d of 1027 instances have V ⊋ E", dropped)
+}
+
+// stageByDefinition is Def. 3.7 taken literally, sharing no code with the
+// stage policy: on a fork, every stage evaluates every rule's operational
+// plan against the database the stages before it left and deletes all of
+// the new heads at once, until a stage derives none. It returns the
+// deleted tuples' content keys, sorted, and the number of stages that
+// deleted one.
+func stageByDefinition(t *testing.T, db *engine.Database, prep *datalog.Prepared) ([]string, int) {
+	t.Helper()
+	work := db.Fork()
+	var keys []string
+	for stage := 0; ; stage++ {
+		var heads []*engine.Tuple
+		seen := make(map[engine.TupleID]bool)
+		for _, pr := range prep.Rules {
+			err := pr.EvalOperational(work, nil, func(asn *datalog.Assignment) bool {
+				if h := asn.Head(); !seen[h.TID] {
+					seen[h.TID] = true
+					heads = append(heads, h)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(heads) == 0 {
+			slices.Sort(keys)
+			return keys, stage
+		}
+		for _, h := range heads {
+			if !work.DeleteTupleToDelta(h) {
+				t.Fatalf("stage %d derived %s, which is not live", stage+1, h.Key())
+			}
+			keys = append(keys, h.Key())
+		}
+	}
+}
+
+// TestStageMatchesDefinition checks the stage policy, read off the closure
+// formula, against the literal Def. 3.7 transcription: the same deleted
+// set and the same stage count on the running example and the socket
+// benchmark's 26 programs, each as generated and again with every 50th
+// tuple deleted beforehand. gen's checkScenario runs the same check on
+// its seeds.
+func TestStageMatchesDefinition(t *testing.T) {
+	run := func(name string, db *engine.Database, prep *datalog.Prepared) {
+		for _, leg := range []struct {
+			name string
+			db   *engine.Database
+		}{{"as-generated", db}, {"pre-deleted", preDeleteEvery(db, 50)}} {
+			t.Run(name+"/"+leg.name, func(t *testing.T) {
+				res, _, err := RunWith(leg.db, nil, SemStage, Options{Prepared: prep})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := slices.Sorted(slices.Values(res.Keys()))
+				want, stages := stageByDefinition(t, leg.db, prep)
+				if !slices.Equal(got, want) || res.Rounds != stages {
+					t.Fatalf("stage deletes %d tuples in %d stages, Def. 3.7 %d in %d:\n got  %v\n want %v",
+						len(got), res.Rounds, len(want), stages, got, want)
+				}
+			})
+		}
+	}
+	db := academicDB()
+	prep, err := datalog.Prepare(academicProgram(t), db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("running-example", db, prep)
+	for _, sp := range socketPrograms(t) {
+		run(sp.name, sp.db, sp.prep)
+	}
 }

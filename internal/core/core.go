@@ -7,7 +7,8 @@
 //
 // The four are policies over one Derivation (derivation.go): it derives the
 // artefacts they choose from once per request — Algorithm 1's closure
-// formula with the end graph read off it, the end and stage fixpoints. A
+// formula with the end graph read off it, and the end fixpoint. Stage is a
+// layered pass over the same formula, so a repair-all derives once. A
 // policy's Result is the stabilizing set alone; RunWith returns it
 // together with the repaired database, which Materialize builds as a
 // copy-on-write fork. The caller's instance is never mutated.

@@ -13,26 +13,26 @@ import (
 // Derivation is everything one request derives about one database under one
 // prepared program. §3 of the paper defines the four semantics as four
 // choices over the same delta-rule assignments, and the code reads that way:
-// a Derivation is the only caller of derive and produces the three artefacts
+// a Derivation is the only caller of derive and produces the two artefacts
 // the semantics choose from —
 //
 //   - Algorithm 1's closure formula F_V, with the layered provenance graph
 //     of §5.2 read off it instead of derived again (closureArtefact);
 //   - the end fixpoint (Def. 3.10): the graph's heads once the formula
 //     exists, else derived cold or continued by the WarmStart hints;
-//   - the stage fixpoint (Def. 3.7);
 //
 // — and every semantics is a short policy over them: end deletes all of the
-// end fixpoint, stage all of the stage fixpoint, step what Algorithm 2's
-// traversal of the graph selects, independent a Min-Ones model of the
-// formula's CNF (tie order from the graph). finish turns whichever set a
-// policy chose into a Result; Materialize builds the repaired instance only
-// for callers that read it.
+// end fixpoint, stage the stage fixpoint (Def. 3.7) a layered pass over the
+// formula reads off, step what Algorithm 2's traversal of the graph
+// selects, independent a Min-Ones model of the formula's CNF (tie order
+// from the graph). finish turns whichever set a policy chose into a
+// Result; Materialize builds the repaired instance only for callers that
+// read it.
 //
 // The provenance and the end fixpoint are memoised, so the policies of one
-// repair-all share them: whichever of independent, step and the Explainer
-// runs first builds the provenance, and the others reuse it. Two rules keep
-// the accounting of shared work honest:
+// repair-all share them: whichever policy or Explainer runs first builds
+// the provenance, and the others reuse it. Two rules keep the accounting
+// of shared work honest:
 //
 //   - Timing is additive. A shared artefact's time is charged once, to the
 //     Result of the policy that first demanded it; a policy that reuses it
@@ -52,9 +52,9 @@ type Derivation struct {
 
 	prov *closure
 	end  *fixpoint
-	// repaired is a repaired instance a policy built anyway — stage's
-	// shrunk fork, independent's self-check fork — with the Result it
-	// belongs to, so runMaterialized hands it out instead of forking again.
+	// repaired is a repaired instance a policy built anyway — independent's
+	// self-check fork — with the Result it belongs to, so runMaterialized
+	// hands it out instead of forking again.
 	repaired struct {
 		res *Result
 		db  *engine.Database
@@ -165,10 +165,10 @@ func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart) (*fixpoint, 
 		// The graph's heads are E less the pre-deleted tuples, in derivation
 		// order: a head is bound at a self atom over the live base (Def.
 		// 3.1), so it is never pre-deleted.
-		g := d.prov.graph
+		g := d.prov.endGraph()
 		d.end = &fixpoint{tuples: make([]*engine.Tuple, len(g.Heads)), rounds: g.NumLayers}
 		for i, h := range g.Heads {
-			d.end.tuples[i] = d.db.LookupID(h)
+			d.end.tuples[i] = d.prov.tuples[d.prov.formula.Var(h)]
 		}
 		return d.end, time.Since(start), nil
 	}
@@ -216,11 +216,12 @@ func (d *Derivation) live(t *engine.Tuple) bool {
 	return r != nil && r.ContainsTuple(t)
 }
 
-// finishIDs is finish for the policies that choose by interned tuple ID.
+// finishIDs is finish for the policies that choose by interned tuple ID
+// among the closure formula's tuples.
 func (d *Derivation) finishIDs(sem Semantics, ids []engine.TupleID) (*Result, error) {
 	chosen := make([]*engine.Tuple, len(ids))
 	for i, id := range ids {
-		if chosen[i] = d.db.LookupID(id); chosen[i] == nil {
+		if chosen[i] = d.prov.tuples[d.prov.formula.Var(id)]; chosen[i] == nil {
 			return nil, fmt.Errorf("core: %s semantics selected unknown tuple t%d", sem, id)
 		}
 	}
@@ -265,20 +266,34 @@ func (d *Derivation) runEnd(opts Options) (*Result, error) {
 // evaluated against the previous stage's database, all derivable delta
 // tuples are added at once, and the base relations are updated before the
 // next stage. By Prop. 3.9 the result is a unique fixpoint, and the policy
-// takes all of it. The stages shrink a fork of their own, which is then
-// the repaired instance.
+// takes all of it, read off the closure formula (Formula.Stage). So stage
+// fails over DefaultMaxClauses as step and independent do.
+//
+// Lemma. A stage-k assignment binds its delta atoms to tuples deleted
+// before k — in Stage ⊆ End ⊆ V (Prop. 3.20; the lemma on
+// closureArtefact) — and its base atoms to tuples live at k, so it is a
+// clause of F_V whose Neg tuples were deleted before k and whose Pos
+// tuples were not; conversely every such clause is a stage-k assignment.
+// Its head is a Pos tuple (the self atom, Def. 3.1), hence new. Stage k
+// therefore deletes exactly the heads Formula.Stage fires at layer k.
 func (d *Derivation) runStage(opts Options) (*Result, error) {
-	work := d.db.Fork()
-	start := time.Now()
-	derived, rounds, err := derive(work, d.prep, deriveConfig{shrinkBases: true, ctx: opts.Ctx})
+	prov, evalDur, err := d.closureArtefact(opts.Ctx, DefaultMaxClauses)
 	if err != nil {
 		return nil, err
 	}
-	res := newResult(SemStage, derived)
-	res.Rounds = rounds
+	if err := ctxErr(opts.Ctx); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	heads, stages := prov.formula.Stage(prov.preDeleted)
+	ppDur := time.Since(start)
+	res, err := d.finishIDs(SemStage, heads)
+	if err != nil {
+		return nil, err
+	}
+	res.Rounds = stages
 	res.Optimal = true // unique fixpoint
-	res.Timing.Eval = time.Since(start)
-	d.repaired.res, d.repaired.db = res, work
+	res.Timing.Eval, res.Timing.ProcessProv = evalDur, ppDur
 	return res, nil
 }
 

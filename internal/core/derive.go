@@ -9,14 +9,10 @@ import (
 	"repro/internal/provenance"
 )
 
-// deriveConfig controls the shared seminaive derivation loop.
+// deriveConfig controls the shared seminaive derivation loop. With no mode
+// set it is end-semantics derivation (Def. 3.10): bases stay at D⁰ and only
+// the delta side grows.
 type deriveConfig struct {
-	// shrinkBases selects stage semantics behaviour: after each round the
-	// newly derived heads are removed from their base relations, so later
-	// rounds evaluate against the shrunken database (Def. 3.7). When false
-	// the loop implements end-semantics derivation: bases stay at D⁰ and
-	// only the delta side grows (Def. 3.10).
-	shrinkBases bool
 	// naive disables the seminaive frontier optimization: every round
 	// re-evaluates every rule against the full delta contents. Used only
 	// by the evaluation-strategy ablation benchmark; results are identical.
@@ -27,8 +23,7 @@ type deriveConfig struct {
 	// fixpoint there, on a private fork — are already-processed old deltas
 	// instead of the round-1 frontier, and round 1 evaluates only the
 	// insert-seeded passes over these relations — every genuinely new
-	// assignment binds at least one inserted tuple. Incompatible with
-	// shrinkBases (stage re-derives from scratch).
+	// assignment binds at least one inserted tuple.
 	warmSeeds map[string]*engine.Relation
 	// closure, when non-nil, switches the loop into possible-deletion
 	// closure mode (Algorithm 1; the lemma is on Derivation.buildCNF). It
@@ -50,21 +45,14 @@ type deriveConfig struct {
 
 // derive runs seminaive rounds of the prepared delta program over work,
 // which is only read — the derived deltas live in the pooled scratch
-// relations — except under shrinkBases, where every round's heads move
-// base → delta in place. It returns the derived delta tuples in derivation
-// order and the number of rounds until fixpoint. Derivation is its only
-// caller.
+// relations. It returns the derived delta tuples in derivation order and
+// the number of rounds until fixpoint. Derivation is its only caller.
 //
-// Seminaive justification: under end semantics bases never shrink, so any
-// assignment's validity persists and each assignment is enumerated exactly
-// in the round following its newest delta dependency. Under stage semantics
-// bases only shrink, so an assignment using no frontier delta would have
-// been valid (and fired, deleting its head) one stage earlier — hence every
-// genuinely new assignment uses a frontier delta and the same pass
-// structure is sound. Closure mode is the end-semantics argument again:
-// the base is never touched, so an assignment whose delta atoms all lie in
-// the closure is enumerated exactly once, in the round after the last of
-// them joined.
+// Seminaive justification: bases never shrink, so any assignment's
+// validity persists and each assignment is enumerated exactly in the round
+// following its newest delta dependency. Closure mode is the same argument:
+// an assignment whose delta atoms all lie in the closure is enumerated
+// exactly once, in the round after the last of them joined.
 func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]*engine.Tuple, int, error) {
 	schema := work.Schema
 	scr := prep.AcquireScratch()
@@ -155,7 +143,7 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 		}
 		for ri, pr := range prep.Rules {
 			if pr.NumDeltaBody() == 0 && round > 1 && !cfg.naive {
-				continue // condition rules fire only against D⁰/stage 1
+				continue // condition rules fire only against D⁰
 			}
 			if err := ctxErr(cfg.ctx); err != nil {
 				return nil, rounds, err
@@ -204,10 +192,6 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 			derivedSet[head.TID] = true
 			derivedAll = append(derivedAll, head)
 			frontier[head.Rel].Insert(head)
-			if cfg.shrinkBases {
-				// Stage: move base → delta now.
-				work.DeleteTupleToDelta(head)
-			}
 		}
 	}
 	return derivedAll, rounds, nil

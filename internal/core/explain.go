@@ -83,11 +83,11 @@ func NewExplainer(db *engine.Database, p *datalog.Program) (*Explainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	prov, _, _, err := d.closureArtefact(nil, DefaultMaxClauses)
+	prov, _, err := d.closureArtefact(nil, DefaultMaxClauses)
 	if err != nil {
 		return nil, err
 	}
-	return &Explainer{Graph: prov.graph, db: db}, nil
+	return &Explainer{Graph: prov.endGraph(), db: db}, nil
 }
 
 // Explain returns the first derivation of the tuple with the given content

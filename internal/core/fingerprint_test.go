@@ -159,7 +159,7 @@ func TestClosureAllocs(t *testing.T) {
 	}{
 		{"buildCNF/MAS-8", 20, buildCNF("MAS-8"), 285, "clauses are being copied out of the store again"},
 		{"buildCNF/T-1", 5, buildCNF("T-1"), 1371, "clauses are being copied out of the store again"},
-		{"repair-all/MAS-8", 20, repairAll("MAS-8"), 598, "a policy copies or re-indexes the clauses, or the closure or end fixpoint is derived twice"},
+		{"repair-all/MAS-8", 20, repairAll("MAS-8"), 503, "a policy copies or re-indexes the clauses, or the closure or end fixpoint is derived twice"},
 	} {
 		if got := testing.AllocsPerRun(leg.runs, leg.op); got < 0.9*leg.want || got > 1.1*leg.want {
 			t.Errorf("%s: %.0f allocs per run, want %.0f ± 10 %%: %s", leg.name, got, leg.want, leg.why)

@@ -101,7 +101,7 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	// a specific set of tuples" initialization), which are forced deleted in
 	// the CNF below. Shared with step and the Explainer, and charged here
 	// only if nobody built it before.
-	prov, evalDur, projDur, err := d.closureArtefact(ctx, opts.MaxClauses)
+	prov, evalDur, err := d.closureArtefact(ctx, opts.MaxClauses)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,6 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	// interned tuple IDs by first occurrence, and no copy of the clauses
 	// exists anywhere on this path.
 	ppStart := time.Now()
-	ids := formula.TupleIDs()
 	// weightOf is the objective's cost of deleting t: 1 under minimum
 	// cardinality, Weight(t) when that is larger.
 	weightOf := func(t *engine.Tuple) int64 {
@@ -145,7 +144,7 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	// order is read off the end fixpoint's provenance graph.
 	var prefer []int
 	if !opts.DisablePreferDerivable {
-		graph := prov.graph
+		graph := prov.endGraph()
 		heads := slices.Clone(graph.Heads)
 		sort.SliceStable(heads, func(i, j int) bool { return graph.Layer[heads[i]] > graph.Layer[heads[j]] })
 		for _, h := range heads {
@@ -154,15 +153,15 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 			}
 		}
 	}
-	ppDur := projDur + time.Since(ppStart)
+	ppDur := time.Since(ppStart)
 
 	// Optional weighted objective: minimum total weight instead of
 	// minimum cardinality.
 	var weights []int64
 	if opts.Weight != nil {
-		weights = make([]int64, len(ids)+1)
-		for i, id := range ids {
-			weights[i+1] = weightOf(d.db.LookupID(id))
+		weights = make([]int64, len(prov.tuples))
+		for v := 1; v < len(weights); v++ {
+			weights[v] = weightOf(prov.tuples[v])
 		}
 	}
 
@@ -179,20 +178,31 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 }
 
 // closure is a Derivation's provenance: Algorithm 1's formula F_V, the end
-// graph read off it, and the pre-deleted tuples seeding both (in scan
-// order, and as a set).
+// graph read off it on first demand (endGraph), the tuple of each of the
+// formula's variables (tuples[0] is nil), and the pre-deleted tuples
+// seeding both (in scan order, and as a set).
 type closure struct {
 	formula    *provenance.Formula
 	graph      *provenance.Graph
+	tuples     []*engine.Tuple
 	seeds      []*engine.Tuple
 	preDeleted map[engine.TupleID]bool
 }
 
+// endGraph returns the end graph, read off the formula by EndGraph on
+// first demand: step, independent's tie order, the end fixpoint and the
+// Explainer read it, stage does not.
+func (c *closure) endGraph() *provenance.Graph {
+	if c.graph == nil {
+		c.graph = c.formula.EndGraph(c.preDeleted)
+	}
+	return c.graph
+}
+
 // closureArtefact returns the Derivation's provenance, built on first
-// demand: derive's closure mode yields F_V, and EndGraph reads the end graph
-// off it; evalDur and projDur time the two, and are zero on a memo hit.
-// maxClauses ≤ 0 means DefaultMaxClauses; a memoised formula over the cap
-// fails as a fresh build under it would.
+// demand by derive's closure mode, which yields F_V; evalDur times that,
+// and is zero on a memo hit. maxClauses ≤ 0 means DefaultMaxClauses; a
+// memoised formula over the cap fails as a fresh build under it would.
 //
 // Lemma. Let E be the end fixpoint (Def. 3.10) plus the pre-deleted tuples,
 // and V, F_V as on buildCNF. Every end-semantics assignment is a clause of
@@ -206,24 +216,26 @@ type closure struct {
 // enumerates each in round 1 + the latest round among its negative
 // literals (pre-deleted: 0) — EndGraph's layers. V ⊋ E is possible (a base
 // atom of one rule can be another's delta atom): the projection only drops.
-func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov *closure, evalDur, projDur time.Duration, err error) {
+func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov *closure, evalDur time.Duration, err error) {
 	if maxClauses <= 0 {
 		maxClauses = DefaultMaxClauses
 	}
 	if d.prov != nil {
 		if d.prov.formula.Len() > maxClauses {
-			return nil, 0, 0, errTooManyClauses(maxClauses)
+			return nil, 0, errTooManyClauses(maxClauses)
 		}
-		return d.prov, 0, 0, nil
+		return d.prov, 0, nil
 	}
 	start := time.Now()
 	formula := provenance.NewFormula()
-	if _, _, err := derive(d.db, d.prep, deriveConfig{closure: formula, maxClauses: maxClauses, ctx: ctx}); err != nil {
-		return nil, 0, 0, err
+	derived, _, err := derive(d.db, d.prep, deriveConfig{closure: formula, maxClauses: maxClauses, ctx: ctx})
+	if err != nil {
+		return nil, 0, err
 	}
-	evalDur = time.Since(start)
-	start = time.Now()
-	prov = &closure{formula: formula, preDeleted: make(map[engine.TupleID]bool)}
+	prov = &closure{formula: formula, tuples: make([]*engine.Tuple, len(formula.TupleIDs())+1), preDeleted: make(map[engine.TupleID]bool)}
+	for _, t := range derived { // V less the seeds: each a clause's Pos tuple, so numbered
+		prov.tuples[formula.Var(t.TID)] = t
+	}
 	for _, rs := range d.db.Schema.Relations {
 		d.db.Delta(rs.Name).Scan(func(t *engine.Tuple) bool {
 			prov.seeds = append(prov.seeds, t)
@@ -231,17 +243,17 @@ func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov 
 			return true
 		})
 	}
-	prov.graph = formula.EndGraph(prov.preDeleted)
 	// Pre-existing deletions are facts, not choices: a unit clause per
 	// pre-deleted tuple the clauses mention forces its variable true, so
 	// the stability clauses respect them.
 	for _, t := range prov.seeds {
 		if v := formula.Var(t.TID); v != 0 {
+			prov.tuples[v] = t
 			_, _ = formula.CNF().AddClause(v) // v is one of the CNF's own variables
 		}
 	}
 	d.prov = prov
-	return prov, evalDur, time.Since(start), nil
+	return prov, time.Since(start), nil
 }
 
 // satOptions assembles the solver options for one Min-Ones search over the

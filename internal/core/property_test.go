@@ -68,10 +68,10 @@ func randomInstance(seed int64) (*engine.Database, *datalog.Program, error) {
 			comps = append(comps, datalog.Comparison{
 				Left:  datalog.V(varPool[0]),
 				Op:    datalog.CompOp(rng.Intn(6)),
-				Right: datalog.CInt(int64(rng.Intn(4))),
+				Right: datalog.C(engine.Int64(int64(rng.Intn(4)))),
 			})
 		}
-		rules = append(rules, datalog.NewRule(fmt.Sprint(ri), datalog.NewDeltaAtom(head.name, headTerms...), body, comps...))
+		rules = append(rules, datalog.NewRule(fmt.Sprint(ri), datalog.Atom{Delta: true, Rel: head.name, Terms: headTerms}, body, comps...))
 	}
 	p := datalog.NewProgram(rules...)
 	if err := p.Validate(s); err != nil {

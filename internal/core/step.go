@@ -37,11 +37,10 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 	ctx := opts.Ctx
 	// Phase 1 (Eval): the closure formula, shared with independent and
 	// charged here only if nobody built it before.
-	prov, evalDur, projDur, err := d.closureArtefact(ctx, DefaultMaxClauses)
+	prov, evalDur, err := d.closureArtefact(ctx, DefaultMaxClauses)
 	if err != nil {
 		return nil, err
 	}
-	graph := prov.graph
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -53,6 +52,7 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 	// at its self atom, a Pos tuple, so it has one). No content keys exist
 	// on this path.
 	ppStart := time.Now()
+	graph := prov.endGraph()
 	f := graph.Formula
 	occ := f.Occurrences()
 	benefits := graph.Benefits()
@@ -76,7 +76,7 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 			void[ci] = false
 		}
 	}
-	ppDur := projDur + time.Since(ppStart)
+	ppDur := time.Since(ppStart)
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}

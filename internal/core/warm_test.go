@@ -416,10 +416,6 @@ func TestWarmChangeProbeReplay(t *testing.T) {
 // lineage.
 func TestWarmDeleteMASPrograms(t *testing.T) {
 	ds := mas.Generate(mas.Config{Scale: 0.01, Seed: 11})
-	masProgs, err := programs.MASAll(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	type fixture struct {
 		name string
 		db   *engine.Database
@@ -427,7 +423,11 @@ func TestWarmDeleteMASPrograms(t *testing.T) {
 	}
 	var fixtures []fixture
 	for n := 1; n <= 20; n++ {
-		fixtures = append(fixtures, fixture{fmt.Sprintf("mas%02d", n), ds.DB, masProgs[n]})
+		p, err := programs.MAS(n, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures = append(fixtures, fixture{fmt.Sprintf("mas%02d", n), ds.DB, p})
 	}
 	reProg, err := programs.RunningExampleProgram()
 	if err != nil {

@@ -36,12 +36,6 @@ func V(name string) Term { return Term{Var: name} }
 // C returns a constant term.
 func C(v engine.Value) Term { return Term{Const: v} }
 
-// CInt returns an integer constant term.
-func CInt(i int64) Term { return C(engine.Int64(i)) }
-
-// CStr returns a string constant term.
-func CStr(s string) Term { return C(engine.Str(s)) }
-
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return t.Var != "" }
 
@@ -62,16 +56,6 @@ type Atom struct {
 	Rel string
 	// Terms are the atom's arguments.
 	Terms []Term
-}
-
-// NewAtom builds a base atom.
-func NewAtom(rel string, terms ...Term) Atom {
-	return Atom{Rel: rel, Terms: terms}
-}
-
-// NewDeltaAtom builds a ∆-atom.
-func NewDeltaAtom(rel string, terms ...Term) Atom {
-	return Atom{Delta: true, Rel: rel, Terms: terms}
 }
 
 // String renders the atom, prefixing delta atoms with "Delta_".

@@ -183,8 +183,8 @@ func TestEvalConstantOnlyComparison(t *testing.T) {
 	db.MustInsert("N", engine.Int(1))
 	// A false constant comparison gates the whole rule.
 	p := &Program{Rules: []*Rule{
-		NewRule("", NewDeltaAtom("N", V("x")), []Atom{NewAtom("N", V("x"))},
-			Comparison{Left: CInt(1), Op: OpEQ, Right: CInt(2)}),
+		NewRule("", Atom{Delta: true, Rel: "N", Terms: []Term{V("x")}}, []Atom{{Rel: "N", Terms: []Term{V("x")}}},
+			Comparison{Left: C(engine.Int64(1)), Op: OpEQ, Right: C(engine.Int64(2))}),
 	}}
 	if err := p.Validate(s); err != nil {
 		t.Fatal(err)
@@ -194,8 +194,8 @@ func TestEvalConstantOnlyComparison(t *testing.T) {
 	}
 	// A true constant comparison is a no-op.
 	p2 := &Program{Rules: []*Rule{
-		NewRule("", NewDeltaAtom("N", V("x")), []Atom{NewAtom("N", V("x"))},
-			Comparison{Left: CInt(1), Op: OpEQ, Right: CInt(1)}),
+		NewRule("", Atom{Delta: true, Rel: "N", Terms: []Term{V("x")}}, []Atom{{Rel: "N", Terms: []Term{V("x")}}},
+			Comparison{Left: C(engine.Int64(1)), Op: OpEQ, Right: C(engine.Int64(1))}),
 	}}
 	if err := p2.Validate(s); err != nil {
 		t.Fatal(err)
@@ -335,8 +335,8 @@ func TestConstantEqualityAtIndexBoundary(t *testing.T) {
 				if left {
 					cmp = Comparison{Left: C(c), Op: OpEQ, Right: V("v")}
 				}
-				rule := NewRule("", NewDeltaAtom("N", V("i"), V("v")),
-					[]Atom{NewAtom("N", V("i"), V("v"))}, cmp)
+				rule := NewRule("", Atom{Delta: true, Rel: "N", Terms: []Term{V("i"), V("v")}},
+					[]Atom{{Rel: "N", Terms: []Term{V("i"), V("v")}}}, cmp)
 				p := NewProgram(rule)
 				if err := p.Validate(s); err != nil {
 					t.Fatal(err)

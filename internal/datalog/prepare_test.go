@@ -248,7 +248,7 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 		}
 	}
 	// Dirty the scratch, release, reacquire: must come back empty.
-	tp := engine.NewTuple("Grant", engine.Int(9), engine.Str("X"))
+	tp := &engine.Tuple{Rel: "Grant", Vals: []engine.Value{engine.Int(9), engine.Str("X")}}
 	s.Frontier["Grant"].Insert(tp)
 	s.Derived[tp.TID] = true
 	s.Heads = append(s.Heads, tp)

@@ -38,7 +38,7 @@ func TestValidateRunningExample(t *testing.T) {
 
 func TestValidateRejectsNonDeltaHead(t *testing.T) {
 	p := &Program{Rules: []*Rule{
-		NewRule("", NewAtom("R", V("x")), []Atom{NewAtom("R", V("x"))}),
+		NewRule("", Atom{Rel: "R", Terms: []Term{V("x")}}, []Atom{{Rel: "R", Terms: []Term{V("x")}}}),
 	}}
 	if err := p.Validate(nil); err == nil || !strings.Contains(err.Error(), "delta atom") {
 		t.Fatalf("want delta-head error, got %v", err)
@@ -48,14 +48,14 @@ func TestValidateRejectsNonDeltaHead(t *testing.T) {
 func TestValidateRejectsMissingSelfAtom(t *testing.T) {
 	// Head terms (x, y) but body atom has (y, x): not the same vector.
 	p := &Program{Rules: []*Rule{
-		NewRule("", NewDeltaAtom("R", V("x"), V("y")), []Atom{NewAtom("R", V("y"), V("x"))}),
+		NewRule("", Atom{Delta: true, Rel: "R", Terms: []Term{V("x"), V("y")}}, []Atom{{Rel: "R", Terms: []Term{V("y"), V("x")}}}),
 	}}
 	if err := p.Validate(nil); err == nil || !strings.Contains(err.Error(), "Def. 3.1") {
 		t.Fatalf("want self-atom error, got %v", err)
 	}
 	// A delta atom with the same terms does not count as self.
 	p2 := &Program{Rules: []*Rule{
-		NewRule("", NewDeltaAtom("R", V("x")), []Atom{NewDeltaAtom("R", V("x"))}),
+		NewRule("", Atom{Delta: true, Rel: "R", Terms: []Term{V("x")}}, []Atom{{Delta: true, Rel: "R", Terms: []Term{V("x")}}}),
 	}}
 	if err := p2.Validate(nil); err == nil {
 		t.Fatal("delta-only body should be rejected")
@@ -63,7 +63,7 @@ func TestValidateRejectsMissingSelfAtom(t *testing.T) {
 }
 
 func TestValidateRejectsEmptyBody(t *testing.T) {
-	p := &Program{Rules: []*Rule{NewRule("", NewDeltaAtom("R", V("x")), nil)}}
+	p := &Program{Rules: []*Rule{NewRule("", Atom{Delta: true, Rel: "R", Terms: []Term{V("x")}}, nil)}}
 	if err := p.Validate(nil); err == nil {
 		t.Fatal("empty body should be rejected")
 	}
@@ -71,8 +71,8 @@ func TestValidateRejectsEmptyBody(t *testing.T) {
 
 func TestValidateRejectsUnboundComparisonVar(t *testing.T) {
 	p := &Program{Rules: []*Rule{
-		NewRule("", NewDeltaAtom("R", V("x")), []Atom{NewAtom("R", V("x"))},
-			Comparison{Left: V("z"), Op: OpLT, Right: CInt(5)}),
+		NewRule("", Atom{Delta: true, Rel: "R", Terms: []Term{V("x")}}, []Atom{{Rel: "R", Terms: []Term{V("x")}}},
+			Comparison{Left: V("z"), Op: OpLT, Right: C(engine.Int64(5))}),
 	}}
 	if err := p.Validate(nil); err == nil || !strings.Contains(err.Error(), "not bound") {
 		t.Fatalf("want unbound-variable error, got %v", err)
@@ -104,7 +104,7 @@ func TestValidateConstantHead(t *testing.T) {
 	}
 	// Constant kinds must match: Grant(2) vs Grant('2') are different.
 	q := &Program{Rules: []*Rule{
-		NewRule("", NewDeltaAtom("R", CInt(2)), []Atom{NewAtom("R", CStr("2"))}),
+		NewRule("", Atom{Delta: true, Rel: "R", Terms: []Term{C(engine.Int64(2))}}, []Atom{{Rel: "R", Terms: []Term{C(engine.Str("2"))}}}),
 	}}
 	if err := q.Validate(nil); err == nil {
 		t.Fatal("constant kind mismatch should not match the self atom")
@@ -136,11 +136,11 @@ Delta_S(x) :- S(x), Delta_R(x).
 }
 
 func TestRuleNameHelper(t *testing.T) {
-	labeled := NewRule("7", NewDeltaAtom("R", V("x")), []Atom{NewAtom("R", V("x"))})
+	labeled := NewRule("7", Atom{Delta: true, Rel: "R", Terms: []Term{V("x")}}, []Atom{{Rel: "R", Terms: []Term{V("x")}}})
 	if ruleName(labeled) != "(7)" {
 		t.Fatalf("ruleName = %q", ruleName(labeled))
 	}
-	unlabeled := NewRule("", NewDeltaAtom("R", V("x")), []Atom{NewAtom("R", V("x"))})
+	unlabeled := NewRule("", Atom{Delta: true, Rel: "R", Terms: []Term{V("x")}}, []Atom{{Rel: "R", Terms: []Term{V("x")}}})
 	if ruleName(unlabeled) != "Delta_R(x)" {
 		t.Fatalf("ruleName = %q", ruleName(unlabeled))
 	}

@@ -161,7 +161,7 @@ func TestForkDifferentialModel(t *testing.T) {
 						}
 					case op < 9: // duplicate content under a fresh object
 						tp := frozen[rng.Intn(len(frozen))]
-						fresh := NewTuple(tp.Rel, tp.Vals...)
+						fresh := &Tuple{Rel: tp.Rel, Vals: tp.Vals}
 						fresh.Seq = tp.Seq
 						got := target.Relation(tp.Rel).Insert(fresh)
 						if ref != nil {

@@ -41,7 +41,7 @@ func TestSchemaConstruction(t *testing.T) {
 	if len(s.Relations) != 6 {
 		t.Fatalf("relations = %d, want 6", len(s.Relations))
 	}
-	if !s.Has("Grant") || s.Has("Nope") {
+	if s.Relation("Grant") == nil || s.Relation("Nope") != nil {
 		t.Fatal("Has is wrong")
 	}
 	if s.Relation("Author").Arity() != 2 {

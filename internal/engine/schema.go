@@ -78,12 +78,6 @@ func (s *Schema) Relation(name string) *RelationSchema {
 	return s.byName[name]
 }
 
-// Has reports whether the schema contains the named relation.
-func (s *Schema) Has(name string) bool {
-	_, ok := s.byName[name]
-	return ok
-}
-
 // Names returns the relation names in declaration order.
 func (s *Schema) Names() []string {
 	out := make([]string, len(s.Relations))

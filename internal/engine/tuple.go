@@ -57,11 +57,6 @@ type Tuple struct {
 	key string // cached content key, built lazily for reporting
 }
 
-// NewTuple builds a detached tuple (Seq, ID, and TID are set on insertion).
-func NewTuple(rel string, vals ...Value) *Tuple {
-	return &Tuple{Rel: rel, Vals: vals}
-}
-
 // Key returns the injective content key "Rel(v1,v2,...)". Two tuples with
 // the same relation and values share the same key. The key exists for
 // human-readable reports, explanations, and key-based lookups at API
@@ -110,17 +105,4 @@ func (t *Tuple) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// EqualContent reports whether two tuples have the same relation and values.
-func (t *Tuple) EqualContent(o *Tuple) bool {
-	if t.Rel != o.Rel || len(t.Vals) != len(o.Vals) {
-		return false
-	}
-	for i := range t.Vals {
-		if !t.Vals[i].Equal(o.Vals[i]) {
-			return false
-		}
-	}
-	return true
 }

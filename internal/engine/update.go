@@ -142,15 +142,15 @@ func (s *Snapshot) Apply(inserts, deletes []Row) (*Snapshot, *ApplyInfo, error) 
 
 // SnapshotRing is a bounded history of snapshot versions: a monotonically
 // increasing version counter with the most recent capacity versions
-// retained. Writers Advance the head; readers resolve a pinned version
-// with At (read-your-writes) or take the newest with Head. Versions that
-// fall out of the ring are only dropped from the *ring* — forks already
-// minted from them stay fully usable, because forks hold their own
-// references to the frozen cores.
+// retained. Writers advance the head (AdvanceApplied); readers resolve a
+// pinned version with At (read-your-writes) or take the newest with Head.
+// Versions that fall out of the ring are only dropped from the *ring* —
+// forks already minted from them stay fully usable, because forks hold
+// their own references to the frozen cores.
 //
-// A SnapshotRing is safe for concurrent use. Advance calls are serialized
+// A SnapshotRing is safe for concurrent use. Advances are serialized
 // internally, but callers that derive the next snapshot from the current
-// head (the Apply-then-Advance pattern) must hold their own write lock
+// head (the Apply-then-advance pattern) must hold their own write lock
 // around the whole read-modify-advance sequence to keep history linear.
 type SnapshotRing struct {
 	mu    sync.RWMutex
@@ -233,20 +233,15 @@ func (r *SnapshotRing) At(version uint64) (*Snapshot, bool) {
 	return r.slots[version%uint64(len(r.slots))], true
 }
 
-// Advance installs next as the new head and returns its version number.
-// The oldest retained version is evicted once the ring is full. Advancing
-// with the current head snapshot (a no-op update) still mints a fresh
-// version number, keeping "one update = one version" bookkeeping simple
-// for callers.
-func (r *SnapshotRing) Advance(next *Snapshot) uint64 {
-	return r.AdvanceApplied(next, nil)
-}
-
-// AdvanceApplied is Advance additionally recording the ApplyInfo of the
-// update batch that produced the new version, retrievable with AppliedAt
-// while the version stays in the ring. A no-op batch's (empty) info is
-// worth recording too: it keeps the metadata chain unbroken so warm
-// starts can fold across the version.
+// AdvanceApplied installs next as the new head and returns its version
+// number, recording the ApplyInfo of the update batch that produced it
+// (nil: none), retrievable with AppliedAt while the version stays in the
+// ring. The oldest retained version is evicted once the ring is full.
+// Advancing with the current head snapshot (a no-op update) still mints a
+// fresh version number, keeping "one update = one version" bookkeeping
+// simple for callers; a no-op batch's (empty) info is worth recording
+// too: it keeps the metadata chain unbroken so warm starts can fold
+// across the version.
 func (r *SnapshotRing) AdvanceApplied(next *Snapshot, info *ApplyInfo) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

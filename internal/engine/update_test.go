@@ -208,7 +208,7 @@ func TestSnapshotRingRetention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := ring.Advance(next); v != uint64(i+2) {
+		if v := ring.AdvanceApplied(next, nil); v != uint64(i+2) {
 			t.Fatalf("advance %d returned version %d", i, v)
 		}
 		cur = next
@@ -241,7 +241,7 @@ func TestSnapshotRingDefaultCapacity(t *testing.T) {
 	snap, _ := updateTestSnapshot(t)
 	ring := NewSnapshotRing(snap, 0)
 	for i := 0; i < DefaultRetainedVersions+2; i++ {
-		ring.Advance(snap)
+		ring.AdvanceApplied(snap, nil)
 	}
 	if ring.Retained() != DefaultRetainedVersions {
 		t.Fatalf("retained %d, want default %d", ring.Retained(), DefaultRetainedVersions)
@@ -292,7 +292,7 @@ func TestSnapshotRingConcurrentReaders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring.Advance(next)
+		ring.AdvanceApplied(next, nil)
 		cur = next
 	}
 	close(stop)
@@ -304,8 +304,8 @@ func TestSnapshotRingConcurrentReaders(t *testing.T) {
 }
 
 // TestSnapshotRingAppliedMetadata: AdvanceApplied records per-version
-// ApplyInfo retrievable while the version stays in the ring; plain
-// Advance and the base version read as chain breaks; eviction drops the
+// ApplyInfo retrievable while the version stays in the ring; an advance
+// with nil info and the base version read as chain breaks; eviction drops the
 // metadata with the slot.
 func TestSnapshotRingAppliedMetadata(t *testing.T) {
 	snap, _ := updateTestSnapshot(t)
@@ -345,10 +345,10 @@ func TestSnapshotRingAppliedMetadata(t *testing.T) {
 		t.Fatal("future version reports metadata")
 	}
 
-	// A plain Advance overwrites the slot's stale metadata: the new
+	// An advance with nil info overwrites the slot's stale metadata: the new
 	// version must read as a chain break, not as the evicted version's
 	// ApplyInfo.
-	if v := ring.Advance(cur); v != 6 {
+	if v := ring.AdvanceApplied(cur, nil); v != 6 {
 		t.Fatalf("plain advance returned version %d", v)
 	}
 	if _, ok := ring.AppliedAt(6); ok {
@@ -375,13 +375,13 @@ func TestSnapshotRingAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := r.Advance(next); v != 8 {
+	if v := r.AdvanceApplied(next, nil); v != 8 {
 		t.Fatalf("advance = %d, want 8", v)
 	}
 	if _, ok := r.At(7); !ok {
 		t.Fatal("version 7 evicted from a capacity-2 ring holding 2 versions")
 	}
-	if v := r.Advance(next); v != 9 {
+	if v := r.AdvanceApplied(next, nil); v != 9 {
 		t.Fatalf("advance = %d, want 9", v)
 	}
 	if _, ok := r.At(7); ok {

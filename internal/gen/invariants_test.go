@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -27,6 +28,10 @@ const quickScenarios = 500
 //     Derivation.
 //  4. Containments (Prop. 3.20): Stage ⊆ End, Step ⊆ End, and — when the
 //     solver proved minimality — |Ind| ≤ |Step|, |Ind| ≤ |Stage|.
+//  5. Warm deletes: a warm run after a mixed batch equals a cold one.
+//  6. Stage by definition: stage's deleted set and stage count equal a
+//     literal Def. 3.7 transcription's, as generated and with every third
+//     tuple deleted beforehand.
 func checkScenario(t *testing.T, sc *Scenario) {
 	t.Helper()
 	prep, err := datalog.Prepare(sc.Program, sc.Schema)
@@ -127,6 +132,34 @@ func checkScenario(t *testing.T, sc *Scenario) {
 		}
 	}
 
+	// (6) Stage by definition, as generated and with pre-deletions.
+	preDeleted := sc.DB.Fork()
+	n := 0
+	for _, rs := range sc.Schema.Relations {
+		var victims []*engine.Tuple
+		sc.DB.Relation(rs.Name).Scan(func(tp *engine.Tuple) bool {
+			if n++; n%3 == 0 {
+				victims = append(victims, tp)
+			}
+			return true
+		})
+		for _, tp := range victims {
+			preDeleted.DeleteTupleToDelta(tp)
+		}
+	}
+	for _, db := range []*engine.Database{sc.DB, preDeleted} {
+		res, _, err := core.RunWith(db, nil, core.SemStage, core.Options{Prepared: prep})
+		if err != nil {
+			t.Fatalf("seed %d: stage: %v", sc.Seed, err)
+		}
+		got := slices.Sorted(slices.Values(res.Keys()))
+		want, stages := stageByDefinition(t, db, prep)
+		if !slices.Equal(got, want) || res.Rounds != stages {
+			t.Fatalf("seed %d: stage deletes %v in %d stages, Def. 3.7 %v in %d\nprogram:\n%s",
+				sc.Seed, got, res.Rounds, want, stages, sc.ProgramSource)
+		}
+	}
+
 	// (5) Warm-delete byte-identity: a deterministic mixed batch — three
 	// spread-out rows deleted, one of them re-inserted (a resurrection
 	// with a fresh tuple identity) — is applied to the frozen scenario,
@@ -180,6 +213,44 @@ func checkScenario(t *testing.T, sc *Scenario) {
 		}
 		if stable, err := core.CheckStable(repaired, nil, core.Options{Prepared: prep}); err != nil || !stable {
 			t.Fatalf("seed %d: %s warm-delete repaired fork not stable (err=%v)", sc.Seed, sem, err)
+		}
+	}
+}
+
+// stageByDefinition is Def. 3.7 taken literally, sharing no code with the
+// stage policy: on a fork, every stage evaluates every rule's operational
+// plan against the database the stages before it left and deletes all of
+// the new heads at once, until a stage derives none. It returns the
+// deleted tuples' content keys, sorted, and the number of stages that
+// deleted one.
+func stageByDefinition(t *testing.T, db *engine.Database, prep *datalog.Prepared) ([]string, int) {
+	t.Helper()
+	work := db.Fork()
+	var keys []string
+	for stage := 0; ; stage++ {
+		var heads []*engine.Tuple
+		seen := make(map[engine.TupleID]bool)
+		for _, pr := range prep.Rules {
+			err := pr.EvalOperational(work, nil, func(asn *datalog.Assignment) bool {
+				if h := asn.Head(); !seen[h.TID] {
+					seen[h.TID] = true
+					heads = append(heads, h)
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(heads) == 0 {
+			slices.Sort(keys)
+			return keys, stage
+		}
+		for _, h := range heads {
+			if !work.DeleteTupleToDelta(h) {
+				t.Fatalf("stage %d derived %s, which is not live", stage+1, h.Key())
+			}
+			keys = append(keys, h.Key())
 		}
 	}
 }

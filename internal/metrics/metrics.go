@@ -93,9 +93,6 @@ func (h *Histogram) Observe(v float64) {
 // for time.
 func (h *Histogram) ObserveSeconds(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // DefBuckets spans microseconds to seconds — wide enough for both WAL
 // fsync appends (~ms) and cold session warms (~100ms+).
 var DefBuckets = []float64{

@@ -60,8 +60,8 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d, want 5", h.Count())
+	if h.count.Load() != 5 {
+		t.Errorf("Count = %d, want 5", h.count.Load())
 	}
 	if !strings.Contains(out, "latency_seconds_sum 5.65") {
 		t.Errorf("sum not rendered: %s", out)
@@ -127,7 +127,7 @@ func TestConcurrentUse(t *testing.T) {
 	if c.Value() != 1600 {
 		t.Errorf("counter = %d, want 1600", c.Value())
 	}
-	if h.Count() != 1600 {
-		t.Errorf("histogram count = %d, want 1600", h.Count())
+	if h.count.Load() != 1600 {
+		t.Errorf("histogram count = %d, want 1600", h.count.Load())
 	}
 }

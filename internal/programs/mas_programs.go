@@ -68,19 +68,6 @@ func MAS(n int, ds *mas.Dataset) (*datalog.Program, error) {
 	return datalog.ParseAndValidate(src, mas.Schema())
 }
 
-// MASAll returns all 20 MAS programs keyed by number.
-func MASAll(ds *mas.Dataset) (map[int]*datalog.Program, error) {
-	out := make(map[int]*datalog.Program, 20)
-	for n := 1; n <= 20; n++ {
-		p, err := MAS(n, ds)
-		if err != nil {
-			return nil, fmt.Errorf("program %d: %w", n, err)
-		}
-		out[n] = p
-	}
-	return out, nil
-}
-
 // MASSource exposes the concrete rule text of program n (for docs, the CLI,
 // and tests).
 func MASSource(n int, ds *mas.Dataset) (string, error) { return masSource(n, ds) }

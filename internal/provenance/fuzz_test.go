@@ -15,9 +15,10 @@ import (
 // byte, a length byte and that many literal bytes (ID, and a delta bit),
 // so bodies repeat tuples, repeat whole clauses and hold tautologies. The
 // reference keeps every clause as two sets: Add's dedup on (head, body),
-// each clause's decoding, the occurrence index, and EndGraph's heads,
-// layers and per-head clause lists — with and without the seeds — must
-// match it, the graph against a naive layered loop.
+// each clause's decoding, the occurrence index, EndGraph's heads, layers
+// and per-head clause lists, and Stage's heads and stage count — with and
+// without the seeds — must match it, the graph and the stages against
+// naive layered loops.
 func FuzzFormula(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 2, 9, 1, 2, 3, 1, 3, 3, 2, 2, 4, 4, 3, 8, 1, 9})
 	f.Add([]byte{2, 3, 2, 5, 8, 2, 2, 12, 3, 3, 4, 7, 6, 3, 2, 4, 5, 1, 2, 1, 8})
@@ -140,6 +141,35 @@ func FuzzFormula(f *testing.F) {
 			if g.NumLayers != numLayers {
 				t.Fatalf("seeds %v: NumLayers = %d, want %d", seeds, g.NumLayers, numLayers)
 			}
+
+			// The naive stage loop: round r fires every clause whose Neg
+			// tuples all lie in the deleted set as the round starts and whose
+			// Pos tuples all lie outside it; their new heads, in clause
+			// order, join after the round.
+			deleted := maps.Clone(seeds)
+			if deleted == nil {
+				deleted = make(map[engine.TupleID]bool)
+			}
+			var stageHeads []engine.TupleID
+			stages := 0
+			for round := 1; ; round++ {
+				var joined []engine.TupleID
+				for _, c := range ref {
+					if subset(c.neg, deleted) && !intersects(c.pos, deleted) && !deleted[c.head] && !slices.Contains(joined, c.head) {
+						joined = append(joined, c.head)
+					}
+				}
+				if len(joined) == 0 {
+					break
+				}
+				for _, h := range joined {
+					deleted[h] = true
+				}
+				stageHeads, stages = append(stageHeads, joined...), round
+			}
+			if heads, n := fm.Stage(seeds); !slices.Equal(heads, stageHeads) || n != stages {
+				t.Fatalf("seeds %v: stage heads %v in %d stages, want %v in %d", seeds, heads, n, stageHeads, stages)
+			}
 		}
 	})
 }
@@ -155,6 +185,16 @@ func sameSet(ids []engine.TupleID, set map[engine.TupleID]bool) bool {
 		}
 	}
 	return true
+}
+
+// intersects reports whether a and b share a member.
+func intersects(a, b map[engine.TupleID]bool) bool {
+	for id := range a {
+		if b[id] {
+			return true
+		}
+	}
+	return false
 }
 
 // subset reports whether every member of a lies in b.

@@ -28,62 +28,22 @@ type Graph struct {
 }
 
 // EndGraph is the end-semantics graph read off the formula (why it is, is
-// the lemma on core's Derivation.closureArtefact): starting from the seeded
-// (pre-deleted) tuples at layer 0, a clause fires at 1 + the largest layer
-// among its Neg tuples, and its head joins E then. The graph holds exactly
-// the fired clauses: heads layer by layer, within a layer in clause order,
-// each head's clauses in firing order. A seed can be a head; it is in E
-// from layer 0 regardless. One pass: each clause counts its Neg tuples
-// outside E, and a tuple joining E counts down the clauses of its Neg
-// occurrence list.
+// the lemma on core's Derivation.closureArtefact): the layered pass
+// (layers) with bases at D⁰, so a Pos tuple never blocks a clause. The
+// graph holds exactly the fired clauses: heads layer by layer, within a
+// layer in clause order, each head's clauses in firing order. A seed can
+// be a head; it is in E from layer 0 regardless.
 func (f *Formula) EndGraph(seeded map[engine.TupleID]bool) *Graph {
 	g := &Graph{Formula: f, Layer: make(map[engine.TupleID]int)}
-	occ := f.Occurrences()
-	inE := make([]bool, len(f.ids)+1) // by variable
-	for id := range seeded {
-		inE[f.vars[id]] = true
-	}
-	missing := make([]int32, f.Len())
-	for v := 1; v <= len(f.ids); v++ {
-		if _, neg := occ.Of(int32(v)); !inE[v] {
-			for _, ci := range neg {
-				missing[ci]++
-			}
-		}
-	}
-	var ready []int32
-	for ci, m := range missing {
-		if m == 0 {
-			ready = append(ready, int32(ci))
-		}
-	}
 	var fired []int32 // clauses in firing order
-	var entered []int
-	for layer := 1; len(ready) > 0; layer++ {
-		entered = entered[:0]
-		for _, ci := range ready {
-			h := f.Heads[ci]
-			if _, known := g.Layer[h]; !known {
-				g.Heads = append(g.Heads, h)
-				g.Layer[h], g.NumLayers = layer, layer
-			}
-			fired = append(fired, ci)
-			if v := f.vars[h]; v != 0 && !inE[v] {
-				inE[v] = true
-				entered = append(entered, v)
-			}
+	f.layers(seeded, false, func(layer int, ci int32, _ bool) {
+		h := f.Heads[ci]
+		if _, known := g.Layer[h]; !known {
+			g.Heads = append(g.Heads, h)
+			g.Layer[h], g.NumLayers = layer, layer
 		}
-		ready = ready[:0]
-		for _, v := range entered {
-			_, neg := occ.Of(int32(v))
-			for _, ci := range neg {
-				if missing[ci]--; missing[ci] == 0 {
-					ready = append(ready, ci)
-				}
-			}
-		}
-		slices.Sort(ready)
-	}
+		fired = append(fired, ci)
+	})
 	// Each head's clauses, in firing order, are one run of a shared slice:
 	// an empty slice with its run's capacity, appended to.
 	count := make(map[engine.TupleID]int, len(g.Heads))
@@ -101,6 +61,90 @@ func (f *Formula) EndGraph(seeded map[engine.TupleID]bool) *Graph {
 		g.Assignments[f.Heads[ci]] = append(g.Assignments[f.Heads[ci]], ci)
 	}
 	return g
+}
+
+// Stage is the stage fixpoint (Def. 3.7) read off the formula (why it is,
+// is the lemma on core's Derivation.runStage): the layered pass with a
+// shrinking base. It returns the tuples deleted after the seeds, stage by
+// stage and within a stage in clause order, and the number of stages.
+func (f *Formula) Stage(seeded map[engine.TupleID]bool) (heads []engine.TupleID, stages int) {
+	f.layers(seeded, true, func(layer int, ci int32, joined bool) {
+		if joined {
+			heads = append(heads, f.Heads[ci])
+			stages = layer
+		}
+	})
+	return heads, stages
+}
+
+// layers is the one counter pass under EndGraph and Stage. The seeds are
+// deleted at layer 0; a clause fires at layer k once all its Neg tuples
+// were deleted before k (it counts those not yet deleted, and a deletion
+// counts down its Neg occurrences), in clause order, and the layer's heads
+// are deleted together after it. Under stage a deletion also voids its Pos
+// occurrences, which then never fire. fire sees each fired clause, its
+// layer and whether its head was deleted there.
+func (f *Formula) layers(seeded map[engine.TupleID]bool, stage bool, fire func(layer int, ci int32, joined bool)) {
+	occ := f.Occurrences()
+	deleted := make([]bool, len(f.ids)+1) // by variable
+	void := make([]bool, f.Len())         // by clause; set under stage only
+	missing := make([]int32, f.Len())
+	var ready []int32
+	for ci := range missing {
+		for _, l := range f.Lits(ci) {
+			if l < 0 {
+				missing[ci]++
+			}
+		}
+		if missing[ci] == 0 {
+			ready = append(ready, int32(ci))
+		}
+	}
+	var joined []int // the previous layer's deletions, by variable
+	for id := range seeded {
+		if v := f.vars[id]; v != 0 {
+			deleted[v] = true
+			joined = append(joined, v)
+		}
+	}
+	unnumbered := make(map[engine.TupleID]bool) // deleted heads no clause mentions
+	for layer := 1; ; layer++ {
+		for _, v := range joined {
+			pos, neg := occ.Of(int32(v))
+			if stage {
+				for _, ci := range pos {
+					void[ci] = true
+				}
+			}
+			for _, ci := range neg {
+				if missing[ci]--; missing[ci] == 0 {
+					ready = append(ready, ci)
+				}
+			}
+		}
+		if len(ready) == 0 {
+			return
+		}
+		slices.Sort(ready)
+		joined = joined[:0]
+		for _, ci := range ready {
+			if void[ci] {
+				continue
+			}
+			h := f.Heads[ci]
+			var j bool
+			if v := f.vars[h]; v != 0 {
+				if j = !deleted[v]; j {
+					deleted[v] = true
+					joined = append(joined, v)
+				}
+			} else if j = !seeded[h] && !unnumbered[h]; j {
+				unnumbered[h] = true
+			}
+			fire(layer, ci, j)
+		}
+		ready = ready[:0]
+	}
 }
 
 // LayerHeads returns the heads first derived at the given layer, in

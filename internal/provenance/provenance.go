@@ -2,7 +2,8 @@
 // paper: Boolean-formula provenance (DNF per delta tuple, used by Algorithm
 // 1 for independent semantics) and the layered provenance graph with tuple
 // benefits (used by Algorithm 2 for step semantics) — one structure, not
-// two: the graph is read off the formula (Formula.EndGraph).
+// two: the graph is read off the formula (Formula.EndGraph), and so is the
+// stage fixpoint (Formula.Stage).
 //
 // The formula's flat CNF (a sat.Formula) is the only copy of the clauses.
 // Add writes an assignment's literals straight into it; the solver reads it

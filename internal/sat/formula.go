@@ -22,7 +22,6 @@ package sat
 import (
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Formula is a CNF formula over variables 1..NumVars, kept as one flat
@@ -199,18 +198,4 @@ func CountOnes(assignment []bool) int {
 		}
 	}
 	return n
-}
-
-// DIMACS renders the formula in DIMACS CNF format (for debugging and for
-// feeding external solvers).
-func (f *Formula) DIMACS() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "p cnf %d %d\n", f.numVars, f.NumClauses())
-	for ci := range f.NumClauses() {
-		for _, l := range f.Clause(ci) {
-			fmt.Fprintf(&b, "%d ", l)
-		}
-		b.WriteString("0\n")
-	}
-	return b.String()
 }

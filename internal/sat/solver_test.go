@@ -1,10 +1,24 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 )
+
+// DIMACS renders the formula in DIMACS CNF format, for failure messages.
+func (f *Formula) DIMACS() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "p cnf %d %d\n", f.numVars, f.NumClauses())
+	for ci := range f.NumClauses() {
+		for _, l := range f.Clause(ci) {
+			fmt.Fprintf(&b, "%d ", l)
+		}
+		b.WriteString("0\n")
+	}
+	return b.String()
+}
 
 // bruteMinOnes computes the exact Min-Ones cost by enumerating all 2^n
 // assignments; -1 when unsatisfiable. Only usable for small n.

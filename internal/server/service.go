@@ -1037,7 +1037,7 @@ func (s *Service) DeleteViewTuple(ctx context.Context, name, viewSrc string, tar
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	res, _, err := sideeffect.DeleteViewTuple(snap.Fork(), v, target, sess.prog,
+	res, _, err := sideeffect.DeleteViewTuple(snap.Fork(), v, target, sess.prep,
 		sideeffect.Options{MaxNodes: s.solverBudget(opts), Ctx: reqCtx})
 	if errors.Is(err, sideeffect.ErrNoSuchRow) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)

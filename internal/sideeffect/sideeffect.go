@@ -231,8 +231,6 @@ var ErrNoSuchRow = errors.New("sideeffect: view has no row")
 type Options struct {
 	// MaxNodes is the Min-Ones-SAT budget (0 = solver default).
 	MaxNodes int64
-	// MaxClauses caps the stability formula (0 = core default).
-	MaxClauses int
 	// Ctx, when non-nil, cancels the solve: it is polled inside the SAT
 	// search and checked between phases, so a canceled request returns
 	// ctx.Err() instead of blocking on a hard instance.
@@ -257,10 +255,17 @@ func (r *Result) Size() int { return len(r.Deleted) }
 
 // DeleteViewTuple finds a minimum set of base deletions that removes the
 // view row with the given values while keeping the database stable w.r.t.
-// the delta program, and returns it with the repaired database. The
-// program may be nil (pure deletion propagation, no cascade constraints).
-func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *datalog.Program, opts Options) (*Result, *engine.Database, error) {
+// the delta program, prepared by the caller, and returns it with the
+// repaired database. The plan may be nil (pure deletion propagation, no
+// cascade constraints). The stability formula is capped at
+// core.DefaultMaxClauses.
+func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, prep *datalog.Prepared, opts Options) (*Result, *engine.Database, error) {
 	start := time.Now()
+	if prep != nil {
+		if err := prep.CompatibleWith(db.Schema); err != nil {
+			return nil, nil, fmt.Errorf("sideeffect: %w", err)
+		}
+	}
 	rows, err := v.Eval(db)
 	if err != nil {
 		return nil, nil, err
@@ -290,39 +295,28 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 	}
 	witnesses := formula.Len()
 
-	maxClauses := opts.MaxClauses
-	if maxClauses <= 0 {
-		maxClauses = core.DefaultMaxClauses
-	}
-	var progPrep *datalog.Prepared
-	if p != nil {
-		// Prepare the delta program once: its FromBase plans serve both the
-		// stability clauses here and the final stability verification.
-		progPrep, err = datalog.Prepare(p, db.Schema)
-		if err != nil {
-			return nil, nil, err
-		}
-		ctx := progPrep.AcquireContext()
+	if prep != nil {
+		// The plan's FromBase plans serve both the stability clauses here
+		// and the final stability verification.
+		ctx := prep.AcquireContext()
+		defer prep.ReleaseContext(ctx)
 		var evalErr error
-		for _, pr := range progPrep.Rules {
+		for _, pr := range prep.Rules {
 			err := pr.EvalFromBase(db, ctx, func(asn *datalog.Assignment) bool {
 				formula.Add(asn.Head().TID, asn)
-				if formula.Len()-witnesses > maxClauses {
-					evalErr = fmt.Errorf("sideeffect: stability formula exceeded %d clauses", maxClauses)
+				if formula.Len()-witnesses > core.DefaultMaxClauses {
+					evalErr = fmt.Errorf("sideeffect: stability formula exceeded %d clauses", core.DefaultMaxClauses)
 					return false
 				}
 				return true
 			})
 			if err != nil {
-				progPrep.ReleaseContext(ctx)
 				return nil, nil, err
 			}
 			if evalErr != nil {
-				progPrep.ReleaseContext(ctx)
 				return nil, nil, evalErr
 			}
 		}
-		progPrep.ReleaseContext(ctx)
 	}
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
 		return nil, nil, opts.Ctx.Err()
@@ -366,8 +360,8 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, p *dat
 			return nil, nil, fmt.Errorf("sideeffect: internal error: view tuple survived")
 		}
 	}
-	if p != nil {
-		stable, err := core.CheckStable(work, p, core.Options{Prepared: progPrep})
+	if prep != nil {
+		stable, err := core.CheckStable(work, nil, core.Options{Prepared: prep})
 		if err != nil {
 			return nil, nil, err
 		}

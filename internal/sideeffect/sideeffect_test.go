@@ -133,7 +133,11 @@ Delta_R(a, b) :- R(a, b), Delta_S(b, c).
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, repaired, err := DeleteViewTuple(db, v, []engine.Value{engine.Int(100)}, p, Options{})
+	prep, err := datalog.Prepare(p, db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, repaired, err := DeleteViewTuple(db, v, []engine.Value{engine.Int(100)}, prep, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
