@@ -214,7 +214,7 @@ func startPprof(addr string) (*http.Server, error) {
 
 // registerDemo loads the paper's running example. With durability on, a
 // previous run's persisted copy wins: recovery restores it (updates
-// included) instead of re-registering from scratch.
+// included) on its first request instead of re-registering from scratch.
 func registerDemo(svc *server.Service) error {
 	const name = "running-example"
 	db := programs.RunningExampleDB()
@@ -224,11 +224,10 @@ func registerDemo(svc *server.Service) error {
 	}
 	err = svc.Register(name, db.Schema, db, prog)
 	if errors.Is(err, server.ErrDuplicate) {
-		log.Printf("demo session %q already persisted; recovering it instead", name)
-	} else if err != nil {
-		return err
+		log.Printf("demo session %q already persisted; its first request recovers it", name)
+		return nil
 	}
-	if err := svc.Warm(name); err != nil {
+	if err != nil {
 		return err
 	}
 	log.Printf("registered demo session %q", name)

@@ -88,11 +88,8 @@ func TestSessionUpdateAllocsFlat(t *testing.T) {
 	ctx := context.Background()
 	allocs := func(scale int, row func(int) []deltarepair.Row) float64 {
 		db, prog := buildScaledBenchWorkload(t, scale)
-		svc := server.New(server.Config{})
+		svc := openServer(t, server.Config{})
 		if err := svc.Register("u", db.Schema, db, prog); err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Warm("u"); err != nil {
 			t.Fatal(err)
 		}
 		i := 0
@@ -115,18 +112,22 @@ func TestSessionUpdateAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestSessionRepairAllocs pins BenchmarkServerThroughput's cached leg and
-// BenchmarkSessionUpdate's incremental leg: a repeat stage repair of a
-// warm session, and one update followed by a stage repair. Neither leg
-// runs the stage policy: the repeat is a stored result, and seedRow's
-// update interacts with no rule, so the repair after it replays.
+// TestSessionRepairAllocs pins three legs of a stage repair on a
+// registered session: a repeat repair (BenchmarkServerThroughput's cached
+// leg), an update followed by a repair (BenchmarkSessionUpdate's
+// incremental leg), and an update whose batch binds a rule followed by a
+// repair. The first two run no derivation: the repeat is a stored result,
+// and seedRow's update interacts with no rule, so the repair after it
+// replays. The third leg's batch inserts a Seed row tagged 'drop' with a
+// T1 row that joins it, so rules c0 and r1 fire on it and the repair after
+// it derives.
 func TestSessionRepairAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	ctx := context.Background()
 	db, prog := buildBenchWorkload(t)
-	svc := server.New(server.Config{})
+	svc := openServer(t, server.Config{})
 	if err := svc.Register("s", db.Schema, db, prog); err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +149,43 @@ func TestSessionRepairAllocs(t *testing.T) {
 	})
 	allocsNear(t, "Update + RepairVersioned(stage)", got, 301,
 		"the repair after an update re-plans or derives without its warm start")
+
+	db, prog = buildBenchWorkload(t)
+	if err := svc.Register("d", db.Schema, db, prog); err != nil {
+		t.Fatal(err)
+	}
+	base, _, _, err := svc.RepairVersioned(ctx, "d", core.SemStage, server.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i = 0
+	bound := func() {
+		if _, err := svc.Update(ctx, "d", droppedSeedRows(i), droppedSeedRows(i-1), server.RequestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		res, _, _, err := svc.RepairVersioned(ctx, "d", core.SemStage, server.RequestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Timing.Eval == 0 || res.Size() != base.Size()+2 {
+			t.Fatalf("repair after a rule-binding update: eval %v, %d deleted; want a derivation deleting the %d of version 1 and the batch's 2",
+				res.Timing.Eval, res.Size(), base.Size())
+		}
+		i++
+	}
+	allocsNear(t, "rule-binding Update + RepairVersioned(stage)", testing.AllocsPerRun(50, bound), 585,
+		"the repair after a rule-binding update re-plans the program or derives more than once")
+}
+
+// droppedSeedRows is a batch that binds rules c0 and r1 of
+// buildBenchWorkload's program: a Seed row tagged 'drop' and a T1 row
+// joining its gid, ids clear of seedRow's and of the > 1000 guards.
+func droppedSeedRows(i int) []deltarepair.Row {
+	g := engine.Int(300 + i%64)
+	return []deltarepair.Row{
+		{Rel: "Seed", Vals: []engine.Value{g, engine.Str("drop")}},
+		{Rel: "T1", Vals: []engine.Value{g, engine.Int(10)}},
+	}
 }
 
 // TestApplyRowsSealed pins the write amplification BenchmarkSnapshotApply

@@ -165,22 +165,17 @@ type SnapshotRing struct {
 	n     int    // number of retained versions, ≤ len(slots)
 }
 
-// DefaultRetainedVersions is the ring capacity used when NewSnapshotRing
+// DefaultRetainedVersions is the ring capacity used when NewSnapshotRingAt
 // is given a non-positive one.
 const DefaultRetainedVersions = 4
 
-// NewSnapshotRing starts a version history at version 1 = base. A
-// capacity ≤ 0 means DefaultRetainedVersions; capacity 1 retains only the
-// head (every update immediately unpins all older versions).
-func NewSnapshotRing(base *Snapshot, capacity int) *SnapshotRing {
-	return NewSnapshotRingAt(base, 1, capacity)
-}
-
 // NewSnapshotRingAt starts a version history with base installed at the
-// given version number instead of 1. Crash recovery uses this to resume a
-// session's version counter where the durable history left off, so
-// version numbers handed to clients before a restart stay meaningful
-// after it. A version of 0 is treated as 1 (versions start at 1).
+// given version: 1 for a new registration, and for crash recovery the
+// version where the durable history left off, so version numbers handed
+// to clients before a restart stay meaningful after it. A version of 0 is
+// treated as 1 (versions start at 1). A capacity ≤ 0 means
+// DefaultRetainedVersions; capacity 1 retains only the head (every update
+// immediately unpins all older versions).
 func NewSnapshotRingAt(base *Snapshot, version uint64, capacity int) *SnapshotRing {
 	if capacity <= 0 {
 		capacity = DefaultRetainedVersions

@@ -191,7 +191,7 @@ func TestSnapshotApplyChains(t *testing.T) {
 
 func TestSnapshotRingRetention(t *testing.T) {
 	snap, _ := updateTestSnapshot(t)
-	ring := NewSnapshotRing(snap, 3)
+	ring := NewSnapshotRingAt(snap, 1, 3)
 	if _, v := ring.Head(); v != 1 {
 		t.Fatalf("initial head %d, want 1", v)
 	}
@@ -239,7 +239,7 @@ func TestSnapshotRingRetention(t *testing.T) {
 
 func TestSnapshotRingDefaultCapacity(t *testing.T) {
 	snap, _ := updateTestSnapshot(t)
-	ring := NewSnapshotRing(snap, 0)
+	ring := NewSnapshotRingAt(snap, 1, 0)
 	for i := 0; i < DefaultRetainedVersions+2; i++ {
 		ring.AdvanceApplied(snap, nil)
 	}
@@ -254,7 +254,7 @@ func TestSnapshotRingDefaultCapacity(t *testing.T) {
 // retention only affects the ring, not outstanding forks.
 func TestSnapshotRingConcurrentReaders(t *testing.T) {
 	snap, _ := updateTestSnapshot(t)
-	ring := NewSnapshotRing(snap, 2)
+	ring := NewSnapshotRingAt(snap, 1, 2)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -309,7 +309,7 @@ func TestSnapshotRingConcurrentReaders(t *testing.T) {
 // metadata with the slot.
 func TestSnapshotRingAppliedMetadata(t *testing.T) {
 	snap, _ := updateTestSnapshot(t)
-	ring := NewSnapshotRing(snap, 3)
+	ring := NewSnapshotRingAt(snap, 1, 3)
 
 	// The base version carries no metadata.
 	if _, ok := ring.AppliedAt(1); ok {

@@ -163,7 +163,7 @@ func TestColumnarParityUpdateStream(t *testing.T) {
 					db = segmentedReplica(sc)
 				}
 				ctx := context.Background()
-				svc := server.New(server.Config{MaxVersions: us.NumVersions() + 1})
+				svc := openServer(t, server.Config{MaxVersions: us.NumVersions() + 1})
 				if err := svc.Register("s", sc.Schema, db, sc.Program); err != nil {
 					t.Fatalf("seed %d: register: %v", seed, err)
 				}

@@ -47,6 +47,16 @@ func sortedResultKeys(res *core.Result) string {
 	return fmt.Sprintf("%v", keys)
 }
 
+// openServer opens a repair service with cfg, failing tb on error.
+func openServer(tb testing.TB, cfg server.Config) *server.Service {
+	tb.Helper()
+	svc, err := server.Open(cfg)
+	if err != nil {
+		tb.Fatalf("server.Open: %v", err)
+	}
+	return svc
+}
+
 // checkUpdateStream drives one scenario's update stream through a
 // mutable session and cross-checks every version against from-scratch
 // recomputation. It returns the number of segment tier merges the
@@ -64,7 +74,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 
 	// Retain every version so the pinned re-checks at the end can still
 	// resolve the whole history.
-	svc := server.New(server.Config{MaxVersions: us.NumVersions() + 1})
+	svc := openServer(t, server.Config{MaxVersions: us.NumVersions() + 1})
 	if err := svc.Register("s", sc.Schema, sc.DB, sc.Program); err != nil {
 		t.Fatalf("seed %d: register: %v", sc.Seed, err)
 	}
@@ -86,8 +96,8 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 		fresh := freshDB(n)
 		// The session's logical contents must match the model exactly.
 		info := svc.Sessions()[0]
-		if info.Warmed && info.Version == version && info.Tuples != fresh.TotalTuples() {
-			t.Fatalf("seed %d v%d: session holds %d tuples, model %d", sc.Seed, version, info.Tuples, fresh.TotalTuples())
+		if info.Version != version || info.Tuples != fresh.TotalTuples() {
+			t.Fatalf("seed %d v%d: session lists v%d with %d tuples, model %d", sc.Seed, version, info.Version, info.Tuples, fresh.TotalTuples())
 		}
 		expected[version] = make(map[core.Semantics]string)
 		for _, sem := range core.AllSemantics {

@@ -109,7 +109,7 @@ func checkHitsMatchMisses(t *testing.T, svc *Service, name string, version uint6
 
 func TestArtefactHitsMatchMisses(t *testing.T) {
 	t.Run("running-example", func(t *testing.T) {
-		svc := New(Config{})
+		svc := openService(t, Config{})
 		register(t, svc, "papers")
 		checkHitsMatchMisses(t, svc, "papers", 1, `{"query":"Q(p) :- Pub(p, t).","k":4,"version":1}`)
 	})
@@ -125,7 +125,7 @@ func TestArtefactHitsMatchMisses(t *testing.T) {
 // A pinned read of an older retained version, made after the head was
 // repaired, is still served from the store with the same body.
 func TestArtefactPinnedOlderVersionHit(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 	h := svc.Handler()
 	const v1 = `{"semantics":"stage","version":1}`
@@ -149,7 +149,7 @@ func TestArtefactPinnedOlderVersionHit(t *testing.T) {
 // Once the ring evicts a version its entries are gone, its bytes no longer
 // count, and a pinned read of it is the usual 409.
 func TestArtefactEvictionDropsEntries(t *testing.T) {
-	svc := New(Config{MaxVersions: 2})
+	svc := openService(t, Config{MaxVersions: 2})
 	register(t, svc, "papers")
 	h := svc.Handler()
 	for _, body := range []string{`{"semantics":"end","version":1}`, `{"query":"Q(p) :- Pub(p, t).","version":1}`} {
@@ -223,7 +223,7 @@ func TestArtefactBudgetKeysIndependent(t *testing.T) {
 // A query whose key and body would take the store past maxArtefactBytes is
 // answered but not stored; one that fits is stored and counted.
 func TestArtefactQueryByteCap(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 	ctx := context.Background()
 	eopts := core.EnumerateOptions{K: 4}
@@ -267,11 +267,8 @@ func TestArtefactHammer(t *testing.T) {
 		readers = 6
 		iters   = 40
 	)
-	svc := New(Config{MaxInFlight: 8, MaxVersions: 3})
+	svc := openService(t, Config{MaxInFlight: 8, MaxVersions: 3})
 	register(t, svc, "hot")
-	if err := svc.Warm("hot"); err != nil {
-		t.Fatal(err)
-	}
 	h := svc.Handler()
 
 	// Version v holds pubs 1000..1000+v-2, each written by Homer.

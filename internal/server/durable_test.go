@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datalog"
 	"repro/internal/engine"
+	"repro/internal/programs"
 	"repro/internal/server/durability"
 )
 
@@ -26,11 +28,7 @@ func openDurable(t *testing.T, dir string, cfg Config) *Service {
 	t.Helper()
 	cfg.DataDir = dir
 	cfg.NoFsync = true // tests exercise crash recovery, not power loss
-	svc, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	return svc
+	return openService(t, cfg)
 }
 
 // dumpHead renders a session's head state (every tuple's identity and
@@ -40,9 +38,6 @@ func dumpHead(t *testing.T, svc *Service, name string) (string, uint64) {
 	sess, err := svc.session(name)
 	if err != nil {
 		t.Fatalf("session %q: %v", name, err)
-	}
-	if err := sess.warm(); err != nil {
-		t.Fatalf("warm %q: %v", name, err)
 	}
 	head, ver := sess.ring.Head()
 	var b strings.Builder
@@ -328,9 +323,6 @@ func headLayout(t *testing.T, svc *Service, name string) *engine.Layout {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.warm(); err != nil {
-		t.Fatal(err)
-	}
 	head, _ := sess.ring.Head()
 	return head.Layout()
 }
@@ -545,8 +537,40 @@ func TestDurableDuplicateAcrossEviction(t *testing.T) {
 }
 
 // TestMetricsEndpoint exercises the inventory end to end over HTTP.
+// TestDurableRegisterRejectsUnpreparedProgram checks that Register
+// prepares before it persists: a program Prepare rejects (here one never
+// validated against the schema) fails at Register and leaves no session
+// directory behind, so the name stays free.
+func TestDurableRegisterRejectsUnpreparedProgram(t *testing.T) {
+	dir := t.TempDir()
+	svc := openDurable(t, dir, Config{})
+	db, _ := fixture(t)
+	prog, err := datalog.Parse(programs.RunningExampleSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Register("raw", db.Schema, db, prog); err == nil {
+		t.Fatal("an unvalidated program registered")
+	}
+	if svc.dur.Exists("raw") {
+		t.Error("the rejected registration was persisted")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("the rejected registration left %s in the data directory", e.Name())
+	}
+	if got, err := svc.Persisted(); err != nil || len(got) != 0 {
+		t.Errorf("persisted sessions %v (err %v), want none", got, err)
+	}
+	// The name is free: the validated program registers under it.
+	register(t, svc, "raw")
+}
+
 func TestMetricsEndpoint(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 	ctx := context.Background()
 	if _, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemEnd, RequestOptions{}); err != nil {
@@ -570,7 +594,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`deltarepaird_requests_total{kind="repair",status="ok"} 2`,
 		`deltarepaird_requests_total{kind="update",status="ok"} 1`,
 		`deltarepaird_session_starts_total{type="cold"} 1`,
-		`deltarepaird_session_starts_total{type="warm"} 2`,
 		"deltarepaird_sessions 1",
 		"deltarepaird_session_versions 2",
 		"deltarepaird_request_seconds_count 4",
@@ -584,5 +607,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE deltarepaird_request_seconds histogram") {
 		t.Error("histogram type line missing")
+	}
+	// One registration is one cold start, however many requests follow;
+	// requests are counted by deltarepaird_requests_total alone.
+	if strings.Contains(body, `deltarepaird_session_starts_total{type="warm"}`) {
+		t.Error("per-request warm starts still counted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // ExampleService shows the serving pattern end to end: register a named
 // (schema, program, database) session once, then answer requests off the
 // cached prepared plan and frozen snapshot — the service prepares and
-// freezes on the first request and forks per request after that.
+// freezes at registration and forks per request after that.
 func ExampleService() {
 	schema, _ := engine.ParseSchema(`
 		Grant(gid, name)
@@ -26,7 +26,11 @@ func ExampleService() {
 		Delta_Grant(g, n) :- Grant(g, n), n = 'ERC'.
 		Delta_Author(a, g) :- Author(a, g), Delta_Grant(g, n).`, schema)
 
-	svc := server.New(server.Config{})
+	svc, err := server.Open(server.Config{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	if err := svc.Register("grants", schema, db, prog); err != nil {
 		fmt.Println(err)
 		return
@@ -65,7 +69,11 @@ func ExampleService_update() {
 		Delta_Grant(g, n) :- Grant(g, n), n = 'ERC'.
 		Delta_Author(a, g) :- Author(a, g), Delta_Grant(g, n).`, schema)
 
-	svc := server.New(server.Config{})
+	svc, err := server.Open(server.Config{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	if err := svc.Register("grants", schema, db, prog); err != nil {
 		fmt.Println(err)
 		return

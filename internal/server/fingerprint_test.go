@@ -41,7 +41,10 @@ func newMAS20Service() (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc := New(Config{})
+	svc, err := Open(Config{})
+	if err != nil {
+		return nil, err
+	}
 	if err := svc.Register("mas20", md.DB.Schema, md.DB, prog); err != nil {
 		return nil, err
 	}

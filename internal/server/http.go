@@ -55,9 +55,6 @@ type RegisterRequest struct {
 	// numbers become ints, other numbers floats, strings strings. A row
 	// repeating an earlier row's content is dropped (set semantics).
 	Tuples Tuples `json:"tuples"`
-	// Warm eagerly prepares and freezes the session instead of leaving it
-	// to the first request.
-	Warm bool `json:"warm,omitempty"`
 }
 
 // RepairRequest is the body of repair, repair-all, and is-stable calls.
@@ -393,22 +390,13 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	// Count before Register publishes the session: a concurrent first
-	// request may start freezing db the moment it is visible.
-	tuples := db.TotalTuples()
 	if err := s.Register(req.Name, schema, db, prog); err != nil {
 		writeErr(w, err)
 		return
 	}
-	if req.Warm {
-		if err := s.Warm(req.Name); err != nil {
-			writeErr(w, err)
-			return
-		}
-	}
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"name":   req.Name,
-		"tuples": tuples,
+		"tuples": db.TotalTuples(),
 		"rules":  len(prog.Rules),
 	})
 }

@@ -17,6 +17,9 @@ import (
 	"repro/internal/programs"
 )
 
+// registerBody registers the running example. Its "warm" field is not a
+// RegisterRequest field; decodeBody ignores unknown fields, so clients
+// that send it still register.
 const registerBody = `{
   "name": "papers",
   "schema": "Grant(gid, name)\nAuthGrant(aid, gid)\nAuthor(aid, name)\nWrites(aid, pid)\nPub(pid, title)\nCite(citing, cited)",
@@ -47,7 +50,7 @@ func postJSON(t *testing.T, client *http.Client, url, body string) (int, map[str
 }
 
 func TestHTTPEndToEnd(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -129,7 +132,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Errorf("delete-view-tuple: unexpected solution %v", body)
 	}
 
-	// Session listing shows the warmed session with request accounting.
+	// Session listing shows the session with request accounting.
 	resp, err = client.Get(ts.URL + "/v1/sessions")
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +142,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(infos) != 1 || infos[0].Name != "papers" || !infos[0].Warmed || infos[0].Requests < 4 {
+	if len(infos) != 1 || infos[0].Name != "papers" || infos[0].Version != 1 || infos[0].Requests < 4 {
 		t.Errorf("session listing: %+v", infos)
 	}
 
@@ -156,7 +159,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -226,11 +229,11 @@ func TestHTTPBadRequests(t *testing.T) {
 // a body of exactly the limit is served. The limit defaults to
 // DefaultMaxBodyBytes.
 func TestHTTPBodyLimit(t *testing.T) {
-	if got := New(Config{}).cfg.MaxBodyBytes; got != DefaultMaxBodyBytes {
+	if got := openService(t, Config{}).cfg.MaxBodyBytes; got != DefaultMaxBodyBytes {
 		t.Fatalf("default body limit %d, want %d", got, DefaultMaxBodyBytes)
 	}
 	limit := int64(len(registerBody))
-	svc := New(Config{MaxBodyBytes: limit})
+	svc := openService(t, Config{MaxBodyBytes: limit})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -251,8 +254,38 @@ func TestHTTPBodyLimit(t *testing.T) {
 	}
 }
 
+// TestHTTPListBeforeFirstRequest checks that a session is prepared and
+// frozen when POST /v1/sessions returns: listed before any request, it is
+// at version 1 and holds the registered tuples.
+func TestHTTPListBeforeFirstRequest(t *testing.T) {
+	svc := openService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	status, reg := postJSON(t, client, ts.URL+"/v1/sessions", registerBody)
+	if status != http.StatusCreated || reg["tuples"] != float64(13) {
+		t.Fatalf("register: %d %v; want 201 with 13 tuples", status, reg)
+	}
+	resp, err := client.Get(ts.URL + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var infos []SessionInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 {
+		t.Fatalf("listing: %+v", infos)
+	}
+	if info := infos[0]; info.Version != 1 || info.OldestVersion != 1 || info.RetainedVersions != 1 ||
+		info.Tuples != 13 || info.Requests != 0 || info.Rules != 5 {
+		t.Errorf("listing before the first request: %+v; want version 1 with 13 tuples and 5 rules", info)
+	}
+}
+
 func TestHTTPMalformedViewIs400(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	if status, body := postJSON(t, ts.Client(), ts.URL+"/v1/sessions", registerBody); status != http.StatusCreated {
@@ -267,7 +300,7 @@ func TestHTTPMalformedViewIs400(t *testing.T) {
 }
 
 func TestHTTPTimeout(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -298,7 +331,7 @@ func TestHTTPTimeout(t *testing.T) {
 }
 
 func TestHTTPNoSuchViewRowIs400(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	if status, body := postJSON(t, ts.Client(), ts.URL+"/v1/sessions", registerBody); status != http.StatusCreated {
@@ -319,7 +352,7 @@ func TestHTTPNoSuchViewRowIs400(t *testing.T) {
 // back to a cold derivation) its answer at the pinned version must equal
 // the four /repair answers a second session gives at that version.
 func TestHTTPRepairAllEqualsRepairsAfterUpdate(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -399,7 +432,7 @@ func TestHTTPRecoversPanics(t *testing.T) {
 	var logged bytes.Buffer
 	log.SetOutput(&logged)
 	defer log.SetOutput(os.Stderr)
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	h := svc.recovering(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") }))
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/sessions/x/repair", nil))

@@ -17,7 +17,7 @@ import (
 // concurrency hammer interleaving HTTP updates with repairs.
 
 func TestHTTPUpdateEndToEnd(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -100,7 +100,7 @@ func TestHTTPUpdateEndToEnd(t *testing.T) {
 // TestHTTPStatusCodeMatrix exercises every status the API maps: 400,
 // 404, 409 (duplicate, schema mismatch, evicted version), 499, 504.
 func TestHTTPStatusCodeMatrix(t *testing.T) {
-	svc := New(Config{MaxVersions: 1}) // head-only retention: updates evict instantly
+	svc := openService(t, Config{MaxVersions: 1}) // head-only retention: updates evict instantly
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -169,7 +169,7 @@ func TestHTTPStatusCodeMatrix(t *testing.T) {
 // proving fork isolation across versions end to end through the HTTP
 // stack.
 func TestHTTPUpdateRepairHammer(t *testing.T) {
-	svc := New(Config{MaxInFlight: 16, MaxVersions: 64})
+	svc := openService(t, Config{MaxInFlight: 16, MaxVersions: 64})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()

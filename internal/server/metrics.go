@@ -19,9 +19,9 @@ type svcMetrics struct {
 	requests *metrics.CounterVec
 	// requestSeconds is end-to-end request latency, queueing included.
 	requestSeconds *metrics.Histogram
-	// starts partitions session activations: "warm" (already compiled and
-	// frozen), "cold" (first-request compile+freeze), "recovered" (loaded
-	// from the durability layer after a restart or eviction).
+	// starts partitions session activations: "cold" (a registration
+	// compiled and froze it) and "recovered" (loaded from the durability
+	// layer after a restart or eviction).
 	starts *metrics.CounterVec
 
 	// Update write amplification: rows the accepted batches changed
@@ -74,7 +74,7 @@ func newSvcMetrics(s *Service) *svcMetrics {
 		requestSeconds: reg.NewHistogram("deltarepaird_request_seconds",
 			"End-to-end request latency in seconds, admission queueing included.", nil),
 		starts: reg.NewCounterVec("deltarepaird_session_starts_total",
-			"Session activations by start type: warm, cold, or recovered from disk.", "type"),
+			"Session activations by start type: cold (registered) or recovered from disk.", "type"),
 		rowsChanged: reg.NewCounter("deltarepaird_update_rows_changed_total",
 			"Rows update batches effectively inserted or deleted."),
 		rowsSealed: reg.NewCounter("deltarepaird_update_rows_sealed_total",
@@ -111,7 +111,7 @@ func newSvcMetrics(s *Service) *svcMetrics {
 		"Sessions evicted from the cache by LRU pressure (monotonic).",
 		func() float64 { return float64(s.Evictions()) })
 	reg.NewGaugeFunc("deltarepaird_session_versions",
-		"Sum of head snapshot versions across warmed resident sessions.",
+		"Sum of head snapshot versions across resident sessions.",
 		func() float64 {
 			var sum uint64
 			for _, info := range s.Sessions() {

@@ -21,7 +21,7 @@ import (
 // (forks observing each other's deletions, warm-state corruption) shows
 // up as a drifted result, and any locking mistake as a race report.
 func TestServiceConcurrentHammer(t *testing.T) {
-	svc := New(Config{MaxSessions: 4, MaxInFlight: 8})
+	svc := openService(t, Config{MaxSessions: 4, MaxInFlight: 8})
 	_, prog := register(t, svc, "hot")
 
 	// Sequential baselines, computed outside the service.
@@ -92,8 +92,8 @@ func TestServiceConcurrentHammer(t *testing.T) {
 	}
 
 	// Churn goroutine: register/evict sessions to force LRU pressure and
-	// concurrent warming while the hot session serves. The fixtures are
-	// built up front on the test goroutine (t.Fatalf must not run on a
+	// concurrent Prepare+Freeze while the hot session serves. The fixtures
+	// are built up front on the test goroutine (t.Fatalf must not run on a
 	// spawned goroutine); sequential register/evict cycles may reuse a
 	// pair because only this goroutine ever touches it.
 	type churnFixture struct {
@@ -105,9 +105,11 @@ func TestServiceConcurrentHammer(t *testing.T) {
 		db, p := fixture(t)
 		churn[i] = churnFixture{db: db, p: p}
 	}
+	churnDone := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(churnDone)
 		for i := 0; i < 40; i++ {
 			name := fmt.Sprintf("churn-%d", i%6)
 			db, p := churn[i%6].db, churn[i%6].p
@@ -125,8 +127,8 @@ func TestServiceConcurrentHammer(t *testing.T) {
 				return
 			}
 			if err == nil {
-				// Warm some of the churn sessions to exercise concurrent
-				// Prepare+Freeze against the hammer traffic.
+				// Serve some of the churn sessions' first requests against
+				// the hammer traffic.
 				if i%3 == 0 {
 					if _, _, _, err := svc.RepairVersioned(ctx, name, core.SemEnd, RequestOptions{}); err != nil && !errors.Is(err, ErrNotFound) {
 						errCh <- fmt.Errorf("churn repair: %w", err)
@@ -140,17 +142,24 @@ func TestServiceConcurrentHammer(t *testing.T) {
 		}
 	}()
 
-	// Stats poller: session listing must never block on or race with
-	// warming.
+	// Stats poller: for as long as the churn registers and deregisters,
+	// every listed session must already be serving — a session is visible
+	// only once prepared and frozen, so none may list version 0 or an
+	// empty database.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 60; i++ {
+		for {
 			for _, info := range svc.Sessions() {
-				if info.Name == "hot" && info.Warmed && info.Tuples == 0 {
-					errCh <- fmt.Errorf("stats: warmed hot session reports 0 tuples")
+				if info.Version == 0 || info.Tuples == 0 {
+					errCh <- fmt.Errorf("stats: session %q listed at version %d with %d tuples", info.Name, info.Version, info.Tuples)
 					return
 				}
+			}
+			select {
+			case <-churnDone:
+				return
+			default:
 			}
 		}
 	}()

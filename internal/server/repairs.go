@@ -19,7 +19,7 @@ func (s *Service) spaceFor(sess *Session, snap *engine.Snapshot, version uint64,
 	if a, ok := sess.artefacts.get(key); ok {
 		return a.space, nil
 	}
-	sp, err := core.EnumerateRepairsWith(snap.Fork(), sess.prog, copts, eopts)
+	sp, err := core.EnumerateRepairsWith(snap.Fork(), sess.prep.Program, copts, eopts)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func (s *Service) queryBody(ctx context.Context, name, querySrc string, eopts co
 // caller must hold an admission token (begin) and have resolved the
 // version to snap.
 func (s *Service) answer(sess *Session, snap *engine.Snapshot, version uint64, querySrc string, eopts core.EnumerateOptions, copts core.Options) (*cqa.Answers, error) {
-	v, err := sideeffect.ParseView(querySrc, sess.schema)
+	v, err := sideeffect.ParseView(querySrc, sess.prep.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

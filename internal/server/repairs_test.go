@@ -15,7 +15,7 @@ import (
 
 func TestServiceEnumerateRepairs(t *testing.T) {
 	ctx := context.Background()
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 
 	sp, version, err := svc.EnumerateRepairs(ctx, "papers", core.EnumerateOptions{K: 4}, RequestOptions{})
@@ -57,7 +57,7 @@ func TestServiceEnumerateRepairs(t *testing.T) {
 
 func TestServiceSpaceCacheReplayAndBudgetKey(t *testing.T) {
 	ctx := context.Background()
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 
 	first, _, err := svc.EnumerateRepairs(ctx, "papers", core.EnumerateOptions{K: 4}, RequestOptions{})
@@ -105,7 +105,7 @@ func TestServiceSpaceCacheReplayAndBudgetKey(t *testing.T) {
 
 func TestServiceSpaceCacheAcrossVersions(t *testing.T) {
 	ctx := context.Background()
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 
 	v1Space, v1, err := svc.EnumerateRepairs(ctx, "papers", core.EnumerateOptions{K: 4}, RequestOptions{})
@@ -139,7 +139,7 @@ func TestServiceSpaceCacheAcrossVersions(t *testing.T) {
 
 func TestServiceQuery(t *testing.T) {
 	ctx := context.Background()
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 
 	// Grant(1,'NSF') survives every repair; Grant(2,'ERC') none.
@@ -168,7 +168,7 @@ func TestServiceQuery(t *testing.T) {
 }
 
 func TestHTTPRepairsEndpoint(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -242,7 +242,7 @@ func TestHTTPRepairsEndpoint(t *testing.T) {
 }
 
 func TestHTTPQueryEndpoint(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -289,7 +289,7 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 // enumeration endpoints — a best-effort repair silently presented as
 // optimal is the bug this guards against.
 func TestHTTPOptimalitySurfacing(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := ts.Client()

@@ -49,7 +49,7 @@ func FuzzRequestBodies(f *testing.F) {
 		f.Add(s.endpoint, []byte(s.body))
 	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
-		svc := New(Config{MaxBodyBytes: 4 << 10})
+		svc := openService(t, Config{MaxBodyBytes: 4 << 10})
 		register(t, svc, "papers")
 		h := svc.Handler()
 		ep := fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)]

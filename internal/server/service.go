@@ -1,6 +1,6 @@
 // Package server turns the repair library into a concurrent repair
-// service: named (schema, program, database) sessions are registered
-// once, compiled and frozen once (datalog.Prepare + Database.Freeze), and
+// service: named (schema, program, database) sessions are compiled and
+// frozen once, at registration (datalog.Prepare + Database.Freeze), and
 // every request forks the shared snapshot — zero deep copies and zero
 // re-planning on the hot path. The package exposes both an embeddable Go
 // API (Service) and a net/http JSON API (Service.Handler); cmd/deltarepaird
@@ -11,9 +11,10 @@
 //   - Admission control: a bounded token pool (Config.MaxInFlight) caps
 //     the number of repairs executing at once; excess requests queue in
 //     acquire() and honor their context while waiting.
-//   - Session cache: an LRU keyed by session name caches the Prepared
-//     plan and frozen Snapshot. Warming is single-flight (sync.Once per
-//     session): concurrent first requests prepare and freeze exactly once.
+//   - Session cache: an LRU keyed by session name holds each session's
+//     Prepared plan and frozen snapshot versions. A session is ready to
+//     serve from the moment it is visible; a persisted session missing
+//     from the cache is recovered single-flight on its first access.
 //   - Isolation: every request that computes works on a private
 //     Snapshot.Fork; forks share the frozen storage and warm indexes
 //     read-only, so requests never observe each other's deletions.
@@ -104,8 +105,7 @@ type Config struct {
 	// (snapshot + write-ahead log of update batches) under this directory,
 	// updates are logged before they become visible, and sessions are
 	// recovered lazily after a restart. Empty means pure in-memory
-	// sessions (the pre-durability behavior). Services with a DataDir must
-	// be built with Open, which can surface filesystem errors.
+	// sessions (the pre-durability behavior).
 	DataDir string
 	// NoFsync relaxes the WAL flush policy from fsync-per-append (the
 	// default: acknowledged updates survive power loss) to OS-buffered
@@ -143,22 +143,11 @@ type loadFlight struct {
 	err  error
 }
 
-// New builds a Service; zero-value Config fields take the documented
-// defaults. New panics when Config.DataDir is set and the data directory
-// cannot be prepared — durable services should use Open, which returns
-// the error instead.
-func New(cfg Config) *Service {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Open is New returning filesystem errors: with Config.DataDir set it
-// prepares the data directory and arms lazy crash recovery — every
-// session persisted by an earlier process is restored (newest checkpoint +
-// WAL tail replay) on its first access.
+// Open builds a Service; zero-value Config fields take the documented
+// defaults. With Config.DataDir set it prepares the data directory, which
+// can fail, and arms lazy crash recovery — every session persisted by an
+// earlier process is restored (newest checkpoint + WAL tail replay) on its
+// first access.
 func Open(cfg Config) (*Service, error) {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
@@ -228,38 +217,20 @@ func (s *Service) Close() error {
 	return first
 }
 
-// Session is one registered (schema, program, database) triple with its
-// lazily warmed execution state. Sessions are owned by the Service;
-// callers interact through Service methods.
+// Session is one registered (schema, program, database) triple, prepared
+// and frozen. Sessions are owned by the Service; callers interact through
+// Service methods.
 type Session struct {
-	name        string
-	nameJSON    []byte // name as a JSON string, spliced into /repair bodies
-	schema      *engine.Schema
-	db          *engine.Database
-	prog        *datalog.Program
-	tuples      int // live tuple count at Register time (db may be mid-freeze later)
-	maxVersions int
+	name     string
+	nameJSON []byte // name as a JSON string, spliced into /repair bodies
+	// prep is the compiled program; prep.Schema and prep.Program are the
+	// session's schema and program.
+	prep *datalog.Prepared
 
 	// store is the session's open durable state (WAL handle + compaction
 	// cadence); nil when durability is disabled. Guarded by verMu for
 	// appends and compaction, by the Service eviction path for Close.
 	store *durability.SessionStore
-	// recSnap/recVersion carry a crash-recovered head into warm(): the
-	// ring then starts at the recovered version instead of freezing db
-	// (which recovered sessions do not have) at version 1.
-	recSnap    *engine.Snapshot
-	recVersion uint64
-
-	// Single-flight warming: the first request (or Warm call) compiles
-	// the program and freezes the database exactly once; concurrent
-	// callers block on the Once and then share the results. warmDone is
-	// set (release-store) after a successful warm so stats readers can
-	// peek at snap/ring without blocking on a warm in flight.
-	warmOnce sync.Once
-	prep     *datalog.Prepared
-	snap     *engine.Snapshot // version 1 (registration state)
-	warmErr  error
-	warmDone atomic.Bool
 
 	// Mutable-session state. The ring holds the retained snapshot
 	// versions together with the per-version ApplyInfo that warm-start
@@ -275,25 +246,16 @@ type Session struct {
 	updates  atomic.Int64
 }
 
-func (sess *Session) warm() error {
-	sess.warmOnce.Do(func() {
-		prep, err := datalog.Prepare(sess.prog, sess.schema)
-		if err != nil {
-			sess.warmErr = fmt.Errorf("server: preparing session %q: %w", sess.name, err)
-			return
-		}
-		sess.prep = prep
-		if sess.recSnap != nil {
-			sess.snap = sess.recSnap
-			sess.ring = engine.NewSnapshotRingAt(sess.recSnap, sess.recVersion, sess.maxVersions)
-		} else {
-			sess.snap = sess.db.Freeze()
-			sess.ring = engine.NewSnapshotRing(sess.snap, sess.maxVersions)
-		}
-		sess.artefacts = newArtefactStore(sess.ring)
-		sess.warmDone.Store(true)
-	})
-	return sess.warmErr
+// newSession builds a session that serves from the moment it exists: the
+// prepared plan, and the frozen snapshot installed as the head of a fresh
+// version ring at the given version. Register and recovery both build
+// their sessions here.
+func (s *Service) newSession(name string, prep *datalog.Prepared, snap *engine.Snapshot, version uint64, store *durability.SessionStore) *Session {
+	ring := engine.NewSnapshotRingAt(snap, version, s.cfg.MaxVersions)
+	return &Session{
+		name: name, nameJSON: jsonString(name), prep: prep, store: store,
+		ring: ring, artefacts: newArtefactStore(ring),
+	}
 }
 
 // resolve maps a pinned version (0 = head) to its retained snapshot.
@@ -380,20 +342,22 @@ func (sess *Session) changesSince(from, to uint64) (*core.WarmStart, bool) {
 	return w, true
 }
 
-// Register adds a named session. The Service takes ownership of db: the
-// caller must not mutate it afterwards (the first request freezes it into
-// the shared snapshot). Registering an existing name returns ErrDuplicate;
-// when the cache is full the least-recently-used session is evicted
-// (in-flight requests on an evicted session complete normally on their
-// forks; with durability enabled its state stays on disk and the session
-// is recovered lazily on next access). The program must already be
-// validated against the schema.
+// Register adds a named session. It prepares the program and freezes db
+// into the session's version-1 snapshot before the session becomes
+// visible, so the first request finds it ready; db stays usable as a
+// pristine fork of that snapshot, and later changes to it do not reach the
+// session. The program must already be validated against the schema: a
+// program Prepare rejects fails here. Registering an existing name returns
+// ErrDuplicate; when the cache is full the least-recently-used session is
+// evicted (in-flight requests on an evicted session complete normally on
+// their forks; with durability enabled its state stays on disk and the
+// session is recovered lazily on next access).
 //
 // With durability enabled the registration is persisted — metadata, the
 // version-1 checkpoint, and an empty WAL — before the session
 // becomes visible, and the atomic session-directory create arbitrates
 // duplicate names (an evicted-but-persisted session still counts as
-// registered).
+// registered). A program that fails to prepare leaves no directory behind.
 func (s *Service) Register(name string, schema *engine.Schema, db *engine.Database, prog *datalog.Program) (err error) {
 	defer s.track("register", time.Now(), &err)
 	if name == "" {
@@ -405,23 +369,26 @@ func (s *Service) Register(name string, schema *engine.Schema, db *engine.Databa
 	if db.Schema != schema {
 		return fmt.Errorf("server: session %q database built over a different schema", name)
 	}
-	sess := &Session{
-		name: name, nameJSON: jsonString(name), schema: schema, db: db, prog: prog,
-		tuples:      db.TotalTuples(),
-		maxVersions: s.cfg.MaxVersions,
+	prep, err := datalog.Prepare(prog, schema)
+	if err != nil {
+		return fmt.Errorf("server: preparing session %q: %w", name, err)
 	}
+	snap := db.Freeze()
+	var store *durability.SessionStore
 	if s.dur != nil {
+		// db is now a pristine fork of snap, so Create's own Freeze hands
+		// back snap itself: the checkpoint is the state the session serves.
 		meta := durability.Meta{Name: name, Schema: schema.String(), Program: prog.String()}
-		store, cerr := s.dur.Create(meta, db)
-		if os.IsExist(cerr) {
+		store, err = s.dur.Create(meta, db)
+		if os.IsExist(err) {
 			return fmt.Errorf("%w: %q", ErrDuplicate, name)
 		}
-		if cerr != nil {
-			return fmt.Errorf("server: persisting session %q: %w", name, cerr)
+		if err != nil {
+			return fmt.Errorf("server: persisting session %q: %w", name, err)
 		}
 		s.metrics.countCheckpoint(store.LastCheckpoint())
-		sess.store = store
 	}
+	sess := s.newSession(name, prep, snap, 1, store)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.byName[name]; ok {
@@ -431,6 +398,7 @@ func (s *Service) Register(name string, schema *engine.Schema, db *engine.Databa
 	}
 	s.byName[name] = s.lru.PushFront(sess)
 	s.evictOverflowLocked()
+	s.metrics.starts.With("cold").Inc()
 	return nil
 }
 
@@ -542,6 +510,10 @@ func (s *Service) loadSession(name string) (*Session, error) {
 	}
 	schema := rec.Snapshot.Schema()
 	prog, err := datalog.ParseAndValidate(rec.Meta.Program, schema)
+	var prep *datalog.Prepared
+	if err == nil {
+		prep, err = datalog.Prepare(prog, schema)
+	}
 	if err != nil {
 		rec.Store.Close()
 		return nil, fmt.Errorf("server: recovering session %q program: %w", name, err)
@@ -554,27 +526,7 @@ func (s *Service) loadSession(name string) (*Session, error) {
 	}
 	s.metrics.corruptRecords.Add(uint64(rec.WalStats.CorruptRecords))
 	s.metrics.starts.With("recovered").Inc()
-	return &Session{
-		name:        name,
-		nameJSON:    jsonString(name),
-		schema:      schema,
-		prog:        prog,
-		tuples:      rec.Snapshot.TotalTuples(),
-		maxVersions: s.cfg.MaxVersions,
-		store:       rec.Store,
-		recSnap:     rec.Snapshot,
-		recVersion:  rec.Version,
-	}, nil
-}
-
-// Warm eagerly compiles and freezes the named session (normally done
-// lazily by the first request).
-func (s *Service) Warm(name string) error {
-	sess, err := s.session(name)
-	if err != nil {
-		return err
-	}
-	return sess.warm()
+	return s.newSession(name, prep, rec.Snapshot, rec.Version, rec.Store), nil
 }
 
 // SessionInfo is a point-in-time snapshot of one cached session's state.
@@ -584,16 +536,14 @@ type SessionInfo struct {
 	Rules     int    `json:"rules"`
 	Tuples    int    `json:"tuples"`
 	Recursive bool   `json:"recursive"`
-	Warmed    bool   `json:"warmed"`
 	// Requests counts repair/is-stable/view-deletion/update calls served.
 	Requests int64 `json:"requests"`
 	// Forks counts working copies minted from the session's snapshot
-	// versions — the engine's concurrent fork accounting; ≥ Requests once
-	// warmed because the executors fork internally too.
+	// versions — the engine's concurrent fork accounting; it can exceed
+	// Requests because the executors fork internally too.
 	Forks int64 `json:"forks"`
 	// Version is the head (newest) snapshot version; versions start at 1
-	// (the registration state) and advance by one per update. 0 until
-	// warmed.
+	// (the registration state) and advance by one per update.
 	Version uint64 `json:"version,omitempty"`
 	// OldestVersion is the oldest version still resolvable for pinned
 	// reads; older pinned requests get 409.
@@ -606,10 +556,10 @@ type SessionInfo struct {
 	// Segments is the largest number of sealed storage segments any
 	// relation of the head version is spread over (1 after registration
 	// or recovery, at most 3 after updates): the fan-out a probe of the
-	// most-updated relation pays. 0 until warmed.
+	// most-updated relation pays.
 	Segments int `json:"segments,omitempty"`
 	// ArtefactBytes is the encoded response bytes the session's artefact
-	// store holds for pinned reads (at most 8 MiB). 0 until warmed.
+	// store holds for pinned reads (at most 8 MiB).
 	ArtefactBytes int `json:"artefact_bytes,omitempty"`
 }
 
@@ -620,35 +570,27 @@ func (s *Service) Sessions() []SessionInfo {
 	out := make([]SessionInfo, 0, s.lru.Len())
 	for el := s.lru.Front(); el != nil; el = el.Next() {
 		sess := el.Value.(*Session)
+		head, version := sess.ring.Head()
 		info := SessionInfo{
-			Name:      sess.name,
-			Relations: len(sess.schema.Relations),
-			Rules:     len(sess.prog.Rules),
-			Recursive: sess.prog.Recursive,
-			Requests:  sess.requests.Load(),
+			Name:             sess.name,
+			Relations:        len(sess.prep.Schema.Relations),
+			Rules:            len(sess.prep.Program.Rules),
+			Tuples:           head.TotalTuples(),
+			Recursive:        sess.prep.Program.Recursive,
+			Requests:         sess.requests.Load(),
+			Version:          version,
+			OldestVersion:    sess.ring.Oldest(),
+			RetainedVersions: sess.ring.Retained(),
+			Updates:          sess.updates.Load(),
+			Segments:         head.Segments(),
+			ArtefactBytes:    sess.artefacts.held(),
 		}
-		// snap/ring are published by warmDone's release-store; an
-		// acquire-load here means stats never block on (or race with) a
-		// warm in flight.
-		if sess.warmDone.Load() {
-			info.Warmed = true
-			head, version := sess.ring.Head()
-			info.Tuples = head.TotalTuples()
-			info.Segments = head.Segments()
-			info.Version = version
-			info.OldestVersion = sess.ring.Oldest()
-			info.RetainedVersions = sess.ring.Retained()
-			info.Updates = sess.updates.Load()
-			info.ArtefactBytes = sess.artefacts.held()
-			// Fork accounting spans every retained version, so the stat
-			// keeps counting requests that read pinned older versions.
-			for v := info.OldestVersion; v <= version; v++ {
-				if s, ok := sess.ring.At(v); ok {
-					info.Forks += s.Forks()
-				}
+		// Fork accounting spans every retained version, so the stat
+		// keeps counting requests that read pinned older versions.
+		for v := info.OldestVersion; v <= version; v++ {
+			if s, ok := sess.ring.At(v); ok {
+				info.Forks += s.Forks()
 			}
-		} else {
-			info.Tuples = sess.tuples
 		}
 		out = append(out, info)
 	}
@@ -745,9 +687,8 @@ func (s *Service) coreOptions(sess *Session, ctx context.Context, opts RequestOp
 	}
 }
 
-// begin is the shared request prologue: admission, session lookup,
-// single-flight warming and accounting. The caller must call done when
-// the request finishes.
+// begin is the shared request prologue: admission, session lookup and
+// accounting. The caller must call done when the request finishes.
 func (s *Service) begin(ctx context.Context, name string) (_ *Session, done func(), _ error) {
 	if err := s.acquire(normalize(ctx)); err != nil {
 		return nil, nil, err
@@ -756,18 +697,6 @@ func (s *Service) begin(ctx context.Context, name string) (_ *Session, done func
 	if err != nil {
 		s.release()
 		return nil, nil, err
-	}
-	wasWarm := sess.warmDone.Load()
-	if err := sess.warm(); err != nil {
-		s.release()
-		return nil, nil, err
-	}
-	if wasWarm {
-		s.metrics.starts.With("warm").Inc()
-	} else if sess.recSnap == nil {
-		// Recovered sessions were already counted as "recovered" at load
-		// time; everything else warming for the first time is a cold start.
-		s.metrics.starts.With("cold").Inc()
 	}
 	sess.requests.Add(1)
 	return sess, s.release, nil
@@ -918,7 +847,7 @@ func (s *Service) IsStableVersioned(ctx context.Context, name string, opts Reque
 	}
 	reqCtx, cancel := s.requestCtx(ctx, opts)
 	defer cancel()
-	stable, err := core.CheckStable(snap.Fork(), sess.prog, core.Options{Prepared: sess.prep, Ctx: reqCtx, Warm: sess.stableHints(version)})
+	stable, err := core.CheckStable(snap.Fork(), sess.prep.Program, core.Options{Prepared: sess.prep, Ctx: reqCtx, Warm: sess.stableHints(version)})
 	if err != nil {
 		return false, 0, err
 	}
@@ -1033,7 +962,7 @@ func (s *Service) DeleteViewTuple(ctx context.Context, name, viewSrc string, tar
 	}
 	reqCtx, cancel := s.requestCtx(ctx, opts)
 	defer cancel()
-	v, err := sideeffect.ParseView(viewSrc, sess.schema)
+	v, err := sideeffect.ParseView(viewSrc, sess.prep.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

@@ -25,6 +25,16 @@ func fixture(t testing.TB) (*engine.Database, *datalog.Program) {
 	return db, prog
 }
 
+// openService opens a Service with cfg, failing tb on error.
+func openService(tb testing.TB, cfg Config) *Service {
+	tb.Helper()
+	svc, err := Open(cfg)
+	if err != nil {
+		tb.Fatalf("Open: %v", err)
+	}
+	return svc
+}
+
 func register(t testing.TB, svc *Service, name string) (*engine.Database, *datalog.Program) {
 	t.Helper()
 	db, prog := fixture(t)
@@ -37,7 +47,7 @@ func register(t testing.TB, svc *Service, name string) (*engine.Database, *datal
 func keysOf(res *core.Result) string { return fmt.Sprintf("%v", res.Keys()) }
 
 func TestServiceRepairMatchesDirect(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	_, prog := register(t, svc, "papers")
 	// The reference database must be an independent instance: the service
 	// owns the registered one.
@@ -63,7 +73,7 @@ func TestServiceRepairMatchesDirect(t *testing.T) {
 }
 
 func TestServiceRequestsAreIsolated(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 	first, _, _, err := svc.RepairVersioned(context.Background(), "papers", core.SemStage, RequestOptions{})
 	if err != nil {
@@ -84,8 +94,8 @@ func TestServiceRequestsAreIsolated(t *testing.T) {
 		}
 	}
 	infos := svc.Sessions()
-	if len(infos) != 1 || !infos[0].Warmed {
-		t.Fatalf("expected one warmed session, got %+v", infos)
+	if len(infos) != 1 || infos[0].Version != 1 {
+		t.Fatalf("expected one session at version 1, got %+v", infos)
 	}
 	if infos[0].Requests != 11 {
 		t.Errorf("request accounting: got %d, want 11", infos[0].Requests)
@@ -98,7 +108,7 @@ func TestServiceRequestsAreIsolated(t *testing.T) {
 }
 
 func TestServiceRepairAllAndStability(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 	results, _, err := svc.RepairAllVersioned(context.Background(), "papers", RequestOptions{})
 	if err != nil {
@@ -121,7 +131,7 @@ func TestServiceRepairAllAndStability(t *testing.T) {
 }
 
 func TestServiceDeleteViewTuple(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 	res, err := svc.DeleteViewTuple(context.Background(), "papers",
 		"V(a, p) :- Author(a, n), Writes(a, p).",
@@ -135,7 +145,7 @@ func TestServiceDeleteViewTuple(t *testing.T) {
 }
 
 func TestServiceSessionLifecycle(t *testing.T) {
-	svc := New(Config{MaxSessions: 2})
+	svc := openService(t, Config{MaxSessions: 2})
 	register(t, svc, "a")
 	if _, _, _, err := svc.RepairVersioned(context.Background(), "missing", core.SemEnd, RequestOptions{}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown session: got %v, want ErrNotFound", err)
@@ -165,7 +175,7 @@ func TestServiceSessionLifecycle(t *testing.T) {
 }
 
 func TestServiceCancellation(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 
 	canceled, cancel := context.WithCancel(context.Background())
@@ -182,7 +192,7 @@ func TestServiceCancellation(t *testing.T) {
 }
 
 func TestServiceAdmissionBound(t *testing.T) {
-	svc := New(Config{MaxInFlight: 1})
+	svc := openService(t, Config{MaxInFlight: 1})
 	register(t, svc, "papers")
 	// With one token, concurrent requests serialize but all complete.
 	errs := make(chan error, 8)
@@ -199,11 +209,19 @@ func TestServiceAdmissionBound(t *testing.T) {
 	}
 }
 
-func TestServiceWarmingIsSingleFlight(t *testing.T) {
-	svc := New(Config{})
+func TestServiceConcurrentFirstRequests(t *testing.T) {
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
-	// Fire concurrent first requests; all must succeed and the session
-	// must end up with exactly one snapshot (warming ran once).
+	// The session is prepared and frozen before Register returns: the
+	// concurrent first requests below all read the one version-1 snapshot.
+	sess, err := svc.session("papers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, version := sess.ring.Head()
+	if sess.prep == nil || version != 1 {
+		t.Fatalf("registered session not ready: prep %v, head version %d", sess.prep != nil, version)
+	}
 	const n = 16
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -217,12 +235,8 @@ func TestServiceWarmingIsSingleFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sess, err := svc.session("papers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.snap == nil || sess.prep == nil {
-		t.Fatal("session not warmed")
+	if got, _ := sess.ring.Head(); got != head {
+		t.Error("requests replaced the registered head snapshot")
 	}
 	if got := sess.requests.Load(); got != n {
 		t.Errorf("requests %d, want %d", got, n)
@@ -230,7 +244,7 @@ func TestServiceWarmingIsSingleFlight(t *testing.T) {
 }
 
 func TestServiceRejectsInvalidSessions(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	db, prog := fixture(t)
 	if err := svc.Register("", db.Schema, db, prog); err == nil {
 		t.Error("empty name accepted")
@@ -242,12 +256,13 @@ func TestServiceRejectsInvalidSessions(t *testing.T) {
 	if err := svc.Register("x", other, db, prog); err == nil {
 		t.Error("mismatched schema accepted")
 	}
-	// A program that fails to prepare surfaces its error on first use.
+	// A program that fails to prepare fails at Register and publishes no
+	// session.
 	bad := &datalog.Program{}
-	if err := svc.Register("bad", db.Schema, db, bad); err != nil {
-		t.Fatalf("register: %v", err)
+	if err := svc.Register("bad", db.Schema, db, bad); err == nil {
+		t.Error("empty program registered")
 	}
-	if _, _, _, err := svc.RepairVersioned(context.Background(), "bad", core.SemEnd, RequestOptions{}); err == nil {
-		t.Error("empty program should fail to warm")
+	if _, _, _, err := svc.RepairVersioned(context.Background(), "bad", core.SemEnd, RequestOptions{}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("request on a rejected registration: %v, want ErrNotFound", err)
 	}
 }

@@ -21,7 +21,7 @@ import (
 func row(rel string, vals ...engine.Value) engine.Row { return engine.Row{Rel: rel, Vals: vals} }
 
 func TestServiceUpdateBasics(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 	ctx := context.Background()
 
@@ -76,7 +76,7 @@ func TestServiceUpdateBasics(t *testing.T) {
 }
 
 func TestServiceUpdateSchemaMismatchIs409Class(t *testing.T) {
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 	ctx := context.Background()
 
@@ -96,7 +96,7 @@ func TestServiceUpdateSchemaMismatchIs409Class(t *testing.T) {
 }
 
 func TestServiceVersionRetention(t *testing.T) {
-	svc := New(Config{MaxVersions: 2})
+	svc := openService(t, Config{MaxVersions: 2})
 	register(t, svc, "papers")
 	ctx := context.Background()
 
@@ -133,7 +133,7 @@ func TestServiceWarmStartCacheCorrectness(t *testing.T) {
 		Delta_B(x, y) :- B(x, y), Delta_A(x).
 	`
 	build := func() *Service {
-		svc := New(Config{})
+		svc := openService(t, Config{})
 		schema, err := engine.ParseSchema(schemaSrc)
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestServiceWarmStartCacheCorrectness(t *testing.T) {
 // as unstable.
 func TestServiceStableWarmInsertThenDelete(t *testing.T) {
 	ctx := context.Background()
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	schema, err := engine.ParseSchema("R(x)\nS(x)")
 	if err != nil {
 		t.Fatal(err)
@@ -261,11 +261,11 @@ func TestServiceStableWarmInsertThenDelete(t *testing.T) {
 // semantics.
 func TestServiceReplayRespectsSolverBudget(t *testing.T) {
 	ctx := context.Background()
-	svc := New(Config{})
+	svc := openService(t, Config{})
 	register(t, svc, "papers")
 
 	// Cold reference under the default (unlimited) budget.
-	coldSvc := New(Config{})
+	coldSvc := openService(t, Config{})
 	register(t, coldSvc, "papers")
 	want, _, _, err := coldSvc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{})
 	if err != nil {
@@ -301,7 +301,7 @@ func TestServiceReplayRespectsSolverBudget(t *testing.T) {
 // budget the ceiling is the solver's default.
 func TestSolverBudgetCeiling(t *testing.T) {
 	ctx := context.Background()
-	svc := New(Config{SolverMaxNodes: 1})
+	svc := openService(t, Config{SolverMaxNodes: 1})
 	register(t, svc, "papers")
 	huge, _, _, err := svc.RepairVersioned(ctx, "papers", core.SemIndependent, RequestOptions{SolverMaxNodes: 1 << 40})
 	if err != nil {
@@ -321,7 +321,7 @@ func TestSolverBudgetCeiling(t *testing.T) {
 		{100, 1000, 100},
 		{100, 5, 5},
 	} {
-		if got := New(Config{SolverMaxNodes: tc.cfg}).solverBudget(RequestOptions{SolverMaxNodes: tc.req}); got != tc.want {
+		if got := openService(t, Config{SolverMaxNodes: tc.cfg}).solverBudget(RequestOptions{SolverMaxNodes: tc.req}); got != tc.want {
 			t.Errorf("solverBudget(config %d, request %d) = %d, want %d", tc.cfg, tc.req, got, tc.want)
 		}
 	}
@@ -334,7 +334,7 @@ func TestSolverBudgetCeiling(t *testing.T) {
 // while the head advances underneath them.
 func TestServiceUpdateRepairHammer(t *testing.T) {
 	ctx := context.Background()
-	svc := New(Config{MaxInFlight: 16, MaxVersions: 64})
+	svc := openService(t, Config{MaxInFlight: 16, MaxVersions: 64})
 	register(t, svc, "hot")
 
 	// Expected result per version, computed on demand from an independent

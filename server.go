@@ -8,7 +8,7 @@ import (
 // Serving layer re-exports: the concurrent repair service from
 // internal/server, embeddable through the public package. A Service
 // caches named (schema, program, database) sessions behind an LRU,
-// warms each exactly once (Prepare + Freeze, single-flight), and answers
+// prepares and freezes each once, when it is registered, and answers
 // repair / repair-all / is-stable / delete-view-tuple requests on private
 // copy-on-write forks of the session's snapshot, behind admission control
 // and per-request deadlines. Sessions are mutable: Service.Update applies
@@ -18,7 +18,7 @@ import (
 // JSON HTTP API that cmd/deltarepaird serves.
 type (
 	// Service is a concurrent repair service over cached sessions; build
-	// one with NewServer.
+	// one with OpenServer.
 	Service = server.Service
 	// ServerConfig tunes a Service (cache size, admission bound, default
 	// timeout, solver budget, retained-version window).
@@ -40,15 +40,10 @@ type (
 	SnapshotRing = engine.SnapshotRing
 )
 
-// NewServer builds a repair service; zero-value config fields take the
-// documented defaults. NewServer panics when ServerConfig.DataDir is set
-// and the data directory cannot be prepared — durable services should use
-// OpenServer, which returns the error instead.
-func NewServer(cfg ServerConfig) *Service { return server.New(cfg) }
-
-// OpenServer is NewServer returning filesystem errors. With
-// ServerConfig.DataDir set, sessions are durable: registrations and
-// update batches are persisted (write-ahead log + periodic snapshot
-// compaction) and crash recovery restores every persisted session to its
-// latest durable version on first access after a restart.
+// OpenServer builds a repair service; zero-value config fields take the
+// documented defaults. With ServerConfig.DataDir set, sessions are
+// durable: registrations and update batches are persisted (write-ahead
+// log + periodic snapshot compaction) and crash recovery restores every
+// persisted session to its latest durable version on first access after a
+// restart; preparing the data directory can fail, hence the error.
 func OpenServer(cfg ServerConfig) (*Service, error) { return server.Open(cfg) }

@@ -25,6 +25,16 @@ func buildBenchWorkload(tb testing.TB) (*engine.Database, *datalog.Program) {
 	return buildScaledBenchWorkload(tb, 1)
 }
 
+// openServer opens a repair service with cfg, failing tb on error.
+func openServer(tb testing.TB, cfg server.Config) *server.Service {
+	tb.Helper()
+	svc, err := server.Open(cfg)
+	if err != nil {
+		tb.Fatalf("server.Open: %v", err)
+	}
+	return svc
+}
+
 // buildScaledBenchWorkload is buildBenchWorkload with the bulk relations
 // (T1..T6, Link) holding scale× as many rows. The extra rows sit below
 // every guard threshold, so the repair itself stays fixed while the base
@@ -110,11 +120,8 @@ Link(xid, yid)
 func BenchmarkServerThroughput(b *testing.B) {
 	db, prog := buildBenchWorkload(b)
 	svcDB, svcProg := buildBenchWorkload(b)
-	svc := server.New(server.Config{MaxInFlight: 32})
+	svc := openServer(b, server.Config{MaxInFlight: 32})
 	if err := svc.Register("bench", svcDB.Schema, svcDB, svcProg); err != nil {
-		b.Fatal(err)
-	}
-	if err := svc.Warm("bench"); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
@@ -166,11 +173,8 @@ func BenchmarkSessionUpdate(b *testing.B) {
 
 	b.Run("incremental", func(b *testing.B) {
 		db, prog := buildScaledBenchWorkload(b, 1)
-		svc := server.New(server.Config{})
+		svc := openServer(b, server.Config{})
 		if err := svc.Register("inc", db.Schema, db, prog); err != nil {
-			b.Fatal(err)
-		}
-		if err := svc.Warm("inc"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -186,13 +190,13 @@ func BenchmarkSessionUpdate(b *testing.B) {
 	})
 
 	b.Run("reregister", func(b *testing.B) {
-		svc := server.New(server.Config{})
+		svc := openServer(b, server.Config{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// The full cost of following one base change without mutable
 			// sessions: rebuild the instance (with the changed row), evict,
-			// re-register, re-warm, repair.
+			// re-register (prepare + freeze), repair.
 			db, prog := buildScaledBenchWorkload(b, 1)
 			db.MustInsert("Seed", engine.Int(100+i%64), engine.Str("keep"))
 			svc.Deregister("re")
@@ -213,11 +217,8 @@ func BenchmarkSessionUpdate(b *testing.B) {
 		{"update_touched", 500, t1Row}, {"update_touched_10x", 5000, t1Row}} {
 		b.Run(leg.name, func(b *testing.B) {
 			db, prog := buildScaledBenchWorkload(b, leg.scale)
-			svc := server.New(server.Config{})
+			svc := openServer(b, server.Config{})
 			if err := svc.Register("u", db.Schema, db, prog); err != nil {
-				b.Fatal(err)
-			}
-			if err := svc.Warm("u"); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
