@@ -6,15 +6,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/programs"
 )
 
 // TestRunWithCanceledContext: every operation honors Options.Ctx — a
 // pre-canceled context aborts with ctx.Err() before (or during) work, and
 // a nil context means "never canceled". Options.Ctx is the one way a
-// context enters the package, so RunWith, CheckStable (cold and with
-// PrevStable hints) and EnumerateRepairsWith are all checked here.
+// context enters the package, so RunWith, CheckStable and
+// EnumerateRepairsWith are all checked here.
 func TestRunWithCanceledContext(t *testing.T) {
 	db := programs.RunningExampleDB()
 	p, err := programs.RunningExampleProgram()
@@ -48,36 +47,22 @@ func TestRunWithCanceledContext(t *testing.T) {
 		}
 	}
 
-	// PrevStable hints whose inserts are live, so the warm probe has seeds
-	// to evaluate; and hints from a deletion-only range, which answer
-	// stable without probing (they vouch for a stable predecessor).
-	inserted := map[string][]*engine.Tuple{"Grant": db.Relation("Grant").Tuples()}
-	hints := map[string]*WarmStart{
-		"no hints":            nil,
-		"insert hints":        {PrevStable: true, Inserted: inserted},
-		"deletion-only hints": {PrevStable: true},
-	}
 	for _, c := range []struct {
 		name string
 		ctx  context.Context
 		want error
 	}{{"canceled", canceled, context.Canceled}, {"expired", expired, context.DeadlineExceeded}} {
-		for name, w := range hints {
-			if _, err := CheckStable(db.Clone(), p, Options{Ctx: c.ctx, Warm: w}); !errors.Is(err, c.want) {
-				t.Errorf("CheckStable, %s, %s ctx: got %v, want %v", name, c.name, err, c.want)
-			}
+		if _, err := CheckStable(db.Clone(), p, Options{Ctx: c.ctx}); !errors.Is(err, c.want) {
+			t.Errorf("CheckStable, %s ctx: got %v, want %v", c.name, err, c.want)
 		}
 		if _, err := EnumerateRepairsWith(db.Clone(), p, Options{Ctx: c.ctx}, EnumerateOptions{K: 2}); !errors.Is(err, c.want) {
 			t.Errorf("EnumerateRepairsWith, %s ctx: got %v, want %v", c.name, err, c.want)
 		}
 	}
-	// A live context leaves the answers alone.
-	for name, w := range hints {
-		if stable, err := CheckStable(db.Clone(), p, Options{Ctx: context.Background(), Warm: w}); err != nil {
-			t.Errorf("CheckStable, %s, live ctx: %v", name, err)
-		} else if want := name == "deletion-only hints"; stable != want {
-			t.Errorf("CheckStable, %s, live ctx: stable = %v, want %v", name, stable, want)
-		}
+	// A live context leaves the answer alone: the running example is
+	// unstable.
+	if stable, err := CheckStable(db.Clone(), p, Options{Ctx: context.Background()}); err != nil || stable {
+		t.Errorf("CheckStable, live ctx: stable = %v, err = %v; want unstable", stable, err)
 	}
 }
 

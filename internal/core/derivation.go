@@ -19,7 +19,7 @@ import (
 //   - Algorithm 1's closure formula F_V, with the layered provenance graph
 //     of §5.2 read off it instead of derived again (closureArtefact);
 //   - the end fixpoint (Def. 3.10): the graph's heads once the formula
-//     exists, else derived cold or continued by the WarmStart hints;
+//     exists, else derived cold;
 //
 // — and every semantics is a short policy over them: end deletes all of the
 // end fixpoint, stage the stage fixpoint (Def. 3.7) a layered pass over the
@@ -38,9 +38,9 @@ import (
 //     Result of the policy that first demanded it; a policy that reuses it
 //     reports zero for that phase. Summing Result.Timing over the semantics
 //     run on one Derivation therefore never exceeds the time spent in it.
-//   - Result.Rounds of a reused end fixpoint is the round count of the
-//     derivation that produced it — a cold run's when it was read off the
-//     provenance, even if this policy's own hints would have continued warm.
+//   - Result.Rounds of end is a cold run's round count whichever way the
+//     fixpoint was produced: derived, or read off the provenance as the
+//     graph's layer count.
 //
 // A Derivation runs on one goroutine and lives for one request; it never
 // mutates its database.
@@ -61,9 +61,8 @@ type Derivation struct {
 	}
 }
 
-// fixpoint is a derived deletion set in derivation order (a continued
-// run's surviving previous fixpoint first) and the rounds its derivation
-// took.
+// fixpoint is a derived deletion set in derivation order and the rounds
+// its derivation took.
 type fixpoint struct {
 	tuples []*engine.Tuple
 	rounds int
@@ -114,8 +113,7 @@ func (d *Derivation) Run(sem Semantics, opts Options) (*Result, error) {
 		return nil, err
 	}
 	// Every semantics replays its previous result when the batch provably
-	// interacts with no rule; otherwise end continues its previous fixpoint
-	// (endFixpoint) and the others derive.
+	// interacts with no rule; otherwise it derives cold.
 	if res, ok, err := d.changeProbe(opts.Ctx, sem, opts.Warm); ok || err != nil {
 		return res, err
 	}
@@ -153,10 +151,9 @@ func (d *Derivation) runMaterialized(sem Semantics, opts Options) (*Result, *eng
 
 // endFixpoint returns the end-semantics fixpoint of the database, producing
 // it on first demand: read off the provenance graph when a policy built
-// one, else continued from the previous version's fixpoint when w allows
-// (O(changes), after insert-only batches), else derived cold. The duration
-// is what this call spent; zero on a memo hit.
-func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart) (*fixpoint, time.Duration, error) {
+// one, else derived cold. The duration is what this call spent; zero on a
+// memo hit.
+func (d *Derivation) endFixpoint(ctx context.Context) (*fixpoint, time.Duration, error) {
 	if d.end != nil {
 		return d.end, 0, nil
 	}
@@ -172,22 +169,11 @@ func (d *Derivation) endFixpoint(ctx context.Context, w *WarmStart) (*fixpoint, 
 		}
 		return d.end, time.Since(start), nil
 	}
-	work, cfg := d.db, deriveConfig{ctx: ctx, naive: d.naive}
-	var prior []*engine.Tuple
-	if prev, ok := previousEndFixpoint(d.db, w); ok {
-		// Install the previous fixpoint as already-processed deltas of a
-		// scratch fork; the inserted tuples are the round-1 frontier.
-		prior, work = prev, d.db.Fork()
-		for _, t := range prior {
-			work.Delta(t.Rel).Insert(t)
-		}
-		cfg.warmSeeds = w.seedRelations(work)
-	}
-	derived, rounds, err := derive(work, d.prep, cfg)
+	derived, rounds, err := derive(d.db, d.prep, deriveConfig{ctx: ctx, naive: d.naive})
 	if err != nil {
 		return nil, 0, err
 	}
-	d.end = &fixpoint{tuples: append(slices.Clip(prior), derived...), rounds: rounds}
+	d.end = &fixpoint{tuples: derived, rounds: rounds}
 	return d.end, time.Since(start), nil
 }
 
@@ -248,7 +234,7 @@ func Materialize(db *engine.Database, res *Result) (*engine.Database, error) {
 // against the original base relations, and the bases are updated once at
 // the very end. The policy takes all of the (unique) fixpoint.
 func (d *Derivation) runEnd(opts Options) (*Result, error) {
-	fp, evalDur, err := d.endFixpoint(opts.Ctx, opts.Warm)
+	fp, evalDur, err := d.endFixpoint(opts.Ctx)
 	if err != nil {
 		return nil, err
 	}

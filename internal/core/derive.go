@@ -17,14 +17,6 @@ type deriveConfig struct {
 	// re-evaluates every rule against the full delta contents. Used only
 	// by the evaluation-strategy ablation benchmark; results are identical.
 	naive bool
-	// warmSeeds, when non-nil, switches the loop into warm-continuation
-	// mode (end semantics continued from a previous version's fixpoint):
-	// work's pre-existing deltas — the caller installs the maintained
-	// fixpoint there, on a private fork — are already-processed old deltas
-	// instead of the round-1 frontier, and round 1 evaluates only the
-	// insert-seeded passes over these relations — every genuinely new
-	// assignment binds at least one inserted tuple.
-	warmSeeds map[string]*engine.Relation
 	// closure, when non-nil, switches the loop into possible-deletion
 	// closure mode (Algorithm 1; the lemma is on Derivation.buildCNF). It
 	// changes three things: every assignment adds its clause to this
@@ -32,8 +24,7 @@ type deriveConfig struct {
 	// the head and its base co-atoms, i.e. the clause's positive literals —
 	// joins the next frontier (base atoms keep ranging over the live base).
 	// At fixpoint the formula is F_V, and the end fixpoint's layered graph
-	// is read off it (provenance.Formula.EndGraph). Incompatible with every
-	// other mode above.
+	// is read off it (provenance.Formula.EndGraph).
 	closure *provenance.Formula
 	// maxClauses bounds closure's size; exceeding it is errTooManyClauses.
 	maxClauses int
@@ -66,13 +57,8 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 	}()
 	for _, rs := range schema.Relations {
 		// Pre-existing deltas seed the frontier (user-initiated deletions,
-		// §3.6) — except in warm-continuation mode, where they are a
-		// previous version's already-processed fixpoint and go straight to
-		// the old side; round 1 then probes only the inserted tuples.
+		// §3.6).
 		dst := frontier[rs.Name]
-		if cfg.warmSeeds != nil {
-			dst = old[rs.Name]
-		}
 		work.Delta(rs.Name).ScanRuns(func(run []*engine.Tuple) bool {
 			for _, t := range run {
 				dst.Insert(t)
@@ -127,12 +113,6 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 			return true
 		}
 
-		// Warm-continuation round 1 probes only the insert-seeded passes over
-		// the operational sources: the pre-existing deltas are a fully
-		// processed fixpoint, so every new assignment must bind an inserted
-		// tuple at a base atom.
-		warmRound := cfg.warmSeeds != nil && round == 1
-
 		emitted := 0
 		emit := func(asn *datalog.Assignment) bool {
 			if !process(asn) {
@@ -149,13 +129,7 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 				return nil, rounds, err
 			}
 			emitted = 0
-			var err error
-			if warmRound {
-				err = pr.EvalChangeSeeded(cfg.warmSeeds, true, operationalSrc(work, pr.Rule), ctx, emit)
-			} else {
-				err = evalRuleRound(work, prep, ri, cfg.naive, old, frontier, ctx, emit)
-			}
-			if err != nil {
+			if err := evalRuleRound(work, prep, ri, cfg.naive, old, frontier, ctx, emit); err != nil {
 				return nil, rounds, err
 			}
 			if cfg.closure != nil && cfg.closure.Len() > cfg.maxClauses {

@@ -284,7 +284,7 @@ func (d *Derivation) solution(ctx context.Context, ic *indCNF, assignment []bool
 	if err != nil {
 		return nil, err
 	}
-	stable, err := checkStable(ctx, work, d.prep, nil)
+	stable, err := checkStable(ctx, work, d.prep)
 	if err != nil {
 		return nil, err
 	}

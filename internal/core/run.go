@@ -37,10 +37,10 @@ type Options struct {
 	// versioned serving layer (see WarmStart): a previous version's result
 	// plus the base changes since. Every semantics replays the previous
 	// result without deriving anything whenever a seeded change probe
-	// proves the changes interact with no rule; otherwise end semantics
-	// continues the previous fixpoint after insert-only updates, and
-	// everything else runs in full. Hints never change results —
-	// inapplicable ones simply fall back to a full run.
+	// proves the changes interact with no rule (probe replay, the one warm
+	// rule); otherwise it runs in full. Hints never change results —
+	// inapplicable ones simply fall back to a full run. CheckStable
+	// ignores them.
 	Warm *WarmStart
 }
 

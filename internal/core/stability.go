@@ -11,38 +11,25 @@ import (
 // CheckStable reports whether db is a stable database w.r.t. the program
 // (Def. 3.12): no rule has a satisfying assignment over the current state
 // (live bases joined with recorded deltas). opts is read as by RunWith:
-// Prepared supplies the plan (nil prepares p on the spot), Ctx is checked
-// before every rule probe, and Warm hints with PrevStable set narrow the
-// probe to the insert-seeded passes (see WarmStart). The other options are
-// ignored.
+// Prepared supplies the plan (nil prepares p on the spot) and Ctx is
+// checked before every rule probe. The other options, Warm included, are
+// ignored: stability is a property of one state, probed in full.
 func CheckStable(db *engine.Database, p *datalog.Program, opts Options) (bool, error) {
 	prep, err := resolvePlan(db, p, opts.Prepared)
 	if err != nil {
 		return false, err
 	}
-	return checkStable(opts.Ctx, db, prep, opts.Warm)
+	return checkStable(opts.Ctx, db, prep)
 }
 
-// checkStable is CheckStable over a resolved plan. When w says an earlier
-// version was stable, the new state can only be unstable through an
-// assignment binding at least one freshly inserted tuple at a base atom
-// (rule bodies are positive; deletions never create assignments), so a
-// range with no live insert needs no evaluation at all, and otherwise only
-// the insert-seeded passes over the operational sources are probed.
-// Without such hints every rule's operational plan is probed.
-func checkStable(ctx context.Context, db *engine.Database, prep *datalog.Prepared, w *WarmStart) (bool, error) {
+// checkStable is CheckStable over a resolved plan: every rule's operational
+// plan is probed until one yields an assignment.
+func checkStable(ctx context.Context, db *engine.Database, prep *datalog.Prepared) (bool, error) {
 	if err := ctxErr(ctx); err != nil {
 		return false, err
 	}
 	if err := prep.CompatibleWith(db.Schema); err != nil {
 		return false, fmt.Errorf("core: %w", err)
-	}
-	var seeds map[string]*engine.Relation
-	if w != nil && w.PrevStable {
-		if seeds = w.seedRelations(db); len(seeds) == 0 {
-			// Deletion-only update from a stable state: still stable.
-			return true, nil
-		}
 	}
 	ec := prep.AcquireContext()
 	defer prep.ReleaseContext(ec)
@@ -55,13 +42,7 @@ func checkStable(ctx context.Context, db *engine.Database, prep *datalog.Prepare
 		if err := ctxErr(ctx); err != nil {
 			return false, err
 		}
-		var err error
-		if seeds != nil {
-			err = pr.EvalChangeSeeded(seeds, true, operationalSrc(db, pr.Rule), ec, stop)
-		} else {
-			err = pr.EvalOperational(db, ec, stop)
-		}
-		if err != nil {
+		if err := pr.EvalOperational(db, ec, stop); err != nil {
 			return false, err
 		}
 		if found {

@@ -17,92 +17,37 @@ import (
 // one set of delta-rule assignments, and rule bodies are positive
 // conjunctions (atoms plus comparisons — the language has no negation), so
 // an assignment present at one version but not the other must bind a
-// changed tuple at some atom. Three mechanisms turn that into skipped work,
-// all driven by the one seeded evaluation, PreparedRule.EvalChangeSeeded:
+// changed tuple at some atom. One warm rule turns that into skipped work:
+// probe replay (every semantics, changeProbe). Seed every atom with the
+// changed tuples over sources covering both versions; zero hits mean both
+// versions have the same assignments in the same order, so the previous
+// result is replayed without deriving anything. A batch confined to
+// relations no rule reads seeds nothing and always replays. Any hit
+// derives cold, so a version's answer — Rounds included — is the one a
+// fresh registration of its rows computes, whatever its history.
 //
-//  1. Probe replay (every semantics, changeProbe). Seed every atom with the
-//     changed tuples over sources covering both versions; zero hits mean
-//     both versions have the same assignments in the same order, so the
-//     previous result is replayed without deriving anything. A batch
-//     confined to relations no rule reads seeds nothing and always
-//     replays.
-//  2. End continuation (end, previousEndFixpoint). When the probe hits
-//     after an insert-only batch, end continues the previous fixpoint
-//     instead of deriving cold (end is monotone in the base); round 1 then
-//     evaluates only the insert-seeded passes. After a batch with
-//     deletions end derives cold.
-//  3. Insert-seeded stability (CheckStable with PrevStable hints). From a
-//     stable state, deletions keep the database stable and any new
-//     assignment binds an inserted tuple at some base atom, so stability
-//     needs only the insert-seeded passes.
-//
-// All three are exact: the update-stream equivalence suite (internal/gen)
+// Replay is exact: the update-stream equivalence suite (internal/gen)
 // asserts incremental results are identical to from-scratch recomputation
 // at every version, for all four semantics.
 
-// WarmStart carries incremental-update hints into RunWith and CheckStable
-// (Options.Warm). The caller (normally internal/server) is responsible
-// for the hints' truth: PrevResult/PrevStable must describe an earlier
-// version of the same database lineage, and Inserted and Deleted must
-// cover every base change between that version and the database being
-// run. Hints that do not apply to the requested semantics are ignored and
-// the run falls back to a full computation, so a WarmStart never changes
-// results — only how much work reproducing them takes.
+// WarmStart carries incremental-update hints into RunWith (Options.Warm).
+// The caller (normally internal/server) is responsible for the hints'
+// truth: PrevResult must describe an earlier version of the same database
+// lineage, and Inserted and Deleted must cover every base change between
+// that version and the database being run. Hints that do not apply to the
+// requested semantics are ignored and the run falls back to a full
+// computation, so a WarmStart never changes results — only how much work
+// reproducing them takes.
 type WarmStart struct {
 	// PrevResult is the result computed for the same semantics at the
-	// earlier version, enabling probe replay (all semantics) and fixpoint
-	// continuation (end semantics).
+	// earlier version, the answer probe replay reproduces.
 	PrevResult *Result
-	// PrevStable, for CheckStable: the earlier version was verified
-	// stable.
-	PrevStable bool
 	// Inserted holds the tuples the updates inserted, per relation (the
 	// interned objects from engine.ApplyInfo.InsertedTuples).
 	Inserted map[string][]*engine.Tuple
 	// Deleted holds the tuples the updates deleted, per relation (the
-	// objects from engine.ApplyInfo.DeletedTuples). The change probe seeds
-	// its sweeps with them; any at all rule out the end continuation.
+	// objects from engine.ApplyInfo.DeletedTuples).
 	Deleted map[string][]*engine.Tuple
-}
-
-// seedRelations materializes the inserted tuples as scratch relations
-// keyed by relation name, the seed shape EvalChangeSeeded consumes. Tuples no
-// longer live in db are dropped: across a multi-version hint range a
-// tuple can be inserted at one version and deleted at a later one, and
-// seeding a dead tuple would fabricate assignments that do not exist in
-// the probed state (a later delete of the same content re-inserts a
-// fresh tuple object, so liveness of the recorded object is exact).
-func (w *WarmStart) seedRelations(db *engine.Database) map[string]*engine.Relation {
-	return groupByRelation(db.Schema, w.Inserted, func(t *engine.Tuple) bool {
-		live := db.Relation(t.Rel)
-		return live != nil && live.ContainsTuple(t)
-	})
-}
-
-// previousEndFixpoint returns the previous version's end fixpoint for
-// Derivation.endFixpoint to continue from instead of deriving cold. It
-// answers only after insert-only ranges: end-semantics derivation is
-// monotone in the base (bodies are positive and bases never shrink during
-// the run), so with no deletions every previously derived delta is still
-// derivable — the old fixpoint is a subset of the new one and is continued
-// as it stands, to the unique fixpoint a from-scratch run reaches.
-//
-// ok is false when there are no usable hints, the range deleted anything,
-// or a hint references a tuple that is not live — a stale hint; the caller
-// then derives cold. After deletions the cold derivation is cheaper than
-// maintaining the fixpoint on the served workloads: on MAS-8's and
-// MAS-19's hub cascades, over-deleting and re-deriving cost more than one
-// cold run.
-func previousEndFixpoint(db *engine.Database, w *WarmStart) ([]*engine.Tuple, bool) {
-	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != SemEnd || len(w.Deleted) > 0 {
-		return nil, false
-	}
-	for _, t := range w.PrevResult.Deleted {
-		if !db.Relation(t.Rel).ContainsTuple(t) {
-			return nil, false // stale hint: recompute from scratch
-		}
-	}
-	return w.PrevResult.Deleted, true
 }
 
 // replay reproduces a previous version's result at the new version: the
@@ -140,9 +85,9 @@ func (d *Derivation) replay(prev *Result, start time.Time) (*Result, bool) {
 // numbering of Algorithm 1's formula and the tie-breaking of Algorithm 2's
 // greedy — so the previous result is reproduced verbatim and is replayed
 // without deriving anything. A batch confined to relations no rule reads
-// seeds no atom and replays. Any probe hit falls back to the full policy
-// (for end, the insert-only continuation); the probe's cost is bounded by
-// the update batch and its join neighborhood, not the database.
+// seeds no atom and replays. Any probe hit falls back to the full policy;
+// the probe's cost is bounded by the update batch and its join
+// neighborhood, not the database.
 func (d *Derivation) changeProbe(ctx context.Context, sem Semantics, w *WarmStart) (*Result, bool, error) {
 	if w == nil || w.PrevResult == nil || w.PrevResult.Semantics != sem {
 		return nil, false, nil
@@ -164,13 +109,15 @@ func (d *Derivation) changeProbe(ctx context.Context, sem Semantics, w *WarmStar
 // seed separate sweeps over the same sources: a seeded pass over a union is
 // the union of the passes over its parts. Folded multi-version hints may
 // record tuples inserted then deleted inside the range (in neither endpoint
-// version); they stay in the delete view, which only over-approximates — a
-// spurious hit costs a fallback, never correctness. With no seeds at all,
-// every change was an insert-then-delete no-op inside the hint range, and
-// both endpoint versions are identical.
+// version). Such an insert is no longer live and seeds nothing (a later
+// insert of the same content is a fresh tuple object, so liveness of the
+// recorded object is exact); its delete stays in the delete view, which
+// only over-approximates — a spurious hit costs a fallback, never
+// correctness. With no seeds at all, every change was an insert-then-delete
+// no-op inside the hint range, and both endpoint versions are identical.
 func (d *Derivation) changeHits(ctx context.Context, w *WarmStart) (bool, error) {
 	db := d.db
-	deletes, inserts := groupByRelation(db.Schema, w.Deleted, nil), w.seedRelations(db)
+	deletes, inserts := groupByRelation(db.Schema, w.Deleted, nil), groupByRelation(db.Schema, w.Inserted, d.live)
 	ec := d.prep.AcquireContext()
 	defer d.prep.ReleaseContext(ec)
 	hit := false
@@ -191,7 +138,7 @@ func (d *Derivation) changeHits(ctx context.Context, w *WarmStart) (bool, error)
 			return datalog.AtomSource{db.Relation(rel)}
 		}
 		for _, seeds := range [...]map[string]*engine.Relation{deletes, inserts} {
-			if err := pr.EvalChangeSeeded(seeds, false, src, ec, stop); err != nil || hit {
+			if err := pr.EvalChangeSeeded(seeds, src, ec, stop); err != nil || hit {
 				return hit, err
 			}
 		}
@@ -224,13 +171,4 @@ func groupByRelation(schema *engine.Schema, lists map[string][]*engine.Tuple, ke
 		}
 	}
 	return out
-}
-
-// operationalSrc is datalog.SourcesFor(db, rule, DeltaFromDelta) in the
-// per-position form EvalChangeSeeded takes, resolved only for the
-// positions a seeded pass actually reads.
-func operationalSrc(db *engine.Database, rule *datalog.Rule) func(bi int) datalog.AtomSource {
-	return func(bi int) datalog.AtomSource {
-		return datalog.SourceFor(db, &rule.Body[bi], datalog.DeltaFromDelta)
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/datalog"
@@ -43,12 +42,6 @@ func warmFixture(t *testing.T) (*engine.Schema, *engine.Database, *datalog.Progr
 		t.Fatal(err)
 	}
 	return schema, db, prog, prep
-}
-
-func sortedKeys(res *Result) string {
-	keys := res.Keys()
-	sort.Strings(keys)
-	return fmt.Sprintf("%v", keys)
 }
 
 // warmInfo folds an ApplyInfo and the previous result into the WarmStart
@@ -103,8 +96,8 @@ func checkWarmProbe(t *testing.T, inserts, deletes []engine.Row, replay bool) {
 		if err != nil {
 			t.Fatalf("%s cold: %v", sem, err)
 		}
-		if exactKeys(got) != exactKeys(cold) {
-			t.Fatalf("%s: warm %s != cold %s", sem, exactKeys(got), exactKeys(cold))
+		if exactKeys(got) != exactKeys(cold) || got.Rounds != cold.Rounds {
+			t.Fatalf("%s: warm %s in %d rounds != cold %s in %d", sem, exactKeys(got), got.Rounds, exactKeys(cold), cold.Rounds)
 		}
 		if stable, err := CheckStable(repaired, nil, Options{Prepared: prep}); err != nil || !stable {
 			t.Errorf("%s: warm repaired fork not stable (err=%v)", sem, err)
@@ -176,11 +169,12 @@ func TestWarmReplayRefusesStaleHint(t *testing.T) {
 	}
 }
 
-// TestWarmEndContinuation: after insert-only updates, end semantics
-// continues the previous fixpoint (insert-seeded round 1, then normal
-// seminaive) — previousEndFixpoint answers every step — and matches a
-// from-scratch run exactly, including when the inserts cascade through
-// delta joins.
+// TestWarmEndContinuation: along a chain of insert-only updates that bind
+// rules, end semantics run with the previous version's result as hints
+// matches a from-scratch run on the same snapshot exactly — the deleted
+// tuples in order and the round count — including when the inserts
+// cascade through delta joins: a version's answer does not depend on
+// which version was asked before it.
 func TestWarmEndContinuation(t *testing.T) {
 	_, db, prog, prep := warmFixture(t)
 	snap := db.Freeze()
@@ -200,11 +194,6 @@ func TestWarmEndContinuation(t *testing.T) {
 			t.Fatal(err)
 		}
 		warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
-		// Rounds cannot tell a continuation from a cold run here (2 = 2):
-		// ask the continuation itself whether it answers.
-		if _, ok := previousEndFixpoint(next.Fork(), warm); !ok {
-			t.Fatalf("step %d: insert-only batch not continued from the previous fixpoint", step)
-		}
 		got, repaired, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm})
 		if err != nil {
 			t.Fatal(err)
@@ -213,8 +202,8 @@ func TestWarmEndContinuation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sortedKeys(got) != sortedKeys(scratch) {
-			t.Fatalf("step %d: warm end %s != scratch %s", step, sortedKeys(got), sortedKeys(scratch))
+		if exactKeys(got) != exactKeys(scratch) || got.Rounds != scratch.Rounds {
+			t.Fatalf("step %d: warm end %s in %d rounds != scratch %s in %d", step, exactKeys(got), got.Rounds, exactKeys(scratch), scratch.Rounds)
 		}
 		if got.Size() <= prev.Size() {
 			t.Fatalf("step %d: cascade should grow the end repair", step)
@@ -227,9 +216,9 @@ func TestWarmEndContinuation(t *testing.T) {
 	}
 }
 
-// TestWarmEndRefusedAfterDeletes: a batch with deletions must not use the
-// fixpoint continuation (stale support) and derives cold; results still
-// match scratch.
+// TestWarmEndRefusedAfterDeletes: a batch whose deletion unsupports
+// previously derived deltas must not replay; end derives cold and matches
+// scratch, round count included.
 func TestWarmEndRefusedAfterDeletes(t *testing.T) {
 	_, db, prog, prep := warmFixture(t)
 	snap := db.Freeze()
@@ -243,9 +232,6 @@ func TestWarmEndRefusedAfterDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := &WarmStart{PrevResult: prev, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
-	if _, ok := previousEndFixpoint(next.Fork(), warm); ok {
-		t.Fatal("delete batch continued from the previous fixpoint")
-	}
 	got, _, err := RunWith(next.Fork(), prog, SemEnd, Options{Prepared: prep, Warm: warm})
 	if err != nil {
 		t.Fatal(err)
@@ -254,17 +240,17 @@ func TestWarmEndRefusedAfterDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sortedKeys(got) != sortedKeys(scratch) {
-		t.Fatalf("post-delete warm end %s != scratch %s", sortedKeys(got), sortedKeys(scratch))
+	if exactKeys(got) != exactKeys(scratch) || got.Rounds != scratch.Rounds {
+		t.Fatalf("post-delete warm end %s in %d rounds != scratch %s in %d", exactKeys(got), got.Rounds, exactKeys(scratch), scratch.Rounds)
 	}
 	if got.Size() >= prev.Size() {
 		t.Fatalf("deleting a violation root should shrink the repair (%d vs %d)", got.Size(), prev.Size())
 	}
 }
 
-// TestCheckStableWarm: incremental stability probing matches full probes
-// across update shapes — a relation no rule reads, deletion-only, and
-// insert-driven instability.
+// TestCheckStableWarm: stability after each update shape a serving layer
+// sees — a relation no rule reads, deletion-only, a benign insert and an
+// insert-driven violation — is the verdict of probing that version alone.
 func TestCheckStableWarm(t *testing.T) {
 	schema, err := engine.ParseSchema("A(x)\nB(x)\nAudit(x)")
 	if err != nil {
@@ -286,57 +272,27 @@ func TestCheckStableWarm(t *testing.T) {
 		t.Fatalf("fixture should start stable (err=%v)", err)
 	}
 
-	check := func(name string, snap *engine.Snapshot, info *engine.ApplyInfo) {
-		t.Helper()
-		warm := &WarmStart{PrevStable: true, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
-		got, err := CheckStable(snap.Fork(), nil, Options{Prepared: prep, Warm: warm})
+	for _, c := range []struct {
+		name             string
+		inserts, deletes []engine.Row
+		want             bool
+	}{
+		// A relation no rule reads: still stable.
+		{"unread relation", []engine.Row{warmRow("Audit", 1)}, nil, true},
+		// Deletion-only: stable stays stable.
+		{"deletion-only", nil, []engine.Row{warmRow("B", 2)}, true},
+		// Insert that keeps stability (no join partner).
+		{"benign insert", []engine.Row{warmRow("B", 3)}, nil, true},
+		// Insert that creates a violation: B(1) joins A(1).
+		{"violating insert", []engine.Row{warmRow("B", 1)}, nil, false},
+	} {
+		next, _, err := snap.Apply(c.inserts, c.deletes)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		want, err := CheckStable(snap.Fork(), nil, Options{Prepared: prep})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if got, err := CheckStable(next.Fork(), nil, Options{Prepared: prep}); err != nil || got != c.want {
+			t.Fatalf("%s: stable = %v (err=%v), want %v", c.name, got, err, c.want)
 		}
-		if got != want {
-			t.Fatalf("%s: warm stability %v, full probe %v", name, got, want)
-		}
-	}
-
-	// A relation no rule reads: its insert seeds no atom, still stable.
-	s1, info, err := snap.Apply([]engine.Row{{Rel: "Audit", Vals: []engine.Value{engine.Int(1)}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("unread relation", s1, info)
-
-	// Deletion-only: stable stays stable.
-	s2, info, err := snap.Apply(nil, []engine.Row{{Rel: "B", Vals: []engine.Value{engine.Int(2)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("deletion-only", s2, info)
-
-	// Insert that keeps stability (no join partner).
-	s3, info, err := snap.Apply([]engine.Row{{Rel: "B", Vals: []engine.Value{engine.Int(3)}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("benign insert", s3, info)
-
-	// Insert that creates a violation: B(1) joins A(1).
-	s4, info, err := snap.Apply([]engine.Row{{Rel: "B", Vals: []engine.Value{engine.Int(1)}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("violating insert", s4, info)
-	warm := &WarmStart{PrevStable: true, Inserted: info.InsertedTuples, Deleted: info.DeletedTuples}
-	if stable, _ := CheckStable(s4.Fork(), nil, Options{Prepared: prep, Warm: warm}); stable {
-		t.Fatal("violating insert reported stable")
-	}
-
-	// Without usable hints the warm probe falls back to a full check.
-	if stable, err := CheckStable(s4.Fork(), nil, Options{Prepared: prep}); err != nil || stable {
-		t.Fatalf("nil hints fallback: stable=%v err=%v", stable, err)
 	}
 }
 

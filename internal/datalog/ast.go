@@ -207,32 +207,6 @@ func (r *Rule) String() string {
 	return b.String()
 }
 
-// Vars returns the distinct variable names in the rule, in first-occurrence
-// order (head, then body atoms, then comparisons).
-func (r *Rule) Vars() []string {
-	var out []string
-	seen := make(map[string]bool)
-	add := func(t Term) {
-		if t.IsVar() && !seen[t.Var] {
-			seen[t.Var] = true
-			out = append(out, t.Var)
-		}
-	}
-	for _, t := range r.Head.Terms {
-		add(t)
-	}
-	for _, a := range r.Body {
-		for _, t := range a.Terms {
-			add(t)
-		}
-	}
-	for _, c := range r.Comps {
-		add(c.Left)
-		add(c.Right)
-	}
-	return out
-}
-
 // Program is an ordered set of delta rules.
 type Program struct {
 	Rules []*Rule

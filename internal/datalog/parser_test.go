@@ -178,19 +178,8 @@ func TestProgramAccessors(t *testing.T) {
 	}
 }
 
-func TestRuleVarsAndDeltaCount(t *testing.T) {
+func TestRuleDeltaCount(t *testing.T) {
 	p := MustParse(runningExampleSrc)
-	r4 := p.Rules[4]
-	vars := r4.Vars()
-	want := []string{"c", "p", "t", "a1", "a2"}
-	if len(vars) != len(want) {
-		t.Fatalf("Vars = %v, want %v", vars, want)
-	}
-	for i := range want {
-		if vars[i] != want[i] {
-			t.Fatalf("Vars[%d] = %s, want %s", i, vars[i], want[i])
-		}
-	}
 	if err := p.Validate(exampleSchema()); err != nil {
 		t.Fatal(err)
 	}

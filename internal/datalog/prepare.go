@@ -366,16 +366,10 @@ func (pr *PreparedRule) EvalFromBase(db *engine.Database, ctx *ExecContext, emit
 // long as src covers both states at every position, the union over these
 // passes covers every assignment the change created or invalidated (an
 // assignment binding several changed tuples is emitted once per such
-// atom; dedup if that matters). With baseOnly, seeding is restricted to
-// base atoms and delta atoms read only their src sources — the shape of
-// every caller that tracks delta-side changes through its own frontier.
-//
-// This is the one seeded evaluation: the caller chooses the seeds and the
-// per-position sources, so the same primitive drives the warm stability
-// probe and end-semantics continuation (inserted tuples over the
-// operational sources) and the cached-result change probe (deletes plus
-// inserts over a superset of both versions).
-func (pr *PreparedRule) EvalChangeSeeded(seeds map[string]*engine.Relation, baseOnly bool, src func(bi int) AtomSource, ctx *ExecContext, emit func(*Assignment) bool) error {
+// atom; dedup if that matters). Its one caller is the warm change probe
+// (core's probe replay), which seeds the deletes and the inserts over a
+// superset of both versions.
+func (pr *PreparedRule) EvalChangeSeeded(seeds map[string]*engine.Relation, src func(bi int) AtomSource, ctx *ExecContext, emit func(*Assignment) bool) error {
 	evalAt := func(pl *plan, seedAt int, seed *engine.Relation) error {
 		sources := make([]AtomSource, len(pr.Rule.Body))
 		for j := range pr.Rule.Body {
@@ -395,9 +389,6 @@ func (pr *PreparedRule) EvalChangeSeeded(seeds map[string]*engine.Relation, base
 		if err := evalAt(pr.insertPasses[i], bi, seed); err != nil {
 			return err
 		}
-	}
-	if baseOnly {
-		return nil
 	}
 	for p, bi := range pr.deltaIdx {
 		seed := seeds[pr.Rule.Body[bi].Rel]

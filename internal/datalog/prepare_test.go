@@ -164,11 +164,11 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// TestEvalChangeSeededBaseOnly: seeding the base atoms with an insert batch
-// over the operational sources enumerates exactly the assignments that
-// appeared because of it — the set difference between evaluating the
-// updated database and the original — for every rule of the running
-// example.
+// TestEvalChangeSeededBaseOnly: seeding an insert batch over relations the
+// running example reads only at base atoms (AuthGrant, Writes), with the
+// other atoms over the operational sources, enumerates exactly the
+// assignments that appeared because of it — the set difference between
+// evaluating the updated database and the original — for every rule.
 func TestEvalChangeSeededBaseOnly(t *testing.T) {
 	db, p, pp := preparedExample(t)
 	// Mid-repair state: one grant already deleted, so delta joins fire.
@@ -217,7 +217,7 @@ func TestEvalChangeSeededBaseOnly(t *testing.T) {
 		seeded := make(map[string]bool)
 		src := SourcesFor(db, r, DeltaFromDelta)
 		at := func(bi int) AtomSource { return src[bi] }
-		if err := pp.Rules[i].EvalChangeSeeded(seeds, true, at, ctx, func(a *Assignment) bool {
+		if err := pp.Rules[i].EvalChangeSeeded(seeds, at, ctx, func(a *Assignment) bool {
 			seeded[a.String()] = true
 			return true
 		}); err != nil {

@@ -21,15 +21,15 @@ import (
 // server session, and at every version — for all four semantics — the
 // incremental result must be identical to registering a fresh session
 // with that version's contents and recomputing from scratch. This is the
-// oracle that licenses every warm-start shortcut in core and server
-// (change-probe replay, end-semantics fixpoint continuation, insert-seeded
-// stability probes): whatever path a request takes, the answer must be
-// indistinguishable from a cold computation.
+// oracle that licenses the one warm-start rule in core and server, probe
+// replay, and the stored answers of repeat reads: whatever path a request
+// takes, the answer must be indistinguishable from a cold computation.
 //
-// Results are compared as sorted content-key sets: the incremental and
-// fresh lineages assign different tuple identities and insertion
-// sequences, so Seq-ordered output differs while the repair itself must
-// not.
+// Results are compared as sorted content-key sets plus Result.Rounds: the
+// incremental and fresh lineages assign different tuple identities and
+// insertion sequences, so Seq-ordered output differs while the repair and
+// its round count must not — a version's answer is independent of the
+// history that reached it.
 
 // quickStreams is the fixed-seed CI budget, mirroring quickScenarios:
 // same seeds every run, failures reproduce from the seed alone. CI runs
@@ -38,13 +38,15 @@ const quickStreams = 500
 
 // streamOps is the number of update batches per stream in quick mode:
 // initial state + 3 versions exercises version chains, retention, and
-// every warm-start path without blowing up CI time.
+// both replay and cold runs without blowing up CI time.
 const streamOps = 3
 
-func sortedResultKeys(res *core.Result) string {
+// answerOf renders what a repair answers independently of its lineage: the
+// sorted content keys and the round count.
+func answerOf(res *core.Result) string {
 	keys := res.Keys()
 	sort.Strings(keys)
-	return fmt.Sprintf("%v", keys)
+	return fmt.Sprintf("%v in %d rounds", keys, res.Rounds)
 }
 
 // openServer opens a repair service with cfg, failing tb on error.
@@ -105,12 +107,11 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 			if err != nil {
 				t.Fatalf("seed %d v%d: scratch %s: %v", sc.Seed, version, sem, err)
 			}
-			wantKeys := sortedResultKeys(want)
+			wantKeys := answerOf(want)
 			expected[version][sem] = wantKeys
 
-			// First incremental request at this version: exercises the
-			// cross-version warm-start paths (probe replay, end
-			// continuation) or a cold run.
+			// First incremental request at this version: probe replay of
+			// the previous version's result, or a cold run.
 			got, _, gotVer, err := svc.RepairVersioned(ctx, "s", sem, server.RequestOptions{Version: version})
 			if err != nil {
 				t.Fatalf("seed %d v%d: incremental %s: %v", sc.Seed, version, sem, err)
@@ -118,7 +119,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 			if gotVer != version {
 				t.Fatalf("seed %d v%d: repair executed at version %d", sc.Seed, version, gotVer)
 			}
-			if gotKeys := sortedResultKeys(got); gotKeys != wantKeys {
+			if gotKeys := answerOf(got); gotKeys != wantKeys {
 				t.Fatalf("seed %d v%d: %s incremental %s != scratch %s\nprogram:\n%s",
 					sc.Seed, version, sem, gotKeys, wantKeys, sc.ProgramSource)
 			}
@@ -128,13 +129,12 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 			if err != nil {
 				t.Fatalf("seed %d v%d: replay %s: %v", sc.Seed, version, sem, err)
 			}
-			if sortedResultKeys(again) != wantKeys {
+			if answerOf(again) != wantKeys {
 				t.Fatalf("seed %d v%d: %s replay diverged", sc.Seed, version, sem)
 			}
 		}
 
-		// Stability must agree with the scratch instance; repeated probes
-		// exercise the insert-seeded warm path once a version is stable.
+		// Stability must agree with the scratch instance.
 		wantStable, err := core.CheckStable(fresh.Fork(), nil, core.Options{Prepared: prep})
 		if err != nil {
 			t.Fatalf("seed %d v%d: scratch stability: %v", sc.Seed, version, err)
@@ -154,8 +154,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 	// batch's ApplyInfo as hints) and cold on the very same snapshot.
 	// Shared lineage means shared tuple identities, so the comparison is
 	// byte-identity — exact Seq-ordered keys, not merely set equality —
-	// across whichever warm path engages: change-probe replay, end
-	// continuation after insert-only batches, or a cold run.
+	// whether change-probe replay answers or the run derives cold.
 	chain := freshDB(0).Freeze()
 	prevRes := make(map[core.Semantics]*core.Result)
 	checkWarmChain := func(n int, info *engine.ApplyInfo) {
@@ -196,8 +195,8 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 		// hints, must give every semantics its cold answer whoever produced
 		// the shared end fixpoint. In AllSemantics order end's hints arrive
 		// after independent built the provenance, and end reads its fixpoint
-		// off the graph; in reverse, end's insert-only continuation or cold
-		// derivation produces the fixpoint before step builds the provenance.
+		// off the graph; in reverse, end's replay or cold derivation comes
+		// before step builds the provenance.
 		reversed := slices.Clone(core.AllSemantics)
 		slices.Reverse(reversed)
 		for _, order := range [][]core.Semantics{core.AllSemantics, reversed} {
@@ -260,7 +259,7 @@ func checkUpdateStream(t *testing.T, us *UpdateStream) (compactions int) {
 			if err != nil {
 				t.Fatalf("seed %d: pinned v%d %s: %v", sc.Seed, v, sem, err)
 			}
-			if got := sortedResultKeys(res); got != expected[v][sem] {
+			if got := answerOf(res); got != expected[v][sem] {
 				t.Fatalf("seed %d: pinned v%d %s drifted: %s != %s", sc.Seed, v, sem, got, expected[v][sem])
 			}
 		}
@@ -351,8 +350,8 @@ func TestUpdateStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestUpdateStreamCoverage: the seed space must exercise the shapes the
-// warm-start machinery branches on — insert-only ops, ops with deletes,
+// TestUpdateStreamCoverage: the seed space must exercise the update shapes
+// a warm start meets — insert-only ops, ops with deletes,
 // ops whose batch lands outside every relation a rule body reads (the
 // probe then seeds no atom and replays), and streams whose instances
 // actually need repair.

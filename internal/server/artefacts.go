@@ -128,8 +128,8 @@ func (st *artefactStore) put(key artefactKey, a artefact) {
 }
 
 // latest returns the artefact stored under key's fields at the newest
-// version ≤ key.version for which keep holds, and that version.
-func (st *artefactStore) latest(key artefactKey, keep func(artefact) bool) (artefact, uint64, bool) {
+// version ≤ key.version, and that version.
+func (st *artefactStore) latest(key artefactKey) (artefact, uint64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var (
@@ -140,7 +140,7 @@ func (st *artefactStore) latest(key artefactKey, keep func(artefact) bool) (arte
 	for k, a := range st.items {
 		v := k.version
 		k.version = key.version
-		if k != key || v > key.version || found && v <= from || !keep(a) {
+		if k != key || v > key.version || found && v <= from {
 			continue
 		}
 		best, from, found = a, v, true

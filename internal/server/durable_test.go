@@ -97,7 +97,6 @@ func TestDurableCrashRecoveryAllSemantics(t *testing.T) {
 	// Crash: abandon svc without Close.
 
 	svc2 := openDurable(t, dir, Config{SnapshotEvery: 2})
-	defer svc2.Close()
 	gotDump, gotVer := dumpHead(t, svc2, "papers")
 	if gotVer != version {
 		t.Fatalf("recovered version %d, want %d", gotVer, version)
@@ -122,6 +121,37 @@ func TestDurableCrashRecoveryAllSemantics(t *testing.T) {
 	}
 	if res.Version != version+1 {
 		t.Fatalf("post-recovery update version %d, want %d", res.Version, version+1)
+	}
+
+	// A pinned end read at a version reached by an insert-only batch whose
+	// row binds a rule assignment (Writes(2,6) joins Cite(6,7)), so no
+	// stored result replays, answers the same before Close, with an end
+	// result stored at the version before it, and after reopening the data
+	// dir, with nothing stored: same deletions, same rounds.
+	if _, _, _, err := svc2.RepairVersioned(ctx, "papers", core.SemEnd, RequestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = svc2.Update(ctx, "papers", []engine.Row{row("Writes", engine.Int(2), engine.Int(6))}, nil, RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := RequestOptions{Version: res.Version}
+	want, _, _, err := svc2.RepairVersioned(ctx, "papers", core.SemEnd, pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc3 := openDurable(t, dir, Config{SnapshotEvery: 2})
+	defer svc3.Close()
+	got, _, _, err := svc3.RepairVersioned(ctx, "papers", core.SemEnd, pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keysOf(got) != keysOf(want) || got.Rounds != want.Rounds {
+		t.Fatalf("pinned end at v%d: %s in %d rounds before Close, %s in %d after reopening",
+			res.Version, keysOf(want), want.Rounds, keysOf(got), got.Rounds)
 	}
 }
 

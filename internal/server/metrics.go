@@ -14,8 +14,9 @@ import (
 type svcMetrics struct {
 	reg *metrics.Registry
 
-	// requests partitions by request kind (repair, repair_all, is_stable,
-	// update, delete_view, register, deregister) and outcome (ok, error).
+	// requests partitions by request kind (repair, repair_all, repairs,
+	// query, is_stable, update, delete_view, register, deregister) and
+	// outcome (ok, error).
 	requests *metrics.CounterVec
 	// requestSeconds is end-to-end request latency, queueing included.
 	requestSeconds *metrics.Histogram

@@ -282,7 +282,7 @@ func (sess *Session) resolve(version uint64) (*engine.Snapshot, uint64, error) {
 // that version and key's. Returns nil when no exact hints exist — the
 // request then runs from scratch.
 func (sess *Session) repairHints(key artefactKey) *core.WarmStart {
-	a, from, ok := sess.artefacts.latest(key, func(artefact) bool { return true })
+	a, from, ok := sess.artefacts.latest(key)
 	if !ok {
 		return nil
 	}
@@ -291,24 +291,6 @@ func (sess *Session) repairHints(key artefactKey) *core.WarmStart {
 		return nil
 	}
 	w.PrevResult = a.res
-	return w
-}
-
-// stableHints assembles incremental hints for a stability probe at the
-// given version: usable only when an earlier retained version was
-// verified *stable* (an unstable predecessor says nothing — deletions may
-// have removed the violations since).
-func (sess *Session) stableHints(version uint64) *core.WarmStart {
-	_, from, ok := sess.artefacts.latest(artefactKey{version: version, kind: stableArtefact},
-		func(a artefact) bool { return a.stable })
-	if !ok {
-		return nil
-	}
-	w, ok := sess.changesSince(from, version)
-	if !ok {
-		return nil
-	}
-	w.PrevStable = true
 	return w
 }
 
@@ -536,7 +518,8 @@ type SessionInfo struct {
 	Rules     int    `json:"rules"`
 	Tuples    int    `json:"tuples"`
 	Recursive bool   `json:"recursive"`
-	// Requests counts repair/is-stable/view-deletion/update calls served.
+	// Requests counts the session's calls admitted: repair, repair-all,
+	// repair-space, query, is-stable, update and view-deletion requests.
 	Requests int64 `json:"requests"`
 	// Forks counts working copies minted from the session's snapshot
 	// versions — the engine's concurrent fork accounting; it can exceed
@@ -708,9 +691,10 @@ func (s *Service) begin(ctx context.Context, name string) (_ *Session, done func
 // to read) and the snapshot version the repair executed against — the head
 // at admission time, or the pinned opts.Version. Results are stored per
 // (version, semantics, budget): a repeat at a version answers from the
-// store, and a result warm-starts later versions — an update whose changed
-// tuples bind no rule assignment replays it with no derivation at all, and
-// otherwise end semantics continues its fixpoint from it.
+// store, and a result warm-starts later versions by probe replay — an
+// update whose changed tuples bind no rule assignment replays it with no
+// derivation at all; otherwise the policy runs cold, so the answer at a
+// version, Rounds included, does not depend on what was asked before.
 func (s *Service) RepairVersioned(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (*core.Result, *engine.Database, uint64, error) {
 	a, err := s.repair(ctx, name, sem, opts, false)
 	if err != nil {
@@ -826,10 +810,8 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 // stable (Def. 3.12) using the cached prepared plans, and the snapshot
 // version probed. The request deadline is honored between rule probes.
 // Verdicts are stored per version: a repeat probe of a version answers
-// from the store, and once a version is known stable, probing a later
-// version evaluates only the insert-seeded passes (deletions alone can
-// never destabilize a stable database — rule bodies are positive), and a
-// range without inserts needs no evaluation at all.
+// from the store; a first probe of a version probes every rule over that
+// version alone, whatever earlier versions were found.
 func (s *Service) IsStableVersioned(ctx context.Context, name string, opts RequestOptions) (_ bool, _ uint64, err error) {
 	defer s.track("is_stable", time.Now(), &err)
 	sess, done, err := s.begin(ctx, name)
@@ -847,7 +829,7 @@ func (s *Service) IsStableVersioned(ctx context.Context, name string, opts Reque
 	}
 	reqCtx, cancel := s.requestCtx(ctx, opts)
 	defer cancel()
-	stable, err := core.CheckStable(snap.Fork(), sess.prep.Program, core.Options{Prepared: sess.prep, Ctx: reqCtx, Warm: sess.stableHints(version)})
+	stable, err := core.CheckStable(snap.Fork(), sess.prep.Program, core.Options{Prepared: sess.prep, Ctx: reqCtx})
 	if err != nil {
 		return false, 0, err
 	}

@@ -121,9 +121,9 @@ func TestServiceVersionRetention(t *testing.T) {
 
 // TestServiceWarmStartCacheCorrectness drives the cache-sensitive paths
 // directly: repeated repairs at one version (replay), repairs after
-// updates to a relation no rule reads (probe replay), insert-only updates
-// (end continuation), and a mixed update (full recompute) — every answer
-// must equal a cold service's.
+// updates to a relation no rule reads (probe replay), an insert-only
+// cascade and a mixed update (both recompute) — every answer must equal
+// the reference service's.
 func TestServiceWarmStartCacheCorrectness(t *testing.T) {
 	ctx := context.Background()
 	// Audit is in the schema but referenced by no rule.
@@ -203,12 +203,11 @@ func TestServiceWarmStartCacheCorrectness(t *testing.T) {
 	}
 }
 
-// TestServiceStableWarmInsertThenDelete: a stability probe may skip
-// versions, so the warm hints can span an insert at one version and a
-// delete of the same tuple at a later one. The dead tuple must not be
-// used as a probe seed — the regression here reported a stable database
-// as unstable.
-func TestServiceStableWarmInsertThenDelete(t *testing.T) {
+// TestServiceStableInsertThenDelete: stability probes may skip versions,
+// and a violation inserted at one unprobed version and deleted at the next
+// must leave no trace: the later version, known stable before the insert,
+// is stable, and the pinned version holding the violation is not.
+func TestServiceStableInsertThenDelete(t *testing.T) {
 	ctx := context.Background()
 	svc := openService(t, Config{})
 	schema, err := engine.ParseSchema("R(x)\nS(x)")
@@ -232,8 +231,7 @@ func TestServiceStableWarmInsertThenDelete(t *testing.T) {
 	if _, err := svc.Update(ctx, "s", []engine.Row{row("R", engine.Int(5))}, nil, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// v3: delete R(5) again. The hint range (v1, v3] contains the dead
-	// inserted tuple.
+	// v3: delete R(5) again.
 	if _, err := svc.Update(ctx, "s", nil, []engine.Row{row("R", engine.Int(5))}, RequestOptions{}); err != nil {
 		t.Fatal(err)
 	}
