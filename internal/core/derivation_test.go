@@ -51,7 +51,7 @@ func checkOrderIndependence(t *testing.T, db *engine.Database, p *datalog.Progra
 	}
 	snap := db.Freeze()
 	// What is shared does not depend on the solver budget, so a small one
-	// keeps the 25 searches per program short (MAS-14's is truncated anyway).
+	// keeps the 25 searches per program short.
 	opts := Options{Prepared: prep, Independent: IndependentOptions{MaxNodes: 300}}
 	want := make(map[Semantics]string, len(AllSemantics))
 	for _, sem := range AllSemantics {

@@ -88,13 +88,16 @@ func BenchmarkRepairAll(b *testing.B) {
 }
 
 // BenchmarkSolveIndependent is the layer benchmark of Algorithm 1's phase 3
-// alone: one Min-Ones search over a prebuilt CNF, on the two programs whose
-// search dominates cold_repair_all — MAS-14, cut by the default work
-// budget, and T-6, a 41.6 K-clause formula. nodes/op and cost are the
-// search's fingerprint (TestIndependentSearchFingerprint pins them).
+// alone: one Min-Ones search over a prebuilt CNF, on MAS-14 (split into
+// 265 components, one a hitting set the reductions close), MAS-13 (570
+// components, but proven at the root, so never split), MAS-8 (an
+// update_repair_stream program, one mixed component searched whole) and
+// T-6 (one 41.6 K-clause mixed component, the costliest search left in
+// cold_repair_all). nodes/op and cost are the search's fingerprint
+// (TestIndependentSearchFingerprint pins them).
 func BenchmarkSolveIndependent(b *testing.B) {
 	for _, sp := range socketPrograms(b) {
-		if sp.name != "MAS-14" && sp.name != "T-6" {
+		if sp.name != "MAS-8" && sp.name != "MAS-13" && sp.name != "MAS-14" && sp.name != "T-6" {
 			continue
 		}
 		b.Run(sp.name, func(b *testing.B) {

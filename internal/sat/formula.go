@@ -10,6 +10,12 @@
 // set, per the paper's remark that any satisfying assignment stabilizes the
 // database).
 //
+// Unless the root bound proves its greedy solution, MinOnes splits the
+// clauses left after root propagation into components sharing no variable,
+// reduces each all-positive one (a minimum hitting set) by units,
+// subsumption and dominance, and searches what is left component by
+// component, smallest first, under one shared budget.
+//
 // A Formula is one flat clause store — every clause's literals in a single
 // []int32 — and it is the only copy of Algorithm 1's clauses: the
 // provenance formula writes each assignment's literals straight into one as

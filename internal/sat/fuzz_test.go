@@ -2,6 +2,7 @@ package sat
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -53,10 +54,8 @@ func decodeFuzzCNF(data []byte) (*Formula, Options) {
 	return f, opts
 }
 
-// FuzzMinOnes checks the search against enumeration on small formulas: a
-// found assignment satisfies the formula and has the cost it reports, a
-// search that claims optimality agrees with brute force on satisfiability
-// and on the optimum, and a second run returns the identical result.
+// FuzzMinOnes checks the search against enumeration on small formulas
+// (checkMinOnes).
 func FuzzMinOnes(f *testing.F) {
 	f.Add([]byte{3, 0, 2, 2, 4, 2, 4, 6})
 	f.Add([]byte{5, 1, 5, 1, 1, 1, 1, 3, 2, 4, 6, 3, 3, 5, 7})
@@ -64,23 +63,56 @@ func FuzzMinOnes(f *testing.F) {
 	f.Add([]byte{9, 15, 2, 3, 5, 1, 4, 2, 1, 7, 3, 2, 4, 6, 3, 8, 10, 12, 2, 3, 5, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cnf, opts := decodeFuzzCNF(data)
-		res := MinOnes(cnf, opts)
-		if res.Satisfiable {
-			if !cnf.Eval(res.Assignment) {
-				t.Fatalf("assignment does not satisfy the formula\n%s", cnf.DIMACS())
-			}
-			if res.Cost != CountOnes(res.Assignment) {
-				t.Fatalf("Cost = %d, but %d variables are true", res.Cost, CountOnes(res.Assignment))
-			}
-		}
-		if sat := bruteMinOnes(cnf) >= 0; res.Satisfiable && !sat || res.Optimal && res.Satisfiable != sat {
-			t.Fatalf("Satisfiable = %v (optimal %v), brute force says %v\n%s", res.Satisfiable, res.Optimal, sat, cnf.DIMACS())
-		}
-		if want := bruteMinWeight(cnf, opts.Weights); res.Optimal && res.Satisfiable && res.WeightedCost != want {
-			t.Fatalf("optimal cost = %d, brute force = %d\n%s", res.WeightedCost, want, cnf.DIMACS())
-		}
-		if again := MinOnes(cnf, opts); !reflect.DeepEqual(res, again) {
-			t.Fatalf("second run differs:\n%+v\n%+v", res, again)
-		}
+		checkMinOnes(t, cnf, opts)
 	})
+}
+
+// FuzzMinOnesComponents checks the search against enumeration on formulas
+// made of disjoint parts (decodeComponents), so that the split, the
+// hitting-set reductions and the shared budget all run.
+func FuzzMinOnesComponents(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 3, 9, 1, 5, 1, 4, 4, 2, 6, 1, 7, 2, 2, 8, 3, 1, 0, 5})
+	f.Add([]byte{2, 7, 4, 2, 0, 3, 1, 5, 9, 8, 3, 5, 7, 2, 6, 4, 4, 1, 2, 3, 4, 5, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cnf, opts := decodeComponents(data)
+		checkMinOnes(t, cnf, opts)
+	})
+}
+
+// checkMinOnes checks one search on a small formula (checkResult), that a
+// second run returns the identical result, and the split path on its own
+// too, also where the root bound makes MinOnes skip it.
+func checkMinOnes(t *testing.T, cnf *Formula, opts Options) Result {
+	t.Helper()
+	res := MinOnes(cnf, opts)
+	checkResult(t, cnf, opts, res)
+	if again := MinOnes(cnf, opts); !reflect.DeepEqual(res, again) {
+		t.Fatalf("second run differs:\n%+v\n%+v", res, again)
+	}
+	if s := newSolver(cnf, opts); !slices.Contains(s.free, 0) && s.rootPropagate() && s.split() {
+		checkResult(t, cnf, opts, s.result())
+	}
+	return res
+}
+
+// checkResult checks that a found assignment satisfies the formula and has
+// the cost it reports, and that a result claiming optimality agrees with
+// brute force on satisfiability and on the optimum.
+func checkResult(t *testing.T, cnf *Formula, opts Options, res Result) {
+	t.Helper()
+	if res.Satisfiable {
+		if !cnf.Eval(res.Assignment) {
+			t.Fatalf("assignment does not satisfy the formula\n%s", cnf.DIMACS())
+		}
+		if res.Cost != CountOnes(res.Assignment) {
+			t.Fatalf("Cost = %d, but %d variables are true", res.Cost, CountOnes(res.Assignment))
+		}
+	}
+	if sat := bruteMinOnes(cnf) >= 0; res.Satisfiable && !sat || res.Optimal && res.Satisfiable != sat {
+		t.Fatalf("Satisfiable = %v (optimal %v), brute force says %v\n%s", res.Satisfiable, res.Optimal, sat, cnf.DIMACS())
+	}
+	if want := bruteMinWeight(cnf, opts.Weights); res.Optimal && res.Satisfiable && res.WeightedCost != want {
+		t.Fatalf("optimal cost = %d, brute force = %d\n%s", res.WeightedCost, want, cnf.DIMACS())
+	}
 }

@@ -1,25 +1,34 @@
 package sat
 
+import "slices"
+
 // Options configures the Min-Ones search.
 type Options struct {
-	// MaxNodes bounds the number of search nodes; 0 means a generous
-	// default. When the budget is exhausted the best solution found so far
-	// is returned with Optimal=false.
+	// MaxNodes bounds the number of search nodes, and MaxNodes×workPerNode
+	// the clause positions scanned; 0 means a generous default. The
+	// components of a formula and the reductions share this one budget.
+	// When it is exhausted the best solution found so far is returned with
+	// Optimal=false: the component it ran out on and those after it keep
+	// their best (greedy, if unsearched) solution, the ones before their
+	// proven minimum.
 	MaxNodes int64
 	// Prefer ranks variables for tie-breaking: when branching must set some
 	// variable true, lower-ranked (earlier) preferred variables are tried
-	// first, steering which of several equally-sized optima is found.
-	// Variables absent from Prefer rank after all present ones.
+	// first, steering which of several equally-sized optima is found; the
+	// dominance reduction never drops a variable for an equally heavy one
+	// ranked after it. Variables absent from Prefer rank after all present
+	// ones.
 	Prefer []int
 	// Weights assigns a positive cost to setting each variable true
 	// (1-based; index 0 unused). Nil means uniform weight 1, i.e. classic
 	// Min-Ones. The search minimizes total weight; Result.Cost still
 	// counts true variables while Result.WeightedCost is the objective.
 	Weights []int64
-	// Cancel, when non-nil, is polled every cancelCheckEvery search nodes;
-	// returning true aborts the search as if the node budget were
-	// exhausted (the best solution found so far is returned with
-	// Optimal=false). Used to thread request cancellation into the solver.
+	// Cancel, when non-nil, is polled every cancelCheckEvery search nodes,
+	// counted across components; returning true aborts the search as if
+	// the node budget were exhausted (the best solution found so far is
+	// returned with Optimal=false). Used to thread request cancellation
+	// into the solver.
 	Cancel func() bool
 }
 
@@ -42,16 +51,38 @@ type Result struct {
 	// WeightedCost is the minimized objective: the total weight of true
 	// variables (equal to Cost under uniform weights).
 	WeightedCost int64
-	// Optimal reports whether the search proved minimality.
+	// Optimal reports whether the search proved minimality: whether every
+	// component was reduced or searched to the end within the budget.
 	Optimal bool
-	// Nodes is the number of search nodes explored.
+	// Nodes is the number of search nodes explored, summed over the
+	// components searched. A formula searched whole counts at least one;
+	// one whose components the reductions all close counts none.
 	Nodes int64
 }
 
 // MinOnes finds a satisfying assignment with as few true variables as the
 // search budget allows; it is exact (Optimal=true) when the budget is not
-// exhausted. The search is fully deterministic, and reads f in place.
-func MinOnes(f *Formula, opts Options) Result { return newSolver(f, opts).solve() }
+// exhausted. The search is fully deterministic, and reads f in place. When
+// the root bound does not already prove the greedy solution, f is split and
+// reduced first (see split); a formula left as one component that no
+// reduction touches is searched whole.
+func MinOnes(f *Formula, opts Options) Result {
+	s := newSolver(f, opts)
+	if slices.Contains(s.free, 0) || !s.rootPropagate() {
+		return s.result() // an empty clause or a root conflict: unsatisfiable
+	}
+	// Seed the bound with a greedy max-coverage solution: it makes the
+	// search prune and is a good answer if the budget runs out. When the
+	// root bound meets its cost, the search stops at its first node and
+	// splitting cannot pay (that bound's scan is not charged).
+	s.greedyDescent()
+	w, margin := s.work, s.bestCost-s.costNow
+	closed := s.foundAny && (margin <= 0 || s.lowerBound(margin) >= margin)
+	if s.work = w; closed || !s.split() {
+		s.search(0)
+	}
+	return s.result()
+}
 
 type solver struct {
 	f        *Formula
@@ -111,37 +142,18 @@ type solver struct {
 const workPerNode = 64
 
 func newSolver(f *Formula, opts Options) *solver {
-	n, m := f.numVars, f.NumClauses()
-	s := &solver{
-		f:         f,
-		maxNodes:  opts.MaxNodes,
-		state:     make([]int8, n+1),
-		prefRank:  make([]int32, n+1),
-		satisfied: make([]bool, m),
-		free:      make([]int32, m),
-		freeNeg:   make([]int32, m),
-		occ:       NewOccurrences(n, m, f.Clause),
-		usedStamp: make([]int64, n+1),
-		cancel:    opts.Cancel,
-	}
+	n := f.numVars
+	s := newSearch(f)
+	s.maxNodes, s.cancel = opts.MaxNodes, opts.Cancel
 	if s.maxNodes <= 0 {
 		s.maxNodes = DefaultMaxNodes
 	}
 	s.maxWork = s.maxNodes * workPerNode
-	s.weights, s.weighted = make([]int64, n+1), opts.Weights != nil
+	s.weighted = opts.Weights != nil
 	for v := 1; v <= n; v++ {
 		s.weights[v] = 1
 		if v < len(opts.Weights) && opts.Weights[v] > 0 {
 			s.weights[v] = opts.Weights[v]
-		}
-	}
-	for ci := range m {
-		c := f.Clause(ci)
-		s.free[ci] = int32(len(c))
-		for _, l := range c {
-			if l < 0 {
-				s.freeNeg[ci]++
-			}
 		}
 	}
 	for v := range s.prefRank {
@@ -155,20 +167,34 @@ func newSolver(f *Formula, opts Options) *solver {
 	return s
 }
 
-func (s *solver) solve() Result {
-	// An empty clause is immediately unsatisfiable.
-	for _, n := range s.free {
-		if n == 0 {
-			return Result{Optimal: true}
+// newSearch allocates a solver's state over f, with every clause's counts
+// set; the caller fills in the weights, ranks and budget.
+func newSearch(f *Formula) *solver {
+	n, m := f.numVars, f.NumClauses()
+	s := &solver{
+		f:         f,
+		state:     make([]int8, n+1),
+		prefRank:  make([]int32, n+1),
+		weights:   make([]int64, n+1),
+		satisfied: make([]bool, m),
+		free:      make([]int32, m),
+		freeNeg:   make([]int32, m),
+		occ:       NewOccurrences(n, m, f.Clause),
+		usedStamp: make([]int64, n+1),
+	}
+	for ci := range m {
+		c := f.Clause(ci)
+		s.free[ci] = int32(len(c))
+		for _, l := range c {
+			if l < 0 {
+				s.freeNeg[ci]++
+			}
 		}
 	}
-	if s.rootPropagate() {
-		// Seed the bound with a greedy max-coverage solution: it both makes
-		// branch-and-bound prune aggressively and guarantees a good answer
-		// if the node budget runs out mid-search.
-		s.greedyDescent()
-		s.search(0)
-	}
+	return s
+}
+
+func (s *solver) result() Result {
 	res := Result{Satisfiable: s.foundAny, Nodes: s.nodes, Optimal: !s.exhausted}
 	if s.foundAny {
 		res.Assignment = s.bestAsn
