@@ -153,8 +153,8 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 	full := fullFormulaReference(t, db, prep)
 
 	// V, computed from the full formula by the lemma's definition.
-	inV := make(map[engine.TupleID]bool, len(ic.preDeleted))
-	for id := range ic.preDeleted {
+	inV := make(map[engine.TupleID]bool, len(ic.prov.preDeleted))
+	for id := range ic.prov.preDeleted {
 		inV[id] = true
 	}
 	negInV := func(neg []engine.TupleID) bool {
@@ -185,10 +185,10 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 	// formula, and a full clause new to the restricted one was dropped —
 	// legitimately only if one of its negative literals lies outside V.
 	restricted := provenance.NewFormula()
-	for i, h := range ic.formula.Heads {
-		restricted.Add(h, clauseAsn(ic.formula.Body(i)))
-		if full.Add(h, clauseAsn(ic.formula.Body(i))) {
-			t.Fatalf("restricted clause %v (head t%d) is not in the full formula", ic.formula.Lits(i), h)
+	for i, h := range ic.prov.formula.Heads {
+		restricted.Add(h, clauseAsn(ic.prov.formula.Body(i)))
+		if full.Add(h, clauseAsn(ic.prov.formula.Body(i))) {
+			t.Fatalf("restricted clause %v (head t%d) is not in the full formula", ic.prov.formula.Lits(i), h)
 		}
 	}
 	for i, h := range full.Heads {
@@ -202,7 +202,7 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 		}
 	}
 
-	fullCNF, fullIDs, forced := referenceCNF(t, full, ic.preDeleted)
+	fullCNF, fullIDs, forced := referenceCNF(t, full, ic.prov.preDeleted)
 	got, want := sat.MinOnes(ic.cnf, sat.Options{}), sat.MinOnes(fullCNF, sat.Options{})
 	if !got.Optimal || !want.Optimal {
 		t.Fatalf("search truncated (restricted optimal=%v, full optimal=%v)", got.Optimal, want.Optimal)
@@ -216,7 +216,7 @@ func checkClosureAgainstReference(t *testing.T, db *engine.Database, prep *datal
 	if len(fullIDs) > 16 {
 		return dropped, false
 	}
-	gotModels, wantModels := minimalModels(ic.cnf, ic.formula.TupleIDs(), ic.preDeleted), minimalModels(fullCNF, fullIDs, ic.preDeleted)
+	gotModels, wantModels := minimalModels(ic.cnf, ic.prov.formula.TupleIDs(), ic.prov.preDeleted), minimalModels(fullCNF, fullIDs, ic.prov.preDeleted)
 	if !slices.Equal(gotModels, wantModels) {
 		t.Fatalf("set-minimal models differ:\nrestricted %v\nfull       %v", gotModels, wantModels)
 	}
@@ -301,7 +301,10 @@ func checkEndGraphAgainstDefinition(t *testing.T, db *engine.Database, prep *dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := prov.endGraph()
+	g, err := d.endGraph(nil, prov)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := fullFormulaReference(t, db, prep)
 
 	inE := maps.Clone(prov.preDeleted)

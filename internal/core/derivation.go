@@ -29,10 +29,12 @@ import (
 // Result; Materialize builds the repaired instance only for callers that
 // read it.
 //
-// The provenance and the end fixpoint are memoised, so the policies of one
-// repair-all share them: whichever policy or Explainer runs first builds
-// the provenance, and the others reuse it. Two rules keep the accounting
-// of shared work honest:
+// The provenance and the end fixpoint are memoised, so every policy run on
+// one Derivation shares them: whichever policy or Explainer runs first
+// builds the provenance, and the others reuse it. A serving layer keeps one
+// Derivation per snapshot version and runs every request at that version
+// on it, so the sharing spans requests, not only the policies of one
+// repair-all. Two rules keep the accounting of shared work honest:
 //
 //   - Timing is additive. A shared artefact's time is charged once, to the
 //     Result of the policy that first demanded it; a policy that reuses it
@@ -42,23 +44,27 @@ import (
 //     fixpoint was produced: derived, or read off the provenance as the
 //     graph's layer count.
 //
-// A Derivation runs on one goroutine and lives for one request; it never
-// mutates its database.
+// A Derivation is safe for concurrent use and never mutates its database.
+// Each artefact — the closure with its occurrence index, the end graph and
+// the end fixpoint — is built single-flight under the derivation's lock: a
+// concurrent caller that needs one waits for the build (honouring its own
+// context while it waits) and then reuses it. A failed build, canceled or
+// over the clause cap, is not memoised, so the next caller builds again
+// under its own context. The policies themselves — the Min-Ones search,
+// step's traversal, stage's pass — run outside the lock and only read the
+// artefacts.
 type Derivation struct {
 	db   *engine.Database
 	prep *datalog.Prepared
 	// naive selects the reference evaluation strategy (RunEndNaive).
 	naive bool
 
-	prov *closure
-	end  *fixpoint
-	// repaired is a repaired instance a policy built anyway — independent's
-	// self-check fork — with the Result it belongs to, so runMaterialized
-	// hands it out instead of forking again.
-	repaired struct {
-		res *Result
-		db  *engine.Database
-	}
+	// build is the derivation's lock, a one-slot semaphore so that a
+	// caller waiting for a build can give up on its context. It guards prov,
+	// prov.graph and end.
+	build chan struct{}
+	prov  *closure
+	end   *fixpoint
 }
 
 // fixpoint is a derived deletion set in derivation order and the rounds
@@ -77,8 +83,25 @@ func NewDerivation(db *engine.Database, prep *datalog.Prepared) (*Derivation, er
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	db.Freeze()
-	return &Derivation{db: db, prep: prep}, nil
+	return &Derivation{db: db, prep: prep, build: make(chan struct{}, 1)}, nil
 }
+
+// lock takes the derivation's lock, honouring ctx (nil: never canceled)
+// while it waits for another caller's build.
+func (d *Derivation) lock(ctx context.Context) error {
+	if ctx == nil {
+		d.build <- struct{}{}
+		return nil
+	}
+	select {
+	case d.build <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (d *Derivation) unlock() { <-d.build }
 
 // resolvePlan is the one way from a program to the plan that runs it: every
 // entry point that takes a program comes through here, once per call. A nil
@@ -139,9 +162,6 @@ func (d *Derivation) runMaterialized(sem Semantics, opts Options) (*Result, *eng
 	if err != nil {
 		return nil, nil, err
 	}
-	if d.repaired.res == res {
-		return res, d.repaired.db, nil
-	}
 	work, err := Materialize(d.db, res)
 	if err != nil {
 		return nil, nil, err
@@ -150,10 +170,14 @@ func (d *Derivation) runMaterialized(sem Semantics, opts Options) (*Result, *eng
 }
 
 // endFixpoint returns the end-semantics fixpoint of the database, producing
-// it on first demand: read off the provenance graph when a policy built
-// one, else derived cold. The duration is what this call spent; zero on a
-// memo hit.
+// it on first demand under the derivation's lock: read off the provenance
+// graph when a policy built one, else derived cold. The duration is what
+// this call spent; zero on a memo hit.
 func (d *Derivation) endFixpoint(ctx context.Context) (*fixpoint, time.Duration, error) {
+	if err := d.lock(ctx); err != nil {
+		return nil, 0, err
+	}
+	defer d.unlock()
 	if d.end != nil {
 		return d.end, 0, nil
 	}
@@ -162,12 +186,13 @@ func (d *Derivation) endFixpoint(ctx context.Context) (*fixpoint, time.Duration,
 		// The graph's heads are E less the pre-deleted tuples, in derivation
 		// order: a head is bound at a self atom over the live base (Def.
 		// 3.1), so it is never pre-deleted.
-		g := d.prov.endGraph()
-		d.end = &fixpoint{tuples: make([]*engine.Tuple, len(g.Heads)), rounds: g.NumLayers}
+		g := d.prov.endGraphLocked()
+		end := &fixpoint{tuples: make([]*engine.Tuple, len(g.Heads)), rounds: g.NumLayers}
 		for i, h := range g.Heads {
-			d.end.tuples[i] = d.prov.tuples[d.prov.formula.Var(h)]
+			end.tuples[i] = d.prov.tuples[d.prov.formula.Var(h)]
 		}
-		return d.end, time.Since(start), nil
+		d.end = end
+		return end, time.Since(start), nil
 	}
 	derived, rounds, err := derive(d.db, d.prep, deriveConfig{ctx: ctx, naive: d.naive})
 	if err != nil {
@@ -204,10 +229,10 @@ func (d *Derivation) live(t *engine.Tuple) bool {
 
 // finishIDs is finish for the policies that choose by interned tuple ID
 // among the closure formula's tuples.
-func (d *Derivation) finishIDs(sem Semantics, ids []engine.TupleID) (*Result, error) {
+func (d *Derivation) finishIDs(sem Semantics, prov *closure, ids []engine.TupleID) (*Result, error) {
 	chosen := make([]*engine.Tuple, len(ids))
 	for i, id := range ids {
-		if chosen[i] = d.prov.tuples[d.prov.formula.Var(id)]; chosen[i] == nil {
+		if chosen[i] = prov.tuples[prov.formula.Var(id)]; chosen[i] == nil {
 			return nil, fmt.Errorf("core: %s semantics selected unknown tuple t%d", sem, id)
 		}
 	}
@@ -273,7 +298,7 @@ func (d *Derivation) runStage(opts Options) (*Result, error) {
 	start := time.Now()
 	heads, stages := prov.formula.Stage(prov.preDeleted)
 	ppDur := time.Since(start)
-	res, err := d.finishIDs(SemStage, heads)
+	res, err := d.finishIDs(SemStage, prov, heads)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -144,13 +143,18 @@ func EnumerateRepairsWith(db *engine.Database, p *datalog.Program, opts Options,
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxErr(opts.Ctx); err != nil {
-		return nil, err
-	}
-	return d.enumerate(opts.Ctx, opts.Independent, eopts)
+	return d.Enumerate(opts, eopts)
 }
 
-func (d *Derivation) enumerate(ctx context.Context, iopts IndependentOptions, eopts EnumerateOptions) (*RepairSpace, error) {
+// Enumerate is EnumerateRepairsWith over the derivation's database: the
+// repair space reads the closure formula every other policy of the
+// derivation shares. opts is read as by EnumerateRepairsWith, except
+// Prepared: the plan was fixed by NewDerivation.
+func (d *Derivation) Enumerate(opts Options, eopts EnumerateOptions) (*RepairSpace, error) {
+	ctx, iopts := opts.Ctx, opts.Independent
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	k := ClampEnumK(eopts.K)
 	ic, err := d.buildCNF(ctx, iopts)
 	if err != nil {
@@ -174,7 +178,7 @@ func (d *Derivation) enumerate(ctx context.Context, iopts IndependentOptions, eo
 		Complete:       enum.Complete,
 		Optimal:        enum.Optimal,
 		SolverNodes:    enum.Nodes,
-		FormulaClauses: ic.formula.Len(),
+		FormulaClauses: ic.prov.formula.Len(),
 	}
 	updStart := time.Now()
 	for _, sol := range enum.Solutions {

@@ -87,7 +87,11 @@ func NewExplainer(db *engine.Database, p *datalog.Program) (*Explainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Explainer{Graph: prov.endGraph(), db: db}, nil
+	graph, err := d.endGraph(nil, prov)
+	if err != nil {
+		return nil, err
+	}
+	return &Explainer{Graph: graph, db: db}, nil
 }
 
 // Explain returns the first derivation of the tuple with the given content

@@ -93,7 +93,7 @@ func TestIndependentSearchFingerprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := ic.formula.Len(); got != w.clauses {
+			if got := ic.prov.formula.Len(); got != w.clauses {
 				t.Errorf("provenance clauses = %d, want %d: the closure derivation or the head+body dedup changed", got, w.clauses)
 			}
 			if got := ic.cnf.NumClauses(); got != w.cnf {

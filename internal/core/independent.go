@@ -52,9 +52,8 @@ func errTooManyClauses(maxClauses int) error {
 // (runIndependent) and the repair-space enumerator (enumerate): both must
 // see the byte-identical formula so their first solutions agree.
 type indCNF struct {
-	formula    *provenance.Formula
-	cnf        *sat.Formula
-	preDeleted map[engine.TupleID]bool
+	prov *closure
+	cnf  *sat.Formula
 	// preDeletedCost is what the pre-deleted variables contribute to every
 	// model's weighted cost.
 	preDeletedCost int64
@@ -144,7 +143,10 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	// order is read off the end fixpoint's provenance graph.
 	var prefer []int
 	if !opts.DisablePreferDerivable {
-		graph := prov.endGraph()
+		graph, err := d.endGraph(ctx, prov)
+		if err != nil {
+			return nil, err
+		}
 		heads := slices.Clone(graph.Heads)
 		sort.SliceStable(heads, func(i, j int) bool { return graph.Layer[heads[i]] > graph.Layer[heads[j]] })
 		for _, h := range heads {
@@ -166,9 +168,8 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	}
 
 	return &indCNF{
-		formula:        formula,
+		prov:           prov,
 		cnf:            formula.CNF(),
-		preDeleted:     prov.preDeleted,
 		preDeletedCost: preDeletedCost,
 		prefer:         prefer,
 		weights:        weights,
@@ -177,10 +178,12 @@ func (d *Derivation) buildCNF(ctx context.Context, opts IndependentOptions) (*in
 	}, nil
 }
 
-// closure is a Derivation's provenance: Algorithm 1's formula F_V, the end
-// graph read off it on first demand (endGraph), the tuple of each of the
-// formula's variables (tuples[0] is nil), and the pre-deleted tuples
-// seeding both (in scan order, and as a set).
+// closure is a Derivation's provenance: Algorithm 1's formula F_V with its
+// occurrence index, the end graph read off it on first demand (endGraph),
+// the tuple of each of the formula's variables (tuples[0] is nil), and the
+// pre-deleted tuples seeding both (in scan order, and as a set). Everything
+// but graph is fixed once closureArtefact publishes it; graph is written
+// under the derivation's lock.
 type closure struct {
 	formula    *provenance.Formula
 	graph      *provenance.Graph
@@ -189,10 +192,20 @@ type closure struct {
 	preDeleted map[engine.TupleID]bool
 }
 
-// endGraph returns the end graph, read off the formula by EndGraph on
-// first demand: step, independent's tie order, the end fixpoint and the
-// Explainer read it, stage does not.
-func (c *closure) endGraph() *provenance.Graph {
+// endGraph returns the closure's end graph, read off the formula by
+// EndGraph on first demand under the derivation's lock: step,
+// independent's tie order, the end fixpoint and the Explainer read it,
+// stage does not.
+func (d *Derivation) endGraph(ctx context.Context, c *closure) (*provenance.Graph, error) {
+	if err := d.lock(ctx); err != nil {
+		return nil, err
+	}
+	defer d.unlock()
+	return c.endGraphLocked(), nil
+}
+
+// endGraphLocked is endGraph for a caller holding the derivation's lock.
+func (c *closure) endGraphLocked() *provenance.Graph {
 	if c.graph == nil {
 		c.graph = c.formula.EndGraph(c.preDeleted)
 	}
@@ -200,9 +213,11 @@ func (c *closure) endGraph() *provenance.Graph {
 }
 
 // closureArtefact returns the Derivation's provenance, built on first
-// demand by derive's closure mode, which yields F_V; evalDur times that,
-// and is zero on a memo hit. maxClauses ≤ 0 means DefaultMaxClauses; a
-// memoised formula over the cap fails as a fresh build under it would.
+// demand under the derivation's lock by derive's closure mode, which yields
+// F_V, and indexed by occurrence there too, so that the policies only read
+// it; evalDur times that, and is zero on a memo hit. maxClauses ≤ 0 means
+// DefaultMaxClauses; a memoised formula over the cap fails as a fresh build
+// under it would, and a build that fails is not memoised.
 //
 // Lemma. Let E be the end fixpoint (Def. 3.10) plus the pre-deleted tuples,
 // and V, F_V as on buildCNF. Every end-semantics assignment is a clause of
@@ -220,6 +235,10 @@ func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov 
 	if maxClauses <= 0 {
 		maxClauses = DefaultMaxClauses
 	}
+	if err := d.lock(ctx); err != nil {
+		return nil, 0, err
+	}
+	defer d.unlock()
 	if d.prov != nil {
 		if d.prov.formula.Len() > maxClauses {
 			return nil, 0, errTooManyClauses(maxClauses)
@@ -252,6 +271,7 @@ func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov 
 			_, _ = formula.CNF().AddClause(v) // v is one of the CNF's own variables
 		}
 	}
+	formula.Occurrences() // built here, once, so the policies' reads never write
 	d.prov = prov
 	return prov, time.Since(start), nil
 }
@@ -271,12 +291,12 @@ func (ic *indCNF) satOptions(ctx context.Context, opts IndependentOptions) sat.O
 // instance: fail loudly rather than return a bad repair.
 func (d *Derivation) solution(ctx context.Context, ic *indCNF, assignment []bool) (*Result, error) {
 	var chosen []engine.TupleID
-	for i, id := range ic.formula.TupleIDs() {
-		if assignment[i+1] && !ic.preDeleted[id] {
+	for i, id := range ic.prov.formula.TupleIDs() {
+		if assignment[i+1] && !ic.prov.preDeleted[id] {
 			chosen = append(chosen, id)
 		}
 	}
-	res, err := d.finishIDs(SemIndependent, chosen)
+	res, err := d.finishIDs(SemIndependent, ic.prov, chosen)
 	if err != nil {
 		return nil, err
 	}
@@ -291,8 +311,7 @@ func (d *Derivation) solution(ctx context.Context, ic *indCNF, assignment []bool
 	if !stable {
 		return nil, fmt.Errorf("core: independent repair failed to stabilize (internal error)")
 	}
-	res.FormulaClauses = ic.formula.Len()
-	d.repaired.res, d.repaired.db = res, work
+	res.FormulaClauses = ic.prov.formula.Len()
 	return res, nil
 }
 

@@ -62,7 +62,7 @@ func BenchmarkBuildIndependentCNF(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			clauses = ic.formula.Len()
+			clauses = ic.prov.formula.Len()
 		}
 		b.ReportMetric(float64(clauses), "clauses/op")
 	})

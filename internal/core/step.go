@@ -52,7 +52,10 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 	// at its self atom, a Pos tuple, so it has one). No content keys exist
 	// on this path.
 	ppStart := time.Now()
-	graph := prov.endGraph()
+	graph, err := d.endGraph(ctx, prov)
+	if err != nil {
+		return nil, err
+	}
 	f := graph.Formula
 	occ := f.Occurrences()
 	benefits := graph.Benefits()
@@ -122,7 +125,7 @@ func (d *Derivation) runStep(opts Options) (*Result, error) {
 	}
 	trDur := time.Since(trStart)
 
-	res, err := d.finishIDs(SemStep, order)
+	res, err := d.finishIDs(SemStep, prov, order)
 	if err != nil {
 		return nil, err
 	}

@@ -47,8 +47,9 @@ type svcMetrics struct {
 	checkpointSegments *metrics.CounterVec
 	checkpointBytes    *metrics.Counter
 
-	// Artefact-store lookups of /repair and /query answers.
-	repairLookups, queryLookups lookupCounters
+	// Artefact-store lookups of /repair and /query answers, and lookups of
+	// the session's derivation slot by store misses.
+	repairLookups, queryLookups, derivationLookups lookupCounters
 	// panics counts handler panics the recover middleware answered.
 	panics *metrics.Counter
 }
@@ -102,9 +103,10 @@ func newSvcMetrics(s *Service) *svcMetrics {
 			"Handler panics answered with 500 by the recover middleware."),
 	}
 	lookups := reg.NewCounterVec("deltarepaird_artefact_lookups_total",
-		"Artefact-store lookups of /repair and /query answers, by kind and outcome: hit (stored bytes served) or miss.", "kind", "outcome")
+		"Artefact lookups by kind and outcome: /repair and /query answers in the artefact store (hit: stored bytes served), and the derivation a store miss runs on (hit: the session's derivation of that version reused).", "kind", "outcome")
 	m.repairLookups = lookupCounters{lookups.With("repair", "hit"), lookups.With("repair", "miss")}
 	m.queryLookups = lookupCounters{lookups.With("query", "hit"), lookups.With("query", "miss")}
+	m.derivationLookups = lookupCounters{lookups.With("derivation", "hit"), lookups.With("derivation", "miss")}
 	reg.NewGaugeFunc("deltarepaird_sessions",
 		"Sessions currently resident in the cache.",
 		func() float64 { return float64(s.Len()) })

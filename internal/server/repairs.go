@@ -12,14 +12,20 @@ import (
 )
 
 // spaceFor returns the session's repair space for (version, k, budget,
-// mode), enumerating and storing it on a miss. The caller must hold an
+// mode), enumerating and storing it on a miss. A miss enumerates on the
+// session's derivation of the version, so the space reads the closure
+// formula the version's /repair misses share. The caller must hold an
 // admission token (begin) and have resolved the version to snap.
 func (s *Service) spaceFor(sess *Session, snap *engine.Snapshot, version uint64, eopts core.EnumerateOptions, copts core.Options) (*core.RepairSpace, error) {
 	key := spaceKey(version, eopts, copts.Independent.MaxNodes)
 	if a, ok := sess.artefacts.get(key); ok {
 		return a.space, nil
 	}
-	sp, err := core.EnumerateRepairsWith(snap.Fork(), sess.prep.Program, copts, eopts)
+	d, err := s.derivation(sess, snap, version)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := d.Enumerate(copts, eopts)
 	if err != nil {
 		return nil, err
 	}
@@ -29,8 +35,8 @@ func (s *Service) spaceFor(sess *Session, snap *engine.Snapshot, version uint64,
 
 // EnumerateRepairs computes the k-best independent-semantics repair space
 // for the named session — distinct minimal repairs in nondecreasing cost
-// order plus the per-tuple certain/possible classification — on a private
-// fork of the session's snapshot (head, or the version pinned in opts).
+// order plus the per-tuple certain/possible classification — at the
+// session's head, or the version pinned in opts.
 // Spaces are stored per (version, k, solver budget, minimality mode) and
 // replayed while their version is retained.
 func (s *Service) EnumerateRepairs(ctx context.Context, name string, eopts core.EnumerateOptions, opts RequestOptions) (_ *core.RepairSpace, _ uint64, err error) {

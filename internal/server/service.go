@@ -1,7 +1,7 @@
 // Package server turns the repair library into a concurrent repair
 // service: named (schema, program, database) sessions are compiled and
 // frozen once, at registration (datalog.Prepare + Database.Freeze), and
-// every request forks the shared snapshot — zero deep copies and zero
+// requests read forks of the shared snapshot — zero deep copies and zero
 // re-planning on the hot path. The package exposes both an embeddable Go
 // API (Service) and a net/http JSON API (Service.Handler); cmd/deltarepaird
 // wraps the latter in a binary.
@@ -15,9 +15,12 @@
 //     Prepared plan and frozen snapshot versions. A session is ready to
 //     serve from the moment it is visible; a persisted session missing
 //     from the cache is recovered single-flight on its first access.
-//   - Isolation: every request that computes works on a private
-//     Snapshot.Fork; forks share the frozen storage and warm indexes
-//     read-only, so requests never observe each other's deletions.
+//   - Isolation: requests that compute read a Snapshot.Fork that no one
+//     writes: the session's derivation of a version (one core.Derivation,
+//     shared by every miss at that version) never mutates its fork, and a
+//     repaired instance is a further fork of its own. Forks share the
+//     frozen storage and warm indexes read-only, so requests never observe
+//     each other's deletions.
 //   - Artefacts: what a request computed from a snapshot version is kept
 //     in the session's version-keyed artefact store (artefacts.go), so a
 //     repeat read of that version is answered without computing.
@@ -242,6 +245,14 @@ type Session struct {
 	ring      *engine.SnapshotRing
 	artefacts *artefactStore
 
+	// deriv is the derivation slot: the core.Derivation of the newest
+	// version any store miss asked for, which every miss at that version
+	// shares (derivation). Guarded by derivMu; nil once the session is
+	// deregistered or evicted.
+	derivMu sync.Mutex
+	deriv   *core.Derivation
+	derivAt uint64
+
 	requests atomic.Int64
 	updates  atomic.Int64
 }
@@ -274,6 +285,37 @@ func (sess *Session) resolve(version uint64) (*engine.Snapshot, uint64, error) {
 	}
 	return nil, 0, fmt.Errorf("%w: session %q version %d (retained %d..%d)",
 		ErrVersionGone, sess.name, version, sess.ring.Oldest(), head)
+}
+
+// derivation returns the derivation of snap, the session's snapshot at
+// version, that a store miss at version runs on: the slot's when it holds
+// that version, else a new one, installed in the slot when version is at
+// least the slot's. An older pinned version gets a derivation of its own,
+// not stored. One lookup is counted per call, so per request that needs a
+// derivation.
+func (s *Service) derivation(sess *Session, snap *engine.Snapshot, version uint64) (*core.Derivation, error) {
+	sess.derivMu.Lock()
+	defer sess.derivMu.Unlock()
+	hit := sess.deriv != nil && sess.derivAt == version
+	s.metrics.derivationLookups.count(hit)
+	if hit {
+		return sess.deriv, nil
+	}
+	d, err := core.NewDerivation(snap.Fork(), sess.prep)
+	if err != nil {
+		return nil, err
+	}
+	if version >= sess.derivAt {
+		sess.deriv, sess.derivAt = d, version
+	}
+	return d, nil
+}
+
+// dropDerivation frees the session's derivation slot.
+func (sess *Session) dropDerivation() {
+	sess.derivMu.Lock()
+	sess.deriv = nil
+	sess.derivMu.Unlock()
 }
 
 // repairHints assembles incremental-execution hints for a repair: the
@@ -394,6 +436,7 @@ func (s *Service) evictOverflowLocked() {
 		s.lru.Remove(oldest)
 		delete(s.byName, victim.name)
 		s.evictions.Add(1)
+		victim.dropDerivation()
 		if victim.store != nil {
 			// verMu keeps the close ordered after any in-flight append on
 			// the victim (lock order s.mu→verMu is acyclic: request paths
@@ -417,6 +460,7 @@ func (s *Service) Deregister(name string) bool {
 		s.lru.Remove(el)
 		delete(s.byName, name)
 		sess := el.Value.(*Session)
+		sess.dropDerivation()
 		if sess.store != nil {
 			sess.verMu.Lock()
 			sess.store.Close()
@@ -522,8 +566,9 @@ type SessionInfo struct {
 	// repair-space, query, is-stable, update and view-deletion requests.
 	Requests int64 `json:"requests"`
 	// Forks counts working copies minted from the session's snapshot
-	// versions — the engine's concurrent fork accounting; it can exceed
-	// Requests because the executors fork internally too.
+	// versions — the engine's concurrent fork accounting: one per
+	// derivation (one per version the requests computed at, not one per
+	// request) plus those the executors and materialised repairs make.
 	Forks int64 `json:"forks"`
 	// Version is the head (newest) snapshot version; versions start at 1
 	// (the registration state) and advance by one per update.
@@ -686,15 +731,18 @@ func (s *Service) begin(ctx context.Context, name string) (_ *Session, done func
 }
 
 // RepairVersioned computes the stabilizing set for the named session under
-// the chosen semantics on a private fork of the session's snapshot. It
-// returns the result, the repaired fork (materialised for this call; safe
-// to read) and the snapshot version the repair executed against — the head
-// at admission time, or the pinned opts.Version. Results are stored per
+// the chosen semantics. It returns the result, the repaired instance (a
+// fork of the session's snapshot materialised for this call; safe to read)
+// and the snapshot version the repair executed against — the head at
+// admission time, or the pinned opts.Version. Results are stored per
 // (version, semantics, budget): a repeat at a version answers from the
-// store, and a result warm-starts later versions by probe replay — an
-// update whose changed tuples bind no rule assignment replays it with no
-// derivation at all; otherwise the policy runs cold, so the answer at a
-// version, Rounds included, does not depend on what was asked before.
+// store. A miss runs the policy on the session's derivation of that
+// version (Service.derivation), so the closure and the end fixpoint are
+// built at most once per version whichever requests ask for them. A result
+// warm-starts later versions by probe replay — an update whose changed
+// tuples bind no rule assignment replays it with no derivation at all;
+// otherwise the policy runs cold, so the answer at a version, Rounds
+// included, does not depend on what was asked before.
 func (s *Service) RepairVersioned(ctx context.Context, name string, sem core.Semantics, opts RequestOptions) (*core.Result, *engine.Database, uint64, error) {
 	a, err := s.repair(ctx, name, sem, opts, false)
 	if err != nil {
@@ -726,9 +774,10 @@ type repairAnswer struct {
 // the session's artefact store where it can be: a stored result for
 // (version, semantics, budget) — and, with withFields, its stored encoded
 // fields — costs no fork, no derivation and no encoding. A miss runs the
-// policy on a fork, warm-started from the newest stored result at or
-// before the version, encodes the fields once when asked to, and stores
-// what it built.
+// policy on the session's derivation of the version, sharing whatever
+// earlier misses there built, warm-started from the newest stored result
+// at or before the version; it encodes the fields once when asked to, and
+// stores what it built.
 func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, opts RequestOptions, withFields bool) (_ repairAnswer, err error) {
 	defer s.track("repair", time.Now(), &err)
 	sess, done, err := s.begin(ctx, name)
@@ -747,7 +796,7 @@ func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, o
 		s.metrics.repairLookups.count(a.fields != nil)
 	}
 	if a.res == nil {
-		d, err := core.NewDerivation(snap.Fork(), sess.prep)
+		d, err := s.derivation(sess, snap, version)
 		if err != nil {
 			return repairAnswer{}, err
 		}
@@ -770,8 +819,9 @@ func (s *Service) repair(ctx context.Context, name string, sem core.Semantics, o
 }
 
 // RepairAllVersioned runs all four semantics for the named session under
-// one admission token and one deadline, returning results keyed by
-// semantics and the snapshot version the repairs executed against.
+// one admission token and one deadline, on the session's derivation of the
+// version, returning results keyed by semantics and the snapshot version
+// the repairs executed against.
 func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts RequestOptions) (_ map[core.Semantics]*core.Result, _ uint64, err error) {
 	defer s.track("repair_all", time.Now(), &err)
 	sess, done, err := s.begin(ctx, name)
@@ -785,9 +835,10 @@ func (s *Service) RepairAllVersioned(ctx context.Context, name string, opts Requ
 	}
 	reqCtx, cancel := s.requestCtx(ctx, opts)
 	defer cancel()
-	// One fork, one derivation: the four policies share the provenance and
-	// the end fixpoint; each brings its own stored result as hints.
-	d, err := core.NewDerivation(snap.Fork(), sess.prep)
+	// One derivation: the four policies share the provenance and the end
+	// fixpoint with each other and with every other miss at this version;
+	// each brings its own stored result as hints.
+	d, err := s.derivation(sess, snap, version)
 	if err != nil {
 		return nil, 0, err
 	}
