@@ -94,6 +94,47 @@ func TestPublicAPISideEffect(t *testing.T) {
 	}
 }
 
+// TestPublicAPISideEffectPreDeleted is the facade's view deletion on a
+// database holding a tuple deleted beforehand whose cascade is unmet: the
+// cascade R(4,30) joins the answer, and the pre-deleted S(30,300) is not
+// listed as a deletion.
+func TestPublicAPISideEffectPreDeleted(t *testing.T) {
+	schema, err := deltarepair.ParseSchema(`
+		R(a, b)
+		S(b, c)
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := deltarepair.NewDatabase(schema)
+	for _, r := range [][2]int{{1, 10}, {2, 10}, {3, 20}, {4, 30}} {
+		db.MustInsert("R", deltarepair.Int(r[0]), deltarepair.Int(r[1]))
+	}
+	for _, s := range [][2]int{{10, 100}, {20, 200}} {
+		db.MustInsert("S", deltarepair.Int(s[0]), deltarepair.Int(s[1]))
+	}
+	db.DeleteTupleToDelta(db.MustInsert("S", deltarepair.Int(30), deltarepair.Int(300)))
+	prog, err := deltarepair.ParseProgram(`Delta_R(a, b) :- R(a, b), Delta_S(b, c).`, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := deltarepair.ParseView("V(c) :- R(a, b), S(b, c).", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := deltarepair.DeleteViewTuple(db, view, []deltarepair.Value{deltarepair.Int(100)}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, tp := range res.Deleted {
+		keys = append(keys, tp.Key())
+	}
+	if got := strings.Join(keys, " "); got != "R(i1,i10) R(i2,i10) R(i4,i30)" || !res.Optimal {
+		t.Fatalf("deleted %s (optimal %v), want R(i1,i10) R(i2,i10) R(i4,i30) proven", got, res.Optimal)
+	}
+}
+
 func TestPublicAPISnapshot(t *testing.T) {
 	db, prog := apiDB(t)
 	res, repaired, err := deltarepair.Repair(db, prog, deltarepair.Stage)

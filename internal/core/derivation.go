@@ -13,8 +13,9 @@ import (
 // Derivation is everything one request derives about one database under one
 // prepared program. §3 of the paper defines the four semantics as four
 // choices over the same delta-rule assignments, and the code reads that way:
-// a Derivation is the only caller of derive and produces the two artefacts
-// the semantics choose from —
+// a Derivation calls derive (through Closure, the closure mode it shares
+// with §7's deletion propagation) and produces the two artefacts the
+// semantics choose from —
 //
 //   - Algorithm 1's closure formula F_V, with the layered provenance graph
 //     of §5.2 read off it instead of derived again (closureArtefact);

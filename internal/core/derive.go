@@ -26,6 +26,10 @@ type deriveConfig struct {
 	// At fixpoint the formula is F_V, and the end fixpoint's layered graph
 	// is read off it (provenance.Formula.EndGraph).
 	closure *provenance.Formula
+	// possible seeds closure mode with possible deletions beside the
+	// pre-deleted ones: each joins the first frontier and is marked
+	// derived, but nothing forces it, and it is not returned (Closure).
+	possible []*engine.Tuple
 	// maxClauses bounds closure's size; exceeding it is errTooManyClauses.
 	maxClauses int
 	// ctx carries per-request cancellation into the round loop: it is
@@ -37,7 +41,8 @@ type deriveConfig struct {
 // derive runs seminaive rounds of the prepared delta program over work,
 // which is only read — the derived deltas live in the pooled scratch
 // relations. It returns the derived delta tuples in derivation order and
-// the number of rounds until fixpoint. Derivation is its only caller.
+// the number of rounds until fixpoint. Derivation and Closure are its only
+// callers.
 //
 // Seminaive justification: bases never shrink, so any assignment's
 // validity persists and each assignment is enumerated exactly in the round
@@ -65,6 +70,12 @@ func derive(work *engine.Database, prep *datalog.Prepared, cfg deriveConfig) ([]
 			}
 			return true
 		})
+	}
+	for _, t := range cfg.possible {
+		if !derivedSet[t.TID] && !work.Delta(t.Rel).ContainsID(t.TID) {
+			derivedSet[t.TID] = true
+			frontier[t.Rel].Insert(t)
+		}
 	}
 
 	// Every productive round derives at least one new tuple, so the tuple

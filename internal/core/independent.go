@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/datalog"
 	"repro/internal/engine"
 	"repro/internal/provenance"
 	"repro/internal/sat"
@@ -247,33 +248,59 @@ func (d *Derivation) closureArtefact(ctx context.Context, maxClauses int) (prov 
 	}
 	start := time.Now()
 	formula := provenance.NewFormula()
-	derived, _, err := derive(d.db, d.prep, deriveConfig{closure: formula, maxClauses: maxClauses, ctx: ctx})
+	derived, seeds, err := Closure(ctx, d.db, d.prep, formula, nil, maxClauses)
 	if err != nil {
 		return nil, 0, err
 	}
-	prov = &closure{formula: formula, tuples: make([]*engine.Tuple, len(formula.TupleIDs())+1), preDeleted: make(map[engine.TupleID]bool)}
+	prov = &closure{formula: formula, tuples: make([]*engine.Tuple, len(formula.TupleIDs())+1), seeds: seeds, preDeleted: make(map[engine.TupleID]bool, len(seeds))}
 	for _, t := range derived { // V less the seeds: each a clause's Pos tuple, so numbered
 		prov.tuples[formula.Var(t.TID)] = t
 	}
-	for _, rs := range d.db.Schema.Relations {
-		d.db.Delta(rs.Name).Scan(func(t *engine.Tuple) bool {
-			prov.seeds = append(prov.seeds, t)
-			prov.preDeleted[t.TID] = true
-			return true
-		})
-	}
-	// Pre-existing deletions are facts, not choices: a unit clause per
-	// pre-deleted tuple the clauses mention forces its variable true, so
-	// the stability clauses respect them.
-	for _, t := range prov.seeds {
+	for _, t := range seeds {
+		prov.preDeleted[t.TID] = true
 		if v := formula.Var(t.TID); v != 0 {
 			prov.tuples[v] = t
-			_, _ = formula.CNF().AddClause(v) // v is one of the CNF's own variables
 		}
 	}
 	formula.Occurrences() // built here, once, so the policies' reads never write
 	d.prov = prov
 	return prov, time.Since(start), nil
+}
+
+// Closure writes Algorithm 1's restricted formula F_V into formula:
+// derive's closure mode over db under prep, seeded with db's deltas as
+// forced deletions and with possible as possible ones, then a unit clause
+// per pre-deleted tuple the clauses mention (pre-existing deletions are
+// facts, not choices). It returns the tuples derived — V less both kinds
+// of seed, each a variable of formula — and the pre-deleted tuples in scan
+// order. Past maxClauses clauses (≤ 0: DefaultMaxClauses) it fails.
+//
+// Lemma. formula may already hold clauses with no negative literal, such
+// as §7's witness clauses "delete one of this view row's witness tuples"
+// (sideeffect.DeleteViewTuple), if possible lists their tuples: the lemma
+// on buildCNF carries over unchanged. Such a clause's negative literals
+// lie in V vacuously, so its positive literals enter V, and the least V of
+// the combined formula is the closure seeded with them, which derive
+// computes. F_V then has the same set-minimal models and minimum cost as
+// the full formula, whose delta atoms range over every possible deletion.
+func Closure(ctx context.Context, db *engine.Database, prep *datalog.Prepared, formula *provenance.Formula, possible []*engine.Tuple, maxClauses int) (derived, preDeleted []*engine.Tuple, err error) {
+	if maxClauses <= 0 {
+		maxClauses = DefaultMaxClauses
+	}
+	derived, _, err = derive(db, prep, deriveConfig{closure: formula, possible: possible, maxClauses: maxClauses, ctx: ctx})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, rs := range db.Schema.Relations {
+		db.Delta(rs.Name).Scan(func(t *engine.Tuple) bool {
+			preDeleted = append(preDeleted, t)
+			if v := formula.Var(t.TID); v != 0 {
+				_, _ = formula.CNF().AddClause(v) // v is one of the CNF's own variables
+			}
+			return true
+		})
+	}
+	return derived, preDeleted, nil
 }
 
 // satOptions assembles the solver options for one Min-Ones search over the

@@ -40,35 +40,18 @@ func (a *Assignment) String() string {
 // a delta atom reads old ∪ frontier).
 type AtomSource []*engine.Relation
 
-// DeltaMode selects what delta atoms range over when building sources.
-type DeltaMode int
-
-const (
-	// DeltaFromDelta: delta atoms read ∆_i content (operational semantics).
-	DeltaFromDelta DeltaMode = iota
-	// DeltaFromBase: delta atoms read R_i base content — every base tuple
-	// is a *possible* deletion. Used for view witnesses and stability
-	// formulas over one database state, and by the test-only full sweep
-	// Algorithm 1's restricted formula is checked against (§5.1).
-	DeltaFromBase
-)
-
-// SourcesFor builds the per-atom sources for evaluating rule against db.
-func SourcesFor(db *engine.Database, rule *Rule, mode DeltaMode) []AtomSource {
+// SourcesFor builds the operational per-atom sources for evaluating rule
+// against db: base atoms read the live base relation, delta atoms ∆_i.
+func SourcesFor(db *engine.Database, rule *Rule) []AtomSource {
 	out := make([]AtomSource, len(rule.Body))
-	for i := range rule.Body {
-		out[i] = SourceFor(db, &rule.Body[i], mode)
+	for i, a := range rule.Body {
+		if a.Delta {
+			out[i] = AtomSource{db.Delta(a.Rel)}
+		} else {
+			out[i] = AtomSource{db.Relation(a.Rel)}
+		}
 	}
 	return out
-}
-
-// SourceFor is one atom's entry of SourcesFor: the live base relation, or
-// ∆_i for a delta atom under DeltaFromDelta.
-func SourceFor(db *engine.Database, a *Atom, mode DeltaMode) AtomSource {
-	if a.Delta && mode == DeltaFromDelta {
-		return AtomSource{db.Delta(a.Rel)}
-	}
-	return AtomSource{db.Relation(a.Rel)}
 }
 
 // ---------- rule compilation ----------

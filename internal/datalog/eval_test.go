@@ -85,25 +85,6 @@ func TestEvalRuleJoinsThroughDelta(t *testing.T) {
 	}
 }
 
-func TestEvalRuleDeltaFromBaseMode(t *testing.T) {
-	db := exampleDB()
-	p := validatedExample(t)
-	// In DeltaFromBase mode (every base tuple a possible deletion), rule (1) ranges its
-	// ∆Grant atom over the Grant base relation: both grants join, giving
-	// 3 assignments (Maggie-NSF, Marge-ERC, Homer-ERC).
-	var n int
-	err := EvalRule(p.Rules[1], SourcesFor(db, p.Rules[1], DeltaFromBase), func(*Assignment) bool {
-		n++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("DeltaFromBase assignments = %d, want 3", n)
-	}
-}
-
 func TestEvalEarlyStop(t *testing.T) {
 	db := exampleDB()
 	p := validatedExample(t)
@@ -350,13 +331,13 @@ func TestConstantEqualityAtIndexBoundary(t *testing.T) {
 					t.Fatal(err)
 				}
 				var viaPlan []string
-				if err := pp.Rules[0].EvalFromBase(db, nil, func(a *Assignment) bool {
+				if err := pp.Rules[0].EvalOperational(db, nil, func(a *Assignment) bool {
 					viaPlan = append(viaPlan, a.Tuples[0].Key())
 					return true
 				}); err != nil {
 					t.Fatal(err)
 				}
-				probed := pp.Rules[0].fromBase.lookup[0] == 1
+				probed := pp.Rules[0].operational.lookup[0] == 1
 				if probed != indexExact(c) {
 					t.Errorf("%s (frozen %v): probed %v, index-exact %v", cmp, frozen, probed, indexExact(c))
 				}

@@ -46,7 +46,7 @@ func EvalRule(rule *Rule, sources []AtomSource, emit func(*Assignment) bool) err
 // EvalRuleOnDB enumerates assignments with the standard operational sources
 // (base atoms from R, delta atoms from ∆).
 func EvalRuleOnDB(db *engine.Database, rule *Rule, emit func(*Assignment) bool) error {
-	return EvalRule(rule, SourcesFor(db, rule, DeltaFromDelta), emit)
+	return EvalRule(rule, SourcesFor(db, rule), emit)
 }
 
 // HasAssignment reports whether the rule has at least one assignment over

@@ -9,8 +9,9 @@ import (
 
 // This file implements the prepared-execution layer: Prepare compiles a
 // validated program once — per rule, a static join-order plan for every
-// source shape evaluation can run under, plus the set of (relation, column)
-// index requirements those plans probe — so server-style callers can
+// source shape evaluation can run under (operational, each seminaive pass,
+// each insert-seeded base atom), plus the set of (relation, column) index
+// requirements those plans probe — so server-style callers can
 // amortize planning across millions of repair requests. Execution state
 // (binding buffers, seminaive scratch relations) is pooled on the Prepared
 // so repeated runs allocate near-zero.
@@ -44,13 +45,10 @@ type PreparedRule struct {
 	cr *compiledRule
 
 	// operational: delta atoms read ∆_i (the live deltas) — stability
-	// checks, step executions, trigger statements — or, under EvalNaive, the
-	// full seminaive delta contents (old ∪ frontier): the same weights, so
-	// the same plan.
+	// checks, step executions, trigger statements, view bodies (which have
+	// no delta atom) — or, under EvalNaive, the full seminaive delta
+	// contents (old ∪ frontier): the same weights, so the same plan.
 	operational *plan
-	// fromBase: delta atoms read base content — view witnesses and
-	// stability formulas over one database state.
-	fromBase *plan
 	// passes[p]: seminaive pass p — the p-th delta atom reads the frontier,
 	// earlier delta atoms read old deltas, later ones old ∪ frontier.
 	passes []*plan
@@ -140,12 +138,6 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 			}
 			return 1
 		})
-		pr.fromBase = planFor(pr.cr, func(bi int) int {
-			if isDelta(bi) {
-				return 1 // as large as a base atom; ties go to the base atoms
-			}
-			return 0
-		})
 		pr.passes = make([]*plan, len(pr.deltaIdx))
 		for pass := range pr.deltaIdx {
 			frontierAtom := pr.deltaIdx[pass]
@@ -192,11 +184,11 @@ func Prepare(p *Program, schema *engine.Schema) (*Prepared, error) {
 				}
 			}
 		}
-		// Probes over ∆_i and R_i fold into the union only; EvalNaive's probes
-		// over old ∪ frontier are seminaive scratch requirements.
+		// The operational probes over ∆_i and R_i fold into the union only;
+		// EvalNaive's probes over old ∪ frontier are seminaive scratch
+		// requirements.
 		var unionOnly []IndexReq
 		collect(&unionOnly, pr.operational, TargetDelta)
-		collect(&unionOnly, pr.fromBase, TargetBase)
 		collect(&pp.seminaiveReqs, pr.operational, TargetScratch)
 		for _, pl := range pr.passes {
 			collect(&pp.seminaiveReqs, pl, TargetScratch)
@@ -345,15 +337,7 @@ func (pr *PreparedRule) evalWith(pl *plan, sources []AtomSource, ctx *ExecContex
 // EvalOperational enumerates the rule's assignments with operational
 // sources: base atoms read live base relations, delta atoms read ∆_i.
 func (pr *PreparedRule) EvalOperational(db *engine.Database, ctx *ExecContext, emit func(*Assignment) bool) error {
-	return pr.evalWith(pr.operational, SourcesFor(db, pr.Rule, DeltaFromDelta), ctx, emit)
-}
-
-// EvalFromBase enumerates assignments with every atom, delta atoms
-// included, ranging over the live base relation: the shape of a view body
-// or a stability formula evaluated against one database state (the
-// side-effect solver's witness and violation enumeration).
-func (pr *PreparedRule) EvalFromBase(db *engine.Database, ctx *ExecContext, emit func(*Assignment) bool) error {
-	return pr.evalWith(pr.fromBase, SourcesFor(db, pr.Rule, DeltaFromBase), ctx, emit)
+	return pr.evalWith(pr.operational, SourcesFor(db, pr.Rule), ctx, emit)
 }
 
 // EvalChangeSeeded enumerates the rule's assignments that bind at least

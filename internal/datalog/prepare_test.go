@@ -66,38 +66,6 @@ func TestPreparedOperationalMatchesEvalRule(t *testing.T) {
 	}
 }
 
-// TestPreparedFromBaseMatchesEvalRule: the FromBase plan matches the
-// DeltaFromBase per-call path (the view-witness shape).
-func TestPreparedFromBaseMatchesEvalRule(t *testing.T) {
-	db, p, pp := preparedExample(t)
-	ctx := pp.AcquireContext()
-	defer pp.ReleaseContext(ctx)
-	for i, r := range p.Rules {
-		var legacy, prepared []*Assignment
-		if err := EvalRule(r, SourcesFor(db, r, DeltaFromBase), func(a *Assignment) bool {
-			legacy = append(legacy, a)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := pp.Rules[i].EvalFromBase(db, ctx, func(a *Assignment) bool {
-			prepared = append(prepared, a)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		lk, pk := assignmentKeys(legacy), assignmentKeys(prepared)
-		if len(lk) != len(pk) {
-			t.Fatalf("rule %d: prepared %d assignments, legacy %d", i, len(pk), len(lk))
-		}
-		for j := range lk {
-			if lk[j] != pk[j] {
-				t.Fatalf("rule %d: assignment sets differ: %v vs %v", i, pk, lk)
-			}
-		}
-	}
-}
-
 // TestPrepareRejectsUnvalidated: preparation requires validated rules and
 // a schema, never guessing at semantics.
 func TestPrepareRejectsUnvalidated(t *testing.T) {
@@ -215,7 +183,7 @@ func TestEvalChangeSeededBaseOnly(t *testing.T) {
 			}
 		}
 		seeded := make(map[string]bool)
-		src := SourcesFor(db, r, DeltaFromDelta)
+		src := SourcesFor(db, r)
 		at := func(bi int) AtomSource { return src[bi] }
 		if err := pp.Rules[i].EvalChangeSeeded(seeds, at, ctx, func(a *Assignment) bool {
 			seeded[a.String()] = true
@@ -284,7 +252,7 @@ func TestOrgQueryProbesAuthorFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := pp.Rules[0].fromBase
+	pl := pp.Rules[0].operational
 	if pl.order[0] != 1 || pl.lookup[0] != 2 {
 		t.Fatalf("view plan starts with body atom %d probing column %d; want Author (1) probing column 2", pl.order[0], pl.lookup[0])
 	}

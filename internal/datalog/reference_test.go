@@ -235,7 +235,7 @@ func TestPropertyJoinMatchesReference(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		sources := SourcesFor(db, rule, DeltaFromDelta)
+		sources := SourcesFor(db, rule)
 		var got []string
 		if err := EvalRule(rule, sources, func(a *Assignment) bool {
 			key := ""
@@ -294,7 +294,7 @@ func TestPropertyJoinWithDeltaAtoms(t *testing.T) {
 		if err := p.Validate(db.Schema); err != nil {
 			return false
 		}
-		sources := SourcesFor(db, rule, DeltaFromDelta)
+		sources := SourcesFor(db, rule)
 		var got []string
 		if err := EvalRule(rule, sources, func(a *Assignment) bool {
 			key := ""

@@ -189,6 +189,7 @@ type ViewDeleteRequest struct {
 // ViewDeleteResponse reports a deletion-propagation solution.
 type ViewDeleteResponse struct {
 	Session        string   `json:"session"`
+	Version        uint64   `json:"version"`
 	Size           int      `json:"size"`
 	Deleted        []string `json:"deleted"`
 	Optimal        bool     `json:"optimal"`
@@ -564,21 +565,22 @@ func (s *Service) handleDeleteViewTuple(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	opts := (&RepairRequest{TimeoutMS: req.TimeoutMS, SolverMaxNodes: req.SolverMaxNodes, Version: req.Version}).options()
-	res, err := s.DeleteViewTuple(r.Context(), name, req.View, target, opts)
+	res, version, err := s.DeleteViewTupleVersioned(r.Context(), name, req.View, target, opts)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, viewDeleteResponse(name, res))
+	writeJSON(w, http.StatusOK, viewDeleteResponse(name, version, res))
 }
 
-func viewDeleteResponse(name string, res *sideeffect.Result) ViewDeleteResponse {
+func viewDeleteResponse(name string, version uint64, res *sideeffect.Result) ViewDeleteResponse {
 	keys := make([]string, len(res.Deleted))
 	for i, t := range res.Deleted {
 		keys[i] = t.Key()
 	}
 	return ViewDeleteResponse{
 		Session:        name,
+		Version:        version,
 		Size:           res.Size(),
 		Deleted:        keys,
 		Optimal:        res.Optimal,

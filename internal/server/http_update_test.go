@@ -78,8 +78,13 @@ func TestHTTPUpdateEndToEnd(t *testing.T) {
 	}
 	status, body = postJSON(t, client, ts.URL+"/v1/sessions/papers/delete-view-tuple",
 		`{"view": "V(a, p) :- Author(a, n), Writes(a, p).", "values": [4, 6], "version": 1}`)
-	if status != http.StatusOK {
+	if status != http.StatusOK || body["version"].(float64) != 1 {
 		t.Fatalf("pinned delete-view-tuple: %d %v", status, body)
+	}
+	status, body = postJSON(t, client, ts.URL+"/v1/sessions/papers/delete-view-tuple",
+		`{"view": "V(a, p) :- Author(a, n), Writes(a, p).", "values": [4, 6]}`)
+	if status != http.StatusOK || body["version"].(float64) != 2 {
+		t.Fatalf("head delete-view-tuple: %d %v", status, body)
 	}
 
 	// Session listing surfaces the version state.

@@ -75,7 +75,7 @@ func TestServiceConcurrentHammer(t *testing.T) {
 						return
 					}
 				case 3:
-					res, err := svc.DeleteViewTuple(ctx, "hot",
+					res, _, err := svc.DeleteViewTupleVersioned(ctx, "hot",
 						"V(a, p) :- Author(a, n), Writes(a, p).",
 						[]engine.Value{engine.Int(4), engine.Int(6)}, RequestOptions{})
 					if err != nil {

@@ -977,32 +977,36 @@ func (s *Service) Update(ctx context.Context, name string, inserts, deletes []en
 	}, nil
 }
 
-// DeleteViewTuple solves the deletion-propagation problem for the named
-// session: find a minimum base-deletion set removing the view row with the
-// given values while keeping the database stable under the session's
-// program (§7 of the paper). The view source is parsed per request against
-// the session schema.
-func (s *Service) DeleteViewTuple(ctx context.Context, name, viewSrc string, target []engine.Value, opts RequestOptions) (_ *sideeffect.Result, err error) {
+// DeleteViewTupleVersioned solves the deletion-propagation problem for the
+// named session: find a minimum base-deletion set removing the view row
+// with the given values while keeping the database stable under the
+// session's program (§7 of the paper). The view source is parsed per
+// request against the session schema. It also returns the snapshot version
+// the solution was computed against.
+func (s *Service) DeleteViewTupleVersioned(ctx context.Context, name, viewSrc string, target []engine.Value, opts RequestOptions) (_ *sideeffect.Result, _ uint64, err error) {
 	defer s.track("delete_view", time.Now(), &err)
 	sess, done, err := s.begin(ctx, name)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer done()
-	snap, _, err := sess.resolve(opts.Version)
+	snap, version, err := sess.resolve(opts.Version)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	reqCtx, cancel := s.requestCtx(ctx, opts)
 	defer cancel()
 	v, err := sideeffect.ParseView(viewSrc, sess.prep.Schema)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	res, _, err := sideeffect.DeleteViewTuple(snap.Fork(), v, target, sess.prep,
 		sideeffect.Options{MaxNodes: s.solverBudget(opts), Ctx: reqCtx})
 	if errors.Is(err, sideeffect.ErrNoSuchRow) {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	return res, err
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, version, nil
 }

@@ -133,7 +133,7 @@ func TestServiceRepairAllAndStability(t *testing.T) {
 func TestServiceDeleteViewTuple(t *testing.T) {
 	svc := openService(t, Config{})
 	register(t, svc, "papers")
-	res, err := svc.DeleteViewTuple(context.Background(), "papers",
+	res, _, err := svc.DeleteViewTupleVersioned(context.Background(), "papers",
 		"V(a, p) :- Author(a, n), Writes(a, p).",
 		[]engine.Value{engine.Int(4), engine.Int(6)}, RequestOptions{})
 	if err != nil {

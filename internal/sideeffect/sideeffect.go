@@ -6,11 +6,13 @@
 // tuple and (b) leaves the database stable — counting the cascade cost the
 // delta program imposes.
 //
-// The solver reduces to the same Min-Ones-SAT machinery as the paper's
-// Algorithm 1: every witness (assignment deriving the view tuple) becomes
-// a clause "delete at least one witness tuple", and the delta program's
-// positivized provenance contributes its stability clauses; minimizing
-// true variables minimizes total deletions including cascades.
+// It is a policy over Algorithm 1's provenance structure: every witness
+// (assignment deriving the view tuple) becomes an all-positive clause
+// "delete at least one witness tuple", core.Closure adds the delta
+// program's stability clauses over the possible-deletion closure seeded
+// with the witness tuples, and the one Min-Ones-SAT solver minimizes total
+// deletions including cascades. The lemma on core.Closure makes the
+// restriction to the closure exact.
 package sideeffect
 
 import (
@@ -180,7 +182,8 @@ func (v *View) Eval(db *engine.Database) ([]*Row, error) {
 	}
 	v.prepOnce.Do(func() {
 		// The view rule passes validation (its synthetic delta head mirrors
-		// body[0]), so it prepares like any single-rule program.
+		// body[0]), so it prepares like any single-rule program. Its body
+		// has no delta atom, so the operational plan reads base only.
 		v.prep, v.prepErr = datalog.Prepare(datalog.NewProgram(v.rule), db.Schema)
 	})
 	if v.prepErr != nil {
@@ -190,7 +193,7 @@ func (v *View) Eval(db *engine.Database) ([]*Row, error) {
 	defer v.prep.ReleaseContext(ctx)
 	rows := make(map[string]*Row)
 	var order []string
-	err := v.prep.Rules[0].EvalFromBase(db, ctx, func(asn *datalog.Assignment) bool {
+	err := v.prep.Rules[0].EvalOperational(db, ctx, func(asn *datalog.Assignment) bool {
 		// Project the head variables out of the assignment.
 		vals := make([]engine.Value, len(v.HeadVars))
 		for bi, a := range v.Body {
@@ -257,8 +260,9 @@ func (r *Result) Size() int { return len(r.Deleted) }
 // view row with the given values while keeping the database stable w.r.t.
 // the delta program, prepared by the caller, and returns it with the
 // repaired database. The plan may be nil (pure deletion propagation, no
-// cascade constraints). The stability formula is capped at
-// core.DefaultMaxClauses.
+// cascade constraints). With a plan, the formula is the witness clauses
+// plus core.Closure seeded with the witness tuples, under its clause cap;
+// tuples deleted beforehand stay deleted and are not listed in Deleted.
 func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, prep *datalog.Prepared, opts Options) (*Result, *engine.Database, error) {
 	start := time.Now()
 	if prep != nil {
@@ -281,57 +285,28 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, prep *
 		return nil, nil, fmt.Errorf("%w %v", ErrNoSuchRow, target)
 	}
 
-	// Build the formula: per witness, delete at least one participating
-	// tuple; plus the program's stability clauses (Algorithm 1 form).
-	// Tuples are identified by interned ID throughout; witness clauses get
-	// the synthetic head 0 (the view row is not a stored tuple).
+	// Per witness, the all-positive clause "delete one of these" (the
+	// view's atoms are base atoms) under the synthetic head 0: the view
+	// row is not a stored tuple. Its tuples seed the closure, which adds
+	// the program's stability clauses and the pre-deleted unit clauses.
 	formula := provenance.NewFormula()
+	var possible []*engine.Tuple
 	for _, w := range row.Witnesses {
-		// The requirement is the *opposite* of a stability clause — we NEED
-		// one deletion per witness — and the view's atoms are all base
-		// atoms, so a witness's clause is the all-positive "delete one of
-		// these".
 		formula.Add(0, &datalog.Assignment{Rule: v.rule, Tuples: w})
+		possible = append(possible, w...)
 	}
-	witnesses := formula.Len()
-
 	if prep != nil {
-		// The plan's FromBase plans serve both the stability clauses here
-		// and the final stability verification.
-		ctx := prep.AcquireContext()
-		defer prep.ReleaseContext(ctx)
-		var evalErr error
-		for _, pr := range prep.Rules {
-			err := pr.EvalFromBase(db, ctx, func(asn *datalog.Assignment) bool {
-				formula.Add(asn.Head().TID, asn)
-				if formula.Len()-witnesses > core.DefaultMaxClauses {
-					evalErr = fmt.Errorf("sideeffect: stability formula exceeded %d clauses", core.DefaultMaxClauses)
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			if evalErr != nil {
-				return nil, nil, evalErr
-			}
+		if _, _, err := core.Closure(opts.Ctx, db, prep, formula, possible, 0); err != nil {
+			return nil, nil, err
 		}
 	}
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return nil, nil, opts.Ctx.Err()
-	}
 
-	// Variable space: all tuples mentioned anywhere, numbered by the
-	// formula; a witness clause is all positive (delete one of these).
-	// The formula wrote that CNF as it went; the solver reads it in place.
-	ids := formula.TupleIDs()
-	cnf := formula.CNF()
+	// The formula wrote its CNF as it went; the solver reads it in place.
 	var cancel func() bool
 	if opts.Ctx != nil {
 		cancel = func() bool { return opts.Ctx.Err() != nil }
 	}
-	solved := sat.MinOnes(cnf, sat.Options{MaxNodes: opts.MaxNodes, Cancel: cancel})
+	solved := sat.MinOnes(formula.CNF(), sat.Options{MaxNodes: opts.MaxNodes, Cancel: cancel})
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
 		return nil, nil, opts.Ctx.Err()
 	}
@@ -341,14 +316,18 @@ func DeleteViewTuple(db *engine.Database, v *View, target []engine.Value, prep *
 
 	work := db.Fork()
 	var deleted []*engine.Tuple
-	for i, id := range ids {
-		if solved.Assignment[i+1] {
-			t := db.LookupID(id)
-			if t == nil || !work.DeleteTupleToDelta(t) {
-				return nil, nil, fmt.Errorf("sideeffect: unknown tuple t%d", id)
-			}
-			deleted = append(deleted, t)
+	for i, id := range formula.TupleIDs() {
+		if !solved.Assignment[i+1] {
+			continue
 		}
+		t := db.LookupID(id)
+		if t != nil && db.Delta(t.Rel).ContainsID(id) {
+			continue // pre-deleted: its unit clause forced it, and it stays
+		}
+		if t == nil || !work.DeleteTupleToDelta(t) {
+			return nil, nil, fmt.Errorf("sideeffect: unknown tuple t%d", id)
+		}
+		deleted = append(deleted, t)
 	}
 	// Verify: view tuple gone and (when a program is given) database stable.
 	after, err := v.Eval(work)

@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -225,5 +226,44 @@ func TestViewEvalConcurrent(t *testing.T) {
 		if errs[g] != nil || counts[g] != 3 {
 			t.Fatalf("goroutine %d: %d rows, err %v; want 3 rows", g, counts[g], errs[g])
 		}
+	}
+}
+
+// TestDeleteViewTuplePreDeletedCascade: a tuple deleted beforehand whose
+// cascade is still unmet. S(30,300) is in ∆, so the program forces R(4,30)
+// out whichever witness tuples go; the formula must see that clause, whose
+// delta atom binds a pre-deleted tuple, and Deleted must list the new
+// deletions only.
+func TestDeleteViewTuplePreDeletedCascade(t *testing.T) {
+	db := joinDB(t)
+	db.MustInsert("R", engine.Int(4), engine.Int(30))
+	s30 := db.MustInsert("S", engine.Int(30), engine.Int(300))
+	if !db.DeleteTupleToDelta(s30) {
+		t.Fatal("pre-deleting S(30,300) failed")
+	}
+	v, _ := ParseView("V(c) :- R(a, b), S(b, c).", db.Schema)
+	p, err := datalog.ParseAndValidate(`Delta_R(a, b) :- R(a, b), Delta_S(b, c).`, db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := datalog.Prepare(p, db.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, repaired, err := DeleteViewTuple(db, v, []engine.Value{engine.Int(100)}, prep, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tp := range res.Deleted {
+		got = append(got, tp.Key())
+	}
+	slices.Sort(got)
+	want := []string{"R(i1,i10)", "R(i2,i10)", "R(i4,i30)"}
+	if !slices.Equal(got, want) || !res.Optimal {
+		t.Fatalf("deleted %v (optimal %v), want %v proven", got, res.Optimal, want)
+	}
+	if repaired.TotalDeltaTuples() != 4 {
+		t.Fatalf("repaired database holds %d deltas, want the 3 deletions and S(30,300)", repaired.TotalDeltaTuples())
 	}
 }
